@@ -55,6 +55,11 @@ class AffineModel:
                 f"state space has dimension {state_space.dim}, parameters have {p}"
             )
         self.state_space = state_space
+        # Complex copies for the Riccati right-hand side, which would
+        # otherwise cast the real coefficients on every evaluation.
+        self.a0_c = self.a0.astype(complex)
+        self.aT_c = self.a.T.astype(complex)
+        self.A_c = self.A.astype(complex)
 
     @property
     def has_jumps(self):

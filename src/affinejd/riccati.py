@@ -62,8 +62,8 @@ def riccati_rhs(model, y):
     if y.size != p:
         raise ValueError(f"argument has length {y.size}, expected {p}")
     out = np.empty(p + 1, dtype=complex)
-    out[0] = model.a0 @ y + 0.5 * (y @ model.A[0] @ y)
-    out[1:] = model.a.T @ y + 0.5 * np.einsum("i,kij,j->k", y, model.A[1:], y)
+    out[0] = model.a0_c @ y + 0.5 * (y @ model.A_c[0] @ y)
+    out[1:] = model.aT_c @ y + 0.5 * np.einsum("i,kij,j->k", y, model.A_c[1:], y)
     for i, meas in enumerate(model.K):
         if meas is not None:
             out[i] += meas.exp_moment(y)
@@ -215,7 +215,7 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
         z = _unpack(y, m)
         with np.errstate(over="ignore", invalid="ignore"):
             dz = riccati_rhs(model, z[1:])
-        if not np.all(np.isfinite(dz.view(float))):
+        if not np.isfinite(dz).all():
             raise NonFiniteRHS(f"Riccati right-hand side is non-finite at t={t:.6g}")
         return _pack(dz)
 

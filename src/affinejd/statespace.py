@@ -5,12 +5,17 @@ Supported families: the canonical orthant-times-free space R_+^m x R^(p-m),
 the positive semidefinite cone in half-vectorized coordinates, the Lorentz
 cone, the parabolic set {x : x_1 >= |x_bar|^2}, and finite intersections of
 half spaces.
+
+Projection is batched: ``project_batch`` maps an ``(n, dim)`` array row by
+row with one vectorized implementation per family, and ``project`` is its
+single-row case. A row's image never depends on the other rows in its
+batch, so simulations stay reproducible when the path count changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, linprog, nnls
+from scipy.optimize import linprog, nnls
 
 from .errors import DimensionMismatch, ModelFormatError
 
@@ -19,26 +24,27 @@ _SQRT2 = np.sqrt(2.0)
 
 def vech(mat):
     """Half-vectorize a symmetric matrix, scaling off-diagonal entries by
-    sqrt(2) so the Euclidean inner product of images equals trace(XY)."""
+    sqrt(2) so the Euclidean inner product of images equals trace(XY).
+    A stack of shape ``(..., d, d)`` maps to ``(..., d(d+1)/2)``."""
     mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    iu, ju = np.triu_indices(d)
-    out = mat[iu, ju].copy()
-    out[iu != ju] *= _SQRT2
+    iu, ju = np.triu_indices(mat.shape[-1])
+    out = mat[..., iu, ju]
+    out[..., iu != ju] *= _SQRT2
     return out
 
 
 def unvech(x, d):
-    """Inverse of :func:`vech` for dimension ``d``."""
+    """Inverse of :func:`vech` for dimension ``d``; maps ``(..., d(d+1)/2)``
+    to ``(..., d, d)``."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (d * (d + 1) // 2,):
-        raise DimensionMismatch(f"vech vector has length {x.size}, expected {d*(d+1)//2}")
-    mat = np.zeros((d, d))
+    if x.shape[-1:] != (d * (d + 1) // 2,):
+        raise DimensionMismatch(f"vech vector has shape {x.shape}, expected (..., {d*(d+1)//2})")
+    mat = np.zeros(x.shape[:-1] + (d, d))
     iu, ju = np.triu_indices(d)
     vals = x.copy()
-    vals[iu != ju] /= _SQRT2
-    mat[iu, ju] = vals
-    mat[ju, iu] = vals
+    vals[..., iu != ju] /= _SQRT2
+    mat[..., iu, ju] = vals
+    mat[..., ju, iu] = vals
     return mat
 
 
@@ -55,11 +61,21 @@ class StateSpace:
         raise NotImplementedError
 
     def project(self, x):
-        raise NotImplementedError
+        """Euclidean projection of one point: the single-row case of
+        :meth:`project_batch`."""
+        return self._project_rows(self._check_dim(x)[None, :])[0]
 
     def project_batch(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.stack([self.project(x) for x in xs])
+        """Euclidean projection of each row of an ``(n, dim)`` array."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {self.dim})")
+        return self._project_rows(xs)
+
+    def _project_rows(self, xs):
+        """Project the rows of an ``(n, dim)`` float array, ``n >= 0``, into a
+        new array; each row's image must not depend on the other rows."""
+        raise NotImplementedError
 
     def distance(self, x):
         x = np.asarray(x, dtype=float)
@@ -108,15 +124,10 @@ class Canonical(StateSpace):
         x = self._check_dim(x)
         return bool(np.all(x[: self.m] > margin))
 
-    def project(self, x):
-        x = self._check_dim(x).copy()
-        x[: self.m] = np.maximum(x[: self.m], 0.0)
-        return x
-
-    def project_batch(self, xs):
-        xs = np.array(np.atleast_2d(xs), dtype=float)
-        xs[:, : self.m] = np.maximum(xs[:, : self.m], 0.0)
-        return xs
+    def _project_rows(self, xs):
+        out = xs.copy()
+        out[:, : self.m] = np.maximum(out[:, : self.m], 0.0)
+        return out
 
     def bounded_support(self, r, tol=1e-12):
         r = self._check_dim(r)
@@ -148,11 +159,11 @@ class PSDCone(StateSpace):
     def interior_contains(self, x, margin=0.0):
         return bool(self._eigvals(x).min() > margin)
 
-    def project(self, x):
-        mat = unvech(self._check_dim(x), self.d)
-        w, v = np.linalg.eigh(mat)
+    def _project_rows(self, xs):
+        # Clip the spectrum: V max(W, 0) V^T for each matrix of the stack.
+        w, v = np.linalg.eigh(unvech(xs, self.d))
         w = np.maximum(w, 0.0)
-        return vech((v * w) @ v.T)
+        return vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
 
     def bounded_support(self, r, tol=1e-12):
         # Self-dual under the trace product, which the scaling makes Euclidean.
@@ -180,17 +191,21 @@ class Lorentz(StateSpace):
         x = self._check_dim(x)
         return bool(x[0] - np.linalg.norm(x[1:]) > margin)
 
-    def project(self, x):
-        x = self._check_dim(x)
-        tail = np.linalg.norm(x[1:])
-        if x[0] >= tail:
-            return x.copy()
-        if x[0] <= -tail:
-            return np.zeros_like(x)
-        alpha = 0.5 * (x[0] + tail)
-        out = np.empty_like(x)
-        out[0] = alpha
-        out[1:] = x[1:] * (alpha / tail)
+    def _project_rows(self, xs):
+        # Inside: unchanged; in the polar cone: 0; otherwise onto the ray
+        # through (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2.
+        head = xs[:, 0]
+        tail = np.linalg.norm(xs[:, 1:], axis=1)
+        inside = head >= tail
+        polar = head <= -tail
+        alpha = 0.5 * (head + tail)
+        # tail > 0 on every row that is neither inside nor polar.
+        scale = alpha / np.where(inside | polar, 1.0, tail)
+        out = np.empty_like(xs)
+        out[:, 0] = alpha
+        out[:, 1:] = xs[:, 1:] * scale[:, None]
+        out[inside] = xs[inside]
+        out[polar] = 0.0
         return out
 
     def bounded_support(self, r, tol=1e-12):
@@ -221,24 +236,31 @@ class Parabolic(StateSpace):
         x = self._check_dim(x)
         return bool(self._slack(x) > margin)
 
-    def project(self, x):
-        x = self._check_dim(x)
-        if self._slack(x) >= 0.0:
-            return x.copy()
-        tail_sq = float(np.dot(x[1:], x[1:]))
-
-        # KKT: y1 = x1 + mu, y_bar = x_bar / (1 + 2 mu), active constraint.
-        def g(mu):
-            return (x[0] + mu) * (1.0 + 2.0 * mu) ** 2 - tail_sq
-
-        lo = max(0.0, -x[0])
-        hi = max(lo + 1.0, 1.0)
-        while g(hi) < 0.0:
-            hi *= 2.0
-        mu = brentq(g, lo, hi, xtol=1e-14, rtol=1e-14)
-        out = np.empty_like(x)
-        out[1:] = x[1:] / (1.0 + 2.0 * mu)
-        out[0] = float(np.dot(out[1:], out[1:]))
+    def _project_rows(self, xs):
+        # KKT: y1 = x1 + mu, y_bar = x_bar / (1 + 2 mu), active constraint, so
+        # mu >= lo = max(0, -x1) solves g(mu) = (x1 + mu)(1 + 2 mu)^2 - |x_bar|^2.
+        # g is increasing and convex on [lo, inf) with g(lo) <= 0, so Newton
+        # started from an upper bound falls monotonically onto the root. A
+        # row whose step is within the brentq-level tolerance 1e-14 keeps its
+        # mu, so it stays frozen while other rows iterate.
+        out = xs.copy()
+        tail_sq = np.sum(xs[:, 1:] ** 2, axis=1)
+        rows = np.flatnonzero(xs[:, 0] < tail_sq)
+        x1 = xs[rows, 0]
+        t = tail_sq[rows]
+        lo = np.maximum(0.0, -x1)
+        # At lo + s: x1 + mu >= s and 1 + 2 mu >= 1 + 2 s, so g >= max(s - t, 4 s^3 - t).
+        mu = lo + np.minimum(t, np.cbrt(0.25 * t))
+        for _ in range(100):
+            a = x1 + mu
+            q = 1.0 + 2.0 * mu
+            step = (a * q * q - t) / (q * q + 4.0 * a * q)
+            moving = step > 1e-14 * (1.0 + mu)
+            if not moving.any():
+                break
+            mu = np.where(moving, np.maximum(mu - step, lo), mu)
+        out[rows, 1:] = xs[rows, 1:] / (1.0 + 2.0 * mu)[:, None]
+        out[rows, 0] = np.sum(out[rows, 1:] ** 2, axis=1)
         return out
 
     def bounded_support(self, r, tol=1e-12):
@@ -291,30 +313,35 @@ class HalfSpaceIntersection(StateSpace):
         x = self._check_dim(x)
         return bool(np.max(self.normals @ x - self.offsets) < -margin)
 
-    def project(self, x, max_iter=2000, tol=1e-12):
-        # Dykstra's alternating projection over the individual half spaces.
-        x = self._check_dim(x)
-        if self.contains(x, tol=0.0):
-            return x.copy()
-        k = self.normals.shape[0]
-        y = x.copy()
-        corrections = np.zeros((k, self.dim))
-        for _ in range(max_iter):
-            shift = 0.0
-            for j in range(k):
-                z = y + corrections[j]
-                n = self.normals[j]
-                viol = float(n @ z - self.offsets[j])
-                if viol > 0.0:
-                    proj = z - (viol / float(n @ n)) * n
-                else:
-                    proj = z
-                corrections[j] = z - proj
-                shift = max(shift, float(np.linalg.norm(proj - y)))
-                y = proj
-            if shift <= tol:
+    def _project_rows(self, xs):
+        # Dykstra's alternating projection over the individual half spaces,
+        # run on every outside row at once; a row leaves the sweep as soon as
+        # its own largest shift in one pass is at most 1e-12. Row-wise sums
+        # stand in for matrix products, whose blocking can vary with n.
+        normals, offsets = self.normals, self.offsets
+        out = xs.copy()
+        outside = np.max((xs[:, None, :] * normals).sum(axis=2) - offsets, axis=1) > 0.0
+        rows = np.flatnonzero(outside)
+        y = xs[rows]
+        corrections = np.zeros((normals.shape[0],) + y.shape)
+        sq_norms = (normals * normals).sum(axis=1)
+        active = np.arange(rows.size)
+        for _ in range(2000):
+            if active.size == 0:
                 break
-        return y
+            ya = y[active]
+            shift = np.zeros(active.size)
+            for j, n in enumerate(normals):
+                z = ya + corrections[j, active]
+                viol = (z * n).sum(axis=1) - offsets[j]
+                proj = z - (np.maximum(viol, 0.0) / sq_norms[j])[:, None] * n
+                corrections[j, active] = z - proj
+                shift = np.maximum(shift, np.linalg.norm(proj - ya, axis=1))
+                ya = proj
+            y[active] = ya
+            active = active[shift > 1e-12]
+        out[rows] = y
+        return out
 
     def bounded_support(self, r, tol=1e-9):
         # sup r.x finite iff r is a nonnegative combination of the normals.

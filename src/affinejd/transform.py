@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExplosionBeforeHorizon
+from .errors import AffineError, ExplosionBeforeHorizon
 from .model import AffineModel, in_U, require_in_space
 from .riccati import SolverConfig, explosion_time, solve_riccati
 
@@ -116,7 +116,7 @@ def effective_domain_ray(
             return False
         try:
             res = explosion_time(model, lam * direction, horizon, cfg)
-        except Exception as exc:  # DivergentIntegral and solver failures
+        except AffineError as exc:  # DivergentIntegral and solver failures
             probes.append((lam, None, type(exc).__name__))
             return True
         probes.append((lam, res.estimate, res.kind))

@@ -88,6 +88,14 @@ def test_simulate_deterministic(capsys, models_dir):
     assert payload["mc_transform"]["n_paths"] == 500
 
 
+def test_simulate_negative_seed_exits_2(capsys, models_dir):
+    code, _, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
+                           "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1",
+                           "--seed=-1")
+    assert code == 2
+    assert "invalid input" in err and "seed" in err
+
+
 def test_simulate_csv(capsys, models_dir):
     code, out, _ = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
                            "--x0", "1", "--n-paths", "64", "--dt", "0.01", "--T", "0.5",

@@ -8,6 +8,7 @@ from affinejd.model import AffineModel
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
     SimConfig,
+    _Streams,
     ensemble_summary_csv,
     expected_jump_count,
     martingale_diagnostic,
@@ -51,17 +52,43 @@ def test_mc_transform_trivial(cir_model):
     assert est.n_paths == 64
 
 
-def test_determinism_and_prefix_stability(cir_model):
-    base = SimConfig(n_paths=48, dt=1e-2, horizon=0.5, seed=9)
-    e1 = simulate_paths(cir_model, [1.0], base)
-    e2 = simulate_paths(cir_model, [1.0], base)
-    assert np.array_equal(e1.states, e2.states)
-    wider = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9)
-    e3 = simulate_paths(cir_model, [1.0], wider)
-    assert np.array_equal(e3.states[:48], e1.states)
-    threaded = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9, threads=4)
-    e4 = simulate_paths(cir_model, [1.0], threaded)
-    assert np.array_equal(e4.states, e3.states)
+def test_determinism_and_prefix_stability(cir_model, wishart_model, lorentz_model):
+    # The cone models run project_batch on every step, and Wishart paths
+    # reach the PSD boundary, so this also pins row independence there.
+    for model, x0 in [(cir_model, [1.0]), (wishart_model, [0.4, 0.0, 0.4]),
+                      (lorentz_model, [1.0, 0.0, 0.0])]:
+        base = SimConfig(n_paths=48, dt=1e-2, horizon=0.5, seed=9)
+        e1 = simulate_paths(model, x0, base)
+        e2 = simulate_paths(model, x0, base)
+        assert np.array_equal(e1.states, e2.states)
+        wider = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9)
+        e3 = simulate_paths(model, x0, wider)
+        assert np.array_equal(e3.states[:48], e1.states)
+        threaded = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9, threads=4)
+        e4 = simulate_paths(model, x0, threaded)
+        assert np.array_equal(e4.states, e3.states)
+
+
+def test_rekeyed_streams_match_fresh_generators():
+    # Rekeying must also discard the buffered half of a uint64 left by an
+    # odd number of 32-bit draws, so each key starts from scratch.
+    from numpy.random import Generator, Philox
+
+    streams = _Streams((1 << 64) - 1, 3)
+    for step, purpose in [(0, 0), (7, 2), (0, 0), ((1 << 21) - 1, 1)]:
+        gen = streams(step, purpose)
+        fresh = Generator(Philox(key=np.array([(1 << 64) - 1, (3 << 24) | (step << 3) | purpose],
+                                              dtype=np.uint64)))
+        assert np.array_equal(gen.standard_normal(5), fresh.standard_normal(5))
+        assert np.array_equal(gen.integers(0, 10, 3, dtype=np.int32),
+                              fresh.integers(0, 10, 3, dtype=np.int32))
+        assert np.array_equal(gen.poisson([0.5, 3.0]), fresh.poisson([0.5, 3.0]))
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_stream_key_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(n_paths=4, dt=0.1, horizon=1.0, seed=seed)
 
 
 def test_states_stay_in_space(cir_model, cp_model, wishart_model):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 
-from affinejd.errors import ModelFormatError
+from affinejd.errors import DimensionMismatch, ModelFormatError
 from affinejd.statespace import (
     Canonical,
     HalfSpaceIntersection,
@@ -62,6 +66,100 @@ def test_projection_optimality(space):
         assert float((x - px) @ (y - px)) <= 1e-7
 
 
+def _reference_project(space, x):
+    """Per-point projection formulas, kept independent of the batched code."""
+    if isinstance(space, Canonical):
+        y = x.copy()
+        y[: space.m] = np.maximum(y[: space.m], 0.0)
+        return y
+    if isinstance(space, PSDCone):
+        w, v = np.linalg.eigh(unvech(x, space.d))
+        return vech((v * np.maximum(w, 0.0)) @ v.T)
+    if isinstance(space, Lorentz):
+        tail = np.linalg.norm(x[1:])
+        if x[0] >= tail:
+            return x.copy()
+        if x[0] <= -tail:
+            return np.zeros_like(x)
+        alpha = 0.5 * (x[0] + tail)
+        return np.concatenate([[alpha], x[1:] * (alpha / tail)])
+    if isinstance(space, Parabolic):
+        tail_sq = float(np.dot(x[1:], x[1:]))
+        if x[0] >= tail_sq:
+            return x.copy()
+
+        def g(mu):
+            return (x[0] + mu) * (1.0 + 2.0 * mu) ** 2 - tail_sq
+
+        lo = max(0.0, -x[0])
+        hi = max(lo + 1.0, 1.0)
+        while g(hi) < 0.0:
+            hi *= 2.0
+        y_bar = x[1:] / (1.0 + 2.0 * brentq(g, lo, hi, xtol=1e-14, rtol=1e-14))
+        return np.concatenate([[y_bar @ y_bar], y_bar])
+    # Dykstra over the individual half spaces.
+    if np.max(space.normals @ x - space.offsets) <= 0.0:
+        return x.copy()
+    y = x.copy()
+    corrections = np.zeros_like(space.normals)
+    for _ in range(2000):
+        shift = 0.0
+        for j, n in enumerate(space.normals):
+            z = y + corrections[j]
+            proj = z - max(n @ z - space.offsets[j], 0.0) / (n @ n) * n
+            corrections[j] = z - proj
+            shift = max(shift, np.linalg.norm(proj - y))
+            y = proj
+        if shift <= 1e-12:
+            break
+    return y
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_project_batch_rows(space):
+    rng = np.random.default_rng(7)
+    xs = rng.normal(size=(257, space.dim)) * 3.0
+    full = space.project_batch(xs)
+    assert full.shape == xs.shape
+    # A row's image does not depend on which rows share its batch.
+    for k in (1, 100):
+        assert np.array_equal(space.project_batch(xs[:k]), full[:k])
+    assert np.array_equal(space.project_batch(xs[::-1]), full[::-1])
+    for x, row in zip(xs, full):
+        assert np.array_equal(space.project(x), row)
+        assert np.allclose(row, _reference_project(space, x), rtol=0.0, atol=1e-12)
+    assert space.project_batch(np.empty((0, space.dim))).shape == (0, space.dim)
+    with pytest.raises(DimensionMismatch):
+        space.project_batch(np.zeros((3, space.dim + 1)))
+    with pytest.raises(DimensionMismatch):
+        space.project_batch(np.zeros(space.dim))
+
+
+def _batch_pairs(space):
+    coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    shape = st.tuples(st.integers(1, 12), st.just(space.dim))
+    return shape.flatmap(lambda sh: st.tuples(arrays(float, sh, elements=coords),
+                                              arrays(float, sh, elements=coords)))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_projection_properties_on_random_batches(space):
+    @settings(max_examples=60, deadline=None)
+    @given(_batch_pairs(space))
+    def check(pair):
+        xs, ys = pair
+        px, py = space.project_batch(xs), space.project_batch(ys)
+        scale = 1.0 + np.max(np.abs(xs))
+        for row in px:
+            assert space.contains(row, tol=1e-9 * scale**2)
+        assert np.allclose(space.project_batch(px), px, rtol=0.0, atol=1e-9 * scale)
+        # Projection onto a closed convex set is non-expansive.
+        gap = np.linalg.norm(px - py, axis=1) - np.linalg.norm(xs - ys, axis=1)
+        assert np.all(gap <= 1e-9 * (scale + np.max(np.abs(ys))))
+
+    check()
+
+
 def test_vech_round_trip():
     rng = np.random.default_rng(5)
     for d in (1, 2, 3, 5):
@@ -72,6 +170,10 @@ def test_vech_round_trip():
         # one rounding from the sqrt(2) scaling.
         assert np.array_equal(np.diag(back), np.diag(mat))
         assert np.max(np.abs(back - mat)) <= 1e-15 * max(1.0, np.max(np.abs(mat)))
+        # A stack maps matrix by matrix.
+        stack = np.stack([mat, 2.0 * mat])
+        assert np.array_equal(vech(stack), np.stack([vech(mat), vech(2.0 * mat)]))
+        assert np.array_equal(unvech(vech(stack), d), np.stack([back, unvech(vech(2.0 * mat), d)]))
 
 
 def test_vech_isometry():

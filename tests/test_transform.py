@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ def test_ray_probe_unbounded_direction(cir_model):
     probe = effective_domain_ray(cir_model, [-1.0], 1.0, lambda_max=64.0)
     assert not probe.bounded
     assert math.isinf(probe.lambda_star)
+
+
+def test_ray_probe_propagates_programming_errors(cir_model, monkeypatch):
+    # Only AffineError counts as leaving the domain; a bug must surface.
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the probe")
+
+    # The package re-exports the function transform, which shadows the module.
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "explosion_time", broken)
+    with pytest.raises(TypeError, match="bug inside the probe"):
+        effective_domain_ray(cir_model, [1.0], 1.0)
 
 
 def test_ray_probe_grows_as_horizon_shrinks(cir_model):
