@@ -18,7 +18,10 @@ Complex arguments are written like ``-1+2i`` (vectors comma-separated), or
 as paired ``--re``/``--im`` vectors; values starting with a minus sign need
 the ``--u=-1+2i`` form. The seed defaults to the AFFINE_SEED environment
 variable, then 0. Exit codes: 0 success, 2 validation or input error,
-1 numeric failure (the diagnostic names the failing operation).
+1 numeric failure (the diagnostic names the failing operation). Output is
+standard JSON: a finite transform too large for a float gives ``value``
+null next to its exact ``log_value``. A reader that closes the pipe early
+ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -74,7 +77,11 @@ def _cvec(zs):
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # Infinity and NaN are not standard JSON
+        raise AffineError(f"output holds a non-finite number: {exc}") from exc
+    print(text)
 
 
 def _u_from_args(args):
@@ -117,6 +124,7 @@ def _cmd_solve(args):
         "psi0": _c(psi0),
         "psi": _cvec(psi),
         "grid_points": int(sol.grid.size),
+        "stop_reason": sol.stats.stop_reason,
     }
     if sol.exploded:
         payload["bracket"] = list(sol.bracket)
@@ -139,8 +147,10 @@ def _cmd_transform(args):
     model = modelio.load_model(args.model)
     tv = transform(model, _u_from_args(args), parse_real_vector(args.x), args.t, _solver_cfg(args))
     payload = {"verdict": tv.kind}
-    if tv.value is not None:
-        payload["value"] = _c(tv.value)
+    if tv.value is not None or tv.finite:
+        payload["value"] = None if tv.value is None else _c(tv.value)  # null on overflow
+    if tv.log_value is not None:
+        payload["log_value"] = _c(tv.log_value)
     if tv.psi0 is not None:
         payload["psi0"] = _c(tv.psi0)
         payload["psi"] = _cvec(tv.psi)
@@ -375,7 +385,14 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head -1`): stop quietly,
+        # and keep the interpreter's final flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ModelFormatError, DimensionMismatch, StateSpaceMismatch, ValueError) as exc:
         print(f"invalid input for '{args.command}': {exc}", file=sys.stderr)
         return 2

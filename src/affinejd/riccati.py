@@ -5,16 +5,32 @@ the zeroth component psi_0 is carried as an ODE component (psi_0' = R_0(psi))
 rather than reconstructed through logarithms, so it is continuous and free of
 branch-cut ambiguity.
 
-Integration uses an adaptive embedded Runge-Kutta pair (DOP853) with dense
-output on the 2(p+1) real components of (psi_0, psi). Blow-up is declared
-when |psi| crosses the configured radius and is localized by bisection on
-the dense output; models with jump atoms get an additional stopping surface
-well below the overflow threshold of exp, where the remaining time to the
-true blow-up is far below the bracket width.
+Integration runs in two phases of one call, both with the adaptive embedded
+Runge-Kutta pair DOP853 and dense output on the 2(p+1) real components of
+(psi_0, psi). Phase 1 integrates in t until the horizon or until |psi|
+crosses the switch radius r_sw = 30 (1 + |u|); solves that stay below r_sw
+end there. Otherwise phase 2 continues from the last accepted step of phase
+1 in a new time s, with t as a state component:
+
+    d(t, psi_0, psi)/ds = g (1, R_0, R),  g = 1 / (1 + |R(psi)| / (r_sw (1 + |psi|))),
+
+a rescaled time for blow-up problems (Stuart & Floater, "On the computation
+of blow-up", Eur. J. Appl. Math. 1990). |psi| then grows at most
+exponentially in s while t creeps up to the blow-up time, so the integrator
+takes even steps where phase 1 would reject most of its steps. A trial stage
+whose right-hand side overflows is rejected. The stopping surfaces are the
+blow-up radius r_max, an exp-overflow guard for models with jump atoms (well
+below the overflow threshold of exp, where the remaining time to the true
+blow-up is far below the bracket width), the integrability boundary of
+exponential rays, and t = horizon. Blow-up is localized by bisection on the
+dense output of the phase that crossed the radius, in that phase's own
+variable, and reported in t. The solution's grid and dense evaluator span
+both phases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +49,10 @@ from .model import _check_state, diffusion_at, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
+
+# Phase 1 hands over to the time-changed phase 2 when |psi| crosses
+# _SWITCH_FACTOR * (1 + |u|).
+_SWITCH_FACTOR = 30.0
 
 
 @dataclass
@@ -70,16 +90,31 @@ def riccati_rhs(model, y):
     return out
 
 
+@dataclass
+class SolveStats:
+    """What one solve did: right-hand-side calls, accepted steps in t
+    (phase 1) and in the time-changed s (phase 2), and why it stopped:
+    "horizon", "radius" (|psi| reached r_max), "overflow" (the exp guard of
+    atom supports) or "step_underflow" (blow-up declared when the step size
+    underflowed)."""
+
+    nfev: int
+    steps_t: int
+    steps_s: int
+    stop_reason: str
+
+
 class RiccatiSolution:
     """Dense solution of the Riccati system from psi(0) = u, psi_0(0) = 0.
 
     ``verdict`` is "solved" (reached the horizon) or "exploded" (|psi|
     crossed the blow-up radius inside a bracket of relative width below the
     configured tolerance). ``eval(t)`` interpolates (psi_0(t), psi(t)) for
-    any t up to the last solved time.
+    any t up to the last solved time; ``grid`` holds the accepted times of
+    both phases.
     """
 
-    def __init__(self, u, grid, psi0, psi, verdict, horizon, bracket, dense, config):
+    def __init__(self, u, grid, psi0, psi, verdict, horizon, bracket, dense, config, stats):
         self.u = u
         self.grid = grid
         self.psi0 = psi0
@@ -89,6 +124,7 @@ class RiccatiSolution:
         self.bracket = bracket
         self._dense = dense
         self.config = config
+        self.stats = stats
         self.t_last = float(grid[-1])
 
     @property
@@ -111,6 +147,41 @@ class RiccatiSolution:
         return self.eval(self.t_last)
 
 
+class _TimeChangedDense:
+    """Dense output over both phases: the phase-1 interpolant in t up to the
+    switch time, then the phase-2 interpolant in s at the s where its
+    monotone component t(s) - t_switch reaches t - t_switch."""
+
+    def __init__(self, dense_t, dense_s, s_grid, t_grid, rows):
+        self._dense_t = dense_t
+        self._dense_s = dense_s
+        self._s_grid = s_grid
+        self._t_grid = t_grid  # t at the phase-2 grid; t_grid[0] is the switch time
+        self._rows = rows
+
+    def __call__(self, t):
+        ts = np.atleast_1d(t)
+        late = ts > self._t_grid[0]
+        out = np.empty((self._rows, ts.size))
+        if not late.all():
+            out[:, ~late] = self._dense_t(ts[~late])
+        if late.any():
+            out[:, late] = self._dense_s(self._s_of(ts[late]))[1:]
+        return out[:, 0] if np.ndim(t) == 0 else out
+
+    def _s_of(self, t):
+        """The first s with t(s) >= t, by bisection inside the phase-2 step
+        that holds t."""
+        k = np.clip(np.searchsorted(self._t_grid, t), 1, self._t_grid.size - 1)
+        lo, hi = self._s_grid[k - 1], self._s_grid[k]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not np.any((lo < mid) & (mid < hi)):
+                return hi
+            ahead = self._t_grid[0] + self._dense_s(mid)[0] >= t
+            lo, hi = np.where(ahead, lo, mid), np.where(ahead, mid, hi)
+
+
 def _pack(z):
     return np.concatenate([z.real, z.imag])
 
@@ -119,21 +190,20 @@ def _unpack(y, m):
     return y[:m] + 1j * y[m:]
 
 
-def _make_events(model, cfg):
-    """Terminal stopping surfaces: blow-up radius, exp-overflow guard for
-    atom supports, and the integrability boundary of exponential rays."""
+def _make_events(model, radius, off):
+    """Terminal stopping surfaces on a state whose packed (psi_0, psi) starts
+    at y[off]: the radius |psi| = radius, the exp-overflow guard for atom
+    supports, and the integrability boundary of exponential rays."""
     p = model.dim
     m = p + 1
 
     def psi_of(y):
-        return _unpack(y, m)[1:]
+        return _unpack(y[off:], m)[1:]
 
-    def radius(t, y):
-        return float(np.linalg.norm(psi_of(y))) - cfg.r_max
+    def radius_event(x, y):
+        return float(np.linalg.norm(psi_of(y))) - radius
 
-    radius.terminal = True
-    radius.direction = 1
-    events = [radius]
+    events = [radius_event]
     kinds = ["radius"]
 
     support = []
@@ -150,39 +220,84 @@ def _make_events(model, cfg):
     if support:
         zs = np.vstack(support)
 
-        def overflow(t, y):
+        def overflow(x, y):
             return float(np.max((zs @ psi_of(y)).real)) - _EXP_GUARD
 
-        overflow.terminal = True
-        overflow.direction = 1
         events.append(overflow)
         kinds.append("overflow")
     for rate, direction in rays:
         margin = max(1e-9 * rate, 1e-14)
 
-        def ray_event(t, y, d=direction, bound=rate - margin):
+        def ray_event(x, y, d=direction, bound=rate - margin):
             return float((d @ psi_of(y)).real) - bound
 
-        ray_event.terminal = True
-        ray_event.direction = 1
         events.append(ray_event)
         kinds.append("ray")
+    for event in events:
+        event.terminal = True
+        event.direction = 1
     return events, kinds
 
 
-def _refine_bracket(dense_eval, event_fn, t_lo, t_event, cfg):
-    """Bisect the event function on the dense output down to a bracket of
-    relative width below explosion_bracket_tol."""
+def _first_step(rhs, y0, f0, t_bound, cfg, m):
+    """First step of phase 1: scipy's own rule (Hairer, Norsett & Wanner,
+    Sec. II.4) applied to the whole state and to the psi block alone, from
+    the same two right-hand-side values, and the larger of the two. psi_0 is
+    a quadrature that does not feed back into psi, so a large R_0 must not
+    shrink the first step below what psi needs (at R_0 ~ 1e180 the rule on
+    the whole state underflows to 0)."""
+    scale = cfg.abs_tol + np.abs(y0) * cfg.rel_tol
+    blocks = (slice(None), np.r_[1:m, m + 1:2 * m])
+
+    def norm(v, block):
+        v = v[block] / scale[block]
+        return float(np.linalg.norm(v)) / v.size ** 0.5
+
+    h0 = []
+    for block in blocks:
+        d0, d1 = norm(y0, block), norm(f0, block)
+        h0.append(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound))
+    probe = h0[0] or h0[1]
+    f1 = rhs(probe, y0 + probe * f0)
+    steps = []
+    for block, h in zip(blocks, h0):
+        d1, d2 = norm(f0, block), norm(f1 - f0, block) / probe
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)  # DOP853's error order is 7
+        steps.append(min(100.0 * h, h1, t_bound))
+    return max(steps) or None
+
+
+def _refine_bracket(dense, event_fn, clock, lo, hi, cfg):
+    """Bisect the event function on the dense output of the phase that fired
+    it, in that phase's own variable, down to a bracket in t of relative
+    width below explosion_bracket_tol; clock(x, y) is t at a point."""
+    t_lo, t_event = clock(lo, dense(lo)), clock(hi, dense(hi))
     t_hi = t_event
     target = 0.25 * cfg.explosion_bracket_tol * max(t_event, 1e-300)
     while t_hi - t_lo > target:
-        mid = 0.5 * (t_lo + t_hi)
-        if event_fn(mid, dense_eval(mid)) < 0.0:
-            t_lo = mid
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        y = dense(mid)
+        if event_fn(mid, y) < 0.0:
+            lo, t_lo = mid, clock(mid, y)
         else:
-            t_hi = mid
+            hi, t_hi = mid, clock(mid, y)
     upper = t_event * (1.0 + 0.25 * cfg.explosion_bracket_tol)
     return t_lo, upper
+
+
+def _terminal_event(sol, kinds):
+    """(index, kind) of the event that stopped solve_ivp, or (None, None):
+    the terminating event is the chronologically last recorded root."""
+    fired = [(k, float(te[-1])) for k, te in enumerate(sol.t_events) if te.size > 0]
+    if sol.status != 1 or not fired:
+        return None, None
+    k_term = max(fired, key=lambda kt: kt[1])[0]
+    return k_term, kinds[k_term]
 
 
 def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
@@ -196,6 +311,7 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
     cfg = cfg or DEFAULT_CONFIG
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
+    horizon = float(horizon)
     u = np.asarray(u, dtype=complex).ravel()
     p = model.dim
     if u.size != p:
@@ -203,46 +319,105 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
     m = p + 1
 
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
-    riccati_rhs(model, u)
+    r_u = riccati_rhs(model, u)
+    if not np.isfinite(r_u).all():
+        raise NonFiniteRHS("Riccati right-hand side is non-finite at t=0")
+    r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
     budget = {"nfev": 0}
     limit = cfg.max_steps * 20
 
-    def rhs(t, y):
+    def evaluate(t, z):
         budget["nfev"] += 1
         if budget["nfev"] > limit:
             raise StepLimitExceeded(f"exceeded {cfg.max_steps} steps at t={t:.6g}")
-        z = _unpack(y, m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dz = riccati_rhs(model, z[1:])
+        return riccati_rhs(model, z[1:])
+
+    def rhs(t, y):
+        dz = evaluate(t, _unpack(y, m))
         if not np.isfinite(dz).all():
             raise NonFiniteRHS(f"Riccati right-hand side is non-finite at t={t:.6g}")
         return _pack(dz)
 
-    events, kinds = _make_events(model, cfg)
+    def rhs_s(s, y):
+        z = _unpack(y[1:], m)
+        dz = evaluate(t_switch + y[0], z)
+        if not np.isfinite(dz).all():
+            # A trial stage past the overflow of exp: the NaN error estimate
+            # makes the integrator reject the step and shrink it.
+            return np.full(y.size, np.nan)
+        # hypot scales its arguments: |R| may exceed the square root of the
+        # largest float.
+        g = 1.0 / (1.0 + math.hypot(*np.abs(dz[1:])) / (r_switch * (1.0 + np.linalg.norm(z[1:]))))
+        return g * np.concatenate([[1.0], dz.real, dz.imag])
+
+    def integrate(fun, span, y_start, events, first_step=None):
+        # exp may overflow in a trial stage; rhs and rhs_s decide what that means.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve_ivp(
+                fun, span, y_start, method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                dense_output=True, events=events, first_step=first_step,
+            )
+
+    # Phase 1: integrate in t up to the switch radius (or r_max if smaller).
+    events, kinds = _make_events(model, min(r_switch, cfg.r_max), 0)
     y0 = _pack(np.concatenate([[0.0 + 0.0j], u]))
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(horizon)),
-        y0,
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        dense_output=True,
-        events=events,
-    )
-    grid = sol.t
-    ys = sol.y
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_step = _first_step(rhs, y0, _pack(r_u), horizon, cfg, m)
+    sol = integrate(rhs, (0.0, horizon), y0, events, first_step)
+    grid, ys, dense = sol.t, sol.y, sol.sol
+    steps_t, steps_s = sol.t.size - 1, 0
+    k_term, kind = _terminal_event(sol, kinds)
+    t_switch = None
+    if kind == "radius" and r_switch < cfg.r_max:
+        # Phase 2 restarts from the last accepted step of phase 1, an exact
+        # step end rather than the interpolated crossing, and integrates in s
+        # with d(t, psi_0, psi)/ds = g (1, R_0, R), where
+        # g = 1/(1 + |R|/(r_sw (1 + |psi|))): |psi| then grows at most
+        # exponentially in s while t creeps up to the blow-up time. The
+        # state carries t - t_switch, so rel_tol applies to the time spent
+        # in phase 2.
+        t_switch = float(grid[-2])
+        grid, ys = grid[:-1], ys[:, :-1]
+        steps_t -= 1
+        events, kinds = _make_events(model, cfg.r_max, 1)
+
+        def at_horizon(s, y):
+            return t_switch + y[0] - horizon
+
+        at_horizon.terminal = True
+        at_horizon.direction = 1
+        events.append(at_horizon)
+        kinds.append("horizon")
+        sol = integrate(rhs_s, (0.0, math.inf), np.concatenate([[0.0], ys[:, -1]]), events)
+        steps_s = sol.t.size - 1
+        k_term, kind = _terminal_event(sol, kinds)
+        t_grid = t_switch + sol.y[0]
+        if kind == "horizon":
+            t_grid[-1] = horizon
+        dense = _TimeChangedDense(dense, sol.sol, sol.t, t_grid, 2 * m)
+        grid = np.concatenate([grid, t_grid[1:]])
+        ys = np.hstack([ys, sol.y[1:, 1:]])
+
+    def clock(x, y):
+        """t at a point of the last phase: x itself, or t_switch + y[0] in s."""
+        return x if t_switch is None else t_switch + float(y[0])
+
     psi0 = ys[0] + 1j * ys[m]
     psi = (ys[1:m] + 1j * ys[m + 1:]).T
     # The stored endpoint values are exact by construction of the solver.
     psi0[0] = 0.0
     psi[0] = u
 
-    if sol.status == 0:
+    def result(verdict, bracket, stop_reason):
+        stats = SolveStats(budget["nfev"], steps_t, steps_s, stop_reason)
         return RiccatiSolution(
-            u, grid, psi0, psi, "solved", float(horizon), None, sol.sol, cfg
+            u, grid, psi0, psi, verdict, horizon if verdict == "solved" else None,
+            bracket, dense, cfg, stats,
         )
+
+    if sol.status == 0 or kind == "horizon":
+        return result("solved", None, "horizon")
 
     if sol.status == -1:
         # Super-exponential blow-up outruns every stopping surface: the
@@ -258,21 +433,18 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
         scale = 1.0 + float(np.linalg.norm(psi_end))
         if not np.isfinite(r_norm) or r_norm * max(t_end, 1e-12) > 1e10 * scale:
             half = 0.25 * cfg.explosion_bracket_tol * t_end
-            bracket = (t_end - half, t_end + half)
-            return RiccatiSolution(u, grid, psi0, psi, "exploded", None, bracket, sol.sol, cfg)
+            return result("exploded", (t_end - half, t_end + half), "step_underflow")
         raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {sol.message}")
 
-    # The terminating event is the chronologically last recorded root.
-    fired = [(k, float(te[-1])) for k, te in enumerate(sol.t_events) if te.size > 0]
-    k_term, t_event = max(fired, key=lambda kt: kt[1])
-    kind = kinds[k_term]
+    x_event = float(sol.t_events[k_term][-1])
     if kind == "ray":
+        t_event = clock(x_event, sol.y_events[k_term][-1])
         raise DivergentIntegral(
             f"psi reached the integrability boundary of an exponential ray at t={t_event:.9g}"
         )
-    t_prev = float(grid[-2]) if grid.size > 1 else 0.0
-    t_lo, t_hi = _refine_bracket(sol.sol, events[k_term], t_prev, t_event, cfg)
-    return RiccatiSolution(u, grid, psi0, psi, "exploded", None, (t_lo, t_hi), sol.sol, cfg)
+    x_prev = float(sol.t[-2]) if sol.t.size > 1 else 0.0
+    bracket = _refine_bracket(sol.sol, events[k_term], clock, x_prev, x_event, cfg)
+    return result("exploded", bracket, kind)
 
 
 @dataclass

@@ -4,7 +4,9 @@ identity behind infinite divisibility.
 
 The transform value is tagged:
 
-* ``finite``      -- the Riccati solution reached t; value exp(psi0 + psi.x).
+* ``finite``      -- the Riccati solution reached t; value exp(psi0 + psi.x),
+                     with the exponent in log_value. The value is None when
+                     the exponential overflows.
 * ``explosive``   -- real u whose solution blew up by t: the moment is +inf.
 * ``zero_region`` -- non-real u with bounded Re(u.x) on the state space whose
                      solution blew up by t: the transform is identically 0.
@@ -32,6 +34,7 @@ class TransformValue:
     psi0: Optional[complex] = None
     psi: Optional[np.ndarray] = None
     diagnostic: Optional[str] = None
+    log_value: Optional[complex] = None  # psi0 + psi.x on the finite verdict
 
     @property
     def finite(self):
@@ -46,15 +49,10 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
-        return TransformValue(
-            "finite", value=np.exp(complex(u @ x)), psi0=0.0 + 0.0j, psi=u.copy()
-        )
+        return _finite(0.0 + 0.0j, u.copy(), x)
     sol = solve_riccati(model, u, t, cfg)
     if not sol.exploded:
-        psi0_t, psi_t = sol.eval(t)
-        with np.errstate(over="ignore"):
-            value = np.exp(psi0_t + complex(psi_t @ x))
-        return TransformValue("finite", value=value, psi0=psi0_t, psi=psi_t)
+        return _finite(*sol.eval(t), x)
     if np.all(u.imag == 0.0):
         return TransformValue(
             "explosive",
@@ -75,10 +73,25 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
     )
 
 
+def _finite(psi0, psi, x):
+    log_value = psi0 + complex(psi @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(log_value)
+    if np.isfinite(value):
+        return TransformValue("finite", value=value, psi0=psi0, psi=psi, log_value=log_value)
+    return TransformValue(
+        "finite", psi0=psi0, psi=psi, log_value=log_value,
+        diagnostic=f"exp(log_value) overflows at log_value {log_value}",
+    )
+
+
 @dataclass
 class RayProbe:
     """Location of the effective-domain boundary along a ray of initial
-    conditions: lambda_star = inf{lambda >= 0 : blow-up by the horizon}."""
+    conditions: lambda_star = inf{lambda >= 0 : blow-up by the horizon}.
+    ``probes`` holds (lambda, blow-up time estimate or None, verdict) in the
+    order probed; the verdict is "finite" (blow-up by the horizon),
+    "exceeds_horizon", or the name of the error that ended the probe."""
 
     direction: np.ndarray
     horizon: float
@@ -98,11 +111,22 @@ class RayProbe:
 def effective_domain_ray(
     model, direction, horizon, lambda_max=1e6, cfg: Optional[SolverConfig] = None, rel_tol=1e-6
 ):
-    """Bisect for lambda_star along u = lambda * direction.
+    """Locate lambda_star along u = lambda * direction.
 
     Monotonicity of blow-up in lambda is assumed from convexity of the
     effective domain (which contains 0). A DivergentIntegral along the probe
     counts as leaving the domain: the transform is not finite there either.
+
+    Doubling from lambda = 1 brackets lambda_star. Inside the bracket each
+    probe integrates to twice the horizon, so probes on both sides of
+    lambda_star return their blow-up time T*. A secant on the monotone map
+    lambda -> 1/T*(lambda) (Keller-Ressel & Mayerhofer, "Exponential moments
+    of affine processes", AAP 2015), through the two probes whose 1/T* is
+    nearest 1/horizon, guesses lambda_star. A guess farther than 1e-3
+    (relative) from every probe is probed itself; a nearer one is confirmed
+    by probes at guess * (1 -+ rel_tol/4), which close a bracket of relative
+    width below rel_tol. A guess outside the bracket falls back to bisection.
+    A probe that fails past the horizon is decided on the horizon itself.
     """
     direction = np.asarray(direction, dtype=float).ravel()
     if not np.any(direction != 0.0):
@@ -110,17 +134,36 @@ def effective_domain_ray(
     if horizon <= 0.0 or lambda_max <= 0.0:
         raise ValueError("horizon and lambda_max must be positive")
     probes = []
+    rates = {0.0: 0.0}  # lambda -> 1/T*(lambda) where known; T* = inf at 0
+    t_probe = horizon  # how far each probe integrates; twice the horizon in the bracket
 
     def leaves_domain(lam):
-        if lam == 0.0:
-            return False
+        nonlocal t_probe
         try:
-            res = explosion_time(model, lam * direction, horizon, cfg)
+            res = explosion_time(model, lam * direction, t_probe, cfg)
         except AffineError as exc:  # DivergentIntegral and solver failures
+            if t_probe > horizon:
+                # The failure may lie past the horizon: decide on the horizon,
+                # here and for the probes that follow.
+                t_probe = horizon
+                return leaves_domain(lam)
             probes.append((lam, None, type(exc).__name__))
             return True
-        probes.append((lam, res.estimate, res.kind))
-        return res.finite
+        if res.finite and res.estimate > 0.0:
+            rates[lam] = 1.0 / res.estimate
+        leaves = res.finite and res.estimate <= horizon
+        probes.append((lam, res.estimate, "finite" if leaves else "exceeds_horizon"))
+        return leaves
+
+    def secant_guess():
+        """Where the line through the two probes with 1/T* nearest 1/horizon
+        meets it; nan when there is no such line."""
+        target = 1.0 / horizon
+        nearest = sorted(rates.items(), key=lambda kv: abs(kv[1] - target))[:2]
+        if len(nearest) < 2 or nearest[0][1] == nearest[1][1]:
+            return math.nan
+        (lam_1, r_1), (lam_2, r_2) = nearest
+        return lam_1 + (target - r_1) * (lam_2 - lam_1) / (r_2 - r_1)
 
     lam_lo = 0.0
     lam_hi = min(1.0, lambda_max)
@@ -129,12 +172,24 @@ def effective_domain_ray(
         if lam_hi >= lambda_max:
             return RayProbe(direction, horizon, math.inf, None, probes)
         lam_hi = min(2.0 * lam_hi, lambda_max)
+    t_probe = 2.0 * horizon
     while lam_hi - lam_lo > rel_tol * lam_hi:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if leaves_domain(mid):
-            lam_hi = mid
+        guess = secant_guess()
+        # Past 40 probes, twice what bisection alone needs, only bisect:
+        # the search then ends whatever the secant does.
+        if len(probes) > 40 or not lam_lo < guess < lam_hi:
+            candidates = [0.5 * (lam_lo + lam_hi)]
+        elif min(abs(guess - lam) for lam in rates) > 1e-3 * guess:
+            candidates = [guess]
         else:
-            lam_lo = mid
+            candidates = [guess * (1.0 - 0.25 * rel_tol), guess * (1.0 + 0.25 * rel_tol)]
+        for lam in candidates:
+            if not lam_lo < lam < lam_hi:
+                continue
+            if leaves_domain(lam):
+                lam_hi = lam
+                break
+            lam_lo = lam
     return RayProbe(direction, horizon, 0.5 * (lam_lo + lam_hi), (lam_lo, lam_hi), probes)
 
 
@@ -178,7 +233,7 @@ def damped_transform_sequence(model, u, x, t, n_list, cfg: Optional[SolverConfig
     values = []
     for n in n_list:
         tv = transform(damped_model(model, n), u, x, t, cfg)
-        if tv.kind in ("finite", "zero_region"):
+        if tv.value is not None:
             values.append(complex(tv.value))
         else:
             raise ExplosionBeforeHorizon(

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -18,12 +22,21 @@ def test_parse_complex_forms():
     assert np.array_equal(parse_complex_vector("1,2i"), np.array([1.0, 2.0j]))
 
 
+def strict_json(text):
+    """json.loads that refuses the non-standard constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_solve_cir(capsys, models_dir):
     code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
                            "--u", "0.5", "--T", "1")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["verdict"] == "solved"
+    assert payload["stop_reason"] == "horizon"
     assert abs(payload["psi0"]["re"] - np.log(2.0)) < 1e-6
     assert abs(payload["psi"][0]["re"] - 1.0) < 1e-6
 
@@ -35,6 +48,43 @@ def test_solve_csv(capsys, models_dir):
     lines = out.strip().split("\n")
     assert lines[0] == "t,re_psi0,im_psi0,re_psi_1,im_psi_1"
     assert [float(v) for v in lines[1].split(",")] == [0.0, 0.0, 0.0, 0.5, 0.0]
+
+
+def test_solve_exploding_stop_reason(capsys, models_dir):
+    code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
+                           "--u", "1", "--T", "10")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["verdict"] == "exploded" and payload["stop_reason"] == "radius"
+
+
+def test_transform_overflow_is_standard_json(capsys, models_dir):
+    # exp(psi0 + psi x) = exp(9002.3...) overflows: value is null and the
+    # exponent travels in log_value.
+    code, out, _ = run_cli(capsys, "transform", "--model", str(models_dir / "cir.json"),
+                           "--u", "0.9", "--x", "1000", "--t", "1")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["verdict"] == "finite"
+    assert payload["value"] is None
+    assert abs(payload["log_value"]["re"] - (np.log(10.0) + 9000.0)) < 1e-5
+
+
+def test_closed_stdout_pipe_is_quiet(models_dir):
+    # The reader goes away before the output is written, as `| head -1` can.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a plain shell
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affinejd", "ray", "--model", str(models_dir / "cir.json"),
+         "--direction=-1", "--T", "1", "--csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_explosion_finite(capsys, models_dir):

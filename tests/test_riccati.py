@@ -263,3 +263,70 @@ def test_solver_config_validation():
         SolverConfig(rel_tol=2.0)
     with pytest.raises(ValueError):
         SolverConfig(r_max=-1.0)
+
+
+def atom_model(z):
+    # R_1(y) = e^(z y) - 1 - z y with psi_0' = psi / 2.
+    return scalar_model(a0=0.5, K=[None, FiniteAtomic([1.0], [[z]])])
+
+
+def test_eval_continuous_across_switch(cir_model):
+    # psi = u/(1 - u t) passes the switch radius 30 (1 + |u|) near t = 0.983
+    # and reaches 999 at t = 1: the solve ends in the time-changed phase.
+    u = 0.999
+    sol = solve_riccati(cir_model, [u], 1.0)
+    assert sol.verdict == "solved" and sol.stats.stop_reason == "horizon"
+    assert sol.stats.steps_t > 0 and sol.stats.steps_s > 0
+    assert sol.t_last == 1.0 and np.all(np.diff(sol.grid) > 0.0)
+    t_switch = sol.grid[sol.stats.steps_t]
+    assert 50.0 < abs(sol.psi[sol.stats.steps_t, 0]) < 60.0
+    near = t_switch + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
+    # The error grows with psi towards t = 1; test_near_boundary_accuracy
+    # bounds it there.
+    for tol, ts in ((1e-8, near), (1.7e-8, np.concatenate([sol.grid[-6:], [0.99, 0.999]]))):
+        for t in ts:
+            psi0, psi = sol.eval(t)
+            assert abs(psi[0] - oracles.cir_psi(t, u)) <= tol * abs(oracles.cir_psi(t, u))
+            assert abs(psi0 - oracles.cir_psi0(t, u)) <= tol * (1.0 + abs(oracles.cir_psi0(t, u)))
+    # The array form of eval agrees with the scalar form on both phases.
+    psi0_arr, psi_arr = sol.eval(near)
+    for k, t in enumerate(near):
+        psi0, psi = sol.eval(t)
+        assert psi0_arr[k] == psi0 and psi_arr[k, 0] == psi[0]
+
+
+def test_near_boundary_accuracy(cir_model):
+    # Relative errors of the single-phase solver these bounds were set from:
+    # 1.7e-8 at u = 0.999 and 1.7e-6 at u = 0.99999 (psi(1) = 999 and 99999).
+    for u, bound in ((0.999, 1.7e-8), (0.99999, 1.7e-6)):
+        psi = solve_riccati(cir_model, [u], 1.0).eval(1.0)[1][0]
+        want = u / (1.0 - u)
+        assert abs(psi - want) <= bound * want
+
+
+def test_stop_reasons(cir_model, squared_model):
+    assert solve_riccati(cir_model, [0.5], 1.0).stats.stop_reason == "horizon"
+    sol = solve_riccati(squared_model, [1.0], 10.0)
+    assert sol.exploded and sol.stats.stop_reason == "radius"
+    assert sol.stats.steps_s > 0
+    # A slowly steepening exponential: phase 2 reaches the exp guard z y = 600.
+    z = 0.2
+    sol = solve_riccati(atom_model(z), [1.0], 100.0)
+    want = oracles.explosion_time_1d(lambda y: np.exp(z * y) - 1.0 - z * y, 1.0)
+    assert sol.exploded and sol.stats.stop_reason == "overflow"
+    assert abs(0.5 * sum(sol.bracket) - want) < 1e-6 * want
+    # e^y - 1 - y outruns every surface before the switch: the step underflows.
+    sol = solve_riccati(self_exciting_model(), [1.0], 10.0)
+    assert sol.exploded and sol.stats.stop_reason == "step_underflow"
+    for s in (sol, solve_riccati(cir_model, [0.5], 1.0)):
+        assert s.stats.nfev > 12 * (s.stats.steps_t + s.stats.steps_s)
+
+
+def test_constant_psi_with_huge_psi0_rate_is_not_blow_up(cp_model):
+    # psi stays at u while psi_0' = R_0(u) ~ exp(0.8 u) is astronomically
+    # large; the first step must follow psi, not the quadrature psi_0.
+    for u in (460.0, 506.9, 560.0):
+        res = explosion_time(cp_model, [u], 1.0)
+        assert res.kind == "exceeds_horizon"
+        sol = solve_riccati(cp_model, [u], 1.0)
+        assert sol.psi[-1, 0] == u and sol.stats.steps_t < 20

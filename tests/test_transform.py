@@ -9,7 +9,7 @@ from affinejd.errors import UnsupportedFamily
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
 from affinejd.riccati import solve_riccati
-from affinejd.statespace import Canonical
+from affinejd.statespace import Canonical, vech
 from affinejd.transform import (
     damped_model,
     damped_transform_sequence,
@@ -230,3 +230,52 @@ def test_divisibility_residual_cir(cir_model):
 
 def test_divisibility_residual_compound_poisson(cp_model):
     assert infinite_divisibility_check(cp_model, [-0.6 + 0.9j], 0.7, 4) < 1e-9
+
+
+def test_transform_log_value(cir_model):
+    tv = transform(cir_model, [0.5], [1.0], 1.0)
+    assert abs(tv.log_value - (np.log(2.0) + 1.0)) < 1e-9
+    assert tv.value == np.exp(tv.log_value)
+    # exp(log_value) overflows: the verdict stays finite, the value is None.
+    big = transform(cir_model, [0.9], [1000.0], 1.0)
+    assert big.finite and big.value is None
+    assert abs(big.log_value - (np.log(10.0) + 9000.0)) < 1e-5
+    assert "overflows" in big.diagnostic
+
+
+def test_ray_probe_cir_secant(cir_model):
+    # 1/T*(lambda) = lambda here, so the secant lands on lambda_star at once.
+    for horizon in (0.6, 1.0, 1.7):
+        probe = effective_domain_ray(cir_model, [1.0], horizon)
+        assert len(probe.probes) <= 8
+        assert abs(probe.lambda_star - 1.0 / horizon) <= 1e-5 / horizon
+        lo, hi = probe.bracket
+        assert lo <= probe.lambda_star <= hi and hi - lo <= 1e-6 * hi
+
+
+def test_ray_probe_wishart_secant(wishart_model):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        b = rng.normal(size=(2, 2)) * 0.7
+        direction = vech(b @ b.T + 0.1 * np.eye(2))
+        direction /= np.linalg.norm(direction)
+        probe = effective_domain_ray(wishart_model, direction, rng.uniform(0.5, 1.5))
+        assert len(probe.probes) <= 10
+        lo, hi = probe.bracket
+        assert lo <= probe.lambda_star <= hi and hi - lo <= 1e-6 * hi
+        # Verdicts are monotone in lambda and agree with the bracket.
+        verdicts = sorted((lam, kind == "finite") for lam, _, kind in probe.probes)
+        leaves = [v for _, v in verdicts]
+        assert leaves == sorted(leaves)
+        assert all(leave == (lam >= hi) for lam, leave in verdicts)
+
+
+def test_ray_probe_integrability_boundary_past_horizon():
+    # psi = lambda/(1 - lambda t) reaches the ray rate 3 at t = 1 when
+    # lambda = 3/4; probes just below that fail past the horizon only.
+    m = AffineModel(a0=[0.5], a=[[0.0]], A=[[[0.0]], [[2.0]]],
+                    K=[ExponentialRay(1.0, 3.0, [1.0]), None], state_space=Canonical(1, 1))
+    probe = effective_domain_ray(m, [1.0], 1.0)
+    assert abs(probe.lambda_star - 0.75) <= 1e-5 * 0.75
+    for lam, _, kind in probe.probes:
+        assert (kind == "DivergentIntegral") == (lam >= probe.bracket[1])
