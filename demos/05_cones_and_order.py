@@ -8,27 +8,19 @@ Euclidean inner product equals the trace product.
 
 import numpy as np
 
-from affinejd.cone import (
-    LorentzCone,
-    Orthant,
-    VechPSD,
-    boundary_phi,
-    cone_leq,
-    interior_preservation_check,
-    monotonicity_check,
-)
+from affinejd.cone import cone_leq, interior_preservation_check, monotonicity_check
 from affinejd.golden import cir, wishart_2d
-from affinejd.statespace import vech
+from affinejd.statespace import Canonical, Lorentz, PSDCone, vech
 
 print("cone orders and boundary functions:")
-orth = Orthant(2)
+orth = Canonical(2, 2)
 print(f"  orthant: (1,1) <= (2,1): {cone_leq(orth, [1, 1], [2, 1])}, "
-      f"phi(1,2) = {boundary_phi(orth, [1.0, 2.0])}")
-lor = LorentzCone(3)
+      f"phi(1,2) = {orth.phi([1.0, 2.0])}")
+lor = Lorentz(3)
 print(f"  lorentz: 0 <= (2,1,1): {cone_leq(lor, [0, 0, 0], [2, 1, 1])}, "
-      f"phi(2,1,1) = {boundary_phi(lor, [2.0, 1.0, 1.0])}")
-psd = VechPSD(2)
-print(f"  psd: phi(vech I) = {boundary_phi(psd, vech(np.eye(2)))}")
+      f"phi(2,1,1) = {lor.phi([2.0, 1.0, 1.0])}")
+psd = PSDCone(2)
+print(f"  psd: phi(vech I) = {psd.phi(vech(np.eye(2)))}")
 
 print("\nmonotonicity of the solution map on the half line (u <= v <= 0):")
 res = monotonicity_check(cir(), [-2.0], [-1.0], 1.0)

@@ -2,19 +2,7 @@
 Riccati ODEs, the exponential-moment transform with explosion semantics,
 and Monte Carlo validation."""
 
-from .cone import (
-    ConeCheckResult,
-    LorentzCone,
-    Orthant,
-    SelfDualCone,
-    VechPSD,
-    boundary_phi,
-    cone_for_space,
-    cone_leq,
-    interior_preservation_check,
-    monotonicity_check,
-    regularity_Lu_check,
-)
+from .cone import ConeCheckResult, cone_leq, interior_preservation_check, monotonicity_check, regularity_Lu_check
 from .errors import (
     AffineError,
     CholeskyFailure,
@@ -29,7 +17,7 @@ from .errors import (
     UnsupportedFamily,
     UnsupportedSpace,
 )
-from .jumps import ExponentialRay, FiniteAtomic, JumpMeasure, TabulatedDensity, exp_moment_integral
+from .jumps import ExponentialRay, FiniteAtomic, JumpMeasure, TabulatedDensity
 from .model import (
     AdmissibilityReport,
     AffineModel,

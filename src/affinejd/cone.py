@@ -1,10 +1,11 @@
-"""Self-dual cone structure: the cone order, polynomial boundary functions,
-and order/interior checks for Riccati solutions of models living on a cone.
+"""Self-dual cone structure: the cone order and order/interior checks for
+Riccati solutions of models whose state space is a self-dual cone.
 
-Supported cones: the nonnegative orthant, the PSD cone in scaled
-half-vectorized coordinates (where the Euclidean inner product equals the
-trace product), and the Lorentz cone. All three are self-dual for the
-Euclidean inner product in these coordinates.
+Supported cones: the nonnegative orthant ``Canonical(p, p)``, the PSD cone
+in scaled half-vectorized coordinates (where the Euclidean inner product
+equals the trace product), and the Lorentz cone. All three are self-dual for
+the Euclidean inner product in these coordinates; each state space carries
+its own ``self_dual`` flag and boundary function ``phi``.
 """
 
 from __future__ import annotations
@@ -17,99 +18,21 @@ import numpy as np
 from .errors import UnsupportedFamily, UnsupportedSpace
 from .jumps import FiniteAtomic
 from .riccati import SolverConfig, solve_riccati
-from .statespace import Canonical, Lorentz, PSDCone, unvech
 
 
-class SelfDualCone:
-    """A self-dual cone with a boundary function phi (positive on the
-    interior, zero on the boundary, homogeneous of the stated degree)."""
-
-    kind = "abstract"
-    degree = 0
-
-    def __init__(self, space):
-        self.space = space
-        self.dim = space.dim
-
-    def contains(self, x, tol=1e-9):
-        return self.space.contains(x, tol=tol)
-
-    def interior_contains(self, x, margin=0.0):
-        return self.space.interior_contains(x, margin=margin)
-
-    def project(self, x):
-        return self.space.project(x)
-
-    def distance(self, x):
-        return self.space.distance(x)
-
-    def inner(self, x, y):
-        return float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-
-    def phi(self, x):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
+def _cone_space(model):
+    """The model's state space, which must be a supported self-dual cone."""
+    space = model.state_space
+    if not space.self_dual:
+        raise UnsupportedSpace(f"state space {space!r} is not a supported self-dual cone")
+    return space
 
 
-class Orthant(SelfDualCone):
-    kind = "orthant"
-
-    def __init__(self, p):
-        super().__init__(Canonical(p, p))
-        self.degree = p
-
-    def phi(self, x):
-        return float(np.prod(np.asarray(x, dtype=float)))
-
-
-class VechPSD(SelfDualCone):
-    kind = "vech_psd"
-
-    def __init__(self, d):
-        super().__init__(PSDCone(d))
-        self.d = d
-        self.degree = d
-
-    def phi(self, x):
-        return float(np.linalg.det(unvech(np.asarray(x, dtype=float), self.d)))
-
-
-class LorentzCone(SelfDualCone):
-    kind = "lorentz"
-    degree = 2
-
-    def __init__(self, p):
-        super().__init__(Lorentz(p))
-
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(x[0] ** 2 - np.dot(x[1:], x[1:]))
-
-
-def cone_for_space(space):
-    """The self-dual cone matching a state space, or UnsupportedSpace."""
-    if isinstance(space, Canonical) and space.m == space.dim:
-        return Orthant(space.dim)
-    if isinstance(space, PSDCone):
-        return VechPSD(space.d)
-    if isinstance(space, Lorentz):
-        return LorentzCone(space.dim)
-    raise UnsupportedSpace(f"state space {space!r} is not a supported self-dual cone")
-
-
-def cone_leq(cone, u, v, tol=0.0):
-    """The cone order: u <= v iff v - u lies in the cone."""
+def cone_leq(space, u, v, tol=0.0):
+    """The cone order: u <= v iff v - u lies in the state space."""
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    return cone.contains(v - u, tol=tol)
-
-
-def boundary_phi(cone, x):
-    """Coordinate product (orthant), determinant (PSD), or the Lorentz
-    quadratic x_1^2 - |x_bar|^2."""
-    return cone.phi(x)
+    return space.contains(v - u, tol=tol)
 
 
 @dataclass
@@ -134,12 +57,12 @@ def monotonicity_check(model, u, v, t, cfg: Optional[SolverConfig] = None, n_gri
     """For u <= v (cone order), both in -E: the solutions must satisfy
     psi0(s,u) <= psi0(s,v) and psi(s,u) <= psi(s,v) on a grid of times up
     to t, within a slack of 100 x rel_tol on the cone-membership distance."""
-    cone = cone_for_space(model.state_space)
+    space = _cone_space(model)
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    if not (cone.contains(-u, tol=1e-12) and cone.contains(-v, tol=1e-12)):
+    if not (space.contains(-u, tol=1e-12) and space.contains(-v, tol=1e-12)):
         raise ValueError("u and v must lie in -E")
-    if not cone_leq(cone, u, v, tol=1e-12):
+    if not cone_leq(space, u, v, tol=1e-12):
         raise ValueError("u must precede v in the cone order")
     sol_u = solve_riccati(model, u.astype(complex), t, cfg)
     sol_v = solve_riccati(model, v.astype(complex), t, cfg)
@@ -154,7 +77,7 @@ def monotonicity_check(model, u, v, t, cfg: Optional[SolverConfig] = None, n_gri
         p0v, pv = sol_v.eval(s)
         psi0_margin = min(psi0_margin, p0v.real - p0u.real)
         diff = pv.real - pu.real
-        cone_slack = max(cone_slack, cone.distance(diff))
+        cone_slack = max(cone_slack, space.distance(diff))
         scale = max(scale, float(np.linalg.norm(pu)), float(np.linalg.norm(pv)))
     tol = _slack_tol(cfg, scale)
     passed = psi0_margin >= -tol and cone_slack <= tol
@@ -164,9 +87,9 @@ def monotonicity_check(model, u, v, t, cfg: Optional[SolverConfig] = None, n_gri
 def interior_preservation_check(model, u, t, cfg: Optional[SolverConfig] = None, n_grid=9):
     """For Re u in -interior(E): the solution must keep its real part in
     -interior(E) on [0, t] (within the cone slack) and must not explode."""
-    cone = cone_for_space(model.state_space)
+    space = _cone_space(model)
     u = np.asarray(u, dtype=complex).ravel()
-    if not cone.interior_contains(-u.real, margin=0.0):
+    if not space.interior_contains(-u.real, margin=0.0):
         raise ValueError("Re u must lie in -interior(E)")
     sol = solve_riccati(model, u, t, cfg)
     if sol.exploded:
@@ -178,8 +101,8 @@ def interior_preservation_check(model, u, t, cfg: Optional[SolverConfig] = None,
     for s in grid:
         _, psi = sol.eval(s)
         w = -psi.real
-        cone_slack = max(cone_slack, cone.distance(w))
-        min_phi = min(min_phi, cone.phi(cone.project(w)))
+        cone_slack = max(cone_slack, space.distance(w))
+        min_phi = min(min_phi, space.phi(space.project(w)))
         scale = max(scale, float(np.linalg.norm(psi)))
     tol = _slack_tol(cfg, scale)
     passed = cone_slack <= tol
@@ -190,7 +113,7 @@ def regularity_Lu_check(model, u, lattice_tol=1e-9):
     """Sum, for each state index i, the K^i atom weights whose u.z is not a
     multiple of 2 pi; the check passes iff that vector of masses is strictly
     inside the cone."""
-    cone = cone_for_space(model.state_space)
+    space = _cone_space(model)
     u = np.asarray(u, dtype=float).ravel()
     p = model.dim
     masses = np.zeros(p)
@@ -203,4 +126,4 @@ def regularity_Lu_check(model, u, lattice_tol=1e-9):
         rem = np.abs(np.remainder(phases, 2.0 * np.pi))
         off_lattice = np.minimum(rem, 2.0 * np.pi - rem) > lattice_tol
         masses[i - 1] += float(np.sum(meas.weights[off_lattice]))
-    return bool(cone.interior_contains(masses, margin=0.0))
+    return bool(space.interior_contains(masses, margin=0.0))

@@ -1,5 +1,6 @@
 """Reference models with hand-derived closed forms, used by the test suite,
-the bundled model files, and the demo scripts.
+the bundled model files, and the demo scripts. The closed forms are coded
+independently in tests/oracles.py.
 
 Closed forms (psi(0) = u, psi0(0) = 0 throughout):
 
@@ -118,52 +119,3 @@ GOLDEN_BUILDERS = {
     "lorentz": lorentz_drift,
     "nonadmissible_2d": nonadmissible_2d,
 }
-
-
-def write_golden_models(directory):
-    """Write every golden model as <name>.json under the directory."""
-    import os
-
-    from .modelio import save_model
-
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for name, builder in GOLDEN_BUILDERS.items():
-        path = os.path.join(directory, f"{name}.json")
-        save_model(builder(), path)
-        paths[name] = path
-    return paths
-
-
-# Closed forms for the oracle suite.
-
-def cir_psi(t, u):
-    return u / (1.0 - u * t)
-
-
-def cir_psi0(t, u):
-    return -np.log(1.0 - u * t)
-
-
-def ou_psi(t, u):
-    return u * np.exp(-OU_KAPPA * t)
-
-
-def ou_psi0(t, u):
-    return OU_SIGMA_SQ * u * u * (1.0 - np.exp(-2.0 * OU_KAPPA * t)) / (4.0 * OU_KAPPA)
-
-
-def compound_poisson_psi0(t, u):
-    u = np.asarray(u, dtype=complex)
-    acc = u * CP_DRIFT
-    for w, z in zip(CP_WEIGHTS, CP_ATOMS):
-        acc = acc + w * (np.exp(u * z) - 1.0 - u * z)
-    return t * acc
-
-
-def lorentz_psi(t, u):
-    return np.exp(-t) * np.asarray(u, dtype=complex)
-
-
-def lorentz_psi0(t, u):
-    return np.asarray(u, dtype=complex)[0] * (1.0 - np.exp(-t))

@@ -3,7 +3,9 @@ integral of (exp(y.z) - 1 - y.z) against each measure.
 
 Three families are supported so that both the integral and path simulation
 are exact or controllably approximate: finite atomic measures, exponential
-densities along a ray, and tabulated densities on a fixed grid.
+densities along a ray, and tabulated densities on a fixed grid. Finite
+atomic measures and tabulated densities are both weighted points
+(``WeightedPoints``) and differ only in their JSON record and checks.
 """
 
 from __future__ import annotations
@@ -71,24 +73,23 @@ class JumpMeasure:
         return f"{type(self).__name__}({self.to_dict()})"
 
 
-class FiniteAtomic(JumpMeasure):
-    """Finitely many (possibly signed) point masses at nonzero atoms."""
-
-    family = "finite_atomic"
+class WeightedPoints(JumpMeasure):
+    """Finitely many weighted points: the atoms of a finite measure or the
+    nodes of a quadrature rule, whose weights already include the rule."""
 
     def __init__(self, weights, atoms):
         self.weights = np.asarray(weights, dtype=float).ravel()
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
         if self.atoms.shape[0] != self.weights.size:
-            raise ModelFormatError("finite_atomic: weights and atoms disagree in count")
-        if np.any(np.all(self.atoms == 0.0, axis=1)):
-            raise ModelFormatError("finite_atomic: atoms must be nonzero vectors")
+            raise ModelFormatError(f"{self.family}: weights and points disagree in count")
         self.dim = self.atoms.shape[1]
 
+    def _terms(self, y):
+        e = self.atoms @ self._check_y(y)
+        return self.weights * (np.exp(e) - 1.0 - e)
+
     def exp_moment(self, y):
-        y = self._check_y(y)
-        e = self.atoms @ y
-        return complex(np.sum(self.weights * (np.exp(e) - 1.0 - e)))
+        return complex(np.sum(self._terms(y)))
 
     def total_mass(self):
         return float(np.sum(self.weights))
@@ -97,6 +98,7 @@ class FiniteAtomic(JumpMeasure):
         return self.weights @ self.atoms
 
     def has_all_exponential_moments(self):
+        # Finitely many points: compact support.
         return True
 
     def support_points(self):
@@ -105,7 +107,18 @@ class FiniteAtomic(JumpMeasure):
     def damped(self, n):
         factor = np.exp(-np.sum(self.atoms**2, axis=1) / n)
         shift = (self.weights * (factor - 1.0)) @ self.atoms
-        return FiniteAtomic(self.weights * factor, self.atoms), shift
+        return type(self)(self.weights * factor, self.atoms), shift
+
+
+class FiniteAtomic(WeightedPoints):
+    """Finitely many (possibly signed) point masses at nonzero atoms."""
+
+    family = "finite_atomic"
+
+    def __init__(self, weights, atoms):
+        super().__init__(weights, atoms)
+        if np.any(np.all(self.atoms == 0.0, axis=1)):
+            raise ModelFormatError("finite_atomic: atoms must be nonzero vectors")
 
     def scaled(self, n):
         return FiniteAtomic(self.weights / n, self.atoms * n)
@@ -181,23 +194,15 @@ class ExponentialRay(JumpMeasure):
         }
 
 
-class TabulatedDensity(JumpMeasure):
+class TabulatedDensity(WeightedPoints):
     """Quadrature grid (node, weight); the weights already include the
-    quadrature rule (e.g. trapezoid cell widths times density values)."""
+    quadrature rule (e.g. trapezoid cell widths times density values). The
+    nodes are held in ``atoms``."""
 
     family = "tabulated_density"
 
-    def __init__(self, weights, nodes):
-        self.weights = np.asarray(weights, dtype=float).ravel()
-        self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        if self.nodes.shape[0] != self.weights.size:
-            raise ModelFormatError("tabulated_density: weights and nodes disagree in count")
-        self.dim = self.nodes.shape[1]
-
     def exp_moment(self, y):
-        y = self._check_y(y)
-        e = self.nodes @ y
-        terms = self.weights * (np.exp(e) - 1.0 - e)
+        terms = self._terms(y)
         total = complex(np.sum(terms))
         if terms.size and abs(terms[-1]) > 1e-8 * max(abs(total), 1e-300):
             warnings.warn(
@@ -208,35 +213,12 @@ class TabulatedDensity(JumpMeasure):
             )
         return total
 
-    def total_mass(self):
-        return float(np.sum(self.weights))
-
-    def mean_vector(self):
-        return self.weights @ self.nodes
-
-    def has_all_exponential_moments(self):
-        # Finitely many nodes: compact support.
-        return True
-
-    def support_points(self):
-        return self.nodes.copy()
-
-    def damped(self, n):
-        factor = np.exp(-np.sum(self.nodes**2, axis=1) / n)
-        shift = (self.weights * (factor - 1.0)) @ self.nodes
-        return TabulatedDensity(self.weights * factor, self.nodes), shift
-
     def to_dict(self):
         return {
             "family": self.family,
             "weights": [float(w) for w in self.weights],
-            "nodes": [[float(v) for v in z] for z in self.nodes],
+            "nodes": [[float(v) for v in z] for z in self.atoms],
         }
-
-
-def exp_moment_integral(measure, y):
-    """integral of (exp(y.z) - 1 - y.z) K(dz) as a complex scalar."""
-    return measure.exp_moment(y)
 
 
 def measure_from_dict(rec, dim):
@@ -282,9 +264,8 @@ def combined_sources(measures):
     for i, meas in enumerate(measures):
         if meas is None:
             continue
-        if isinstance(meas, (FiniteAtomic, TabulatedDensity)):
-            locs = meas.atoms if isinstance(meas, FiniteAtomic) else meas.nodes
-            for w, z in zip(meas.weights, locs):
+        if isinstance(meas, WeightedPoints):
+            for w, z in zip(meas.weights, meas.atoms):
                 key = atom_key(z)
                 if key not in atom_index:
                     atom_index[key] = len(atom_locs)

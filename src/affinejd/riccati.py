@@ -211,10 +211,8 @@ def _make_events(model, radius, off):
     for meas in model.K:
         if meas is None:
             continue
-        if isinstance(meas, jumps_mod.FiniteAtomic):
+        if isinstance(meas, jumps_mod.WeightedPoints):
             support.append(meas.atoms)
-        elif isinstance(meas, jumps_mod.TabulatedDensity):
-            support.append(meas.nodes)
         elif isinstance(meas, jumps_mod.ExponentialRay):
             rays.append((meas.rate, meas.direction))
     if support:

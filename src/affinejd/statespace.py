@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .errors import DimensionMismatch, ModelFormatError
+from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -53,6 +53,9 @@ class StateSpace:
 
     kind = "abstract"
     dim = 0
+    # Whether the space is a cone that is self-dual for the Euclidean inner
+    # product; such spaces define ``phi``.
+    self_dual = False
 
     def contains(self, x, tol=1e-9):
         raise NotImplementedError
@@ -85,6 +88,11 @@ class StateSpace:
         """True iff sup over the space of r.x is finite."""
         raise NotImplementedError
 
+    def phi(self, x):
+        """Boundary function of a self-dual cone: positive on the interior,
+        zero on the boundary, homogeneous in x."""
+        raise UnsupportedSpace(f"state space {self!r} is not a supported self-dual cone")
+
     def to_dict(self):
         raise NotImplementedError
 
@@ -116,6 +124,10 @@ class Canonical(StateSpace):
         self.m = int(m)
         self.dim = int(p)
 
+    @property
+    def self_dual(self):
+        return self.m == self.dim
+
     def contains(self, x, tol=1e-9):
         x = self._check_dim(x)
         return bool(np.all(x[: self.m] >= -tol))
@@ -133,6 +145,12 @@ class Canonical(StateSpace):
         r = self._check_dim(r)
         return bool(np.all(r[: self.m] <= tol) and np.all(np.abs(r[self.m:]) <= tol))
 
+    def phi(self, x):
+        """Product of the coordinates, on the orthant (m == p) only."""
+        if not self.self_dual:
+            return super().phi(x)
+        return float(np.prod(self._check_dim(x)))
+
     def to_dict(self):
         return {"kind": self.kind, "m": self.m, "p": self.dim}
 
@@ -143,6 +161,7 @@ class PSDCone(StateSpace):
     geometry on the coordinates matches Frobenius geometry on matrices."""
 
     kind = "psd_cone"
+    self_dual = True
 
     def __init__(self, d):
         if d < 1:
@@ -160,14 +179,23 @@ class PSDCone(StateSpace):
         return bool(self._eigvals(x).min() > margin)
 
     def _project_rows(self, xs):
-        # Clip the spectrum: V max(W, 0) V^T for each matrix of the stack.
+        # Clip the spectrum: V max(W, 0) V^T for each matrix of the stack
+        # with a negative eigenvalue (eigh sorts them ascending); members
+        # are returned unchanged.
         w, v = np.linalg.eigh(unvech(xs, self.d))
-        w = np.maximum(w, 0.0)
-        return vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
+        out = xs.copy()
+        rows = np.flatnonzero(w[:, 0] < 0.0)
+        w, v = np.maximum(w[rows], 0.0), v[rows]
+        out[rows] = vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
+        return out
 
     def bounded_support(self, r, tol=1e-12):
         # Self-dual under the trace product, which the scaling makes Euclidean.
         return self.contains(-self._check_dim(r), tol=tol)
+
+    def phi(self, x):
+        """Determinant of the matrix."""
+        return float(np.linalg.det(unvech(self._check_dim(x), self.d)))
 
     def to_dict(self):
         return {"kind": self.kind, "d": self.d}
@@ -177,6 +205,7 @@ class Lorentz(StateSpace):
     """The cone {x in R^p : x_1 >= |(x_2..x_p)|}."""
 
     kind = "lorentz"
+    self_dual = True
 
     def __init__(self, p):
         if p < 2:
@@ -210,6 +239,11 @@ class Lorentz(StateSpace):
 
     def bounded_support(self, r, tol=1e-12):
         return self.contains(-self._check_dim(r), tol=tol)
+
+    def phi(self, x):
+        """The quadratic x_1^2 - |x_bar|^2."""
+        x = self._check_dim(x)
+        return float(x[0] ** 2 - np.dot(x[1:], x[1:]))
 
     def to_dict(self):
         return {"kind": self.kind, "p": self.dim}

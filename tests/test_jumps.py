@@ -1,15 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
 from affinejd.errors import DivergentIntegral, ModelFormatError, QuadratureTailWarning, UnsupportedFamily
-from affinejd.jumps import (
-    ExponentialRay,
-    FiniteAtomic,
-    TabulatedDensity,
-    combined_sources,
-    exp_moment_integral,
-)
+from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity, combined_sources
 
 
 def test_zero_argument_vanishes():
@@ -19,24 +15,24 @@ def test_zero_argument_vanishes():
         TabulatedDensity([0.1, 0.2], [[0.5], [1.0]]),
     ]
     for m in measures:
-        assert exp_moment_integral(m, [0.0]) == 0.0
+        assert m.exp_moment([0.0]) == 0.0
 
 
 def test_atomic_hand_value():
     m = FiniteAtomic([2.0], [[1.0]])
-    assert np.isclose(exp_moment_integral(m, [1.0]), 2.0 * (np.e - 2.0), rtol=1e-15)
+    assert np.isclose(m.exp_moment([1.0]), 2.0 * (np.e - 2.0), rtol=1e-15)
 
 
 def test_ray_closed_form_value():
     m = ExponentialRay(1.0, 3.0, [1.0])
-    assert np.isclose(exp_moment_integral(m, [1.0]), 1.0 / 6.0, rtol=1e-14)
+    assert np.isclose(m.exp_moment([1.0]), 1.0 / 6.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("a", [0.5, -2.0, 1.5 + 2.0j, -0.3 + 4.0j, 2.9])
 def test_ray_matches_quadrature_oracle(a):
     mass, rate = 1.7, 3.0
     m = ExponentialRay(mass, rate, [1.0])
-    got = exp_moment_integral(m, [a])
+    got = m.exp_moment([a])
     want = oracles.ray_exp_moment_quadrature(mass, rate, a)
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -44,9 +40,9 @@ def test_ray_matches_quadrature_oracle(a):
 def test_ray_divergence_raises():
     m = ExponentialRay(1.0, 3.0, [1.0])
     with pytest.raises(DivergentIntegral):
-        exp_moment_integral(m, [3.0])
+        m.exp_moment([3.0])
     with pytest.raises(DivergentIntegral):
-        exp_moment_integral(m, [4.0 + 1.0j])
+        m.exp_moment([4.0 + 1.0j])
 
 
 @pytest.mark.filterwarnings("ignore::affinejd.errors.QuadratureTailWarning")
@@ -62,7 +58,7 @@ def test_real_argument_gives_real_nonnegative_for_nonnegative_measures():
             y = rng.normal(size=2)
             if isinstance(m, ExponentialRay) and np.dot(y, m.direction) >= m.rate:
                 continue
-            val = exp_moment_integral(m, y)
+            val = m.exp_moment(y)
             assert abs(val.imag) < 1e-14 * max(1.0, abs(val))
             assert val.real >= -1e-14
 
@@ -102,16 +98,16 @@ def test_scaling_preserves_exp_moment_identity():
     m = FiniteAtomic([0.4, 1.1], [[0.3], [0.9]])
     n = 5
     y = 0.37
-    lhs = exp_moment_integral(m.scaled(n), [y])
-    rhs = exp_moment_integral(m, [n * y]) / n
+    lhs = m.scaled(n).exp_moment([y])
+    rhs = m.exp_moment([n * y]) / n
     assert abs(lhs - rhs) < 1e-14
 
 
 def test_ray_tabulation_matches_closed_form():
     ray = ExponentialRay(1.2, 3.0, [1.0])
     tab = ray.tabulated(n_nodes=4000)
-    got = exp_moment_integral(tab, [0.8])
-    want = exp_moment_integral(ray, [0.8])
+    got = tab.exp_moment([0.8])
+    want = ray.exp_moment([0.8])
     assert abs(got - want) < 5e-4 * abs(want) + 1e-8
 
 
@@ -120,7 +116,25 @@ def test_tabulated_tail_warning():
     nodes = np.linspace(0.1, 1.0, 10)[:, None]
     m = TabulatedDensity(np.full(10, 0.1), nodes)
     with pytest.warns(QuadratureTailWarning):
-        exp_moment_integral(m, [3.0])
+        m.exp_moment([3.0])
+
+
+def test_weighted_point_families_share_one_implementation():
+    weights, points = [0.1, 0.2], [[0.5], [1.5]]
+    atomic, tabulated = FiniteAtomic(weights, points), TabulatedDensity(weights, points)
+    for y in ([0.3], [-1.0 + 2.0j]):
+        with pytest.warns(QuadratureTailWarning):  # two nodes: a short grid
+            assert atomic.exp_moment(y) == tabulated.exp_moment(y)
+    for m in (atomic, tabulated):
+        damped, shift = m.damped(4)
+        assert type(damped) is type(m)
+        assert damped.to_dict()["family"] == m.family
+    # The quadrature tail warning belongs to tabulated densities only.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        atomic.exp_moment([3.0])
+    with pytest.warns(QuadratureTailWarning):
+        tabulated.exp_moment([3.0])
 
 
 def test_atoms_must_be_nonzero():

@@ -5,6 +5,8 @@ import pytest
 
 from affinejd import golden
 from affinejd.errors import ModelFormatError
+from affinejd.jumps import ExponentialRay, TabulatedDensity
+from affinejd.model import AffineModel
 from affinejd.modelio import (
     canonical_json,
     load_model,
@@ -13,6 +15,7 @@ from affinejd.modelio import (
     model_to_dict,
     save_model,
 )
+from affinejd.statespace import Canonical
 
 
 @pytest.mark.parametrize("name", sorted(golden.GOLDEN_BUILDERS))
@@ -95,21 +98,81 @@ def test_missing_file_reported(tmp_path):
         load_model(tmp_path / "nope.json")
 
 
-def test_jump_records_round_trip(tmp_path):
-    from affinejd.jumps import ExponentialRay, TabulatedDensity
-    from affinejd.model import AffineModel
-    from affinejd.statespace import Canonical
-
-    m = AffineModel(
+def _ray_and_tabulated_model():
+    return AffineModel(
         a0=[1.0],
         a=[[0.0]],
         A=np.zeros((2, 1, 1)),
         K=[ExponentialRay(0.5, 2.0, [1.0]), TabulatedDensity([0.1, 0.2], [[0.5], [1.5]])],
         state_space=Canonical(1, 1),
     )
+
+
+def test_jump_records_round_trip(tmp_path):
+    m = _ray_and_tabulated_model()
     path = tmp_path / "jumps.json"
     save_model(m, path)
     assert load_model(path) == m
+
+
+# canonical_json and model_hash of the bundled models and of the ray plus
+# tabulated model above, pinned as literals: stored hashes stay valid only
+# while every record serializes byte for byte the same.
+PINNED_JSON = {
+    "cir": (
+        '{"A":[[0.0],[2.0]],"K":[null,null],"a":[[0.0]],"a0":[1.0],"dim":1,'
+        '"state_space":{"kind":"canonical","m":1,"p":1}}',
+        "f3232559edd130b4870c819311bfa733abee4ad184d6fb13a658fc20ae954606",
+    ),
+    "compound_poisson": (
+        '{"A":[[0.0],[0.0]],"K":[{"atoms":[{"weight":0.5,"z":[0.4]},{"weight":0.25,"z":[0.8]}],'
+        '"family":"finite_atomic"},null],"a":[[0.0]],"a0":[1.0],"dim":1,'
+        '"state_space":{"kind":"canonical","m":1,"p":1}}',
+        "8e3f90774bf298ac6d5d78e7a9dfd556ef27c349f2dc7bc8928ccb12356b0296",
+    ),
+    "lorentz": (
+        '{"A":[[0.0,0.0,0.0,0.0,0.0,0.0],[0.0,0.0,0.0,0.0,0.0,0.0],[0.0,0.0,0.0,0.0,0.0,0.0],'
+        '[0.0,0.0,0.0,0.0,0.0,0.0]],"K":[null,null,null,null],'
+        '"a":[[-1.0,-0.0,-0.0],[-0.0,-1.0,-0.0],[-0.0,-0.0,-1.0]],"a0":[1.0,0.0,0.0],"dim":3,'
+        '"state_space":{"kind":"lorentz","p":3}}',
+        "ff4c4b0aaa7886fec887c9c49106534e5411c65ca83f0658074c127fa2b0ba90",
+    ),
+    "nonadmissible_2d": (
+        '{"A":[[0.0,0.0,0.0],[1.0,0.0,-1.0],[0.0,1.0,0.0]],"K":[null,null,null],'
+        '"a":[[0.0,0.0],[0.0,0.0]],"a0":[0.0,0.0],"dim":2,'
+        '"state_space":{"kind":"canonical","m":0,"p":2}}',
+        "861b268d398b28a8b5f9e5b6069490f65504ba4fa6c89426457f595d72c429ce",
+    ),
+    "ou": (
+        '{"A":[[1.0],[0.0]],"K":[null,null],"a":[[-1.0]],"a0":[0.0],"dim":1,'
+        '"state_space":{"kind":"canonical","m":0,"p":1}}',
+        "6875bf39582efae2e9c0802b23a5178caf5bd38e2d5881eb387b904ce7ec87f8",
+    ),
+    "wishart_2d": (
+        '{"A":[[0.0,0.0,0.0,0.0,0.0,0.0],[4.0,0.0,0.0,2.0,0.0,0.0],[0.0,2.0,0.0,0.0,2.0,0.0],'
+        '[0.0,0.0,0.0,2.0,0.0,4.0]],"K":[null,null,null,null],'
+        '"a":[[-1.0,-0.0,-0.0],[-0.0,-1.0,-0.0],[-0.0,-0.0,-1.0]],"a0":[3.0,0.0,3.0],"dim":3,'
+        '"state_space":{"d":2,"kind":"psd_cone"}}',
+        "6d867f35b599c8416d0505866eeb94e334f1a64f931cbd679d1511ca9dc5da2e",
+    ),
+    "ray_and_tabulated": (
+        '{"A":[[0.0],[0.0]],"K":[{"direction":[1.0],"family":"exponential_ray","mass":0.5,"rate":2.0},'
+        '{"family":"tabulated_density","nodes":[[0.5],[1.5]],"weights":[0.1,0.2]}],'
+        '"a":[[0.0]],"a0":[1.0],"dim":1,"state_space":{"kind":"canonical","m":1,"p":1}}',
+        "ece36087348dfaf964dfb6992cffad2873cb781c76ff1c70412244a6abba5d33",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_canonical_json_and_hash_pinned(name, models_dir):
+    if name == "ray_and_tabulated":
+        model = _ray_and_tabulated_model()
+    else:
+        model = load_model(models_dir / f"{name}.json")
+    text, digest = PINNED_JSON[name]
+    assert canonical_json(model) == text
+    assert model_hash(model) == digest
 
 
 def test_hash_is_sha256_of_canonical_json(cir_model):

@@ -128,6 +128,10 @@ def test_project_batch_rows(space):
     for x, row in zip(xs, full):
         assert np.array_equal(space.project(x), row)
         assert np.allclose(row, _reference_project(space, x), rtol=0.0, atol=1e-12)
+    # Members of the space are returned bit for bit.
+    members = xs[[space.interior_contains(x, margin=1e-9) for x in xs]]
+    assert len(members) >= 3
+    assert np.array_equal(space.project_batch(members), members)
     assert space.project_batch(np.empty((0, space.dim))).shape == (0, space.dim)
     with pytest.raises(DimensionMismatch):
         space.project_batch(np.zeros((3, space.dim + 1)))
