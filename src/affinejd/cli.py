@@ -125,6 +125,10 @@ def _cmd_solve(args):
         "psi": _cvec(psi),
         "grid_points": int(sol.grid.size),
         "stop_reason": sol.stats.stop_reason,
+        "nfev": sol.stats.nfev,
+        "steps_t": sol.stats.steps_t,
+        "steps_s": sol.stats.steps_s,
+        "rejected": sol.stats.rejected,
     }
     if sol.exploded:
         payload["bracket"] = list(sol.bracket)

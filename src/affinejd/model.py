@@ -55,11 +55,29 @@ class AffineModel:
                 f"state space has dimension {state_space.dim}, parameters have {p}"
             )
         self.state_space = state_space
-        # Complex copies for the Riccati right-hand side, which would
-        # otherwise cast the real coefficients on every evaluation.
-        self.a0_c = self.a0.astype(complex)
-        self.aT_c = self.a.T.astype(complex)
-        self.A_c = self.A.astype(complex)
+        # Complex Riccati coefficients, fused once so that the right-hand side
+        # is R(y) = L y + (Q y) y + W (exp(Z y) - 1 - Z y) plus the integrals
+        # of the remaining measures (see riccati.riccati_rhs). Row i of L, Q
+        # and W belongs to R_i; Z stacks the atoms of every finite atomic
+        # measure and W holds their weights in the rows of their indices.
+        self.rhs_linear = np.vstack([self.a0, self.a.T]).astype(complex)
+        self.rhs_quadratic = (0.5 * self.A).astype(complex)
+        atomic = [(i, meas) for i, meas in enumerate(self.K)
+                  if isinstance(meas, jumps_mod.FiniteAtomic)]
+        self.rhs_atoms = None
+        if atomic:
+            self.rhs_atoms = np.vstack([meas.atoms for _, meas in atomic]).astype(complex)
+            self.rhs_weights = np.zeros((p + 1, self.rhs_atoms.shape[0]), dtype=complex)
+            start = 0
+            for i, meas in atomic:
+                self.rhs_weights[i, start:start + meas.weights.size] = meas.weights
+                start += meas.weights.size
+        # Tabulated densities warn on a truncated tail and exponential rays
+        # raise DivergentIntegral, both depending on y: they keep exp_moment.
+        self.rhs_integrals = tuple(
+            (i, meas) for i, meas in enumerate(self.K)
+            if meas is not None and not isinstance(meas, jumps_mod.FiniteAtomic)
+        )
 
     @property
     def has_jumps(self):

@@ -3,16 +3,23 @@
 R_i(y) = y.a^i + y.A^i y / 2 + integral of (exp(y.z) - 1 - y.z) K^i(dz);
 the zeroth component psi_0 is carried as an ODE component (psi_0' = R_0(psi))
 rather than reconstructed through logarithms, so it is continuous and free of
-branch-cut ambiguity.
+branch-cut ambiguity. The model holds the coefficients fused: one linear
+block, one quadratic tensor and one stack of the atoms of every finite
+atomic measure, so R costs a few small array operations whatever the number
+of measures.
 
-Integration runs in two phases of one call, both with the adaptive embedded
-Runge-Kutta pair DOP853 and dense output on the 2(p+1) real components of
-(psi_0, psi). Phase 1 integrates in t until the horizon or until |psi|
-crosses the switch radius r_sw = 30 (1 + |u|); solves that stay below r_sw
-end there. Otherwise phase 2 continues from the last accepted step of phase
-1 in a new time s, with t as a state component:
+The integrator state packs the complex (psi_0, psi) as its interleaved real
+view (Re psi_0, Im psi_0, Re psi_1, Im psi_1, ...), so the right-hand side
+converts in both directions by zero-copy views.
 
-    d(t, psi_0, psi)/ds = g (1, R_0, R),  g = 1 / (1 + |R(psi)| / (r_sw (1 + |psi|))),
+Integration runs in two phases of one call, both driven by one stepping loop
+(``_integrate``) over scipy's DOP853 stepper, the adaptive embedded
+Runge-Kutta pair of order 8. Phase 1 integrates in t until the horizon or
+until |psi| crosses the switch radius r_sw = 30 (1 + |u|); solves that stay
+below r_sw end there. Otherwise phase 2 continues from the last accepted step
+of phase 1 in a new time s, with t - t_switch as the last state component:
+
+    d(psi_0, psi, t)/ds = g (R_0, R, 1),  g = 1 / (1 + |R(psi)| / (r_sw (1 + |psi|))),
 
 a rescaled time for blow-up problems (Stuart & Floater, "On the computation
 of blow-up", Eur. J. Appl. Math. 1990). |psi| then grows at most
@@ -22,21 +29,30 @@ whose right-hand side overflows is rejected. The stopping surfaces are the
 blow-up radius r_max, an exp-overflow guard for models with jump atoms (well
 below the overflow threshold of exp, where the remaining time to the true
 blow-up is far below the bracket width), the integrability boundary of
-exponential rays, and t = horizon. Blow-up is localized by bisection on the
-dense output of the phase that crossed the radius, in that phase's own
-variable, and reported in t. The solution's grid and dense evaluator span
-both phases.
+exponential rays, and t = horizon.
+
+The loop tests these surfaces on accepted step ends with the sign-change
+rule of scipy's solve_ivp and root-finds only on the interpolant of the step
+that crossed one. A step's interpolant (three extra stages) is built lazily,
+on the first evaluation inside that step, and values at step ends are the
+exact step ends: a solve read only at its horizon builds no interpolant.
+Blow-up is localized by bisection on the interpolant of the phase that
+crossed the radius, in that phase's own variable, and reported in t. The
+solution's grid and dense evaluator span both phases.
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from . import jumps as jumps_mod
 from .errors import (
@@ -53,6 +69,13 @@ _EXP_GUARD = 600.0
 # Phase 1 hands over to the time-changed phase 2 when |psi| crosses
 # _SWITCH_FACTOR * (1 + |u|).
 _SWITCH_FACTOR = 30.0
+
+# Right-hand-side calls per DOP853 step attempt: 11 inner stages and the
+# derivative at the step end.
+_STAGES = DOP853.n_stages
+
+# solve_ivp's tolerance for event roots.
+_ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -76,31 +99,40 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 def riccati_rhs(model, y):
-    """(R_0(y), ..., R_p(y)) for a complex vector y of length p."""
+    """(R_0(y), ..., R_p(y)) for a complex vector y of length p, from the
+    coefficients the model fuses once."""
     y = np.asarray(y, dtype=complex).ravel()
-    p = model.dim
-    if y.size != p:
-        raise ValueError(f"argument has length {y.size}, expected {p}")
-    out = np.empty(p + 1, dtype=complex)
-    out[0] = model.a0_c @ y + 0.5 * (y @ model.A_c[0] @ y)
-    out[1:] = model.aT_c @ y + 0.5 * np.einsum("i,kij,j->k", y, model.A_c[1:], y)
-    for i, meas in enumerate(model.K):
-        if meas is not None:
-            out[i] += meas.exp_moment(y)
+    if y.size != model.dim:
+        raise ValueError(f"argument has length {y.size}, expected {model.dim}")
+    out = (model.rhs_linear + model.rhs_quadratic @ y) @ y
+    if model.rhs_atoms is not None:
+        e = model.rhs_atoms @ y
+        out += model.rhs_weights @ (np.expm1(e) - e)
+    for i, meas in model.rhs_integrals:
+        out[i] += meas.exp_moment(y)
     return out
+
+
+def _finite(z):
+    # Cheaper than np.isfinite(z).all() on the few components of R.
+    return all(map(cmath.isfinite, z.tolist()))
 
 
 @dataclass
 class SolveStats:
     """What one solve did: right-hand-side calls, accepted steps in t
-    (phase 1) and in the time-changed s (phase 2), and why it stopped:
-    "horizon", "radius" (|psi| reached r_max), "overflow" (the exp guard of
-    atom supports) or "step_underflow" (blow-up declared when the step size
-    underflowed)."""
+    (phase 1) and in the time-changed s (phase 2), rejected step attempts
+    over both phases, and why it stopped: "horizon", "radius" (|psi| reached
+    r_max), "overflow" (the exp guard of atom supports) or "step_underflow"
+    (blow-up declared when the step size underflowed). The phase-1 step that
+    crosses the switch radius is discarded and counted in neither steps_t nor
+    rejected; interpolants that eval builds after the solve are not counted
+    in nfev."""
 
     nfev: int
     steps_t: int
     steps_s: int
+    rejected: int
     stop_reason: str
 
 
@@ -135,73 +167,174 @@ class RiccatiSolution:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < -1e-12) or np.any(t_arr > self.t_last * (1.0 + 1e-12) + 1e-300):
             raise ValueError(f"dense evaluator is valid on [0, {self.t_last}] only")
-        y = self._dense(np.clip(t_arr, 0.0, self.t_last))
-        m = 1 + self.u.size
-        z = y[:m] + 1j * y[m:]
-        if np.ndim(t) == 0:
-            return complex(z[0]), z[1:]
-        return z[0], z[1:].T
+        y = np.empty((t_arr.size, 2 * (self.u.size + 1)))
+        for i, s in enumerate(np.clip(t_arr, 0.0, self.t_last).flat):
+            y[i] = self._dense(float(s))
+        z = y.view(complex)
+        if t_arr.ndim == 0:
+            return complex(z[0, 0]), z[0, 1:]
+        return z[:, 0], z[:, 1:]
 
     def terminal(self):
         """(psi_0, psi) at the last solved time."""
         return self.eval(self.t_last)
 
 
-class _TimeChangedDense:
-    """Dense output over both phases: the phase-1 interpolant in t up to the
-    switch time, then the phase-2 interpolant in s at the s where its
-    monotone component t(s) - t_switch reaches t - t_switch."""
+class _Steps:
+    """The accepted steps of one DOP853 run: the grid x, the packed states y
+    at its points (exact step ends; the last point of a run stopped by an
+    event is the interpolated root), and per step the stages from which its
+    interpolant is built on the first evaluation inside the step. Calling
+    the run at x evaluates it like solve_ivp's dense output on the same
+    steps, but returns the stored state at a grid point."""
 
-    def __init__(self, dense_t, dense_s, s_grid, t_grid, rows):
+    def __init__(self, fun, x0, y0):
+        self.fun = fun
+        self.x = [x0]
+        self.y = [y0]
+        self.rejected = 0
+        self.event = None  # index of the event that stopped the run
+        self.failed = False  # the step size underflowed
+        self.message = None
+        self._steps = []  # (x_old, x_new, y_new, stages) per accepted step
+        self._coefs = {}
+
+    @property
+    def n_steps(self):
+        return len(self._steps)
+
+    def push(self, solver):
+        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy()))
+        self.x.append(solver.t)
+        self.y.append(solver.y)
+
+    def finish(self):
+        self.grid = np.array(self.x)
+        self.ys = np.array(self.y)
+        return self
+
+    def interpolate(self, k, x):
+        """The interpolant of step k at x: scipy's DOP853 dense output,
+        evaluated the same way."""
+        x_old, x_new = self._steps[k][:2]
+        coefs = self._coefs.get(k)
+        if coefs is None:
+            coefs = self._coefs[k] = self._coefficients(k)
+        s = (x - x_old) / (x_new - x_old)
+        y = np.zeros(self.y[k].size)
+        for i, f in enumerate(reversed(coefs)):
+            y += f
+            y *= s if i % 2 == 0 else 1 - s
+        return y + self.y[k]
+
+    def _coefficients(self, k):
+        x_old, x_new, y_new, stages = self._steps[k]
+        y_old = self.y[k]
+        h = x_new - x_old
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES + 1):
+                stages[s] = self.fun(x_old + c * h, y_old + np.dot(stages[:s].T, a[:s]) * h)
+        f_old = stages[0]
+        delta = y_new - y_old
+        coefs = np.empty((3 + DOP853.D.shape[0], y_old.size))
+        coefs[0] = delta
+        coefs[1] = h * f_old - delta
+        coefs[2] = 2 * delta - h * (stages[_STAGES] + f_old)
+        coefs[3:] = h * np.dot(DOP853.D, stages)
+        return coefs
+
+    def stop_at(self, k_event, root):
+        """End the run at an event root inside its last step."""
+        self.event = k_event
+        self.x[-1] = root
+        self.y[-1] = self.interpolate(self.n_steps - 1, root)
+
+    def __call__(self, x):
+        j = min(bisect.bisect_left(self.x, x), len(self.x) - 1)
+        if self.x[j] == x:
+            return self.y[j]
+        return self.interpolate(min(max(j - 1, 0), self.n_steps - 1), x)
+
+
+def _integrate(fun, x0, y0, x_bound, cfg, events, first_step=None):
+    """Step DOP853 from x0 towards x_bound until it finishes, its step size
+    underflows, or a terminal event fires. Events are tested on accepted
+    step ends with solve_ivp's rule for direction +1 (g <= 0 at the step
+    start and g >= 0 at its end); the run stops at the earliest root of the
+    events that fired, found by brentq on that step's interpolant. Rejected
+    attempts are counted from the stepper's calls (12 per attempt)."""
+    solver = DOP853(fun, x0, y0, x_bound, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    first_step=first_step)
+    run = _Steps(fun, x0, y0)
+    g = [event(x0, y0) for event in events]
+    while True:
+        nfev = solver.nfev
+        message = solver.step()
+        attempts = (solver.nfev - nfev) // _STAGES
+        if solver.status == "failed":
+            run.rejected += attempts
+            run.failed, run.message = True, message
+            return run.finish()
+        run.rejected += attempts - 1
+        run.push(solver)
+        g_new = [event(solver.t, solver.y) for event in events]
+        active = [k for k, (lo, hi) in enumerate(zip(g, g_new)) if lo <= 0.0 <= hi]
+        if active:
+            k_last = run.n_steps - 1
+            roots = [
+                brentq(lambda x, ev=events[k]: ev(x, run.interpolate(k_last, x)),
+                       solver.t_old, solver.t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                for k in active
+            ]
+            first = int(np.argmin(roots))
+            run.stop_at(active[first], roots[first])
+            return run.finish()
+        if solver.status == "finished":
+            return run.finish()
+        g = g_new
+
+
+class _TimeChangedDense:
+    """Dense output over both phases: the phase-1 run in t up to the switch
+    time, then the phase-2 run in s at the s where its monotone last
+    component t(s) - t_switch reaches t - t_switch."""
+
+    def __init__(self, dense_t, dense_s, t_grid):
         self._dense_t = dense_t
         self._dense_s = dense_s
-        self._s_grid = s_grid
         self._t_grid = t_grid  # t at the phase-2 grid; t_grid[0] is the switch time
-        self._rows = rows
 
     def __call__(self, t):
-        ts = np.atleast_1d(t)
-        late = ts > self._t_grid[0]
-        out = np.empty((self._rows, ts.size))
-        if not late.all():
-            out[:, ~late] = self._dense_t(ts[~late])
-        if late.any():
-            out[:, late] = self._dense_s(self._s_of(ts[late]))[1:]
-        return out[:, 0] if np.ndim(t) == 0 else out
+        if t <= self._t_grid[0]:
+            return self._dense_t(t)
+        return self._dense_s(self._s_of(t))[:-1]
 
     def _s_of(self, t):
         """The first s with t(s) >= t, by bisection inside the phase-2 step
-        that holds t."""
-        k = np.clip(np.searchsorted(self._t_grid, t), 1, self._t_grid.size - 1)
-        lo, hi = self._s_grid[k - 1], self._s_grid[k]
+        that holds t; a t on the grid is its grid point."""
+        k = min(max(int(np.searchsorted(self._t_grid, t)), 1), self._t_grid.size - 1)
+        lo, hi = self._dense_s.x[k - 1], self._dense_s.x[k]
+        if self._t_grid[k] == t:
+            return hi
         while True:
             mid = 0.5 * (lo + hi)
-            if not np.any((lo < mid) & (mid < hi)):
+            if not lo < mid < hi:
                 return hi
-            ahead = self._t_grid[0] + self._dense_s(mid)[0] >= t
-            lo, hi = np.where(ahead, lo, mid), np.where(ahead, mid, hi)
+            if self._t_grid[0] + self._dense_s(mid)[-1] >= t:
+                hi = mid
+            else:
+                lo = mid
 
 
-def _pack(z):
-    return np.concatenate([z.real, z.imag])
-
-
-def _unpack(y, m):
-    return y[:m] + 1j * y[m:]
-
-
-def _make_events(model, radius, off):
-    """Terminal stopping surfaces on a state whose packed (psi_0, psi) starts
-    at y[off]: the radius |psi| = radius, the exp-overflow guard for atom
-    supports, and the integrability boundary of exponential rays."""
-    p = model.dim
-    m = p + 1
-
-    def psi_of(y):
-        return _unpack(y[off:], m)[1:]
+def _make_events(model, radius):
+    """Terminal stopping surfaces on a packed state whose first 2(p+1)
+    components are the interleaved (psi_0, psi): the radius |psi| = radius,
+    the exp-overflow guard for atom supports, and the integrability boundary
+    of exponential rays."""
+    end = 2 * (model.dim + 1)
 
     def radius_event(x, y):
-        return float(np.linalg.norm(psi_of(y))) - radius
+        return float(np.linalg.norm(y[2:end])) - radius
 
     events = [radius_event]
     kinds = ["radius"]
@@ -219,7 +352,7 @@ def _make_events(model, radius, off):
         zs = np.vstack(support)
 
         def overflow(x, y):
-            return float(np.max((zs @ psi_of(y)).real)) - _EXP_GUARD
+            return float(np.max(zs @ y[2:end:2])) - _EXP_GUARD
 
         events.append(overflow)
         kinds.append("overflow")
@@ -227,17 +360,14 @@ def _make_events(model, radius, off):
         margin = max(1e-9 * rate, 1e-14)
 
         def ray_event(x, y, d=direction, bound=rate - margin):
-            return float((d @ psi_of(y)).real) - bound
+            return float(d @ y[2:end:2]) - bound
 
         events.append(ray_event)
         kinds.append("ray")
-    for event in events:
-        event.terminal = True
-        event.direction = 1
     return events, kinds
 
 
-def _first_step(rhs, y0, f0, t_bound, cfg, m):
+def _first_step(rhs, y0, f0, t_bound, cfg):
     """First step of phase 1: scipy's own rule (Hairer, Norsett & Wanner,
     Sec. II.4) applied to the whole state and to the psi block alone, from
     the same two right-hand-side values, and the larger of the two. psi_0 is
@@ -245,7 +375,7 @@ def _first_step(rhs, y0, f0, t_bound, cfg, m):
     shrink the first step below what psi needs (at R_0 ~ 1e180 the rule on
     the whole state underflows to 0)."""
     scale = cfg.abs_tol + np.abs(y0) * cfg.rel_tol
-    blocks = (slice(None), np.r_[1:m, m + 1:2 * m])
+    blocks = (slice(None), slice(2, None))
 
     def norm(v, block):
         v = v[block] / scale[block]
@@ -288,16 +418,6 @@ def _refine_bracket(dense, event_fn, clock, lo, hi, cfg):
     return t_lo, upper
 
 
-def _terminal_event(sol, kinds):
-    """(index, kind) of the event that stopped solve_ivp, or (None, None):
-    the terminating event is the chronologically last recorded root."""
-    fired = [(k, float(te[-1])) for k, te in enumerate(sol.t_events) if te.size > 0]
-    if sol.status != 1 or not fired:
-        return None, None
-    k_term = max(fired, key=lambda kt: kt[1])[0]
-    return k_term, kinds[k_term]
-
-
 def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
     """Integrate the Riccati system from psi(0) = u on [0, horizon].
 
@@ -314,110 +434,98 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
     p = model.dim
     if u.size != p:
         raise ValueError(f"initial condition has length {u.size}, expected {p}")
-    m = p + 1
 
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
-    r_u = riccati_rhs(model, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_u = riccati_rhs(model, u)
     if not np.isfinite(r_u).all():
         raise NonFiniteRHS("Riccati right-hand side is non-finite at t=0")
     r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
-    budget = {"nfev": 0}
+    nfev = 0
     limit = cfg.max_steps * 20
 
     def evaluate(t, z):
-        budget["nfev"] += 1
-        if budget["nfev"] > limit:
+        nonlocal nfev
+        nfev += 1
+        if nfev > limit:
             raise StepLimitExceeded(f"exceeded {cfg.max_steps} steps at t={t:.6g}")
         return riccati_rhs(model, z[1:])
 
     def rhs(t, y):
-        dz = evaluate(t, _unpack(y, m))
-        if not np.isfinite(dz).all():
+        dz = evaluate(t, y.view(complex))
+        if not _finite(dz):
             raise NonFiniteRHS(f"Riccati right-hand side is non-finite at t={t:.6g}")
-        return _pack(dz)
+        return dz.view(float)
 
     def rhs_s(s, y):
-        z = _unpack(y[1:], m)
-        dz = evaluate(t_switch + y[0], z)
-        if not np.isfinite(dz).all():
+        z = y[:-1].view(complex)
+        dz = evaluate(t_switch + y[-1], z)
+        if not _finite(dz):
             # A trial stage past the overflow of exp: the NaN error estimate
             # makes the integrator reject the step and shrink it.
             return np.full(y.size, np.nan)
         # hypot scales its arguments: |R| may exceed the square root of the
         # largest float.
         g = 1.0 / (1.0 + math.hypot(*np.abs(dz[1:])) / (r_switch * (1.0 + np.linalg.norm(z[1:]))))
-        return g * np.concatenate([[1.0], dz.real, dz.imag])
+        return g * np.append(dz.view(float), 1.0)
 
-    def integrate(fun, span, y_start, events, first_step=None):
-        # exp may overflow in a trial stage; rhs and rhs_s decide what that means.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return solve_ivp(
-                fun, span, y_start, method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                dense_output=True, events=events, first_step=first_step,
-            )
-
-    # Phase 1: integrate in t up to the switch radius (or r_max if smaller).
-    events, kinds = _make_events(model, min(r_switch, cfg.r_max), 0)
-    y0 = _pack(np.concatenate([[0.0 + 0.0j], u]))
+    # exp may overflow in a trial stage; rhs and rhs_s decide what that means.
     with np.errstate(over="ignore", invalid="ignore"):
-        first_step = _first_step(rhs, y0, _pack(r_u), horizon, cfg, m)
-    sol = integrate(rhs, (0.0, horizon), y0, events, first_step)
-    grid, ys, dense = sol.t, sol.y, sol.sol
-    steps_t, steps_s = sol.t.size - 1, 0
-    k_term, kind = _terminal_event(sol, kinds)
-    t_switch = None
-    if kind == "radius" and r_switch < cfg.r_max:
-        # Phase 2 restarts from the last accepted step of phase 1, an exact
-        # step end rather than the interpolated crossing, and integrates in s
-        # with d(t, psi_0, psi)/ds = g (1, R_0, R), where
-        # g = 1/(1 + |R|/(r_sw (1 + |psi|))): |psi| then grows at most
-        # exponentially in s while t creeps up to the blow-up time. The
-        # state carries t - t_switch, so rel_tol applies to the time spent
-        # in phase 2.
-        t_switch = float(grid[-2])
-        grid, ys = grid[:-1], ys[:, :-1]
-        steps_t -= 1
-        events, kinds = _make_events(model, cfg.r_max, 1)
+        # Phase 1: integrate in t up to the switch radius (or r_max if smaller).
+        y0 = np.concatenate([[0.0], u]).view(float)
+        first_step = _first_step(rhs, y0, r_u.view(float), horizon, cfg)
+        events, kinds = _make_events(model, min(r_switch, cfg.r_max))
+        run = _integrate(rhs, 0.0, y0, horizon, cfg, events, first_step)
+        grid, ys, dense = run.grid, run.ys, run
+        steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
+        t_switch = None
+        if run.event is not None and kinds[run.event] == "radius" and r_switch < cfg.r_max:
+            # Phase 2 restarts from the last accepted step of phase 1, an
+            # exact step end rather than the interpolated crossing, and
+            # integrates in s with d(psi_0, psi, t)/ds = g (R_0, R, 1), where
+            # g = 1/(1 + |R|/(r_sw (1 + |psi|))): |psi| then grows at most
+            # exponentially in s while t creeps up to the blow-up time. The
+            # state carries t - t_switch, so rel_tol applies to the time
+            # spent in phase 2.
+            t_switch = float(grid[-2])
+            grid, ys = grid[:-1], ys[:-1]
+            steps_t -= 1
+            events, kinds = _make_events(model, cfg.r_max)
 
-        def at_horizon(s, y):
-            return t_switch + y[0] - horizon
+            def at_horizon(s, y):
+                return t_switch + y[-1] - horizon
 
-        at_horizon.terminal = True
-        at_horizon.direction = 1
-        events.append(at_horizon)
-        kinds.append("horizon")
-        sol = integrate(rhs_s, (0.0, math.inf), np.concatenate([[0.0], ys[:, -1]]), events)
-        steps_s = sol.t.size - 1
-        k_term, kind = _terminal_event(sol, kinds)
-        t_grid = t_switch + sol.y[0]
-        if kind == "horizon":
-            t_grid[-1] = horizon
-        dense = _TimeChangedDense(dense, sol.sol, sol.t, t_grid, 2 * m)
-        grid = np.concatenate([grid, t_grid[1:]])
-        ys = np.hstack([ys, sol.y[1:, 1:]])
+            events.append(at_horizon)
+            kinds.append("horizon")
+            run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, cfg, events)
+            steps_s, rejected = run.n_steps, rejected + run.rejected
+            t_grid = t_switch + run.ys[:, -1]
+            if run.event is not None and kinds[run.event] == "horizon":
+                t_grid[-1] = horizon
+            dense = _TimeChangedDense(dense, run, t_grid)
+            grid = np.concatenate([grid, t_grid[1:]])
+            ys = np.vstack([ys, run.ys[1:, :-1]])
+    kind = None if run.event is None else kinds[run.event]
 
     def clock(x, y):
-        """t at a point of the last phase: x itself, or t_switch + y[0] in s."""
-        return x if t_switch is None else t_switch + float(y[0])
+        """t at a point of the last phase: x itself, or t_switch + y[-1] in s."""
+        return x if t_switch is None else t_switch + float(y[-1])
 
-    psi0 = ys[0] + 1j * ys[m]
-    psi = (ys[1:m] + 1j * ys[m + 1:]).T
-    # The stored endpoint values are exact by construction of the solver.
-    psi0[0] = 0.0
-    psi[0] = u
+    z = ys.view(complex)
+    psi0, psi = z[:, 0], z[:, 1:]
 
     def result(verdict, bracket, stop_reason):
-        stats = SolveStats(budget["nfev"], steps_t, steps_s, stop_reason)
+        stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason)
         return RiccatiSolution(
             u, grid, psi0, psi, verdict, horizon if verdict == "solved" else None,
             bracket, dense, cfg, stats,
         )
 
-    if sol.status == 0 or kind == "horizon":
+    if (kind is None and not run.failed) or kind == "horizon":
         return result("solved", None, "horizon")
 
-    if sol.status == -1:
+    if run.failed:
         # Super-exponential blow-up outruns every stopping surface: the
         # remaining time to any radius drops below float resolution and the
         # step size underflows at the blow-up time itself. Declare blow-up
@@ -426,22 +534,21 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
         t_end = float(grid[-1])
         psi_end = psi[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            r_end = riccati_rhs(model, psi_end)
-        r_norm = float(np.linalg.norm(r_end))
+            r_norm = float(np.linalg.norm(riccati_rhs(model, psi_end)))
         scale = 1.0 + float(np.linalg.norm(psi_end))
         if not np.isfinite(r_norm) or r_norm * max(t_end, 1e-12) > 1e10 * scale:
             half = 0.25 * cfg.explosion_bracket_tol * t_end
             return result("exploded", (t_end - half, t_end + half), "step_underflow")
-        raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {sol.message}")
+        raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {run.message}")
 
-    x_event = float(sol.t_events[k_term][-1])
+    x_event = float(run.grid[-1])
     if kind == "ray":
-        t_event = clock(x_event, sol.y_events[k_term][-1])
+        t_event = clock(x_event, run.ys[-1])
         raise DivergentIntegral(
             f"psi reached the integrability boundary of an exponential ray at t={t_event:.9g}"
         )
-    x_prev = float(sol.t[-2]) if sol.t.size > 1 else 0.0
-    bracket = _refine_bracket(sol.sol, events[k_term], clock, x_prev, x_event, cfg)
+    x_prev = float(run.grid[-2]) if run.grid.size > 1 else 0.0
+    bracket = _refine_bracket(run, events[run.event], clock, x_prev, x_event, cfg)
     return result("exploded", bracket, kind)
 
 

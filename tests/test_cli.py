@@ -39,6 +39,9 @@ def test_solve_cir(capsys, models_dir):
     assert payload["stop_reason"] == "horizon"
     assert abs(payload["psi0"]["re"] - np.log(2.0)) < 1e-6
     assert abs(payload["psi"][0]["re"] - 1.0) < 1e-6
+    # One phase read at its horizon: start-up calls plus 12 per attempt.
+    assert payload["steps_t"] > 0 and payload["steps_s"] == 0
+    assert payload["nfev"] == 2 + 12 * (payload["steps_t"] + payload["rejected"])
 
 
 def test_solve_csv(capsys, models_dir):
@@ -56,6 +59,8 @@ def test_solve_exploding_stop_reason(capsys, models_dir):
     assert code == 0
     payload = strict_json(out)
     assert payload["verdict"] == "exploded" and payload["stop_reason"] == "radius"
+    assert payload["steps_t"] > 0 and payload["steps_s"] > 0 and payload["rejected"] > 0
+    assert payload["nfev"] > 12 * (payload["steps_t"] + payload["steps_s"] + payload["rejected"])
 
 
 def test_transform_overflow_is_standard_json(capsys, models_dir):

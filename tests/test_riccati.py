@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import oracles
-from affinejd.errors import DivergentIntegral, ExplosionBeforeHorizon
-from affinejd.jumps import ExponentialRay, FiniteAtomic
+from affinejd import golden, riccati
+from affinejd.errors import DivergentIntegral, ExplosionBeforeHorizon, QuadratureTailWarning
+from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
 from affinejd.riccati import (
     SolverConfig,
@@ -17,7 +23,8 @@ from affinejd.riccati import (
     solve_riccati,
     variation_of_constants_residual,
 )
-from affinejd.statespace import Canonical
+from affinejd.statespace import Canonical, PSDCone
+from affinejd.transform import effective_domain_ray
 
 
 def scalar_model(a0=0.0, a=0.0, A0=0.0, A1=0.0, K=None, space=None):
@@ -330,3 +337,170 @@ def test_constant_psi_with_huge_psi0_rate_is_not_blow_up(cp_model):
         assert res.kind == "exceeds_horizon"
         sol = solve_riccati(cp_model, [u], 1.0)
         assert sol.psi[-1, 0] == u and sol.stats.steps_t < 20
+
+
+def test_solve_counts_steps_and_builds_no_interpolant(monkeypatch):
+    # Every right-hand-side call goes through the module-global riccati_rhs.
+    calls = []
+    rhs = riccati.riccati_rhs
+    monkeypatch.setattr(riccati, "riccati_rhs", lambda model, y: calls.append(1) or rhs(model, y))
+    cases = [(golden.cir(), [0.5]), (golden.ou(), [0.3 - 1.0j]), (golden.compound_poisson(), [2.0j]),
+             (golden.wishart_2d(), [-0.4, 0.1j, -0.3]), (golden.lorentz_drift(), [0.2, 0.1, -0.1j])]
+    for model, u in cases:
+        calls.clear()
+        sol = solve_riccati(model, u, 1.0)
+        psi0, psi = sol.terminal()
+        stats = sol.stats
+        assert stats.stop_reason == "horizon" and stats.steps_s == 0
+        # Start-up: the first-step probe and the stepper's initial derivative;
+        # then 12 calls per attempted step and none for an interpolant.
+        assert stats.nfev == 2 + 12 * (stats.steps_t + stats.rejected)
+        assert len(calls) == 1 + stats.nfev  # plus the fail-fast check at u
+        assert (psi0, psi[0]) == (sol.psi0[-1], sol.psi[-1, 0])
+    # Phase 1 of a blow-up rejects steps as psi steepens.
+    sol = solve_riccati(golden.squared_scalar(), [1.0], 10.0)
+    assert sol.stats.rejected > 0 and sol.stats.steps_s > 0
+
+
+def test_no_stray_runtime_warnings(cp_model):
+    # exp(0.8 u) in R_0 overflows at t = 0 on the compound-Poisson +1 ray
+    # beyond lambda ~ 886, and e^y - 1 - y overflows where its step size
+    # underflows: both outcomes are typed, without a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ray = effective_domain_ray(cp_model, [1.0], 0.7)
+        sol = solve_riccati(self_exciting_model(), [1.0], 10.0)
+    # The ray's verdicts pin the current behaviour, which reads the overflow
+    # of psi_0 alone as blow-up (ROADMAP correctness backlog).
+    assert ray.bracket == (886.65185546875, 886.65234375)
+    assert ray.lambda_star == 886.652099609375
+    assert [kind for _, _, kind in ray.probes].count("NonFiniteRHS") == 3
+    assert sol.exploded and sol.stats.stop_reason == "step_underflow"
+    assert abs(sol.bracket[0] - 0.7791182046695493) < 1e-12
+
+
+def rhs_per_measure(model, y):
+    # The right-hand side as one term per coefficient and per jump measure.
+    p = model.dim
+    out = np.empty(p + 1, dtype=complex)
+    out[0] = model.a0 @ y + 0.5 * (y @ model.A[0] @ y)
+    out[1:] = model.a.T @ y + 0.5 * np.einsum("i,kij,j->k", y, model.A[1:], y)
+    for i, meas in enumerate(model.K):
+        if meas is not None:
+            out[i] += meas.exp_moment(y)
+    return out
+
+
+def random_measure(rng, p, family):
+    direction = rng.normal(size=p)
+    direction /= np.linalg.norm(direction)
+    ray = ExponentialRay(rng.uniform(0.1, 2.0), rng.uniform(3.0, 6.0), direction)
+    if family == "atoms":
+        n = int(rng.integers(1, 4))
+        return FiniteAtomic(rng.normal(size=n), 0.5 * rng.normal(size=(n, p)))
+    if family == "ray":
+        return ray
+    if family == "tabulated":
+        return ray.tabulated(n_nodes=int(rng.integers(8, 64)))
+    return None
+
+
+def random_model(seed, wishart):
+    rng = np.random.default_rng(seed)
+    p = 3 if wishart else int(rng.integers(2, 4))
+    space = PSDCone(2) if wishart else Canonical(int(rng.integers(0, p + 1)), p)
+    b = rng.normal(size=(p, p))
+    sym = rng.normal(size=(p, p, p))
+    A = np.concatenate([[b @ b.T], sym + sym.transpose(0, 2, 1)])
+    # All three families on distinct indices, random measures on the rest.
+    families = ["atoms", "ray", "tabulated"]
+    families += list(rng.choice(["atoms", "ray", "tabulated", "none"], size=p - 2))
+    K = [random_measure(rng, p, f) for f in rng.permutation(families)]
+    return AffineModel(rng.normal(size=p), rng.normal(size=(p, p)), A, K, space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wishart=st.booleans(), y_seed=st.integers(0, 2**32 - 1))
+def test_fused_rhs_matches_per_measure_formula(seed, wishart, y_seed):
+    model = random_model(seed, wishart)
+    rng = np.random.default_rng(y_seed)
+    y = rng.uniform(-1.0, 1.0, model.dim) + 1j * rng.uniform(-1.0, 1.0, model.dim)
+    y *= rng.uniform(0.0, 1.0) / np.linalg.norm(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureTailWarning)
+        got = riccati_rhs(model, y)
+        want = rhs_per_measure(model, y)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_fused_rhs_keeps_measure_checks():
+    ray = ExponentialRay(1.0, 2.0, [1.0])
+    m = scalar_model(A1=1.0, K=[FiniteAtomic([1.0], [[0.5]]), ray])
+    with pytest.raises(DivergentIntegral):
+        riccati_rhs(m, [2.5])
+    short = TabulatedDensity([1.0, 1.0], [[0.5], [1.0]])
+    m = scalar_model(A1=1.0, K=[FiniteAtomic([1.0], [[0.5]]), short])
+    with pytest.warns(QuadratureTailWarning):
+        riccati_rhs(m, [0.3])
+
+
+def packed_rhs(model):
+    def fun(t, y):
+        return riccati_rhs(model, y.view(complex)[1:]).view(float)
+    return fun
+
+
+def reference_run(model, u, horizon, radius, cfg):
+    """The own stepping loop and solve_ivp on the same packed right-hand
+    side, first step and terminal events."""
+    fun = packed_rhs(model)
+    y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
+    first = riccati._first_step(fun, y0, fun(0.0, y0), horizon, cfg)
+    events, _ = riccati._make_events(model, radius)
+    for event in events:
+        event.terminal, event.direction = True, 1
+    own = riccati._integrate(fun, 0.0, y0, horizon, cfg, events, first)
+    ref = solve_ivp(fun, (0.0, horizon), y0, method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    first_step=first, dense_output=True, events=events)
+    return own, ref, events
+
+
+def close(a, b):
+    return np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1e-300) + 1e-300)
+
+
+@pytest.mark.parametrize("name, u", [
+    ("cir", [0.5]), ("cir", [-1.0 + 3.0j]), ("ou", [0.3 - 1.0j]), ("compound_poisson", [0.7 + 2.0j]),
+    ("wishart_2d", [-0.4, 0.1j, -0.3]), ("lorentz_drift", [0.2, 0.1, -0.1j]),
+])
+def test_own_loop_matches_solve_ivp(name, u):
+    model = getattr(golden, name)()
+    cfg = SolverConfig()
+    own, ref, _ = reference_run(model, u, 1.5, cfg.r_max, cfg)
+    assert ref.status == 0 and own.event is None and not own.failed
+    assert np.array_equal(own.grid, ref.t)
+    assert close(own.ys[-1], ref.y[:, -1])
+    mid = 0.5 * (ref.t[1:] + ref.t[:-1])
+    assert close(np.array([own(x) for x in mid]), ref.sol(mid).T)
+    # solve_riccati takes the same steps and ends at the same value.
+    sol = solve_riccati(model, u, 1.5, cfg)
+    assert np.array_equal(sol.grid, ref.t)
+    psi0, psi = sol.eval(mid)
+    assert close(np.column_stack([psi0, psi]), ref.sol(mid).T.copy().view(complex))
+
+
+@pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
+def test_own_loop_matches_solve_ivp_on_blow_up(squared_model, u):
+    cfg = SolverConfig()
+    own, ref, events = reference_run(squared_model, [u], 10.0, cfg.r_max, cfg)
+    assert ref.status == 1 and own.event == 0
+    assert np.array_equal(own.grid[:-1], ref.t[:-1])
+    t_event = ref.t_events[0][0]
+    assert close(own.grid[-1], t_event) and close(own.ys[-1], ref.y[:, -1])
+    inner = ref.t[-2] + np.linspace(0.0, 1.0, 7) * (t_event - ref.t[-2])
+    assert close(np.array([own(x) for x in inner]), ref.sol(inner).T)
+
+    def bracket(dense):
+        return riccati._refine_bracket(dense, events[0], lambda x, y: x, ref.t[-2], t_event, cfg)
+
+    assert close(np.array(bracket(own)), np.array(bracket(ref.sol)))
