@@ -1,6 +1,9 @@
-"""Reference models with hand-derived closed forms, used by the test suite,
-the bundled model files, and the demo scripts. The closed forms are coded
-independently in tests/oracles.py.
+"""Reference models with hand-derived closed forms, used by the test suite
+and the demo scripts. The closed forms are coded independently in
+tests/oracles.py.
+
+Every model but squared_scalar is defined once, by its bundled file in
+models/ (shipped with the package); the functions below load it.
 
 Closed forms (psi(0) = u, psi0(0) = 0 throughout):
 
@@ -16,11 +19,13 @@ Closed forms (psi(0) = u, psi0(0) = 0 throughout):
 
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
 
-from .jumps import FiniteAtomic
 from .model import AffineModel
-from .statespace import Canonical, Lorentz, PSDCone
+from .modelio import load_model
+from .statespace import Canonical
+
+MODELS_DIR = Path(__file__).with_name("models")
 
 
 def squared_scalar():
@@ -31,91 +36,32 @@ def squared_scalar():
 
 
 def cir():
-    """Square-root diffusion: a^0 = 1, c(x) = 2x on the half line."""
-    return AffineModel(
-        a0=[1.0], a=[[0.0]], A=[[[0.0]], [[2.0]]], K=None, state_space=Canonical(1, 1)
-    )
-
-
-OU_KAPPA = 1.0
-OU_SIGMA_SQ = 1.0
+    """Square-root diffusion on the half line."""
+    return load_model(MODELS_DIR / "cir.json")
 
 
 def ou():
-    """Mean-reverting Gaussian model: state-independent diffusion A^0."""
-    return AffineModel(
-        a0=[0.0],
-        a=[[-OU_KAPPA]],
-        A=[[[OU_SIGMA_SQ]], [[0.0]]],
-        K=None,
-        state_space=Canonical(0, 1),
-    )
-
-
-CP_DRIFT = 1.0
-CP_WEIGHTS = (0.5, 0.25)
-CP_ATOMS = (0.4, 0.8)
+    """Mean-reverting Gaussian model on the line."""
+    return load_model(MODELS_DIR / "ou.json")
 
 
 def compound_poisson():
     """Drift plus state-independent positive jumps on the half line."""
-    return AffineModel(
-        a0=[CP_DRIFT],
-        a=[[0.0]],
-        A=[[[0.0]], [[0.0]]],
-        K=[FiniteAtomic(CP_WEIGHTS, [[z] for z in CP_ATOMS]), None],
-        state_space=Canonical(1, 1),
-    )
+    return load_model(MODELS_DIR / "compound_poisson.json")
 
 
 def wishart_2d():
-    """Matrix square-root diffusion on 2x2 PSD matrices in scaled
-    half-vectorized coordinates x = (X_11, sqrt(2) X_12, X_22):
-    b(X) = 3 I - X and the quadratic covariation of a Wishart flow."""
-    A1 = [[4.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
-    A2 = [[0.0, 2.0, 0.0], [2.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
-    A3 = [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]]
-    zero = np.zeros((3, 3))
-    return AffineModel(
-        a0=[3.0, 0.0, 3.0],
-        a=-np.eye(3),
-        A=[zero, A1, A2, A3],
-        K=None,
-        state_space=PSDCone(2),
-    )
+    """Wishart diffusion on 2x2 PSD matrices in scaled half-vectorized
+    coordinates x = (X_11, sqrt(2) X_12, X_22)."""
+    return load_model(MODELS_DIR / "wishart_2d.json")
 
 
 def lorentz_drift():
-    """Pure drift toward the axis point e_1 on the Lorentz cone."""
-    return AffineModel(
-        a0=[1.0, 0.0, 0.0],
-        a=-np.eye(3),
-        A=np.zeros((4, 3, 3)),
-        K=None,
-        state_space=Lorentz(3),
-    )
+    """Pure drift on the Lorentz cone in R^3."""
+    return load_model(MODELS_DIR / "lorentz.json")
 
 
 def nonadmissible_2d():
-    """c(x) = [[x1, x2], [x2, -x1]] is indefinite at every x != 0: a valid
-    parameter set fails the admissibility check on all of R^2."""
-    A1 = [[1.0, 0.0], [0.0, -1.0]]
-    A2 = [[0.0, 1.0], [1.0, 0.0]]
-    zero = np.zeros((2, 2))
-    return AffineModel(
-        a0=[0.0, 0.0],
-        a=np.zeros((2, 2)),
-        A=[zero, A1, A2],
-        K=None,
-        state_space=Canonical(0, 2),
-    )
-
-
-GOLDEN_BUILDERS = {
-    "cir": cir,
-    "ou": ou,
-    "compound_poisson": compound_poisson,
-    "wishart_2d": wishart_2d,
-    "lorentz": lorentz_drift,
-    "nonadmissible_2d": nonadmissible_2d,
-}
+    """A valid parameter set on R^2 whose c(x) is indefinite at every
+    x != 0, so it fails the admissibility check."""
+    return load_model(MODELS_DIR / "nonadmissible_2d.json")

@@ -176,18 +176,18 @@ def _sample_states(space, n_samples, rng):
     """Interior and boundary points: Gaussian clouds projected onto the
     space, plus clouds pushed outward so projections land on the boundary."""
     p = space.dim
-    pts = [space.project(np.zeros(p)), space.project(np.ones(p))]
-    n_rem = max(n_samples - len(pts), 0)
+    n_rem = max(n_samples - 2, 0)
     n_in = n_rem // 2
     n_far = (n_rem - n_in) // 2
     n_out = n_rem - n_in - n_far
-    for z in rng.normal(size=(n_in, p)) * 1.5:
-        pts.append(space.project(z))
-    for z in rng.normal(size=(n_far, p)) * 4.0:
-        pts.append(space.project(z))
-    for z in rng.normal(size=(n_out, p)):
-        pts.append(space.project(-np.abs(z) * 2.0))
-    return pts[:n_samples] if n_samples < len(pts) else pts
+    draws = np.vstack([
+        np.zeros((1, p)),
+        np.ones((1, p)),
+        rng.normal(size=(n_in, p)) * 1.5,
+        rng.normal(size=(n_far, p)) * 4.0,
+        -np.abs(rng.normal(size=(n_out, p))) * 2.0,
+    ])
+    return list(space.project_batch(draws[:n_samples]))
 
 
 def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):

@@ -665,26 +665,6 @@ def variation_of_constants_residual(
     return abs(lhs - rhs)
 
 
-def ode_residual(model, sol: RiccatiSolution):
-    """Max over grid midpoints of |d/dt psi - R(psi)| measured on the dense
-    interpolant; a consistency diagnostic for the integrator."""
-    if sol.grid.size < 2:
-        return 0.0
-    res = 0.0
-    h = 1e-6 * max(1.0, sol.t_last)
-    for k in range(sol.grid.size - 1):
-        tm = 0.5 * (sol.grid[k] + sol.grid[k + 1])
-        if tm - h < 0.0 or tm + h > sol.t_last:
-            continue
-        psi0_p, psi_p = sol.eval(tm + h)
-        psi0_m, psi_m = sol.eval(tm - h)
-        d = np.concatenate([[(psi0_p - psi0_m)], psi_p - psi_m]) / (2.0 * h)
-        _, psi_mid = sol.eval(tm)
-        rhs = riccati_rhs(model, psi_mid)
-        res = max(res, float(np.max(np.abs(d - rhs))))
-    return res
-
-
 def solution_to_csv(sol: RiccatiSolution):
     """CSV rows (t, Re psi0, Im psi0, Re psi_1..p, Im psi_1..p)."""
     p = sol.u.size

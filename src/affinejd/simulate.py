@@ -16,7 +16,7 @@ of steps never reshuffles draws that earlier configurations consumed.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ class SimConfig:
     dt: float
     horizon: float
     seed: int = 0
-    project: bool = True
     record_times: Optional[np.ndarray] = None  # defaults to 11 evenly spaced
     threads: int = 1
 
@@ -217,8 +216,7 @@ def _simulate_block(plan, x0, cfg, dt, n_steps, record_idx, block, n_block):
                         zvals[sel] = (s_exp[sel] / rate)[:, None] * direction[None, :]
                 np.add.at(incr, rows, zvals)
         states = states + incr
-        if cfg.project:
-            states = plan.space.project_batch(states)
+        states = plan.space.project_batch(states)
         sup_sq = np.maximum(sup_sq, np.sum(states**2, axis=1))
         if (k + 1) in slot:
             rec[:, slot[k + 1], :] = states
@@ -319,11 +317,7 @@ def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig,
     if sol.exploded:
         raise ExplosionBeforeHorizon(f"psi explodes before T={horizon}")
     checkpoints = np.linspace(0.0, horizon, n_checkpoints + 1)
-    cfg_rec = SimConfig(
-        n_paths=cfg.n_paths, dt=cfg.dt, horizon=horizon, seed=cfg.seed,
-        project=cfg.project, record_times=checkpoints, threads=cfg.threads,
-    )
-    ens = simulate_paths(model, x0, cfg_rec)
+    ens = simulate_paths(model, x0, replace(cfg, horizon=horizon, record_times=checkpoints))
 
     psi0_T, psi_T = sol.eval(horizon)
     reference = complex(np.exp(psi0_T + psi_T @ ens.x0))

@@ -4,14 +4,20 @@ identity behind infinite divisibility.
 
 The transform value is tagged:
 
-* ``finite``      -- the Riccati solution reached t; value exp(psi0 + psi.x),
-                     with the exponent in log_value. The value is None when
-                     the exponential overflows.
+* ``finite``      -- the Riccati solution reached t, and so did the real
+                     one at Re u; value exp(psi0 + psi.x), with the exponent
+                     in log_value. The value is None when the exponential
+                     overflows.
+* ``not_integrable`` -- non-real u with Re u != 0 whose solution reached t,
+                     but the real solution at Re u blew up by t: then
+                     E|exp(u.X_t)| = E exp(Re u.X_t) = inf, the expectation
+                     does not exist, and the complex solution is only an
+                     analytic continuation. No value is asserted.
 * ``explosive``   -- real u whose solution blew up by t: the moment is +inf.
 * ``zero_region`` -- non-real u with bounded Re(u.x) on the state space whose
                      solution blew up by t: the transform is identically 0.
-* ``unknown``     -- blow-up for a u outside both previous cases; no value
-                     is asserted.
+* ``unknown``     -- blow-up for a non-real u with unbounded Re(u.x) on the
+                     state space; no value is asserted.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .riccati import SolverConfig, explosion_time, solve_riccati
 
 @dataclass
 class TransformValue:
-    kind: str  # "finite" | "explosive" | "zero_region" | "unknown"
+    kind: str  # "finite" | "not_integrable" | "explosive" | "zero_region" | "unknown"
     value: Optional[complex] = None
     psi0: Optional[complex] = None
     psi: Optional[np.ndarray] = None
@@ -52,6 +58,18 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
         return _finite(0.0 + 0.0j, u.copy(), x)
     sol = solve_riccati(model, u, t, cfg)
     if not sol.exploded:
+        # The formula holds for complex u by analytic extension from the
+        # real exponential moment at Re u, which must itself be finite.
+        if np.any(u.imag != 0.0) and np.any(u.real != 0.0):
+            real = solve_riccati(model, u.real, t, cfg)
+            if real.exploded:
+                return TransformValue(
+                    "not_integrable",
+                    diagnostic=(
+                        f"Re u blows up in bracket {real.bracket}: E exp(Re u.X_t) is "
+                        "infinite, so E exp(u.X_t) does not exist"
+                    ),
+                )
         return _finite(*sol.eval(t), x)
     if np.all(u.imag == 0.0):
         return TransformValue(

@@ -10,6 +10,7 @@ import oracles
 from affinejd import golden
 from affinejd.cone import interior_preservation_check, monotonicity_check
 from affinejd.model import check_admissibility
+from affinejd.modelio import load_model
 from affinejd.riccati import (
     explosion_time,
     flow_identity_residual,
@@ -161,7 +162,7 @@ def test_criterion_05_variation_of_constants():
     c = Criterion(5, "variation-of-constants residual < 1e-6 on 50 draws", 10.0)
     rng = np.random.default_rng(SEED)
     for name in GOLDEN_FIVE:
-        model = golden.GOLDEN_BUILDERS[name]()
+        model = load_model(golden.MODELS_DIR / f"{name}.json")
         for _ in range(10):
             t = rng.uniform(0.2, 1.2)
             u = _random_real_u(name, model, rng, t)
@@ -175,7 +176,7 @@ def test_criterion_06_flow_semigroup():
     c = Criterion(6, "flow semigroup residual < 1e-7 on 100 draws per model", 10.0)
     rng = np.random.default_rng(SEED + 1)
     for name in GOLDEN_FIVE:
-        model = golden.GOLDEN_BUILDERS[name]()
+        model = load_model(golden.MODELS_DIR / f"{name}.json")
         for _ in range(100):
             s = rng.uniform(0.05, 0.5)
             t = rng.uniform(0.05, 0.5)

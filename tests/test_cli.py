@@ -75,6 +75,16 @@ def test_transform_overflow_is_standard_json(capsys, models_dir):
     assert abs(payload["log_value"]["re"] - (np.log(10.0) + 9000.0)) < 1e-5
 
 
+def test_transform_not_integrable(capsys, models_dir):
+    code, out, _ = run_cli(capsys, "transform", "--model", str(models_dir / "cir.json"),
+                           "--u", "2+1i", "--x", "1", "--t", "1")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["verdict"] == "not_integrable"
+    assert "value" not in payload
+    assert "bracket" in payload["diagnostic"]
+
+
 def test_closed_stdout_pipe_is_quiet(models_dir):
     # The reader goes away before the output is written, as `| head -1` can.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

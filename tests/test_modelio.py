@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,9 +19,22 @@ from affinejd.modelio import (
 from affinejd.statespace import Canonical
 
 
-@pytest.mark.parametrize("name", sorted(golden.GOLDEN_BUILDERS))
+BUNDLED = sorted(path.stem for path in golden.MODELS_DIR.glob("*.json"))
+
+# The golden function that loads each bundled file.
+GOLDEN_BY_FILE = {
+    "cir": golden.cir,
+    "compound_poisson": golden.compound_poisson,
+    "lorentz": golden.lorentz_drift,
+    "nonadmissible_2d": golden.nonadmissible_2d,
+    "ou": golden.ou,
+    "wishart_2d": golden.wishart_2d,
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_round_trip_hash_equal(name, tmp_path):
-    model = golden.GOLDEN_BUILDERS[name]()
+    model = load_model(golden.MODELS_DIR / f"{name}.json")
     path = tmp_path / f"{name}.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -31,10 +45,12 @@ def test_round_trip_hash_equal(name, tmp_path):
     assert model_hash(load_model(path)) == model_hash(model)
 
 
-@pytest.mark.parametrize("name", sorted(golden.GOLDEN_BUILDERS))
-def test_bundled_files_match_builders(name, models_dir):
-    loaded = load_model(models_dir / f"{name}.json")
-    assert loaded == golden.GOLDEN_BUILDERS[name]()
+@pytest.mark.parametrize("name", BUNDLED)
+def test_golden_name_loads_bundled_file(name, models_dir):
+    # The package ships the repository's models/ file byte for byte, and
+    # each golden name loads the file of the same model.
+    assert (golden.MODELS_DIR / f"{name}.json").read_bytes() == (models_dir / f"{name}.json").read_bytes()
+    assert GOLDEN_BY_FILE[name]() == load_model(models_dir / f"{name}.json")
 
 
 def test_canonical_json_deterministic(cir_model):
@@ -179,3 +195,14 @@ def test_hash_is_sha256_of_canonical_json(cir_model):
     import hashlib
 
     assert model_hash(cir_model) == hashlib.sha256(canonical_json(cir_model).encode()).hexdigest()
+
+
+def test_package_models_match_pins():
+    # The files golden loads are exactly the pinned ones, and the package
+    # ships them.
+    tomllib = pytest.importorskip("tomllib")
+    assert BUNDLED == sorted(set(PINNED_JSON) - {"ray_and_tabulated"})
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "models/*.json" in package_data["affinejd"]

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from affinejd.errors import CholeskyFailure
 from affinejd.jumps import ExponentialRay, FiniteAtomic
-from affinejd.model import AffineModel
+from affinejd.model import AffineModel, check_admissibility
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
     SimConfig,
@@ -16,7 +16,7 @@ from affinejd.simulate import (
     simulate_paths,
     sup_moment,
 )
-from affinejd.statespace import Canonical
+from affinejd.statespace import Canonical, Lorentz
 from affinejd.transform import transform
 
 
@@ -24,6 +24,18 @@ def scalar_model(a0=0.0, a=0.0, A0=0.0, A1=0.0, K=None, space=None):
     return AffineModel(
         a0=[a0], a=[[a]], A=[[[A0]], [[A1]]], K=K, state_space=space or Canonical(1, 1)
     )
+
+
+def noisy_lorentz_model():
+    """Drift 0.1 e_1 - x on Lorentz(3) with the arrow-matrix diffusion
+    c(x) = [[x1, x2, x3], [x2, x1, 0], [x3, 0, x1]], whose eigenvalues
+    x1 and x1 +- |(x2, x3)| are nonnegative exactly on the cone. The weak
+    pull toward 0.1 e_1 keeps paths near the apex, where Euler steps also
+    land in the polar cone."""
+    e = np.eye(3)
+    A = [np.zeros((3, 3)), e, np.outer(e[0], e[1]) + np.outer(e[1], e[0]),
+         np.outer(e[0], e[2]) + np.outer(e[2], e[0])]
+    return AffineModel(a0=0.1 * e[0], a=-e, A=A, K=None, state_space=Lorentz(3))
 
 
 def test_constant_paths_for_degenerate_model():
@@ -53,10 +65,11 @@ def test_mc_transform_trivial(cir_model):
 
 
 def test_determinism_and_prefix_stability(cir_model, wishart_model, lorentz_model):
-    # The cone models run project_batch on every step, and Wishart paths
-    # reach the PSD boundary, so this also pins row independence there.
+    # The cone models run project_batch on every step; Wishart paths reach
+    # the PSD boundary and noisy Lorentz paths all three Lorentz branches,
+    # so this also pins row independence there.
     for model, x0 in [(cir_model, [1.0]), (wishart_model, [0.4, 0.0, 0.4]),
-                      (lorentz_model, [1.0, 0.0, 0.0])]:
+                      (lorentz_model, [1.0, 0.0, 0.0]), (noisy_lorentz_model(), [0.1, 0.05, 0.0])]:
         base = SimConfig(n_paths=48, dt=1e-2, horizon=0.5, seed=9)
         e1 = simulate_paths(model, x0, base)
         e2 = simulate_paths(model, x0, base)
@@ -67,6 +80,26 @@ def test_determinism_and_prefix_stability(cir_model, wishart_model, lorentz_mode
         threaded = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9, threads=4)
         e4 = simulate_paths(model, x0, threaded)
         assert np.array_equal(e4.states, e3.states)
+
+
+def test_noisy_lorentz_paths_reach_every_projection_branch(monkeypatch):
+    model = noisy_lorentz_model()
+    assert check_admissibility(model).verdict
+    counts = {"inside": 0, "ray": 0, "polar": 0}
+    project_rows = Lorentz._project_rows
+
+    def counting(self, xs):
+        head, tail = xs[:, 0], np.linalg.norm(xs[:, 1:], axis=1)
+        inside = head >= tail
+        polar = ~inside & (head <= -tail)
+        counts["inside"] += int(inside.sum())
+        counts["polar"] += int(polar.sum())
+        counts["ray"] += int((~inside & ~polar).sum())
+        return project_rows(self, xs)
+
+    monkeypatch.setattr(Lorentz, "_project_rows", counting)
+    simulate_paths(model, [0.1, 0.05, 0.0], SimConfig(n_paths=64, dt=0.05, horizon=2.0, seed=3))
+    assert all(n > 0 for n in counts.values()), counts
 
 
 def test_rekeyed_streams_match_fresh_generators():

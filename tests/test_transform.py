@@ -64,6 +64,21 @@ def test_transform_unknown_branch(bad_model):
     assert tv.diagnostic
 
 
+def test_transform_not_integrable_branch(cir_model):
+    # The complex solution at u = 2 + i reaches t = 1 (|1 - u t| > 0), but
+    # T*(Re u) = 1/2 < 1: E exp(2 X_1) = inf, so E exp(u X_1) does not exist.
+    tv = transform(cir_model, [2.0 + 1.0j], [1.0], 1.0)
+    assert tv.kind == "not_integrable"
+    assert tv.value is None and tv.log_value is None
+    assert "bracket" in tv.diagnostic
+    # T*(1/2) = 2 > 1: the closed form holds.
+    u = 0.5 + 1.0j
+    tv = transform(cir_model, [u], [1.0], 1.0)
+    assert tv.finite
+    assert abs(tv.psi[0] - oracles.cir_psi(1.0, u)) < 1e-8
+    assert abs(tv.psi0 - oracles.cir_psi0(1.0, u)) < 1e-8
+
+
 def test_transform_rejects_states_outside_space(cir_model):
     from affinejd.errors import StateSpaceMismatch
 
