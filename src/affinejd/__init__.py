@@ -11,6 +11,7 @@ from .errors import (
     ExplosionBeforeHorizon,
     IntensityInfinite,
     ModelFormatError,
+    NegativeJumpWeight,
     NonFiniteRHS,
     StateSpaceMismatch,
     StepLimitExceeded,

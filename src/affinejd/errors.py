@@ -47,6 +47,11 @@ class IntensityInfinite(AffineError):
     """The total jump intensity is not a finite number."""
 
 
+class NegativeJumpWeight(AffineError, ValueError):
+    """A jump measure has a negative weight, so it is no intensity to
+    simulate from."""
+
+
 class CholeskyFailure(AffineError):
     """The diffusion matrix is indefinite beyond the clipping tolerance."""
 

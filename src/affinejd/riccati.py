@@ -13,8 +13,9 @@ view (Re psi_0, Im psi_0, Re psi_1, Im psi_1, ...), so the right-hand side
 converts in both directions by zero-copy views.
 
 Integration runs in two phases of one call, both driven by one stepping loop
-(``_integrate``) over scipy's DOP853 stepper, the adaptive embedded
-Runge-Kutta pair of order 8. Phase 1 integrates in t until the horizon or
+(``_integrate``) over the DOP853 stepper of ``integrator``, the adaptive
+embedded Runge-Kutta pair of order 8, which takes scipy's steps bit for bit
+without importing scipy. Phase 1 integrates in t until the horizon or
 until |psi| crosses the switch radius r_sw = 30 (1 + |u|); solves that stay
 below r_sw end there. Otherwise phase 2 continues from the last accepted step
 of phase 1 in a new time s, with t - t_switch as the last state component:
@@ -38,21 +39,22 @@ on the first evaluation inside that step, and values at step ends are the
 exact step ends: a solve read only at its horizon builds no interpolant.
 Blow-up is localized by bisection on the interpolant of the phase that
 crossed the radius, in that phase's own variable, and reported in t. The
-solution's grid and dense evaluator span both phases.
+solution's grid and dense evaluator span both phases; a time inside a
+phase-2 step is mapped to its s by Brent's method on that step's
+interpolant of t(s).
+
+scipy is imported only inside mean_flow (expm) and
+variation_of_constants_residual (quad).
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import DOP853, quad
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from . import jumps as jumps_mod
 from .errors import (
@@ -61,6 +63,7 @@ from .errors import (
     NonFiniteRHS,
     StepLimitExceeded,
 )
+from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq
 from .model import _check_state, diffusion_at, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
@@ -69,13 +72,6 @@ _EXP_GUARD = 600.0
 # Phase 1 hands over to the time-changed phase 2 when |psi| crosses
 # _SWITCH_FACTOR * (1 + |u|).
 _SWITCH_FACTOR = 30.0
-
-# Right-hand-side calls per DOP853 step attempt: 11 inner stages and the
-# derivative at the step end.
-_STAGES = DOP853.n_stages
-
-# solve_ivp's tolerance for event roots.
-_ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -180,116 +176,34 @@ class RiccatiSolution:
         return self.eval(self.t_last)
 
 
-class _Steps:
-    """The accepted steps of one DOP853 run: the grid x, the packed states y
-    at its points (exact step ends; the last point of a run stopped by an
-    event is the interpolated root), and per step the stages from which its
-    interpolant is built on the first evaluation inside the step. Calling
-    the run at x evaluates it like solve_ivp's dense output on the same
-    steps, but returns the stored state at a grid point."""
-
-    def __init__(self, fun, x0, y0):
-        self.fun = fun
-        self.x = [x0]
-        self.y = [y0]
-        self.rejected = 0
-        self.event = None  # index of the event that stopped the run
-        self.failed = False  # the step size underflowed
-        self.message = None
-        self._steps = []  # (x_old, x_new, y_new, stages) per accepted step
-        self._coefs = {}
-
-    @property
-    def n_steps(self):
-        return len(self._steps)
-
-    def push(self, solver):
-        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy()))
-        self.x.append(solver.t)
-        self.y.append(solver.y)
-
-    def finish(self):
-        self.grid = np.array(self.x)
-        self.ys = np.array(self.y)
-        return self
-
-    def interpolate(self, k, x):
-        """The interpolant of step k at x: scipy's DOP853 dense output,
-        evaluated the same way."""
-        x_old, x_new = self._steps[k][:2]
-        coefs = self._coefs.get(k)
-        if coefs is None:
-            coefs = self._coefs[k] = self._coefficients(k)
-        s = (x - x_old) / (x_new - x_old)
-        y = np.zeros(self.y[k].size)
-        for i, f in enumerate(reversed(coefs)):
-            y += f
-            y *= s if i % 2 == 0 else 1 - s
-        return y + self.y[k]
-
-    def _coefficients(self, k):
-        x_old, x_new, y_new, stages = self._steps[k]
-        y_old = self.y[k]
-        h = x_new - x_old
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES + 1):
-                stages[s] = self.fun(x_old + c * h, y_old + np.dot(stages[:s].T, a[:s]) * h)
-        f_old = stages[0]
-        delta = y_new - y_old
-        coefs = np.empty((3 + DOP853.D.shape[0], y_old.size))
-        coefs[0] = delta
-        coefs[1] = h * f_old - delta
-        coefs[2] = 2 * delta - h * (stages[_STAGES] + f_old)
-        coefs[3:] = h * np.dot(DOP853.D, stages)
-        return coefs
-
-    def stop_at(self, k_event, root):
-        """End the run at an event root inside its last step."""
-        self.event = k_event
-        self.x[-1] = root
-        self.y[-1] = self.interpolate(self.n_steps - 1, root)
-
-    def __call__(self, x):
-        j = min(bisect.bisect_left(self.x, x), len(self.x) - 1)
-        if self.x[j] == x:
-            return self.y[j]
-        return self.interpolate(min(max(j - 1, 0), self.n_steps - 1), x)
-
-
 def _integrate(fun, x0, y0, x_bound, cfg, events, first_step=None):
     """Step DOP853 from x0 towards x_bound until it finishes, its step size
     underflows, or a terminal event fires. Events are tested on accepted
     step ends with solve_ivp's rule for direction +1 (g <= 0 at the step
     start and g >= 0 at its end); the run stops at the earliest root of the
-    events that fired, found by brentq on that step's interpolant. Rejected
-    attempts are counted from the stepper's calls (12 per attempt)."""
-    solver = DOP853(fun, x0, y0, x_bound, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    first_step=first_step)
-    run = _Steps(fun, x0, y0)
+    events that fired, found by brentq on that step's interpolant."""
+    solver = DOP853(fun, x0, y0, x_bound, cfg.rel_tol, cfg.abs_tol, first_step)
+    run = Steps(fun, x0, y0)
     g = [event(x0, y0) for event in events]
     while True:
-        nfev = solver.nfev
-        message = solver.step()
-        attempts = (solver.nfev - nfev) // _STAGES
-        if solver.status == "failed":
-            run.rejected += attempts
-            run.failed, run.message = True, message
+        accepted = solver.step()
+        run.rejected = solver.rejected
+        if not accepted:
+            run.failed = True
             return run.finish()
-        run.rejected += attempts - 1
         run.push(solver)
         g_new = [event(solver.t, solver.y) for event in events]
         active = [k for k, (lo, hi) in enumerate(zip(g, g_new)) if lo <= 0.0 <= hi]
         if active:
             k_last = run.n_steps - 1
             roots = [
-                brentq(lambda x, ev=events[k]: ev(x, run.interpolate(k_last, x)),
-                       solver.t_old, solver.t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                brentq(lambda x, ev=events[k]: ev(x, run.interpolate(k_last, x)), solver.t_old, solver.t)
                 for k in active
             ]
             first = int(np.argmin(roots))
             run.stop_at(active[first], roots[first])
             return run.finish()
-        if solver.status == "finished":
+        if solver.finished:
             return run.finish()
         g = g_new
 
@@ -310,20 +224,21 @@ class _TimeChangedDense:
         return self._dense_s(self._s_of(t))[:-1]
 
     def _s_of(self, t):
-        """The first s with t(s) >= t, by bisection inside the phase-2 step
-        that holds t; a t on the grid is its grid point."""
+        """The s with t(s) = t, by Brent's method on the interpolant of the
+        phase-2 step that holds t; a t on the grid is its grid point, and a t
+        the interpolant does not reach in its step is the step end."""
         k = min(max(int(np.searchsorted(self._t_grid, t)), 1), self._t_grid.size - 1)
-        lo, hi = self._dense_s.x[k - 1], self._dense_s.x[k]
+        hi = self._dense_s.x[k]
         if self._t_grid[k] == t:
             return hi
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return hi
-            if self._t_grid[0] + self._dense_s(mid)[-1] >= t:
-                hi = mid
-            else:
-                lo = mid
+        t_switch = self._t_grid[0]
+
+        def gap(s):
+            return t_switch + self._dense_s.interpolate(k - 1, s)[-1] - t
+
+        if gap(hi) <= 0.0:
+            return hi
+        return brentq(gap, self._dense_s.x[k - 1], hi)
 
 
 def _make_events(model, radius):
@@ -539,7 +454,7 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
         if not np.isfinite(r_norm) or r_norm * max(t_end, 1e-12) > 1e10 * scale:
             half = 0.25 * cfg.explosion_bracket_tol * t_end
             return result("exploded", (t_end - half, t_end + half), "step_underflow")
-        raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {run.message}")
+        raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {TOO_SMALL_STEP}")
 
     x_event = float(run.grid[-1])
     if kind == "ray":
@@ -587,6 +502,8 @@ def explosion_time(model, u, t_max, cfg: Optional[SolverConfig] = None):
 def mean_flow(model, x, t):
     """E_x X_t: the flow of the linear ODE x' = b(x) = a^0 + a x, computed
     through the matrix exponential of the augmented (p+1) system on (1, x)."""
+    from scipy.linalg import expm
+
     x = _check_state(model, x)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -639,6 +556,8 @@ def variation_of_constants_residual(
     """Absolute difference between psi_0(t,u) + psi(t,u).x and
     u.E_x X_t + integral over [0,t] of k(E_x X_{t-s}, psi(s,u)) ds, with the
     right side computed by adaptive quadrature against the dense solution."""
+    from scipy.integrate import quad
+
     u = np.asarray(u, dtype=float).ravel()
     x = require_in_space(model, x)
     if t <= 0.0:

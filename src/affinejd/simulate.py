@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import jumps as jumps_mod
-from .errors import CholeskyFailure, ExplosionBeforeHorizon, IntensityInfinite
+from .errors import CholeskyFailure, ExplosionBeforeHorizon, IntensityInfinite, NegativeJumpWeight
 from .model import require_in_space
 from .modelio import model_hash
 from .riccati import SolverConfig, solve_riccati
@@ -102,6 +102,9 @@ class _SimPlan:
         for i, meas in enumerate(model.K):
             if meas is None:
                 continue
+            lowest = np.min(meas.weights) if isinstance(meas, jumps_mod.WeightedPoints) else meas.mass
+            if lowest < 0.0:
+                raise NegativeJumpWeight(f"K^{i} has the negative weight {lowest:g}: jumps cannot be drawn from it")
             mv = meas.mean_vector()
             tm = meas.total_mass()
             if not (np.all(np.isfinite(mv)) and np.isfinite(tm)):

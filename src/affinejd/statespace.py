@@ -15,7 +15,6 @@ batch, so simulations stay reproducible when the path count changes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace
 
@@ -328,6 +327,8 @@ class HalfSpaceIntersection(StateSpace):
 
     def _check_full_dimensional(self):
         # Chebyshev center: max t s.t. Nx + t|n_k| <= c; t <= 0 means no interior.
+        from scipy.optimize import linprog
+
         k, p = self.normals.shape
         norms = np.linalg.norm(self.normals, axis=1)
         c_obj = np.zeros(p + 1)
@@ -379,6 +380,8 @@ class HalfSpaceIntersection(StateSpace):
 
     def bounded_support(self, r, tol=1e-9):
         # sup r.x finite iff r is a nonnegative combination of the normals.
+        from scipy.optimize import nnls
+
         r = self._check_dim(r)
         _, resid = nnls(self.normals.T, r)
         return bool(resid <= tol * (1.0 + np.linalg.norm(r)))

@@ -8,8 +8,9 @@ The transform value is tagged:
                      one at Re u; value exp(psi0 + psi.x), with the exponent
                      in log_value. The value is None when the exponential
                      overflows.
-* ``not_integrable`` -- non-real u with Re u != 0 whose solution reached t,
-                     but the real solution at Re u blew up by t: then
+* ``not_integrable`` -- non-real u with Re u != 0, whose solution reached
+                     t or blew up outside U, where the real solution at
+                     Re u blew up by t: then
                      E|exp(u.X_t)| = E exp(Re u.X_t) = inf, the expectation
                      does not exist, and the complex solution is only an
                      analytic continuation. No value is asserted.
@@ -17,7 +18,8 @@ The transform value is tagged:
 * ``zero_region`` -- non-real u with bounded Re(u.x) on the state space whose
                      solution blew up by t: the transform is identically 0.
 * ``unknown``     -- blow-up for a non-real u with unbounded Re(u.x) on the
-                     state space; no value is asserted.
+                     state space, where the real solution at Re u reached t;
+                     no value is asserted.
 """
 
 from __future__ import annotations
@@ -57,19 +59,13 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
     if t == 0.0:
         return _finite(0.0 + 0.0j, u.copy(), x)
     sol = solve_riccati(model, u, t, cfg)
+    # The formula holds for complex u by analytic extension from the real
+    # exponential moment at Re u, which must itself be finite.
     if not sol.exploded:
-        # The formula holds for complex u by analytic extension from the
-        # real exponential moment at Re u, which must itself be finite.
         if np.any(u.imag != 0.0) and np.any(u.real != 0.0):
-            real = solve_riccati(model, u.real, t, cfg)
-            if real.exploded:
-                return TransformValue(
-                    "not_integrable",
-                    diagnostic=(
-                        f"Re u blows up in bracket {real.bracket}: E exp(Re u.X_t) is "
-                        "infinite, so E exp(u.X_t) does not exist"
-                    ),
-                )
+            not_integrable = _not_integrable(model, u, t, cfg)
+            if not_integrable is not None:
+                return not_integrable
         return _finite(*sol.eval(t), x)
     if np.all(u.imag == 0.0):
         return TransformValue(
@@ -82,11 +78,27 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
             value=0.0 + 0.0j,
             diagnostic=f"u in U, blow-up bracket {sol.bracket}: the transform vanishes",
         )
-    return TransformValue(
+    # Here Re u != 0, since a purely imaginary u lies in U.
+    return _not_integrable(model, u, t, cfg) or TransformValue(
         "unknown",
         diagnostic=(
             f"blow-up bracket {sol.bracket} for complex u outside U: "
             "no value is asserted for this argument"
+        ),
+    )
+
+
+def _not_integrable(model, u, t, cfg):
+    """The not_integrable verdict when the real solution at Re u blows up by
+    t, else None."""
+    real = solve_riccati(model, u.real, t, cfg)
+    if not real.exploded:
+        return None
+    return TransformValue(
+        "not_integrable",
+        diagnostic=(
+            f"Re u blows up in bracket {real.bracket}: E exp(Re u.X_t) is "
+            "infinite, so E exp(u.X_t) does not exist"
         ),
     )
 

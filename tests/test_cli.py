@@ -161,6 +161,23 @@ def test_simulate_negative_seed_exits_2(capsys, models_dir):
     assert "invalid input" in err and "seed" in err
 
 
+def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):
+    from affinejd.jumps import FiniteAtomic
+    from affinejd.model import AffineModel
+    from affinejd.modelio import save_model
+    from affinejd.statespace import Canonical
+
+    m = AffineModel(a0=[1.0], a=[[-0.5]], A=[[[0.0]], [[0.0]]],
+                    K=[FiniteAtomic([2.0, -1.0], [[0.4], [0.8]]), None],
+                    state_space=Canonical(1, 1))
+    path = tmp_path / "signed.json"
+    save_model(m, path)
+    code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--x0", "1",
+                             "--n-paths", "10", "--dt", "0.1", "--T", "1")
+    assert code == 2 and out == ""
+    assert "negative weight" in err and "Traceback" not in err
+
+
 def test_simulate_csv(capsys, models_dir):
     code, out, _ = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
                            "--x0", "1", "--n-paths", "64", "--dt", "0.01", "--T", "0.5",

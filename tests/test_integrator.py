@@ -1,0 +1,207 @@
+"""The own DOP853 stepper and Brent root against the scipy code they were
+transliterated from: the vendored tableau, the roots and the accepted steps
+must agree bit for bit. Also: the package's import path stays free of scipy,
+and the functions that import scipy on first use still work."""
+
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.optimize import brentq as scipy_brentq
+
+from affinejd import golden, integrator, riccati
+from affinejd.riccati import SolverConfig, riccati_rhs
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(integrator, name) == getattr(dop853_coefficients, name)
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        own, ref = getattr(integrator, name), getattr(dop853_coefficients, name)
+        assert own.dtype == ref.dtype and np.array_equal(own.view(np.uint64), ref.view(np.uint64))
+    n = integrator.N_STAGES
+    for (row, c), s in zip(integrator._STAGE_ROWS, range(1, n)):
+        assert np.array_equal(row, ScipyDOP853.A[s, :s]) and c == ScipyDOP853.C[s]
+    for (row, c), s in zip(integrator._EXTRA_ROWS, range(n + 1, integrator.N_STAGES_EXTENDED)):
+        assert np.array_equal(row, ScipyDOP853.A_EXTRA[s - n - 1, :s]) and c == ScipyDOP853.C_EXTRA[s - n - 1]
+    assert integrator.ERROR_EXPONENT == -1 / (ScipyDOP853.error_estimator_order + 1)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        x = fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+    return x.hex()
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    TOLS = dict(xtol=integrator.ROOT_TOL, rtol=integrator.ROOT_TOL)
+    rng = np.random.default_rng(20240917)
+    families = [
+        lambda c, s: lambda x: s * (x - c),
+        lambda c, s: lambda x: math.tanh(s * (x - c)) + 0.1 * (x - c) ** 3,
+        lambda c, s: lambda x: math.exp(s * (x - c)) - 1.0,
+        lambda c, s: lambda x: s * (x - c) ** 3,
+        lambda c, s: lambda x: 1e-200 * (x - c),  # products of values underflow
+        lambda c, s: lambda x: 1e250 * math.atan(x - c),
+    ]
+    cases = 0
+    for k in range(600):
+        c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+        f = families[k % len(families)](c, s)
+        a, b = c - rng.uniform(0.01, 4.0), c + rng.uniform(0.01, 4.0)
+        for lo, hi in ((a, b), (b, a)):
+            assert outcome(integrator.brentq, f, lo, hi) == outcome(scipy_brentq, f, lo, hi, **TOLS)
+            cases += 1
+    # Roots at an end, no sign change and a NaN value.
+    edge = [(lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0), (lambda x: x + 1.0, 0.0, 1.0),
+            (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)]
+    for f, lo, hi in edge:
+        assert outcome(integrator.brentq, f, lo, hi) == outcome(scipy_brentq, f, lo, hi, **TOLS)
+    assert cases == 1200
+
+
+def counted(fun):
+    def wrapped(t, y):
+        wrapped.calls += 1
+        return fun(t, y)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def lockstep(fun, y0, t_bound, cfg, first_step, radius, max_steps=2000):
+    """Step the own stepper and scipy's side by side from the same first
+    step; every accepted step must be the same floats, after the same number
+    of right-hand-side calls and rejected attempts."""
+    own_fun, ref_fun = counted(fun), counted(fun)
+    own = integrator.DOP853(own_fun, 0.0, y0, t_bound, cfg.rel_tol, cfg.abs_tol, first_step)
+    ref = ScipyDOP853(ref_fun, 0.0, y0, t_bound, rtol=cfg.rel_tol, atol=cfg.abs_tol, first_step=first_step)
+    assert own_fun.calls == ref_fun.calls and own.h_abs == ref.h_abs
+    rejected = 0
+    for steps in range(1, max_steps + 1):
+        nfev = ref.nfev
+        ok = own.step()
+        ref.step()
+        assert ok == (ref.status != "failed")
+        attempts = (ref.nfev - nfev) // integrator.N_STAGES
+        rejected += attempts - ok
+        assert own_fun.calls == ref_fun.calls and own.rejected == rejected
+        if not ok:
+            return steps, "failed"
+        assert (own.t_old, own.t, own.h_abs) == (ref.t_old, ref.t, ref.h_abs)
+        assert np.array_equal(own.y, ref.y) and np.array_equal(own.f, ref.f)
+        assert np.array_equal(own.K, ref.K)
+        assert own.finished == (ref.status == "finished")
+        if own.finished:
+            return steps, "finished"
+        if np.linalg.norm(own.y[2:]) > radius:
+            return steps, "radius"
+    raise AssertionError("no end within max_steps")
+
+
+def packed(model):
+    def fun(t, y):
+        return riccati_rhs(model, y.view(complex)[1:]).view(float)
+
+    return fun
+
+
+@pytest.mark.parametrize("name, u", [
+    ("cir", [0.5]), ("cir", [-1.0 + 3.0j]), ("ou", [0.3 - 1.0j]), ("compound_poisson", [0.7 + 2.0j]),
+    ("wishart_2d", [-0.4, 0.1j, -0.3]), ("lorentz_drift", [0.2, 0.1, -0.1j]),
+    ("nonadmissible_2d", [0.3, -0.2j]),
+])
+def test_stepper_matches_scipy_step_for_step(name, u):
+    model = getattr(golden, name)()
+    cfg = SolverConfig()
+    fun = packed(model)
+    y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
+    first = riccati._first_step(fun, y0, fun(0.0, y0), 1.5, cfg)
+    assert lockstep(fun, y0, 1.5, cfg, first, cfg.r_max)[1] == "finished"
+
+
+@pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
+def test_stepper_matches_scipy_step_for_step_on_blow_up(squared_model, u):
+    # y' = y^2 up to |y| = 1e8, from riccati's first step and from the
+    # stepper's own first-step rule.
+    cfg = SolverConfig()
+    fun = packed(squared_model)
+    y0 = np.array([0.0, 0.0, u, 0.0])
+    first = riccati._first_step(fun, y0, fun(0.0, y0), 10.0, cfg)
+    for first_step in (first, None):
+        steps, end = lockstep(fun, y0, 10.0, cfg, first_step, cfg.r_max)
+        assert end == "radius" and steps > 20
+
+
+def test_stepper_nan_error_shrinks_step():
+    # A trial stage that returns NaN is a rejected attempt whose step
+    # shrinks by MIN_FACTOR, as in scipy.
+    def fun(t, y):
+        return np.full(y.size, np.nan) if t > 0.3 else -y
+
+    cfg = SolverConfig()
+    steps, end = lockstep(fun, np.array([1.0]), 1.0, cfg, 0.5, math.inf)
+    assert end == "failed" and steps > 1
+
+
+def run_fresh(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
+                          env=env, timeout=120, cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_path_loads_no_scipy():
+    cir = str(REPO_ROOT / "models" / "cir.json")
+    out = run_fresh(f"""
+        import contextlib, io, sys
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        import affinejd
+        print("import affinejd", scipy_modules())
+        import affinejd.cli
+        print("import affinejd.cli", scipy_modules())
+        for argv in (["transform", "--u", "0.5+1i", "--x", "1", "--t", "1"],
+                     ["solve", "--u", "0.999", "--T", "1"],
+                     ["explosion", "--u", "1", "--t-max", "10"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = affinejd.cli.main([argv[0], "--model", {cir!r}, *argv[1:]])
+            print(argv[0], code, scipy_modules())
+    """)
+    lines = out.splitlines()
+    assert lines == ["import affinejd []", "import affinejd.cli []",
+                     "transform 0 []", "solve 0 []", "explosion 0 []"]
+
+
+def test_lazy_scipy_imports_work_in_fresh_interpreter():
+    out = run_fresh("""
+        import sys
+        import numpy as np
+        from affinejd import golden
+        from affinejd.riccati import mean_flow, variation_of_constants_residual
+        from affinejd.statespace import HalfSpaceIntersection
+
+        cir = golden.cir()
+        print(abs(mean_flow(cir, [1.0], 1.0)[0] - 2.0) < 1e-12)
+        print(variation_of_constants_residual(cir, [0.5], [1.0], 1.0) < 1e-7)
+        box = HalfSpaceIntersection([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 1.0])
+        print(box.contains([0.5, 0.5]), not box.contains([2.0, 0.0]),
+              abs(box.distance([2.0, 0.0]) - 1.0) < 1e-9, box.bounded_support([-1.0, -1.0]))
+        print("scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules, "scipy.integrate" in sys.modules)
+    """)
+    assert out.splitlines() == ["True", "True", "True True True True", "True True True"]

@@ -321,6 +321,47 @@ def test_eval_continuous_across_switch(cir_model):
         assert psi0_arr[k] == psi0 and psi_arr[k, 0] == psi[0]
 
 
+def s_of_by_bisection(dense, t):
+    """The first s with t(s) >= t, by bisection inside the phase-2 step
+    that holds t: how eval located phase-2 times before Brent's method."""
+    t_grid = dense._t_grid
+    k = min(max(int(np.searchsorted(t_grid, t)), 1), t_grid.size - 1)
+    lo, hi = dense._dense_s.x[k - 1], dense._dense_s.x[k]
+    if t_grid[k] == t:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if t_grid[0] + dense._dense_s(mid)[-1] >= t:
+            hi = mid
+        else:
+            lo = mid
+
+
+@pytest.mark.parametrize("model_name, u, ulps", [("cir", 0.999, 0), ("cir", 0.99999, 4), ("squared_scalar", 1.0, 4)])
+def test_phase2_eval_matches_bisection(model_name, u, ulps):
+    # Where |psi| grows past ~1e4, psi moves by more than 1e-12 |psi| within
+    # one float spacing of t; both roots may then differ by a few spacings.
+    model = getattr(golden, model_name)()
+    sol = solve_riccati(model, [u], 1.0 if model_name == "cir" else 10.0)
+    dense = sol._dense
+    assert isinstance(dense, riccati._TimeChangedDense)
+    n1 = sol.stats.steps_t
+    t2 = sol.grid[n1:]
+    # Grid points return their stored state.
+    for k, t in enumerate(t2):
+        psi0, psi = sol.eval(t)
+        assert psi0 == sol.psi0[n1 + k] and np.array_equal(psi, sol.psi[n1 + k])
+    # Interior times, up to the last one, agree with the bisection.
+    inner = np.concatenate([t2[:-1] + f * np.diff(t2) for f in (1e-9, 0.25, 0.5, 0.9, 1.0 - 1e-12)])
+    for t in list(inner) + [np.nextafter(sol.t_last, 0.0)]:
+        want = dense._dense_s(s_of_by_bisection(dense, t))[:-1].view(complex)
+        got = np.concatenate([[sol.eval(t)[0]], sol.eval(t)[1]])
+        slope = np.abs(riccati_rhs(model, want[1:]))
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)) + ulps * np.spacing(t) * slope)
+
+
 def test_near_boundary_accuracy(cir_model):
     # Relative errors of the single-phase solver these bounds were set from:
     # 1.7e-8 at u = 0.999 and 1.7e-6 at u = 0.99999 (psi(1) = 999 and 99999).

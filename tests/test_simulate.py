@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from affinejd.errors import CholeskyFailure
-from affinejd.jumps import ExponentialRay, FiniteAtomic
+from affinejd.errors import CholeskyFailure, NegativeJumpWeight
+from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
@@ -202,6 +202,21 @@ def test_martingale_diagnostic_gaussian(ou_model):
         ou_model, [0.5], [0.5], 0.5, 10, SimConfig(n_paths=20000, dt=1e-3, horizon=0.5, seed=3)
     )
     assert rep.max_standardized_drift < 4.0
+
+
+@pytest.mark.parametrize("K", [
+    [FiniteAtomic([2.0, -1.0], [[0.4], [0.8]]), None],
+    [None, TabulatedDensity([0.5, -1e-3], [[0.4], [0.8]])],
+    [ExponentialRay(-1.0, 2.0, [1.0]), None],
+])
+def test_negative_jump_weight_refused(K):
+    # Signed weights are no intensity: jump counts would be drawn from the
+    # signed total and sources from the weights clipped at 0.
+    model = scalar_model(a0=1.0, a=-0.5, K=K)
+    assert check_admissibility(model).min_jump_weight < 0.0
+    with pytest.raises(NegativeJumpWeight, match="negative weight") as err:
+        simulate_paths(model, [1.0], SimConfig(n_paths=8, dt=0.1, horizon=1.0))
+    assert isinstance(err.value, ValueError)
 
 
 def test_cholesky_failure_detected(bad_model):

@@ -58,19 +58,32 @@ def test_transform_zero_region_absorbing(bad_model):
 
 
 def test_transform_unknown_branch(bad_model):
-    # v(0) = 1 again, but Re u != 0 so u is outside U and non-real.
-    tv = transform(bad_model, [1.5, 0.5j], [0.0, 0.0], 2.5)
+    # v(0) = 1 again (u_1 - i u_2 = -0.6 stays bounded), but Re u != 0, so u
+    # is outside U and non-real; the real solution at Re u = (0.2, 0) reaches
+    # t = 2.5, blowing up at t = 10.
+    tv = transform(bad_model, [0.2, -0.8j], [0.0, 0.0], 2.5)
     assert tv.kind == "unknown"
-    assert tv.diagnostic
+    assert "1.99999" in tv.diagnostic
 
 
-def test_transform_not_integrable_branch(cir_model):
+def test_transform_not_integrable_branch(cir_model, bad_model):
     # The complex solution at u = 2 + i reaches t = 1 (|1 - u t| > 0), but
     # T*(Re u) = 1/2 < 1: E exp(2 X_1) = inf, so E exp(u X_1) does not exist.
     tv = transform(cir_model, [2.0 + 1.0j], [1.0], 1.0)
     assert tv.kind == "not_integrable"
     assert tv.value is None and tv.log_value is None
     assert "bracket" in tv.diagnostic
+    # Blow-up branch: the complex solution at u = 2 + 1e-9 i blows up next
+    # to T*(2) = 1/2, and so does the real one at Re u = 2.
+    tv = transform(cir_model, [2.0 + 1e-9j], [1.0], 1.0)
+    assert tv.kind == "not_integrable"
+    assert tv.value is None and tv.log_value is None
+    assert "bracket (0.49999" in tv.diagnostic
+    # u = (1.5, 0.5i) on the fixture: u_1 - i u_2 = 2 blows up at t = 1, and
+    # the real solution at Re u = (1.5, 0) at t = 4/3 < 2.5.
+    tv = transform(bad_model, [1.5, 0.5j], [0.0, 0.0], 2.5)
+    assert tv.kind == "not_integrable"
+    assert "bracket (1.33333" in tv.diagnostic
     # T*(1/2) = 2 > 1: the closed form holds.
     u = 0.5 + 1.0j
     tv = transform(cir_model, [u], [1.0], 1.0)
