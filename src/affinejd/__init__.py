@@ -32,7 +32,6 @@ from .modelio import canonical_json, load_model, model_from_dict, model_hash, mo
 from .riccati import (
     ExplosionResult,
     RiccatiSolution,
-    SolverConfig,
     explosion_time,
     flow_identity_residual,
     k_eval,

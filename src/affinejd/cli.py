@@ -16,17 +16,21 @@ Subcommands (all read a model file in the JSON schema documented in
 
 Complex arguments are written like ``-1+2i`` (vectors comma-separated), or
 as paired ``--re``/``--im`` vectors; values starting with a minus sign need
-the ``--u=-1+2i`` form. The seed defaults to the AFFINE_SEED environment
-variable, then 0. Exit codes: 0 success, 2 validation or input error,
-1 numeric failure (the diagnostic names the failing operation). Output is
-standard JSON: a finite transform too large for a float gives ``value``
-null next to its exact ``log_value``. A reader that closes the pipe early
-ends the command quietly with exit code 0.
+the ``--u=-1+2i`` form; every entry must be finite. The seed of ``simulate``
+and ``validate`` defaults to the AFFINE_SEED environment variable, then 0.
+The Riccati solver runs at one fixed accuracy (relative tolerance 1e-10,
+absolute 1e-12, blow-up radius 1e8, brackets of relative width 1e-8), so
+no subcommand takes a tolerance flag. Exit codes: 0 success, 2 validation
+or input error, 1 numeric failure (the diagnostic names the failing
+operation). Output is standard JSON: a finite transform too large for a
+float gives ``value`` null next to its exact ``log_value``. A reader that
+closes the pipe early ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -38,7 +42,7 @@ from . import cone as cone_mod
 from . import modelio
 from .errors import AffineError, DimensionMismatch, ModelFormatError, StateSpaceMismatch
 from .model import check_admissibility, exponential_moment_condition
-from .riccati import SolverConfig, explosion_time, k_eval, solution_to_csv, solve_riccati
+from .riccati import explosion_time, k_eval, solution_to_csv, solve_riccati
 from .simulate import SimConfig, ensemble_summary_csv, mc_transform, simulate_paths
 from .transform import (
     damped_transform_sequence,
@@ -51,9 +55,12 @@ from .transform import (
 def parse_complex_scalar(text):
     t = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError as exc:
         raise ModelFormatError(f"cannot parse complex number '{text}'") from exc
+    if not cmath.isfinite(z):
+        raise ModelFormatError(f"complex number '{text}' is not finite")
+    return z
 
 
 def parse_complex_vector(text):
@@ -62,9 +69,12 @@ def parse_complex_vector(text):
 
 def parse_real_vector(text):
     try:
-        return np.array([float(part) for part in text.split(",")])
+        vec = np.array([float(part) for part in text.split(",")])
     except ValueError as exc:
         raise ModelFormatError(f"cannot parse real vector '{text}'") from exc
+    if not np.isfinite(vec).all():
+        raise ModelFormatError(f"real vector '{text}' has a non-finite entry")
+    return vec
 
 
 def _c(z):
@@ -96,15 +106,6 @@ def _u_from_args(args):
     raise ModelFormatError("provide --u or --re/--im")
 
 
-def _solver_cfg(args):
-    kwargs = {}
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    return SolverConfig(**kwargs) if kwargs else None
-
-
 def _add_u_flags(sub):
     sub.add_argument("--u", help="complex vector, e.g. --u=-1+2i,0.3")
     sub.add_argument("--re", help="real parts (overridden by --u)")
@@ -113,7 +114,7 @@ def _add_u_flags(sub):
 
 def _cmd_solve(args):
     model = modelio.load_model(args.model)
-    sol = solve_riccati(model, _u_from_args(args), args.T, _solver_cfg(args))
+    sol = solve_riccati(model, _u_from_args(args), args.T)
     if args.csv:
         sys.stdout.write(solution_to_csv(sol))
         return 0
@@ -138,7 +139,7 @@ def _cmd_solve(args):
 
 def _cmd_explosion(args):
     model = modelio.load_model(args.model)
-    res = explosion_time(model, _u_from_args(args), args.t_max, _solver_cfg(args))
+    res = explosion_time(model, _u_from_args(args), args.t_max)
     payload = {"verdict": res.kind, "t_max": res.t_max}
     if res.finite:
         payload["estimate"] = res.estimate
@@ -149,7 +150,7 @@ def _cmd_explosion(args):
 
 def _cmd_transform(args):
     model = modelio.load_model(args.model)
-    tv = transform(model, _u_from_args(args), parse_real_vector(args.x), args.t, _solver_cfg(args))
+    tv = transform(model, _u_from_args(args), parse_real_vector(args.x), args.t)
     payload = {"verdict": tv.kind}
     if tv.value is not None or tv.finite:
         payload["value"] = None if tv.value is None else _c(tv.value)  # null on overflow
@@ -166,9 +167,7 @@ def _cmd_transform(args):
 
 def _cmd_ray(args):
     model = modelio.load_model(args.model)
-    probe = effective_domain_ray(
-        model, parse_real_vector(args.direction), args.T, args.lambda_max, _solver_cfg(args)
-    )
+    probe = effective_domain_ray(model, parse_real_vector(args.direction), args.T, args.lambda_max)
     if args.csv:
         lines = ["lambda,t_inf_estimate,verdict"]
         for lam, est, verdict in probe.probes:
@@ -249,9 +248,8 @@ def _cmd_validate(args):
 def _cmd_damp(args):
     model = modelio.load_model(args.model)
     n_list = [int(v) for v in args.n_list.split(",")]
-    diag = damped_transform_sequence(
-        model, _u_from_args(args), parse_real_vector(args.x), args.t, n_list, _solver_cfg(args)
-    )
+    u, x = _u_from_args(args), parse_real_vector(args.x)
+    diag = damped_transform_sequence(model, u, x, args.t, n_list)
     _emit({
         "n_list": diag.n_list,
         "values": _cvec(diag.values),
@@ -262,7 +260,7 @@ def _cmd_damp(args):
 
 def _cmd_idcheck(args):
     model = modelio.load_model(args.model)
-    residual = infinite_divisibility_check(model, _u_from_args(args), args.t, args.n, _solver_cfg(args))
+    residual = infinite_divisibility_check(model, _u_from_args(args), args.t, args.n)
     _emit({"residual": residual, "n": args.n, "t": args.t})
     return 0
 
@@ -290,14 +288,13 @@ def _cmd_cone_check(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="affinejd", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    default_seed = int(os.environ.get("AFFINE_SEED", "0"))
+    # A string default goes through type=int only when --seed is absent, so a
+    # malformed AFFINE_SEED is a usage error of the subcommands that read it.
+    default_seed = os.environ.get("AFFINE_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tols=True):
+    def common(p):
         p.add_argument("--model", required=True, help="model JSON file")
-        if tols:
-            p.add_argument("--rel-tol", type=float, default=None)
-            p.add_argument("--abs-tol", type=float, default=None)
 
     p = sub.add_parser("solve", help="integrate the Riccati system")
     common(p)
@@ -328,7 +325,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_ray)
 
     p = sub.add_parser("simulate", help="Euler Monte Carlo paths")
-    common(p, tols=False)
+    common(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--n-paths", type=int, required=True)
     p.add_argument("--dt", type=float, required=True)
@@ -340,7 +337,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("validate", help="admissibility and invariant suite")
-    common(p, tols=False)
+    common(p)
     p.add_argument("--n-samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--tol", type=float, default=1e-10)

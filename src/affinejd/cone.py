@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedFamily, UnsupportedSpace
 from .jumps import FiniteAtomic
-from .riccati import SolverConfig, solve_riccati
+from .riccati import REL_TOL, solve_riccati
 
 
 def _cone_space(model):
@@ -48,15 +48,15 @@ class ConeCheckResult:
         return self.passed
 
 
-def _slack_tol(cfg, scale):
-    cfg = cfg or SolverConfig()
-    return 100.0 * cfg.rel_tol * (1.0 + scale)
+def _slack_tol(scale):
+    return 100.0 * REL_TOL * (1.0 + scale)
 
 
-def monotonicity_check(model, u, v, t, cfg: Optional[SolverConfig] = None, n_grid=9):
+def monotonicity_check(model, u, v, t):
     """For u <= v (cone order), both in -E: the solutions must satisfy
-    psi0(s,u) <= psi0(s,v) and psi(s,u) <= psi(s,v) on a grid of times up
-    to t, within a slack of 100 x rel_tol on the cone-membership distance."""
+    psi0(s,u) <= psi0(s,v) and psi(s,u) <= psi(s,v) at nine evenly spaced
+    times up to t, within a slack of 100 x REL_TOL on the cone-membership
+    distance."""
     space = _cone_space(model)
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -64,11 +64,11 @@ def monotonicity_check(model, u, v, t, cfg: Optional[SolverConfig] = None, n_gri
         raise ValueError("u and v must lie in -E")
     if not cone_leq(space, u, v, tol=1e-12):
         raise ValueError("u must precede v in the cone order")
-    sol_u = solve_riccati(model, u.astype(complex), t, cfg)
-    sol_v = solve_riccati(model, v.astype(complex), t, cfg)
+    sol_u = solve_riccati(model, u.astype(complex), t)
+    sol_v = solve_riccati(model, v.astype(complex), t)
     if sol_u.exploded or sol_v.exploded:
-        return ConeCheckResult(False, _slack_tol(cfg, 1.0), diagnostic="solution exploded before t")
-    grid = np.linspace(0.0, t, n_grid + 1)[1:]
+        return ConeCheckResult(False, _slack_tol(1.0), diagnostic="solution exploded before t")
+    grid = np.linspace(0.0, t, 10)[1:]
     psi0_margin = np.inf
     cone_slack = 0.0
     scale = 1.0
@@ -79,22 +79,23 @@ def monotonicity_check(model, u, v, t, cfg: Optional[SolverConfig] = None, n_gri
         diff = pv.real - pu.real
         cone_slack = max(cone_slack, space.distance(diff))
         scale = max(scale, float(np.linalg.norm(pu)), float(np.linalg.norm(pv)))
-    tol = _slack_tol(cfg, scale)
+    tol = _slack_tol(scale)
     passed = psi0_margin >= -tol and cone_slack <= tol
     return ConeCheckResult(passed, tol, psi0_margin=float(psi0_margin), cone_slack=float(cone_slack))
 
 
-def interior_preservation_check(model, u, t, cfg: Optional[SolverConfig] = None, n_grid=9):
+def interior_preservation_check(model, u, t):
     """For Re u in -interior(E): the solution must keep its real part in
-    -interior(E) on [0, t] (within the cone slack) and must not explode."""
+    -interior(E) at nine evenly spaced times up to t (within the cone slack)
+    and must not explode."""
     space = _cone_space(model)
     u = np.asarray(u, dtype=complex).ravel()
     if not space.interior_contains(-u.real, margin=0.0):
         raise ValueError("Re u must lie in -interior(E)")
-    sol = solve_riccati(model, u, t, cfg)
+    sol = solve_riccati(model, u, t)
     if sol.exploded:
-        return ConeCheckResult(False, _slack_tol(cfg, 1.0), diagnostic="solution exploded before t")
-    grid = np.linspace(0.0, t, n_grid + 1)[1:]
+        return ConeCheckResult(False, _slack_tol(1.0), diagnostic="solution exploded before t")
+    grid = np.linspace(0.0, t, 10)[1:]
     cone_slack = 0.0
     min_phi = np.inf
     scale = 1.0
@@ -104,15 +105,15 @@ def interior_preservation_check(model, u, t, cfg: Optional[SolverConfig] = None,
         cone_slack = max(cone_slack, space.distance(w))
         min_phi = min(min_phi, space.phi(space.project(w)))
         scale = max(scale, float(np.linalg.norm(psi)))
-    tol = _slack_tol(cfg, scale)
+    tol = _slack_tol(scale)
     passed = cone_slack <= tol
     return ConeCheckResult(passed, tol, cone_slack=float(cone_slack), min_phi=float(min_phi))
 
 
-def regularity_Lu_check(model, u, lattice_tol=1e-9):
-    """Sum, for each state index i, the K^i atom weights whose u.z is not a
-    multiple of 2 pi; the check passes iff that vector of masses is strictly
-    inside the cone."""
+def regularity_Lu_check(model, u):
+    """Sum, for each state index i, the K^i atom weights whose u.z is more
+    than 1e-9 away from a multiple of 2 pi; the check passes iff that vector
+    of masses is strictly inside the cone."""
     space = _cone_space(model)
     u = np.asarray(u, dtype=float).ravel()
     p = model.dim
@@ -124,6 +125,6 @@ def regularity_Lu_check(model, u, lattice_tol=1e-9):
             raise UnsupportedFamily("regularity check needs finite atomic measures")
         phases = meas.atoms @ u
         rem = np.abs(np.remainder(phases, 2.0 * np.pi))
-        off_lattice = np.minimum(rem, 2.0 * np.pi - rem) > lattice_tol
+        off_lattice = np.minimum(rem, 2.0 * np.pi - rem) > 1e-9
         masses[i - 1] += float(np.sum(meas.weights[off_lattice]))
     return bool(space.interior_contains(masses, margin=0.0))

@@ -74,24 +74,14 @@ _EXP_GUARD = 600.0
 _SWITCH_FACTOR = 30.0
 
 
-@dataclass
-class SolverConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    r_max: float = 1e8
-    max_steps: int = 100_000
-    explosion_bracket_tol: float = 1e-8
-
-    def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol, self.r_max, self.explosion_bracket_tol) <= 0:
-            raise ValueError("solver tolerances and radius must be positive")
-        if self.rel_tol >= 1.0:
-            raise ValueError("rel_tol must be below 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
+# The solver's fixed accuracy: DOP853's relative and absolute tolerances,
+# the blow-up radius, the step limit (the right-hand-side budget is 20 calls
+# per step), and the relative width of blow-up brackets.
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+R_MAX = 1e8
+MAX_STEPS = 100_000
+BRACKET_TOL = 1e-8
 
 
 def riccati_rhs(model, y):
@@ -136,22 +126,20 @@ class RiccatiSolution:
     """Dense solution of the Riccati system from psi(0) = u, psi_0(0) = 0.
 
     ``verdict`` is "solved" (reached the horizon) or "exploded" (|psi|
-    crossed the blow-up radius inside a bracket of relative width below the
-    configured tolerance). ``eval(t)`` interpolates (psi_0(t), psi(t)) for
-    any t up to the last solved time; ``grid`` holds the accepted times of
-    both phases.
+    crossed the blow-up radius R_MAX inside a bracket of relative width below
+    BRACKET_TOL). ``eval(t)`` interpolates (psi_0(t), psi(t)) for any t up
+    to the last solved time; ``grid`` holds the accepted times of both
+    phases.
     """
 
-    def __init__(self, u, grid, psi0, psi, verdict, horizon, bracket, dense, config, stats):
+    def __init__(self, u, grid, psi0, psi, verdict, bracket, dense, stats):
         self.u = u
         self.grid = grid
         self.psi0 = psi0
         self.psi = psi
         self.verdict = verdict
-        self.horizon = horizon
         self.bracket = bracket
         self._dense = dense
-        self.config = config
         self.stats = stats
         self.t_last = float(grid[-1])
 
@@ -176,13 +164,13 @@ class RiccatiSolution:
         return self.eval(self.t_last)
 
 
-def _integrate(fun, x0, y0, x_bound, cfg, events, first_step=None):
+def _integrate(fun, x0, y0, x_bound, events, first_step=None):
     """Step DOP853 from x0 towards x_bound until it finishes, its step size
     underflows, or a terminal event fires. Events are tested on accepted
     step ends with solve_ivp's rule for direction +1 (g <= 0 at the step
     start and g >= 0 at its end); the run stops at the earliest root of the
     events that fired, found by brentq on that step's interpolant."""
-    solver = DOP853(fun, x0, y0, x_bound, cfg.rel_tol, cfg.abs_tol, first_step)
+    solver = DOP853(fun, x0, y0, x_bound, REL_TOL, ABS_TOL, first_step)
     run = Steps(fun, x0, y0)
     g = [event(x0, y0) for event in events]
     while True:
@@ -282,14 +270,14 @@ def _make_events(model, radius):
     return events, kinds
 
 
-def _first_step(rhs, y0, f0, t_bound, cfg):
+def _first_step(rhs, y0, f0, t_bound):
     """First step of phase 1: scipy's own rule (Hairer, Norsett & Wanner,
     Sec. II.4) applied to the whole state and to the psi block alone, from
     the same two right-hand-side values, and the larger of the two. psi_0 is
     a quadrature that does not feed back into psi, so a large R_0 must not
     shrink the first step below what psi needs (at R_0 ~ 1e180 the rule on
     the whole state underflows to 0)."""
-    scale = cfg.abs_tol + np.abs(y0) * cfg.rel_tol
+    scale = ABS_TOL + np.abs(y0) * REL_TOL
     blocks = (slice(None), slice(2, None))
 
     def norm(v, block):
@@ -313,13 +301,13 @@ def _first_step(rhs, y0, f0, t_bound, cfg):
     return max(steps) or None
 
 
-def _refine_bracket(dense, event_fn, clock, lo, hi, cfg):
+def _refine_bracket(dense, event_fn, clock, lo, hi):
     """Bisect the event function on the dense output of the phase that fired
     it, in that phase's own variable, down to a bracket in t of relative
-    width below explosion_bracket_tol; clock(x, y) is t at a point."""
+    width below BRACKET_TOL; clock(x, y) is t at a point."""
     t_lo, t_event = clock(lo, dense(lo)), clock(hi, dense(hi))
     t_hi = t_event
-    target = 0.25 * cfg.explosion_bracket_tol * max(t_event, 1e-300)
+    target = 0.25 * BRACKET_TOL * max(t_event, 1e-300)
     while t_hi - t_lo > target:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -329,20 +317,19 @@ def _refine_bracket(dense, event_fn, clock, lo, hi, cfg):
             lo, t_lo = mid, clock(mid, y)
         else:
             hi, t_hi = mid, clock(mid, y)
-    upper = t_event * (1.0 + 0.25 * cfg.explosion_bracket_tol)
+    upper = t_event * (1.0 + 0.25 * BRACKET_TOL)
     return t_lo, upper
 
 
-def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
+def solve_riccati(model, u, horizon):
     """Integrate the Riccati system from psi(0) = u on [0, horizon].
 
     Returns a RiccatiSolution whose verdict is "solved" if |psi| stays below
-    cfg.r_max, and "exploded" with a blow-up bracket otherwise. Raises
+    R_MAX, and "exploded" with a blow-up bracket otherwise. Raises
     DivergentIntegral if psi reaches the integrability boundary of an
     exponential-ray measure before blowing up.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     horizon = float(horizon)
     u = np.asarray(u, dtype=complex).ravel()
@@ -358,13 +345,13 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
     r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
     nfev = 0
-    limit = cfg.max_steps * 20
+    limit = MAX_STEPS * 20
 
     def evaluate(t, z):
         nonlocal nfev
         nfev += 1
         if nfev > limit:
-            raise StepLimitExceeded(f"exceeded {cfg.max_steps} steps at t={t:.6g}")
+            raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         return riccati_rhs(model, z[1:])
 
     def rhs(t, y):
@@ -387,33 +374,33 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
 
     # exp may overflow in a trial stage; rhs and rhs_s decide what that means.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Phase 1: integrate in t up to the switch radius (or r_max if smaller).
+        # Phase 1: integrate in t up to the switch radius (or R_MAX if smaller).
         y0 = np.concatenate([[0.0], u]).view(float)
-        first_step = _first_step(rhs, y0, r_u.view(float), horizon, cfg)
-        events, kinds = _make_events(model, min(r_switch, cfg.r_max))
-        run = _integrate(rhs, 0.0, y0, horizon, cfg, events, first_step)
+        first_step = _first_step(rhs, y0, r_u.view(float), horizon)
+        events, kinds = _make_events(model, min(r_switch, R_MAX))
+        run = _integrate(rhs, 0.0, y0, horizon, events, first_step)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
         t_switch = None
-        if run.event is not None and kinds[run.event] == "radius" and r_switch < cfg.r_max:
+        if run.event is not None and kinds[run.event] == "radius" and r_switch < R_MAX:
             # Phase 2 restarts from the last accepted step of phase 1, an
             # exact step end rather than the interpolated crossing, and
             # integrates in s with d(psi_0, psi, t)/ds = g (R_0, R, 1), where
             # g = 1/(1 + |R|/(r_sw (1 + |psi|))): |psi| then grows at most
             # exponentially in s while t creeps up to the blow-up time. The
-            # state carries t - t_switch, so rel_tol applies to the time
+            # state carries t - t_switch, so REL_TOL applies to the time
             # spent in phase 2.
             t_switch = float(grid[-2])
             grid, ys = grid[:-1], ys[:-1]
             steps_t -= 1
-            events, kinds = _make_events(model, cfg.r_max)
+            events, kinds = _make_events(model, R_MAX)
 
             def at_horizon(s, y):
                 return t_switch + y[-1] - horizon
 
             events.append(at_horizon)
             kinds.append("horizon")
-            run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, cfg, events)
+            run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, events)
             steps_s, rejected = run.n_steps, rejected + run.rejected
             t_grid = t_switch + run.ys[:, -1]
             if run.event is not None and kinds[run.event] == "horizon":
@@ -432,10 +419,7 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
 
     def result(verdict, bracket, stop_reason):
         stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason)
-        return RiccatiSolution(
-            u, grid, psi0, psi, verdict, horizon if verdict == "solved" else None,
-            bracket, dense, cfg, stats,
-        )
+        return RiccatiSolution(u, grid, psi0, psi, verdict, bracket, dense, stats)
 
     if (kind is None and not run.failed) or kind == "horizon":
         return result("solved", None, "horizon")
@@ -452,7 +436,7 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
             r_norm = float(np.linalg.norm(riccati_rhs(model, psi_end)))
         scale = 1.0 + float(np.linalg.norm(psi_end))
         if not np.isfinite(r_norm) or r_norm * max(t_end, 1e-12) > 1e10 * scale:
-            half = 0.25 * cfg.explosion_bracket_tol * t_end
+            half = 0.25 * BRACKET_TOL * t_end
             return result("exploded", (t_end - half, t_end + half), "step_underflow")
         raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {TOO_SMALL_STEP}")
 
@@ -463,7 +447,7 @@ def solve_riccati(model, u, horizon, cfg: Optional[SolverConfig] = None):
             f"psi reached the integrability boundary of an exponential ray at t={t_event:.9g}"
         )
     x_prev = float(run.grid[-2]) if run.grid.size > 1 else 0.0
-    bracket = _refine_bracket(run, events[run.event], clock, x_prev, x_event, cfg)
+    bracket = _refine_bracket(run, events[run.event], clock, x_prev, x_event)
     return result("exploded", bracket, kind)
 
 
@@ -481,16 +465,16 @@ class ExplosionResult:
         return self.kind == "finite"
 
 
-def explosion_time(model, u, t_max, cfg: Optional[SolverConfig] = None):
+def explosion_time(model, u, t_max):
     """Locate the blow-up time of psi(., u) if it occurs before t_max.
 
     Returns ExplosionResult("finite", estimate, bracket) when |psi| crossed
     the blow-up radius, and ExplosionResult("exceeds_horizon") otherwise; in
     the latter case the true blow-up time may still be finite beyond t_max.
     """
-    if t_max <= 0.0:
+    if not t_max > 0.0:
         raise ValueError("t_max must be positive")
-    sol = solve_riccati(model, u, t_max, cfg)
+    sol = solve_riccati(model, u, t_max)
     if not sol.exploded:
         return ExplosionResult("exceeds_horizon", t_max=float(t_max))
     lo, hi = sol.bracket
@@ -530,17 +514,17 @@ def k_eval(model, x, y):
     return val
 
 
-def flow_identity_residual(model, u, s, t, cfg: Optional[SolverConfig] = None):
+def flow_identity_residual(model, u, s, t):
     """Residual of the semigroup property psi(t+s, u) = psi(t, psi(s, u)) and
     psi_0(t+s, u) = psi_0(s, u) + psi_0(t, psi(s, u))."""
     if s < 0.0 or t <= 0.0:
         raise ValueError("need s >= 0 and t > 0")
-    sol = solve_riccati(model, u, s + t, cfg)
+    sol = solve_riccati(model, u, s + t)
     if sol.exploded:
         raise ExplosionBeforeHorizon(f"psi explodes inside [0, {s + t}] (bracket {sol.bracket})")
     psi0_st, psi_st = sol.eval(s + t)
     psi0_s, psi_s = sol.eval(s)
-    sol2 = solve_riccati(model, psi_s, t, cfg)
+    sol2 = solve_riccati(model, psi_s, t)
     if sol2.exploded:
         raise ExplosionBeforeHorizon("restarted solution explodes before t")
     psi0_2, psi_2 = sol2.eval(t)
@@ -550,9 +534,7 @@ def flow_identity_residual(model, u, s, t, cfg: Optional[SolverConfig] = None):
     )
 
 
-def variation_of_constants_residual(
-    model, u, x, t, cfg: Optional[SolverConfig] = None, quad_tol=1e-9
-):
+def variation_of_constants_residual(model, u, x, t):
     """Absolute difference between psi_0(t,u) + psi(t,u).x and
     u.E_x X_t + integral over [0,t] of k(E_x X_{t-s}, psi(s,u)) ds, with the
     right side computed by adaptive quadrature against the dense solution."""
@@ -562,7 +544,7 @@ def variation_of_constants_residual(
     x = require_in_space(model, x)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    sol = solve_riccati(model, u.astype(complex), t, cfg)
+    sol = solve_riccati(model, u.astype(complex), t)
     if sol.exploded:
         raise ExplosionBeforeHorizon(f"psi explodes before t={t} (bracket {sol.bracket})")
     psi0_t, psi_t = sol.eval(t)
@@ -577,9 +559,7 @@ def variation_of_constants_residual(
 
     # psi is largest near s = t; seed the subdivision there.
     pts = (0.9 * t, 0.99 * t)
-    integral, _ = quad(
-        integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, points=pts, limit=200
-    )
+    integral, _ = quad(integrand, 0.0, t, epsabs=1e-9, epsrel=1e-9, points=pts, limit=200)
     rhs = float(u @ mean_flow(model, x, t)) + integral
     return abs(lhs - rhs)
 

@@ -26,7 +26,7 @@ from . import jumps as jumps_mod
 from .errors import CholeskyFailure, ExplosionBeforeHorizon, IntensityInfinite, NegativeJumpWeight
 from .model import require_in_space
 from .modelio import model_hash
-from .riccati import SolverConfig, solve_riccati
+from .riccati import solve_riccati
 
 _BLOCK = 4096
 _EIG_FLOOR = -1e-10
@@ -44,8 +44,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ValueError("dt and horizon must be positive")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.horizon < np.inf):
+            raise ValueError("dt and horizon must be finite and positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if not 0 <= self.seed < 1 << 64:
@@ -311,12 +311,11 @@ class MartingaleReport:
     dt_allowance: float
 
 
-def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig,
-                          solver_cfg: Optional[SolverConfig] = None):
+def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig):
     """Simulate and test that the transform-induced martingale has constant
     expectation across n_checkpoints times in (0, horizon]."""
     u = np.asarray(u, dtype=complex).ravel()
-    sol = solve_riccati(model, u, horizon, solver_cfg)
+    sol = solve_riccati(model, u, horizon)
     if sol.exploded:
         raise ExplosionBeforeHorizon(f"psi explodes before T={horizon}")
     checkpoints = np.linspace(0.0, horizon, n_checkpoints + 1)

@@ -32,7 +32,10 @@ import numpy as np
 
 from .errors import AffineError, ExplosionBeforeHorizon
 from .model import AffineModel, in_U, require_in_space
-from .riccati import SolverConfig, explosion_time, solve_riccati
+from .riccati import explosion_time, solve_riccati
+
+# Relative width of the bracket effective_domain_ray closes around lambda_star.
+RAY_REL_TOL = 1e-6
 
 
 @dataclass
@@ -49,21 +52,21 @@ class TransformValue:
         return self.kind == "finite"
 
 
-def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
+def transform(model, u, x, t):
     """Evaluate E_x exp(u.X_t) through the Riccati solution, with the
     explosion semantics described in the module docstring."""
     x = require_in_space(model, x)
     u = np.asarray(u, dtype=complex).ravel()
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return _finite(0.0 + 0.0j, u.copy(), x)
-    sol = solve_riccati(model, u, t, cfg)
+    sol = solve_riccati(model, u, t)
     # The formula holds for complex u by analytic extension from the real
     # exponential moment at Re u, which must itself be finite.
     if not sol.exploded:
         if np.any(u.imag != 0.0) and np.any(u.real != 0.0):
-            not_integrable = _not_integrable(model, u, t, cfg)
+            not_integrable = _not_integrable(model, u, t)
             if not_integrable is not None:
                 return not_integrable
         return _finite(*sol.eval(t), x)
@@ -79,7 +82,7 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
             diagnostic=f"u in U, blow-up bracket {sol.bracket}: the transform vanishes",
         )
     # Here Re u != 0, since a purely imaginary u lies in U.
-    return _not_integrable(model, u, t, cfg) or TransformValue(
+    return _not_integrable(model, u, t) or TransformValue(
         "unknown",
         diagnostic=(
             f"blow-up bracket {sol.bracket} for complex u outside U: "
@@ -88,10 +91,10 @@ def transform(model, u, x, t, cfg: Optional[SolverConfig] = None):
     )
 
 
-def _not_integrable(model, u, t, cfg):
+def _not_integrable(model, u, t):
     """The not_integrable verdict when the real solution at Re u blows up by
     t, else None."""
-    real = solve_riccati(model, u.real, t, cfg)
+    real = solve_riccati(model, u.real, t)
     if not real.exploded:
         return None
     return TransformValue(
@@ -138,9 +141,7 @@ class RayProbe:
         return math.isfinite(self.lambda_star)
 
 
-def effective_domain_ray(
-    model, direction, horizon, lambda_max=1e6, cfg: Optional[SolverConfig] = None, rel_tol=1e-6
-):
+def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     """Locate lambda_star along u = lambda * direction.
 
     Monotonicity of blow-up in lambda is assumed from convexity of the
@@ -154,14 +155,15 @@ def effective_domain_ray(
     of affine processes", AAP 2015), through the two probes whose 1/T* is
     nearest 1/horizon, guesses lambda_star. A guess farther than 1e-3
     (relative) from every probe is probed itself; a nearer one is confirmed
-    by probes at guess * (1 -+ rel_tol/4), which close a bracket of relative
-    width below rel_tol. A guess outside the bracket falls back to bisection.
-    A probe that fails past the horizon is decided on the horizon itself.
+    by probes at guess * (1 -+ RAY_REL_TOL/4), which close a bracket of
+    relative width below RAY_REL_TOL. A guess outside the bracket falls back
+    to bisection. A probe that fails past the horizon is decided on the
+    horizon itself.
     """
     direction = np.asarray(direction, dtype=float).ravel()
     if not np.any(direction != 0.0):
         raise ValueError("direction must be nonzero")
-    if horizon <= 0.0 or lambda_max <= 0.0:
+    if not (horizon > 0.0 and lambda_max > 0.0):
         raise ValueError("horizon and lambda_max must be positive")
     probes = []
     rates = {0.0: 0.0}  # lambda -> 1/T*(lambda) where known; T* = inf at 0
@@ -170,7 +172,7 @@ def effective_domain_ray(
     def leaves_domain(lam):
         nonlocal t_probe
         try:
-            res = explosion_time(model, lam * direction, t_probe, cfg)
+            res = explosion_time(model, lam * direction, t_probe)
         except AffineError as exc:  # DivergentIntegral and solver failures
             if t_probe > horizon:
                 # The failure may lie past the horizon: decide on the horizon,
@@ -203,7 +205,7 @@ def effective_domain_ray(
             return RayProbe(direction, horizon, math.inf, None, probes)
         lam_hi = min(2.0 * lam_hi, lambda_max)
     t_probe = 2.0 * horizon
-    while lam_hi - lam_lo > rel_tol * lam_hi:
+    while lam_hi - lam_lo > RAY_REL_TOL * lam_hi:
         guess = secant_guess()
         # Past 40 probes, twice what bisection alone needs, only bisect:
         # the search then ends whatever the secant does.
@@ -212,7 +214,7 @@ def effective_domain_ray(
         elif min(abs(guess - lam) for lam in rates) > 1e-3 * guess:
             candidates = [guess]
         else:
-            candidates = [guess * (1.0 - 0.25 * rel_tol), guess * (1.0 + 0.25 * rel_tol)]
+            candidates = [guess * (1.0 - 0.25 * RAY_REL_TOL), guess * (1.0 + 0.25 * RAY_REL_TOL)]
         for lam in candidates:
             if not lam_lo < lam < lam_hi:
                 continue
@@ -254,7 +256,7 @@ class DampingDiagnostic:
     cauchy_diffs: list  # |v_{k+1} - v_k|
 
 
-def damped_transform_sequence(model, u, x, t, n_list, cfg: Optional[SolverConfig] = None):
+def damped_transform_sequence(model, u, x, t, n_list):
     """Transform values under damped_model(model, n) for each n, with the
     Cauchy differences of consecutive values as a convergence diagnostic."""
     u = np.asarray(u, dtype=complex).ravel()
@@ -262,7 +264,7 @@ def damped_transform_sequence(model, u, x, t, n_list, cfg: Optional[SolverConfig
         raise ValueError("u must satisfy sup Re(u.x) < inf over the state space")
     values = []
     for n in n_list:
-        tv = transform(damped_model(model, n), u, x, t, cfg)
+        tv = transform(damped_model(model, n), u, x, t)
         if tv.value is not None:
             values.append(complex(tv.value))
         else:
@@ -289,15 +291,15 @@ def scaled_model(model, n):
     )
 
 
-def infinite_divisibility_check(model, u, t, n, cfg: Optional[SolverConfig] = None):
+def infinite_divisibility_check(model, u, t, n):
     """Residual of the scaling identity: the solution of the scaled system
     started at u must equal 1/n times the solution of the base system
     started at n u, componentwise including the zeroth component."""
     u = np.asarray(u, dtype=complex).ravel()
     if t <= 0.0:
         raise ValueError("t must be positive")
-    scaled = solve_riccati(scaled_model(model, n), u, t, cfg)
-    base = solve_riccati(model, n * u, t, cfg)
+    scaled = solve_riccati(scaled_model(model, n), u, t)
+    base = solve_riccati(model, n * u, t)
     if scaled.exploded or base.exploded:
         raise ExplosionBeforeHorizon("solution explodes before t in the scaling check")
     psi0_s, psi_s = scaled.eval(t)

@@ -161,6 +161,57 @@ def test_simulate_negative_seed_exits_2(capsys, models_dir):
     assert "invalid input" in err and "seed" in err
 
 
+def test_malformed_affine_seed_is_a_usage_error(capsys, models_dir, monkeypatch):
+    monkeypatch.setenv("AFFINE_SEED", "abc")
+    model = str(models_dir / "cir.json")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--x0", "1",
+                           "--n-paths", "10", "--dt", "0.1", "--T", "1")
+    assert code == 2 and "--seed" in err
+    code, _, _ = run_cli(capsys, "simulate", "--model", model, "--x0", "1",
+                         "--n-paths", "10", "--dt", "0.1", "--T", "1", "--seed", "3")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "solve", "--model", model, "--u", "0.5", "--T", "1")
+    assert code == 0
+
+
+def test_non_finite_inputs_exit_2(capsys, models_dir):
+    model = str(models_dir / "cir.json")
+    for argv in [
+        ("solve", "--u", "nan", "--T", "1"),
+        ("solve", "--u", "1e999", "--T", "1"),
+        ("solve", "--u", "0.5+nani", "--T", "1"),
+        ("solve", "--re", "inf", "--T", "1"),
+        ("transform", "--u", "0.5", "--x", "nan", "--t", "1"),
+        ("solve", "--u", "0.5", "--T", "nan"),
+        ("explosion", "--u", "0.5", "--t-max", "nan"),
+        ("ray", "--direction", "1", "--T", "nan"),
+        ("cone-check", "--check", "interior", "--u=-0.5", "--t", "nan"),
+        ("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "inf"),
+        ("simulate", "--x0", "1", "--n-paths", "10", "--dt", "nan", "--T", "1"),
+    ]:
+        code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
+        assert code == 2 and out == "", argv
+        assert "invalid input" in err and "Traceback" not in err, argv
+
+
+def test_tolerance_flags_are_rejected(capsys, models_dir):
+    # The solver accuracy is fixed; no subcommand accepts a tolerance flag.
+    model = str(models_dir / "cir.json")
+    for argv in [
+        ("solve", "--u", "0.5", "--T", "1"),
+        ("explosion", "--u", "0.5", "--t-max", "1"),
+        ("transform", "--u", "0.5", "--x", "1", "--t", "1"),
+        ("ray", "--direction", "1", "--T", "1"),
+        ("damp", "--u", "0.5i", "--x", "1", "--t", "1"),
+        ("idcheck", "--u", "0.5", "--t", "1", "--n", "2"),
+        ("cone-check", "--check", "interior", "--u=-0.5"),
+    ]:
+        for flag in ("--rel-tol", "--abs-tol"):
+            code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:], flag, "1e-6")
+            assert code == 2 and out == "", argv
+            assert f"unrecognized arguments: {flag}" in err, argv
+
+
 def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):
     from affinejd.jumps import FiniteAtomic
     from affinejd.model import AffineModel

@@ -17,7 +17,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq as scipy_brentq
 
 from affinejd import golden, integrator, riccati
-from affinejd.riccati import SolverConfig, riccati_rhs
+from affinejd.riccati import ABS_TOL, R_MAX, REL_TOL, riccati_rhs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -80,13 +80,13 @@ def counted(fun):
     return wrapped
 
 
-def lockstep(fun, y0, t_bound, cfg, first_step, radius, max_steps=2000):
+def lockstep(fun, y0, t_bound, first_step, radius, max_steps=2000):
     """Step the own stepper and scipy's side by side from the same first
     step; every accepted step must be the same floats, after the same number
     of right-hand-side calls and rejected attempts."""
     own_fun, ref_fun = counted(fun), counted(fun)
-    own = integrator.DOP853(own_fun, 0.0, y0, t_bound, cfg.rel_tol, cfg.abs_tol, first_step)
-    ref = ScipyDOP853(ref_fun, 0.0, y0, t_bound, rtol=cfg.rel_tol, atol=cfg.abs_tol, first_step=first_step)
+    own = integrator.DOP853(own_fun, 0.0, y0, t_bound, REL_TOL, ABS_TOL, first_step)
+    ref = ScipyDOP853(ref_fun, 0.0, y0, t_bound, rtol=REL_TOL, atol=ABS_TOL, first_step=first_step)
     assert own_fun.calls == ref_fun.calls and own.h_abs == ref.h_abs
     rejected = 0
     for steps in range(1, max_steps + 1):
@@ -124,23 +124,21 @@ def packed(model):
 ])
 def test_stepper_matches_scipy_step_for_step(name, u):
     model = getattr(golden, name)()
-    cfg = SolverConfig()
     fun = packed(model)
     y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
-    first = riccati._first_step(fun, y0, fun(0.0, y0), 1.5, cfg)
-    assert lockstep(fun, y0, 1.5, cfg, first, cfg.r_max)[1] == "finished"
+    first = riccati._first_step(fun, y0, fun(0.0, y0), 1.5)
+    assert lockstep(fun, y0, 1.5, first, R_MAX)[1] == "finished"
 
 
 @pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
 def test_stepper_matches_scipy_step_for_step_on_blow_up(squared_model, u):
     # y' = y^2 up to |y| = 1e8, from riccati's first step and from the
     # stepper's own first-step rule.
-    cfg = SolverConfig()
     fun = packed(squared_model)
     y0 = np.array([0.0, 0.0, u, 0.0])
-    first = riccati._first_step(fun, y0, fun(0.0, y0), 10.0, cfg)
+    first = riccati._first_step(fun, y0, fun(0.0, y0), 10.0)
     for first_step in (first, None):
-        steps, end = lockstep(fun, y0, 10.0, cfg, first_step, cfg.r_max)
+        steps, end = lockstep(fun, y0, 10.0, first_step, R_MAX)
         assert end == "radius" and steps > 20
 
 
@@ -150,8 +148,7 @@ def test_stepper_nan_error_shrinks_step():
     def fun(t, y):
         return np.full(y.size, np.nan) if t > 0.3 else -y
 
-    cfg = SolverConfig()
-    steps, end = lockstep(fun, np.array([1.0]), 1.0, cfg, 0.5, math.inf)
+    steps, end = lockstep(fun, np.array([1.0]), 1.0, 0.5, math.inf)
     assert end == "failed" and steps > 1
 
 

@@ -12,7 +12,10 @@ from affinejd.errors import DivergentIntegral, ExplosionBeforeHorizon, Quadratur
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
 from affinejd.riccati import (
-    SolverConfig,
+    ABS_TOL,
+    BRACKET_TOL,
+    R_MAX,
+    REL_TOL,
     explosion_time,
     flow_identity_residual,
     k_eval,
@@ -111,11 +114,10 @@ def ode_residual(model, sol):
 
 
 def test_ode_residual_small(cir_model, cp_model):
-    cfg = SolverConfig()
     for model, u in [(cir_model, [0.4]), (cp_model, [-0.5 + 1.0j])]:
-        sol = solve_riccati(model, u, 1.0, cfg)
+        sol = solve_riccati(model, u, 1.0)
         scale = 1.0 + float(np.max(np.abs(sol.psi)))
-        assert ode_residual(model, sol) < 10.0 * (cfg.rel_tol * scale + cfg.abs_tol) + 1e-9
+        assert ode_residual(model, sol) < 10.0 * (REL_TOL * scale + ABS_TOL) + 1e-9
 
 
 def test_explosion_examples(squared_model):
@@ -133,13 +135,12 @@ def test_explosion_examples(squared_model):
 
 
 def test_exploded_solution_bracket_invariant(squared_model):
-    cfg = SolverConfig()
-    sol = solve_riccati(squared_model, [1.0], 10.0, cfg)
+    sol = solve_riccati(squared_model, [1.0], 10.0)
     assert sol.exploded
     lo, hi = sol.bracket
     _, psi = sol.eval(lo)
-    assert np.linalg.norm(psi) <= cfg.r_max
-    assert hi - lo <= cfg.explosion_bracket_tol * hi
+    assert np.linalg.norm(psi) <= R_MAX
+    assert hi - lo <= BRACKET_TOL * hi
 
 
 def test_jump_explosion_matches_quadrature_oracle():
@@ -186,15 +187,6 @@ def test_monotone_domain_nesting(squared_model):
     assert solve_riccati(squared_model, u, t2).verdict == "solved"
     for t1 in (0.25, 0.5, 0.99):
         assert solve_riccati(squared_model, u, t1).verdict == "solved"
-
-
-def test_tolerance_halving(cir_model):
-    cfg = SolverConfig()
-    half = SolverConfig(rel_tol=cfg.rel_tol / 2.0)
-    p_a = solve_riccati(cir_model, [0.6], 1.2, cfg).eval(1.2)
-    p_b = solve_riccati(cir_model, [0.6], 1.2, half).eval(1.2)
-    scale = 1.0 + abs(p_a[1][0])
-    assert abs(p_a[1][0] - p_b[1][0]) < 10.0 * cfg.rel_tol * scale
 
 
 def test_mean_flow_examples():
@@ -282,13 +274,6 @@ def test_csv_serialization(cir_model):
     assert len(lines) == sol.grid.size + 1
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 0.0, 0.0, 0.5, 0.0]
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tol=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(r_max=-1.0)
 
 
 def atom_model(z):
@@ -510,17 +495,17 @@ def packed_rhs(model):
     return fun
 
 
-def reference_run(model, u, horizon, radius, cfg):
+def reference_run(model, u, horizon, radius):
     """The own stepping loop and solve_ivp on the same packed right-hand
     side, first step and terminal events."""
     fun = packed_rhs(model)
     y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
-    first = riccati._first_step(fun, y0, fun(0.0, y0), horizon, cfg)
+    first = riccati._first_step(fun, y0, fun(0.0, y0), horizon)
     events, _ = riccati._make_events(model, radius)
     for event in events:
         event.terminal, event.direction = True, 1
-    own = riccati._integrate(fun, 0.0, y0, horizon, cfg, events, first)
-    ref = solve_ivp(fun, (0.0, horizon), y0, method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+    own = riccati._integrate(fun, 0.0, y0, horizon, events, first)
+    ref = solve_ivp(fun, (0.0, horizon), y0, method="DOP853", rtol=REL_TOL, atol=ABS_TOL,
                     first_step=first, dense_output=True, events=events)
     return own, ref, events
 
@@ -535,15 +520,14 @@ def close(a, b):
 ])
 def test_own_loop_matches_solve_ivp(name, u):
     model = getattr(golden, name)()
-    cfg = SolverConfig()
-    own, ref, _ = reference_run(model, u, 1.5, cfg.r_max, cfg)
+    own, ref, _ = reference_run(model, u, 1.5, R_MAX)
     assert ref.status == 0 and own.event is None and not own.failed
     assert np.array_equal(own.grid, ref.t)
     assert close(own.ys[-1], ref.y[:, -1])
     mid = 0.5 * (ref.t[1:] + ref.t[:-1])
     assert close(np.array([own(x) for x in mid]), ref.sol(mid).T)
     # solve_riccati takes the same steps and ends at the same value.
-    sol = solve_riccati(model, u, 1.5, cfg)
+    sol = solve_riccati(model, u, 1.5)
     assert np.array_equal(sol.grid, ref.t)
     psi0, psi = sol.eval(mid)
     assert close(np.column_stack([psi0, psi]), ref.sol(mid).T.copy().view(complex))
@@ -551,8 +535,7 @@ def test_own_loop_matches_solve_ivp(name, u):
 
 @pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
 def test_own_loop_matches_solve_ivp_on_blow_up(squared_model, u):
-    cfg = SolverConfig()
-    own, ref, events = reference_run(squared_model, [u], 10.0, cfg.r_max, cfg)
+    own, ref, events = reference_run(squared_model, [u], 10.0, R_MAX)
     assert ref.status == 1 and own.event == 0
     assert np.array_equal(own.grid[:-1], ref.t[:-1])
     t_event = ref.t_events[0][0]
@@ -561,6 +544,6 @@ def test_own_loop_matches_solve_ivp_on_blow_up(squared_model, u):
     assert close(np.array([own(x) for x in inner]), ref.sol(inner).T)
 
     def bracket(dense):
-        return riccati._refine_bracket(dense, events[0], lambda x, y: x, ref.t[-2], t_event, cfg)
+        return riccati._refine_bracket(dense, events[0], lambda x, y: x, ref.t[-2], t_event)
 
     assert close(np.array(bracket(own)), np.array(bracket(ref.sol)))

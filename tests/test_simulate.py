@@ -124,6 +124,14 @@ def test_seed_outside_stream_key_rejected(seed):
         SimConfig(n_paths=4, dt=0.1, horizon=1.0, seed=seed)
 
 
+@pytest.mark.parametrize("dt, horizon", [
+    (0.1, float("inf")), (float("inf"), 1.0), (float("nan"), 1.0), (0.1, float("nan")), (0.0, 1.0),
+])
+def test_step_and_horizon_must_be_finite_and_positive(dt, horizon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SimConfig(n_paths=4, dt=dt, horizon=horizon)
+
+
 def test_states_stay_in_space(cir_model, cp_model, wishart_model):
     rng_x0 = {"cir": [0.05], "cp": [0.5], "wishart": [0.4, 0.0, 0.4]}
     for model, x0 in [(cir_model, rng_x0["cir"]), (cp_model, rng_x0["cp"]),

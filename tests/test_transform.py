@@ -99,6 +99,20 @@ def test_transform_rejects_states_outside_space(cir_model):
         transform(cir_model, [0.5], [-1.0], 1.0)
 
 
+def test_nan_horizon_names_the_argument(cir_model):
+    from affinejd.riccati import explosion_time
+
+    nan = math.nan
+    for call, name in [
+        (lambda: solve_riccati(cir_model, [0.5], nan), "horizon"),
+        (lambda: explosion_time(cir_model, [0.5], nan), "t_max"),
+        (lambda: transform(cir_model, [0.5], [1.0], nan), "t must"),
+        (lambda: effective_domain_ray(cir_model, [1.0], nan), "horizon"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            call()
+
+
 def test_characteristic_function_bound(cir_model, cp_model, ou_model):
     rng = np.random.default_rng(21)
     for model in (cir_model, cp_model, ou_model):
