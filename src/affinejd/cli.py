@@ -53,7 +53,10 @@ from .transform import (
 
 
 def parse_complex_scalar(text):
-    t = text.strip().replace(" ", "").replace("i", "j")
+    t = text.strip().replace(" ", "")
+    # Only a trailing i is the imaginary unit: "inf" and "nan" keep theirs.
+    if t.endswith("i"):
+        t = t[:-1] + "j"
     try:
         z = complex(t)
     except ValueError as exc:

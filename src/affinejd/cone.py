@@ -58,6 +58,8 @@ def monotonicity_check(model, u, v, t):
     times up to t, within a slack of 100 x REL_TOL on the cone-membership
     distance."""
     space = _cone_space(model)
+    if not t > 0.0:
+        raise ValueError("t must be positive")
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if not (space.contains(-u, tol=1e-12) and space.contains(-v, tol=1e-12)):
@@ -89,6 +91,8 @@ def interior_preservation_check(model, u, t):
     -interior(E) at nine evenly spaced times up to t (within the cone slack)
     and must not explode."""
     space = _cone_space(model)
+    if not t > 0.0:
+        raise ValueError("t must be positive")
     u = np.asarray(u, dtype=complex).ravel()
     if not space.interior_contains(-u.real, margin=0.0):
         raise ValueError("Re u must lie in -interior(E)")

@@ -6,6 +6,11 @@ are exact or controllably approximate: finite atomic measures, exponential
 densities along a ray, and tabulated densities on a fixed grid. Finite
 atomic measures and tabulated densities are both weighted points
 (``WeightedPoints``) and differ only in their JSON record and checks.
+
+The measures describe themselves one by one; ``AffineModel`` compiles
+K^0..K^p once into its jump table (weighted points and rays with their
+coefficients in each K^i, plus each measure's mass and mean), which
+simulation, the solver's stopping surfaces and the admissibility check read.
 """
 
 from __future__ import annotations
@@ -29,13 +34,6 @@ class JumpMeasure:
 
     def exp_moment(self, y):
         """integral of (exp(y.z) - 1 - y.z) dK for complex y."""
-        raise NotImplementedError
-
-    def total_mass(self):
-        raise NotImplementedError
-
-    def mean_vector(self):
-        """integral of z dK."""
         raise NotImplementedError
 
     def has_all_exponential_moments(self):
@@ -90,12 +88,6 @@ class WeightedPoints(JumpMeasure):
 
     def exp_moment(self, y):
         return complex(np.sum(self._terms(y)))
-
-    def total_mass(self):
-        return float(np.sum(self.weights))
-
-    def mean_vector(self):
-        return self.weights @ self.atoms
 
     def has_all_exponential_moments(self):
         # Finitely many points: compact support.
@@ -157,12 +149,6 @@ class ExponentialRay(JumpMeasure):
                 f"exp moment diverges on ray: Re(y.d)={a.real:.6g} >= rate={self.rate:.6g}"
             )
         return self.mass * a * a / (self.rate * (self.rate - a))
-
-    def total_mass(self):
-        return self.mass
-
-    def mean_vector(self):
-        return (self.mass / self.rate) * self.direction
 
     def has_all_exponential_moments(self):
         return False
@@ -243,44 +229,3 @@ def measure_from_dict(rec, dim):
         raise DimensionMismatch(f"jump measure lives in dimension {m.dim}, model has {dim}")
     return m
 
-
-def combined_sources(measures):
-    """Group K^0..K^p into location-matched sources with affine coefficients.
-
-    Returns (atom_locs, atom_coefs, rays) where the combined weight of atom j
-    at state x is atom_coefs[j, 0] + atom_coefs[j, 1:] @ x, and rays is a list
-    of (rate, direction, coef) with the same coefficient convention.
-    """
-    dim = len(measures) - 1
-    atom_index = {}
-    atom_locs = []
-    atom_rows = []
-    ray_index = {}
-    rays = []
-
-    def atom_key(z):
-        return tuple(np.round(z, 12))
-
-    for i, meas in enumerate(measures):
-        if meas is None:
-            continue
-        if isinstance(meas, WeightedPoints):
-            for w, z in zip(meas.weights, meas.atoms):
-                key = atom_key(z)
-                if key not in atom_index:
-                    atom_index[key] = len(atom_locs)
-                    atom_locs.append(np.asarray(z, dtype=float))
-                    atom_rows.append(np.zeros(dim + 1))
-                atom_rows[atom_index[key]][i] += w
-        elif isinstance(meas, ExponentialRay):
-            key = (round(meas.rate, 12), atom_key(meas.direction))
-            if key not in ray_index:
-                ray_index[key] = len(rays)
-                rays.append((meas.rate, meas.direction.copy(), np.zeros(dim + 1)))
-            rays[ray_index[key]][2][i] += meas.mass
-        else:
-            raise UnsupportedFamily(f"cannot combine family '{meas.family}'")
-
-    locs = np.array(atom_locs) if atom_locs else np.zeros((0, dim))
-    coefs = np.array(atom_rows) if atom_rows else np.zeros((0, dim + 1))
-    return locs, coefs, rays

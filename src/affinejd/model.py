@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jumps_mod
-from .errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch
+from .errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch, UnsupportedFamily
 from .statespace import StateSpace
 
 _SYM_TOL = 1e-12
@@ -60,10 +60,16 @@ class AffineModel:
         # of the remaining measures (see riccati.riccati_rhs). Row i of L, Q
         # and W belongs to R_i; Z stacks the atoms of every finite atomic
         # measure and W holds their weights in the rows of their indices.
+        # Tabulated densities warn on a truncated tail and exponential rays
+        # raise DivergentIntegral, both depending on y: they keep exp_moment.
         self.rhs_linear = np.vstack([self.a0, self.a.T]).astype(complex)
         self.rhs_quadratic = (0.5 * self.A).astype(complex)
-        atomic = [(i, meas) for i, meas in enumerate(self.K)
-                  if isinstance(meas, jumps_mod.FiniteAtomic)]
+        atomic = []
+        integrals = []
+        for i, meas in enumerate(self.K):
+            if meas is not None:
+                (atomic if isinstance(meas, jumps_mod.FiniteAtomic) else integrals).append((i, meas))
+        self.rhs_integrals = tuple(integrals)
         self.rhs_atoms = None
         if atomic:
             self.rhs_atoms = np.vstack([meas.atoms for _, meas in atomic]).astype(complex)
@@ -72,12 +78,67 @@ class AffineModel:
             for i, meas in atomic:
                 self.rhs_weights[i, start:start + meas.weights.size] = meas.weights
                 start += meas.weights.size
-        # Tabulated densities warn on a truncated tail and exponential rays
-        # raise DivergentIntegral, both depending on y: they keep exp_moment.
-        self.rhs_integrals = tuple(
-            (i, meas) for i, meas in enumerate(self.K)
-            if meas is not None and not isinstance(meas, jumps_mod.FiniteAtomic)
-        )
+        self._compile_jumps()
+
+    def _compile_jumps(self):
+        """The jump table: every source of K(x, dz) = K^0 + sum_i x_i K^i
+        with its weight in K^i in column i, so that its weight at x is
+        coef[0] + coef[1:] @ x.
+
+        ``jump_points`` (J, p) and ``jump_coefs`` (J, p+1) hold the weighted
+        points of every measure; points that agree to 12 decimals share a
+        row, at the location where they first appear. ``jump_rays`` lists
+        (rate, direction, coef) for the exponential rays, grouped by rate and
+        direction. ``jump_mean`` (p+1, p) holds integral z K^i(dz) and
+        ``jump_mass`` (p+1,) the mass of K^i.
+        """
+        p = self.dim
+        self.jump_mean = np.zeros((p + 1, p))
+        self.jump_mass = np.zeros(p + 1)
+        self.jump_rays = []
+        ray_rows = {}
+        points, weights, columns = [], [], []
+        for i, meas in enumerate(self.K):
+            if isinstance(meas, jumps_mod.WeightedPoints):
+                points.append(meas.atoms)
+                weights.append(meas.weights)
+                columns.append(np.full(meas.weights.size, i))
+                self.jump_mean[i] = meas.weights @ meas.atoms
+                self.jump_mass[i] = np.sum(meas.weights)
+            elif isinstance(meas, jumps_mod.ExponentialRay):
+                key = (round(meas.rate, 12), tuple(np.round(meas.direction, 12)))
+                if key not in ray_rows:
+                    ray_rows[key] = len(self.jump_rays)
+                    self.jump_rays.append((meas.rate, meas.direction.copy(), np.zeros(p + 1)))
+                self.jump_rays[ray_rows[key]][2][i] += meas.mass
+                self.jump_mean[i] = (meas.mass / meas.rate) * meas.direction
+                self.jump_mass[i] = meas.mass
+            elif meas is not None:
+                raise UnsupportedFamily(f"cannot tabulate jump family '{meas.family}'")
+        if not points:
+            self.jump_points = np.zeros((0, p))
+            self.jump_coefs = np.zeros((0, p + 1))
+            return
+        points = np.vstack(points)
+        # A stable sort on the rounded points puts each group of equal keys
+        # together in order of appearance, so a group's first element is
+        # where the group first appears.
+        keys = np.round(points, 12)
+        order = np.lexsort(keys.T[::-1])
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+        first = order[starts]
+        by_appearance = np.argsort(first)
+        row_of_group = np.empty_like(by_appearance)
+        row_of_group[by_appearance] = np.arange(first.size)
+        rows = np.empty_like(order)
+        rows[order] = row_of_group[np.cumsum(starts) - 1]
+        self.jump_points = points[first[by_appearance]]
+        # bincount sums the weights of a row in order of appearance.
+        cells = rows * (p + 1) + np.concatenate(columns)
+        self.jump_coefs = np.bincount(
+            cells, weights=np.concatenate(weights), minlength=first.size * (p + 1)
+        ).reshape(first.size, p + 1)
 
     @property
     def has_jumps(self):
@@ -187,7 +248,7 @@ def _sample_states(space, n_samples, rng):
         rng.normal(size=(n_far, p)) * 4.0,
         -np.abs(rng.normal(size=(n_out, p))) * 2.0,
     ])
-    return list(space.project_batch(draws[:n_samples]))
+    return space.project_batch(draws[:n_samples])
 
 
 def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
@@ -197,39 +258,26 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     space = model.state_space
-    pts = _sample_states(space, n_samples, rng)
+    xs = _sample_states(space, n_samples, rng)
 
-    locs, coefs, rays = jumps_mod.combined_sources(model.K)
-    closure_points = []
-    for meas in model.K:
-        if meas is not None:
-            closure_points.extend(meas.support_points())
-
-    min_eig = math.inf
-    min_weight = math.inf
-    argmin_x = None
-    violations = []
-    for x in pts:
-        eig = float(np.linalg.eigvalsh(diffusion_at(model, x)).min())
-        if eig < min_eig:
-            min_eig = eig
-            argmin_x = x.copy()
-        if coefs.size:
-            w = coefs[:, 0] + coefs[:, 1:] @ x
-            min_weight = min(min_weight, float(w.min()))
-        for _, _, coef in rays:
-            min_weight = min(min_weight, float(coef[0] + coef[1:] @ x))
-        for z in closure_points:
-            if not space.contains(x + z, tol=1e-9) and len(violations) < 20:
-                violations.append((x.copy(), np.asarray(z, dtype=float).copy()))
+    eigs = np.linalg.eigvalsh(model.A[0] + np.tensordot(xs, model.A[1:], axes=(1, 0)))[:, 0]
+    k = int(np.argmin(eigs))
+    weights = [model.jump_coefs[:, 0] + xs @ model.jump_coefs[:, 1:].T]
+    weights += [(coef[0] + xs @ coef[1:])[:, None] for _, _, coef in model.jump_rays]
+    weights = np.hstack(weights)
+    closure = np.vstack([np.zeros((0, model.dim))]
+                        + [meas.support_points() for meas in model.K if meas is not None])
+    margins = space._margin_rows((xs[:, None, :] + closure).reshape(-1, model.dim))
+    outside = ~(margins.reshape(len(xs), len(closure)) >= -1e-9)
+    violations = [(xs[i].copy(), closure[j].copy()) for i, j in np.argwhere(outside)[:20]]
 
     return AdmissibilityReport(
-        sampled_points=pts,
-        min_eigen_c=min_eig,
-        min_jump_weight=min_weight,
+        sampled_points=list(xs),
+        min_eigen_c=float(eigs[k]),
+        min_jump_weight=float(weights.min()) if weights.size else math.inf,
         support_violations=violations,
         tol=tol,
-        n_samples=len(pts),
+        n_samples=len(xs),
         seed=seed,
-        argmin_eigen_x=argmin_x,
+        argmin_eigen_x=xs[k].copy(),
     )

@@ -56,7 +56,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import jumps as jumps_mod
 from .errors import (
     DivergentIntegral,
     ExplosionBeforeHorizon,
@@ -232,8 +231,8 @@ class _TimeChangedDense:
 def _make_events(model, radius):
     """Terminal stopping surfaces on a packed state whose first 2(p+1)
     components are the interleaved (psi_0, psi): the radius |psi| = radius,
-    the exp-overflow guard for atom supports, and the integrability boundary
-    of exponential rays."""
+    the exp-overflow guard on the weighted points of the model's jump table,
+    and the integrability boundary of its exponential rays."""
     end = 2 * (model.dim + 1)
 
     def radius_event(x, y):
@@ -242,24 +241,15 @@ def _make_events(model, radius):
     events = [radius_event]
     kinds = ["radius"]
 
-    support = []
-    rays = []
-    for meas in model.K:
-        if meas is None:
-            continue
-        if isinstance(meas, jumps_mod.WeightedPoints):
-            support.append(meas.atoms)
-        elif isinstance(meas, jumps_mod.ExponentialRay):
-            rays.append((meas.rate, meas.direction))
-    if support:
-        zs = np.vstack(support)
+    zs = model.jump_points
+    if zs.size:
 
         def overflow(x, y):
             return float(np.max(zs @ y[2:end:2])) - _EXP_GUARD
 
         events.append(overflow)
         kinds.append("overflow")
-    for rate, direction in rays:
+    for rate, direction, _ in model.jump_rays:
         margin = max(1e-9 * rate, 1e-14)
 
         def ray_event(x, y, d=direction, bound=rate - margin):
@@ -517,7 +507,7 @@ def k_eval(model, x, y):
 def flow_identity_residual(model, u, s, t):
     """Residual of the semigroup property psi(t+s, u) = psi(t, psi(s, u)) and
     psi_0(t+s, u) = psi_0(s, u) + psi_0(t, psi(s, u))."""
-    if s < 0.0 or t <= 0.0:
+    if not (s >= 0.0 and t > 0.0):
         raise ValueError("need s >= 0 and t > 0")
     sol = solve_riccati(model, u, s + t)
     if sol.exploded:
@@ -542,7 +532,7 @@ def variation_of_constants_residual(model, u, x, t):
 
     u = np.asarray(u, dtype=float).ravel()
     x = require_in_space(model, x)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     sol = solve_riccati(model, u.astype(complex), t)
     if sol.exploded:

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import jumps as jumps_mod
 from .errors import CholeskyFailure, ExplosionBeforeHorizon, IntensityInfinite, NegativeJumpWeight
 from .model import require_in_space
 from .modelio import model_hash
@@ -83,58 +82,33 @@ class MCEstimate:
     n_paths: int
 
 
-class _SimPlan:
-    """Precomputed affine pieces of one model for vectorized stepping."""
+def _check_drawable(model):
+    """Refuse jump measures that cannot be sampled: a negative weight in the
+    jump table or a non-finite mass or mean, naming the measure K^i."""
+    coefs = np.vstack([model.jump_coefs] + [coef[None, :] for _, _, coef in model.jump_rays])
+    lowest = coefs.min(axis=0, initial=0.0)
+    finite = np.isfinite(model.jump_mass) & np.isfinite(model.jump_mean).all(axis=1)
+    for i in range(model.dim + 1):
+        if lowest[i] < 0.0:
+            raise NegativeJumpWeight(f"K^{i} has the negative weight {lowest[i]:g}: jumps cannot be drawn from it")
+        if not finite[i]:
+            raise IntensityInfinite(f"K^{i} has non-finite mass or mean")
 
-    def __init__(self, model):
-        p = model.dim
-        self.p = p
-        self.space = model.state_space
-        locs, coefs, rays = jumps_mod.combined_sources(model.K)
-        self.atom_locs = locs  # (J, p)
-        self.atom_coefs = coefs  # (J, p+1)
-        self.rays = rays  # list of (rate, direction, coef)
-        # Compensator mean: integral of z K^i(dz) per index.
-        mean0 = np.zeros(p)
-        mean_lin = np.zeros((p, p))
-        int0 = 0.0
-        int_lin = np.zeros(p)
-        for i, meas in enumerate(model.K):
-            if meas is None:
-                continue
-            lowest = np.min(meas.weights) if isinstance(meas, jumps_mod.WeightedPoints) else meas.mass
-            if lowest < 0.0:
-                raise NegativeJumpWeight(f"K^{i} has the negative weight {lowest:g}: jumps cannot be drawn from it")
-            mv = meas.mean_vector()
-            tm = meas.total_mass()
-            if not (np.all(np.isfinite(mv)) and np.isfinite(tm)):
-                raise IntensityInfinite(f"K^{i} has non-finite mass or mean")
-            if i == 0:
-                mean0 += mv
-                int0 += tm
-            else:
-                mean_lin[:, i - 1] += mv
-                int_lin[i - 1] += tm
-        self.drift0 = model.a0 - mean0
-        self.drift_lin = model.a - mean_lin
-        self.intensity0 = int0
-        self.intensity_lin = int_lin
-        self.has_jumps = bool(self.atom_locs.size) or bool(self.rays)
-        self.A = model.A
-        self.diag_diffusion = p == 1
 
-    def intensity(self, states):
-        return np.maximum(self.intensity0 + states @ self.intensity_lin, 0.0)
+def _intensity(model, states):
+    """K(x, F) at each state."""
+    return np.maximum(model.jump_mass[0] + states @ model.jump_mass[1:], 0.0)
 
-    def source_weights(self, states):
-        """Nonnegative sampling weights of each jump source at each state."""
-        cols = []
-        if self.atom_locs.size:
-            cols.append(self.atom_coefs[:, 0] + states @ self.atom_coefs[:, 1:].T)
-        for _, _, coef in self.rays:
-            cols.append((coef[0] + states @ coef[1:])[:, None])
-        w = np.hstack(cols)
-        return np.maximum(w, 0.0)
+
+def _source_weights(model, states):
+    """Nonnegative sampling weights of each jump source at each state: the
+    rows of the jump table, then its rays."""
+    cols = []
+    if model.jump_points.size:
+        cols.append(model.jump_coefs[:, 0] + states @ model.jump_coefs[:, 1:].T)
+    for _, _, coef in model.jump_rays:
+        cols.append((coef[0] + states @ coef[1:])[:, None])
+    return np.maximum(np.hstack(cols), 0.0)
 
 
 class _Streams:
@@ -161,14 +135,14 @@ class _Streams:
         return self.gen
 
 
-def _diffusion_increment(plan, states, normals):
+def _diffusion_increment(A, states, normals):
     """Eigenvalue-clipped square root of c(x) applied to the normals."""
-    if plan.diag_diffusion:
-        c = plan.A[0, 0, 0] + states[:, 0] * plan.A[1, 0, 0]
+    if A.shape[1] == 1:
+        c = A[0, 0, 0] + states[:, 0] * A[1, 0, 0]
         if c.min() < _EIG_FLOOR:
             raise CholeskyFailure(f"c(x) = {c.min():.3e} below the clipping floor")
         return np.sqrt(np.maximum(c, 0.0))[:, None] * normals
-    c = plan.A[0] + np.tensordot(states, plan.A[1:], axes=(1, 0))
+    c = A[0] + np.tensordot(states, A[1:], axes=(1, 0))
     w, v = np.linalg.eigh(c)
     if w.min() < _EIG_FLOOR:
         raise CholeskyFailure(f"min eigenvalue {w.min():.3e} below the clipping floor")
@@ -177,8 +151,11 @@ def _diffusion_increment(plan, states, normals):
     return np.einsum("nij,nj->ni", v, tmp)
 
 
-def _simulate_block(plan, x0, cfg, dt, n_steps, record_idx, block, n_block):
-    p = plan.p
+def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
+    p = model.dim
+    # The drift compensated by the mean jump, integral of z K(x, dz).
+    drift0 = model.a0 - model.jump_mean[0]
+    drift_lin = model.a - model.jump_mean[1:].T
     states = np.tile(x0, (n_block, 1))
     rec = np.empty((n_block, len(record_idx), p))
     slot = {idx: r for r, idx in enumerate(record_idx)}
@@ -190,17 +167,17 @@ def _simulate_block(plan, x0, cfg, dt, n_steps, record_idx, block, n_block):
     stream = _Streams(cfg.seed, block)
 
     for k in range(n_steps):
-        drift = plan.drift0 + states @ plan.drift_lin.T
+        drift = drift0 + states @ drift_lin.T
         normals = stream(k, 0).standard_normal((n_block, p))
-        incr = drift * dt + _diffusion_increment(plan, states, normals) * sqrt_dt
-        if plan.has_jumps:
-            lam = plan.intensity(states) * dt
+        incr = drift * dt + _diffusion_increment(model.A, states, normals) * sqrt_dt
+        if model.has_jumps:
+            lam = _intensity(model, states) * dt
             counts = stream(k, 1).poisson(lam)
             total = int(counts.sum())
             if total:
                 jump_counts += counts
                 rows = np.repeat(np.arange(n_block), counts)
-                w = plan.source_weights(states[rows])
+                w = _source_weights(model, states[rows])
                 gen = stream(k, 2)
                 u_sel = gen.random(total)
                 s_exp = gen.standard_exponential(total)
@@ -209,17 +186,17 @@ def _simulate_block(plan, x0, cfg, dt, n_steps, record_idx, block, n_block):
                 pick = (cum < (u_sel * tot)[:, None]).sum(axis=1)
                 pick = np.minimum(pick, w.shape[1] - 1)
                 zvals = np.zeros((total, p))
-                n_atoms = plan.atom_locs.shape[0]
+                n_atoms = model.jump_points.shape[0]
                 is_atom = pick < n_atoms
                 if np.any(is_atom):
-                    zvals[is_atom] = plan.atom_locs[pick[is_atom]]
-                for r, (rate, direction, _) in enumerate(plan.rays):
+                    zvals[is_atom] = model.jump_points[pick[is_atom]]
+                for r, (rate, direction, _) in enumerate(model.jump_rays):
                     sel = pick == n_atoms + r
                     if np.any(sel):
                         zvals[sel] = (s_exp[sel] / rate)[:, None] * direction[None, :]
                 np.add.at(incr, rows, zvals)
         states = states + incr
-        states = plan.space.project_batch(states)
+        states = model.state_space.project_batch(states)
         sup_sq = np.maximum(sup_sq, np.sum(states**2, axis=1))
         if (k + 1) in slot:
             rec[:, slot[k + 1], :] = states
@@ -233,7 +210,7 @@ def simulate_paths(model, x0, cfg: SimConfig):
     record times snap to the nearest step and always include the horizon.
     """
     x0 = require_in_space(model, x0)
-    plan = _SimPlan(model)
+    _check_drawable(model)
     n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
     if n_steps >= 1 << 21:
         raise ValueError("step count exceeds the stream-key budget (2^21 steps)")
@@ -253,7 +230,7 @@ def simulate_paths(model, x0, cfg: SimConfig):
 
     def run(block_spec):
         b, nb = block_spec
-        return _simulate_block(plan, x0, cfg, dt, n_steps, record_idx, b, nb)
+        return _simulate_block(model, x0, cfg, dt, n_steps, record_idx, b, nb)
 
     if cfg.threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -356,8 +333,7 @@ def sup_moment(ensemble):
 def expected_jump_count(model, ensemble):
     """Estimate of integral over [0,T] of K(X_s, F) ds on the recorded grid
     (trapezoid in time), for comparison with the mean jump count."""
-    plan = _SimPlan(model)
-    lam = np.array([np.mean(plan.intensity(ensemble.states[:, r, :]))
+    lam = np.array([np.mean(_intensity(model, ensemble.states[:, r, :]))
                     for r in range(ensemble.times.size)])
     return float(np.trapezoid(lam, ensemble.times))
 

@@ -6,10 +6,12 @@ the positive semidefinite cone in half-vectorized coordinates, the Lorentz
 cone, the parabolic set {x : x_1 >= |x_bar|^2}, and finite intersections of
 half spaces.
 
-Projection is batched: ``project_batch`` maps an ``(n, dim)`` array row by
-row with one vectorized implementation per family, and ``project`` is its
-single-row case. A row's image never depends on the other rows in its
-batch, so simulations stay reproducible when the path count changes.
+Projection and membership are batched: each family implements
+``_project_rows`` and ``_margin_rows`` once, vectorized over the rows of an
+``(n, dim)`` array. ``project`` is the single-row case of ``project_batch``,
+and ``contains`` and ``interior_contains`` are single-row tests of the
+signed margin. A row's image never depends on the other rows in its batch,
+so simulations stay reproducible when the path count changes.
 """
 
 from __future__ import annotations
@@ -57,9 +59,16 @@ class StateSpace:
     self_dual = False
 
     def contains(self, x, tol=1e-9):
-        raise NotImplementedError
+        """Whether x lies in the space up to the tolerance: margin >= -tol."""
+        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] >= -tol)
 
     def interior_contains(self, x, margin=0.0):
+        """Whether x lies in the interior with room to spare: margin > margin."""
+        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] > margin)
+
+    def _margin_rows(self, xs):
+        """Signed membership margin of each row of an ``(n, dim)`` float
+        array: nonnegative exactly on the space, positive on its interior."""
         raise NotImplementedError
 
     def project(self, x):
@@ -127,13 +136,10 @@ class Canonical(StateSpace):
     def self_dual(self):
         return self.m == self.dim
 
-    def contains(self, x, tol=1e-9):
-        x = self._check_dim(x)
-        return bool(np.all(x[: self.m] >= -tol))
-
-    def interior_contains(self, x, margin=0.0):
-        x = self._check_dim(x)
-        return bool(np.all(x[: self.m] > margin))
+    def _margin_rows(self, xs):
+        if self.m == 0:
+            return np.full(xs.shape[0], np.inf)
+        return xs[:, : self.m].min(axis=1)
 
     def _project_rows(self, xs):
         out = xs.copy()
@@ -168,14 +174,9 @@ class PSDCone(StateSpace):
         self.d = int(d)
         self.dim = self.d * (self.d + 1) // 2
 
-    def _eigvals(self, x):
-        return np.linalg.eigvalsh(unvech(self._check_dim(x), self.d))
-
-    def contains(self, x, tol=1e-9):
-        return bool(self._eigvals(x).min() >= -tol)
-
-    def interior_contains(self, x, margin=0.0):
-        return bool(self._eigvals(x).min() > margin)
+    def _margin_rows(self, xs):
+        # The smallest eigenvalue; eigvalsh sorts them ascending.
+        return np.linalg.eigvalsh(unvech(xs, self.d))[:, 0]
 
     def _project_rows(self, xs):
         # Clip the spectrum: V max(W, 0) V^T for each matrix of the stack
@@ -211,13 +212,8 @@ class Lorentz(StateSpace):
             raise ModelFormatError(f"lorentz cone needs p >= 2, got {p}")
         self.dim = int(p)
 
-    def contains(self, x, tol=1e-9):
-        x = self._check_dim(x)
-        return bool(x[0] >= np.linalg.norm(x[1:]) - tol)
-
-    def interior_contains(self, x, margin=0.0):
-        x = self._check_dim(x)
-        return bool(x[0] - np.linalg.norm(x[1:]) > margin)
+    def _margin_rows(self, xs):
+        return xs[:, 0] - np.linalg.norm(xs[:, 1:], axis=1)
 
     def _project_rows(self, xs):
         # Inside: unchanged; in the polar cone: 0; otherwise onto the ray
@@ -258,16 +254,8 @@ class Parabolic(StateSpace):
             raise ModelFormatError(f"parabolic space needs p >= 2, got {p}")
         self.dim = int(p)
 
-    def _slack(self, x):
-        return x[0] - float(np.dot(x[1:], x[1:]))
-
-    def contains(self, x, tol=1e-9):
-        x = self._check_dim(x)
-        return bool(self._slack(x) >= -tol)
-
-    def interior_contains(self, x, margin=0.0):
-        x = self._check_dim(x)
-        return bool(self._slack(x) > margin)
+    def _margin_rows(self, xs):
+        return xs[:, 0] - np.sum(xs[:, 1:] ** 2, axis=1)
 
     def _project_rows(self, xs):
         # KKT: y1 = x1 + mu, y_bar = x_bar / (1 + 2 mu), active constraint, so
@@ -340,13 +328,9 @@ class HalfSpaceIntersection(StateSpace):
             raise ModelFormatError("half-space intersection has empty interior")
         self._center = res.x[:-1]
 
-    def contains(self, x, tol=1e-9):
-        x = self._check_dim(x)
-        return bool(np.max(self.normals @ x - self.offsets) <= tol)
-
-    def interior_contains(self, x, margin=0.0):
-        x = self._check_dim(x)
-        return bool(np.max(self.normals @ x - self.offsets) < -margin)
+    def _margin_rows(self, xs):
+        # Row-wise sums, as in _project_rows: a row's margin is independent of n.
+        return -np.max((xs[:, None, :] * self.normals).sum(axis=2) - self.offsets, axis=1)
 
     def _project_rows(self, xs):
         # Dykstra's alternating projection over the individual half spaces,
@@ -392,15 +376,6 @@ class HalfSpaceIntersection(StateSpace):
             "normals": [list(map(float, row)) for row in self.normals],
             "offsets": [float(v) for v in self.offsets],
         }
-
-
-_KINDS = {
-    "canonical": Canonical,
-    "psd_cone": PSDCone,
-    "lorentz": Lorentz,
-    "parabolic": Parabolic,
-    "half_spaces": HalfSpaceIntersection,
-}
 
 
 def space_from_dict(rec):

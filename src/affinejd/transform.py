@@ -296,7 +296,7 @@ def infinite_divisibility_check(model, u, t, n):
     started at u must equal 1/n times the solution of the base system
     started at n u, componentwise including the zeroth component."""
     u = np.asarray(u, dtype=complex).ravel()
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     scaled = solve_riccati(scaled_model(model, n), u, t)
     base = solve_riccati(model, n * u, t)

@@ -175,23 +175,40 @@ def test_malformed_affine_seed_is_a_usage_error(capsys, models_dir, monkeypatch)
 
 
 def test_non_finite_inputs_exit_2(capsys, models_dir):
+    # Each row names a fragment the message must hold, or None.
     model = str(models_dir / "cir.json")
-    for argv in [
-        ("solve", "--u", "nan", "--T", "1"),
-        ("solve", "--u", "1e999", "--T", "1"),
-        ("solve", "--u", "0.5+nani", "--T", "1"),
-        ("solve", "--re", "inf", "--T", "1"),
-        ("transform", "--u", "0.5", "--x", "nan", "--t", "1"),
-        ("solve", "--u", "0.5", "--T", "nan"),
-        ("explosion", "--u", "0.5", "--t-max", "nan"),
-        ("ray", "--direction", "1", "--T", "nan"),
-        ("cone-check", "--check", "interior", "--u=-0.5", "--t", "nan"),
-        ("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "inf"),
-        ("simulate", "--x0", "1", "--n-paths", "10", "--dt", "nan", "--T", "1"),
+    for argv, message in [
+        (("solve", "--u", "nan", "--T", "1"), "not finite"),
+        (("solve", "--u", "1e999", "--T", "1"), "not finite"),
+        (("solve", "--u", "0.5+nani", "--T", "1"), "not finite"),
+        (("solve", "--u", "inf", "--T", "1"), "not finite"),
+        (("solve", "--u=-inf", "--T", "1"), "not finite"),
+        (("solve", "--u", "nan+infi", "--T", "1"), "not finite"),
+        (("solve", "--u", "infj", "--T", "1"), "not finite"),
+        (("solve", "--re", "inf", "--T", "1"), None),
+        (("transform", "--u", "0.5", "--x", "nan", "--t", "1"), None),
+        (("solve", "--u", "0.5", "--T", "nan"), None),
+        (("explosion", "--u", "0.5", "--t-max", "nan"), None),
+        (("ray", "--direction", "1", "--T", "nan"), None),
+        (("cone-check", "--check", "interior", "--u=-0.5", "--t", "nan"), "t must be positive"),
+        (("idcheck", "--u", "0.5", "--t", "nan", "--n", "2"), "t must be positive"),
+        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "inf"), None),
+        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "nan", "--T", "1"), None),
     ]:
         code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
         assert code == 2 and out == "", argv
         assert "invalid input" in err and "Traceback" not in err, argv
+        assert message is None or message in err, (argv, err)
+
+
+def test_re_im_flags_match_u(capsys, models_dir):
+    model = str(models_dir / "cir.json")
+    code, by_u, _ = run_cli(capsys, "solve", "--model", model, "--u=-0.5+0.25i", "--T", "1")
+    assert code == 0
+    code, by_parts, _ = run_cli(capsys, "solve", "--model", model, "--re=-0.5", "--im", "0.25", "--T", "1")
+    assert code == 0 and by_parts == by_u
+    code, out, err = run_cli(capsys, "solve", "--model", model, "--re", "0.1,0.2", "--im", "0.3", "--T", "1")
+    assert code == 2 and out == "" and "same length" in err
 
 
 def test_tolerance_flags_are_rejected(capsys, models_dir):
@@ -276,6 +293,24 @@ def test_cone_check_interior(capsys, models_dir):
                            "--check", "interior", "--u=-1", "--t", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_cone_check_regularity(capsys, models_dir, tmp_path):
+    from affinejd.jumps import FiniteAtomic
+    from affinejd.model import AffineModel
+    from affinejd.modelio import save_model
+    from affinejd.statespace import Canonical
+
+    m = AffineModel(a0=[1.0], a=[[-0.5]], A=[[[0.0]], [[1.0]]],
+                    K=[None, FiniteAtomic([1.0], [[1.0]])], state_space=Canonical(1, 1))
+    path = tmp_path / "jumps.json"
+    save_model(m, path)
+    code, out, _ = run_cli(capsys, "cone-check", "--model", str(path), "--check", "regularity", "--u", "1")
+    assert code == 0 and strict_json(out) == {"check": "regularity", "passed": True}
+    # No jumps: the mass vector is 0, on the boundary of the cone.
+    code, out, _ = run_cli(capsys, "cone-check", "--model", str(models_dir / "cir.json"),
+                           "--check", "regularity", "--u", "1")
+    assert code == 2 and strict_json(out) == {"check": "regularity", "passed": False}
 
 
 def test_malformed_model_exits_2(capsys, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from affinejd.errors import DivergentIntegral, ModelFormatError, QuadratureTailWarning, UnsupportedFamily
-from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity, combined_sources
+from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
+from affinejd.model import AffineModel
+from affinejd.statespace import Canonical
 
 
 def test_zero_argument_vanishes():
@@ -149,10 +151,17 @@ def test_ray_validation():
         ExponentialRay(1.0, 3.0, [1.0, 1.0])
 
 
+def _jump_table_model(K):
+    p = len(K) - 1
+    return AffineModel(a0=np.zeros(p), a=np.zeros((p, p)), A=np.zeros((p + 1, p, p)), K=K,
+                       state_space=Canonical(p, p))
+
+
 def test_combined_sources_groups_matching_atoms():
     k0 = FiniteAtomic([2.0], [[1.0, 0.0]])
     k1 = FiniteAtomic([-1.0, 0.5], [[1.0, 0.0], [0.0, 2.0]])
-    locs, coefs, rays = combined_sources([k0, k1, None])
+    m = _jump_table_model([k0, k1, None])
+    locs, coefs, rays = m.jump_points, m.jump_coefs, m.jump_rays
     assert locs.shape == (2, 2)
     assert not rays
     # Combined weight at the shared atom: 2 - x_1.
@@ -163,7 +172,7 @@ def test_combined_sources_groups_matching_atoms():
 def test_combined_sources_rays_grouped_by_rate_and_direction():
     r0 = ExponentialRay(1.0, 2.0, [1.0])
     r1 = ExponentialRay(0.5, 2.0, [1.0])
-    _, _, rays = combined_sources([r0, r1])
+    rays = _jump_table_model([r0, r1]).jump_rays
     assert len(rays) == 1
     rate, _, coef = rays[0]
     assert rate == 2.0

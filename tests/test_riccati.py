@@ -249,6 +249,27 @@ def test_flow_identity_raises_past_explosion(squared_model):
         flow_identity_residual(squared_model, [2.0], 0.3, 0.3)
 
 
+def test_nan_times_are_refused_by_name(cir_model):
+    # A NaN passes a "t <= 0" guard; each check must name its own t rather
+    # than fail later inside the solver on its horizon.
+    from affinejd.cone import interior_preservation_check, monotonicity_check
+    from affinejd.transform import infinite_divisibility_check
+
+    nan = float("nan")
+    with pytest.raises(ValueError, match="s >= 0 and t > 0"):
+        flow_identity_residual(cir_model, [0.3], nan, 0.5)
+    with pytest.raises(ValueError, match="s >= 0 and t > 0"):
+        flow_identity_residual(cir_model, [0.3], 0.5, nan)
+    for call in (
+        lambda: variation_of_constants_residual(cir_model, [0.3], [1.0], nan),
+        lambda: infinite_divisibility_check(cir_model, [0.3], nan, 2),
+        lambda: monotonicity_check(cir_model, [-1.0], [-0.5], nan),
+        lambda: interior_preservation_check(cir_model, [-0.5], nan),
+    ):
+        with pytest.raises(ValueError, match="t must be positive"):
+            call()
+
+
 def test_variation_of_constants_trivial(cir_model):
     assert variation_of_constants_residual(cir_model, [0.0], [1.0], 1.0) < 1e-12
 

@@ -82,6 +82,20 @@ def test_determinism_and_prefix_stability(cir_model, wishart_model, lorentz_mode
         assert np.array_equal(e4.states, e3.states)
 
 
+def test_threaded_blocks_match_serial_across_the_block_boundary(cir_model):
+    # 4096 + 64 paths make two simulation blocks, so threads=2 runs them on
+    # the thread pool, and the prefixes below end on both sides of the seam.
+    n = 4096 + 64
+    serial = simulate_paths(cir_model, [1.0], SimConfig(n_paths=n, dt=0.1, horizon=0.3, seed=4))
+    threaded = simulate_paths(cir_model, [1.0],
+                              SimConfig(n_paths=n, dt=0.1, horizon=0.3, seed=4, threads=2))
+    assert np.array_equal(threaded.states, serial.states)
+    assert np.array_equal(threaded.jump_counts, serial.jump_counts)
+    for prefix in (100, 4096, 4096 + 16):
+        part = simulate_paths(cir_model, [1.0], SimConfig(n_paths=prefix, dt=0.1, horizon=0.3, seed=4))
+        assert np.array_equal(part.states, serial.states[:prefix])
+
+
 def test_noisy_lorentz_paths_reach_every_projection_branch(monkeypatch):
     model = noisy_lorentz_model()
     assert check_admissibility(model).verdict
