@@ -37,9 +37,9 @@ rule of scipy's solve_ivp and root-finds only on the interpolant of the step
 that crossed one. A step's interpolant (three extra stages) is built lazily,
 on the first evaluation inside that step, and values at step ends are the
 exact step ends: a solve read only at its horizon builds no interpolant.
-Blow-up is localized by bisection on the interpolant of the phase that
-crossed the radius, in that phase's own variable, and reported in t. The
-solution's grid and dense evaluator span both phases; a time inside a
+Blow-up is localized by that root, in the crossing phase's own variable,
+and reported in t as a bracket of relative width BRACKET_TOL / 2 around
+it. The solution's grid and dense evaluator span both phases; a time inside a
 phase-2 step is mapped to its s by Brent's method on that step's
 interpolant of t(s).
 
@@ -291,26 +291,6 @@ def _first_step(rhs, y0, f0, t_bound):
     return max(steps) or None
 
 
-def _refine_bracket(dense, event_fn, clock, lo, hi):
-    """Bisect the event function on the dense output of the phase that fired
-    it, in that phase's own variable, down to a bracket in t of relative
-    width below BRACKET_TOL; clock(x, y) is t at a point."""
-    t_lo, t_event = clock(lo, dense(lo)), clock(hi, dense(hi))
-    t_hi = t_event
-    target = 0.25 * BRACKET_TOL * max(t_event, 1e-300)
-    while t_hi - t_lo > target:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        y = dense(mid)
-        if event_fn(mid, y) < 0.0:
-            lo, t_lo = mid, clock(mid, y)
-        else:
-            hi, t_hi = mid, clock(mid, y)
-    upper = t_event * (1.0 + 0.25 * BRACKET_TOL)
-    return t_lo, upper
-
-
 def solve_riccati(model, u, horizon):
     """Integrate the Riccati system from psi(0) = u on [0, horizon].
 
@@ -430,15 +410,14 @@ def solve_riccati(model, u, horizon):
             return result("exploded", (t_end - half, t_end + half), "step_underflow")
         raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {TOO_SMALL_STEP}")
 
-    x_event = float(run.grid[-1])
+    # _integrate located the crossing by brentq on the step's interpolant.
+    t_event = clock(float(run.grid[-1]), run.ys[-1])
     if kind == "ray":
-        t_event = clock(x_event, run.ys[-1])
         raise DivergentIntegral(
             f"psi reached the integrability boundary of an exponential ray at t={t_event:.9g}"
         )
-    x_prev = float(run.grid[-2]) if run.grid.size > 1 else 0.0
-    bracket = _refine_bracket(run, events[run.event], clock, x_prev, x_event)
-    return result("exploded", bracket, kind)
+    half = 0.25 * BRACKET_TOL * t_event
+    return result("exploded", (t_event - half, t_event + half), kind)
 
 
 @dataclass
