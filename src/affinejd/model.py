@@ -140,6 +140,13 @@ class AffineModel:
             cells, weights=np.concatenate(weights), minlength=first.size * (p + 1)
         ).reshape(first.size, p + 1)
 
+    def jump_weights(self, xs):
+        """Unclipped weight of each jump source at each row of ``xs``: the
+        rows of the jump table, then its rays."""
+        cols = [self.jump_coefs[:, 0] + xs @ self.jump_coefs[:, 1:].T]
+        cols += [(coef[0] + xs @ coef[1:])[:, None] for _, _, coef in self.jump_rays]
+        return np.hstack(cols)
+
     @property
     def has_jumps(self):
         return any(meas is not None for meas in self.K)
@@ -262,9 +269,7 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
 
     eigs = np.linalg.eigvalsh(model.A[0] + np.tensordot(xs, model.A[1:], axes=(1, 0)))[:, 0]
     k = int(np.argmin(eigs))
-    weights = [model.jump_coefs[:, 0] + xs @ model.jump_coefs[:, 1:].T]
-    weights += [(coef[0] + xs @ coef[1:])[:, None] for _, _, coef in model.jump_rays]
-    weights = np.hstack(weights)
+    weights = model.jump_weights(xs)
     closure = np.vstack([np.zeros((0, model.dim))]
                         + [meas.support_points() for meas in model.K if meas is not None])
     margins = space._margin_rows((xs[:, None, :] + closure).reshape(-1, model.dim))

@@ -8,6 +8,12 @@ increment with covariance c(x) dt (eigenvalue-clipped square root), and
 Poisson(K(x,F) dt) jumps drawn from the normalized kernel frozen at the left
 endpoint, followed by Euclidean projection onto the state space.
 
+The step skips what the model makes zero or constant, with the same
+results: when every A^i is zero, c(x) = 0 and no normals are drawn; when
+K^1..K^p have zero mass, one Poisson rate serves every path; when the jump
+table has no rays and no weight in K^1..K^p, the source weights and their
+cumulative sums are computed once per block instead of once per jump.
+
 All randomness comes from counter-based Philox streams keyed by
 (seed, step, path-block, purpose), so enlarging the path count or the number
 of steps never reshuffles draws that earlier configurations consumed.
@@ -22,7 +28,13 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import CholeskyFailure, ExplosionBeforeHorizon, IntensityInfinite, NegativeJumpWeight
+from .errors import (
+    CholeskyFailure,
+    DimensionMismatch,
+    ExplosionBeforeHorizon,
+    IntensityInfinite,
+    NegativeJumpWeight,
+)
 from .model import require_in_space
 from .modelio import model_hash
 from .riccati import solve_riccati
@@ -97,18 +109,7 @@ def _check_drawable(model):
 
 def _intensity(model, states):
     """K(x, F) at each state."""
-    return np.maximum(model.jump_mass[0] + states @ model.jump_mass[1:], 0.0)
-
-
-def _source_weights(model, states):
-    """Nonnegative sampling weights of each jump source at each state: the
-    rows of the jump table, then its rays."""
-    cols = []
-    if model.jump_points.size:
-        cols.append(model.jump_coefs[:, 0] + states @ model.jump_coefs[:, 1:].T)
-    for _, _, coef in model.jump_rays:
-        cols.append((coef[0] + states @ coef[1:])[:, None])
-    return np.maximum(np.hstack(cols), 0.0)
+    return np.maximum(model.jump_mass[0] + np.dot(states, model.jump_mass[1:]), 0.0)
 
 
 class _Streams:
@@ -153,9 +154,19 @@ def _diffusion_increment(A, states, normals):
 
 def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     p = model.dim
-    # The drift compensated by the mean jump, integral of z K(x, dz).
+    # The drift compensated by the mean jump, integral of z K(x, dz), with
+    # its linear part as a contiguous transpose for np.dot.
     drift0 = model.a0 - model.jump_mean[0]
-    drift_lin = model.a - model.jump_mean[1:].T
+    drift_lin_t = np.ascontiguousarray((model.a - model.jump_mean[1:].T).T)
+    diffusive = model.A.any()
+    has_jumps = model.has_jumps
+    # Zero masses of K^1..K^p make the intensity constant; with no rays and
+    # no table weight in K^1..K^p, the source weights are constant too.
+    const_lam = None if model.jump_mass[1:].any() else max(model.jump_mass[0], 0.0) * dt
+    pick_cum = None
+    if not model.jump_rays and not model.jump_coefs[:, 1:].any():
+        pick_cum = np.cumsum(np.maximum(model.jump_weights(np.zeros((1, p))), 0.0), axis=1)
+    n_atoms = model.jump_points.shape[0]
     states = np.tile(x0, (n_block, 1))
     rec = np.empty((n_block, len(record_idx), p))
     slot = {idx: r for r, idx in enumerate(record_idx)}
@@ -167,26 +178,29 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     stream = _Streams(cfg.seed, block)
 
     for k in range(n_steps):
-        drift = drift0 + states @ drift_lin.T
-        normals = stream(k, 0).standard_normal((n_block, p))
-        incr = drift * dt + _diffusion_increment(model.A, states, normals) * sqrt_dt
-        if model.has_jumps:
-            lam = _intensity(model, states) * dt
-            counts = stream(k, 1).poisson(lam)
+        incr = (drift0 + np.dot(states, drift_lin_t)) * dt
+        if diffusive:
+            normals = stream(k, 0).standard_normal((n_block, p))
+            incr = incr + _diffusion_increment(model.A, states, normals) * sqrt_dt
+        if has_jumps:
+            if const_lam is None:
+                counts = stream(k, 1).poisson(_intensity(model, states) * dt)
+            else:
+                counts = stream(k, 1).poisson(const_lam, n_block)
             total = int(counts.sum())
             if total:
                 jump_counts += counts
                 rows = np.repeat(np.arange(n_block), counts)
-                w = _source_weights(model, states[rows])
+                cum = pick_cum
+                if cum is None:
+                    cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
                 gen = stream(k, 2)
                 u_sel = gen.random(total)
                 s_exp = gen.standard_exponential(total)
-                cum = np.cumsum(w, axis=1)
                 tot = cum[:, -1]
                 pick = (cum < (u_sel * tot)[:, None]).sum(axis=1)
-                pick = np.minimum(pick, w.shape[1] - 1)
+                pick = np.minimum(pick, cum.shape[1] - 1)
                 zvals = np.zeros((total, p))
-                n_atoms = model.jump_points.shape[0]
                 is_atom = pick < n_atoms
                 if np.any(is_atom):
                     zvals[is_atom] = model.jump_points[pick[is_atom]]
@@ -211,18 +225,22 @@ def simulate_paths(model, x0, cfg: SimConfig):
     """
     x0 = require_in_space(model, x0)
     _check_drawable(model)
-    n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
-    if n_steps >= 1 << 21:
+    # np.rint rounds half to even like round(), and keeps an infinite ratio
+    # a float that fails the budget check.
+    n_steps = max(1.0, np.rint(cfg.horizon / cfg.dt))
+    if not n_steps < 1 << 21:
         raise ValueError("step count exceeds the stream-key budget (2^21 steps)")
+    n_steps = int(n_steps)
     dt = cfg.horizon / n_steps
 
     if cfg.record_times is None:
         record_times = np.linspace(0.0, cfg.horizon, 11)
     else:
-        record_times = np.asarray(cfg.record_times, dtype=float)
-    record_idx = sorted({int(round(t / dt)) for t in record_times} | {n_steps})
-    if any(idx < 0 or idx > n_steps for idx in record_idx):
-        raise ValueError("record_times must lie in [0, horizon]")
+        record_times = np.asarray(cfg.record_times, dtype=float).ravel()
+    record_steps = np.rint(record_times / dt)
+    if not np.all((record_steps >= 0) & (record_steps <= n_steps)):
+        raise ValueError("record_times must be finite and lie in [0, horizon]")
+    record_idx = sorted({int(idx) for idx in record_steps} | {n_steps})
     times = np.array([idx * dt for idx in record_idx])
 
     n = cfg.n_paths
@@ -268,6 +286,9 @@ def _complex_mean_se(vals):
 def mc_transform(ensemble, u):
     """Sample mean and standard error of exp(u.X_T) over the paths."""
     u = np.asarray(u, dtype=complex).ravel()
+    p = ensemble.states.shape[2]
+    if u.size != p:
+        raise DimensionMismatch(f"u has length {u.size}, the paths have dimension {p}")
     with np.errstate(over="ignore"):
         vals = np.exp(ensemble.final_states @ u)
     value, se = _complex_mean_se(vals)

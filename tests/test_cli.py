@@ -194,6 +194,8 @@ def test_non_finite_inputs_exit_2(capsys, models_dir):
         (("idcheck", "--u", "0.5", "--t", "nan", "--n", "2"), "t must be positive"),
         (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "inf"), None),
         (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "nan", "--T", "1"), None),
+        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "1e-300", "--T", "1e300"),
+         "stream-key budget"),
     ]:
         code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
         assert code == 2 and out == "", argv
@@ -244,6 +246,13 @@ def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):
                              "--n-paths", "10", "--dt", "0.1", "--T", "1")
     assert code == 2 and out == ""
     assert "negative weight" in err and "Traceback" not in err
+
+
+def test_simulate_u_of_wrong_length_exits_2(capsys, models_dir):
+    code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
+                             "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1", "--u", "1,2")
+    assert code == 2 and out == ""
+    assert "u has length 2, the paths have dimension 1" in err
 
 
 def test_simulate_csv(capsys, models_dir):

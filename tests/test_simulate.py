@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
-from affinejd.errors import CholeskyFailure, NegativeJumpWeight
+from affinejd import golden
+from affinejd.errors import CholeskyFailure, DimensionMismatch, NegativeJumpWeight
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
     SimConfig,
+    _diffusion_increment,
     _Streams,
     ensemble_summary_csv,
     expected_jump_count,
@@ -94,6 +98,106 @@ def test_threaded_blocks_match_serial_across_the_block_boundary(cir_model):
     for prefix in (100, 4096, 4096 + 16):
         part = simulate_paths(cir_model, [1.0], SimConfig(n_paths=prefix, dt=0.1, horizon=0.3, seed=4))
         assert np.array_equal(part.states, serial.states[:prefix])
+
+
+def reference_paths(model, x0, cfg):
+    """Final states, jump counts and sup |X|^2 of the Euler step as the
+    module docstring states it, with nothing skipped: every step draws the
+    normals, every path gets its intensity and its source weights, and the
+    affine maps are plain `@` products."""
+    p, block_size = model.dim, 4096
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    dt = cfg.horizon / n_steps
+    out = []
+    for block in range(-(-cfg.n_paths // block_size)):
+        n = min(block_size, cfg.n_paths - block * block_size)
+        stream = _Streams(cfg.seed, block)
+        x = np.tile(np.asarray(x0, dtype=float), (n, 1))
+        counts_total = np.zeros(n, dtype=np.int64)
+        sup_sq = np.sum(x**2, axis=1)
+        for k in range(n_steps):
+            drift = model.a0 - model.jump_mean[0] + x @ (model.a - model.jump_mean[1:].T).T
+            normals = stream(k, 0).standard_normal((n, p))
+            incr = drift * dt + _diffusion_increment(model.A, x, normals) * np.sqrt(dt)
+            if model.has_jumps:
+                lam = np.maximum(model.jump_mass[0] + x @ model.jump_mass[1:], 0.0)
+                counts = stream(k, 1).poisson(lam * dt)
+                counts_total += counts
+                rows = np.repeat(np.arange(n), counts)
+                weights = [model.jump_coefs[:, 0] + x[rows] @ model.jump_coefs[:, 1:].T]
+                weights += [(coef[0] + x[rows] @ coef[1:])[:, None] for _, _, coef in model.jump_rays]
+                cum = np.cumsum(np.maximum(np.hstack(weights), 0.0), axis=1)
+                gen = stream(k, 2)
+                u_sel = gen.random(rows.size)
+                s_exp = gen.standard_exponential(rows.size)
+                pick = np.minimum((cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
+                sources = list(model.jump_points) + [None] * len(model.jump_rays)
+                for j, r in enumerate(rows):
+                    if sources[pick[j]] is not None:
+                        incr[r] += sources[pick[j]]
+                    else:
+                        rate, direction, _ = model.jump_rays[pick[j] - len(model.jump_points)]
+                        incr[r] += s_exp[j] / rate * direction
+            x = model.state_space.project_batch(x + incr)
+            sup_sq = np.maximum(sup_sq, np.sum(x**2, axis=1))
+        out.append((x, counts_total, sup_sq))
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
+def state_dependent_atoms_model():
+    """No diffusion, and atoms whose weights grow with the state."""
+    return scalar_model(a0=1.0, a=-0.5, K=[None, FiniteAtomic([0.6, 0.3], [[0.5], [0.2]])])
+
+
+def atoms_and_ray_model():
+    """CIR diffusion, constant atoms in K^0 and an exponential ray in K^1."""
+    return scalar_model(a0=1.0, a=-0.3, A1=0.2,
+                        K=[FiniteAtomic([0.5, 0.25], [[0.4], [0.8]]), ExponentialRay(0.7, 3.0, [1.0])])
+
+
+REFERENCE_CASES = {
+    "cir": (golden.cir, [1.0]),
+    "ou": (golden.ou, [0.5]),
+    "compound_poisson": (golden.compound_poisson, [1.0]),
+    "wishart_2d": (golden.wishart_2d, [0.4, 0.0, 0.4]),
+    "lorentz_drift": (golden.lorentz_drift, [1.0, 0.2, -0.1]),
+    "state_dependent_atoms": (state_dependent_atoms_model, [1.0]),
+    "atoms_and_ray": (atoms_and_ray_model, [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_euler_step_matches_the_plain_reference_step(name):
+    # 4,096 + 8 paths make two blocks, run serially and on two threads; the
+    # step skips the draws and products that its model makes constant or zero.
+    build, x0 = REFERENCE_CASES[name]
+    model = build()
+    cfg = SimConfig(n_paths=4096 + 8, dt=0.25, horizon=0.5, seed=17)
+    states, counts, sup_sq = reference_paths(model, x0, cfg)
+    for threads in (1, 2):
+        ens = simulate_paths(model, x0, replace(cfg, threads=threads))
+        assert np.array_equal(ens.final_states, states)
+        assert np.array_equal(ens.jump_counts, counts)
+        assert np.array_equal(ens.sup_sq, sup_sq)
+    assert (counts.sum() > 0) == model.has_jumps
+
+
+def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model, lorentz_model):
+    purposes = []
+    call = _Streams.__call__
+
+    def counting(self, step, purpose):
+        purposes.append(purpose)
+        return call(self, step, purpose)
+
+    monkeypatch.setattr(_Streams, "__call__", counting)
+    cfg = SimConfig(n_paths=64, dt=0.1, horizon=0.5, seed=2)
+    for model, x0 in [(cp_model, [1.0]), (lorentz_model, [1.0, 0.0, 0.0]),
+                      (state_dependent_atoms_model(), [1.0])]:
+        simulate_paths(model, x0, cfg)
+    assert purposes and 0 not in purposes
+    simulate_paths(cir_model, [1.0], cfg)
+    assert purposes.count(0) == 5
 
 
 def test_noisy_lorentz_paths_reach_every_projection_branch(monkeypatch):
@@ -244,6 +348,26 @@ def test_negative_jump_weight_refused(K):
 def test_cholesky_failure_detected(bad_model):
     with pytest.raises(CholeskyFailure):
         simulate_paths(bad_model, [1.0, 1.0], SimConfig(n_paths=4, dt=1e-2, horizon=0.1, seed=0))
+
+
+def test_mc_transform_refuses_u_of_wrong_length(cir_model):
+    ens = simulate_paths(cir_model, [1.0], SimConfig(n_paths=4, dt=0.1, horizon=0.2))
+    with pytest.raises(DimensionMismatch, match="u has length 2, the paths have dimension 1"):
+        mc_transform(ens, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("record_times", [[0.0, float("nan")], [float("inf")], [-0.5], [1.2]])
+def test_record_times_must_be_finite_and_in_range(cir_model, record_times):
+    cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0, record_times=np.array(record_times))
+    with pytest.raises(ValueError, match="record_times must be finite and lie in"):
+        simulate_paths(cir_model, [1.0], cfg)
+
+
+def test_step_count_beyond_the_key_budget_refused(cir_model):
+    # horizon / dt overflows to inf, which must fail the budget check too.
+    for dt, horizon in [(1e-300, 1e300), (1e-7, 1.0)]:
+        with pytest.raises(ValueError, match="stream-key budget"):
+            simulate_paths(cir_model, [1.0], SimConfig(n_paths=4, dt=dt, horizon=horizon))
 
 
 def test_summary_csv_shape(cir_model):
