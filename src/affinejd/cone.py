@@ -120,15 +120,9 @@ def regularity_Lu_check(model, u):
     of masses is strictly inside the cone."""
     space = _cone_space(model)
     u = np.asarray(u, dtype=float).ravel()
-    p = model.dim
-    masses = np.zeros(p)
-    for i, meas in enumerate(model.K):
-        if i == 0 or meas is None:
-            continue
-        if not isinstance(meas, FiniteAtomic):
-            raise UnsupportedFamily("regularity check needs finite atomic measures")
-        phases = meas.atoms @ u
-        rem = np.abs(np.remainder(phases, 2.0 * np.pi))
-        off_lattice = np.minimum(rem, 2.0 * np.pi - rem) > 1e-9
-        masses[i - 1] += float(np.sum(meas.weights[off_lattice]))
+    if any(meas is not None and not isinstance(meas, FiniteAtomic) for meas in model.K[1:]):
+        raise UnsupportedFamily("regularity check needs finite atomic measures")
+    rem = np.abs(np.remainder(model.jump_points @ u, 2.0 * np.pi))
+    off_lattice = np.minimum(rem, 2.0 * np.pi - rem) > 1e-9
+    masses = off_lattice @ model.jump_coefs[:, 1:]
     return bool(space.interior_contains(masses, margin=0.0))

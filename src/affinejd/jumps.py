@@ -10,7 +10,10 @@ atomic measures and tabulated densities are both weighted points
 The measures describe themselves one by one; ``AffineModel`` compiles
 K^0..K^p once into its jump table (weighted points and rays with their
 coefficients in each K^i, plus each measure's mass and mean), which
-simulation, the solver's stopping surfaces and the admissibility check read.
+simulation, the Riccati right-hand side, k_eval, the solver's stopping
+surfaces, the cone regularity check and the admissibility check read. The
+package calls exp_moment only in ``check_tails``, the tail warning of
+tabulated densities.
 """
 
 from __future__ import annotations
@@ -142,13 +145,7 @@ class ExponentialRay(JumpMeasure):
         self.dim = self.direction.size
 
     def exp_moment(self, y):
-        y = self._check_y(y)
-        a = complex(self.direction @ y)
-        if a.real >= self.rate:
-            raise DivergentIntegral(
-                f"exp moment diverges on ray: Re(y.d)={a.real:.6g} >= rate={self.rate:.6g}"
-            )
-        return self.mass * a * a / (self.rate * (self.rate - a))
+        return ray_moment(self.mass, self.rate, complex(self.direction @ self._check_y(y)))
 
     def has_all_exponential_moments(self):
         return False
@@ -205,6 +202,23 @@ class TabulatedDensity(WeightedPoints):
             "weights": [float(w) for w in self.weights],
             "nodes": [[float(v) for v in z] for z in self.atoms],
         }
+
+
+def ray_moment(mass, rate, a):
+    """The integral for an exponential ray of this mass and rate at a y
+    with y.direction = a (a complex): mass a^2 / (rate (rate - a))."""
+    if a.real >= rate:
+        raise DivergentIntegral(f"exp moment diverges on ray: Re(y.d)={a.real:.6g} >= rate={rate:.6g}")
+    return mass * a * a / (rate * (rate - a))
+
+
+def check_tails(measures, ys):
+    """Evaluate the integral of every tabulated density among ``measures``
+    once, at the row of ``ys`` where Re(last node . y) is largest, so that a
+    grid too short for those arguments warns (QuadratureTailWarning)."""
+    for meas in measures:
+        if isinstance(meas, TabulatedDensity):
+            meas.exp_moment(ys[int(np.argmax((ys @ meas.atoms[-1]).real))])
 
 
 def measure_from_dict(rec, dim):

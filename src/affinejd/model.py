@@ -55,30 +55,13 @@ class AffineModel:
                 f"state space has dimension {state_space.dim}, parameters have {p}"
             )
         self.state_space = state_space
-        # Complex Riccati coefficients, fused once so that the right-hand side
-        # is R(y) = L y + (Q y) y + W (exp(Z y) - 1 - Z y) plus the integrals
-        # of the remaining measures (see riccati.riccati_rhs). Row i of L, Q
-        # and W belongs to R_i; Z stacks the atoms of every finite atomic
-        # measure and W holds their weights in the rows of their indices.
-        # Tabulated densities warn on a truncated tail and exponential rays
-        # raise DivergentIntegral, both depending on y: they keep exp_moment.
+        self._compile_jumps()
+        # The coefficients of riccati.riccati_rhs cast to complex once; row i
+        # of rhs_linear, rhs_quadratic and rhs_coefs belongs to R_i.
         self.rhs_linear = np.vstack([self.a0, self.a.T]).astype(complex)
         self.rhs_quadratic = (0.5 * self.A).astype(complex)
-        atomic = []
-        integrals = []
-        for i, meas in enumerate(self.K):
-            if meas is not None:
-                (atomic if isinstance(meas, jumps_mod.FiniteAtomic) else integrals).append((i, meas))
-        self.rhs_integrals = tuple(integrals)
-        self.rhs_atoms = None
-        if atomic:
-            self.rhs_atoms = np.vstack([meas.atoms for _, meas in atomic]).astype(complex)
-            self.rhs_weights = np.zeros((p + 1, self.rhs_atoms.shape[0]), dtype=complex)
-            start = 0
-            for i, meas in atomic:
-                self.rhs_weights[i, start:start + meas.weights.size] = meas.weights
-                start += meas.weights.size
-        self._compile_jumps()
+        self.rhs_points = self.jump_points.astype(complex)
+        self.rhs_coefs = self.jump_coefs.T.astype(complex, order="C")
 
     def _compile_jumps(self):
         """The jump table: every source of K(x, dz) = K^0 + sum_i x_i K^i
@@ -120,22 +103,15 @@ class AffineModel:
             self.jump_coefs = np.zeros((0, p + 1))
             return
         points = np.vstack(points)
-        # A stable sort on the rounded points puts each group of equal keys
-        # together in order of appearance, so a group's first element is
-        # where the group first appears.
-        keys = np.round(points, 12)
-        order = np.lexsort(keys.T[::-1])
-        starts = np.ones(order.size, dtype=bool)
-        starts[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
-        first = order[starts]
+        # np.unique sorts stably: first holds where each group of points
+        # equal to 12 decimals first appears, and rows follow that order.
+        _, first, group = np.unique(
+            np.round(points, 12), axis=0, return_index=True, return_inverse=True
+        )
         by_appearance = np.argsort(first)
-        row_of_group = np.empty_like(by_appearance)
-        row_of_group[by_appearance] = np.arange(first.size)
-        rows = np.empty_like(order)
-        rows[order] = row_of_group[np.cumsum(starts) - 1]
         self.jump_points = points[first[by_appearance]]
         # bincount sums the weights of a row in order of appearance.
-        cells = rows * (p + 1) + np.concatenate(columns)
+        cells = np.argsort(by_appearance)[group.ravel()] * (p + 1) + np.concatenate(columns)
         self.jump_coefs = np.bincount(
             cells, weights=np.concatenate(weights), minlength=first.size * (p + 1)
         ).reshape(first.size, p + 1)
@@ -169,15 +145,15 @@ class AffineModel:
         )
 
 
-def _check_state(model, x):
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.dim:
-        raise DimensionMismatch(f"state has length {x.size}, expected {model.dim}")
-    return x
+def _check_vector(model, v, name="state", dtype=float):
+    v = np.asarray(v, dtype=dtype).ravel()
+    if v.size != model.dim:
+        raise DimensionMismatch(f"{name} has length {v.size}, the model has dimension {model.dim}")
+    return v
 
 
 def require_in_space(model, x, tol=1e-9):
-    x = _check_state(model, x)
+    x = _check_vector(model, x)
     if not model.state_space.contains(x, tol=tol):
         raise StateSpaceMismatch(f"point {x} is not in the state space")
     return x
@@ -185,13 +161,13 @@ def require_in_space(model, x, tol=1e-9):
 
 def drift_at(model, x):
     """b(x) = a^0 + sum_i a^i x_i."""
-    x = _check_state(model, x)
+    x = _check_vector(model, x)
     return model.a0 + model.a @ x
 
 
 def diffusion_at(model, x):
     """c(x) = A^0 + sum_i A^i x_i; exactly symmetric."""
-    x = _check_state(model, x)
+    x = _check_vector(model, x)
     return model.A[0] + np.tensordot(x, model.A[1:], axes=(0, 0))
 
 
@@ -199,7 +175,7 @@ def in_U(space, u):
     """True iff sup over the state space of Re(u).x is finite."""
     u = np.asarray(u, dtype=complex).ravel()
     if u.size != space.dim:
-        raise DimensionMismatch(f"argument has length {u.size}, expected {space.dim}")
+        raise DimensionMismatch(f"u has length {u.size}, the state space has dimension {space.dim}")
     return space.bounded_support(u.real)
 
 

@@ -3,10 +3,9 @@
 R_i(y) = y.a^i + y.A^i y / 2 + integral of (exp(y.z) - 1 - y.z) K^i(dz);
 the zeroth component psi_0 is carried as an ODE component (psi_0' = R_0(psi))
 rather than reconstructed through logarithms, so it is continuous and free of
-branch-cut ambiguity. The model holds the coefficients fused: one linear
-block, one quadratic tensor and one stack of the atoms of every finite
-atomic measure, so R costs a few small array operations whatever the number
-of measures.
+branch-cut ambiguity. R and k_eval read the model's jump table (all weighted
+points in one matrix product, a closed form per ray), so R costs a few small
+array operations whatever the number of measures.
 
 The integrator state packs the complex (psi_0, psi) as its interleaved real
 view (Re psi_0, Im psi_0, Re psi_1, Im psi_1, ...), so the right-hand side
@@ -57,13 +56,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DivergentIntegral,
     ExplosionBeforeHorizon,
     NonFiniteRHS,
     StepLimitExceeded,
 )
 from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq
-from .model import _check_state, diffusion_at, require_in_space
+from .jumps import check_tails, ray_moment
+from .model import _check_vector, diffusion_at, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
@@ -84,17 +85,19 @@ BRACKET_TOL = 1e-8
 
 
 def riccati_rhs(model, y):
-    """(R_0(y), ..., R_p(y)) for a complex vector y of length p, from the
-    coefficients the model fuses once."""
+    """(R_0(y), ..., R_p(y)) = (L + Q y) y + C^T (expm1(Z y) - Z y) + rays(y)
+    for a complex vector y of length p, from the model's complex casts of L,
+    Q and its jump table's weighted points Z and coefficients C; rays(y) is
+    the closed form over the table's rays (DivergentIntegral past a rate)."""
     y = np.asarray(y, dtype=complex).ravel()
-    if y.size != model.dim:
-        raise ValueError(f"argument has length {y.size}, expected {model.dim}")
+    if y.size != model.dim:  # inline rather than _check_vector: the solver's hot path
+        raise DimensionMismatch(f"y has length {y.size}, the model has dimension {model.dim}")
     out = (model.rhs_linear + model.rhs_quadratic @ y) @ y
-    if model.rhs_atoms is not None:
-        e = model.rhs_atoms @ y
-        out += model.rhs_weights @ (np.expm1(e) - e)
-    for i, meas in model.rhs_integrals:
-        out[i] += meas.exp_moment(y)
+    if model.rhs_points.size:
+        e = model.rhs_points @ y
+        out += model.rhs_coefs @ (np.expm1(e) - e)
+    for rate, direction, coef in model.jump_rays:
+        out += coef * ray_moment(1.0, rate, complex(direction @ y))
     return out
 
 
@@ -302,10 +305,7 @@ def solve_riccati(model, u, horizon):
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     horizon = float(horizon)
-    u = np.asarray(u, dtype=complex).ravel()
-    p = model.dim
-    if u.size != p:
-        raise ValueError(f"initial condition has length {u.size}, expected {p}")
+    u = _check_vector(model, u, "u", complex)
 
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,6 +378,7 @@ def solve_riccati(model, u, horizon):
             dense = _TimeChangedDense(dense, run, t_grid)
             grid = np.concatenate([grid, t_grid[1:]])
             ys = np.vstack([ys, run.ys[1:, :-1]])
+        check_tails(model.K, ys.view(complex)[:, 1:])  # once per solve
     kind = None if run.event is None else kinds[run.event]
 
     def clock(x, y):
@@ -457,7 +458,7 @@ def mean_flow(model, x, t):
     through the matrix exponential of the augmented (p+1) system on (1, x)."""
     from scipy.linalg import expm
 
-    x = _check_state(model, x)
+    x = _check_vector(model, x)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     p = model.dim
@@ -469,17 +470,25 @@ def mean_flow(model, x, t):
 
 
 def k_eval(model, x, y):
-    """k(x, y) = y.c(x) y / 2 + integral of (exp(y.z) - 1 - y.z) K(x, dz);
-    nonnegative for admissible models and real y."""
+    """k(x, y) = y.c(x) y / 2 + sum_j w_j(x) I_j(y) over the sources of the
+    jump table: w_j(x) the weight at x, I_j(y) the integral of (exp(y.z) - 1
+    - y.z) at unit weight; nonnegative for admissible models and real y.
+    Sources of zero weight at x are skipped (a ray in K^i at x_i = 0)."""
     x = require_in_space(model, x)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != model.dim:
-        raise ValueError(f"argument has length {y.size}, expected {model.dim}")
+    y = _check_vector(model, y, "y")
     val = 0.5 * float(y @ diffusion_at(model, x) @ y)
-    coeffs = np.concatenate([[1.0], x])
-    for i, meas in enumerate(model.K):
-        if meas is not None and coeffs[i] != 0.0:
-            val += coeffs[i] * meas.exp_moment(y.astype(complex)).real
+    weights = model.jump_weights(x[None, :])[0]
+    n_points = len(model.jump_points)
+    live = np.flatnonzero(weights[:n_points])
+    if live.size:
+        # exp(e) - 1 - e in complex: the arithmetic of WeightedPoints.exp_moment,
+        # whose values k_eval keeps.
+        e = model.rhs_points[live] @ y.astype(complex)
+        val += np.sum(weights[live] * (np.exp(e) - 1.0 - e)).real
+    for w, (rate, direction, _) in zip(weights[n_points:].tolist(), model.jump_rays):
+        if w:
+            val += ray_moment(w, rate, complex(direction @ y)).real
+    check_tails(model.K, y[None, :])
     return val
 
 

@@ -353,7 +353,11 @@ def sup_moment(ensemble):
 
 def expected_jump_count(model, ensemble):
     """Estimate of integral over [0,T] of K(X_s, F) ds on the recorded grid
-    (trapezoid in time), for comparison with the mean jump count."""
+    (trapezoid in time), for comparison with the mean jump count. The
+    model must be the one the ensemble was simulated from."""
+    if model_hash(model) != ensemble.model_hash:
+        raise ValueError(f"the ensemble was simulated from model {ensemble.model_hash[:12]}, "
+                         f"not {model_hash(model)[:12]}")
     lam = np.array([np.mean(_intensity(model, ensemble.states[:, r, :]))
                     for r in range(ensemble.times.size)])
     return float(np.trapezoid(lam, ensemble.times))

@@ -255,6 +255,18 @@ def test_simulate_u_of_wrong_length_exits_2(capsys, models_dir):
     assert "u has length 2, the paths have dimension 1" in err
 
 
+def test_u_of_wrong_length_exits_2(capsys, models_dir):
+    for args, message in (
+        (("solve", "--T", "1"), "the model has dimension 1"),
+        (("transform", "--x", "1", "--t", "1"), "the model has dimension 1"),
+        (("damp", "--x", "1", "--t", "1"), "the state space has dimension 1"),
+    ):
+        model = str(models_dir / "compound_poisson.json")
+        code, out, err = run_cli(capsys, args[0], "--model", model, "--u", "1,2", *args[1:])
+        assert code == 2 and out == ""
+        assert f"u has length 2, {message}" in err
+
+
 def test_simulate_csv(capsys, models_dir):
     code, out, _ = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
                            "--x0", "1", "--n-paths", "64", "--dt", "0.01", "--T", "0.5",

@@ -164,6 +164,9 @@ def test_regularity_examples(cir_model):
     assert regularity_Lu_check(on, [1.0])
     lattice = AffineModel(K=[None, FiniteAtomic([1.0], [[2.0 * np.pi]])], **base)
     assert not regularity_Lu_check(lattice, [1.0])
+    # Only the K^1 weight of an atom that K^0 also holds counts.
+    shared = AffineModel(K=[FiniteAtomic([5.0], [[1.0]]), FiniteAtomic([-1.0], [[1.0]])], **base)
+    assert not regularity_Lu_check(shared, [1.0])
 
 
 def test_regularity_needs_atomic_measures():

@@ -8,9 +8,14 @@ from scipy.integrate import solve_ivp
 
 import oracles
 from affinejd import golden, riccati
-from affinejd.errors import DivergentIntegral, ExplosionBeforeHorizon, QuadratureTailWarning
+from affinejd.errors import (
+    DimensionMismatch,
+    DivergentIntegral,
+    ExplosionBeforeHorizon,
+    QuadratureTailWarning,
+)
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
-from affinejd.model import AffineModel
+from affinejd.model import AffineModel, diffusion_at
 from affinejd.riccati import (
     ABS_TOL,
     BRACKET_TOL,
@@ -199,6 +204,16 @@ def test_mean_flow_examples():
     assert abs(got[0] - 4.0 * np.exp(-1.0)) < 1e-12
 
 
+def test_wrong_lengths_are_named(cir_model):
+    message = "{} has length 2, the model has dimension 1"
+    with pytest.raises(DimensionMismatch, match=message.format("y")):
+        riccati_rhs(cir_model, [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match=message.format("y")):
+        k_eval(cir_model, [1.0], [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match=message.format("u")):
+        solve_riccati(cir_model, [1.0, 2.0], 1.0)
+
+
 def test_mean_flow_matches_rk_oracle():
     rng = np.random.default_rng(11)
     a0 = rng.normal(size=3)
@@ -216,6 +231,11 @@ def test_k_eval_examples(cir_model):
     assert np.isclose(k_eval(m, [0.5], [3.0]), 9.0)
     jumped = scalar_model(A1=2.0, K=[None, FiniteAtomic([1.0], [[1.0]])])
     assert np.isclose(k_eval(jumped, [1.0], [1.0]), 1.0 + (np.e - 2.0), rtol=1e-14)
+    # A ray in K^1 has weight zero at x_1 = 0 and is skipped past its rate.
+    rayed = scalar_model(A0=2.0, K=[None, ExponentialRay(1.0, 2.0, [1.0])])
+    assert k_eval(rayed, [0.0], [3.0]) == 9.0
+    with pytest.raises(DivergentIntegral):
+        k_eval(rayed, [1.0], [3.0])
 
 
 def test_k_nonnegative_for_admissible_models(cir_model, cp_model, wishart_model):
@@ -485,6 +505,15 @@ def random_model(seed, wishart):
     return AffineModel(rng.normal(size=p), rng.normal(size=(p, p)), A, K, space)
 
 
+def k_per_measure(model, x, y):
+    # k(x, y) as one term per coefficient and per jump measure.
+    out = 0.5 * (y @ diffusion_at(model, x) @ y)
+    for coeff, meas in zip(np.concatenate([[1.0], x]), model.K):
+        if meas is not None:
+            out += coeff * meas.exp_moment(y).real
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), wishart=st.booleans(), y_seed=st.integers(0, 2**32 - 1))
 def test_fused_rhs_matches_per_measure_formula(seed, wishart, y_seed):
@@ -492,11 +521,47 @@ def test_fused_rhs_matches_per_measure_formula(seed, wishart, y_seed):
     rng = np.random.default_rng(y_seed)
     y = rng.uniform(-1.0, 1.0, model.dim) + 1j * rng.uniform(-1.0, 1.0, model.dim)
     y *= rng.uniform(0.0, 1.0) / np.linalg.norm(y)
+    x = model.state_space.project(rng.normal(size=model.dim))
+    y_real = rng.uniform(-1.0, 1.0, model.dim)
+    y_real *= rng.uniform(0.0, 1.0) / np.linalg.norm(y_real)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureTailWarning)
         got = riccati_rhs(model, y)
         want = rhs_per_measure(model, y)
+        got_k = k_eval(model, x, y_real)
+        want_k = k_per_measure(model, x, y_real)
     assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+    assert abs(got_k - want_k) <= 1e-13 * (1.0 + abs(want_k))
+
+
+def test_fused_rhs_reads_merged_sources():
+    # One (rate, direction) ray in K^0 and K^2, one atom in K^1 and K^3, and
+    # a tabulated node (K^4) on an atom of K^3: each pair shares a source.
+    z1, z2, z3 = [0.2, -0.1, 0.3, 0.0], [0.0, 0.4, -0.2, 0.1], [-0.3, 0.0, 0.1, 0.2]
+    d = np.array([1.0, 1.0, -1.0, 1.0]) / 2.0
+    K = [
+        ExponentialRay(0.5, 3.0, d),
+        FiniteAtomic([0.3, 0.2], [z1, z2]),
+        ExponentialRay(0.7, 3.0, d),
+        FiniteAtomic([0.4, 0.1], [z1, z3]),
+        TabulatedDensity([0.2, 0.3, 0.1], [z3, [0.1, 0.1, 0.1, 0.1], [0.2, 0.2, 0.2, 0.2]]),
+    ]
+    rng = np.random.default_rng(3)
+    A = np.zeros((5, 4, 4))
+    A[0] = np.eye(4)
+    model = AffineModel(rng.normal(size=4), rng.normal(size=(4, 4)), A, K, Canonical(4, 4))
+    assert model.jump_points.shape == (5, 4) and len(model.jump_rays) == 1
+    assert np.array_equal(model.jump_coefs[[0, 2]], [[0, 0.3, 0, 0.4, 0], [0, 0, 0, 0.1, 0.2]])
+    assert np.array_equal(model.jump_rays[0][2], [0.5, 0.0, 0.7, 0.0, 0.0])
+    x = np.array([0.5, 1.0, 0.2, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureTailWarning)
+        for _ in range(10):
+            y = rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
+            want = rhs_per_measure(model, y)
+            assert np.all(np.abs(riccati_rhs(model, y) - want) <= 1e-13 * (1.0 + np.abs(want)))
+            want_k = k_per_measure(model, x, y.real)
+            assert abs(k_eval(model, x, y.real) - want_k) <= 1e-13 * (1.0 + abs(want_k))
 
 
 def test_fused_rhs_keeps_measure_checks():
@@ -504,10 +569,15 @@ def test_fused_rhs_keeps_measure_checks():
     m = scalar_model(A1=1.0, K=[FiniteAtomic([1.0], [[0.5]]), ray])
     with pytest.raises(DivergentIntegral):
         riccati_rhs(m, [2.5])
+    # A solve checks the tail of a tabulated density once, not every call.
     short = TabulatedDensity([1.0, 1.0], [[0.5], [1.0]])
     m = scalar_model(A1=1.0, K=[FiniteAtomic([1.0], [[0.5]]), short])
-    with pytest.warns(QuadratureTailWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureTailWarning)
         riccati_rhs(m, [0.3])
+    with pytest.warns(QuadratureTailWarning) as record:
+        solve_riccati(m, [0.3], 0.1)
+    assert len(record) == 1
 
 
 def packed_rhs(model):
@@ -563,3 +633,108 @@ def test_own_loop_matches_solve_ivp_on_blow_up(squared_model, u):
     assert close(own.grid[-1], t_event) and close(own.ys[-1], ref.y[:, -1])
     inner = ref.t[-2] + np.linspace(0.0, 1.0, 7) * (t_event - ref.t[-2])
     assert close(np.array([own(x) for x in inner]), ref.sol(inner).T)
+
+
+# Bit-for-bit values of the solver on the golden models, as float.hex
+# strings of interleaved real and imaginary parts: for u = scale * (1, ..., 1),
+# riccati_rhs(model, u), the terminal (psi_0, psi) of solve_riccati(model, u,
+# 1.0) and its stats.nfev.
+GOLDEN_PINS = {
+    ("squared_scalar", 0.3): (
+        "0x0.0p+0 0x0.0p+0 0x1.70a3d70a3d70ap-4 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x1.b6db6db6d05e0p-2 0x0.0p+0",
+        62,
+    ),
+    ("squared_scalar", 0.5j): (
+        "0x0.0p+0 0x0.0p+0 -0x1.0000000000000p-2 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 -0x1.999999999c5b8p-3 0x1.999999999b3c9p-2",
+        74,
+    ),
+    ("cir", 0.3): (
+        "0x1.3333333333333p-2 0x0.0p+0 0x1.70a3d70a3d70ap-4 0x0.0p+0",
+        "0x1.6d3c324e02977p-2 0x0.0p+0 0x1.b6db6db6d3244p-2 0x0.0p+0",
+        50,
+    ),
+    ("cir", 0.5j): (
+        "0x0.0p+0 0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0",
+        "-0x1.c8ff7c79aa0fcp-4 0x1.dac670561d3c8p-2 -0x1.999999999af55p-3 "
+        "0x1.9999999999384p-2",
+        86,
+    ),
+    ("ou", 0.3): (
+        "0x1.70a3d70a3d70ap-5 0x0.0p+0 -0x1.3333333333333p-2 0x0.0p+0",
+        "0x1.3ec00013ee023p-6 0x0.0p+0 0x1.c40cdda9c725fp-4 0x0.0p+0",
+        74,
+    ),
+    ("ou", 0.5j): (
+        "-0x1.0000000000000p-3 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p-1",
+        "-0x1.bab5557102f0ap-5 0x0.0p+0 0x0.0p+0 0x1.78b56362cfff8p-3",
+        74,
+    ),
+    ("compound_poisson", 0.3): (
+        "0x1.3f09c58a922c6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.3f09c58a922c8p-2 0x0.0p+0 0x1.3333333333333p-2 0x0.0p+0",
+        38,
+    ),
+    ("compound_poisson", 0.5j): (
+        "-0x1.e6a0f69acc0a0p-6 0x1.fc9c1b64d81bdp-2 0x0.0p+0 0x0.0p+0",
+        "-0x1.e6a0f69acc0a0p-6 0x1.fc9c1b64d81c2p-2 0x0.0p+0 0x1.0000000000000p-1",
+        38,
+    ),
+    ("wishart_2d", 0.3): (
+        "0x1.cccccccccccccp+0 0x0.0p+0 -0x1.eb851eb851eb8p-6 0x0.0p+0 0x1.eb851eb851eb8p-5 "
+        "0x0.0p+0 -0x1.eb851eb851eb8p-6 0x0.0p+0",
+        "0x1.bd923af3e6a9ep+0 0x0.0p+0 0x1.243cf17a2e45fp-2 0x0.0p+0 0x1.68a030bc01b45p-2 "
+        "0x0.0p+0 0x1.243cf17a2e45fp-2 0x0.0p+0",
+        62,
+    ),
+    ("wishart_2d", 0.5j): (
+        "0x0.0p+0 0x1.8000000000000p+1 -0x1.8000000000000p-1 -0x1.0000000000000p-1 "
+        "-0x1.0000000000000p+0 -0x1.0000000000000p-1 -0x1.8000000000000p-1 "
+        "-0x1.0000000000000p-1",
+        "-0x1.35744cb570d84p-1 0x1.827e74b1a9033p+0 -0x1.545cc17ec87fdp-4 "
+        "0x1.93ca166d6cd4ep-4 -0x1.a97b277586f90p-4 0x1.0d4fce197476ap-4 "
+        "-0x1.545cc17ec87fdp-4 0x1.93ca166d6cd4ep-4",
+        182,
+    ),
+    ("lorentz_drift", 0.3): (
+        "0x1.3333333333333p-2 0x0.0p+0 -0x1.3333333333333p-2 0x0.0p+0 -0x1.3333333333333p-2 "
+        "0x0.0p+0 -0x1.3333333333333p-2 0x0.0p+0",
+        "0x1.845ff7917fc5ep-3 0x0.0p+0 0x1.c40cdda9cd40fp-4 0x0.0p+0 0x1.c40cdda9cd40fp-4 "
+        "0x0.0p+0 0x1.c40cdda9cd40fp-4 0x0.0p+0",
+        62,
+    ),
+    ("lorentz_drift", 0.5j): (
+        "0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0 -0x1.0000000000000p-1 0x0.0p+0 "
+        "-0x1.0000000000000p-1 0x0.0p+0 -0x1.0000000000000p-1",
+        "0x0.0p+0 0x1.43a54e4e9556ap-2 0x0.0p+0 0x1.78b56362d552cp-3 0x0.0p+0 "
+        "0x1.78b56362d552cp-3 0x0.0p+0 0x1.78b56362d552cp-3",
+        62,
+    ),
+    ("nonadmissible_2d", 0.3): (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.70a3d70a3d70ap-4 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x1.20a4f0897824ep-2 0x0.0p+0 0x1.9c59579fc7b33p-2 0x0.0p+0",
+        38,
+    ),
+    ("nonadmissible_2d", 0.5j): (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p-2 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 -0x1.f81f81f81dc1cp-6 0x1.1b91b91b91c46p-1 -0x1.f81f81f81fa66p-3 "
+        "0x1.b91b91b91bb2fp-2",
+        110,
+    ),
+}
+
+
+def hex_floats(z):
+    return " ".join(float(v).hex() for v in np.asarray(z, dtype=complex).view(float))
+
+
+def test_golden_solves_pinned():
+    for (name, scale), (rhs, terminal, nfev) in GOLDEN_PINS.items():
+        model = getattr(golden, name)()
+        u = scale * np.ones(model.dim)
+        sol = solve_riccati(model, u, 1.0)
+        psi0, psi = sol.terminal()
+        assert hex_floats(riccati_rhs(model, u)) == rhs, (name, scale)
+        assert hex_floats(np.concatenate([[psi0], psi])) == terminal, (name, scale)
+        assert sol.stats.nfev == nfev, (name, scale)

@@ -8,6 +8,7 @@ from affinejd import golden
 from affinejd.errors import CholeskyFailure, DimensionMismatch, NegativeJumpWeight
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
+from affinejd.modelio import model_hash
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
     SimConfig,
@@ -282,6 +283,13 @@ def test_jump_counts_match_compensator(cp_model):
     mean_jumps = float(ens.jump_counts.mean())
     se = float(ens.jump_counts.std(ddof=1)) / np.sqrt(ens.n_paths)
     assert abs(mean_jumps - expected_jump_count(cp_model, ens)) < 3.0 * se + 1e-3
+
+
+def test_expected_jump_count_needs_the_ensemble_model(cp_model, wishart_model):
+    ens = simulate_paths(cp_model, [1.0], SimConfig(n_paths=16, dt=0.1, horizon=0.5, seed=5))
+    with pytest.raises(ValueError, match=f"from model {ens.model_hash[:12]}, not "
+                                         f"{model_hash(wishart_model)[:12]}"):
+        expected_jump_count(wishart_model, ens)
 
 
 def test_compound_poisson_mc_matches_closed_form(cp_model):
