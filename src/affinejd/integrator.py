@@ -9,7 +9,9 @@ _estimate_error_norm and select_initial_step) in the same operation order,
 and the root finder is a transliteration of scipy's brentq.c: on the same
 right-hand side both take the same steps and return the same floats, to the
 last bit, without importing scipy. Runs go forward in time, with no maximum
-step size.
+step size. The first-step rule rates blocks of components that its caller
+names: the stepper rates the whole state, which is scipy's rule, and the
+Riccati solver also rates a block alone and takes the larger step.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
 (SciPy 1.17.1), which carries this notice:
@@ -272,25 +274,27 @@ def rms_norm(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+def select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, blocks):
     """scipy's first-step rule (Hairer, Norsett & Wanner, Sec. II.4) for a
-    forward run; calls fun once."""
+    forward run, applied to each block of components in ``blocks`` (index
+    slices of y) and the largest of the steps it gives; calls fun once, at
+    the first nonzero initial guess, which every block's estimate of the
+    second derivative shares. ``(slice(None),)`` is scipy's rule itself."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
-    d0 = rms_norm(y0 / scale)
-    d1 = rms_norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = rms_norm((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
+    norms = [(rms_norm(y0[b] / scale[b]), rms_norm(f0[b] / scale[b])) for b in blocks]
+    h0 = [min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length) for d0, d1 in norms]
+    probe = next((h for h in h0 if h), 0.0)
+    f1 = fun(t0 + probe, y0 + probe * f0)
+    steps = []
+    for block, h, (_, d1) in zip(blocks, h0, norms):
+        d2 = rms_norm((f1 - f0)[block] / scale[block]) / probe
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        steps.append(min(100 * h, h1, interval_length))
+    return max(steps)
 
 
 class DOP853:
@@ -315,7 +319,9 @@ class DOP853:
         self.atol = atol
         self.f = fun(t0, y0)
         if first_step is None:
-            self.h_abs = select_initial_step(fun, t0, y0, t_bound, self.f, self.rtol, atol)
+            self.h_abs = select_initial_step(
+                fun, t0, y0, t_bound, self.f, self.rtol, atol, (slice(None),)
+            )
         elif not 0 < first_step <= abs(t_bound - t0):
             raise ValueError("first_step must be positive and inside the interval")
         else:

@@ -11,9 +11,9 @@ The measures describe themselves one by one; ``AffineModel`` compiles
 K^0..K^p once into its jump table (weighted points and rays with their
 coefficients in each K^i, plus each measure's mass and mean), which
 simulation, the Riccati right-hand side, k_eval, the solver's stopping
-surfaces, the cone regularity check and the admissibility check read. The
-package calls exp_moment only in ``check_tails``, the tail warning of
-tabulated densities.
+surfaces, the cone regularity check, the exponential-moment condition and
+the admissibility check read. The package calls exp_moment only in
+``check_tails``, the tail warning of tabulated densities.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ class JumpMeasure:
         """integral of (exp(y.z) - 1 - y.z) dK for complex y."""
         raise NotImplementedError
 
-    def has_all_exponential_moments(self):
-        """Whether exp(k.z) is integrable over {|z|>1} for every real k."""
-        raise NotImplementedError
-
-    def support_points(self):
-        """Representative support points, used for closure checks."""
-        raise NotImplementedError
-
     def damped(self, n):
         """Multiply the density by exp(-|z|^2/n); returns the damped measure
         and the induced drift shift integral of z (exp(-|z|^2/n)-1) dK."""
@@ -64,7 +56,7 @@ class JumpMeasure:
     def _check_y(self, y):
         y = np.asarray(y, dtype=complex).ravel()
         if y.size != self.dim:
-            raise DimensionMismatch(f"argument has length {y.size}, expected {self.dim}")
+            raise DimensionMismatch(f"y has length {y.size}, the measure has dimension {self.dim}")
         return y
 
     def __eq__(self, other):
@@ -87,17 +79,10 @@ class WeightedPoints(JumpMeasure):
 
     def _terms(self, y):
         e = self.atoms @ self._check_y(y)
-        return self.weights * (np.exp(e) - 1.0 - e)
+        return self.weights * (np.expm1(e) - e)
 
     def exp_moment(self, y):
         return complex(np.sum(self._terms(y)))
-
-    def has_all_exponential_moments(self):
-        # Finitely many points: compact support.
-        return True
-
-    def support_points(self):
-        return self.atoms.copy()
 
     def damped(self, n):
         factor = np.exp(-np.sum(self.atoms**2, axis=1) / n)
@@ -147,20 +132,12 @@ class ExponentialRay(JumpMeasure):
     def exp_moment(self, y):
         return ray_moment(self.mass, self.rate, complex(self.direction @ self._check_y(y)))
 
-    def has_all_exponential_moments(self):
-        return False
-
-    def support_points(self):
-        # Median and upper-tail quantiles of the exponential jump length.
-        qs = -np.log(np.array([0.5, 0.1, 0.01])) / self.rate
-        return qs[:, None] * self.direction[None, :]
-
-    def tabulated(self, n_nodes=512, s_max=None):
-        """Trapezoid discretization on a ray grid, for workflows (damping)
-        that need an atom representation. Grid adequacy is the caller's
-        responsibility; the integral warns when the tail looks truncated."""
-        if s_max is None:
-            s_max = 40.0 / self.rate
+    def tabulated(self, n_nodes=512):
+        """Trapezoid discretization on a ray grid out to 40 mean jump lengths,
+        for workflows (damping) that need an atom representation. Grid
+        adequacy is the caller's responsibility; the integral warns when the
+        tail looks truncated."""
+        s_max = 40.0 / self.rate
         s = np.linspace(s_max / n_nodes, s_max, n_nodes)
         dens = self.mass * self.rate * np.exp(-self.rate * s)
         w = np.full(n_nodes, s[1] - s[0])

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch, Uns
 from .statespace import StateSpace
 
 _SYM_TOL = 1e-12
+_SPACE_TOL = 1e-9  # how far outside E require_in_space accepts a point
 
 
 class AffineModel:
@@ -152,9 +153,9 @@ def _check_vector(model, v, name="state", dtype=float):
     return v
 
 
-def require_in_space(model, x, tol=1e-9):
+def require_in_space(model, x):
     x = _check_vector(model, x)
-    if not model.state_space.contains(x, tol=tol):
+    if not model.state_space.contains(x, tol=_SPACE_TOL):
         raise StateSpaceMismatch(f"point {x} is not in the state space")
     return x
 
@@ -181,8 +182,9 @@ def in_U(space, u):
 
 def exponential_moment_condition(model):
     """Per measure K^i: whether exp(k.z) is integrable over the tail for
-    every real k. Missing measures satisfy the condition vacuously."""
-    return [meas is None or meas.has_all_exponential_moments() for meas in model.K]
+    every real k, that is, whether no exponential ray of the jump table has
+    mass in K^i (weighted points have compact support)."""
+    return [not any(coef[i] for _, _, coef in model.jump_rays) for i in range(model.dim + 1)]
 
 
 @dataclass
@@ -204,15 +206,6 @@ class AdmissibilityReport:
             self.min_eigen_c >= -self.tol
             and self.min_jump_weight >= -self.tol
             and not self.support_violations
-        )
-
-    def summary(self):
-        status = "pass" if self.verdict else "fail"
-        return (
-            f"admissibility {status}: min eig c = {self.min_eigen_c:.3e}, "
-            f"min jump weight = {self.min_jump_weight:.3e}, "
-            f"{len(self.support_violations)} support violations "
-            f"({self.n_samples} samples, tol {self.tol:.1e})"
         )
 
 
@@ -246,8 +239,12 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
     eigs = np.linalg.eigvalsh(model.A[0] + np.tensordot(xs, model.A[1:], axes=(1, 0)))[:, 0]
     k = int(np.argmin(eigs))
     weights = model.jump_weights(xs)
-    closure = np.vstack([np.zeros((0, model.dim))]
-                        + [meas.support_points() for meas in model.K if meas is not None])
+    # The weighted points, and the median and upper-tail quantiles of the
+    # jump length along each ray.
+    lengths = -np.log(np.array([0.5, 0.1, 0.01]))
+    closure = np.vstack(
+        [model.jump_points] + [(lengths / rate)[:, None] * d for rate, d, _ in model.jump_rays]
+    )
     margins = space._margin_rows((xs[:, None, :] + closure).reshape(-1, model.dim))
     outside = ~(margins.reshape(len(xs), len(closure)) >= -1e-9)
     violations = [(xs[i].copy(), closure[j].copy()) for i, j in np.argwhere(outside)[:20]]

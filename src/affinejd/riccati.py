@@ -62,7 +62,7 @@ from .errors import (
     NonFiniteRHS,
     StepLimitExceeded,
 )
-from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq
+from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq, select_initial_step
 from .jumps import check_tails, ray_moment
 from .model import _check_vector, diffusion_at, require_in_space
 
@@ -263,37 +263,6 @@ def _make_events(model, radius):
     return events, kinds
 
 
-def _first_step(rhs, y0, f0, t_bound):
-    """First step of phase 1: scipy's own rule (Hairer, Norsett & Wanner,
-    Sec. II.4) applied to the whole state and to the psi block alone, from
-    the same two right-hand-side values, and the larger of the two. psi_0 is
-    a quadrature that does not feed back into psi, so a large R_0 must not
-    shrink the first step below what psi needs (at R_0 ~ 1e180 the rule on
-    the whole state underflows to 0)."""
-    scale = ABS_TOL + np.abs(y0) * REL_TOL
-    blocks = (slice(None), slice(2, None))
-
-    def norm(v, block):
-        v = v[block] / scale[block]
-        return float(np.linalg.norm(v)) / v.size ** 0.5
-
-    h0 = []
-    for block in blocks:
-        d0, d1 = norm(y0, block), norm(f0, block)
-        h0.append(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound))
-    probe = h0[0] or h0[1]
-    f1 = rhs(probe, y0 + probe * f0)
-    steps = []
-    for block, h in zip(blocks, h0):
-        d1, d2 = norm(f0, block), norm(f1 - f0, block) / probe
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)  # DOP853's error order is 7
-        steps.append(min(100.0 * h, h1, t_bound))
-    return max(steps) or None
-
-
 def solve_riccati(model, u, horizon):
     """Integrate the Riccati system from psi(0) = u on [0, horizon].
 
@@ -346,12 +315,18 @@ def solve_riccati(model, u, horizon):
     with np.errstate(over="ignore", invalid="ignore"):
         # Phase 1: integrate in t up to the switch radius (or R_MAX if smaller).
         y0 = np.concatenate([[0.0], u]).view(float)
-        first_step = _first_step(rhs, y0, r_u.view(float), horizon)
+        # The first step rates the whole state and the psi block alone and
+        # takes the larger step: psi_0 is a quadrature that does not feed back
+        # into psi, so a large R_0 must not shrink the first step below what
+        # psi needs (at R_0 ~ 1e180 the rule on the whole state underflows
+        # to 0). A step of 0 leaves the choice to DOP853's own rule.
+        first_step = select_initial_step(
+            rhs, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, (slice(None), slice(2, None))
+        ) or None
         events, kinds = _make_events(model, min(r_switch, R_MAX))
         run = _integrate(rhs, 0.0, y0, horizon, events, first_step)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
-        t_switch = None
         if run.event is not None and kinds[run.event] == "radius" and r_switch < R_MAX:
             # Phase 2 restarts from the last accepted step of phase 1, an
             # exact step end rather than the interpolated crossing, and
@@ -380,11 +355,6 @@ def solve_riccati(model, u, horizon):
             ys = np.vstack([ys, run.ys[1:, :-1]])
         check_tails(model.K, ys.view(complex)[:, 1:])  # once per solve
     kind = None if run.event is None else kinds[run.event]
-
-    def clock(x, y):
-        """t at a point of the last phase: x itself, or t_switch + y[-1] in s."""
-        return x if t_switch is None else t_switch + float(y[-1])
-
     z = ys.view(complex)
     psi0, psi = z[:, 0], z[:, 1:]
 
@@ -411,8 +381,9 @@ def solve_riccati(model, u, horizon):
             return result("exploded", (t_end - half, t_end + half), "step_underflow")
         raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {TOO_SMALL_STEP}")
 
-    # _integrate located the crossing by brentq on the step's interpolant.
-    t_event = clock(float(run.grid[-1]), run.ys[-1])
+    # _integrate located the crossing by brentq on the step's interpolant;
+    # grid holds it in t in either phase.
+    t_event = float(grid[-1])
     if kind == "ray":
         raise DivergentIntegral(
             f"psi reached the integrability boundary of an exponential ray at t={t_event:.9g}"
@@ -481,10 +452,8 @@ def k_eval(model, x, y):
     n_points = len(model.jump_points)
     live = np.flatnonzero(weights[:n_points])
     if live.size:
-        # exp(e) - 1 - e in complex: the arithmetic of WeightedPoints.exp_moment,
-        # whose values k_eval keeps.
-        e = model.rhs_points[live] @ y.astype(complex)
-        val += np.sum(weights[live] * (np.exp(e) - 1.0 - e)).real
+        e = model.jump_points[live] @ y
+        val += float(np.sum(weights[live] * (np.expm1(e) - e)))
     for w, (rate, direction, _) in zip(weights[n_points:].tolist(), model.jump_rays):
         if w:
             val += ray_moment(w, rate, complex(direction @ y)).real

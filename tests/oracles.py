@@ -90,6 +90,13 @@ def ou_psi0(t, u, kappa=1.0, sigma_sq=1.0):
     return sigma_sq * u * u * (1.0 - np.exp(-2.0 * kappa * t)) / (4.0 * kappa)
 
 
+def compensator_series(e):
+    """exp(e) - 1 - e for small |e| by its Taylor series e^2/2 + e^3/6 + e^4/24,
+    which cancels nothing; the first omitted term is e^5/120."""
+    e = np.asarray(e)
+    return e * e / 2.0 + e**3 / 6.0 + e**4 / 24.0
+
+
 def compound_poisson_psi0(t, u, mu=1.0, weights=(0.5, 0.25), atoms=(0.4, 0.8)):
     u = np.asarray(u, dtype=complex)
     acc = mu * u

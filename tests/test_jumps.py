@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from affinejd.errors import DivergentIntegral, ModelFormatError, QuadratureTailWarning, UnsupportedFamily
+from affinejd.errors import (
+    DimensionMismatch,
+    DivergentIntegral,
+    ModelFormatError,
+    QuadratureTailWarning,
+    UnsupportedFamily,
+)
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
 from affinejd.statespace import Canonical
@@ -65,10 +71,12 @@ def test_real_argument_gives_real_nonnegative_for_nonnegative_measures():
             assert val.real >= -1e-14
 
 
-def test_exponential_moment_flags():
-    assert FiniteAtomic([1.0], [[1.0]]).has_all_exponential_moments()
-    assert not ExponentialRay(1.0, 3.0, [1.0]).has_all_exponential_moments()
-    assert TabulatedDensity([0.5], [[1.0]]).has_all_exponential_moments()
+def test_wrong_length_argument_is_named():
+    message = "y has length 2, the measure has dimension 1"
+    measures = [FiniteAtomic([1.0], [[1.0]]), ExponentialRay(1.0, 3.0, [1.0]), TabulatedDensity([0.5], [[1.0]])]
+    for m in measures:
+        with pytest.raises(DimensionMismatch, match=message):
+            m.exp_moment([1.0, 2.0])
 
 
 def test_damping_shifts():

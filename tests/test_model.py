@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affinejd.errors import DimensionMismatch, ModelFormatError
-from affinejd.jumps import FiniteAtomic
+from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import (
     AffineModel,
     check_admissibility,
@@ -120,13 +120,13 @@ def test_in_U_psd_cone_trace_pairing():
 
 
 def test_exponential_moment_condition(cp_model):
-    from affinejd.jumps import ExponentialRay, TabulatedDensity
-
     assert exponential_moment_condition(cp_model) == [True, True]
     ray_model = scalar_model(a0=1.0, K=[ExponentialRay(1.0, 3.0, [1.0]), None])
     assert exponential_moment_condition(ray_model) == [False, True]
     tab_model = scalar_model(a0=1.0, K=[TabulatedDensity([0.5], [[0.5]]), None])
     assert exponential_moment_condition(tab_model) == [True, True]
+    state_ray_model = scalar_model(a0=1.0, K=[None, ExponentialRay(1.0, 3.0, [1.0])])
+    assert exponential_moment_condition(state_ray_model) == [True, False]
 
 
 def test_admissibility_cir_passes(cir_model):
@@ -159,6 +159,17 @@ def test_admissibility_support_closure():
     report = check_admissibility(m, n_samples=50, seed=3)
     assert not report.verdict
     assert report.support_violations
+    # So is a ray pointing out of it, through three quantiles of its jump
+    # length; a one-point sample is the state 0.
+    m = scalar_model(a0=1.0, K=[ExponentialRay(1.0, 2.0, [-1.0]), None])
+    report = check_admissibility(m, n_samples=1)
+    assert not report.verdict
+    lengths = [-z[0] for _, z in report.support_violations]
+    assert np.allclose(lengths, np.log([2.0, 10.0, 100.0]) / 2.0, rtol=1e-15, atol=0.0)
+    # An atom shared by K^0 and K^1 is one point of the closure.
+    atom = FiniteAtomic([1.0], [[-0.5]])
+    report = check_admissibility(scalar_model(a0=1.0, K=[atom, atom]), n_samples=1)
+    assert [z[0] for _, z in report.support_violations] == [-0.5]
 
 
 def test_admissibility_deterministic(cir_model):

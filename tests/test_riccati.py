@@ -14,6 +14,7 @@ from affinejd.errors import (
     ExplosionBeforeHorizon,
     QuadratureTailWarning,
 )
+from affinejd.integrator import select_initial_step
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, diffusion_at
 from affinejd.riccati import (
@@ -236,6 +237,15 @@ def test_k_eval_examples(cir_model):
     assert k_eval(rayed, [0.0], [3.0]) == 9.0
     with pytest.raises(DivergentIntegral):
         k_eval(rayed, [1.0], [3.0])
+
+
+@pytest.mark.parametrize("y", [1e-8, 1e-6, 1e-4])
+def test_k_eval_small_argument_matches_series(cp_model, y):
+    # k(x, y) = sum_j w_j (exp(y z_j) - 1 - y z_j) on compound Poisson (no
+    # diffusion, weights in K^0) must not cancel as y -> 0.
+    meas = cp_model.K[0]
+    want = float(np.sum(meas.weights * oracles.compensator_series(meas.atoms[:, 0] * y)))
+    assert abs(k_eval(cp_model, [1.0], [y]) - want) <= 1e-7 * want
 
 
 def test_k_nonnegative_for_admissible_models(cir_model, cp_model, wishart_model):
@@ -591,7 +601,9 @@ def reference_run(model, u, horizon, radius):
     side, first step and terminal events."""
     fun = packed_rhs(model)
     y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
-    first = riccati._first_step(fun, y0, fun(0.0, y0), horizon)
+    first = select_initial_step(
+        fun, 0.0, y0, horizon, fun(0.0, y0), REL_TOL, ABS_TOL, (slice(None), slice(2, None))
+    )
     events, _ = riccati._make_events(model, radius)
     for event in events:
         event.terminal, event.direction = True, 1
