@@ -14,22 +14,27 @@ converts in both directions by zero-copy views.
 Integration runs in two phases of one call, both driven by one stepping loop
 (``_integrate``) over the DOP853 stepper of ``integrator``, the adaptive
 embedded Runge-Kutta pair of order 8, which takes scipy's steps bit for bit
-without importing scipy. Phase 1 integrates in t until the horizon or
-until |psi| crosses the switch radius r_sw = 30 (1 + |u|); solves that stay
-below r_sw end there. Otherwise phase 2 continues from the last accepted step
-of phase 1 in a new time s, with t - t_switch as the last state component:
+without importing scipy. Phase 1 integrates in t until the horizon or the
+first accepted step end where |psi| >= r_sw = 30 (1 + |u|) (with r_sw at or
+past the blow-up radius r_max, phase 1 stops at r_max). Phase 2 continues
+from that step end in a new time s, with t - t_switch as the last state
+component:
 
     d(psi_0, psi, t)/ds = g (R_0, R, 1),  g = 1 / (1 + |R(psi)| / (r_sw (1 + |psi|))),
 
 a rescaled time for blow-up problems (Stuart & Floater, "On the computation
 of blow-up", Eur. J. Appl. Math. 1990). |psi| then grows at most
 exponentially in s while t creeps up to the blow-up time, so the integrator
-takes even steps where phase 1 would reject most of its steps. A trial stage
-whose right-hand side overflows is rejected. The stopping surfaces are the
+takes even steps where phase 1 would reject most of its steps.
+
+In both phases a trial stage where R is not finite or a ray's integral
+diverges is NaN, so DOP853 rejects the step and shrinks it: a solve ends
+where an accepted state meets a stopping surface or the step size underflows,
+and NonFiniteRHS is raised only for R(u) at t = 0. The surfaces are the
 blow-up radius r_max, an exp-overflow guard for models with jump atoms (well
 below the overflow threshold of exp, where the remaining time to the true
 blow-up is far below the bracket width), the integrability boundary of
-exponential rays, and t = horizon.
+exponential rays (just below each rate), and t = horizon.
 
 The loop tests these surfaces on accepted step ends with the sign-change
 rule of scipy's solve_ivp and root-finds only on the interpolant of the step
@@ -69,9 +74,13 @@ from .model import _check_vector, diffusion_at, require_in_space
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
 
-# Phase 1 hands over to the time-changed phase 2 when |psi| crosses
-# _SWITCH_FACTOR * (1 + |u|).
+# Phase 1 hands over to the time-changed phase 2 at the first step end where
+# |psi| >= _SWITCH_FACTOR * (1 + |u|).
 _SWITCH_FACTOR = 30.0
+
+# The ray event watches Re(d.psi) = rate (1 - _RAY_MARGIN), where the step
+# size has not yet underflowed against the 1/(rate - d.psi) singularity of R.
+_RAY_MARGIN = 1e-6
 
 
 # The solver's fixed accuracy: DOP853's relative and absolute tolerances,
@@ -101,21 +110,14 @@ def riccati_rhs(model, y):
     return out
 
 
-def _finite(z):
-    # Cheaper than np.isfinite(z).all() on the few components of R.
-    return all(map(cmath.isfinite, z.tolist()))
-
-
 @dataclass
 class SolveStats:
     """What one solve did: right-hand-side calls, accepted steps in t
     (phase 1) and in the time-changed s (phase 2), rejected step attempts
     over both phases, and why it stopped: "horizon", "radius" (|psi| reached
     r_max), "overflow" (the exp guard of atom supports) or "step_underflow"
-    (blow-up declared when the step size underflowed). The phase-1 step that
-    crosses the switch radius is discarded and counted in neither steps_t nor
-    rejected; interpolants that eval builds after the solve are not counted
-    in nfev."""
+    (blow-up declared when the step size underflowed). Interpolants that
+    eval builds after the solve are not counted in nfev."""
 
     nfev: int
     steps_t: int
@@ -166,12 +168,13 @@ class RiccatiSolution:
         return self.eval(self.t_last)
 
 
-def _integrate(fun, x0, y0, x_bound, events, first_step=None):
+def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None):
     """Step DOP853 from x0 towards x_bound until it finishes, its step size
-    underflows, or a terminal event fires. Events are tested on accepted
-    step ends with solve_ivp's rule for direction +1 (g <= 0 at the step
-    start and g >= 0 at its end); the run stops at the earliest root of the
-    events that fired, found by brentq on that step's interpolant."""
+    underflows, a terminal event fires, or until(y) holds at an accepted
+    step end. Events are tested on accepted step ends with solve_ivp's rule
+    for direction +1 (g <= 0 at the step start and g >= 0 at its end); the
+    run stops at the earliest root of the events that fired, found by brentq
+    on that step's interpolant, and at the step end itself on until."""
     solver = DOP853(fun, x0, y0, x_bound, REL_TOL, ABS_TOL, first_step)
     run = Steps(fun, x0, y0)
     g = [event(x0, y0) for event in events]
@@ -193,7 +196,7 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None):
             first = int(np.argmin(roots))
             run.stop_at(active[first], roots[first])
             return run.finish()
-        if solver.finished:
+        if solver.finished or (until is not None and until(solver.y)):
             return run.finish()
         g = g_new
 
@@ -253,7 +256,7 @@ def _make_events(model, radius):
         events.append(overflow)
         kinds.append("overflow")
     for rate, direction, _ in model.jump_rays:
-        margin = max(1e-9 * rate, 1e-14)
+        margin = max(_RAY_MARGIN * rate, 1e-14)
 
         def ray_event(x, y, d=direction, bound=rate - margin):
             return float(d @ y[2:end:2]) - bound
@@ -287,33 +290,33 @@ def solve_riccati(model, u, horizon):
     limit = MAX_STEPS * 20
 
     def evaluate(t, z):
+        # The one verdict on a trial stage (see the module docstring).
         nonlocal nfev
         nfev += 1
         if nfev > limit:
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
-        return riccati_rhs(model, z[1:])
+        try:
+            dz = riccati_rhs(model, z[1:])
+            if all(map(cmath.isfinite, dz.tolist())):  # cheaper than np.isfinite here
+                return dz
+        except DivergentIntegral:
+            pass
+        return np.full(z.size, np.nan, dtype=complex)
 
     def rhs(t, y):
-        dz = evaluate(t, y.view(complex))
-        if not _finite(dz):
-            raise NonFiniteRHS(f"Riccati right-hand side is non-finite at t={t:.6g}")
-        return dz.view(float)
+        return evaluate(t, y.view(complex)).view(float)
 
     def rhs_s(s, y):
         z = y[:-1].view(complex)
         dz = evaluate(t_switch + y[-1], z)
-        if not _finite(dz):
-            # A trial stage past the overflow of exp: the NaN error estimate
-            # makes the integrator reject the step and shrink it.
-            return np.full(y.size, np.nan)
         # hypot scales its arguments: |R| may exceed the square root of the
         # largest float.
         g = 1.0 / (1.0 + math.hypot(*np.abs(dz[1:])) / (r_switch * (1.0 + np.linalg.norm(z[1:]))))
         return g * np.append(dz.view(float), 1.0)
 
-    # exp may overflow in a trial stage; rhs and rhs_s decide what that means.
+    # exp may overflow in a trial stage; evaluate decides what that means.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Phase 1: integrate in t up to the switch radius (or R_MAX if smaller).
+        # Phase 1, in t.
         y0 = np.concatenate([[0.0], u]).view(float)
         # The first step rates the whole state and the psi block alone and
         # takes the larger step: psi_0 is a quadrature that does not feed back
@@ -323,21 +326,18 @@ def solve_riccati(model, u, horizon):
         first_step = select_initial_step(
             rhs, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, (slice(None), slice(2, None))
         ) or None
-        events, kinds = _make_events(model, min(r_switch, R_MAX))
-        run = _integrate(rhs, 0.0, y0, horizon, events, first_step)
+        events, kinds = _make_events(model, R_MAX)
+        until = None
+        if r_switch < R_MAX:  # stop at the first step end past r_sw; phase 2 watches R_MAX
+            events, kinds, until = events[1:], kinds[1:], lambda y: np.linalg.norm(y[2:]) >= r_switch
+        run = _integrate(rhs, 0.0, y0, horizon, events, first_step, until)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
-        if run.event is not None and kinds[run.event] == "radius" and r_switch < R_MAX:
-            # Phase 2 restarts from the last accepted step of phase 1, an
-            # exact step end rather than the interpolated crossing, and
-            # integrates in s with d(psi_0, psi, t)/ds = g (R_0, R, 1), where
-            # g = 1/(1 + |R|/(r_sw (1 + |psi|))): |psi| then grows at most
-            # exponentially in s while t creeps up to the blow-up time. The
+        if run.event is None and not run.failed and grid[-1] < horizon:
+            # Phase 2, in s, from the step end where phase 1 stopped. The
             # state carries t - t_switch, so REL_TOL applies to the time
             # spent in phase 2.
-            t_switch = float(grid[-2])
-            grid, ys = grid[:-1], ys[:-1]
-            steps_t -= 1
+            t_switch = float(grid[-1])
             events, kinds = _make_events(model, R_MAX)
 
             def at_horizon(s, y):

@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AffineError, ExplosionBeforeHorizon
-from .model import AffineModel, in_U, require_in_space
+from .errors import DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded
+from .model import AffineModel, _check_vector, in_U, require_in_space
 from .riccati import explosion_time, solve_riccati
 
 # Relative width of the bracket effective_domain_ray closes around lambda_star.
@@ -56,7 +56,7 @@ def transform(model, u, x, t):
     """Evaluate E_x exp(u.X_t) through the Riccati solution, with the
     explosion semantics described in the module docstring."""
     x = require_in_space(model, x)
-    u = np.asarray(u, dtype=complex).ravel()
+    u = _check_vector(model, u, "u", complex)
     if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
@@ -145,8 +145,9 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     """Locate lambda_star along u = lambda * direction.
 
     Monotonicity of blow-up in lambda is assumed from convexity of the
-    effective domain (which contains 0). A DivergentIntegral along the probe
-    counts as leaving the domain: the transform is not finite there either.
+    effective domain (which contains 0). A probe that ends in an error of
+    the solve (DivergentIntegral, NonFiniteRHS, StepLimitExceeded) counts as
+    leaving the domain: the transform is not finite there either.
 
     Doubling from lambda = 1 brackets lambda_star. Inside the bracket each
     probe integrates to twice the horizon, so probes on both sides of
@@ -160,7 +161,9 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     to bisection. A probe that fails past the horizon is decided on the
     horizon itself.
     """
-    direction = np.asarray(direction, dtype=float).ravel()
+    direction = _check_vector(model, direction, "direction")
+    if not np.isfinite(direction).all():
+        raise ValueError("direction must be finite")
     if not np.any(direction != 0.0):
         raise ValueError("direction must be nonzero")
     if not (horizon > 0.0 and lambda_max > 0.0):
@@ -173,7 +176,7 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
         nonlocal t_probe
         try:
             res = explosion_time(model, lam * direction, t_probe)
-        except AffineError as exc:  # DivergentIntegral and solver failures
+        except (DivergentIntegral, NonFiniteRHS, StepLimitExceeded) as exc:
             if t_probe > horizon:
                 # The failure may lie past the horizon: decide on the horizon,
                 # here and for the probes that follow.

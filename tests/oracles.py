@@ -42,12 +42,18 @@ def mean_flow_rk(a0, a, x, t):
     return sol.y[:, -1]
 
 
-def explosion_time_1d(rhs, u, tol=1e-12):
-    """Blow-up time of the scalar autonomous equation y' = rhs(y), y(0) = u,
-    assuming rhs > 0 on [u, inf): t_inf = integral over [u, inf) of dy/rhs(y)."""
+def hitting_time_1d(rhs, u, level, tol=1e-12):
+    """Time at which the scalar autonomous equation y' = rhs(y), y(0) = u,
+    reaches level > u, assuming rhs > 0 on [u, level): the integral over
+    [u, level] of dy/rhs(y)."""
     with np.errstate(over="ignore"):
-        val, _ = quad(lambda y: 1.0 / rhs(y), u, np.inf, epsabs=tol, epsrel=tol)
+        val, _ = quad(lambda y: 1.0 / rhs(y), u, level, epsabs=tol, epsrel=tol)
     return val
+
+
+def explosion_time_1d(rhs, u, tol=1e-12):
+    """Blow-up time of y' = rhs(y), y(0) = u: the hitting time of inf."""
+    return hitting_time_1d(rhs, u, np.inf, tol)
 
 
 # Closed forms. Derivations:

@@ -15,6 +15,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env():
+    """The environment of a CLI subprocess that imports this tree's package."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def test_parse_complex_forms():
     assert parse_complex_scalar("0.5") == 0.5
     assert parse_complex_scalar("-1+2i") == -1 + 2j
@@ -87,8 +93,7 @@ def test_transform_not_integrable(capsys, models_dir):
 
 def test_closed_stdout_pipe_is_quiet(models_dir):
     # The reader goes away before the output is written, as `| head -1` can.
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a plain shell
     proc = subprocess.Popen(
         [sys.executable, "-m", "affinejd", "ray", "--model", str(models_dir / "cir.json"),
@@ -259,12 +264,25 @@ def test_u_of_wrong_length_exits_2(capsys, models_dir):
     for args, message in (
         (("solve", "--T", "1"), "the model has dimension 1"),
         (("transform", "--x", "1", "--t", "1"), "the model has dimension 1"),
+        (("transform", "--x", "1", "--t", "0"), "the model has dimension 1"),
         (("damp", "--x", "1", "--t", "1"), "the state space has dimension 1"),
     ):
         model = str(models_dir / "compound_poisson.json")
         code, out, err = run_cli(capsys, args[0], "--model", model, "--u", "1,2", *args[1:])
         assert code == 2 and out == ""
         assert f"u has length 2, {message}" in err
+
+
+def test_ray_of_wrong_length_exits_2(models_dir):
+    # In a subprocess with a timeout: a probe loop that never ends fails
+    # this test instead of stalling the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinejd", "ray", "--model", str(models_dir / "cir.json"),
+         "--direction", "1,2", "--T", "1"],
+        capture_output=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert "direction has length 2, the model has dimension 1" in proc.stderr.decode()
 
 
 def test_simulate_csv(capsys, models_dir):

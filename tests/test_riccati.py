@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -165,6 +166,50 @@ def test_ray_integrability_boundary_reported():
         solve_riccati(m, [1.0], 2.0)
     sol = solve_riccati(m, [-1.0], 2.0)
     assert sol.verdict == "solved"
+
+
+@pytest.mark.parametrize("rate, want", [(5.0, 1.4280460968), (100.0, 1.9796851358)])
+def test_ray_boundary_names_its_time(rate, want):
+    # R_1(y) = y^2/2 + 0.7 y^2/(rate (rate - y)) takes psi from 1 to the rate
+    # in phase 1 (rate 5) or in the time-changed phase 2 (rate 100). Trial
+    # stages past the rate are rejected; the ray event names the time.
+    m = scalar_model(a0=0.5, A1=1.0, K=[None, ExponentialRay(0.7, rate, [1.0])])
+    def r_1(y):
+        return 0.5 * y * y + 0.7 * y * y / (rate * (rate - y))
+
+    assert abs(oracles.hitting_time_1d(r_1, 1.0, rate) - want) < 1e-9
+    with pytest.raises(DivergentIntegral, match="integrability boundary") as info:
+        solve_riccati(m, [1.0], 10.0)
+    t_named = float(re.search(r"at t=(\S+)", str(info.value)).group(1))
+    assert abs(t_named - want) < 1e-6
+
+
+@pytest.mark.parametrize("u", [3.0, 40.0])
+def test_overflowing_trial_stages_are_rejected(u):
+    # exp(8 y) overflows in trial stages long before an accepted state meets
+    # the exp guard; those stages are rejected and the solve reports blow-up.
+    z, w = 8.0, 0.01
+    m = scalar_model(a0=0.5, A1=1.0, K=[None, FiniteAtomic([w], [[z]])])
+    want = oracles.explosion_time_1d(lambda y: 0.5 * y * y + w * (np.expm1(z * y) - z * y), u)
+    sol = solve_riccati(m, [u], 1.0)
+    assert sol.exploded
+    assert abs(0.5 * sum(sol.bracket) - want) <= 1e-6 * want
+
+
+def test_switch_at_a_step_end(squared_model):
+    # Phase 2 starts from the step end where phase 1 stopped, so no step
+    # is thrown away and no switch root is sought.
+    sol = solve_riccati(squared_model, [1.0], 10.0)
+    assert sol.exploded and sol.stats.stop_reason == "radius"
+    assert sol.stats.steps_s > 0 and sol.stats.nfev < 1282
+    n1 = sol.stats.steps_t
+    assert abs(sol.psi[n1 - 1, 0]) < 60.0 <= abs(sol.psi[n1, 0])
+    # A switch radius 30 (1 + |u|) past R_MAX: phase 1 stops on R_MAX itself.
+    u = 1e7
+    sol = solve_riccati(squared_model, [u], 10.0)
+    assert sol.stats.stop_reason == "radius" and sol.stats.steps_s == 0
+    lo, hi = sol.bracket
+    assert lo <= 1.0 / u - 1.0 / R_MAX <= hi
 
 
 def test_real_initial_conditions_stay_real(cir_model, cp_model):
@@ -340,8 +385,11 @@ def test_eval_continuous_across_switch(cir_model):
     assert sol.verdict == "solved" and sol.stats.stop_reason == "horizon"
     assert sol.stats.steps_t > 0 and sol.stats.steps_s > 0
     assert sol.t_last == 1.0 and np.all(np.diff(sol.grid) > 0.0)
-    t_switch = sol.grid[sol.stats.steps_t]
-    assert 50.0 < abs(sol.psi[sol.stats.steps_t, 0]) < 60.0
+    # Phase 2 starts at the first phase-1 step end with |psi| >= r_sw.
+    n1 = sol.stats.steps_t
+    t_switch = sol.grid[n1]
+    r_switch = 30.0 * (1.0 + u)
+    assert np.all(np.abs(sol.psi[:n1, 0]) < r_switch) and abs(sol.psi[n1, 0]) >= r_switch
     near = t_switch + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
     # The error grows with psi towards t = 1; test_near_boundary_accuracy
     # bounds it there.

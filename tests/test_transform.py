@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from affinejd.errors import UnsupportedFamily
+from affinejd.errors import DimensionMismatch, UnsupportedFamily
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
 from affinejd.riccati import solve_riccati
@@ -113,6 +113,17 @@ def test_nan_horizon_names_the_argument(cir_model):
             call()
 
 
+def test_bad_arguments_are_refused_up_front(cir_model):
+    # A wrong-length or NaN direction would fail every probe, and bisection
+    # would drive lambda towards 0 without end; u is checked at t = 0 too.
+    with pytest.raises(DimensionMismatch, match="direction has length 2"):
+        effective_domain_ray(cir_model, [1.0, 2.0], 1.0)
+    with pytest.raises(ValueError, match="direction must be finite"):
+        effective_domain_ray(cir_model, [math.nan], 1.0)
+    with pytest.raises(DimensionMismatch, match="u has length 2"):
+        transform(cir_model, [1.0, 2.0], [1.0], 0.0)
+
+
 def test_characteristic_function_bound(cir_model, cp_model, ou_model):
     rng = np.random.default_rng(21)
     for model in (cir_model, cp_model, ou_model):
@@ -167,7 +178,8 @@ def test_ray_probe_unbounded_direction(cir_model):
 
 
 def test_ray_probe_propagates_programming_errors(cir_model, monkeypatch):
-    # Only AffineError counts as leaving the domain; a bug must surface.
+    # Only the errors of a solve count as leaving the domain; a bug must
+    # surface.
     def broken(*args, **kwargs):
         raise TypeError("bug inside the probe")
 
