@@ -11,7 +11,10 @@ right-hand side both take the same steps and return the same floats, to the
 last bit, without importing scipy. Runs go forward in time, with no maximum
 step size. The first-step rule rates blocks of components that its caller
 names: the stepper rates the whole state, which is scipy's rule, and the
-Riccati solver also rates a block alone and takes the larger step.
+Riccati solver also rates a block alone and takes the larger step. The
+transposed views of the stages that each stage and the error estimate read
+are built once per run, and real 2-norms are sqrt(x.x), np.linalg.norm's
+own formula for a real vector, without its generic dispatch.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
 (SciPy 1.17.1), which carries this notice:
@@ -270,8 +273,13 @@ _STAGE_ROWS = [(A[s, :s], C[s]) for s in range(1, N_STAGES)]
 _EXTRA_ROWS = [(A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
+def norm(x):
+    """The 2-norm of a real vector, bit for bit np.linalg.norm(x)."""
+    return math.sqrt(x.dot(x))
+
+
 def rms_norm(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return norm(x) / x.size ** 0.5
 
 
 def select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, blocks):
@@ -327,7 +335,11 @@ class DOP853:
         else:
             self.h_abs = first_step
         self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size))
-        self.K = self.K_extended[:N_STAGES + 1]
+        self.K = K = self.K_extended[:N_STAGES + 1]
+        # Transposed views of the stages, built once: stage s reads K[:s].
+        self._stage_views = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGE_ROWS, start=1)]
+        self._KT_B = K[:-1].T
+        self._KT = K.T
         self.rejected = 0
         self.finished = False
 
@@ -370,24 +382,20 @@ class DOP853:
     def _rk_step(self, t, y, h):
         fun, K = self.fun, self.K
         K[0] = self.f
-        for s, (a, c) in enumerate(_STAGE_ROWS, start=1):
-            dy = np.dot(K[:s].T, a) * h
-            K[s] = fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, B)
+        for s, (K_sT, a, c) in enumerate(self._stage_views, start=1):
+            K[s] = fun(t + c * h, y + np.dot(K_sT, a) * h)
+        y_new = y + h * np.dot(self._KT_B, B)
         f_new = fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
 
     def _error_norm(self, h, scale):
-        K = self.K
-        err5 = np.dot(K.T, E5) / scale
-        err3 = np.dot(K.T, E3) / scale
-        err5_norm_2 = np.linalg.norm(err5)**2
-        err3_norm_2 = np.linalg.norm(err3)**2
+        err5_norm_2 = norm(np.dot(self._KT, E5) / scale) ** 2
+        err3_norm_2 = norm(np.dot(self._KT, E3) / scale) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 class Steps:

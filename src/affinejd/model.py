@@ -153,6 +153,14 @@ def _check_vector(model, v, name="state", dtype=float):
     return v
 
 
+def _check_u(model, u):
+    """The argument u of the Riccati system as a finite complex vector."""
+    u = _check_vector(model, u, "u", complex)
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
+    return u
+
+
 def require_in_space(model, x):
     x = _check_vector(model, x)
     if not model.state_space.contains(x, tol=_SPACE_TOL):

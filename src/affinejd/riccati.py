@@ -67,9 +67,9 @@ from .errors import (
     NonFiniteRHS,
     StepLimitExceeded,
 )
-from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq, select_initial_step
+from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq, norm, select_initial_step
 from .jumps import check_tails, ray_moment
-from .model import _check_vector, diffusion_at, require_in_space
+from .model import _check_u, _check_vector, diffusion_at, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
@@ -242,7 +242,7 @@ def _make_events(model, radius):
     end = 2 * (model.dim + 1)
 
     def radius_event(x, y):
-        return float(np.linalg.norm(y[2:end])) - radius
+        return norm(y[2:end]) - radius
 
     events = [radius_event]
     kinds = ["radius"]
@@ -277,7 +277,7 @@ def solve_riccati(model, u, horizon):
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     horizon = float(horizon)
-    u = _check_vector(model, u, "u", complex)
+    u = _check_u(model, u)
 
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,13 +306,19 @@ def solve_riccati(model, u, horizon):
     def rhs(t, y):
         return evaluate(t, y.view(complex)).view(float)
 
+    dz_1 = np.ones(2 * u.size + 3)  # (R_0, R, 1), packed
+
     def rhs_s(s, y):
         z = y[:-1].view(complex)
         dz = evaluate(t_switch + y[-1], z)
-        # hypot scales its arguments: |R| may exceed the square root of the
-        # largest float.
-        g = 1.0 / (1.0 + math.hypot(*np.abs(dz[1:])) / (r_switch * (1.0 + np.linalg.norm(z[1:]))))
-        return g * np.append(dz.view(float), 1.0)
+        # |psi| by np.linalg.norm's formula. hypot scales its arguments: |R|
+        # may exceed the square root of the largest float. np.abs of a complex
+        # number may differ from Python's abs in the last bit.
+        psi = z[1:]
+        psi_norm = math.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
+        g = 1.0 / (1.0 + math.hypot(*np.abs(dz[1:]).tolist()) / (r_switch * (1.0 + psi_norm)))
+        dz_1[:-1] = dz.view(float)
+        return g * dz_1
 
     # exp may overflow in a trial stage; evaluate decides what that means.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,7 +335,7 @@ def solve_riccati(model, u, horizon):
         events, kinds = _make_events(model, R_MAX)
         until = None
         if r_switch < R_MAX:  # stop at the first step end past r_sw; phase 2 watches R_MAX
-            events, kinds, until = events[1:], kinds[1:], lambda y: np.linalg.norm(y[2:]) >= r_switch
+            events, kinds, until = events[1:], kinds[1:], lambda y: norm(y[2:]) >= r_switch
         run = _integrate(rhs, 0.0, y0, horizon, events, first_step, until)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected

@@ -16,6 +16,8 @@ so simulations stay reproducible when the path count changes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace
@@ -23,14 +25,26 @@ from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace
 _SQRT2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def _triu(d):
+    """The row and column indices of the upper triangle of a d x d matrix in
+    vech order and the mask of its off-diagonal entries, read-only, since
+    every caller shares them."""
+    iu, ju = np.triu_indices(d)
+    off = iu != ju
+    for a in (iu, ju, off):
+        a.flags.writeable = False
+    return iu, ju, off
+
+
 def vech(mat):
     """Half-vectorize a symmetric matrix, scaling off-diagonal entries by
     sqrt(2) so the Euclidean inner product of images equals trace(XY).
     A stack of shape ``(..., d, d)`` maps to ``(..., d(d+1)/2)``."""
     mat = np.asarray(mat, dtype=float)
-    iu, ju = np.triu_indices(mat.shape[-1])
+    iu, ju, off = _triu(mat.shape[-1])
     out = mat[..., iu, ju]
-    out[..., iu != ju] *= _SQRT2
+    out[..., off] *= _SQRT2
     return out
 
 
@@ -41,9 +55,9 @@ def unvech(x, d):
     if x.shape[-1:] != (d * (d + 1) // 2,):
         raise DimensionMismatch(f"vech vector has shape {x.shape}, expected (..., {d*(d+1)//2})")
     mat = np.zeros(x.shape[:-1] + (d, d))
-    iu, ju = np.triu_indices(d)
+    iu, ju, off = _triu(d)
     vals = x.copy()
-    vals[..., iu != ju] /= _SQRT2
+    vals[..., off] /= _SQRT2
     mat[..., iu, ju] = vals
     mat[..., ju, iu] = vals
     return mat

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded
-from .model import AffineModel, _check_vector, in_U, require_in_space
+from .model import AffineModel, _check_u, _check_vector, in_U, require_in_space
 from .riccati import explosion_time, solve_riccati
 
 # Relative width of the bracket effective_domain_ray closes around lambda_star.
@@ -56,7 +56,7 @@ def transform(model, u, x, t):
     """Evaluate E_x exp(u.X_t) through the Riccati solution, with the
     explosion semantics described in the module docstring."""
     x = require_in_space(model, x)
-    u = _check_vector(model, u, "u", complex)
+    u = _check_u(model, u)
     if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:

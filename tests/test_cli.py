@@ -208,6 +208,16 @@ def test_non_finite_inputs_exit_2(capsys, models_dir):
         assert message is None or message in err, (argv, err)
 
 
+def test_solve_refuses_non_finite_u_past_the_parser(capsys, models_dir, monkeypatch):
+    # The library's own check of u, reached when the parser lets a value by.
+    monkeypatch.setattr("affinejd.cli.parse_complex_vector", lambda text: np.array([complex(text)]))
+    model = str(models_dir / "cir.json")
+    for u in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "solve", "--model", model, "--u", u, "--T", "1")
+        assert code == 2 and out == ""
+        assert "invalid input for 'solve': u must be finite" in err
+
+
 def test_re_im_flags_match_u(capsys, models_dir):
     model = str(models_dir / "cir.json")
     code, by_u, _ = run_cli(capsys, "solve", "--model", model, "--u=-0.5+0.25i", "--T", "1")

@@ -160,6 +160,19 @@ def test_stepper_nan_error_shrinks_step():
     assert end == "failed" and steps > 1
 
 
+def test_norm_is_numpys_bit_for_bit():
+    # The stepper's error norm and the solver's radius tests must round as
+    # np.linalg.norm does, or the step sequence moves.
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(200):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150)
+            assert integrator.norm(x) == np.linalg.norm(x)
+    assert math.isnan(integrator.norm(np.array([1.0, np.nan])))
+    with np.errstate(over="ignore"):
+        assert integrator.norm(np.array([1e200, 1.0])) == np.linalg.norm(np.array([1e200, 1.0])) == math.inf
+
+
 def run_fresh(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))

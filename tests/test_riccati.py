@@ -260,6 +260,13 @@ def test_wrong_lengths_are_named(cir_model):
         solve_riccati(cir_model, [1.0, 2.0], 1.0)
 
 
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 1.0)])
+def test_non_finite_u_is_an_input_error(cir_model, u):
+    # Refused by name before any right-hand-side call, not as NonFiniteRHS.
+    with pytest.raises(ValueError, match="u must be finite"):
+        solve_riccati(cir_model, [u], 1.0)
+
+
 def test_mean_flow_matches_rk_oracle():
     rng = np.random.default_rng(11)
     a0 = rng.normal(size=3)
@@ -798,3 +805,38 @@ def test_golden_solves_pinned():
         assert hex_floats(riccati_rhs(model, u)) == rhs, (name, scale)
         assert hex_floats(np.concatenate([[psi0], psi])) == terminal, (name, scale)
         assert sol.stats.nfev == nfev, (name, scale)
+
+
+# Solves that switch to the time-changed phase, pinned bit for bit: the
+# blow-up bracket as hex floats and (nfev, steps_t, steps_s, rejected).
+SWITCHING_PINS = {
+    ("squared_scalar", 1.0): (("0x1.ffffff94c7579p-1", "0x1.ffffffbfba755p-1"), (1267, 33, 40, 32)),
+    ("cir", 3.1): (("0x1.4a5293eb9a090p-2", "0x1.4a5294074fa88p-2"), (1171, 30, 38, 29)),
+}
+
+
+def test_switching_solves_pinned():
+    for (name, u), (bracket, counts) in SWITCHING_PINS.items():
+        sol = solve_riccati(getattr(golden, name)(), [u], 10.0)
+        stats = sol.stats
+        assert tuple(b.hex() for b in sol.bracket) == bracket, (name, u)
+        assert (stats.nfev, stats.steps_t, stats.steps_s, stats.rejected) == counts, (name, u)
+        assert stats.stop_reason == "radius"
+    # A phase-2 solve that ends at its horizon: psi(1) = u / (1 - u) = 999.
+    sol = solve_riccati(golden.cir(), [0.999], 1.0)
+    psi0, psi = sol.terminal()
+    assert sol.stats.stop_reason == "horizon" and sol.stats.steps_s == 10
+    assert sol.grid[sol.stats.steps_t].hex() == "0x1.f836b907c3706p-1"  # the switch time
+    assert sol.grid[-1] == 1.0
+    assert hex_floats(np.concatenate([[psi0], psi])) == "0x1.ba18a988789ffp+2 0x0.0p+0 0x1.f37fff7ef565ep+9 0x0.0p+0"
+    # A complex psi in phase 2: the last step end before the radius event
+    # moves if |R| is computed with Python's complex abs instead of numpy's.
+    sol = solve_riccati(golden.nonadmissible_2d(), [1 + 1j, 1 + 1j], 1.0)
+    assert (sol.stats.nfev, sol.stats.steps_s) == (1339, 43)
+    assert sol.grid[-2].hex() == "0x1.ffffff7b9f291p-1"
+    assert hex_floats(sol.psi[-2]) == (
+        "0x1.eea2d60be4e6bp+25 0x1.10eb3429284c2p-2 0x1.778a666fcdc1ap-1 0x1.eea2d68be4e68p+25"
+    )
+    # The bracket of a ray, whose probes run to blow-up.
+    ray = effective_domain_ray(golden.cir(), [1.0], 0.7)
+    assert tuple(b.hex() for b in ray.bracket) == ("0x1.6db6daf319dd8p+0", "0x1.6db6e11413941p+0")

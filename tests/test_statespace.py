@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+from affinejd import statespace
 from affinejd.errors import DimensionMismatch, ModelFormatError
 from affinejd.statespace import (
     Canonical,
@@ -166,10 +167,12 @@ def test_projection_properties_on_random_batches(space):
 
 def test_vech_round_trip():
     rng = np.random.default_rng(5)
-    for d in (1, 2, 3, 5):
+    for d in (1, 2, 3, 4, 5):
         b = rng.normal(size=(d, d))
         mat = b + b.T
         back = unvech(vech(mat), d)
+        x = rng.normal(size=d * (d + 1) // 2)
+        assert np.max(np.abs(vech(unvech(x, d)) - x)) <= 1e-15 * max(1.0, np.max(np.abs(x)))
         # Diagonal entries are copied untouched; off-diagonals pick up at most
         # one rounding from the sqrt(2) scaling.
         assert np.array_equal(np.diag(back), np.diag(mat))
@@ -178,6 +181,21 @@ def test_vech_round_trip():
         stack = np.stack([mat, 2.0 * mat])
         assert np.array_equal(vech(stack), np.stack([vech(mat), vech(2.0 * mat)]))
         assert np.array_equal(unvech(vech(stack), d), np.stack([back, unvech(vech(2.0 * mat), d)]))
+
+
+def test_vech_index_cache_is_read_only():
+    # The cached indices are shared by every call for d: none may change them.
+    for d in (1, 2, 3, 4):
+        vech(np.eye(d))
+        cached = statespace._triu(d)
+        assert cached is statespace._triu(d)
+        iu, ju = np.triu_indices(d)
+        assert np.array_equal(cached[0], iu) and np.array_equal(cached[1], ju)
+        assert np.array_equal(cached[2], iu != ju)
+        for a in cached:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
 
 
 def test_vech_isometry():

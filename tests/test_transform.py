@@ -122,6 +122,10 @@ def test_bad_arguments_are_refused_up_front(cir_model):
         effective_domain_ray(cir_model, [math.nan], 1.0)
     with pytest.raises(DimensionMismatch, match="u has length 2"):
         transform(cir_model, [1.0, 2.0], [1.0], 0.0)
+    # A NaN u is no overflow of exp(log_value), at t = 0 or later.
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="u must be finite"):
+            transform(cir_model, [math.nan], [1.0], t)
 
 
 def test_characteristic_function_bound(cir_model, cp_model, ou_model):
