@@ -10,6 +10,7 @@ its own ``self_dual`` flag and boundary function ``phi``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,8 +59,8 @@ def monotonicity_check(model, u, v, t):
     times up to t, within a slack of 100 x REL_TOL on the cone-membership
     distance."""
     space = _cone_space(model)
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if not (space.contains(-u, tol=1e-12) and space.contains(-v, tol=1e-12)):
@@ -91,8 +92,8 @@ def interior_preservation_check(model, u, t):
     -interior(E) at nine evenly spaced times up to t (within the cone slack)
     and must not explode."""
     space = _cone_space(model)
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     u = np.asarray(u, dtype=complex).ravel()
     if not space.interior_contains(-u.real, margin=0.0):
         raise ValueError("Re u must lie in -interior(E)")

@@ -313,6 +313,7 @@ class DOP853:
     float spacings at t. After a step, ``t_old``/``t`` and ``y`` delimit it,
     ``K_extended`` holds its stages with room for the three extra stages of
     its interpolant, and ``finished`` tells whether it reached t_bound.
+    ``error_norm`` is the error estimate of the accepted attempt and
     ``rejected`` counts rejected attempts; fun is called once at the start,
     once more without first_step, and 12 times per attempt. As in scipy, an
     rtol below 100 eps is raised to 100 eps."""
@@ -375,7 +376,7 @@ class DOP853:
             step_rejected = True
             self.rejected += 1
         self.t_old, self.t, self.y = t, t_new, y_new
-        self.h_abs, self.f = h_abs, f_new
+        self.h_abs, self.f, self.error_norm = h_abs, f_new, error_norm
         self.finished = t_new - self.t_bound >= 0
         return True
 

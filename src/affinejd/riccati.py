@@ -25,7 +25,14 @@ component:
 a rescaled time for blow-up problems (Stuart & Floater, "On the computation
 of blow-up", Eur. J. Appl. Math. 1990). |psi| then grows at most
 exponentially in s while t creeps up to the blow-up time, so the integrator
-takes even steps where phase 1 would reject most of its steps.
+takes even steps where phase 1 would shrink its steps towards zero.
+
+The stepper keeps scipy's step-size control, which its tests pin step for
+step. Once a run has rejected an attempt, the loop also caps each next step
+by Gustafsson's predictive limit (ACM TOMS 1991; Hairer & Wanner II,
+Sec. IV.8), which anticipates steps that keep shrinking: on psi steepening
+towards blow-up, scipy's controller alone rejects every other attempt. A
+run without a rejected attempt takes scipy's steps bit for bit.
 
 In both phases a trial stage where R is not finite or a ray's integral
 diverges is NaN, so DOP853 rejects the step and shrinks it: a solve ends
@@ -67,7 +74,17 @@ from .errors import (
     NonFiniteRHS,
     StepLimitExceeded,
 )
-from .integrator import DOP853, TOO_SMALL_STEP, Steps, brentq, norm, select_initial_step
+from .integrator import (
+    DOP853,
+    ERROR_EXPONENT,
+    MIN_FACTOR,
+    SAFETY,
+    TOO_SMALL_STEP,
+    Steps,
+    brentq,
+    norm,
+    select_initial_step,
+)
 from .jumps import check_tails, ray_moment
 from .model import _check_u, _check_vector, diffusion_at, require_in_space
 
@@ -153,7 +170,8 @@ class RiccatiSolution:
 
     def eval(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < -1e-12) or np.any(t_arr > self.t_last * (1.0 + 1e-12) + 1e-300):
+        # Written so that a NaN time fails the check.
+        if not np.all((t_arr >= -1e-12) & (t_arr <= self.t_last * (1.0 + 1e-12) + 1e-300)):
             raise ValueError(f"dense evaluator is valid on [0, {self.t_last}] only")
         y = np.empty((t_arr.size, 2 * (self.u.size + 1)))
         for i, s in enumerate(np.clip(t_arr, 0.0, self.t_last).flat):
@@ -174,10 +192,16 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None):
     step end. Events are tested on accepted step ends with solve_ivp's rule
     for direction +1 (g <= 0 at the step start and g >= 0 at its end); the
     run stops at the earliest root of the events that fired, found by brentq
-    on that step's interpolant, and at the step end itself on until."""
+    on that step's interpolant, and at the step end itself on until.
+
+    Once the run has rejected an attempt, the step after an accepted step n
+    that follows an accepted step n-1 is at most Gustafsson's
+    SAFETY h_n (h_n / h_{n-1}) (err_{n-1} / err_n^2)^(1/8), and that limit is
+    at least MIN_FACTOR h_n; err is DOP853's error norm of the step."""
     solver = DOP853(fun, x0, y0, x_bound, REL_TOL, ABS_TOL, first_step)
     run = Steps(fun, x0, y0)
     g = [event(x0, y0) for event in events]
+    h_last = err_last = 0.0  # the previous accepted step and its error norm
     while True:
         accepted = solver.step()
         run.rejected = solver.rejected
@@ -185,6 +209,11 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None):
             run.failed = True
             return run.finish()
         run.push(solver)
+        h, err = solver.t - solver.t_old, solver.error_norm
+        if solver.rejected and err_last and err:
+            h_gus = SAFETY * h * (h / h_last) * (err_last / err**2) ** -ERROR_EXPONENT
+            solver.h_abs = min(solver.h_abs, max(h_gus, MIN_FACTOR * h))
+        h_last, err_last = h, err
         g_new = [event(solver.t, solver.y) for event in events]
         active = [k for k, (lo, hi) in enumerate(zip(g, g_new)) if lo <= 0.0 <= hi]
         if active:
@@ -274,8 +303,8 @@ def solve_riccati(model, u, horizon):
     DivergentIntegral if psi reaches the integrability boundary of an
     exponential-ray measure before blowing up.
     """
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     horizon = float(horizon)
     u = _check_u(model, u)
 
@@ -419,8 +448,8 @@ def explosion_time(model, u, t_max):
     the blow-up radius, and ExplosionResult("exceeds_horizon") otherwise; in
     the latter case the true blow-up time may still be finite beyond t_max.
     """
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     sol = solve_riccati(model, u, t_max)
     if not sol.exploded:
         return ExplosionResult("exceeds_horizon", t_max=float(t_max))
@@ -436,8 +465,8 @@ def mean_flow(model, x, t):
     from scipy.linalg import expm
 
     x = _check_vector(model, x)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     p = model.dim
     aug = np.zeros((p + 1, p + 1))
     aug[1:, 0] = model.a0
@@ -470,8 +499,8 @@ def k_eval(model, x, y):
 def flow_identity_residual(model, u, s, t):
     """Residual of the semigroup property psi(t+s, u) = psi(t, psi(s, u)) and
     psi_0(t+s, u) = psi_0(s, u) + psi_0(t, psi(s, u))."""
-    if not (s >= 0.0 and t > 0.0):
-        raise ValueError("need s >= 0 and t > 0")
+    if not (0.0 <= s < math.inf and 0.0 < t < math.inf):
+        raise ValueError("need finite s >= 0 and t > 0")
     sol = solve_riccati(model, u, s + t)
     if sol.exploded:
         raise ExplosionBeforeHorizon(f"psi explodes inside [0, {s + t}] (bracket {sol.bracket})")
@@ -495,8 +524,8 @@ def variation_of_constants_residual(model, u, x, t):
 
     u = np.asarray(u, dtype=float).ravel()
     x = require_in_space(model, x)
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     sol = solve_riccati(model, u.astype(complex), t)
     if sol.exploded:
         raise ExplosionBeforeHorizon(f"psi explodes before t={t} (bracket {sol.bracket})")

@@ -57,8 +57,8 @@ def transform(model, u, x, t):
     explosion semantics described in the module docstring."""
     x = require_in_space(model, x)
     u = _check_u(model, u)
-    if not t >= 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     if t == 0.0:
         return _finite(0.0 + 0.0j, u.copy(), x)
     sol = solve_riccati(model, u, t)
@@ -166,8 +166,10 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
         raise ValueError("direction must be finite")
     if not np.any(direction != 0.0):
         raise ValueError("direction must be nonzero")
-    if not (horizon > 0.0 and lambda_max > 0.0):
-        raise ValueError("horizon and lambda_max must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if not 0.0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be positive and finite")
     probes = []
     rates = {0.0: 0.0}  # lambda -> 1/T*(lambda) where known; T* = inf at 0
     t_probe = horizon  # how far each probe integrates; twice the horizon in the bracket
@@ -299,8 +301,8 @@ def infinite_divisibility_check(model, u, t, n):
     started at u must equal 1/n times the solution of the base system
     started at n u, componentwise including the zeroth component."""
     u = np.asarray(u, dtype=complex).ravel()
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     scaled = solve_riccati(scaled_model(model, n), u, t)
     base = solve_riccati(model, n * u, t)
     if scaled.exploded or base.exploded:

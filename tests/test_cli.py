@@ -197,6 +197,11 @@ def test_non_finite_inputs_exit_2(capsys, models_dir):
         (("ray", "--direction", "1", "--T", "nan"), None),
         (("cone-check", "--check", "interior", "--u=-0.5", "--t", "nan"), "t must be positive"),
         (("idcheck", "--u", "0.5", "--t", "nan", "--n", "2"), "t must be positive"),
+        (("solve", "--u", "0.5", "--T", "inf"), "horizon must be positive and finite"),
+        (("transform", "--u", "0.5", "--x", "1", "--t", "inf"), "t must be nonnegative and finite"),
+        (("explosion", "--u", "0.5", "--t-max", "inf"), "t_max must be positive and finite"),
+        (("ray", "--direction", "1", "--T", "inf"), "horizon must be positive and finite"),
+        (("cone-check", "--check", "interior", "--u=-0.5", "--t", "inf"), "t must be positive and finite"),
         (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "inf"), None),
         (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "nan", "--T", "1"), None),
         (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "1e-300", "--T", "1e300"),

@@ -15,7 +15,7 @@ from affinejd.errors import (
     ExplosionBeforeHorizon,
     QuadratureTailWarning,
 )
-from affinejd.integrator import select_initial_step
+from affinejd.integrator import DOP853, ROOT_TOL, select_initial_step
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, diffusion_at
 from affinejd.riccati import (
@@ -352,6 +352,39 @@ def test_nan_times_are_refused_by_name(cir_model):
             call()
 
 
+def test_infinite_times_are_refused_by_name(cir_model):
+    # An infinite horizon would step until the step limit (or leak a
+    # ZeroDivisionError from the ray's secant), an infinite lambda_max would
+    # double a ray's probes without end, and mean_flow would return NaN;
+    # each entry point names its own bound before any solve.
+    from affinejd.cone import interior_preservation_check, monotonicity_check
+    from affinejd.transform import transform
+
+    inf = float("inf")
+    for call, name in (
+        (lambda: solve_riccati(cir_model, [-1.0], inf), "horizon"),
+        (lambda: transform(cir_model, [0.5j], [1.0], inf), "t"),
+        (lambda: explosion_time(cir_model, [1.0], inf), "t_max"),
+        (lambda: effective_domain_ray(cir_model, [1.0], inf), "horizon"),
+        (lambda: effective_domain_ray(cir_model, [-1.0], 0.7, lambda_max=inf), "lambda_max"),
+        (lambda: mean_flow(cir_model, [1.0], inf), "t"),
+        (lambda: monotonicity_check(cir_model, [-1.0], [-0.5], inf), "t"),
+        (lambda: interior_preservation_check(cir_model, [-0.5], inf), "t"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be (positive|nonnegative) and finite$"):
+            call()
+    with pytest.raises(ValueError, match="need finite s >= 0 and t > 0"):
+        flow_identity_residual(cir_model, [0.5j], 0.5, inf)
+
+
+def test_eval_refuses_nan_times(cir_model, squared_model):
+    # In phase 1 (cir) and in the time-changed phase 2 (squared, exploding).
+    for sol in (solve_riccati(cir_model, [0.5j], 1.0), solve_riccati(squared_model, [1.0], 10.0)):
+        for t in (float("nan"), [0.5 * sol.t_last, float("nan")]):
+            with pytest.raises(ValueError, match="dense evaluator is valid on"):
+                sol.eval(t)
+
+
 def test_variation_of_constants_trivial(cir_model):
     assert variation_of_constants_residual(cir_model, [0.0], [1.0], 1.0) < 1e-12
 
@@ -527,7 +560,9 @@ def test_no_stray_runtime_warnings(cp_model):
     assert ray.lambda_star == 886.652099609375
     assert [kind for _, _, kind in ray.probes].count("NonFiniteRHS") == 3
     assert sol.exploded and sol.stats.stop_reason == "step_underflow"
-    assert abs(sol.bracket[0] - 0.7791182046695493) < 1e-12
+    want = oracles.explosion_time_1d(lambda y: np.exp(y) - 1.0 - y, 1.0)
+    assert sol.bracket[0] < want < sol.bracket[1]
+    assert abs(0.5 * sum(sol.bracket) - want) < 1e-10 * want
 
 
 def rhs_per_measure(model, y):
@@ -653,7 +688,10 @@ def packed_rhs(model):
 
 def reference_run(model, u, horizon, radius):
     """The own stepping loop and solve_ivp on the same packed right-hand
-    side, first step and terminal events."""
+    side, first step and terminal events, and the number of accepted steps
+    they share: those of a bare DOP853 run up to and including the first
+    one with a rejected attempt (all of them without one), after which the
+    loop's predictive limit may shorten the next step."""
     fun = packed_rhs(model)
     y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
     first = select_initial_step(
@@ -665,7 +703,19 @@ def reference_run(model, u, horizon, radius):
     own = riccati._integrate(fun, 0.0, y0, horizon, events, first)
     ref = solve_ivp(fun, (0.0, horizon), y0, method="DOP853", rtol=REL_TOL, atol=ABS_TOL,
                     first_step=first, dense_output=True, events=events)
-    return own, ref, events
+    grid, _ = bare_run(fun, y0, horizon, first)
+    return own, ref, len(grid) - 1
+
+
+def bare_run(fun, y0, horizon, first):
+    """The grid and states of a bare DOP853 run (scipy's steps), up to the
+    horizon or the end of the first step with a rejected attempt."""
+    solver = DOP853(fun, 0.0, y0, horizon, REL_TOL, ABS_TOL, first)
+    grid, ys = [0.0], [y0]
+    while not solver.finished and not solver.rejected and solver.step():
+        grid.append(solver.t)
+        ys.append(solver.y)
+    return np.array(grid), np.array(ys)
 
 
 def close(a, b):
@@ -677,29 +727,53 @@ def close(a, b):
     ("wishart_2d", [-0.4, 0.1j, -0.3]), ("lorentz_drift", [0.2, 0.1, -0.1j]),
 ])
 def test_own_loop_matches_solve_ivp(name, u):
+    # Only cir at 0.5 rejects an attempt (in its fifth step); the other runs
+    # are solve_ivp's step for step.
     model = getattr(golden, name)()
-    own, ref, _ = reference_run(model, u, 1.5, R_MAX)
+    own, ref, n = reference_run(model, u, 1.5, R_MAX)
     assert ref.status == 0 and own.event is None and not own.failed
-    assert np.array_equal(own.grid, ref.t)
+    assert own.rejected == (1 if (name, u) == ("cir", [0.5]) else 0)
+    assert np.array_equal(own.grid[:n + 1], ref.t[:n + 1])
+    assert own.rejected or np.array_equal(own.grid, ref.t)
     assert close(own.ys[-1], ref.y[:, -1])
-    mid = 0.5 * (ref.t[1:] + ref.t[:-1])
+    mid = 0.5 * (ref.t[1:n + 1] + ref.t[:n])
     assert close(np.array([own(x) for x in mid]), ref.sol(mid).T)
-    # solve_riccati takes the same steps and ends at the same value.
+    # solve_riccati takes the loop's steps and ends at the same value.
     sol = solve_riccati(model, u, 1.5)
-    assert np.array_equal(sol.grid, ref.t)
+    assert np.array_equal(sol.grid, own.grid)
     psi0, psi = sol.eval(mid)
     assert close(np.column_stack([psi0, psi]), ref.sol(mid).T.copy().view(complex))
 
 
 @pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
 def test_own_loop_matches_solve_ivp_on_blow_up(squared_model, u):
-    own, ref, _ = reference_run(squared_model, [u], 10.0, R_MAX)
-    assert ref.status == 1 and own.event == 0
-    assert np.array_equal(own.grid[:-1], ref.t[:-1])
+    own, ref, n = reference_run(squared_model, [u], 10.0, R_MAX)
+    assert ref.status == 1 and own.event == 0 and 0 < n < own.n_steps
+    assert np.array_equal(own.grid[:n + 1], ref.t[:n + 1])
     t_event = ref.t_events[0][0]
-    assert close(own.grid[-1], t_event) and close(own.ys[-1], ref.y[:, -1])
-    inner = ref.t[-2] + np.linspace(0.0, 1.0, 7) * (t_event - ref.t[-2])
+    assert close(own.grid[-1], t_event) and own.ys[-1][0] == ref.y[0, -1] == 0.0
+    # The event state lies on |psi| = R_MAX to brentq's tolerance in t,
+    # times the slope |psi|^2.
+    assert abs(own.ys[-1][2] - R_MAX) <= R_MAX**2 * ROOT_TOL * (1.0 + t_event)
+    inner = ref.t[n - 1] + np.linspace(0.0, 1.0, 7) * (ref.t[n] - ref.t[n - 1])
     assert close(np.array([own(x) for x in inner]), ref.sol(inner).T)
+
+
+@pytest.mark.parametrize("name", ["cir", "ou", "compound_poisson", "wishart_2d", "lorentz_drift"])
+def test_rejection_free_solves_are_the_steppers_own(name):
+    # The predictive limit engages only after a rejected attempt, so a solve
+    # without one is a bare DOP853 run bit for bit, as before the limit.
+    model = getattr(golden, name)()
+    fun = packed_rhs(model)
+    for v in (0.25j, 0.5j, 1j, 2j, 4j, 16j, -0.5, 0.1, 0.3):
+        sol = solve_riccati(model, v * np.ones(model.dim), 1.0)
+        y0 = np.concatenate([[0.0], sol.u]).view(float)
+        first = select_initial_step(
+            fun, 0.0, y0, 1.0, fun(0.0, y0), REL_TOL, ABS_TOL, (slice(None), slice(2, None))
+        )
+        grid, ys = bare_run(fun, y0, 1.0, first)
+        assert sol.stats.rejected == 0 and np.array_equal(sol.grid, grid), (name, v)
+        assert np.array_equal(np.column_stack([sol.psi0, sol.psi]).view(float), ys), (name, v)
 
 
 # Bit-for-bit values of the solver on the golden models, as float.hex
@@ -785,9 +859,9 @@ GOLDEN_PINS = {
     ),
     ("nonadmissible_2d", 0.5j): (
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p-2 0x0.0p+0",
-        "0x0.0p+0 0x0.0p+0 -0x1.f81f81f81dc1cp-6 0x1.1b91b91b91c46p-1 -0x1.f81f81f81fa66p-3 "
-        "0x1.b91b91b91bb2fp-2",
-        110,
+        "0x0.0p+0 0x0.0p+0 -0x1.f81f81f81e3b3p-6 0x1.1b91b91b91be4p-1 -0x1.f81f81f81f8eap-3 "
+        "0x1.b91b91b91baa4p-2",
+        98,
     ),
 }
 
@@ -807,11 +881,21 @@ def test_golden_solves_pinned():
         assert sol.stats.nfev == nfev, (name, scale)
 
 
+def test_predictive_limit_stops_alternating_rejections(squared_model, cir_model):
+    # Without the limit, phase 1 of y' = y^2 rejected every other attempt
+    # (33 steps, 32 rejected, 1,267 RHS calls) and CIR at 0.999 took 895
+    # RHS calls.
+    sol = solve_riccati(squared_model, [1.0], 10.0)
+    assert sol.exploded and sol.stats.rejected <= 3 and sol.stats.nfev <= 950
+    assert abs(0.5 * sum(sol.bracket) - 1.0) < 1e-6
+    assert solve_riccati(cir_model, [0.999], 1.0).stats.nfev < 895
+
+
 # Solves that switch to the time-changed phase, pinned bit for bit: the
 # blow-up bracket as hex floats and (nfev, steps_t, steps_s, rejected).
 SWITCHING_PINS = {
-    ("squared_scalar", 1.0): (("0x1.ffffff94c7579p-1", "0x1.ffffffbfba755p-1"), (1267, 33, 40, 32)),
-    ("cir", 3.1): (("0x1.4a5293eb9a090p-2", "0x1.4a5294074fa88p-2"), (1171, 30, 38, 29)),
+    ("squared_scalar", 1.0): (("0x1.ffffff94c751ap-1", "0x1.ffffffbfba6f6p-1"), (919, 33, 41, 2)),
+    ("cir", 3.1): (("0x1.4a5293eb99ec8p-2", "0x1.4a5294074f8c0p-2"), (859, 30, 38, 3)),
 }
 
 
@@ -826,17 +910,17 @@ def test_switching_solves_pinned():
     sol = solve_riccati(golden.cir(), [0.999], 1.0)
     psi0, psi = sol.terminal()
     assert sol.stats.stop_reason == "horizon" and sol.stats.steps_s == 10
-    assert sol.grid[sol.stats.steps_t].hex() == "0x1.f836b907c3706p-1"  # the switch time
+    assert sol.grid[sol.stats.steps_t].hex() == "0x1.f840e9401e3abp-1"  # the switch time
     assert sol.grid[-1] == 1.0
-    assert hex_floats(np.concatenate([[psi0], psi])) == "0x1.ba18a988789ffp+2 0x0.0p+0 0x1.f37fff7ef565ep+9 0x0.0p+0"
+    assert hex_floats(np.concatenate([[psi0], psi])) == "0x1.ba18a98879710p+2 0x0.0p+0 0x1.f37fff7fce3dep+9 0x0.0p+0"
     # A complex psi in phase 2: the last step end before the radius event
     # moves if |R| is computed with Python's complex abs instead of numpy's.
     sol = solve_riccati(golden.nonadmissible_2d(), [1 + 1j, 1 + 1j], 1.0)
-    assert (sol.stats.nfev, sol.stats.steps_s) == (1339, 43)
-    assert sol.grid[-2].hex() == "0x1.ffffff7b9f291p-1"
+    assert (sol.stats.nfev, sol.stats.steps_s) == (955, 43)
+    assert sol.grid[-2].hex() == "0x1.ffffff7064952p-1"
     assert hex_floats(sol.psi[-2]) == (
-        "0x1.eea2d60be4e6bp+25 0x1.10eb3429284c2p-2 0x1.778a666fcdc1ap-1 0x1.eea2d68be4e68p+25"
+        "0x1.c7fcf5837cb5ep+25 0x1.5d48aa04a8e6fp-2 0x1.515bab8d48080p-1 0x1.c7fcf6037cb5fp+25"
     )
     # The bracket of a ray, whose probes run to blow-up.
     ray = effective_domain_ray(golden.cir(), [1.0], 0.7)
-    assert tuple(b.hex() for b in ray.bracket) == ("0x1.6db6daf319dd8p+0", "0x1.6db6e11413941p+0")
+    assert tuple(b.hex() for b in ray.bracket) == ("0x1.6db6daf319d58p+0", "0x1.6db6e11413a06p+0")
