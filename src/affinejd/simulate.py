@@ -143,7 +143,10 @@ def _diffusion_increment(A, states, normals):
         if c.min() < _EIG_FLOOR:
             raise CholeskyFailure(f"c(x) = {c.min():.3e} below the clipping floor")
         return np.sqrt(np.maximum(c, 0.0))[:, None] * normals
-    c = A[0] + np.tensordot(states, A[1:], axes=(1, 0))
+    # c(x) = A^0 + sum_i x_i A^i as one matrix product, the one tensordot
+    # would form.
+    n, p = states.shape
+    c = A[0] + np.dot(states, A[1:].reshape(p, p * p)).reshape(n, p, p)
     w, v = np.linalg.eigh(c)
     if w.min() < _EIG_FLOOR:
         raise CholeskyFailure(f"min eigenvalue {w.min():.3e} below the clipping floor")

@@ -10,8 +10,12 @@ Projection and membership are batched: each family implements
 ``_project_rows`` and ``_margin_rows`` once, vectorized over the rows of an
 ``(n, dim)`` array. ``project`` is the single-row case of ``project_batch``,
 and ``contains`` and ``interior_contains`` are single-row tests of the
-signed margin. A row's image never depends on the other rows in its batch,
-so simulations stay reproducible when the path count changes.
+signed margin. Projection computes only on the rows whose margin is
+negative (the canonical clip, one ufunc over the batch, leaves the others
+as they are) and returns every other row bit for bit, so ``project`` leaves
+exactly the points that ``contains`` accepts at ``tol = 0`` unchanged. A
+row's image never depends on the other rows in its batch, so simulations
+stay reproducible when the path count changes.
 """
 
 from __future__ import annotations
@@ -26,15 +30,19 @@ _SQRT2 = np.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
-def _triu(d):
-    """The row and column indices of the upper triangle of a d x d matrix in
-    vech order and the mask of its off-diagonal entries, read-only, since
-    every caller shares them."""
+def _vech_maps(d):
+    """Index maps of the half-vectorization of d x d matrices, read-only,
+    since every caller shares them: the flat position in the matrix of each
+    vech coordinate (the upper triangle, row by row), each coordinate's
+    scale (sqrt(2) off the diagonal, 1 on it), and for each entry of the
+    flattened matrix the vech coordinate that holds it."""
     iu, ju = np.triu_indices(d)
-    off = iu != ju
-    for a in (iu, ju, off):
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    maps = iu * d + ju, np.where(iu == ju, 1.0, _SQRT2), pos.ravel()
+    for a in maps:
         a.flags.writeable = False
-    return iu, ju, off
+    return maps
 
 
 def vech(mat):
@@ -42,10 +50,10 @@ def vech(mat):
     sqrt(2) so the Euclidean inner product of images equals trace(XY).
     A stack of shape ``(..., d, d)`` maps to ``(..., d(d+1)/2)``."""
     mat = np.asarray(mat, dtype=float)
-    iu, ju, off = _triu(mat.shape[-1])
-    out = mat[..., iu, ju]
-    out[..., off] *= _SQRT2
-    return out
+    d = mat.shape[-1]
+    upper, scale, _ = _vech_maps(d)
+    # Multiplying by 1.0 leaves the diagonal exact.
+    return mat.reshape(mat.shape[:-2] + (d * d,))[..., upper] * scale
 
 
 def unvech(x, d):
@@ -54,13 +62,8 @@ def unvech(x, d):
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (d * (d + 1) // 2,):
         raise DimensionMismatch(f"vech vector has shape {x.shape}, expected (..., {d*(d+1)//2})")
-    mat = np.zeros(x.shape[:-1] + (d, d))
-    iu, ju, off = _triu(d)
-    vals = x.copy()
-    vals[..., off] /= _SQRT2
-    mat[..., iu, ju] = vals
-    mat[..., ju, iu] = vals
-    return mat
+    _, scale, gather = _vech_maps(d)
+    return (x / scale)[..., gather].reshape(x.shape[:-1] + (d, d))
 
 
 class StateSpace:
@@ -193,14 +196,16 @@ class PSDCone(StateSpace):
         return np.linalg.eigvalsh(unvech(xs, self.d))[:, 0]
 
     def _project_rows(self, xs):
-        # Clip the spectrum: V max(W, 0) V^T for each matrix of the stack
-        # with a negative eigenvalue (eigh sorts them ascending); members
-        # are returned unchanged.
-        w, v = np.linalg.eigh(unvech(xs, self.d))
+        # Clip the spectrum, V max(W, 0) V^T, of each row whose margin, the
+        # eigvalsh smallest eigenvalue that contains reads, is negative. The
+        # decision is the margin's, not eigh's: the two can differ in sign on
+        # rank-deficient matrices, and members must come back bit for bit.
         out = xs.copy()
-        rows = np.flatnonzero(w[:, 0] < 0.0)
-        w, v = np.maximum(w[rows], 0.0), v[rows]
-        out[rows] = vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
+        rows = np.flatnonzero(self._margin_rows(xs) < 0.0)
+        if rows.size:
+            w, v = np.linalg.eigh(unvech(xs[rows], self.d))
+            w = np.maximum(w, 0.0)
+            out[rows] = vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
         return out
 
     def bounded_support(self, r, tol=1e-12):
@@ -230,20 +235,22 @@ class Lorentz(StateSpace):
         return xs[:, 0] - np.linalg.norm(xs[:, 1:], axis=1)
 
     def _project_rows(self, xs):
-        # Inside: unchanged; in the polar cone: 0; otherwise onto the ray
-        # through (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2.
-        head = xs[:, 0]
+        # Rows outside, x_1 < |x_bar| (a negative margin), go to 0 if they
+        # lie in the polar cone, x_1 <= -|x_bar|, and otherwise onto the ray
+        # through (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2. The
+        # other rows are returned unchanged.
+        out = xs.copy()
         tail = np.linalg.norm(xs[:, 1:], axis=1)
-        inside = head >= tail
-        polar = head <= -tail
-        alpha = 0.5 * (head + tail)
-        # tail > 0 on every row that is neither inside nor polar.
-        scale = alpha / np.where(inside | polar, 1.0, tail)
-        out = np.empty_like(xs)
-        out[:, 0] = alpha
-        out[:, 1:] = xs[:, 1:] * scale[:, None]
-        out[inside] = xs[inside]
-        out[polar] = 0.0
+        rows = np.flatnonzero(xs[:, 0] < tail)
+        if rows.size:
+            head, tail = xs[rows, 0], tail[rows]
+            polar = head <= -tail
+            alpha = 0.5 * (head + tail)
+            # tail > 0 on every outside row that is not polar.
+            scale = alpha / np.where(polar, 1.0, tail)
+            out[rows, 0] = alpha
+            out[rows, 1:] = xs[rows, 1:] * scale[:, None]
+            out[rows[polar]] = 0.0
         return out
 
     def bounded_support(self, r, tol=1e-12):

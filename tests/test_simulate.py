@@ -12,7 +12,6 @@ from affinejd.modelio import model_hash
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
     SimConfig,
-    _diffusion_increment,
     _Streams,
     ensemble_summary_csv,
     expected_jump_count,
@@ -101,6 +100,15 @@ def test_threaded_blocks_match_serial_across_the_block_boundary(cir_model):
         assert np.array_equal(part.states, serial.states[:prefix])
 
 
+def reference_diffusion(A, x, normals):
+    """The eigenvalue-clipped square root of c(x) = A^0 + sum_i x_i A^i,
+    formed by tensordot, applied to the normals: V sqrt(max(W, 0)) V^T z
+    for every dimension, p = 1 included."""
+    w, v = np.linalg.eigh(A[0] + np.tensordot(x, A[1:], axes=(1, 0)))
+    scaled = np.einsum("nij,ni->nj", v, normals) * np.sqrt(np.maximum(w, 0.0))
+    return np.einsum("nij,nj->ni", v, scaled)
+
+
 def reference_paths(model, x0, cfg):
     """Final states, jump counts and sup |X|^2 of the Euler step as the
     module docstring states it, with nothing skipped: every step draws the
@@ -119,7 +127,7 @@ def reference_paths(model, x0, cfg):
         for k in range(n_steps):
             drift = model.a0 - model.jump_mean[0] + x @ (model.a - model.jump_mean[1:].T).T
             normals = stream(k, 0).standard_normal((n, p))
-            incr = drift * dt + _diffusion_increment(model.A, x, normals) * np.sqrt(dt)
+            incr = drift * dt + reference_diffusion(model.A, x, normals) * np.sqrt(dt)
             if model.has_jumps:
                 lam = np.maximum(model.jump_mass[0] + x @ model.jump_mass[1:], 0.0)
                 counts = stream(k, 1).poisson(lam * dt)
@@ -181,6 +189,31 @@ def test_euler_step_matches_the_plain_reference_step(name):
         assert np.array_equal(ens.jump_counts, counts)
         assert np.array_equal(ens.sup_sq, sup_sq)
     assert (counts.sum() > 0) == model.has_jumps
+
+
+# float.hex of final_states.sum() and sup_sq.sum(), and jump_counts.sum(),
+# on runs whose projections clip PSD rows (wishart_2d), keep every row
+# (lorentz_drift), reach all three Lorentz branches (noisy_lorentz) and draw
+# atoms and ray jumps (atoms_and_ray). Any change to the Euler step that is
+# not bit for bit shows here.
+GOLDEN_PATH_PINS = {
+    "wishart_2d": ((golden.wishart_2d, [0.4, 0.0, 0.4], 32, 0.05, 1.0, 5),
+                   ("0x1.d4a24cd5c833cp+6", "0x1.815058271b5c2p+9", 0)),
+    "lorentz_drift": ((golden.lorentz_drift, [1.0, 0.2, -0.1], 512, 0.025, 1.0, 5),
+                      ("0x1.094c7ae90437ap+9", "0x1.0cccccccccccep+9", 0)),
+    "noisy_lorentz": ((noisy_lorentz_model, [0.1, 0.05, 0.0], 64, 0.05, 2.0, 3),
+                      ("0x1.5708f667b9692p+3", "0x1.0a593b90a0df4p+6", 0)),
+    "atoms_and_ray": ((atoms_and_ray_model, [1.0], 256, 0.05, 1.0, 5),
+                      ("0x1.9708fda3420fap+8", "0x1.f6cc8fe539f52p+9", 417)),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_PATH_PINS)
+def test_golden_paths_pinned(name):
+    (build, x0, n_paths, dt, horizon, seed), pin = GOLDEN_PATH_PINS[name]
+    ens = simulate_paths(build(), x0, SimConfig(n_paths=n_paths, dt=dt, horizon=horizon, seed=seed))
+    assert (float(ens.final_states.sum()).hex(), float(ens.sup_sq.sum()).hex(),
+            int(ens.jump_counts.sum())) == pin
 
 
 def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model, lorentz_model):

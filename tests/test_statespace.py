@@ -140,6 +140,50 @@ def test_project_batch_rows(space):
         space.project_batch(np.zeros(space.dim))
 
 
+def _near_boundary(space, rng, margin, n):
+    """n points whose margin is close to ``margin``; at margin 0 they lie on
+    the boundary up to the rounding of their construction."""
+    x = rng.normal(size=(n, space.dim))
+    if isinstance(space, Canonical):
+        if space.m:
+            x[np.arange(n), rng.integers(space.m, size=n)] = margin
+            x[:, : space.m] = np.maximum(x[:, : space.m], margin)
+        return x
+    if isinstance(space, PSDCone):
+        # vech(B B^T + margin I) with B of rank d - 1.
+        b = rng.normal(size=(n, space.d, space.d - 1))
+        return vech(b @ np.swapaxes(b, 1, 2) + margin * np.eye(space.d))
+    if isinstance(space, Lorentz):
+        x[:, 0] = np.linalg.norm(x[:, 1:], axis=1) + margin
+        return x
+    if isinstance(space, Parabolic):
+        x[:, 0] = np.sum(x[:, 1:] ** 2, axis=1) + margin
+        return x
+    # Onto a face of the half spaces, moved inward by margin along its normal.
+    face = rng.integers(space.normals.shape[0], size=n)
+    normals = space.normals[face]
+    shift = ((x * normals).sum(axis=1) - space.offsets[face] + margin) / (normals * normals).sum(axis=1)
+    return x - shift[:, None] * normals
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_members_on_the_boundary_are_returned_bit_for_bit(space):
+    # project decides by the sign of the margin that contains reads, so a
+    # point that contains accepts at tol = 0 is never moved, not even by
+    # rounding in an eigendecomposition.
+    rng = np.random.default_rng(11)
+    xs = np.vstack([_near_boundary(space, rng, margin, 400)
+                    for margin in (0.0, 1e-15, -1e-15, 1e-9, -1e-9)])
+    member = np.array([space.contains(x, tol=0.0) for x in xs])
+    assert member.sum() >= 800
+    if space.kind != "canonical" or space.m:
+        assert (~member).sum() >= 400
+    projected = space.project_batch(xs)
+    assert projected[member].tobytes() == xs[member].tobytes()
+    for x in xs[member]:
+        assert space.project(x).tobytes() == x.tobytes()
+
+
 def _batch_pairs(space):
     coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
     shape = st.tuples(st.integers(1, 12), st.just(space.dim))
@@ -177,6 +221,17 @@ def test_vech_round_trip():
         # one rounding from the sqrt(2) scaling.
         assert np.array_equal(np.diag(back), np.diag(mat))
         assert np.max(np.abs(back - mat)) <= 1e-15 * max(1.0, np.max(np.abs(mat)))
+        # Entry by entry, bit for bit: vech scales each off-diagonal entry
+        # of the upper triangle by sqrt(2), unvech divides it back into both
+        # triangles, and the diagonal is copied.
+        iu, ju = np.triu_indices(d)
+        s2 = np.sqrt(2.0)
+        want = [mat[i, j] if i == j else mat[i, j] * s2 for i, j in zip(iu, ju)]
+        assert vech(mat).tobytes() == np.array(want).tobytes()
+        want = np.empty((d, d))
+        for k, (i, j) in enumerate(zip(iu, ju)):
+            want[i, j] = want[j, i] = x[k] if i == j else x[k] / s2
+        assert unvech(x, d).tobytes() == want.tobytes()
         # A stack maps matrix by matrix.
         stack = np.stack([mat, 2.0 * mat])
         assert np.array_equal(vech(stack), np.stack([vech(mat), vech(2.0 * mat)]))
@@ -184,14 +239,18 @@ def test_vech_round_trip():
 
 
 def test_vech_index_cache_is_read_only():
-    # The cached indices are shared by every call for d: none may change them.
+    # The cached maps are shared by every call for d: none may change them.
     for d in (1, 2, 3, 4):
         vech(np.eye(d))
-        cached = statespace._triu(d)
-        assert cached is statespace._triu(d)
+        cached = statespace._vech_maps(d)
+        assert cached is statespace._vech_maps(d)
+        upper, scale, gather = cached
         iu, ju = np.triu_indices(d)
-        assert np.array_equal(cached[0], iu) and np.array_equal(cached[1], ju)
-        assert np.array_equal(cached[2], iu != ju)
+        assert np.array_equal(upper, iu * d + ju)
+        assert np.array_equal(scale, np.where(iu == ju, 1.0, np.sqrt(2.0)))
+        # Both triangles read the vech coordinate of their entry.
+        assert np.array_equal(gather.reshape(d, d)[iu, ju], np.arange(iu.size))
+        assert np.array_equal(gather.reshape(d, d), gather.reshape(d, d).T)
         for a in cached:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
