@@ -23,7 +23,9 @@ absolute 1e-12, blow-up radius 1e8, brackets of relative width 1e-8), so
 no subcommand takes a tolerance flag. Exit codes: 0 success, 2 validation
 or input error, 1 numeric failure (the diagnostic names the failing
 operation). Output is standard JSON: a finite transform too large for a
-float gives ``value`` null next to its exact ``log_value``. A reader that
+float gives ``value`` null next to its exact ``log_value``, and where psi_0
+alone left float range (``psi0_overflow`` names the time) ``psi0``,
+``log_value`` and ``value`` are null. A reader that
 closes the pipe early ends the command quietly with exit code 0.
 """
 
@@ -125,7 +127,8 @@ def _cmd_solve(args):
     payload = {
         "verdict": sol.verdict,
         "t_last": sol.t_last,
-        "psi0": _c(psi0),
+        "psi0": None if sol.stats.psi0_overflow is not None else _c(psi0),
+        "psi0_overflow": sol.stats.psi0_overflow,
         "psi": _cvec(psi),
         "grid_points": int(sol.grid.size),
         "stop_reason": sol.stats.stop_reason,
@@ -157,10 +160,9 @@ def _cmd_transform(args):
     payload = {"verdict": tv.kind}
     if tv.value is not None or tv.finite:
         payload["value"] = None if tv.value is None else _c(tv.value)  # null on overflow
-    if tv.log_value is not None:
-        payload["log_value"] = _c(tv.log_value)
-    if tv.psi0 is not None:
-        payload["psi0"] = _c(tv.psi0)
+    if tv.finite:  # null where psi_0 is out of float range
+        payload["log_value"] = None if tv.log_value is None else _c(tv.log_value)
+        payload["psi0"] = None if tv.psi0 is None else _c(tv.psi0)
         payload["psi"] = _cvec(tv.psi)
     if tv.diagnostic:
         payload["diagnostic"] = tv.diagnostic

@@ -11,9 +11,12 @@ right-hand side both take the same steps and return the same floats, to the
 last bit, without importing scipy. Runs go forward in time, with no maximum
 step size. The first-step rule rates blocks of components that its caller
 names: the stepper rates the whole state, which is scipy's rule, and the
-Riccati solver also rates a block alone and takes the larger step. The
-transposed views of the stages that each stage and the error estimate read
-are built once per run, and real 2-norms are sqrt(x.x), np.linalg.norm's
+Riccati solver also rates a block alone and takes the larger step. Given
+such a ``core`` block, the components that the right-hand side reads, the
+stepper raises QuadratureOverflow on an attempt whose error estimate is
+non-finite only outside it, in quadratures along the core. The transposed
+views of the stages that each stage and the error estimate read are built
+once per run, and real 2-norms are sqrt(x.x), np.linalg.norm's
 own formula for a real vector, without its generic dispatch.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
@@ -273,6 +276,10 @@ _STAGE_ROWS = [(A[s, :s], C[s]) for s in range(1, N_STAGES)]
 _EXTRA_ROWS = [(A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
+class QuadratureOverflow(ArithmeticError):
+    """An attempt overflowed components outside the stepper's core alone."""
+
+
 def norm(x):
     """The 2-norm of a real vector, bit for bit np.linalg.norm(x)."""
     return math.sqrt(x.dot(x))
@@ -316,9 +323,12 @@ class DOP853:
     ``error_norm`` is the error estimate of the accepted attempt and
     ``rejected`` counts rejected attempts; fun is called once at the start,
     once more without first_step, and 12 times per attempt. As in scipy, an
-    rtol below 100 eps is raised to 100 eps."""
+    rtol below 100 eps is raised to 100 eps. With a ``core`` slice, an
+    attempt whose error estimate is not finite, but is finite with a finite
+    new state on the core, counts as rejected and raises QuadratureOverflow;
+    t, y and h_abs stay those of the last accepted step."""
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None, core=None):
         self.fun = fun
         self.t_old = None
         self.t = t0
@@ -341,6 +351,7 @@ class DOP853:
         self._stage_views = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGE_ROWS, start=1)]
         self._KT_B = K[:-1].T
         self._KT = K.T
+        self.core = core
         self.rejected = 0
         self.finished = False
 
@@ -360,7 +371,7 @@ class DOP853:
             h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self._error_norm(h, scale)
+            error_norm = self._error_norm(h, scale, self._KT)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -375,6 +386,8 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
             self.rejected += 1
+            if self.core is not None and not math.isfinite(error_norm) and self._finite_on_core(h, y_new, scale):
+                raise QuadratureOverflow(f"an attempt at t={t!r} overflowed outside the core")
         self.t_old, self.t, self.y = t, t_new, y_new
         self.h_abs, self.f, self.error_norm = h_abs, f_new, error_norm
         self.finished = t_new - self.t_bound >= 0
@@ -390,13 +403,20 @@ class DOP853:
         K[-1] = f_new
         return y_new, f_new
 
-    def _error_norm(self, h, scale):
-        err5_norm_2 = norm(np.dot(self._KT, E5) / scale) ** 2
-        err3_norm_2 = norm(np.dot(self._KT, E3) / scale) ** 2
+    @staticmethod
+    def _error_norm(h, scale, KT):
+        err5_norm_2 = norm(np.dot(KT, E5) / scale) ** 2
+        err3_norm_2 = norm(np.dot(KT, E3) / scale) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+
+    def _finite_on_core(self, h, y_new, scale):
+        core = self.core
+        return bool(np.isfinite(y_new[core]).all()) and math.isfinite(
+            self._error_norm(h, scale[core], self._KT[core])
+        )
 
 
 class Steps:

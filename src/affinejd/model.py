@@ -63,6 +63,9 @@ class AffineModel:
         self.rhs_quadratic = (0.5 * self.A).astype(complex)
         self.rhs_points = self.jump_points.astype(complex)
         self.rhs_coefs = self.jump_coefs.T.astype(complex, order="C")
+        # The rows of the jump table with weight in K^1..p, the only points
+        # whose exp reaches psi; the others feed R_0 alone.
+        self.psi_point_rows = np.flatnonzero(np.any(self.jump_coefs[:, 1:] != 0.0, axis=1))
 
     def _compile_jumps(self):
         """The jump table: every source of K(x, dz) = K^0 + sum_i x_i K^i

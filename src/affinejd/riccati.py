@@ -15,10 +15,12 @@ Integration runs in two phases of one call, both driven by one stepping loop
 (``_integrate``) over the DOP853 stepper of ``integrator``, the adaptive
 embedded Runge-Kutta pair of order 8, which takes scipy's steps bit for bit
 without importing scipy. Phase 1 integrates in t until the horizon or the
-first accepted step end where |psi| >= r_sw = 30 (1 + |u|) (with r_sw at or
+first accepted step end where |psi| >= r_sw = 30 (1 + |u|) or, read from the
+stepper's derivative there, |R(psi)| >= r_sw (1 + |psi|) (with r_sw at or
 past the blow-up radius r_max, phase 1 stops at r_max). Phase 2 continues
 from that step end in a new time s, with t - t_switch as the last state
-component:
+component, whose absolute tolerance ABS_TOL min(1, 10 t_switch) keeps a
+blow-up time far below 1 to relative accuracy:
 
     d(psi_0, psi, t)/ds = g (R_0, R, 1),  g = 1 / (1 + |R(psi)| / (r_sw (1 + |psi|))),
 
@@ -37,11 +39,20 @@ run without a rejected attempt takes scipy's steps bit for bit.
 In both phases a trial stage where R is not finite or a ray's integral
 diverges is NaN, so DOP853 rejects the step and shrinks it: a solve ends
 where an accepted state meets a stopping surface or the step size underflows,
-and NonFiniteRHS is raised only for R(u) at t = 0. The surfaces are the
-blow-up radius r_max, an exp-overflow guard for models with jump atoms (well
-below the overflow threshold of exp, where the remaining time to the true
-blow-up is far below the bracket width), the integrability boundary of
-exponential rays (just below each rate), and t = horizon.
+and NonFiniteRHS is raised only for R_1..p(u) at t = 0. The surfaces are the
+blow-up radius r_max, an exp-overflow guard on the weighted points with
+weight in K^1..p (well below the overflow threshold of exp, where the
+remaining time to the true blow-up is far below the bracket width), the
+integrability boundary of exponential rays (just below each rate), and
+t = horizon.
+
+psi_0 is a quadrature along psi that never feeds back into it, so the
+transform exists wherever psi does, however large psi_0 is. Where R_0 alone
+leaves float range (at u, in a trial stage, or through a step's error
+estimate, which DOP853 reports as QuadratureOverflow), the loop goes on
+from the last accepted step with psi_0's derivative held at 0, and the
+solution records that time in ``stats.psi0_overflow``; verdicts and stop
+reasons describe psi only.
 
 The loop tests these surfaces on accepted step ends with the sign-change
 rule of scipy's solve_ivp and root-finds only on the interpolant of the step
@@ -80,6 +91,7 @@ from .integrator import (
     MIN_FACTOR,
     SAFETY,
     TOO_SMALL_STEP,
+    QuadratureOverflow,
     Steps,
     brentq,
     norm,
@@ -94,6 +106,10 @@ _EXP_GUARD = 600.0
 # Phase 1 hands over to the time-changed phase 2 at the first step end where
 # |psi| >= _SWITCH_FACTOR * (1 + |u|).
 _SWITCH_FACTOR = 30.0
+
+# The packed components of psi_0, and of everything that R reads.
+_PSI0 = slice(0, 2)
+_CORE = slice(2, None)
 
 # The ray event watches Re(d.psi) = rate (1 - _RAY_MARGIN), where the step
 # size has not yet underflowed against the 1/(rate - d.psi) singularity of R.
@@ -127,20 +143,36 @@ def riccati_rhs(model, y):
     return out
 
 
+def _rhs_psi(model, y):
+    """(R_1(y), ..., R_p(y)) from the weighted points that carry weight in
+    K^1..p, for a second look where R(y) is not finite: exp of a point of
+    K^0 alone may overflow, and its zero weights in R_1..p make NaN."""
+    rows = model.psi_point_rows
+    out = (model.rhs_linear[1:] + model.rhs_quadratic[1:] @ y) @ y
+    e = model.rhs_points[rows] @ y
+    out += model.rhs_coefs[1:, rows] @ (np.expm1(e) - e)
+    for rate, direction, coef in model.jump_rays:
+        out += coef[1:] * ray_moment(1.0, rate, complex(direction @ y))
+    return out
+
+
 @dataclass
 class SolveStats:
     """What one solve did: right-hand-side calls, accepted steps in t
     (phase 1) and in the time-changed s (phase 2), rejected step attempts
     over both phases, and why it stopped: "horizon", "radius" (|psi| reached
     r_max), "overflow" (the exp guard of atom supports) or "step_underflow"
-    (blow-up declared when the step size underflowed). Interpolants that
-    eval builds after the solve are not counted in nfev."""
+    (blow-up declared when the step size underflowed). ``psi0_overflow`` is
+    the time after which psi_0 is out of float range while psi is not, or
+    None. Interpolants that eval builds after the solve are not counted in
+    nfev."""
 
     nfev: int
     steps_t: int
     steps_s: int
     rejected: int
     stop_reason: str
+    psi0_overflow: Optional[float] = None
 
 
 class RiccatiSolution:
@@ -150,7 +182,8 @@ class RiccatiSolution:
     crossed the blow-up radius R_MAX inside a bracket of relative width below
     BRACKET_TOL). ``eval(t)`` interpolates (psi_0(t), psi(t)) for any t up
     to the last solved time; ``grid`` holds the accepted times of both
-    phases.
+    phases. Past ``stats.psi0_overflow``, psi_0 reads NaN, here and in
+    ``psi0``.
     """
 
     def __init__(self, u, grid, psi0, psi, verdict, bracket, dense, stats):
@@ -177,6 +210,8 @@ class RiccatiSolution:
         for i, s in enumerate(np.clip(t_arr, 0.0, self.t_last).flat):
             y[i] = self._dense(float(s))
         z = y.view(complex)
+        if self.stats.psi0_overflow is not None:
+            z[t_arr.ravel() > self.stats.psi0_overflow, 0] = complex(math.nan, math.nan)
         if t_arr.ndim == 0:
             return complex(z[0, 0]), z[0, 1:]
         return z[:, 0], z[:, 1:]
@@ -186,9 +221,20 @@ class RiccatiSolution:
         return self.eval(self.t_last)
 
 
-def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None):
+def _holding_psi0(fun):
+    """fun with the derivative of psi_0 held at 0."""
+
+    def held(x, y):
+        f = fun(x, y)
+        f[_PSI0] = 0.0
+        return f
+
+    return held
+
+
+def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None, atol=ABS_TOL):
     """Step DOP853 from x0 towards x_bound until it finishes, its step size
-    underflows, a terminal event fires, or until(y) holds at an accepted
+    underflows, a terminal event fires, or until(solver) holds at an accepted
     step end. Events are tested on accepted step ends with solve_ivp's rule
     for direction +1 (g <= 0 at the step start and g >= 0 at its end); the
     run stops at the earliest root of the events that fired, found by brentq
@@ -197,13 +243,27 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None):
     Once the run has rejected an attempt, the step after an accepted step n
     that follows an accepted step n-1 is at most Gustafsson's
     SAFETY h_n (h_n / h_{n-1}) (err_{n-1} / err_n^2)^(1/8), and that limit is
-    at least MIN_FACTOR h_n; err is DOP853's error norm of the step."""
-    solver = DOP853(fun, x0, y0, x_bound, REL_TOL, ABS_TOL, first_step)
+    at least MIN_FACTOR h_n; err is DOP853's error norm of the step.
+
+    An attempt that overflows psi_0 alone (QuadratureOverflow) does not end
+    the run: it goes on from the last accepted step with psi_0 held. The
+    run's k_held is the index of the grid point from which it is held, or
+    None."""
+    solver = DOP853(fun, x0, y0, x_bound, REL_TOL, atol, first_step, _CORE)
     run = Steps(fun, x0, y0)
+    run.k_held = None
     g = [event(x0, y0) for event in events]
     h_last = err_last = 0.0  # the previous accepted step and its error norm
     while True:
-        accepted = solver.step()
+        try:
+            accepted = solver.step()
+        except QuadratureOverflow:
+            # Interpolants of the steps before x_held keep the full fun.
+            run.k_held, x_held, free = run.n_steps, solver.t, fun
+            solver.fun = held_fun = _holding_psi0(free)
+            solver.f[_PSI0] = 0.0
+            run.fun = lambda x, y: (held_fun if x >= x_held else free)(x, y)
+            continue
         run.rejected = solver.rejected
         if not accepted:
             run.failed = True
@@ -225,7 +285,7 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None):
             first = int(np.argmin(roots))
             run.stop_at(active[first], roots[first])
             return run.finish()
-        if solver.finished or (until is not None and until(solver.y)):
+        if solver.finished or (until is not None and until(solver)):
             return run.finish()
         g = g_new
 
@@ -276,7 +336,7 @@ def _make_events(model, radius):
     events = [radius_event]
     kinds = ["radius"]
 
-    zs = model.jump_points
+    zs = model.jump_points[model.psi_point_rows]
     if zs.size:
 
         def overflow(x, y):
@@ -311,8 +371,13 @@ def solve_riccati(model, u, horizon):
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
     with np.errstate(over="ignore", invalid="ignore"):
         r_u = riccati_rhs(model, u)
-    if not np.isfinite(r_u).all():
+        if not np.isfinite(r_u).all():
+            r_u[1:] = _rhs_psi(model, u)
+    if not np.isfinite(r_u[1:]).all():
         raise NonFiniteRHS("Riccati right-hand side is non-finite at t=0")
+    held = not cmath.isfinite(r_u[0])  # psi_0 is out of range from t = 0
+    if held:
+        r_u[0] = 0.0
     r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
     nfev = 0
@@ -328,6 +393,10 @@ def solve_riccati(model, u, horizon):
             dz = riccati_rhs(model, z[1:])
             if all(map(cmath.isfinite, dz.tolist())):  # cheaper than np.isfinite here
                 return dz
+            if not cmath.isfinite(dz[0]):  # R_0 alone, if psi's rows survive a second look
+                dz[1:] = _rhs_psi(model, z[1:])
+                if all(map(cmath.isfinite, dz[1:].tolist())):
+                    return dz  # DOP853 reports it as QuadratureOverflow
         except DivergentIntegral:
             pass
         return np.full(z.size, np.nan, dtype=complex)
@@ -358,20 +427,28 @@ def solve_riccati(model, u, horizon):
         # into psi, so a large R_0 must not shrink the first step below what
         # psi needs (at R_0 ~ 1e180 the rule on the whole state underflows
         # to 0). A step of 0 leaves the choice to DOP853's own rule.
+        rhs_t = _holding_psi0(rhs) if held else rhs
         first_step = select_initial_step(
-            rhs, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, (slice(None), slice(2, None))
+            rhs_t, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, (slice(None), _CORE)
         ) or None
         events, kinds = _make_events(model, R_MAX)
         until = None
         if r_switch < R_MAX:  # stop at the first step end past r_sw; phase 2 watches R_MAX
-            events, kinds, until = events[1:], kinds[1:], lambda y: norm(y[2:]) >= r_switch
-        run = _integrate(rhs, 0.0, y0, horizon, events, first_step, until)
+            events, kinds = events[1:], kinds[1:]
+
+            # A super-exponential R steepens while |psi| stalls below r_sw.
+            def until(solver):
+                psi_norm = norm(solver.y[_CORE])
+                return psi_norm >= r_switch or norm(solver.f[_CORE]) >= r_switch * (1.0 + psi_norm)
+        run = _integrate(rhs_t, 0.0, y0, horizon, events, first_step, until)
+        k_held = 0 if held else run.k_held
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
         if run.event is None and not run.failed and grid[-1] < horizon:
             # Phase 2, in s, from the step end where phase 1 stopped. The
             # state carries t - t_switch, so REL_TOL applies to the time
-            # spent in phase 2.
+            # spent in phase 2; its ABS_TOL shrinks with a t_switch below
+            # 0.1, so that a blow-up time far below 1 stays accurate.
             t_switch = float(grid[-1])
             events, kinds = _make_events(model, R_MAX)
 
@@ -380,7 +457,12 @@ def solve_riccati(model, u, horizon):
 
             events.append(at_horizon)
             kinds.append("horizon")
-            run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, events)
+            atol = np.full(ys.shape[1] + 1, ABS_TOL)
+            atol[-1] = ABS_TOL * min(1.0, 10.0 * t_switch)
+            rhs_phase2 = rhs_s if k_held is None else _holding_psi0(rhs_s)
+            run = _integrate(rhs_phase2, 0.0, np.append(ys[-1], 0.0), math.inf, events, atol=atol)
+            if k_held is None and run.k_held is not None:
+                k_held = steps_t + run.k_held
             steps_s, rejected = run.n_steps, rejected + run.rejected
             t_grid = t_switch + run.ys[:, -1]
             if run.event is not None and kinds[run.event] == "horizon":
@@ -392,9 +474,13 @@ def solve_riccati(model, u, horizon):
     kind = None if run.event is None else kinds[run.event]
     z = ys.view(complex)
     psi0, psi = z[:, 0], z[:, 1:]
+    t_held = None
+    if k_held is not None:
+        t_held = float(grid[k_held])
+        psi0[k_held + 1:] = complex(math.nan, math.nan)
 
     def result(verdict, bracket, stop_reason):
-        stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason)
+        stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason, t_held)
         return RiccatiSolution(u, grid, psi0, psi, verdict, bracket, dense, stats)
 
     if (kind is None and not run.failed) or kind == "horizon":
@@ -409,7 +495,7 @@ def solve_riccati(model, u, horizon):
         t_end = float(grid[-1])
         psi_end = psi[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            r_norm = float(np.linalg.norm(riccati_rhs(model, psi_end)))
+            r_norm = float(np.linalg.norm(riccati_rhs(model, psi_end)[1:]))
         scale = 1.0 + float(np.linalg.norm(psi_end))
         if not np.isfinite(r_norm) or r_norm * max(t_end, 1e-12) > 1e10 * scale:
             half = 0.25 * BRACKET_TOL * t_end
@@ -510,10 +596,8 @@ def flow_identity_residual(model, u, s, t):
     if sol2.exploded:
         raise ExplosionBeforeHorizon("restarted solution explodes before t")
     psi0_2, psi_2 = sol2.eval(t)
-    return max(
-        float(np.linalg.norm(psi_st - psi_2)),
-        abs(psi0_st - psi0_s - psi0_2),
-    )
+    # np.max keeps the NaN of a psi_0 past float range, where max may drop it.
+    return float(np.max([np.linalg.norm(psi_st - psi_2), abs(psi0_st - psi0_s - psi0_2)]))
 
 
 def variation_of_constants_residual(model, u, x, t):

@@ -7,7 +7,10 @@ The transform value is tagged:
 * ``finite``      -- the Riccati solution reached t, and so did the real
                      one at Re u; value exp(psi0 + psi.x), with the exponent
                      in log_value. The value is None when the exponential
-                     overflows.
+                     overflows. When psi_0 alone left float range (psi0 is
+                     a quadrature along psi and never feeds back, so the
+                     moment exists wherever psi does), value, log_value and
+                     psi0 are None and the diagnostic names the time.
 * ``not_integrable`` -- non-real u with Re u != 0, whose solution reached
                      t or blew up outside U, where the real solution at
                      Re u blew up by t: then
@@ -69,7 +72,13 @@ def transform(model, u, x, t):
             not_integrable = _not_integrable(model, u, t)
             if not_integrable is not None:
                 return not_integrable
-        return _finite(*sol.eval(t), x)
+        psi0, psi = sol.eval(t)
+        if sol.stats.psi0_overflow is not None:
+            return TransformValue("finite", psi=psi, diagnostic=(
+                f"psi_0 is out of float range after t={sol.stats.psi0_overflow!r}: "
+                "the moment is finite, but psi_0 and the value are not representable"
+            ))
+        return _finite(psi0, psi, x)
     if np.all(u.imag == 0.0):
         return TransformValue(
             "explosive",

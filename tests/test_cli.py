@@ -81,6 +81,24 @@ def test_transform_overflow_is_standard_json(capsys, models_dir):
     assert abs(payload["log_value"]["re"] - (np.log(10.0) + 9000.0)) < 1e-5
 
 
+def test_psi0_overflow_is_standard_json(capsys, models_dir):
+    # R_0(1000) ~ 0.25 e^800 overflows while psi = 1000 stays constant: the
+    # moment is finite, and psi_0 and the value are null.
+    args = ("--model", str(models_dir / "compound_poisson.json"), "--u", "1000")
+    code, out, _ = run_cli(capsys, "solve", *args, "--T", "1")
+    payload = strict_json(out)
+    assert code == 0 and payload["verdict"] == "solved" and payload["stop_reason"] == "horizon"
+    assert payload["psi0"] is None and payload["psi0_overflow"] == 0.0
+    assert payload["psi"] == [{"re": 1000.0, "im": 0.0}]
+    code, out, _ = run_cli(capsys, "transform", *args, "--x", "1", "--t", "1")
+    payload = strict_json(out)
+    assert code == 0 and payload["verdict"] == "finite"
+    assert payload["value"] is None and payload["log_value"] is None and payload["psi0"] is None
+    assert "t=0.0" in payload["diagnostic"]
+    code, out, _ = run_cli(capsys, "explosion", *args, "--t-max", "1")
+    assert code == 0 and strict_json(out) == {"verdict": "exceeds_horizon", "t_max": 1.0}
+
+
 def test_transform_not_integrable(capsys, models_dir):
     code, out, _ = run_cli(capsys, "transform", "--model", str(models_dir / "cir.json"),
                            "--u", "2+1i", "--x", "1", "--t", "1")

@@ -13,6 +13,7 @@ from affinejd.errors import (
     DimensionMismatch,
     DivergentIntegral,
     ExplosionBeforeHorizon,
+    NonFiniteRHS,
     QuadratureTailWarning,
 )
 from affinejd.integrator import DOP853, ROOT_TOL, select_initial_step
@@ -506,9 +507,11 @@ def test_stop_reasons(cir_model, squared_model):
     want = oracles.explosion_time_1d(lambda y: np.exp(z * y) - 1.0 - z * y, 1.0)
     assert sol.exploded and sol.stats.stop_reason == "overflow"
     assert abs(0.5 * sum(sol.bracket) - want) < 1e-6 * want
-    # e^y - 1 - y outruns every surface before the switch: the step underflows.
+    # e^y - 1 - y steepens so fast that |psi| stalls below the switch radius;
+    # phase 1 hands over on |R| instead, and phase 2 reaches the exp guard.
     sol = solve_riccati(self_exciting_model(), [1.0], 10.0)
-    assert sol.exploded and sol.stats.stop_reason == "step_underflow"
+    assert sol.exploded and sol.stats.stop_reason == "overflow"
+    assert sol.stats.steps_s > 0 and sol.stats.nfev <= 1000
     for s in (sol, solve_riccati(cir_model, [0.5], 1.0)):
         assert s.stats.nfev > 12 * (s.stats.steps_t + s.stats.steps_s)
 
@@ -521,6 +524,69 @@ def test_constant_psi_with_huge_psi0_rate_is_not_blow_up(cp_model):
         assert res.kind == "exceeds_horizon"
         sol = solve_riccati(cp_model, [u], 1.0)
         assert sol.psi[-1, 0] == u and sol.stats.steps_t < 20
+
+
+def counting_solves(monkeypatch):
+    """The stats of every solve_riccati call made through the riccati module."""
+    stats = []
+    solve = riccati.solve_riccati
+
+    def counted(*args):
+        sol = solve(*args)
+        stats.append(sol.stats)
+        return sol
+
+    monkeypatch.setattr(riccati, "solve_riccati", counted)
+    return stats
+
+
+@pytest.mark.parametrize("u", [886.75, 887.0, 888.0, 1e6])
+def test_psi0_overflow_is_not_blow_up(cp_model, u, monkeypatch):
+    # R_0(u) ~ 0.25 e^(0.8 u) is near or past the largest float while R_1 = 0:
+    # psi stays at u, and psi_0 is out of range from t = 0 (at 886.75 and 887
+    # R_0 is finite, but the error estimate of a step overflows).
+    stats = counting_solves(monkeypatch)
+    assert riccati.explosion_time(cp_model, [u], 1.0).kind == "exceeds_horizon"
+    assert len(stats) == 1 and stats[0].nfev <= 300
+    assert stats[0].stop_reason == "horizon" and stats[0].psi0_overflow == 0.0
+    sol = solve_riccati(cp_model, [u], 1.0)
+    psi0, psi = sol.terminal()
+    assert psi[0] == u and np.isnan(psi0) and np.isnan(sol.psi0[1:]).all()
+    assert sol.eval(0.0)[0] == 0.0
+    # An identity that reads psi_0 cannot hold there, and does not pass.
+    assert np.isnan(flow_identity_residual(cp_model, [u], 0.5, 0.5))
+
+
+@pytest.mark.parametrize("horizon", [0.5, 0.7, 2.0])
+def test_compound_poisson_ray_is_unbounded(cp_model, horizon, monkeypatch):
+    # Doubling from 1 to lambda_max = 1e6 takes 21 probes; those past ~886
+    # hold psi_0 and cost about as much as the ones below.
+    stats = counting_solves(monkeypatch)
+    ray = effective_domain_ray(cp_model, [1.0], horizon)
+    assert not ray.bounded and ray.bracket is None and len(ray.probes) <= 21
+    assert len(stats) == len(ray.probes) and sum(s.nfev for s in stats) <= 3500
+
+
+def test_exp_guard_watches_the_points_that_reach_psi():
+    # An atom of K^0 reaches R_0 only: psi = e^t, while R_0 = expm1(psi/10) -
+    # psi/10 overflows near t = 8.87. The exp guard of the atom (psi/10 =
+    # 600) must not end the solve.
+    m = AffineModel(a0=[0.0], a=[[1.0]], A=[[[1.0]], [[0.0]]], K=[FiniteAtomic([1.0], [[0.1]]), None],
+                    state_space=Canonical(0, 1))
+    sol = solve_riccati(m, [1.0], 10.0)
+    assert not sol.exploded and sol.stats.stop_reason == "horizon"
+    psi0, psi = sol.terminal()
+    assert abs(psi[0] - np.exp(10.0)) <= 1e-8 * np.exp(10.0)
+    t_out = sol.stats.psi0_overflow
+    assert t_out is not None and 8.0 < t_out < 8.87 and np.isnan(psi0)
+    # psi_0 = integral of R_0 is carried up to that time.
+    assert np.isfinite(sol.eval(0.5 * t_out)[0]) and np.isnan(sol.eval(0.5 * (t_out + 10.0))[0])
+
+
+def test_non_finite_psi_rate_at_u_is_refused():
+    # R_1(800) = e^800 - 1 - 800 overflows: that is not a psi_0 overflow.
+    with pytest.raises(NonFiniteRHS):
+        solve_riccati(atom_model(1.0), [800.0], 1.0)
 
 
 def test_solve_counts_steps_and_builds_no_interpolant(monkeypatch):
@@ -554,12 +620,11 @@ def test_no_stray_runtime_warnings(cp_model):
         warnings.simplefilter("error")
         ray = effective_domain_ray(cp_model, [1.0], 0.7)
         sol = solve_riccati(self_exciting_model(), [1.0], 10.0)
-    # The ray's verdicts pin the current behaviour, which reads the overflow
-    # of psi_0 alone as blow-up (ROADMAP correctness backlog).
-    assert ray.bracket == (886.65185546875, 886.65234375)
-    assert ray.lambda_star == 886.652099609375
-    assert [kind for _, _, kind in ray.probes].count("NonFiniteRHS") == 3
-    assert sol.exploded and sol.stats.stop_reason == "step_underflow"
+    # An overflow of psi_0 alone is not blow-up: psi = u is constant, so the
+    # ray never leaves the domain and doubles up to lambda_max.
+    assert ray.bracket is None and ray.lambda_star == np.inf
+    assert [kind for _, _, kind in ray.probes] == ["exceeds_horizon"] * 21
+    assert sol.exploded and sol.stats.stop_reason == "overflow"
     want = oracles.explosion_time_1d(lambda y: np.exp(y) - 1.0 - y, 1.0)
     assert sol.bracket[0] < want < sol.bracket[1]
     assert abs(0.5 * sum(sol.bracket) - want) < 1e-10 * want

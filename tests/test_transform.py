@@ -92,6 +92,15 @@ def test_transform_not_integrable_branch(cir_model, bad_model):
     assert abs(tv.psi0 - oracles.cir_psi0(1.0, u)) < 1e-8
 
 
+def test_transform_psi0_overflow_is_finite(cp_model):
+    # psi = u stays finite, so the moment exists; psi_0 = R_0(u) t with
+    # R_0(1000) ~ 0.25 e^800 is past float range and no value is asserted.
+    tv = transform(cp_model, [1000.0], [1.0], 1.0)
+    assert tv.kind == "finite" and tv.psi[0] == 1000.0
+    assert tv.value is None and tv.log_value is None and tv.psi0 is None
+    assert "psi_0 is out of float range after t=0.0" in tv.diagnostic
+
+
 def test_transform_rejects_states_outside_space(cir_model):
     from affinejd.errors import StateSpaceMismatch
 
