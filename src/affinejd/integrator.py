@@ -422,19 +422,19 @@ class DOP853:
 class Steps:
     """The accepted steps of one DOP853 run: the grid x, the states y at its
     points (exact step ends; the last point of a run stopped by an event is
-    the interpolated root), and per step the stages from which its
-    interpolant is built on the first evaluation inside the step. Calling
-    the run at x evaluates it like solve_ivp's dense output on the same
-    steps, but returns the stored state at a grid point."""
+    the interpolated root), and per step the stages and the right-hand side
+    that made it, from which its interpolant is built on the first
+    evaluation inside the step. Calling the run at x evaluates it like
+    solve_ivp's dense output on the same steps, but returns the stored state
+    at a grid point."""
 
-    def __init__(self, fun, x0, y0):
-        self.fun = fun
+    def __init__(self, x0, y0):
         self.x = [x0]
         self.y = [y0]
         self.rejected = 0
         self.event = None  # index of the event that stopped the run
         self.failed = False  # the step size underflowed
-        self._steps = []  # (x_old, x_new, y_new, stages) per accepted step
+        self._steps = []  # (x_old, x_new, y_new, stages, fun) per accepted step
         self._coefs = {}
 
     @property
@@ -442,7 +442,7 @@ class Steps:
         return len(self._steps)
 
     def push(self, solver):
-        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy()))
+        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy(), solver.fun))
         self.x.append(solver.t)
         self.y.append(solver.y)
 
@@ -466,12 +466,12 @@ class Steps:
         return y + self.y[k]
 
     def _coefficients(self, k):
-        x_old, x_new, y_new, stages = self._steps[k]
+        x_old, x_new, y_new, stages, fun = self._steps[k]
         y_old = self.y[k]
         h = x_new - x_old
         with np.errstate(over="ignore", invalid="ignore"):
             for s, (a, c) in enumerate(_EXTRA_ROWS, start=N_STAGES + 1):
-                stages[s] = self.fun(x_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
+                stages[s] = fun(x_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
         f_old = stages[0]
         delta = y_new - y_old
         coefs = np.empty((INTERPOLATOR_POWER, y_old.size))

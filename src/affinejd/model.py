@@ -58,14 +58,16 @@ class AffineModel:
         self.state_space = state_space
         self._compile_jumps()
         # The coefficients of riccati.riccati_rhs cast to complex once; row i
-        # of rhs_linear, rhs_quadratic and rhs_coefs belongs to R_i.
+        # of rhs_linear, rhs_quadratic and rhs_coefs belongs to R_i. Points
+        # with weight in K^1..p reach psi; those of K^0 alone (rhs_points0,
+        # weights rhs_coefs0) feed R_0 alone.
         self.rhs_linear = np.vstack([self.a0, self.a.T]).astype(complex)
         self.rhs_quadratic = (0.5 * self.A).astype(complex)
-        self.rhs_points = self.jump_points.astype(complex)
-        self.rhs_coefs = self.jump_coefs.T.astype(complex, order="C")
-        # The rows of the jump table with weight in K^1..p, the only points
-        # whose exp reaches psi; the others feed R_0 alone.
-        self.psi_point_rows = np.flatnonzero(np.any(self.jump_coefs[:, 1:] != 0.0, axis=1))
+        reach = np.any(self.jump_coefs[:, 1:] != 0.0, axis=1)
+        self.rhs_points = self.jump_points[reach].astype(complex)
+        self.rhs_coefs = self.jump_coefs[reach].T.astype(complex, order="C")
+        self.rhs_points0 = self.jump_points[~reach].astype(complex)
+        self.rhs_coefs0 = self.jump_coefs[~reach, 0].astype(complex)
 
     def _compile_jumps(self):
         """The jump table: every source of K(x, dz) = K^0 + sum_i x_i K^i

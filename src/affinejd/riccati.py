@@ -3,9 +3,10 @@
 R_i(y) = y.a^i + y.A^i y / 2 + integral of (exp(y.z) - 1 - y.z) K^i(dz);
 the zeroth component psi_0 is carried as an ODE component (psi_0' = R_0(psi))
 rather than reconstructed through logarithms, so it is continuous and free of
-branch-cut ambiguity. R and k_eval read the model's jump table (all weighted
-points in one matrix product, a closed form per ray), so R costs a few small
-array operations whatever the number of measures.
+branch-cut ambiguity. R and k_eval read the model's jump table (a closed
+form per ray; in R, the weighted points with weight in K^1..p in one matrix
+product and those of K^0 alone in another, which adds to R_0 only), so R
+costs a few small array operations whatever the number of measures.
 
 The integrator state packs the complex (psi_0, psi) as its interleaved real
 view (Re psi_0, Im psi_0, Re psi_1, Im psi_1, ...), so the right-hand side
@@ -36,7 +37,7 @@ Sec. IV.8), which anticipates steps that keep shrinking: on psi steepening
 towards blow-up, scipy's controller alone rejects every other attempt. A
 run without a rejected attempt takes scipy's steps bit for bit.
 
-In both phases a trial stage where R is not finite or a ray's integral
+In both phases a trial stage where R_1..p is not finite or a ray's integral
 diverges is NaN, so DOP853 rejects the step and shrinks it: a solve ends
 where an accepted state meets a stopping surface or the step size underflows,
 and NonFiniteRHS is raised only for R_1..p(u) at t = 0. The surfaces are the
@@ -47,12 +48,14 @@ integrability boundary of exponential rays (just below each rate), and
 t = horizon.
 
 psi_0 is a quadrature along psi that never feeds back into it, so the
-transform exists wherever psi does, however large psi_0 is. Where R_0 alone
-leaves float range (at u, in a trial stage, or through a step's error
-estimate, which DOP853 reports as QuadratureOverflow), the loop goes on
-from the last accepted step with psi_0's derivative held at 0, and the
-solution records that time in ``stats.psi0_overflow``; verdicts and stop
-reasons describe psi only.
+transform exists wherever psi does, however large psi_0 is. An exp that
+overflows on a point of K^0 alone leaves R_1..p exact, so a trial stage
+passes when R_1..p is finite. Where R_0 alone leaves float range (at u, or
+in a step's error estimate, which DOP853 reports as QuadratureOverflow),
+the loop goes on from the last accepted step with psi_0's derivative held
+at 0, and the solution records that time in ``stats.psi0_overflow``;
+verdicts and stop reasons describe psi only. Each step's interpolant uses
+the right-hand side that made the step.
 
 The loop tests these surfaces on accepted step ends with the sign-change
 rule of scipy's solve_ivp and root-finds only on the interpolant of the step
@@ -130,7 +133,9 @@ def riccati_rhs(model, y):
     """(R_0(y), ..., R_p(y)) = (L + Q y) y + C^T (expm1(Z y) - Z y) + rays(y)
     for a complex vector y of length p, from the model's complex casts of L,
     Q and its jump table's weighted points Z and coefficients C; rays(y) is
-    the closed form over the table's rays (DivergentIntegral past a rate)."""
+    the closed form over the table's rays (DivergentIntegral past a rate).
+    The points of K^0 alone add to R_0 only, so an exp that overflows on one
+    of them leaves R_1..p exact."""
     y = np.asarray(y, dtype=complex).ravel()
     if y.size != model.dim:  # inline rather than _check_vector: the solver's hot path
         raise DimensionMismatch(f"y has length {y.size}, the model has dimension {model.dim}")
@@ -138,21 +143,11 @@ def riccati_rhs(model, y):
     if model.rhs_points.size:
         e = model.rhs_points @ y
         out += model.rhs_coefs @ (np.expm1(e) - e)
+    if model.rhs_points0.size:
+        e = model.rhs_points0 @ y
+        out[0] += model.rhs_coefs0 @ (np.expm1(e) - e)
     for rate, direction, coef in model.jump_rays:
         out += coef * ray_moment(1.0, rate, complex(direction @ y))
-    return out
-
-
-def _rhs_psi(model, y):
-    """(R_1(y), ..., R_p(y)) from the weighted points that carry weight in
-    K^1..p, for a second look where R(y) is not finite: exp of a point of
-    K^0 alone may overflow, and its zero weights in R_1..p make NaN."""
-    rows = model.psi_point_rows
-    out = (model.rhs_linear[1:] + model.rhs_quadratic[1:] @ y) @ y
-    e = model.rhs_points[rows] @ y
-    out += model.rhs_coefs[1:, rows] @ (np.expm1(e) - e)
-    for rate, direction, coef in model.jump_rays:
-        out += coef[1:] * ray_moment(1.0, rate, complex(direction @ y))
     return out
 
 
@@ -161,11 +156,11 @@ class SolveStats:
     """What one solve did: right-hand-side calls, accepted steps in t
     (phase 1) and in the time-changed s (phase 2), rejected step attempts
     over both phases, and why it stopped: "horizon", "radius" (|psi| reached
-    r_max), "overflow" (the exp guard of atom supports) or "step_underflow"
-    (blow-up declared when the step size underflowed). ``psi0_overflow`` is
-    the time after which psi_0 is out of float range while psi is not, or
-    None. Interpolants that eval builds after the solve are not counted in
-    nfev."""
+    r_max), "overflow" (the exp guard on the weighted points with weight in
+    K^1..p) or "step_underflow" (blow-up declared when the step size
+    underflowed). ``psi0_overflow`` is the time after which psi_0 is out of
+    float range while psi is not, or None. Interpolants that eval builds
+    after the solve are not counted in nfev."""
 
     nfev: int
     steps_t: int
@@ -246,11 +241,11 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None, atol=A
     at least MIN_FACTOR h_n; err is DOP853's error norm of the step.
 
     An attempt that overflows psi_0 alone (QuadratureOverflow) does not end
-    the run: it goes on from the last accepted step with psi_0 held. The
-    run's k_held is the index of the grid point from which it is held, or
-    None."""
+    the run: it goes on from the last accepted step with psi_0 held, and the
+    steps before keep the full fun in their interpolants. The run's k_held
+    is the index of the grid point from which it is held, or None."""
     solver = DOP853(fun, x0, y0, x_bound, REL_TOL, atol, first_step, _CORE)
-    run = Steps(fun, x0, y0)
+    run = Steps(x0, y0)
     run.k_held = None
     g = [event(x0, y0) for event in events]
     h_last = err_last = 0.0  # the previous accepted step and its error norm
@@ -258,11 +253,9 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None, atol=A
         try:
             accepted = solver.step()
         except QuadratureOverflow:
-            # Interpolants of the steps before x_held keep the full fun.
-            run.k_held, x_held, free = run.n_steps, solver.t, fun
-            solver.fun = held_fun = _holding_psi0(free)
+            run.k_held = run.n_steps
+            solver.fun = _holding_psi0(solver.fun)
             solver.f[_PSI0] = 0.0
-            run.fun = lambda x, y: (held_fun if x >= x_held else free)(x, y)
             continue
         run.rejected = solver.rejected
         if not accepted:
@@ -326,8 +319,8 @@ class _TimeChangedDense:
 def _make_events(model, radius):
     """Terminal stopping surfaces on a packed state whose first 2(p+1)
     components are the interleaved (psi_0, psi): the radius |psi| = radius,
-    the exp-overflow guard on the weighted points of the model's jump table,
-    and the integrability boundary of its exponential rays."""
+    the exp-overflow guard on the weighted points with weight in K^1..p,
+    and the integrability boundary of the model's exponential rays."""
     end = 2 * (model.dim + 1)
 
     def radius_event(x, y):
@@ -336,7 +329,7 @@ def _make_events(model, radius):
     events = [radius_event]
     kinds = ["radius"]
 
-    zs = model.jump_points[model.psi_point_rows]
+    zs = model.rhs_points.real.copy()  # the points whose exp reaches psi
     if zs.size:
 
         def overflow(x, y):
@@ -371,8 +364,6 @@ def solve_riccati(model, u, horizon):
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
     with np.errstate(over="ignore", invalid="ignore"):
         r_u = riccati_rhs(model, u)
-        if not np.isfinite(r_u).all():
-            r_u[1:] = _rhs_psi(model, u)
     if not np.isfinite(r_u[1:]).all():
         raise NonFiniteRHS("Riccati right-hand side is non-finite at t=0")
     held = not cmath.isfinite(r_u[0])  # psi_0 is out of range from t = 0
@@ -391,12 +382,8 @@ def solve_riccati(model, u, horizon):
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         try:
             dz = riccati_rhs(model, z[1:])
-            if all(map(cmath.isfinite, dz.tolist())):  # cheaper than np.isfinite here
+            if all(map(cmath.isfinite, dz.tolist()[1:])):  # R_1..p; DOP853 reports an R_0 overflow
                 return dz
-            if not cmath.isfinite(dz[0]):  # R_0 alone, if psi's rows survive a second look
-                dz[1:] = _rhs_psi(model, z[1:])
-                if all(map(cmath.isfinite, dz[1:].tolist())):
-                    return dz  # DOP853 reports it as QuadratureOverflow
         except DivergentIntegral:
             pass
         return np.full(z.size, np.nan, dtype=complex)

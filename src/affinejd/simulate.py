@@ -53,6 +53,10 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("n_paths", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not (0.0 < self.dt < np.inf and 0.0 < self.horizon < np.inf):
@@ -277,13 +281,14 @@ def simulate_paths(model, x0, cfg: SimConfig):
 
 def _complex_mean_se(vals):
     n = vals.size
-    value = complex(np.mean(vals))
-    if not np.isfinite(value.real) or not np.isfinite(value.imag):
-        return complex(np.inf, 0.0), np.inf
-    if n == 1:
-        return value, 0.0
-    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
-    return value, float(np.sqrt(var / n))
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean past float range is inf
+        value = complex(np.mean(vals))
+        if not np.isfinite(value.real) or not np.isfinite(value.imag):
+            return complex(np.inf, 0.0), np.inf
+        if n == 1:
+            return value, 0.0
+        var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
+        return value, float(np.sqrt(var / n))
 
 
 def mc_transform(ensemble, u):
@@ -292,6 +297,8 @@ def mc_transform(ensemble, u):
     p = ensemble.states.shape[2]
     if u.size != p:
         raise DimensionMismatch(f"u has length {u.size}, the paths have dimension {p}")
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
     with np.errstate(over="ignore"):
         vals = np.exp(ensemble.final_states @ u)
     value, se = _complex_mean_se(vals)

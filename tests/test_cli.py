@@ -286,6 +286,15 @@ def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):
     assert "negative weight" in err and "Traceback" not in err
 
 
+def test_simulate_transform_overflow_is_quiet(capsys, models_dir):
+    # exp(1000 x) overflows on every path; the suite turns a RuntimeWarning
+    # into an error.
+    code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"), "--x0", "1",
+                             "--n-paths", "8", "--dt", "0.1", "--T", "0.5", "--u", "1000")
+    assert code == 0 and err == ""
+    assert strict_json(out)["mc_transform"] == {"n_paths": 8, "std_error": "infinite", "value": "infinite"}
+
+
 def test_simulate_u_of_wrong_length_exits_2(capsys, models_dir):
     code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
                              "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1", "--u", "1,2")

@@ -552,6 +552,11 @@ def test_psi0_overflow_is_not_blow_up(cp_model, u, monkeypatch):
     sol = solve_riccati(cp_model, [u], 1.0)
     psi0, psi = sol.terminal()
     assert psi[0] == u and np.isnan(psi0) and np.isnan(sol.psi0[1:]).all()
+    if u >= 888.0:
+        # exp(0.8 u) overflows on the atoms of K^0, which reach R_0 alone.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = riccati_rhs(cp_model, [u])
+        assert r[1] == 0.0 and not np.isfinite(r[0])
     assert sol.eval(0.0)[0] == 0.0
     # An identity that reads psi_0 cannot hold there, and does not pass.
     assert np.isnan(flow_identity_residual(cp_model, [u], 0.5, 0.5))
@@ -581,6 +586,28 @@ def test_exp_guard_watches_the_points_that_reach_psi():
     assert t_out is not None and 8.0 < t_out < 8.87 and np.isnan(psi0)
     # psi_0 = integral of R_0 is carried up to that time.
     assert np.isfinite(sol.eval(0.5 * t_out)[0]) and np.isnan(sol.eval(0.5 * (t_out + 10.0))[0])
+    # Each step's interpolant uses the right-hand side that made it: a step
+    # before the hold carries R_0, and inside the first held step psi_0
+    # reads NaN. (The interpolants of the last few steps before the hold
+    # overflow on their own: R_0 ~ 1e305 there.)
+    k = int(np.searchsorted(sol.grid, t_out))
+    assert sol.grid[k] == t_out and k - 20 > sol.stats.steps_t  # held in phase 2
+    t = 0.5 * (sol.grid[k - 21] + sol.grid[k - 20])
+    want = solve_riccati(m, [1.0], t).terminal()[0]
+    assert np.isfinite(want) and abs(want) > 1e290
+    assert abs(sol.eval(t)[0] - want) <= 1e-8 * abs(want)
+    assert np.isnan(sol.eval(0.5 * (t_out + sol.grid[k + 1]))[0])
+
+
+def test_overflow_on_a_k0_point_leaves_the_psi_rates_exact():
+    # exp(800) overflows on the K^0 atom at z = 1; R_1 reads the K^1 atom
+    # at z = 0.1 alone.
+    k1 = FiniteAtomic([1.0], [[0.1]])
+    m = scalar_model(a0=0.5, a=-1.0, A1=0.5, K=[FiniteAtomic([1.0], [[1.0]]), k1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = riccati_rhs(m, [800.0])
+    want = rhs_per_measure(scalar_model(a0=0.5, a=-1.0, A1=0.5, K=[None, k1]), np.array([800.0 + 0j]))
+    assert not np.isfinite(r[0]) and abs(r[1] - want[1]) <= 1e-13 * abs(want[1])
 
 
 def test_non_finite_psi_rate_at_u_is_refused():

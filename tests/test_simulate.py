@@ -397,6 +397,36 @@ def test_mc_transform_refuses_u_of_wrong_length(cir_model):
         mc_transform(ens, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("u", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_mc_transform_refuses_non_finite_u(cir_model, u):
+    ens = simulate_paths(cir_model, [1.0], SimConfig(n_paths=4, dt=0.1, horizon=0.2))
+    with pytest.raises(ValueError, match="u must be finite"):
+        mc_transform(ens, [u])
+
+
+def test_mc_transform_overflow_is_infinite_and_quiet(cir_model):
+    # exp(1000 x) overflows on every path; the suite turns a RuntimeWarning
+    # into an error.
+    ens = simulate_paths(cir_model, [1.0], SimConfig(n_paths=8, dt=0.1, horizon=0.5))
+    est = mc_transform(ens, [1000.0])
+    assert est.value == complex(np.inf, 0.0) and est.std_error == np.inf
+    # A finite mean whose variance overflows: an infinite standard error.
+    est = mc_transform(ens, [150.0])
+    assert np.isfinite(est.value) and est.std_error == np.inf
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", 2.5), ("seed", 1.5), ("threads", 2.0), ("n_paths", "8"), ("seed", True),
+])
+def test_counts_and_seed_must_be_integers(field, value):
+    kwargs = dict(n_paths=4, dt=0.1, horizon=1.0, seed=0, threads=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**kwargs)
+    kwargs[field] = np.int64(2)  # numpy integers are integers
+    assert getattr(SimConfig(**kwargs), field) == 2
+
+
 @pytest.mark.parametrize("record_times", [[0.0, float("nan")], [float("inf")], [-0.5], [1.2]])
 def test_record_times_must_be_finite_and_in_range(cir_model, record_times):
     cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0, record_times=np.array(record_times))
