@@ -469,16 +469,19 @@ class Steps:
         x_old, x_new, y_new, stages, fun = self._steps[k]
         y_old = self.y[k]
         h = x_new - x_old
+        delta = y_new - y_old
         with np.errstate(over="ignore", invalid="ignore"):
             for s, (a, c) in enumerate(_EXTRA_ROWS, start=N_STAGES + 1):
                 stages[s] = fun(x_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
-        f_old = stages[0]
-        delta = y_new - y_old
-        coefs = np.empty((INTERPOLATOR_POWER, y_old.size))
-        coefs[0] = delta
-        coefs[1] = h * f_old - delta
-        coefs[2] = 2 * delta - h * (stages[N_STAGES] + f_old)
-        coefs[3:] = h * np.dot(D, stages)
+            coefs = _dense_coefficients(h, delta, stages)
+            # Near an overflow of psi_0 its stages approach the float limit,
+            # and the sums in D @ stages overflow although the coefficients
+            # are in range. Such components are recomputed from stages scaled
+            # by a power of 2 above their largest; the scaling is exact.
+            if not np.isfinite(coefs).all():
+                bad = ~np.isfinite(coefs).all(axis=0)
+                scale = np.ldexp(1.0, np.frexp(np.abs(stages[:, bad]).max(axis=0))[1])
+                coefs[:, bad] = _dense_coefficients(h, delta[bad] / scale, stages[:, bad] / scale) * scale
         return coefs
 
     def stop_at(self, k_event, root):
@@ -492,6 +495,18 @@ class Steps:
         if self.x[j] == x:
             return self.y[j]
         return self.interpolate(min(max(j - 1, 0), self.n_steps - 1), x)
+
+
+def _dense_coefficients(h, delta, stages):
+    """The coefficients of the dense-output polynomial of a step of size h
+    with increment delta, as in scipy's Dop853DenseOutput."""
+    f_old = stages[0]
+    coefs = np.empty((INTERPOLATOR_POWER, delta.size))
+    coefs[0] = delta
+    coefs[1] = h * f_old - delta
+    coefs[2] = 2 * delta - h * (stages[N_STAGES] + f_old)
+    coefs[3:] = h * np.dot(D, stages)
+    return coefs
 
 
 def brentq(f, xa, xb):

@@ -55,7 +55,9 @@ in a step's error estimate, which DOP853 reports as QuadratureOverflow),
 the loop goes on from the last accepted step with psi_0's derivative held
 at 0, and the solution records that time in ``stats.psi0_overflow``;
 verdicts and stop reasons describe psi only. Each step's interpolant uses
-the right-hand side that made the step.
+the right-hand side that made the step, and reads a finite psi_0 up to the
+hold: where the sums of its coefficients overflow, it is built from stages
+rescaled by a power of 2.
 
 The loop tests these surfaces on accepted step ends with the sign-change
 rule of scipy's solve_ivp and root-finds only on the interpolant of the step

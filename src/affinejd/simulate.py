@@ -14,6 +14,12 @@ K^1..K^p have zero mass, one Poisson rate serves every path; when the jump
 table has no rays and no weight in K^1..K^p, the source weights and their
 cumulative sums are computed once per block instead of once per jump.
 
+The step works in place: the drift, the diffusion increment and
+x + increment are written into arrays the step owns, with operands of + and
+* at most swapped, which IEEE arithmetic leaves exact. Sums of squares over
+the short rows of a state go one column at a time (row_sq_sums), in numpy's
+own order. So the paths are the plain form's, bit for bit.
+
 All randomness comes from counter-based Philox streams keyed by
 (seed, step, path-block, purpose), so enlarging the path count or the number
 of steps never reshuffles draws that earlier configurations consumed.
@@ -21,6 +27,7 @@ of steps never reshuffles draws that earlier configurations consumed.
 
 from __future__ import annotations
 
+import cmath
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -38,6 +45,7 @@ from .errors import (
 from .model import require_in_space
 from .modelio import model_hash
 from .riccati import solve_riccati
+from .statespace import row_sq_sums
 
 _BLOCK = 4096
 _EIG_FLOOR = -1e-10
@@ -119,34 +127,41 @@ def _intensity(model, states):
 class _Streams:
     """Philox streams keyed by (seed, step, block, purpose) for one path
     block. One generator is rekeyed per draw, which yields the same numbers
-    as a fresh ``Generator(Philox(key=key))`` at a fraction of its cost."""
+    as a fresh ``Generator(Philox(key=key))`` at a fraction of its cost. The
+    state record is built once; a rekey writes the second key word and sets
+    the record, whose values the generator copies."""
 
     def __init__(self, seed, block):
-        self.seed = seed
         self.block = block
-        self.bit_gen = Philox(key=np.zeros(2, dtype=np.uint64))
-        self.gen = Generator(self.bit_gen)
-
-    def __call__(self, step, purpose):
-        key = np.array([self.seed, (self.block << 24) | (step << 3) | purpose], dtype=np.uint64)
-        self.bit_gen.state = {
+        self.key = np.array([seed, 0], dtype=np.uint64)
+        self.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self.key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self.bit_gen = Philox(key=np.zeros(2, dtype=np.uint64))
+        self.gen = Generator(self.bit_gen)
+
+    def __call__(self, step, purpose):
+        self.key[1] = (self.block << 24) | (step << 3) | purpose
+        self.bit_gen.state = self.state
         return self.gen
 
 
 def _diffusion_increment(A, states, normals):
-    """Eigenvalue-clipped square root of c(x) applied to the normals."""
+    """Eigenvalue-clipped square root of c(x) applied to the normals, which
+    it may overwrite."""
     if A.shape[1] == 1:
-        c = A[0, 0, 0] + states[:, 0] * A[1, 0, 0]
+        c = states[:, 0] * A[1, 0, 0]
+        c += A[0, 0, 0]
         if c.min() < _EIG_FLOOR:
             raise CholeskyFailure(f"c(x) = {c.min():.3e} below the clipping floor")
-        return np.sqrt(np.maximum(c, 0.0))[:, None] * normals
+        np.maximum(c, 0.0, out=c)
+        normals *= np.sqrt(c, out=c)[:, None]
+        return normals
     # c(x) = A^0 + sum_i x_i A^i as one matrix product, the one tensordot
     # would form.
     n, p = states.shape
@@ -155,15 +170,18 @@ def _diffusion_increment(A, states, normals):
     if w.min() < _EIG_FLOOR:
         raise CholeskyFailure(f"min eigenvalue {w.min():.3e} below the clipping floor")
     w = np.sqrt(np.maximum(w, 0.0))
-    tmp = np.einsum("nij,ni->nj", v, normals) * w
+    tmp = np.einsum("nij,ni->nj", v, normals)
+    tmp *= w
     return np.einsum("nij,nj->ni", v, tmp)
 
 
 def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     p = model.dim
     # The drift compensated by the mean jump, integral of z K(x, dz), with
-    # its linear part as a contiguous transpose for np.dot.
-    drift0 = model.a0 - model.jump_mean[0]
+    # its constant part tiled to the block (a broadcast row costs one short
+    # inner loop per path) and its linear part as a contiguous transpose for
+    # np.dot.
+    drift0 = np.tile(model.a0 - model.jump_mean[0], (n_block, 1))
     drift_lin_t = np.ascontiguousarray((model.a - model.jump_mean[1:].T).T)
     diffusive = model.A.any()
     has_jumps = model.has_jumps
@@ -171,7 +189,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     # no table weight in K^1..K^p, the source weights are constant too.
     const_lam = None if model.jump_mass[1:].any() else max(model.jump_mass[0], 0.0) * dt
     pick_cum = None
-    if not model.jump_rays and not model.jump_coefs[:, 1:].any():
+    if has_jumps and not model.jump_rays and not model.jump_coefs[:, 1:].any():
         pick_cum = np.cumsum(np.maximum(model.jump_weights(np.zeros((1, p))), 0.0), axis=1)
     n_atoms = model.jump_points.shape[0]
     states = np.tile(x0, (n_block, 1))
@@ -180,15 +198,20 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     if 0 in slot:
         rec[:, slot[0], :] = states
     jump_counts = np.zeros(n_block, dtype=np.int64)
-    sup_sq = np.sum(states**2, axis=1)
+    sup_sq = row_sq_sums(states)
     sqrt_dt = np.sqrt(dt)
     stream = _Streams(cfg.seed, block)
+    incr = np.empty((n_block, p))
 
     for k in range(n_steps):
-        incr = (drift0 + np.dot(states, drift_lin_t)) * dt
+        np.dot(states, drift_lin_t, out=incr)
+        incr += drift0
+        incr *= dt
         if diffusive:
             normals = stream(k, 0).standard_normal((n_block, p))
-            incr = incr + _diffusion_increment(model.A, states, normals) * sqrt_dt
+            diffusion = _diffusion_increment(model.A, states, normals)
+            diffusion *= sqrt_dt
+            incr += diffusion
         if has_jumps:
             if const_lam is None:
                 counts = stream(k, 1).poisson(_intensity(model, states) * dt)
@@ -197,7 +220,8 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
             total = int(counts.sum())
             if total:
                 jump_counts += counts
-                rows = np.repeat(np.arange(n_block), counts)
+                jumped = np.flatnonzero(counts)
+                rows = np.repeat(jumped, counts[jumped])
                 cum = pick_cum
                 if cum is None:
                     cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
@@ -216,9 +240,10 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                     if np.any(sel):
                         zvals[sel] = (s_exp[sel] / rate)[:, None] * direction[None, :]
                 np.add.at(incr, rows, zvals)
-        states = states + incr
-        states = model.state_space.project_batch(states)
-        sup_sq = np.maximum(sup_sq, np.sum(states**2, axis=1))
+        incr += states
+        # project_batch returns a new array, so incr is free for the next step.
+        states = model.state_space.project_batch(incr)
+        np.maximum(sup_sq, row_sq_sums(states), out=sup_sq)
         if (k + 1) in slot:
             rec[:, slot[k + 1], :] = states
     return rec, jump_counts, sup_sq
@@ -279,15 +304,24 @@ def simulate_paths(model, x0, cfg: SimConfig):
     )
 
 
+def _sample_var(part):
+    """np.var(part, ddof=1), by its own arithmetic but without its dispatch."""
+    dev = part - part.sum() / part.size
+    dev *= dev
+    return dev.sum() / (part.size - 1)
+
+
 def _complex_mean_se(vals):
+    # np.mean's and np.var's arithmetic, bit for bit: both cost more in
+    # dispatch than in arithmetic at a few dozen paths.
     n = vals.size
     with np.errstate(over="ignore", invalid="ignore"):  # a mean past float range is inf
-        value = complex(np.mean(vals))
-        if not np.isfinite(value.real) or not np.isfinite(value.imag):
+        value = complex(vals.sum() / n)
+        if not cmath.isfinite(value):
             return complex(np.inf, 0.0), np.inf
         if n == 1:
             return value, 0.0
-        var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
+        var = _sample_var(vals.real) + _sample_var(vals.imag)
         return value, float(np.sqrt(var / n))
 
 

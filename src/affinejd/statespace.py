@@ -45,6 +45,21 @@ def _vech_maps(d):
     return maps
 
 
+def row_sq_sums(xs):
+    """``np.sum(xs**2, axis=1)`` of an ``(n, w)`` array, bit for bit. numpy
+    sums a row narrower than 8 entries left to right, one short inner loop
+    per row; this sums such rows one column at a time across the batch, in
+    the same order. Wider rows, which numpy sums pairwise, keep ``np.sum``."""
+    if not 0 < xs.shape[1] < 8:
+        return np.sum(xs**2, axis=1)
+    col = xs[:, 0]
+    total = col * col
+    for j in range(1, xs.shape[1]):
+        col = xs[:, j]
+        total += col * col
+    return total
+
+
 def vech(mat):
     """Half-vectorize a symmetric matrix, scaling off-diagonal entries by
     sqrt(2) so the Euclidean inner product of images equals trace(XY).
@@ -232,7 +247,8 @@ class Lorentz(StateSpace):
         self.dim = int(p)
 
     def _margin_rows(self, xs):
-        return xs[:, 0] - np.linalg.norm(xs[:, 1:], axis=1)
+        # np.linalg.norm's formula: the square root of the sum of squares.
+        return xs[:, 0] - np.sqrt(row_sq_sums(xs[:, 1:]))
 
     def _project_rows(self, xs):
         # Rows outside, x_1 < |x_bar| (a negative margin), go to 0 if they
@@ -240,7 +256,7 @@ class Lorentz(StateSpace):
         # through (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2. The
         # other rows are returned unchanged.
         out = xs.copy()
-        tail = np.linalg.norm(xs[:, 1:], axis=1)
+        tail = np.sqrt(row_sq_sums(xs[:, 1:]))
         rows = np.flatnonzero(xs[:, 0] < tail)
         if rows.size:
             head, tail = xs[rows, 0], tail[rows]
@@ -276,7 +292,7 @@ class Parabolic(StateSpace):
         self.dim = int(p)
 
     def _margin_rows(self, xs):
-        return xs[:, 0] - np.sum(xs[:, 1:] ** 2, axis=1)
+        return xs[:, 0] - row_sq_sums(xs[:, 1:])
 
     def _project_rows(self, xs):
         # KKT: y1 = x1 + mu, y_bar = x_bar / (1 + 2 mu), active constraint, so
@@ -286,7 +302,7 @@ class Parabolic(StateSpace):
         # row whose step is within the brentq-level tolerance 1e-14 keeps its
         # mu, so it stays frozen while other rows iterate.
         out = xs.copy()
-        tail_sq = np.sum(xs[:, 1:] ** 2, axis=1)
+        tail_sq = row_sq_sums(xs[:, 1:])
         rows = np.flatnonzero(xs[:, 0] < tail_sq)
         x1 = xs[rows, 0]
         t = tail_sq[rows]
@@ -302,7 +318,7 @@ class Parabolic(StateSpace):
                 break
             mu = np.where(moving, np.maximum(mu - step, lo), mu)
         out[rows, 1:] = xs[rows, 1:] / (1.0 + 2.0 * mu)[:, None]
-        out[rows, 0] = np.sum(out[rows, 1:] ** 2, axis=1)
+        out[rows, 0] = row_sq_sums(out[rows, 1:])
         return out
 
     def bounded_support(self, r, tol=1e-12):

@@ -56,6 +56,15 @@ def explosion_time_1d(rhs, u, tol=1e-12):
     return hitting_time_1d(rhs, u, np.inf, tol)
 
 
+def psi0_quadrature(r0, psi, t, scale=1.0, tol=1e-13):
+    """psi_0(t) = integral over [0, t] of R_0(psi(s)) ds by adaptive
+    quadrature along a known real path psi(s), for a real rate r0. The
+    integrand is divided by scale and the integral multiplied back, so a
+    value near the float limit does not overflow inside the rule."""
+    val, _ = quad(lambda s: r0(psi(s)) / scale, 0.0, t, epsabs=0.0, epsrel=tol, limit=500)
+    return val * scale
+
+
 # Closed forms. Derivations:
 #
 # squared scalar / CIR family (a^0 = mu, A^1 = [2], no jumps):

@@ -572,12 +572,22 @@ def test_compound_poisson_ray_is_unbounded(cp_model, horizon, monkeypatch):
     assert len(stats) == len(ray.probes) and sum(s.nfev for s in stats) <= 3500
 
 
+def k0_atom_model():
+    """psi = e^t, and R_0 = psi^2 / 2 + expm1(psi / 10) - psi / 10 leaves
+    float range near t = 8.8653."""
+    return AffineModel(a0=[0.0], a=[[1.0]], A=[[[1.0]], [[0.0]]], K=[FiniteAtomic([1.0], [[0.1]]), None],
+                       state_space=Canonical(0, 1))
+
+
+def k0_atom_r0(y):
+    return 0.5 * y * y + np.expm1(0.1 * y) - 0.1 * y
+
+
 def test_exp_guard_watches_the_points_that_reach_psi():
     # An atom of K^0 reaches R_0 only: psi = e^t, while R_0 = expm1(psi/10) -
     # psi/10 overflows near t = 8.87. The exp guard of the atom (psi/10 =
     # 600) must not end the solve.
-    m = AffineModel(a0=[0.0], a=[[1.0]], A=[[[1.0]], [[0.0]]], K=[FiniteAtomic([1.0], [[0.1]]), None],
-                    state_space=Canonical(0, 1))
+    m = k0_atom_model()
     sol = solve_riccati(m, [1.0], 10.0)
     assert not sol.exploded and sol.stats.stop_reason == "horizon"
     psi0, psi = sol.terminal()
@@ -588,8 +598,8 @@ def test_exp_guard_watches_the_points_that_reach_psi():
     assert np.isfinite(sol.eval(0.5 * t_out)[0]) and np.isnan(sol.eval(0.5 * (t_out + 10.0))[0])
     # Each step's interpolant uses the right-hand side that made it: a step
     # before the hold carries R_0, and inside the first held step psi_0
-    # reads NaN. (The interpolants of the last few steps before the hold
-    # overflow on their own: R_0 ~ 1e305 there.)
+    # reads NaN. (test_interpolant_near_the_psi0_overflow covers the last
+    # steps before the hold, where R_0 ~ 1e305.)
     k = int(np.searchsorted(sol.grid, t_out))
     assert sol.grid[k] == t_out and k - 20 > sol.stats.steps_t  # held in phase 2
     t = 0.5 * (sol.grid[k - 21] + sol.grid[k - 20])
@@ -597,6 +607,25 @@ def test_exp_guard_watches_the_points_that_reach_psi():
     assert np.isfinite(want) and abs(want) > 1e290
     assert abs(sol.eval(t)[0] - want) <= 1e-8 * abs(want)
     assert np.isnan(sol.eval(0.5 * (t_out + sol.grid[k + 1]))[0])
+
+
+def test_interpolant_near_the_psi0_overflow():
+    # In the last ~9 steps before the hold, the stages of psi_0 are near
+    # 1e305 and the sums of the dense output overflow unless rescaled. The
+    # suite turns the RuntimeWarning into an error.
+    m = k0_atom_model()
+    sol = solve_riccati(m, [1.0], 10.0)
+    t_out = sol.stats.psi0_overflow
+    for t in np.linspace(8.859, t_out, 25):
+        psi0, psi = sol.eval(t)
+        want = oracles.psi0_quadrature(k0_atom_r0, np.exp, t, scale=1e300)
+        assert psi0.imag == 0.0 and abs(psi0.real - want) <= 1e-8 * want, t
+        assert abs(psi[0] - np.exp(t)) <= 1e-8 * np.exp(t)
+    # A horizon there ends on that interpolant: a finite psi_0, no hold.
+    sol = solve_riccati(m, [1.0], 8.8605)
+    psi0 = sol.terminal()[0]
+    assert sol.stats.psi0_overflow is None
+    assert abs(psi0 - oracles.psi0_quadrature(k0_atom_r0, np.exp, 8.8605, scale=1e300)) <= 1e-8 * abs(psi0)
 
 
 def test_overflow_on_a_k0_point_leaves_the_psi_rates_exact():

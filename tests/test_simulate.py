@@ -12,6 +12,7 @@ from affinejd.modelio import model_hash
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
     SimConfig,
+    _complex_mean_se,
     _Streams,
     ensemble_summary_csv,
     expected_jump_count,
@@ -20,7 +21,7 @@ from affinejd.simulate import (
     simulate_paths,
     sup_moment,
 )
-from affinejd.statespace import Canonical, Lorentz
+from affinejd.statespace import Canonical, Lorentz, Parabolic
 from affinejd.transform import transform
 
 
@@ -30,16 +31,27 @@ def scalar_model(a0=0.0, a=0.0, A0=0.0, A1=0.0, K=None, space=None):
     )
 
 
-def noisy_lorentz_model():
-    """Drift 0.1 e_1 - x on Lorentz(3) with the arrow-matrix diffusion
-    c(x) = [[x1, x2, x3], [x2, x1, 0], [x3, 0, x1]], whose eigenvalues
-    x1 and x1 +- |(x2, x3)| are nonnegative exactly on the cone. The weak
-    pull toward 0.1 e_1 keeps paths near the apex, where Euler steps also
-    land in the polar cone."""
-    e = np.eye(3)
-    A = [np.zeros((3, 3)), e, np.outer(e[0], e[1]) + np.outer(e[1], e[0]),
-         np.outer(e[0], e[2]) + np.outer(e[2], e[0])]
-    return AffineModel(a0=0.1 * e[0], a=-e, A=A, K=None, state_space=Lorentz(3))
+def noisy_lorentz_model(p=3):
+    """Drift 0.1 e_1 - x on Lorentz(p) with the arrow-matrix diffusion
+    c(x) = [[x1, x_bar^T], [x_bar, x1 I]], for p = 3 [[x1, x2, x3], [x2, x1,
+    0], [x3, 0, x1]], whose eigenvalues x1 and x1 +- |x_bar| are nonnegative
+    exactly on the cone. The weak pull toward 0.1 e_1 keeps paths near the
+    apex, where Euler steps of the p = 3 model also land in the polar cone."""
+    e = np.eye(p)
+    A = [np.zeros((p, p)), e] + [np.outer(e[0], e[i]) + np.outer(e[i], e[0]) for i in range(1, p)]
+    return AffineModel(a0=0.1 * e[0], a=-e, A=A, K=None, state_space=Lorentz(p))
+
+
+def parabolic_model(p=3):
+    """A diffusion on the parabolic set {x_1 >= |x_bar|^2}: x_bar is a
+    Brownian motion and x_1 has the drift p - 0.8 and c(x) = [[4 x1,
+    2 x_bar^T], [2 x_bar, I]], so Y = x_1 - |x_bar|^2 solves dY = 0.2 dt +
+    2 sqrt(Y) dB, a squared Bessel process of dimension 0.2 that reaches 0.
+    Euler steps leave the set often."""
+    e = np.eye(p)
+    A = [np.diag([0.0] + [1.0] * (p - 1)), 4.0 * np.outer(e[0], e[0])]
+    A += [2.0 * (np.outer(e[0], e[i]) + np.outer(e[i], e[0])) for i in range(1, p)]
+    return AffineModel(a0=(p - 0.8) * e[0], a=np.zeros((p, p)), A=A, K=None, state_space=Parabolic(p))
 
 
 def test_constant_paths_for_degenerate_model():
@@ -193,9 +205,12 @@ def test_euler_step_matches_the_plain_reference_step(name):
 
 # float.hex of final_states.sum() and sup_sq.sum(), and jump_counts.sum(),
 # on runs whose projections clip PSD rows (wishart_2d), keep every row
-# (lorentz_drift), reach all three Lorentz branches (noisy_lorentz) and draw
+# (lorentz_drift), reach all three Lorentz branches (noisy_lorentz), keep
+# and project Lorentz(9) rows, whose sums numpy takes pairwise
+# (noisy_lorentz_9), project onto the parabolic set (parabolic) and draw
 # atoms and ray jumps (atoms_and_ray). Any change to the Euler step that is
 # not bit for bit shows here.
+NOISY_LORENTZ_9_X0 = [0.1, 0.05, 0.0, 0.02, -0.03, 0.0, 0.01, 0.0, 0.0]
 GOLDEN_PATH_PINS = {
     "wishart_2d": ((golden.wishart_2d, [0.4, 0.0, 0.4], 32, 0.05, 1.0, 5),
                    ("0x1.d4a24cd5c833cp+6", "0x1.815058271b5c2p+9", 0)),
@@ -203,6 +218,10 @@ GOLDEN_PATH_PINS = {
                       ("0x1.094c7ae90437ap+9", "0x1.0cccccccccccep+9", 0)),
     "noisy_lorentz": ((noisy_lorentz_model, [0.1, 0.05, 0.0], 64, 0.05, 2.0, 3),
                       ("0x1.5708f667b9692p+3", "0x1.0a593b90a0df4p+6", 0)),
+    "noisy_lorentz_9": ((lambda: noisy_lorentz_model(9), NOISY_LORENTZ_9_X0, 64, 0.05, 2.0, 3),
+                        ("0x1.81ee30ffd07d2p+6", "0x1.6f607ef2e579fp+9", 0)),
+    "parabolic": ((parabolic_model, [0.5, 0.3, -0.2], 64, 0.05, 1.0, 3),
+                  ("0x1.499aded21de03p+7", "0x1.110bcdfe80dcdp+10", 0)),
     "atoms_and_ray": ((atoms_and_ray_model, [1.0], 256, 0.05, 1.0, 5),
                       ("0x1.9708fda3420fap+8", "0x1.f6cc8fe539f52p+9", 417)),
 }
@@ -234,8 +253,10 @@ def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model,
     assert purposes.count(0) == 5
 
 
-def test_noisy_lorentz_paths_reach_every_projection_branch(monkeypatch):
-    model = noisy_lorentz_model()
+def lorentz_branch_counts(monkeypatch, p, x0):
+    """Rows that project_batch finds inside Lorentz(p), in its polar cone,
+    and projected onto the boundary ray, over noisy_lorentz_model(p) paths."""
+    model = noisy_lorentz_model(p)
     assert check_admissibility(model).verdict
     counts = {"inside": 0, "ray": 0, "polar": 0}
     project_rows = Lorentz._project_rows
@@ -250,24 +271,97 @@ def test_noisy_lorentz_paths_reach_every_projection_branch(monkeypatch):
         return project_rows(self, xs)
 
     monkeypatch.setattr(Lorentz, "_project_rows", counting)
-    simulate_paths(model, [0.1, 0.05, 0.0], SimConfig(n_paths=64, dt=0.05, horizon=2.0, seed=3))
+    simulate_paths(model, x0, SimConfig(n_paths=64, dt=0.05, horizon=2.0, seed=3))
+    return counts
+
+
+def test_noisy_lorentz_paths_reach_every_projection_branch(monkeypatch):
+    counts = lorentz_branch_counts(monkeypatch, 3, [0.1, 0.05, 0.0])
     assert all(n > 0 for n in counts.values()), counts
+
+
+def test_wide_lorentz_paths_are_projected(monkeypatch):
+    # The seven extra noise directions of the tail keep the paths on the
+    # boundary, from which the positive drift never reaches the polar cone;
+    # test_statespace pins polar rows of this width.
+    counts = lorentz_branch_counts(monkeypatch, 9, NOISY_LORENTZ_9_X0)
+    assert counts["inside"] > 0 and counts["ray"] > 1000, counts
+
+
+def test_parabolic_paths_leave_the_set(monkeypatch):
+    model = parabolic_model()
+    assert check_admissibility(model).verdict
+    outside = []
+    project_rows = Parabolic._project_rows
+
+    def counting(self, xs):
+        outside.append(int((xs[:, 0] < np.sum(xs[:, 1:] ** 2, axis=1)).sum()))
+        return project_rows(self, xs)
+
+    monkeypatch.setattr(Parabolic, "_project_rows", counting)
+    simulate_paths(model, [0.5, 0.3, -0.2], SimConfig(n_paths=64, dt=0.05, horizon=1.0, seed=3))
+    assert sum(outside) >= 100
 
 
 def test_rekeyed_streams_match_fresh_generators():
     # Rekeying must also discard the buffered half of a uint64 left by an
-    # odd number of 32-bit draws, so each key starts from scratch.
+    # odd number of 32-bit draws, so each key starts from scratch. Two
+    # stream objects drawn in turn must not leak a key into each other.
     from numpy.random import Generator, Philox
 
-    streams = _Streams((1 << 64) - 1, 3)
-    for step, purpose in [(0, 0), (7, 2), (0, 0), ((1 << 21) - 1, 1)]:
-        gen = streams(step, purpose)
-        fresh = Generator(Philox(key=np.array([(1 << 64) - 1, (3 << 24) | (step << 3) | purpose],
+    streams = {((1 << 64) - 1, 3): _Streams((1 << 64) - 1, 3), (5, 0): _Streams(5, 0)}
+    draws = [((1 << 64) - 1, 3, 0, 0), (5, 0, 0, 0), (5, 0, 7, 2), ((1 << 64) - 1, 3, 7, 2),
+             ((1 << 64) - 1, 3, 0, 0), ((1 << 64) - 1, 3, (1 << 21) - 1, 1), (5, 0, (1 << 21) - 1, 1),
+             (5, 0, 0, 0)]
+    for seed, block, step, purpose in draws:
+        gen = streams[seed, block](step, purpose)
+        fresh = Generator(Philox(key=np.array([seed, (block << 24) | (step << 3) | purpose],
                                               dtype=np.uint64)))
         assert np.array_equal(gen.standard_normal(5), fresh.standard_normal(5))
         assert np.array_equal(gen.integers(0, 10, 3, dtype=np.int32),
                               fresh.integers(0, 10, 3, dtype=np.int32))
         assert np.array_equal(gen.poisson([0.5, 3.0]), fresh.poisson([0.5, 3.0]))
+
+
+def _model_arrays(model):
+    return {name: value.copy() for name, value in vars(model).items() if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("name", ["cir", "wishart_2d", "atoms_and_ray", "noisy_lorentz"])
+def test_the_step_writes_nothing_outside_itself(name):
+    build, x0 = {"noisy_lorentz": (noisy_lorentz_model, [0.1, 0.05, 0.0]),
+                 **REFERENCE_CASES}[name]
+    model = build()
+    x0 = np.array(x0)
+    x0_before, arrays_before = x0.copy(), _model_arrays(model)
+    cfg = SimConfig(n_paths=4096 + 8, dt=0.1, horizon=0.5, seed=23)
+    first = simulate_paths(model, x0, cfg)
+    kept = first.states.copy(), first.sup_sq.copy(), first.jump_counts.copy()
+    second = simulate_paths(model, x0, cfg)
+    assert np.array_equal(x0, x0_before)
+    arrays = _model_arrays(model)
+    assert arrays.keys() == arrays_before.keys() and len(arrays) >= 3
+    assert all(np.array_equal(arrays[key], arrays_before[key]) for key in arrays)
+    for a, b, c in zip(kept, (first.states, first.sup_sq, first.jump_counts),
+                       (second.states, second.sup_sq, second.jump_counts)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 32, 4096])
+def test_complex_mean_se_is_np_mean_and_var_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in np.repeat([1e-200, 1e-3, 1.0, 1e150], 25):
+        vals = (rng.standard_normal(n) + 1j * rng.standard_normal(n) + rng.uniform(-3.0, 3.0)) * scale
+        value, se = _complex_mean_se(vals)
+        var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
+        assert value == complex(np.mean(vals)) and se == float(np.sqrt(var / n))
+
+
+def test_complex_mean_se_overflow_is_infinite_and_quiet():
+    # The suite turns a RuntimeWarning into an error.
+    for vals in (np.array([np.inf, 1.0 + 0j]), np.array([1e308, 1e308, 0j]),
+                 np.array([complex(np.inf, 1.0), complex(-np.inf, 1.0)])):
+        assert _complex_mean_se(vals) == (complex(np.inf, 0.0), np.inf)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])

@@ -13,6 +13,7 @@ from affinejd.statespace import (
     Lorentz,
     Parabolic,
     PSDCone,
+    row_sq_sums,
     space_from_dict,
     unvech,
     vech,
@@ -207,6 +208,92 @@ def test_projection_properties_on_random_batches(space):
         assert np.all(gap <= 1e-9 * (scale + np.max(np.abs(ys))))
 
     check()
+
+
+def _wide_range_rows(rng, n, w):
+    """Rows of random sign whose scale runs from 1e-150 to 1e150 across rows
+    and by up to 1e2 either way within a row, with about a fifth of the
+    entries and a few whole rows set to zero."""
+    xs = rng.standard_normal((n, w)) * 10.0 ** rng.uniform(-150.0, 150.0, (n, 1))
+    xs *= 10.0 ** rng.uniform(-2.0, 2.0, (n, w))
+    xs[rng.random((n, w)) < 0.2] = 0.0
+    xs[: n // 50] = 0.0
+    return xs
+
+
+def test_row_sq_sums_is_np_sum_bit_for_bit():
+    # Widths 1-7 take the column loop and 8-12 np.sum; both must give numpy's
+    # floats, for contiguous batches, for the tails x[:, 1:] the state spaces
+    # pass, and for a single row.
+    rng = np.random.default_rng(19)
+    for w in range(1, 13):
+        xs = _wide_range_rows(rng, 2000, w + 1)
+        for batch in (xs[:, :w].copy(), xs[:, 1:], xs[:1, 1:], xs[:0, 1:]):
+            assert row_sq_sums(batch).tobytes() == np.sum(batch**2, axis=1).tobytes(), w
+
+
+def _cone_test_rows(rng, p):
+    """Wide-range rows of R^p with the head set so that the Lorentz margin
+    in its np.linalg.norm form or the parabolic margin in its np.sum form is
+    exactly zero (boundary rows), at or beyond the Lorentz polar boundary,
+    between the boundaries, or anywhere, plus integer rows."""
+    xs = _wide_range_rows(rng, 3000, p)
+    norm = np.linalg.norm(xs[:, 1:], axis=1)
+    xs[0:500, 0] = norm[0:500]
+    xs[500:1000, 0] = np.sum(xs[500:1000, 1:] ** 2, axis=1)
+    xs[1000:1500, 0] = -norm[1000:1500]
+    xs[1500:2000, 0] = -norm[1500:2000] * rng.uniform(1.0, 3.0, 500)
+    xs[2000:2500, 0] = norm[2000:2500] * rng.uniform(-1.0, 1.0, 500)
+    # |(3, 4)| = 5 and |3| = 3 are exact: rows on the Lorentz boundary, the
+    # parabolic boundary, the polar boundary and the apex's ray branch.
+    tail, r = ([3.0, 4.0], 5.0) if p > 2 else ([3.0], 3.0)
+    exact = np.zeros((4, p))
+    exact[:, 1:len(tail) + 1] = tail
+    exact[:, 0] = [r, r * r, -r, 0.0]
+    return np.vstack([xs, exact])
+
+
+def _lorentz_norm_form(xs):
+    """Lorentz _margin_rows and _project_rows with the tail norm read as
+    np.linalg.norm(xs[:, 1:], axis=1)."""
+    tail = np.linalg.norm(xs[:, 1:], axis=1)
+    out = xs.copy()
+    rows = np.flatnonzero(xs[:, 0] < tail)
+    head, t = xs[rows, 0], tail[rows]
+    polar = head <= -t
+    alpha = 0.5 * (head + t)
+    out[rows, 0] = alpha
+    out[rows, 1:] = xs[rows, 1:] * (alpha / np.where(polar, 1.0, t))[:, None]
+    out[rows[polar]] = 0.0
+    return xs[:, 0] - tail, out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 8, 9, 13])
+def test_lorentz_rows_match_the_norm_form(p):
+    space = Lorentz(p)
+    xs = _cone_test_rows(np.random.default_rng(p), p)
+    margin, projected = _lorentz_norm_form(xs)
+    assert space._margin_rows(xs).tobytes() == margin.tobytes()
+    assert space._project_rows(xs).tobytes() == projected.tobytes()
+    # Rows inside, in the polar cone, and projected onto the boundary ray.
+    inside, polar = margin >= 0.0, xs[:, 0] <= margin - xs[:, 0]
+    assert inside.sum() >= 500 and polar.sum() >= 500 and (~inside & ~polar).sum() >= 300
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 8, 9, 13])
+def test_parabolic_rows_match_the_sum_form(p, monkeypatch):
+    space = Parabolic(p)
+    xs = _cone_test_rows(np.random.default_rng(100 + p), p)
+    margin = xs[:, 0] - np.sum(xs[:, 1:] ** 2, axis=1)
+    assert space._margin_rows(xs).tobytes() == margin.tobytes()
+    assert (margin == 0.0).sum() >= 500 and (margin < 0.0).sum() >= 500
+    # The projection with its two sums of squares in the np.sum form, on the
+    # rows small enough that the products of its Newton steps stay in range.
+    xs = xs[np.abs(xs).max(axis=1) < 1e50]
+    assert len(xs) >= 1500
+    projected = space._project_rows(xs)
+    monkeypatch.setattr(statespace, "row_sq_sums", lambda rows: np.sum(rows**2, axis=1))
+    assert projected.tobytes() == space._project_rows(xs).tobytes()
 
 
 def test_vech_round_trip():

@@ -101,6 +101,18 @@ def test_transform_psi0_overflow_is_finite(cp_model):
     assert "psi_0 is out of float range after t=0.0" in tv.diagnostic
 
 
+def test_transform_near_a_psi0_overflow_has_a_finite_log_value():
+    # psi = e^t, and R_0 = psi^2 / 2 + expm1(psi / 10) - psi / 10 leaves float
+    # range at t ~ 8.86526; at t = 8.8605, psi_0 ~ 1.75e303 is representable,
+    # and the horizon falls in a step whose dense output needs rescaling.
+    m = AffineModel(a0=[0.0], a=[[1.0]], A=[[[1.0]], [[0.0]]], K=[FiniteAtomic([1.0], [[0.1]]), None],
+                    state_space=Canonical(0, 1))
+    tv = transform(m, [1.0], [0.0], 8.8605)
+    assert tv.kind == "finite" and tv.value is None
+    assert np.isfinite(tv.log_value) and 1e303 < tv.log_value.real < 1e304
+    assert "exp(log_value) overflows" in tv.diagnostic
+
+
 def test_transform_rejects_states_outside_space(cir_model):
     from affinejd.errors import StateSpaceMismatch
 
