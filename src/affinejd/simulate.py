@@ -42,7 +42,7 @@ from .errors import (
     IntensityInfinite,
     NegativeJumpWeight,
 )
-from .model import require_in_space
+from .model import AffineModel, require_in_space
 from .modelio import model_hash
 from .riccati import solve_riccati
 from .statespace import row_sq_sums
@@ -78,7 +78,7 @@ class SimConfig:
 @dataclass
 class PathEnsemble:
     """States recorded on a subgrid, plus per-path jump counts and the
-    running maximum of |X_t|^2 over every step."""
+    running maximum of |X_t|^2 over every step, and the model simulated."""
 
     times: np.ndarray  # (R,)
     states: np.ndarray  # (n_paths, R, p)
@@ -86,9 +86,14 @@ class PathEnsemble:
     sup_sq: np.ndarray  # (n_paths,)
     x0: np.ndarray
     config: SimConfig
-    model_hash: str
+    model: AffineModel
     dt_effective: float
     n_steps: int
+
+    @property
+    def model_hash(self):
+        """:func:`model_hash` of the simulated model, computed when read."""
+        return model_hash(self.model)
 
     @property
     def n_paths(self):
@@ -298,7 +303,7 @@ def simulate_paths(model, x0, cfg: SimConfig):
         sup_sq=sup_sq,
         x0=x0,
         config=cfg,
-        model_hash=model_hash(model),
+        model=model,
         dt_effective=dt,
         n_steps=n_steps,
     )

@@ -6,15 +6,16 @@ the positive semidefinite cone in half-vectorized coordinates, the Lorentz
 cone, the parabolic set {x : x_1 >= |x_bar|^2}, and finite intersections of
 half spaces.
 
-Projection and membership are batched: each family implements
-``_project_rows`` and ``_margin_rows`` once, vectorized over the rows of an
-``(n, dim)`` array. ``project`` is the single-row case of ``project_batch``,
-and ``contains`` and ``interior_contains`` are single-row tests of the
-signed margin. Projection computes only on the rows whose margin is
-negative (the canonical clip, one ufunc over the batch, leaves the others
-as they are) and returns every other row bit for bit, so ``project`` leaves
-exactly the points that ``contains`` accepts at ``tol = 0`` unchanged. A
-row's image never depends on the other rows in its batch, so simulations
+Projection and membership are batched over the rows of an ``(n, dim)``
+array: each family implements the signed margin ``_margin_rows`` once, of
+which ``contains`` and ``interior_contains`` are single-row tests, and
+``project`` is the single-row case of ``project_batch``. One policy,
+``StateSpace._project_rows``, moves exactly the rows whose margin is
+negative, through the family's ``_project_outside``, and returns every other
+row bit for bit, so ``project`` leaves exactly the points that ``contains``
+accepts at ``tol = 0`` unchanged. ``Canonical`` alone keeps its own clip of
+the whole batch, already the identity on members and cheaper than a margin.
+A row's image never depends on the other rows in its batch, so simulations
 stay reproducible when the path count changes.
 """
 
@@ -60,6 +61,19 @@ def row_sq_sums(xs):
     return total
 
 
+def _tail_norms(xs):
+    """|(x_2..x_p)| of each row of an ``(n, p)`` array, by np.linalg.norm's
+    formula, the square root of the sum of squares; a row whose sum of
+    squares overflows takes the overflow-free ``np.hypot`` instead."""
+    with np.errstate(over="ignore"):
+        norms = row_sq_sums(xs[:, 1:])
+        np.sqrt(norms, out=norms)
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            norms[big] = np.hypot.reduce(xs[big, 1:], axis=1, initial=0.0)
+    return norms
+
+
 def vech(mat):
     """Half-vectorize a symmetric matrix, scaling off-diagonal entries by
     sqrt(2) so the Euclidean inner product of images equals trace(XY).
@@ -86,6 +100,8 @@ class StateSpace:
 
     kind = "abstract"
     dim = 0
+    # Tolerance of bounded_support's test.
+    _SUPPORT_TOL = 1e-12
     # Whether the space is a cone that is self-dual for the Euclidean inner
     # product; such spaces define ``phi``.
     self_dual = False
@@ -117,16 +133,29 @@ class StateSpace:
 
     def _project_rows(self, xs):
         """Project the rows of an ``(n, dim)`` float array, ``n >= 0``, into a
-        new array; each row's image must not depend on the other rows."""
+        new array: the rows whose margin is negative go through
+        ``_project_outside``, and every other row is copied bit for bit."""
+        out = xs.copy()
+        rows = np.flatnonzero(self._margin_rows(xs) < 0.0)
+        if rows.size:
+            out[rows] = self._project_outside(xs[rows])
+        return out
+
+    def _project_outside(self, ys):
+        """Images of the rows of a ``(k, dim)`` array, ``k >= 1``, each of
+        whose margins is negative; a row's image must not depend on the
+        other rows."""
         raise NotImplementedError
 
     def distance(self, x):
         x = np.asarray(x, dtype=float)
         return float(np.linalg.norm(x - self.project(x)))
 
-    def bounded_support(self, r, tol=1e-12):
-        """True iff sup over the space of r.x is finite."""
-        raise NotImplementedError
+    def bounded_support(self, r):
+        """True iff sup over the space of r.x is finite. This is the rule of
+        a self-dual cone, whose dual is itself under the Euclidean product:
+        -r must lie in the space. Every other family overrides it."""
+        return self.contains(-self._check_dim(r), tol=self._SUPPORT_TOL)
 
     def phi(self, x):
         """Boundary function of a self-dual cone: positive on the interior,
@@ -178,8 +207,8 @@ class Canonical(StateSpace):
         out[:, : self.m] = np.maximum(out[:, : self.m], 0.0)
         return out
 
-    def bounded_support(self, r, tol=1e-12):
-        r = self._check_dim(r)
+    def bounded_support(self, r):
+        r, tol = self._check_dim(r), self._SUPPORT_TOL
         return bool(np.all(r[: self.m] <= tol) and np.all(np.abs(r[self.m:]) <= tol))
 
     def phi(self, x):
@@ -210,22 +239,13 @@ class PSDCone(StateSpace):
         # The smallest eigenvalue; eigvalsh sorts them ascending.
         return np.linalg.eigvalsh(unvech(xs, self.d))[:, 0]
 
-    def _project_rows(self, xs):
-        # Clip the spectrum, V max(W, 0) V^T, of each row whose margin, the
-        # eigvalsh smallest eigenvalue that contains reads, is negative. The
-        # decision is the margin's, not eigh's: the two can differ in sign on
+    def _project_outside(self, ys):
+        # Clip the spectrum, V max(W, 0) V^T. Which rows move is decided by
+        # the eigvalsh margin, not by eigh: the two can differ in sign on
         # rank-deficient matrices, and members must come back bit for bit.
-        out = xs.copy()
-        rows = np.flatnonzero(self._margin_rows(xs) < 0.0)
-        if rows.size:
-            w, v = np.linalg.eigh(unvech(xs[rows], self.d))
-            w = np.maximum(w, 0.0)
-            out[rows] = vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
-        return out
-
-    def bounded_support(self, r, tol=1e-12):
-        # Self-dual under the trace product, which the scaling makes Euclidean.
-        return self.contains(-self._check_dim(r), tol=tol)
+        w, v = np.linalg.eigh(unvech(ys, self.d))
+        w = np.maximum(w, 0.0)
+        return vech((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
 
     def phi(self, x):
         """Determinant of the matrix."""
@@ -247,30 +267,25 @@ class Lorentz(StateSpace):
         self.dim = int(p)
 
     def _margin_rows(self, xs):
-        # np.linalg.norm's formula: the square root of the sum of squares.
-        return xs[:, 0] - np.sqrt(row_sq_sums(xs[:, 1:]))
+        tail = _tail_norms(xs)
+        return np.subtract(xs[:, 0], tail, out=tail)
 
-    def _project_rows(self, xs):
-        # Rows outside, x_1 < |x_bar| (a negative margin), go to 0 if they
-        # lie in the polar cone, x_1 <= -|x_bar|, and otherwise onto the ray
-        # through (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2. The
-        # other rows are returned unchanged.
-        out = xs.copy()
-        tail = np.sqrt(row_sq_sums(xs[:, 1:]))
-        rows = np.flatnonzero(xs[:, 0] < tail)
-        if rows.size:
-            head, tail = xs[rows, 0], tail[rows]
-            polar = head <= -tail
+    def _project_outside(self, ys):
+        # Rows outside, x_1 < |x_bar|, go to 0 if they lie in the polar cone,
+        # x_1 <= -|x_bar|, and otherwise onto the ray through
+        # (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2.
+        head, tail = ys[:, 0], _tail_norms(ys)
+        polar = head <= -tail
+        with np.errstate(over="ignore"):
             alpha = 0.5 * (head + tail)
-            # tail > 0 on every outside row that is not polar.
-            scale = alpha / np.where(polar, 1.0, tail)
-            out[rows, 0] = alpha
-            out[rows, 1:] = xs[rows, 1:] * scale[:, None]
-            out[rows[polar]] = 0.0
+        # Where head + tail overflows, halving first is exact.
+        alpha = np.where(np.isinf(alpha), 0.5 * head + 0.5 * tail, alpha)
+        # tail > 0 on every outside row that is not polar; a polar row's
+        # scale is 0, so its product cannot overflow before it is zeroed.
+        out = ys * (alpha / np.where(polar, np.inf, tail))[:, None]
+        out[:, 0] = alpha
+        out[polar] = 0.0
         return out
-
-    def bounded_support(self, r, tol=1e-12):
-        return self.contains(-self._check_dim(r), tol=tol)
 
     def phi(self, x):
         """The quadratic x_1^2 - |x_bar|^2."""
@@ -292,37 +307,49 @@ class Parabolic(StateSpace):
         self.dim = int(p)
 
     def _margin_rows(self, xs):
-        return xs[:, 0] - row_sq_sums(xs[:, 1:])
+        # A sum of squares past float range reads inf and the margin -inf,
+        # whose sign is right, since x_1 lies below the sum.
+        with np.errstate(over="ignore"):
+            return xs[:, 0] - row_sq_sums(xs[:, 1:])
 
-    def _project_rows(self, xs):
+    def _project_outside(self, ys):
         # KKT: y1 = x1 + mu, y_bar = x_bar / (1 + 2 mu), active constraint, so
         # mu >= lo = max(0, -x1) solves g(mu) = (x1 + mu)(1 + 2 mu)^2 - |x_bar|^2.
         # g is increasing and convex on [lo, inf) with g(lo) <= 0, so Newton
-        # started from an upper bound falls monotonically onto the root. A
-        # row whose step is within the brentq-level tolerance 1e-14 keeps its
-        # mu, so it stays frozen while other rows iterate.
-        out = xs.copy()
-        tail_sq = row_sq_sums(xs[:, 1:])
-        rows = np.flatnonzero(xs[:, 0] < tail_sq)
-        x1 = xs[rows, 0]
-        t = tail_sq[rows]
-        lo = np.maximum(0.0, -x1)
-        # At lo + s: x1 + mu >= s and 1 + 2 mu >= 1 + 2 s, so g >= max(s - t, 4 s^3 - t).
-        mu = lo + np.minimum(t, np.cbrt(0.25 * t))
-        for _ in range(100):
-            a = x1 + mu
-            q = 1.0 + 2.0 * mu
-            step = (a * q * q - t) / (q * q + 4.0 * a * q)
-            moving = step > 1e-14 * (1.0 + mu)
-            if not moving.any():
-                break
-            mu = np.where(moving, np.maximum(mu - step, lo), mu)
-        out[rows, 1:] = xs[rows, 1:] / (1.0 + 2.0 * mu)[:, None]
-        out[rows, 0] = row_sq_sums(out[rows, 1:])
+        # started from an upper bound falls monotonically onto the root, and
+        # a = x1 + mu >= 0 and q = 1 + 2 mu, hence its products, are largest
+        # at the start. A row whose step is within the brentq-level tolerance
+        # 1e-14 keeps its mu, so it stays frozen while other rows iterate. A
+        # row whose starting products leave float range, or that still moves
+        # after 100 steps, takes its image from _parabolic_radii instead.
+        x1, x_bar = ys[:, 0], ys[:, 1:]
+        with np.errstate(all="ignore"):
+            t = row_sq_sums(x_bar)
+            lo = np.maximum(0.0, -x1)
+            # At lo + s: x1 + mu >= s and 1 + 2 mu >= 1 + 2 s, so g >= max(s - t, 4 s^3 - t).
+            mu = lo + np.minimum(t, np.cbrt(0.25 * t))
+            a, q = x1 + mu, 1.0 + 2.0 * mu
+            fits = np.isfinite(a * q * q) & np.isfinite(q * q + 4.0 * a * q)
+            for _ in range(100):
+                step = (a * q * q - t) / (q * q + 4.0 * a * q)
+                moving = fits & (step > 1e-14 * (1.0 + mu))
+                if not moving.any():
+                    break
+                mu = np.where(moving, np.maximum(mu - step, lo), mu)
+                a, q = x1 + mu, 1.0 + 2.0 * mu
+            out = np.empty_like(ys)
+            out[:, 1:] = x_bar / (1.0 + 2.0 * mu)[:, None]
+            wide = np.flatnonzero(~fits | moving)
+            if wide.size:
+                r = np.hypot.reduce(x_bar[wide], axis=1, initial=0.0)
+                # r = 0 only where x_bar = 0, whose image keeps y_bar = 0.
+                shrink = _parabolic_radii(x1[wide], r) / np.where(r > 0.0, r, 1.0)
+                out[wide, 1:] = x_bar[wide] * shrink[:, None]
+            out[:, 0] = row_sq_sums(out[:, 1:])
         return out
 
-    def bounded_support(self, r, tol=1e-12):
-        r = self._check_dim(r)
+    def bounded_support(self, r):
+        r, tol = self._check_dim(r), self._SUPPORT_TOL
         if r[0] < -tol:
             return True
         return bool(np.all(np.abs(r) <= tol))
@@ -331,11 +358,37 @@ class Parabolic(StateSpace):
         return {"kind": self.kind, "p": self.dim}
 
 
+def _parabolic_radii(x1, r):
+    """|y_bar| of the projections of rows (x1, x_bar) with |x_bar| = r onto
+    the parabolic set: by the KKT system of Parabolic._project_outside, the
+    positive root rho = r / (1 + 2 mu) of rho^3 + b rho - c, b = 1/2 - x1,
+    c = r/2. u bounds rho above within a factor 2 (for b >= 0 by the smaller
+    of the cubic and the linear root, for b < 0 by the sum of both
+    magnitudes), so with v = rho / 2^k, 2^k about u, and the cubic divided by
+    2^(k + e), 2^e about max(u^2, |b|), every coefficient lies in [-1, 2]."""
+    b, c = 0.5 - x1, 0.5 * r
+    u = np.where(b >= 0.0, np.minimum(np.cbrt(c), c / b), np.sqrt(-b) + np.cbrt(c))
+    k = np.frexp(u)[1]
+    e = np.maximum(2 * k, np.frexp(b)[1])
+    cube, lin, const = np.ldexp(1.0, 2 * k - e), np.ldexp(b, -e), np.ldexp(c, -k - e)
+    # The cubic in v is convex on v > 0 and negative at 0, so Newton from its
+    # upper bound falls monotonically onto the positive root.
+    v = np.ldexp(u, -k)
+    for _ in range(100):
+        step = ((cube * v * v + lin) * v - const) / (3.0 * cube * v * v + lin)
+        v -= step
+        if not (step > 1e-15 * v).any():
+            break
+    return np.ldexp(v, k)
+
+
 class HalfSpaceIntersection(StateSpace):
     """{x : normals @ x <= offsets}; rejected at construction if the
     interior is empty (lower-dimensional sets are out of scope)."""
 
     kind = "half_spaces"
+    # Relative residual of the nnls fit in bounded_support.
+    _SUPPORT_TOL = 1e-9
 
     def __init__(self, normals, offsets):
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -366,22 +419,19 @@ class HalfSpaceIntersection(StateSpace):
         self._center = res.x[:-1]
 
     def _margin_rows(self, xs):
-        # Row-wise sums, as in _project_rows: a row's margin is independent of n.
+        # Row-wise sums, not a matrix product, whose blocking can vary with n.
         return -np.max((xs[:, None, :] * self.normals).sum(axis=2) - self.offsets, axis=1)
 
-    def _project_rows(self, xs):
+    def _project_outside(self, ys):
         # Dykstra's alternating projection over the individual half spaces,
-        # run on every outside row at once; a row leaves the sweep as soon as
-        # its own largest shift in one pass is at most 1e-12. Row-wise sums
-        # stand in for matrix products, whose blocking can vary with n.
+        # run on every row at once; a row leaves the sweep as soon as its own
+        # largest shift in one pass is at most 1e-12. Row-wise sums stand in
+        # for matrix products, as in _margin_rows.
         normals, offsets = self.normals, self.offsets
-        out = xs.copy()
-        outside = np.max((xs[:, None, :] * normals).sum(axis=2) - offsets, axis=1) > 0.0
-        rows = np.flatnonzero(outside)
-        y = xs[rows]
+        y = ys.copy()
         corrections = np.zeros((normals.shape[0],) + y.shape)
         sq_norms = (normals * normals).sum(axis=1)
-        active = np.arange(rows.size)
+        active = np.arange(len(y))
         for _ in range(2000):
             if active.size == 0:
                 break
@@ -396,16 +446,15 @@ class HalfSpaceIntersection(StateSpace):
                 ya = proj
             y[active] = ya
             active = active[shift > 1e-12]
-        out[rows] = y
-        return out
+        return y
 
-    def bounded_support(self, r, tol=1e-9):
+    def bounded_support(self, r):
         # sup r.x finite iff r is a nonnegative combination of the normals.
         from scipy.optimize import nnls
 
         r = self._check_dim(r)
         _, resid = nnls(self.normals.T, r)
-        return bool(resid <= tol * (1.0 + np.linalg.norm(r)))
+        return bool(resid <= self._SUPPORT_TOL * (1.0 + np.linalg.norm(r)))
 
     def to_dict(self):
         return {

@@ -5,6 +5,8 @@ library: direct quadrature, a separately configured Runge-Kutta run, or a
 hand-derived closed form whose derivation is recorded in the docstring.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
@@ -143,3 +145,54 @@ def ou_exact_exp_moment(a, x0, t, kappa=1.0, sigma_sq=1.0):
     mean = x0 * np.exp(-kappa * t)
     var = sigma_sq * (1.0 - np.exp(-2.0 * kappa * t)) / (2.0 * kappa)
     return np.exp(a * mean + 0.5 * a * a * var)
+
+
+def lorentz_projection_decimal(x, digits=60):
+    """Euclidean projection onto the Lorentz cone {y : y_1 >= |y_bar|} in
+    decimal arithmetic, whose exponent range no float square leaves: x
+    itself inside, 0 in the polar cone x_1 <= -|x_bar|, and otherwise the
+    point (a, a x_bar / |x_bar|) of the boundary ray with a = (x_1 + |x_bar|) / 2,
+    the foot of the perpendicular from x onto that ray."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        head, tail = Decimal(float(x[0])), [Decimal(float(v)) for v in x[1:]]
+        norm = sum(v * v for v in tail).sqrt()
+        if head >= norm:
+            return np.array(x, dtype=float)
+        if head <= -norm:
+            return np.zeros(len(x))
+        a = (head + norm) / 2
+        return np.array([float(a)] + [float(a * v / norm) for v in tail])
+
+
+def parabolic_projection_decimal(x, digits=60):
+    """Euclidean projection onto {y : y_1 >= |y_bar|^2} in decimal
+    arithmetic. For x outside, the KKT conditions of min |y - x|^2 with the
+    constraint active give y_bar = x_bar / (1 + 2 mu) and
+    y_1 = |y_bar|^2 = x_1 + mu for a multiplier mu >= max(0, -x_1); mu is
+    the root of x_1 + mu - |x_bar|^2 / (1 + 2 mu)^2, which increases in mu,
+    found by bisection. y_1 is formed from y_bar, so no cancellation in
+    x_1 + mu reaches it."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x1, x_bar = Decimal(float(x[0])), [Decimal(float(v)) for v in x[1:]]
+        t = sum(v * v for v in x_bar)
+        if x1 >= t:
+            return np.array(x, dtype=float)
+
+        def gap(mu):
+            return x1 + mu - t / (1 + 2 * mu) ** 2
+
+        lo = max(Decimal(0), -x1)
+        width = Decimal(1)
+        while gap(lo + width) < 0:
+            width *= 2
+        hi = lo + width
+        for _ in range(600):
+            mid = (lo + hi) / 2
+            if gap(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        y_bar = [v / (1 + 2 * hi) for v in x_bar]
+        return np.array([float(sum(v * v for v in y_bar))] + [float(v) for v in y_bar])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from affinejd import golden
+from affinejd import golden, simulate
 from affinejd.errors import CholeskyFailure, DimensionMismatch, NegativeJumpWeight
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
@@ -410,6 +410,19 @@ def test_jump_counts_match_compensator(cp_model):
     mean_jumps = float(ens.jump_counts.mean())
     se = float(ens.jump_counts.std(ddof=1)) / np.sqrt(ens.n_paths)
     assert abs(mean_jumps - expected_jump_count(cp_model, ens)) < 3.0 * se + 1e-3
+
+
+def test_simulate_paths_does_not_hash_the_model(cp_model, monkeypatch):
+    hashed = []
+
+    def counting(model):
+        hashed.append(model)
+        return model_hash(model)
+
+    monkeypatch.setattr(simulate, "model_hash", counting)
+    ens = simulate_paths(cp_model, [1.0], SimConfig(n_paths=16, dt=0.1, horizon=0.5, seed=5))
+    assert hashed == [] and ens.model is cp_model
+    assert ens.model_hash == model_hash(cp_model) and len(hashed) == 1
 
 
 def test_expected_jump_count_needs_the_ensemble_model(cp_model, wishart_model):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+import oracles
 from affinejd import statespace
 from affinejd.errors import DimensionMismatch, ModelFormatError
 from affinejd.statespace import (
@@ -13,6 +16,7 @@ from affinejd.statespace import (
     Lorentz,
     Parabolic,
     PSDCone,
+    StateSpace,
     row_sq_sums,
     space_from_dict,
     unvech,
@@ -29,6 +33,19 @@ SPACES = [
     Parabolic(3),
     HalfSpaceIntersection([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [2.0, 2.0, 1.0]),
 ]
+
+
+def _families(cls=StateSpace):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _families(sub)
+
+
+def test_every_family_is_in_spaces():
+    # SPACES carries the projection properties below, bit for bit on
+    # members and non-expansive, to every state-space family.
+    families = {cls for cls in _families() if cls.__module__.startswith("affinejd.")}
+    assert families and families <= {type(space) for space in SPACES}
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
@@ -183,6 +200,88 @@ def test_members_on_the_boundary_are_returned_bit_for_bit(space):
     assert projected[member].tobytes() == xs[member].tobytes()
     for x in xs[member]:
         assert space.project(x).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_project_outside_sees_exactly_the_outside_rows(space, monkeypatch):
+    # Canonical clips the whole batch in its own _project_rows and has no
+    # hook; every other family is handed exactly its outside rows, in order.
+    seen = []
+    hook = type(space)._project_outside
+
+    def spy(self, ys):
+        seen.append(ys.copy())
+        return hook(self, ys)
+
+    monkeypatch.setattr(type(space), "_project_outside", spy)
+    rng = np.random.default_rng(23)
+    calls = 0
+    for margin in (0.0, 1e-15, -1e-15, 1e-9, -1e-9):
+        xs = _near_boundary(space, rng, margin, 50)
+        outside = space._margin_rows(xs) < 0.0
+        for batch, rows in ((xs, xs[outside]), (xs[~outside], xs[:0])):
+            seen.clear()
+            space.project_batch(batch)
+            want = [] if isinstance(space, Canonical) or not len(rows) else [rows.tobytes()]
+            assert [ys.tobytes() for ys in seen] == want
+            calls += len(want)
+    assert calls >= 2 or isinstance(space, Canonical)
+
+
+# Rows whose sums of squares or parabolic Newton products leave float range.
+HUGE_ROWS = [
+    (Lorentz(3), [0.0, 1e160, 0.0]),
+    (Lorentz(3), [-1e200, 1e190, 0.0]),
+    (Lorentz(3), [1e155, 1e160, -1e160]),
+    (Lorentz(3), [1.5e308, 1.6e308, 0.0]),
+    (Parabolic(2), [0.0, 1e160]),
+    (Parabolic(2), [-1e200, 1e100]),
+    (Parabolic(2), [-1e150, 1e150]),
+    (Parabolic(2), [-1e300, 0.0]),
+    (Parabolic(3), [2e100, 1e155, -3e154]),
+    # Products in range, but a start so far above the root that Newton
+    # would need more than 100 steps.
+    (Parabolic(2), [6.75746451e161, 2.33784826e84]),
+]
+
+
+def _decimal_projection(space, xs):
+    oracle = (oracles.lorentz_projection_decimal if isinstance(space, Lorentz)
+              else oracles.parabolic_projection_decimal)
+    return np.array([oracle(x) for x in xs])
+
+
+def _assert_projected(space, xs, ys):
+    assert np.allclose(ys, _decimal_projection(space, xs), rtol=1e-12, atol=0.0)
+    for y in ys:
+        assert space.contains(y, tol=1e-12 * np.abs(y).max())
+
+
+def test_huge_rows_are_projected_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for space, member in ((Lorentz(3), [5e155, 4e155, 0.0]), (Parabolic(2), [1.7e308, 1.3e154])):
+            member = np.array(member)
+            assert space.contains(member, tol=0.0) and space.interior_contains(member)
+            assert space.project(member).tobytes() == member.tobytes()
+        for space, x in HUGE_ROWS:
+            _assert_projected(space, [x], space.project(x)[None, :])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_wide_range_rows_match_a_decimal_projection(p):
+    # Entries from 1e-100 to 1e307, a third of the parabolic rows with the
+    # head near the tail's sum of squares, through one batch per family.
+    rng = np.random.default_rng(200 + p)
+    xs = rng.standard_normal((40, p)) * 10.0 ** rng.uniform(-100.0, 307.0, (40, p))
+    with np.errstate(over="ignore"):
+        tail_sq = np.sum(xs[:, 1:] ** 2, axis=1)
+    near = (np.arange(40) % 3 == 0) & (tail_sq < 1e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_projected(Lorentz(p), xs, Lorentz(p).project_batch(xs))
+        xs[near, 0] = tail_sq[near] * rng.uniform(0.5, 1.5, near.sum())
+        _assert_projected(Parabolic(p), xs, Parabolic(p).project_batch(xs))
 
 
 def _batch_pairs(space):
