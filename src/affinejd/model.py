@@ -22,14 +22,17 @@ _SPACE_TOL = 1e-9  # how far outside E require_in_space accepts a point
 
 
 class AffineModel:
-    """Immutable affine parameter set (a^i, A^i, K^i) with a state space."""
+    """Immutable affine parameter set (a^i, A^i, K^i) with a state space.
+    The arrays it holds are its own and read-only, so a hash of the model
+    taken after construction reads the model as built; its jump measures
+    and state space are the caller's objects, not to be changed in place."""
 
     def __init__(self, a0, a, A, K, state_space: StateSpace):
-        self.a0 = np.asarray(a0, dtype=float).ravel()
+        self.a0 = np.array(a0, dtype=float).ravel()
         self.dim = self.a0.size
         p = self.dim
         # Columns of `a` are the linear drift vectors a^1..a^p.
-        self.a = np.asarray(a, dtype=float).reshape(p, p)
+        self.a = np.array(a, dtype=float).reshape(p, p)
         self.A = np.asarray(A, dtype=float)
         if self.A.shape != (p + 1, p, p):
             raise DimensionMismatch(
@@ -68,6 +71,13 @@ class AffineModel:
         self.rhs_coefs = self.jump_coefs[reach].T.astype(complex, order="C")
         self.rhs_points0 = self.jump_points[~reach].astype(complex)
         self.rhs_coefs0 = self.jump_coefs[~reach, 0].astype(complex)
+        arrays = [self.a0, self.a, self.A, self.jump_points, self.jump_coefs, self.jump_mean,
+                  self.jump_mass, self.rhs_linear, self.rhs_quadratic, self.rhs_points,
+                  self.rhs_coefs, self.rhs_points0, self.rhs_coefs0]
+        for _, direction, coef in self.jump_rays:
+            arrays += [direction, coef]
+        for arr in arrays:
+            arr.flags.writeable = False
 
     def _compile_jumps(self):
         """The jump table: every source of K(x, dz) = K^0 + sum_i x_i K^i

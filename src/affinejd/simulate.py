@@ -92,7 +92,9 @@ class PathEnsemble:
 
     @property
     def model_hash(self):
-        """:func:`model_hash` of the simulated model, computed when read."""
+        """:func:`model_hash` of the simulated model, computed when read. The
+        model's own arrays are read-only; its jump measures and state space
+        must not be changed in place after simulating."""
         return model_hash(self.model)
 
     @property
@@ -404,7 +406,7 @@ def expected_jump_count(model, ensemble):
     """Estimate of integral over [0,T] of K(X_s, F) ds on the recorded grid
     (trapezoid in time), for comparison with the mean jump count. The
     model must be the one the ensemble was simulated from."""
-    if model_hash(model) != ensemble.model_hash:
+    if model is not ensemble.model and model_hash(model) != ensemble.model_hash:
         raise ValueError(f"the ensemble was simulated from model {ensemble.model_hash[:12]}, "
                          f"not {model_hash(model)[:12]}")
     lam = np.array([np.mean(_intensity(model, ensemble.states[:, r, :]))

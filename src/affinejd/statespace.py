@@ -155,6 +155,8 @@ class StateSpace:
         """True iff sup over the space of r.x is finite. This is the rule of
         a self-dual cone, whose dual is itself under the Euclidean product:
         -r must lie in the space. Every other family overrides it."""
+        if not self.self_dual:
+            raise NotImplementedError(f"{type(self).__name__} defines no bounded_support")
         return self.contains(-self._check_dim(r), tol=self._SUPPORT_TOL)
 
     def phi(self, x):
@@ -276,10 +278,7 @@ class Lorentz(StateSpace):
         # (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2.
         head, tail = ys[:, 0], _tail_norms(ys)
         polar = head <= -tail
-        with np.errstate(over="ignore"):
-            alpha = 0.5 * (head + tail)
-        # Where head + tail overflows, halving first is exact.
-        alpha = np.where(np.isinf(alpha), 0.5 * head + 0.5 * tail, alpha)
+        alpha = 0.5 * head + 0.5 * tail
         # tail > 0 on every outside row that is not polar; a polar row's
         # scale is 0, so its product cannot overflow before it is zeroed.
         out = ys * (alpha / np.where(polar, np.inf, tail))[:, None]

@@ -33,6 +33,25 @@ def test_drift_examples():
     assert np.allclose(drift_at(m, [2.0, 3.0]), [4.0, 2.0])
 
 
+def test_model_arrays_are_read_only_copies():
+    a0, a = np.array([1.0, 0.0]), np.zeros((2, 2))
+    m = AffineModel(
+        a0=a0,
+        a=a,
+        A=np.zeros((3, 2, 2)),
+        K=[FiniteAtomic([2.0], [[1.0, 0.0]]), ExponentialRay(0.5, 3.0, [0.0, 1.0]), None],
+        state_space=Canonical(2, 2),
+    )
+    a0[0], a[0, 0] = 7.0, 7.0
+    assert m.a0[0] == 1.0 and m.a[0, 0] == 0.0
+    arrays = [m.a0, m.a, m.A, m.jump_points, m.jump_coefs, m.jump_mean, m.jump_mass,
+              m.rhs_linear, m.rhs_quadratic, m.rhs_points, m.rhs_coefs, m.rhs_points0,
+              m.rhs_coefs0] + [arr for _, d, c in m.jump_rays for arr in (d, c)]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
 def test_diffusion_examples(bad_model):
     ident = AffineModel(
         a0=[0.0, 0.0],

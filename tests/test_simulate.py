@@ -425,6 +425,14 @@ def test_simulate_paths_does_not_hash_the_model(cp_model, monkeypatch):
     assert ens.model_hash == model_hash(cp_model) and len(hashed) == 1
 
 
+def test_expected_jump_count_skips_the_hash_for_the_ensemble_model(cp_model, monkeypatch):
+    ens = simulate_paths(cp_model, [1.0], SimConfig(n_paths=16, dt=0.1, horizon=0.5, seed=5))
+    hashed = []
+    monkeypatch.setattr(simulate, "model_hash", lambda model: hashed.append(model))
+    expected_jump_count(cp_model, ens)
+    assert hashed == []
+
+
 def test_expected_jump_count_needs_the_ensemble_model(cp_model, wishart_model):
     ens = simulate_paths(cp_model, [1.0], SimConfig(n_paths=16, dt=0.1, horizon=0.5, seed=5))
     with pytest.raises(ValueError, match=f"from model {ens.model_hash[:12]}, not "

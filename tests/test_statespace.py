@@ -486,6 +486,17 @@ def test_parabolic_projection_against_grid_search():
     assert space.contains(px, tol=1e-10)
 
 
+def test_bounded_support_self_dual_rule_is_not_inherited_by_other_sets():
+    class Ball(StateSpace):
+        dim = 2
+
+        def _margin_rows(self, xs):
+            return 1.0 - np.sum(xs**2, axis=1)
+
+    with pytest.raises(NotImplementedError):
+        Ball().bounded_support([1.0, 0.0])
+
+
 def test_bounded_support_canonical():
     space = Canonical(1, 2)
     assert space.bounded_support([-1.0, 0.0])
