@@ -13,11 +13,11 @@ step size. The first-step rule rates blocks of components that its caller
 names: the stepper rates the whole state, which is scipy's rule, and the
 Riccati solver also rates a block alone and takes the larger step. Given
 such a ``core`` block, the components that the right-hand side reads, the
-stepper raises QuadratureOverflow on an attempt whose error estimate is
-non-finite only outside it, in quadratures along the core. The transposed
-views of the stages that each stage and the error estimate read are built
-once per run, and real 2-norms are sqrt(x.x), np.linalg.norm's
-own formula for a real vector, without its generic dispatch.
+stepper drops the components outside it, quadratures along the core, where
+they leave float range. The transposed views of the stages that each stage
+and the error estimate read are built once per run, and real 2-norms are
+sqrt(x.x), np.linalg.norm's own formula for a real vector, without its
+generic dispatch.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
 (SciPy 1.17.1), which carries this notice:
@@ -276,10 +276,6 @@ _STAGE_ROWS = [(A[s, :s], C[s]) for s in range(1, N_STAGES)]
 _EXTRA_ROWS = [(A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
-class QuadratureOverflow(ArithmeticError):
-    """An attempt overflowed components outside the stepper's core alone."""
-
-
 def norm(x):
     """The 2-norm of a real vector, bit for bit np.linalg.norm(x)."""
     return math.sqrt(x.dot(x))
@@ -323,10 +319,14 @@ class DOP853:
     ``error_norm`` is the error estimate of the accepted attempt and
     ``rejected`` counts rejected attempts; fun is called once at the start,
     once more without first_step, and 12 times per attempt. As in scipy, an
-    rtol below 100 eps is raised to 100 eps. With a ``core`` slice, an
-    attempt whose error estimate is not finite, but is finite with a finite
-    new state on the core, counts as rejected and raises QuadratureOverflow;
-    t, y and h_abs stay those of the last accepted step."""
+    rtol below 100 eps is raised to 100 eps. With a ``core`` slice, the
+    stepper loses the components outside it where y0 or fun(t0, y0) is not
+    finite there, where an attempt's error estimate is not finite but is
+    finite with a finite new state on the core (the attempt counts as
+    rejected, and the step starts over), or where an accepted state is not
+    finite there. From then on ``lost`` is True, they read NaN in accepted
+    states and weigh 0 in the error norm, and a first-step rule rates the
+    core alone; the caller's np.errstate governs numpy's reports on them."""
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None, core=None):
         self.fun = fun
@@ -337,9 +337,12 @@ class DOP853:
         self.rtol = max(rtol, 100 * EPS)
         self.atol = atol
         self.f = fun(t0, y0)
+        index = range(y0.size)
+        self._outside = [] if core is None else [i for i in index if i not in index[core]]
+        self.lost = not all(math.isfinite(v[i]) for v in (y0, self.f) for i in self._outside)
         if first_step is None:
             self.h_abs = select_initial_step(
-                fun, t0, y0, t_bound, self.f, self.rtol, atol, (slice(None),)
+                fun, t0, y0, t_bound, self.f, self.rtol, atol, (core,) if self.lost else (slice(None),)
             )
         elif not 0 < first_step <= abs(t_bound - t0):
             raise ValueError("first_step must be positive and inside the interval")
@@ -371,7 +374,7 @@ class DOP853:
             h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self._error_norm(h, scale, self._KT)
+            error_norm = self._error_norm(h, scale, self.lost)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -386,8 +389,16 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
             self.rejected += 1
-            if self.core is not None and not math.isfinite(error_norm) and self._finite_on_core(h, y_new, scale):
-                raise QuadratureOverflow(f"an attempt at t={t!r} overflowed outside the core")
+            if not (self.lost or math.isfinite(error_norm)) and self._finite_on_core(h, y_new, scale):
+                self.lost = True
+                return self.step()
+        if not self.lost:
+            for i in self._outside:
+                if not math.isfinite(y_new[i]):
+                    self.lost = True
+                    break
+        if self.lost:
+            y_new[self._outside] = math.nan
         self.t_old, self.t, self.y = t, t_new, y_new
         self.h_abs, self.f, self.error_norm = h_abs, f_new, error_norm
         self.finished = t_new - self.t_bound >= 0
@@ -403,38 +414,40 @@ class DOP853:
         K[-1] = f_new
         return y_new, f_new
 
-    @staticmethod
-    def _error_norm(h, scale, KT):
-        err5_norm_2 = norm(np.dot(KT, E5) / scale) ** 2
-        err3_norm_2 = norm(np.dot(KT, E3) / scale) ** 2
+    def _error_norm(self, h, scale, lost):
+        err5 = np.dot(self._KT, E5) / scale
+        err3 = np.dot(self._KT, E3) / scale
+        if lost:  # the components outside the core weigh 0
+            err5[self._outside] = err3[self._outside] = 0.0
+        err5_norm_2 = norm(err5) ** 2
+        err3_norm_2 = norm(err3) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def _finite_on_core(self, h, y_new, scale):
-        core = self.core
-        return bool(np.isfinite(y_new[core]).all()) and math.isfinite(
-            self._error_norm(h, scale[core], self._KT[core])
-        )
+        if not self._outside or not np.isfinite(y_new[self.core]).all():
+            return False
+        return math.isfinite(self._error_norm(h, scale, True))
 
 
 class Steps:
-    """The accepted steps of one DOP853 run: the grid x, the states y at its
-    points (exact step ends; the last point of a run stopped by an event is
-    the interpolated root), and per step the stages and the right-hand side
-    that made it, from which its interpolant is built on the first
-    evaluation inside the step. Calling the run at x evaluates it like
-    solve_ivp's dense output on the same steps, but returns the stored state
-    at a grid point."""
+    """The accepted steps of one DOP853 run of fun: the grid x, the states y
+    at its points (exact step ends; the last point of a run stopped by an
+    event is the interpolated root), and per step its stages, from which its
+    interpolant is built on the first evaluation inside the step. Calling
+    the run at x evaluates it like solve_ivp's dense output on the same
+    steps, but returns the stored state at a grid point."""
 
-    def __init__(self, x0, y0):
+    def __init__(self, fun, x0, y0):
+        self.fun = fun
         self.x = [x0]
         self.y = [y0]
         self.rejected = 0
         self.event = None  # index of the event that stopped the run
         self.failed = False  # the step size underflowed
-        self._steps = []  # (x_old, x_new, y_new, stages, fun) per accepted step
+        self._steps = []  # (x_old, x_new, y_new, stages) per accepted step
         self._coefs = {}
 
     @property
@@ -442,7 +455,7 @@ class Steps:
         return len(self._steps)
 
     def push(self, solver):
-        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy(), solver.fun))
+        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy()))
         self.x.append(solver.t)
         self.y.append(solver.y)
 
@@ -466,22 +479,24 @@ class Steps:
         return y + self.y[k]
 
     def _coefficients(self, k):
-        x_old, x_new, y_new, stages, fun = self._steps[k]
+        x_old, x_new, y_new, stages = self._steps[k]
         y_old = self.y[k]
         h = x_new - x_old
         delta = y_new - y_old
         with np.errstate(over="ignore", invalid="ignore"):
             for s, (a, c) in enumerate(_EXTRA_ROWS, start=N_STAGES + 1):
-                stages[s] = fun(x_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
+                stages[s] = self.fun(x_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
             coefs = _dense_coefficients(h, delta, stages)
             # Near an overflow of psi_0 its stages approach the float limit,
             # and the sums in D @ stages overflow although the coefficients
             # are in range. Such components are recomputed from stages scaled
-            # by a power of 2 above their largest; the scaling is exact.
+            # by a power of 2 above their largest; the scaling is exact. A
+            # component that the stepper lost (a NaN increment) reads NaN.
             if not np.isfinite(coefs).all():
                 bad = ~np.isfinite(coefs).all(axis=0)
                 scale = np.ldexp(1.0, np.frexp(np.abs(stages[:, bad]).max(axis=0))[1])
                 coefs[:, bad] = _dense_coefficients(h, delta[bad] / scale, stages[:, bad] / scale) * scale
+                coefs[:, np.isnan(delta)] = math.nan
         return coefs
 
     def stop_at(self, k_event, root):

@@ -50,14 +50,14 @@ t = horizon.
 psi_0 is a quadrature along psi that never feeds back into it, so the
 transform exists wherever psi does, however large psi_0 is. An exp that
 overflows on a point of K^0 alone leaves R_1..p exact, so a trial stage
-passes when R_1..p is finite. Where R_0 alone leaves float range (at u, or
-in a step's error estimate, which DOP853 reports as QuadratureOverflow),
-the loop goes on from the last accepted step with psi_0's derivative held
-at 0, and the solution records that time in ``stats.psi0_overflow``;
-verdicts and stop reasons describe psi only. Each step's interpolant uses
-the right-hand side that made the step, and reads a finite psi_0 up to the
-hold: where the sums of its coefficients overflow, it is built from stages
-rescaled by a power of 2.
+passes when R_1..p is finite. psi_0 is outside DOP853's core: where it
+leaves float range (R_0 at u or in a step's error estimate, or psi_0 itself
+in an accepted state), the stepper drops it and the run goes on with psi;
+psi_0 reads NaN from there on, and ``stats.psi0_overflow`` records the last
+grid time with a finite psi_0. Verdicts and stop reasons describe psi only.
+Up to that time the interpolants read a finite psi_0: where the sums of
+their coefficients overflow, they are built from stages rescaled by a power
+of 2.
 
 The loop tests these surfaces on accepted step ends with the sign-change
 rule of scipy's solve_ivp and root-finds only on the interpolant of the step
@@ -96,7 +96,6 @@ from .integrator import (
     MIN_FACTOR,
     SAFETY,
     TOO_SMALL_STEP,
-    QuadratureOverflow,
     Steps,
     brentq,
     norm,
@@ -112,8 +111,7 @@ _EXP_GUARD = 600.0
 # |psi| >= _SWITCH_FACTOR * (1 + |u|).
 _SWITCH_FACTOR = 30.0
 
-# The packed components of psi_0, and of everything that R reads.
-_PSI0 = slice(0, 2)
+# The packed components that R reads: psi (and t in phase 2), not psi_0.
 _CORE = slice(2, None)
 
 # The ray event watches Re(d.psi) = rate (1 - _RAY_MARGIN), where the step
@@ -160,9 +158,10 @@ class SolveStats:
     over both phases, and why it stopped: "horizon", "radius" (|psi| reached
     r_max), "overflow" (the exp guard on the weighted points with weight in
     K^1..p) or "step_underflow" (blow-up declared when the step size
-    underflowed). ``psi0_overflow`` is the time after which psi_0 is out of
-    float range while psi is not, or None. Interpolants that eval builds
-    after the solve are not counted in nfev."""
+    underflowed). ``psi0_overflow`` is the last grid time with a finite
+    psi_0 when psi_0 left float range while psi did not (psi_0 reads NaN
+    after it), or None. Interpolants that eval builds after the solve are not
+    counted in nfev."""
 
     nfev: int
     steps_t: int
@@ -207,8 +206,6 @@ class RiccatiSolution:
         for i, s in enumerate(np.clip(t_arr, 0.0, self.t_last).flat):
             y[i] = self._dense(float(s))
         z = y.view(complex)
-        if self.stats.psi0_overflow is not None:
-            z[t_arr.ravel() > self.stats.psi0_overflow, 0] = complex(math.nan, math.nan)
         if t_arr.ndim == 0:
             return complex(z[0, 0]), z[0, 1:]
         return z[:, 0], z[:, 1:]
@@ -216,17 +213,6 @@ class RiccatiSolution:
     def terminal(self):
         """(psi_0, psi) at the last solved time."""
         return self.eval(self.t_last)
-
-
-def _holding_psi0(fun):
-    """fun with the derivative of psi_0 held at 0."""
-
-    def held(x, y):
-        f = fun(x, y)
-        f[_PSI0] = 0.0
-        return f
-
-    return held
 
 
 def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None, atol=ABS_TOL):
@@ -242,23 +228,14 @@ def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None, atol=A
     SAFETY h_n (h_n / h_{n-1}) (err_{n-1} / err_n^2)^(1/8), and that limit is
     at least MIN_FACTOR h_n; err is DOP853's error norm of the step.
 
-    An attempt that overflows psi_0 alone (QuadratureOverflow) does not end
-    the run: it goes on from the last accepted step with psi_0 held, and the
-    steps before keep the full fun in their interpolants. The run's k_held
-    is the index of the grid point from which it is held, or None."""
+    Everything but psi_0 is the stepper's core: where psi_0 leaves float
+    range, the stepper drops it and the run goes on with psi alone."""
     solver = DOP853(fun, x0, y0, x_bound, REL_TOL, atol, first_step, _CORE)
-    run = Steps(x0, y0)
-    run.k_held = None
+    run = Steps(fun, x0, y0)
     g = [event(x0, y0) for event in events]
     h_last = err_last = 0.0  # the previous accepted step and its error norm
     while True:
-        try:
-            accepted = solver.step()
-        except QuadratureOverflow:
-            run.k_held = run.n_steps
-            solver.fun = _holding_psi0(solver.fun)
-            solver.f[_PSI0] = 0.0
-            continue
+        accepted = solver.step()
         run.rejected = solver.rejected
         if not accepted:
             run.failed = True
@@ -368,9 +345,6 @@ def solve_riccati(model, u, horizon):
         r_u = riccati_rhs(model, u)
     if not np.isfinite(r_u[1:]).all():
         raise NonFiniteRHS("Riccati right-hand side is non-finite at t=0")
-    held = not cmath.isfinite(r_u[0])  # psi_0 is out of range from t = 0
-    if held:
-        r_u[0] = 0.0
     r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
     nfev = 0
@@ -384,7 +358,7 @@ def solve_riccati(model, u, horizon):
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         try:
             dz = riccati_rhs(model, z[1:])
-            if all(map(cmath.isfinite, dz.tolist()[1:])):  # R_1..p; DOP853 reports an R_0 overflow
+            if all(map(cmath.isfinite, dz.tolist()[1:])):  # R_1..p; DOP853 drops psi_0 past float range
                 return dz
         except DivergentIntegral:
             pass
@@ -415,11 +389,10 @@ def solve_riccati(model, u, horizon):
         # takes the larger step: psi_0 is a quadrature that does not feed back
         # into psi, so a large R_0 must not shrink the first step below what
         # psi needs (at R_0 ~ 1e180 the rule on the whole state underflows
-        # to 0). A step of 0 leaves the choice to DOP853's own rule.
-        rhs_t = _holding_psi0(rhs) if held else rhs
-        first_step = select_initial_step(
-            rhs_t, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, (slice(None), _CORE)
-        ) or None
+        # to 0). Where R_0(u) is not finite, the psi block alone is rated. A
+        # step of 0 leaves the choice to DOP853's own rule.
+        blocks = (slice(None), _CORE) if cmath.isfinite(r_u[0]) else (_CORE,)
+        first_step = select_initial_step(rhs, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, blocks) or None
         events, kinds = _make_events(model, R_MAX)
         until = None
         if r_switch < R_MAX:  # stop at the first step end past r_sw; phase 2 watches R_MAX
@@ -429,8 +402,7 @@ def solve_riccati(model, u, horizon):
             def until(solver):
                 psi_norm = norm(solver.y[_CORE])
                 return psi_norm >= r_switch or norm(solver.f[_CORE]) >= r_switch * (1.0 + psi_norm)
-        run = _integrate(rhs_t, 0.0, y0, horizon, events, first_step, until)
-        k_held = 0 if held else run.k_held
+        run = _integrate(rhs, 0.0, y0, horizon, events, first_step, until)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
         if run.event is None and not run.failed and grid[-1] < horizon:
@@ -448,10 +420,7 @@ def solve_riccati(model, u, horizon):
             kinds.append("horizon")
             atol = np.full(ys.shape[1] + 1, ABS_TOL)
             atol[-1] = ABS_TOL * min(1.0, 10.0 * t_switch)
-            rhs_phase2 = rhs_s if k_held is None else _holding_psi0(rhs_s)
-            run = _integrate(rhs_phase2, 0.0, np.append(ys[-1], 0.0), math.inf, events, atol=atol)
-            if k_held is None and run.k_held is not None:
-                k_held = steps_t + run.k_held
+            run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, events, atol=atol)
             steps_s, rejected = run.n_steps, rejected + run.rejected
             t_grid = t_switch + run.ys[:, -1]
             if run.event is not None and kinds[run.event] == "horizon":
@@ -463,13 +432,12 @@ def solve_riccati(model, u, horizon):
     kind = None if run.event is None else kinds[run.event]
     z = ys.view(complex)
     psi0, psi = z[:, 0], z[:, 1:]
-    t_held = None
-    if k_held is not None:
-        t_held = float(grid[k_held])
-        psi0[k_held + 1:] = complex(math.nan, math.nan)
+    t_out = None
+    if not cmath.isfinite(psi0[-1]):  # DOP853 dropped psi_0
+        t_out = float(grid[np.flatnonzero(np.isfinite(psi0))[-1]])
 
     def result(verdict, bracket, stop_reason):
-        stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason, t_held)
+        stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason, t_out)
         return RiccatiSolution(u, grid, psi0, psi, verdict, bracket, dense, stats)
 
     if (kind is None and not run.failed) or kind == "horizon":

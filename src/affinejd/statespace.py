@@ -61,16 +61,26 @@ def row_sq_sums(xs):
     return total
 
 
+_TAIL_LO = 2.0**-511  # sqrt of the smallest normal float
+
+
 def _tail_norms(xs):
     """|(x_2..x_p)| of each row of an ``(n, p)`` array, by np.linalg.norm's
     formula, the square root of the sum of squares; a row whose sum of
-    squares overflows takes the overflow-free ``np.hypot`` instead."""
+    squares overflows or underflows (a norm of inf or below _TAIL_LO) takes
+    the scaled np.hypot.reduce(xs[:, 1:], axis=1, initial=0.0) instead, one
+    column at a time. A dot and a min decide whether any row may (norms.norms
+    overflows a little early); a batch of zero tails reads 0 exactly."""
     with np.errstate(over="ignore"):
         norms = row_sq_sums(xs[:, 1:])
         np.sqrt(norms, out=norms)
-        big = np.flatnonzero(np.isinf(norms))
-        if big.size:
-            norms[big] = np.hypot.reduce(xs[big, 1:], axis=1, initial=0.0)
+        if np.dot(norms, norms) == np.inf or (
+            norms.size and np.minimum.reduce(norms) < _TAIL_LO and np.count_nonzero(xs[:, 1:])
+        ):
+            scaled = np.abs(xs[:, 1])
+            for j in range(2, xs.shape[1]):
+                np.hypot(scaled, xs[:, j], out=scaled)
+            np.copyto(norms, scaled, where=(norms < _TAIL_LO) | np.isinf(norms))
     return norms
 
 

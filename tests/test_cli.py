@@ -99,6 +99,18 @@ def test_psi0_overflow_is_standard_json(capsys, models_dir):
     assert code == 0 and strict_json(out) == {"verdict": "exceeds_horizon", "t_max": 1.0}
 
 
+def test_psi0_overflow_by_accumulation_is_null(capsys, models_dir):
+    # R_0(883) ~ 2.6e306 is finite, but psi_0 = t R_0 passes the largest
+    # float near t = 68: the moment is finite, and psi_0 and the value are
+    # null.
+    args = ("--model", str(models_dir / "compound_poisson.json"), "--u", "883")
+    code, out, _ = run_cli(capsys, "transform", *args, "--x", "1", "--t", "400")
+    payload = strict_json(out)
+    assert code == 0 and payload["verdict"] == "finite"
+    assert payload["value"] is None and payload["log_value"] is None and payload["psi0"] is None
+    assert "t=67.8" in payload["diagnostic"]
+
+
 def test_transform_not_integrable(capsys, models_dir):
     code, out, _ = run_cli(capsys, "transform", "--model", str(models_dir / "cir.json"),
                            "--u", "2+1i", "--x", "1", "--t", "1")

@@ -160,6 +160,98 @@ def test_stepper_nan_error_shrinks_step():
     assert end == "failed" and steps > 1
 
 
+def quadrature_system(rate):
+    """y = (q, c): the core c' = -c, c(0) = 1, which fun reads, and a
+    quadrature q' = rate(t, c) along it, which it does not."""
+
+    def fun(t, y):
+        fun.calls += 1
+        return np.array([rate(t, y[1]), -y[1]])
+
+    fun.calls = 0
+    return fun
+
+
+def lossy_run(fun, t_bound, first_step=None):
+    """A run of a quadrature system from (0, 1) with c as the core: its
+    record, the index of the first state whose q is lost (past the last
+    state if none), and per step the
+    step size and the rejected count that the stepper held before it. The
+    stepper's arithmetic on a lost q is the caller's to silence, as
+    solve_riccati does."""
+    y0 = np.array([0.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        solver = integrator.DOP853(fun, 0.0, y0, t_bound, REL_TOL, ABS_TOL, first_step, slice(1, None))
+        run = integrator.Steps(fun, 0.0, y0)
+        lost = 1 if solver.lost else None
+        before = []
+        while not solver.finished:
+            before.append((solver.h_abs, solver.rejected))
+            assert solver.step()
+            run.push(solver)
+            if solver.lost and lost is None:
+                lost = run.n_steps
+    run.rejected = solver.rejected
+    # One call at the start, one for the first-step rule, 12 per attempt.
+    assert fun.calls == 1 + (first_step is None) + 12 * (run.n_steps + run.rejected)
+    run.finish()
+    assert run.grid[-1] == t_bound
+    if lost is None:
+        lost = run.grid.size
+    q = run.ys[:, 0]
+    assert np.isfinite(q[:lost]).all() and np.isnan(q[lost:]).all()
+    # Inside the steps too, q reads NaN from its loss on, without a
+    # RuntimeWarning, and the core stays on its closed form.
+    mid = 0.5 * (run.grid[1:] + run.grid[:-1])
+    inner = np.array([run(x) for x in mid])
+    assert np.isfinite(inner[:lost - 1, 0]).all() and np.isnan(inner[lost - 1:, 0]).all()
+    assert np.all(np.abs(run.ys[:, 1] - np.exp(-run.grid)) <= 1e-10)
+    assert np.all(np.abs(inner[:, 1] - np.exp(-mid)) <= 1e-10)
+    return run, lost, before
+
+
+def test_quadrature_lost_in_an_attempt():
+    # Near t = 0.087 the stages of q' = e^(700 + 100 t) near the float limit
+    # overflow the error estimate, while q and c stay finite. That attempt
+    # is rejected, q is lost, and the step starts over at the size it had.
+    run, lost, before = lossy_run(quadrature_system(lambda t, c: np.exp(700.0 + 100.0 * t)), 1.0, 0.01)
+    h, rejected = before[lost - 1]
+    assert 0.08 < run.grid[lost] < 0.09 and run.grid[lost] == run.grid[lost - 1] + h
+    assert rejected < (before[lost][1] if lost < len(before) else run.rejected)
+    # Up to the loss, q is on its closed form: the step control reads it.
+    t = run.grid[1:lost]
+    want = (np.exp(700.0 + 100.0 * t) - np.exp(700.0)) / 100.0
+    assert np.all(np.abs(run.ys[1:lost, 0] - want) <= 1e-9 * want)
+
+
+def test_quadrature_lost_by_accumulation():
+    # q' = 1e307 (2 - c) stays finite, but q = 1e307 (2t - 1 + e^-t) passes
+    # the largest float near t = 9: the accepted state that overflows reads
+    # NaN, and the run goes on with c alone.
+    run, lost, before = lossy_run(quadrature_system(lambda t, c: 1e307 * (2.0 - c)), 20.0, 0.01)
+    t = run.grid[:lost + 1]
+    w = 2.0 * t - 1.0 + np.exp(-t)  # q / 1e307
+    limit = np.finfo(float).max / 1e307
+    assert w[lost - 1] < limit < w[lost]
+    assert np.all(np.abs(run.ys[1:lost, 0] / 1e307 - w[1:lost]) <= 1e-9 * w[1:lost])
+    assert run.rejected == before[lost - 1][1]
+
+
+def test_quadrature_non_finite_at_t0():
+    # q' = inf from t = 0: the first-step rule rates c alone, and the run is
+    # the one whose quadrature is held at q' = 0, bit for bit.
+    fun = quadrature_system(lambda t, c: math.inf)
+    y0 = np.array([0.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        solver = integrator.DOP853(fun, 0.0, y0, 5.0, REL_TOL, ABS_TOL, core=slice(1, None))
+        first = integrator.select_initial_step(fun, 0.0, y0, 5.0, fun(0.0, y0), REL_TOL, ABS_TOL, (slice(1, None),))
+    assert solver.lost and solver.h_abs == first
+    run, lost, _ = lossy_run(quadrature_system(lambda t, c: math.inf), 5.0)
+    held, _, _ = lossy_run(quadrature_system(lambda t, c: 0.0), 5.0, first)
+    assert lost == 1 and run.rejected == held.rejected
+    assert np.array_equal(run.grid, held.grid) and np.array_equal(run.ys[:, 1], held.ys[:, 1])
+
+
 def test_norm_is_numpys_bit_for_bit():
     # The stepper's error norm and the solver's radius tests must round as
     # np.linalg.norm does, or the step sequence moves.

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -34,7 +35,7 @@ from affinejd.riccati import (
     variation_of_constants_residual,
 )
 from affinejd.statespace import Canonical, PSDCone
-from affinejd.transform import effective_domain_ray
+from affinejd.transform import effective_domain_ray, transform
 
 
 def scalar_model(a0=0.0, a=0.0, A0=0.0, A1=0.0, K=None, space=None):
@@ -572,6 +573,32 @@ def test_compound_poisson_ray_is_unbounded(cp_model, horizon, monkeypatch):
     assert len(stats) == len(ray.probes) and sum(s.nfev for s in stats) <= 3500
 
 
+def test_psi0_overflow_by_accumulation(cp_model):
+    # psi = 883 is constant and R_0(883) ~ 2.6e306 is finite, but psi_0 =
+    # t R_0 passes the largest float near t = 68. From the accepted state
+    # that overflows on, psi_0 reads NaN, and the solve goes on with psi.
+    r0 = riccati_rhs(cp_model, [883.0])[0]
+    sol = solve_riccati(cp_model, [883.0], 400.0)
+    psi0, psi = sol.terminal()
+    assert sol.stats.stop_reason == "horizon" and sol.t_last == 400.0
+    assert sol.psi[-1, 0] == 883.0 and np.isnan(psi0)
+    t_out = sol.stats.psi0_overflow
+    k = int(np.flatnonzero(sol.grid == t_out)[0])
+    assert 67.8 < t_out < 67.9 and np.isnan(sol.psi0[k + 1:]).all()
+    assert np.all(np.abs(sol.psi0[1:k + 1] - sol.grid[1:k + 1] * r0) <= 1e-9 * sol.grid[1:k + 1] * r0.real)
+    # Inside the step that overflowed, psi_0 reads NaN without a
+    # RuntimeWarning (the suite turns one into an error).
+    psi0, psi = sol.eval(0.5 * (t_out + sol.grid[k + 1]))
+    assert np.isnan(psi0) and psi[0] == 883.0
+    tv = transform(cp_model, [883.0], [1.0], 400.0)
+    assert tv.kind == "finite" and tv.value is None and tv.log_value is None and tv.psi0 is None
+    assert f"t={t_out!r}" in tv.diagnostic
+    # At 880, psi_0 = 5.5e307 is in range, as it was before.
+    sol = solve_riccati(cp_model, [880.0], 400.0)
+    assert sol.stats.psi0_overflow is None and sol.stats.nfev == 146
+    assert sol.terminal()[0].real.hex() == "0x1.3b6d7587f64b3p+1022"
+
+
 def k0_atom_model():
     """psi = e^t, and R_0 = psi^2 / 2 + expm1(psi / 10) - psi / 10 leaves
     float range near t = 8.8653."""
@@ -1045,3 +1072,81 @@ def test_switching_solves_pinned():
     # The bracket of a ray, whose probes run to blow-up.
     ray = effective_domain_ray(golden.cir(), [1.0], 0.7)
     assert tuple(b.hex() for b in ray.bracket) == ("0x1.6db6daf319d58p+0", "0x1.6db6e11413a06p+0")
+
+
+def two_atom_model():
+    """Atoms in K^0 (weight 1 at z = 1) and K^1 (weight 0.3 at z = 0.1): at
+    u = 700, psi_0 leaves float range within the first steps, and psi goes
+    on into the time-changed phase."""
+    return scalar_model(a0=0.1, a=-0.5, A0=0.2, A1=0.5,
+                        K=[FiniteAtomic([1.0], [[1.0]]), FiniteAtomic([0.3], [[0.1]])])
+
+
+def pin_text(values):
+    """Hex floats of a real array, or a digest of them when they are long."""
+    text = " ".join(float(v).hex() for v in np.ravel(values))
+    return text if len(text) <= 120 else hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+def held_pin(model, u, horizon):
+    sol = solve_riccati(model, [u], horizon)
+    s = sol.stats
+    out = None if s.psi0_overflow is None else s.psi0_overflow.hex()
+    psi0, psi = sol.eval(np.linspace(0.0, sol.t_last, 37))
+    return ((s.nfev, s.steps_t, s.steps_s, s.rejected, s.stop_reason, out), pin_text(sol.grid),
+            pin_text(np.column_stack([psi0, psi]).view(float)))
+
+
+# Solves in which psi_0 leaves float range, pinned bit for bit to the
+# solver that held psi_0's derivative at 0 from there on, which dropping
+# psi_0 reproduces: (nfev, steps_t, steps_s, rejected, stop_reason,
+# psi0_overflow), the grid and eval at 37 even times up to the last solved
+# time (hex floats, or their digest).
+HELD_MODELS = {"k0_atom": k0_atom_model, "compound_poisson": golden.compound_poisson, "two_atom": two_atom_model}
+HELD_PINS = {
+    ('k0_atom', 1.0, 10.0): (
+        (17611, 22, 1443, 2, 'horizon', '0x1.1bb02b4cb7666p+3'),
+        '1d7197f8615a94c1fa31c72a',
+        '494fc21ca2facb82054c1459',
+    ),
+    ('k0_atom', 1.0, 8.8605): (
+        (17455, 22, 1431, 1, 'horizon', None),
+        '28efd466824ff6f7ea26fe60',
+        'ec96e9fe10b35705787f8e3f',
+    ),
+    ('compound_poisson', 500.0, 1.0): (
+        (122, 10, 0, 0, 'horizon', None),
+        '184fe35659e8835ee9cd6dc3',
+        'b9dbc40ab10b36e81c9ba24a',
+    ),
+    ('compound_poisson', 886.75, 1.0): (
+        (98, 7, 0, 1, 'horizon', '0x0.0p+0'),
+        '1cc213d5da3f153ffe44cde3',
+        '4573ae62e56f3ea8d5750dd6',
+    ),
+    ('compound_poisson', 887.0, 1.0): (
+        (98, 7, 0, 1, 'horizon', '0x0.0p+0'),
+        '1cc213d5da3f153ffe44cde3',
+        '97dd14464ea5e0c23270b1fb',
+    ),
+    ('compound_poisson', 888.0, 1.0): (
+        (86, 7, 0, 0, 'horizon', '0x0.0p+0'),
+        '1cc213d5da3f153ffe44cde3',
+        'b4648887e1cb23116c169834',
+    ),
+    ('compound_poisson', 1000000.0, 1.0): (
+        (86, 7, 0, 0, 'horizon', '0x0.0p+0'),
+        '1cc213d5da3f153ffe44cde3',
+        '3e4ad9d56e05a97ba94f0c41',
+    ),
+    ('two_atom', 700.0, 1.0): (
+        (595, 1, 41, 7, 'overflow', '0x1.4a06f30e42f10p-97'),
+        'ad7185d5e58c69e96b75e118',
+        'eceac6e606fa7fd8b4060537',
+    ),
+}
+
+
+def test_held_solves_pinned():
+    for (name, u, horizon), pin in HELD_PINS.items():
+        assert held_pin(HELD_MODELS[name](), u, horizon) == pin, (name, u, horizon)

@@ -268,6 +268,27 @@ def test_huge_rows_are_projected_without_warnings():
             _assert_projected(space, [x], space.project(x)[None, :])
 
 
+def test_lorentz_tails_whose_squares_underflow():
+    # Below 1e-154 the squares of a tail leave the normal floats, and below
+    # ~1e-162 they read 0: by its sum of squares alone, [0, 1e-297, 0] would
+    # be a member, left where it is.
+    space = Lorentz(3)
+    x = np.array([0.0, 1e-297, 0.0])
+    assert not space.contains(x, tol=0.0)
+    assert np.array_equal(space.project(x), oracles.lorentz_projection_decimal(x))
+    rng = np.random.default_rng(41)
+    tails = 10.0 ** rng.uniform(-300, -154, (300, 2)) * rng.choice([-1.0, 1.0], (300, 2))
+    heads = np.hypot(tails[:, 0], tails[:, 1]) * rng.uniform(-2.0, 2.0, 300)
+    heads[:30] = 0.0
+    xs = np.column_stack([heads, tails])
+    ys = space.project_batch(xs)
+    _assert_projected(space, xs, ys)
+    members = np.array([np.array_equal(oracles.lorentz_projection_decimal(x), x) for x in xs])
+    assert 50 < members.sum() < 250
+    assert [space.contains(x, tol=0.0) for x in xs] == members.tolist()
+    assert np.array_equal(ys[members], xs[members])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_wide_range_rows_match_a_decimal_projection(p):
     # Entries from 1e-100 to 1e307, a third of the parabolic rows with the
