@@ -117,8 +117,7 @@ def _add_u_flags(sub):
     sub.add_argument("--im", help="imaginary parts")
 
 
-def _cmd_solve(args):
-    model = modelio.load_model(args.model)
+def _cmd_solve(model, args):
     sol = solve_riccati(model, _u_from_args(args), args.T)
     if args.csv:
         sys.stdout.write(solution_to_csv(sol))
@@ -143,8 +142,7 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_explosion(args):
-    model = modelio.load_model(args.model)
+def _cmd_explosion(model, args):
     res = explosion_time(model, _u_from_args(args), args.t_max)
     payload = {"verdict": res.kind, "t_max": res.t_max}
     if res.finite:
@@ -154,8 +152,7 @@ def _cmd_explosion(args):
     return 0
 
 
-def _cmd_transform(args):
-    model = modelio.load_model(args.model)
+def _cmd_transform(model, args):
     tv = transform(model, _u_from_args(args), parse_real_vector(args.x), args.t)
     payload = {"verdict": tv.kind}
     if tv.value is not None or tv.finite:
@@ -170,8 +167,7 @@ def _cmd_transform(args):
     return 0
 
 
-def _cmd_ray(args):
-    model = modelio.load_model(args.model)
+def _cmd_ray(model, args):
     probe = effective_domain_ray(model, parse_real_vector(args.direction), args.T, args.lambda_max)
     if args.csv:
         lines = ["lambda,t_inf_estimate,verdict"]
@@ -189,8 +185,7 @@ def _cmd_ray(args):
     return 0
 
 
-def _cmd_simulate(args):
-    model = modelio.load_model(args.model)
+def _cmd_simulate(model, args):
     cfg = SimConfig(
         n_paths=args.n_paths, dt=args.dt, horizon=args.T, seed=args.seed, threads=args.threads
     )
@@ -219,8 +214,7 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_validate(args):
-    model = modelio.load_model(args.model)
+def _cmd_validate(model, args):
     report = check_admissibility(model, n_samples=args.n_samples, seed=args.seed, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     space = model.state_space
@@ -250,8 +244,7 @@ def _cmd_validate(args):
     return 0 if passed else 2
 
 
-def _cmd_damp(args):
-    model = modelio.load_model(args.model)
+def _cmd_damp(model, args):
     n_list = [int(v) for v in args.n_list.split(",")]
     u, x = _u_from_args(args), parse_real_vector(args.x)
     diag = damped_transform_sequence(model, u, x, args.t, n_list)
@@ -263,15 +256,13 @@ def _cmd_damp(args):
     return 0
 
 
-def _cmd_idcheck(args):
-    model = modelio.load_model(args.model)
+def _cmd_idcheck(model, args):
     residual = infinite_divisibility_check(model, _u_from_args(args), args.t, args.n)
     _emit({"residual": residual, "n": args.n, "t": args.t})
     return 0
 
 
-def _cmd_cone_check(args):
-    model = modelio.load_model(args.model)
+def _cmd_cone_check(model, args):
     u = _u_from_args(args)
     if args.check == "monotonicity":
         if args.v is None:
@@ -380,7 +371,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code = args.fn(args)
+        code = args.fn(modelio.load_model(args.model), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

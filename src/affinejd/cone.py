@@ -95,7 +95,7 @@ def interior_preservation_check(model, u, t):
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     u = np.asarray(u, dtype=complex).ravel()
-    if not space.interior_contains(-u.real, margin=0.0):
+    if not space.interior_contains(-u.real):
         raise ValueError("Re u must lie in -interior(E)")
     sol = solve_riccati(model, u, t)
     if sol.exploded:
@@ -126,4 +126,4 @@ def regularity_Lu_check(model, u):
     rem = np.abs(np.remainder(model.jump_points @ u, 2.0 * np.pi))
     off_lattice = np.minimum(rem, 2.0 * np.pi - rem) > 1e-9
     masses = off_lattice @ model.jump_coefs[:, 1:]
-    return bool(space.interior_contains(masses, margin=0.0))
+    return bool(space.interior_contains(masses))

@@ -290,12 +290,16 @@ def select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, blocks):
     forward run, applied to each block of components in ``blocks`` (index
     slices of y) and the largest of the steps it gives; calls fun once, at
     the first nonzero initial guess, which every block's estimate of the
-    second derivative shares. ``(slice(None),)`` is scipy's rule itself."""
+    second derivative shares. ``(slice(None),)`` is scipy's rule itself.
+    Where every guess is 0 (each block's derivative overflows its scale),
+    it returns 0 without calling fun."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     norms = [(rms_norm(y0[b] / scale[b]), rms_norm(f0[b] / scale[b])) for b in blocks]
     h0 = [min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length) for d0, d1 in norms]
     probe = next((h for h in h0 if h), 0.0)
+    if not probe:  # every block's derivative overflows its scale
+        return 0.0
     f1 = fun(t0 + probe, y0 + probe * f0)
     steps = []
     for block, h, (_, d1) in zip(blocks, h0, norms):

@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -409,7 +410,9 @@ def solve_riccati(model, u, horizon):
             # Phase 2, in s, from the step end where phase 1 stopped. The
             # state carries t - t_switch, so REL_TOL applies to the time
             # spent in phase 2; its ABS_TOL shrinks with a t_switch below
-            # 0.1, so that a blow-up time far below 1 stays accurate.
+            # 0.1, so that a blow-up time far below 1 stays accurate, down
+            # to the smallest normal float, where a subnormal t_switch (a
+            # phase 1 from DOP853's minimum step) would make it 0.
             t_switch = float(grid[-1])
             events, kinds = _make_events(model, R_MAX)
 
@@ -419,7 +422,7 @@ def solve_riccati(model, u, horizon):
             events.append(at_horizon)
             kinds.append("horizon")
             atol = np.full(ys.shape[1] + 1, ABS_TOL)
-            atol[-1] = ABS_TOL * min(1.0, 10.0 * t_switch)
+            atol[-1] = max(ABS_TOL * min(1.0, 10.0 * t_switch), sys.float_info.min)
             run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, events, atol=atol)
             steps_s, rejected = run.n_steps, rejected + run.rejected
             t_grid = t_switch + run.ys[:, -1]

@@ -120,9 +120,9 @@ class StateSpace:
         """Whether x lies in the space up to the tolerance: margin >= -tol."""
         return bool(self._margin_rows(self._check_dim(x)[None, :])[0] >= -tol)
 
-    def interior_contains(self, x, margin=0.0):
-        """Whether x lies in the interior with room to spare: margin > margin."""
-        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] > margin)
+    def interior_contains(self, x):
+        """Whether x lies in the interior: margin > 0."""
+        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] > 0.0)
 
     def _margin_rows(self, xs):
         """Signed membership margin of each row of an ``(n, dim)`` float
@@ -306,7 +306,10 @@ class Lorentz(StateSpace):
 
 
 class Parabolic(StateSpace):
-    """The set {x in R^p : x_1 >= x_2^2 + ... + x_p^2}."""
+    """The set {x in R^p : x_1 >= x_2^2 + ... + x_p^2}. An outside row moves
+    along its own tail direction to the radius |y_bar| that
+    _parabolic_radii gives it, with y_1 = |y_bar|^2: one solver for every
+    row."""
 
     kind = "parabolic"
 
@@ -322,39 +325,13 @@ class Parabolic(StateSpace):
             return xs[:, 0] - row_sq_sums(xs[:, 1:])
 
     def _project_outside(self, ys):
-        # KKT: y1 = x1 + mu, y_bar = x_bar / (1 + 2 mu), active constraint, so
-        # mu >= lo = max(0, -x1) solves g(mu) = (x1 + mu)(1 + 2 mu)^2 - |x_bar|^2.
-        # g is increasing and convex on [lo, inf) with g(lo) <= 0, so Newton
-        # started from an upper bound falls monotonically onto the root, and
-        # a = x1 + mu >= 0 and q = 1 + 2 mu, hence its products, are largest
-        # at the start. A row whose step is within the brentq-level tolerance
-        # 1e-14 keeps its mu, so it stays frozen while other rows iterate. A
-        # row whose starting products leave float range, or that still moves
-        # after 100 steps, takes its image from _parabolic_radii instead.
-        x1, x_bar = ys[:, 0], ys[:, 1:]
-        with np.errstate(all="ignore"):
-            t = row_sq_sums(x_bar)
-            lo = np.maximum(0.0, -x1)
-            # At lo + s: x1 + mu >= s and 1 + 2 mu >= 1 + 2 s, so g >= max(s - t, 4 s^3 - t).
-            mu = lo + np.minimum(t, np.cbrt(0.25 * t))
-            a, q = x1 + mu, 1.0 + 2.0 * mu
-            fits = np.isfinite(a * q * q) & np.isfinite(q * q + 4.0 * a * q)
-            for _ in range(100):
-                step = (a * q * q - t) / (q * q + 4.0 * a * q)
-                moving = fits & (step > 1e-14 * (1.0 + mu))
-                if not moving.any():
-                    break
-                mu = np.where(moving, np.maximum(mu - step, lo), mu)
-                a, q = x1 + mu, 1.0 + 2.0 * mu
-            out = np.empty_like(ys)
-            out[:, 1:] = x_bar / (1.0 + 2.0 * mu)[:, None]
-            wide = np.flatnonzero(~fits | moving)
-            if wide.size:
-                r = np.hypot.reduce(x_bar[wide], axis=1, initial=0.0)
-                # r = 0 only where x_bar = 0, whose image keeps y_bar = 0.
-                shrink = _parabolic_radii(x1[wide], r) / np.where(r > 0.0, r, 1.0)
-                out[wide, 1:] = x_bar[wide] * shrink[:, None]
-            out[:, 0] = row_sq_sums(out[:, 1:])
+        # rho <= r, so the scale never exceeds 1; r = 0 only where x_bar = 0,
+        # whose image keeps y_bar = 0.
+        r = _tail_norms(ys)
+        scale = _parabolic_radii(ys[:, 0], r) / np.where(r > 0.0, r, 1.0)
+        out = np.empty_like(ys)
+        out[:, 1:] = ys[:, 1:] * scale[:, None]
+        out[:, 0] = row_sq_sums(out[:, 1:])
         return out
 
     def bounded_support(self, r):
@@ -369,24 +346,32 @@ class Parabolic(StateSpace):
 
 def _parabolic_radii(x1, r):
     """|y_bar| of the projections of rows (x1, x_bar) with |x_bar| = r onto
-    the parabolic set: by the KKT system of Parabolic._project_outside, the
-    positive root rho = r / (1 + 2 mu) of rho^3 + b rho - c, b = 1/2 - x1,
-    c = r/2. u bounds rho above within a factor 2 (for b >= 0 by the smaller
-    of the cubic and the linear root, for b < 0 by the sum of both
-    magnitudes), so with v = rho / 2^k, 2^k about u, and the cubic divided by
-    2^(k + e), 2^e about max(u^2, |b|), every coefficient lies in [-1, 2]."""
+    the parabolic set: with y_bar = x_bar / (1 + 2 mu) and y_1 = x1 + mu =
+    |y_bar|^2 by the KKT system, the positive root rho = r / (1 + 2 mu) of
+    rho^3 + b rho - c, b = 1/2 - x1, c = r/2. u bounds rho above within a
+    factor 2 (for b >= 0 by the smaller of the cubic and the linear root, for
+    b < 0 by the sum of both magnitudes), so with v = rho / 2^k, 2^k about u,
+    and the cubic divided by 2^(k + e), 2^e about max(u^2, |b|), every
+    coefficient lies in [-1, 2] at any magnitude of x1 and r. A row stops at
+    its first Newton step below 1e-15 v, so its iterates, and its radius, do
+    not depend on the other rows."""
     b, c = 0.5 - x1, 0.5 * r
-    u = np.where(b >= 0.0, np.minimum(np.cbrt(c), c / b), np.sqrt(-b) + np.cbrt(c))
+    # np.where evaluates both branches: c / b where b = 0, sqrt(-b) where b > 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.where(b >= 0.0, np.minimum(np.cbrt(c), c / b), np.sqrt(-b) + np.cbrt(c))
     k = np.frexp(u)[1]
     e = np.maximum(2 * k, np.frexp(b)[1])
     cube, lin, const = np.ldexp(1.0, 2 * k - e), np.ldexp(b, -e), np.ldexp(c, -k - e)
     # The cubic in v is convex on v > 0 and negative at 0, so Newton from its
     # upper bound falls monotonically onto the positive root.
     v = np.ldexp(u, -k)
+    moving = np.ones(v.shape, dtype=bool)
     for _ in range(100):
-        step = ((cube * v * v + lin) * v - const) / (3.0 * cube * v * v + lin)
-        v -= step
-        if not (step > 1e-15 * v).any():
+        vv = cube * v * v
+        step = ((vv + lin) * v - const) / (3.0 * vv + lin)
+        np.subtract(v, step, out=v, where=moving)
+        moving &= step > 1e-15 * v
+        if not moving.any():
             break
     return np.ldexp(v, k)
 

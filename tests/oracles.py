@@ -58,6 +58,14 @@ def explosion_time_1d(rhs, u, tol=1e-12):
     return hitting_time_1d(rhs, u, np.inf, tol)
 
 
+def explosion_time_rel_1d(rhs, u, tol=1e-10):
+    """explosion_time_1d to a relative tolerance alone, for blow-up times so
+    small that its absolute tolerance would swamp them."""
+    with np.errstate(over="ignore"):
+        val, _ = quad(lambda y: 1.0 / rhs(y), u, np.inf, epsabs=0.0, epsrel=tol)
+    return val
+
+
 def psi0_quadrature(r0, psi, t, scale=1.0, tol=1e-13):
     """psi_0(t) = integral over [0, t] of R_0(psi(s)) ds by adaptive
     quadrature along a known real path psi(s), for a real rate r0. The

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 import oracles
 from affinejd import golden, riccati
@@ -35,7 +36,7 @@ from affinejd.riccati import (
     variation_of_constants_residual,
 )
 from affinejd.statespace import Canonical, PSDCone
-from affinejd.transform import effective_domain_ray, transform
+from affinejd.transform import RAY_REL_TOL, effective_domain_ray, transform
 
 
 def scalar_model(a0=0.0, a=0.0, A0=0.0, A1=0.0, K=None, space=None):
@@ -196,6 +197,46 @@ def test_overflowing_trial_stages_are_rejected(u):
     sol = solve_riccati(m, [u], 1.0)
     assert sol.exploded
     assert abs(0.5 * sum(sol.bracket) - want) <= 1e-6 * want
+
+
+def _steep_atom_rate(y):
+    return 0.5 * y * y + 0.01 * (np.expm1(2.0 * y) - 2.0 * y)
+
+
+STEEP_ATOM_MODEL = scalar_model(a0=0.5, A1=1.0, K=[None, FiniteAtomic([0.01], [[2.0]])])
+
+
+@pytest.mark.parametrize("u", [170.0, 175.0, 180.0])
+def test_blow_up_times_below_1e_145(u):
+    # R_1(y) = y^2/2 + 0.01 (e^(2y) - 1 - 2y), so T* ~ 50 e^(-2u). The
+    # first-step rule gives 0, so phase 1 starts from DOP853's minimum step
+    # and phase 2 at a subnormal t_switch; from u = 175 on, |R_1(u)| / scale
+    # overflows when squared and the rule has no nonzero guess at all.
+    want = oracles.explosion_time_rel_1d(_steep_atom_rate, u)
+    sol = solve_riccati(STEEP_ATOM_MODEL, [u], 1.0)
+    assert sol.exploded and sol.stats.stop_reason == "overflow"
+    assert abs(0.5 * sum(sol.bracket) - want) <= 1e-8 * want
+    assert explosion_time(STEEP_ATOM_MODEL, [u], 1.0).bracket == sol.bracket
+    assert transform(STEEP_ATOM_MODEL, [u], [1.0], 1.0).kind == "explosive"
+
+
+@pytest.mark.parametrize("u", [190.0, 354.0])
+def test_blow_up_past_the_error_norms_range(u):
+    # |R_1| / scale passes ~1e154, so DOP853's error norm overflows on every
+    # attempt and the step size underflows at t = 0. The bracket reads (0, 0),
+    # below T*: only its lower end is a bound.
+    sol = solve_riccati(STEEP_ATOM_MODEL, [u], 1.0)
+    assert sol.exploded and sol.stats.stop_reason == "step_underflow"
+    assert sol.bracket[0] <= oracles.explosion_time_rel_1d(_steep_atom_rate, u)
+
+
+def test_ray_at_a_horizon_of_1e_140():
+    # The doubling probe at lambda = 256 has no nonzero first-step guess.
+    want = brentq(lambda lam: oracles.explosion_time_rel_1d(_steep_atom_rate, lam) - 1e-140, 150.0, 170.0,
+                  xtol=1e-12)
+    probe = effective_domain_ray(STEEP_ATOM_MODEL, [1.0], 1e-140)
+    lo, hi = probe.bracket
+    assert lo <= want <= hi and hi - lo <= RAY_REL_TOL * hi
 
 
 def test_switch_at_a_step_end(squared_model):

@@ -221,7 +221,7 @@ GOLDEN_PATH_PINS = {
     "noisy_lorentz_9": ((lambda: noisy_lorentz_model(9), NOISY_LORENTZ_9_X0, 64, 0.05, 2.0, 3),
                         ("0x1.81ee30ffd07d2p+6", "0x1.6f607ef2e579fp+9", 0)),
     "parabolic": ((parabolic_model, [0.5, 0.3, -0.2], 64, 0.05, 1.0, 3),
-                  ("0x1.499aded21de03p+7", "0x1.110bcdfe80dcdp+10", 0)),
+                  ("0x1.499aded0a6eaap+7", "0x1.110bcdfec8253p+10", 0)),
     "atoms_and_ray": ((atoms_and_ray_model, [1.0], 256, 0.05, 1.0, 5),
                       ("0x1.9708fda3420fap+8", "0x1.f6cc8fe539f52p+9", 417)),
 }

@@ -148,7 +148,7 @@ def test_project_batch_rows(space):
         assert np.array_equal(space.project(x), row)
         assert np.allclose(row, _reference_project(space, x), rtol=0.0, atol=1e-12)
     # Members of the space are returned bit for bit.
-    members = xs[[space.interior_contains(x, margin=1e-9) for x in xs]]
+    members = xs[space._margin_rows(xs) > 1e-9]
     assert len(members) >= 3
     assert np.array_equal(space.project_batch(members), members)
     assert space.project_batch(np.empty((0, space.dim))).shape == (0, space.dim)
@@ -303,6 +303,28 @@ def test_wide_range_rows_match_a_decimal_projection(p):
         _assert_projected(Lorentz(p), xs, Lorentz(p).project_batch(xs))
         xs[near, 0] = tail_sq[near] * rng.uniform(0.5, 1.5, near.sum())
         _assert_projected(Parabolic(p), xs, Parabolic(p).project_batch(xs))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_wide_parabolic_rows_are_projected_alone_in_a_pair(p):
+    # Rows from 1e100 to 1e300, far outside: each row's radius iteration
+    # stops at its own last step, whatever the other row needs.
+    space, rng = Parabolic(p), np.random.default_rng(60 + p)
+    xs = rng.standard_normal((400, 2, p)) * 10.0 ** rng.uniform(100.0, 300.0, (400, 2, p))
+    pairs = [pair for pair in xs if np.all(space._margin_rows(pair) < 0.0)]
+    assert len(pairs) > 300
+    for pair in pairs:
+        assert space.project_batch(pair).tobytes() == np.array([space.project(x) for x in pair]).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_parabolic_projection_is_accurate_to_a_few_ulps(p):
+    rng = np.random.default_rng(80 + p)
+    xs = rng.standard_normal((200, p)) * 10.0 ** rng.uniform(-2.0, 2.0, (200, 1))
+    xs = xs[xs[:, 0] < row_sq_sums(xs[:, 1:])][:40]
+    assert len(xs) == 40
+    want = np.array([oracles.parabolic_projection_decimal(x) for x in xs])
+    assert np.max(np.abs(Parabolic(p).project_batch(xs) - want) / np.abs(want)) <= 2e-15
 
 
 def _batch_pairs(space):

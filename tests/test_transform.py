@@ -233,6 +233,42 @@ def test_damped_model_atom_example():
     assert abs(big.a0[0]) < 1e-6
 
 
+DRIFT_JUMP_MODEL = AffineModel(
+    a0=[0.5], a=[[-0.3]], A=[[[0.0]], [[0.4]]],
+    K=[None, FiniteAtomic([0.5, 0.2], [[0.6], [1.5]])], state_space=Canonical(1, 1),
+)
+
+
+def test_damped_model_shifts_the_drift_column_of_its_measure():
+    # A measure in K^1 shifts a^1, the first column of a, by
+    # sum_j w_j z_j (exp(-z_j^2/n) - 1), and leaves a^0 alone.
+    w, z = np.array([0.5, 0.2]), np.array([0.6, 1.5])
+    for n in (1, 10, 100):
+        d = damped_model(DRIFT_JUMP_MODEL, n)
+        assert np.isclose(d.a[0, 0], -0.3 + np.sum(w * z * (np.exp(-z * z / n) - 1.0)), rtol=1e-14, atol=0.0)
+        assert d.a0[0] == 0.5 and np.allclose(d.K[1].weights, w * np.exp(-z * z / n), rtol=1e-14, atol=0.0)
+    assert np.isclose(damped_model(DRIFT_JUMP_MODEL, 10).a[0, 0], -0.37105, atol=1e-5)
+
+
+def test_damped_sequence_with_state_dependent_jumps_converges():
+    u = [-0.3 + 1.0j]
+    undamped = transform(DRIFT_JUMP_MODEL, u, [1.0], 1.0)
+    diag = damped_transform_sequence(DRIFT_JUMP_MODEL, u, [1.0], 1.0, [1, 10, 100, 1000, 10000])
+    errs = [abs(v - undamped.value) for v in diag.values]
+    # The damping moves the law by O(1/n).
+    assert all(0.05 < b / a < 0.25 for a, b in zip(errs, errs[1:]))
+    assert errs[-1] < 5e-5
+
+
+def test_transform_at_t_zero(cir_model):
+    tv = transform(cir_model, [-0.5 + 2.0j], [1.5], 0.0)
+    assert tv.finite and tv.psi0 == 0.0 and np.array_equal(tv.psi, [-0.5 + 2.0j])
+    assert tv.log_value == -0.75 + 3.0j and tv.value == np.exp(-0.75 + 3.0j)
+    big = transform(cir_model, [800.0], [1.0], 0.0)
+    assert big.finite and big.value is None and big.log_value == 800.0
+    assert "exp(log_value) overflows" in big.diagnostic
+
+
 def test_damped_model_without_jumps_is_identity(cir_model):
     assert damped_model(cir_model, 7) is cir_model
 
