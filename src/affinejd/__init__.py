@@ -27,6 +27,7 @@ from .model import (
     drift_at,
     exponential_moment_condition,
     in_U,
+    k_eval,
 )
 from .modelio import canonical_json, load_model, model_from_dict, model_hash, model_to_dict, save_model
 from .riccati import (
@@ -34,7 +35,6 @@ from .riccati import (
     RiccatiSolution,
     explosion_time,
     flow_identity_residual,
-    k_eval,
     mean_flow,
     riccati_rhs,
     solution_to_csv,

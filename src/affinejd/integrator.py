@@ -1,23 +1,34 @@
 """A numpy-only DOP853 integrator: the embedded Runge-Kutta pair of order
 8(5,3) of Dormand and Prince with its dense output of order 7 (Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I, Sec. II.4-II.6
-and II.10), the record of a run's accepted steps with lazily built
-interpolants, and Brent's root finder.
+and II.10), as one run object that steps, records its accepted steps with
+lazily built interpolants and stops on events; and Brent's root finder.
 
 The stepper does the arithmetic of scipy's DOP853 (rk_step, _step_impl,
 _estimate_error_norm and select_initial_step) in the same operation order,
 and the root finder is a transliteration of scipy's brentq.c: on the same
 right-hand side both take the same steps and return the same floats, to the
 last bit, without importing scipy. Runs go forward in time, with no maximum
-step size. The first-step rule rates blocks of components that its caller
-names: the stepper rates the whole state, which is scipy's rule, and the
-Riccati solver also rates a block alone and takes the larger step. Given
-such a ``core`` block, the components that the right-hand side reads, the
+step size. The transposed views of the stages that each stage and the error
+estimate read are built once per run, and real 2-norms are sqrt(x.x),
+np.linalg.norm's own formula for a real vector, without its generic
+dispatch.
+
+A ``core`` block names the components that the right-hand side reads; the
 stepper drops the components outside it, quadratures along the core, where
-they leave float range. The transposed views of the stages that each stage
-and the error estimate read are built once per run, and real 2-norms are
-sqrt(x.x), np.linalg.norm's own formula for a real vector, without its
-generic dispatch.
+they leave float range. The first-step rule rates the whole state, which is
+scipy's rule, and with a core also the core alone, and takes the larger
+step, so that a large quadrature does not shrink the first step below what
+the core needs; a run that starts with its quadratures lost rates the core
+alone.
+
+``step`` keeps scipy's step-size control, which the tests pin step for
+step. ``advance``, the stepping loop, adds Gustafsson's predictive limit
+(ACM TOMS 1991; Hairer & Wanner II, Sec. IV.8) once a run has rejected an
+attempt: on a solution steepening towards blow-up, scipy's controller alone
+rejects every other attempt. It stops at terminal events, found on the
+interpolant of the step that crossed one. A step's interpolant is built on
+the first evaluation inside it, so a run read only at step ends builds none.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
 (SciPy 1.17.1), which carries this notice:
@@ -313,7 +324,8 @@ def select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol, blocks):
 
 
 class DOP853:
-    """One forward DOP853 run of y' = fun(t, y) from (t0, y0) towards t_bound.
+    """One forward DOP853 run of y' = fun(t, y) from (t0, y0) towards
+    t_bound, and the record of its accepted steps.
 
     ``step()`` makes one accepted step, shrinking and retrying after each
     rejected attempt, and returns False when the step size falls below ten
@@ -329,8 +341,15 @@ class DOP853:
     finite with a finite new state on the core (the attempt counts as
     rejected, and the step starts over), or where an accepted state is not
     finite there. From then on ``lost`` is True, they read NaN in accepted
-    states and weigh 0 in the error norm, and a first-step rule rates the
-    core alone; the caller's np.errstate governs numpy's reports on them."""
+    states and weigh 0 in the error norm; the caller's np.errstate governs
+    numpy's reports on them.
+
+    ``grid`` and ``ys`` are the accepted step ends and their states (the
+    last point of a run stopped by an event is the interpolated root), and
+    calling the run at t evaluates it like solve_ivp's dense output on the
+    same steps, but returns the stored state at a grid point. ``event`` is
+    the index of the event that stopped ``advance``, and ``failed`` tells
+    whether its step size underflowed."""
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None, core=None):
         self.fun = fun
@@ -345,9 +364,8 @@ class DOP853:
         self._outside = [] if core is None else [i for i in index if i not in index[core]]
         self.lost = not all(math.isfinite(v[i]) for v in (y0, self.f) for i in self._outside)
         if first_step is None:
-            self.h_abs = select_initial_step(
-                fun, t0, y0, t_bound, self.f, self.rtol, atol, (core,) if self.lost else (slice(None),)
-            )
+            blocks = (slice(None),) if core is None else (core,) if self.lost else (slice(None), core)
+            self.h_abs = select_initial_step(fun, t0, y0, t_bound, self.f, self.rtol, atol, blocks)
         elif not 0 < first_step <= abs(t_bound - t0):
             raise ValueError("first_step must be positive and inside the interval")
         else:
@@ -361,6 +379,23 @@ class DOP853:
         self.core = core
         self.rejected = 0
         self.finished = False
+        self.failed = False
+        self.event = None
+        self._ts, self._ys = [t0], [y0]  # the grid and its states
+        self._steps = []  # (t_old, t_new, y_new, stages) per accepted step
+        self._coefs = {}
+
+    @property
+    def grid(self):
+        return np.array(self._ts)
+
+    @property
+    def ys(self):
+        return np.array(self._ys)
+
+    @property
+    def n_steps(self):
+        return len(self._steps)
 
     def step(self):
         t, y = self.t, self.y
@@ -406,7 +441,70 @@ class DOP853:
         self.t_old, self.t, self.y = t, t_new, y_new
         self.h_abs, self.f, self.error_norm = h_abs, f_new, error_norm
         self.finished = t_new - self.t_bound >= 0
+        self._steps.append((t, t_new, y_new, self.K_extended.copy()))
+        self._ts.append(t_new)
+        self._ys.append(y_new)
         return True
+
+    def advance(self, events=(), until=None):
+        """Step until the run finishes, its step size underflows, a terminal
+        event fires, or until(self) holds at an accepted step end, and return
+        the run. Events are tested on accepted step ends with solve_ivp's
+        rule for direction +1 (g <= 0 at the step start and g >= 0 at its
+        end); the run stops at the earliest root of the events that fired,
+        found by brentq on that step's interpolant.
+
+        Once the run has rejected an attempt, the step after an accepted
+        step n that follows an accepted step n-1 is at most Gustafsson's
+        SAFETY h_n (h_n / h_{n-1}) (err_{n-1} / err_n^2)^(1/8), and that
+        limit is at least MIN_FACTOR h_n; err is the error norm of a step."""
+        g = [event(self.t, self.y) for event in events]
+        h_last = err_last = 0.0  # the previous accepted step and its error norm
+        while True:
+            if not self.step():
+                self.failed = True
+                return self
+            h, err = self.t - self.t_old, self.error_norm
+            if self.rejected and err_last and err:
+                h_gus = SAFETY * h * (h / h_last) * (err_last / err**2) ** -ERROR_EXPONENT
+                self.h_abs = min(self.h_abs, max(h_gus, MIN_FACTOR * h))
+            h_last, err_last = h, err
+            g_new = [event(self.t, self.y) for event in events]
+            active = [k for k, (lo, hi) in enumerate(zip(g, g_new)) if lo <= 0.0 <= hi]
+            if active:
+                last = self.n_steps - 1
+                roots = [
+                    brentq(lambda t, ev=events[k]: ev(t, self.interpolate(last, t)), self.t_old, self.t)
+                    for k in active
+                ]
+                first = int(np.argmin(roots))
+                self.event = active[first]
+                self._ts[-1] = roots[first]
+                self._ys[-1] = self.interpolate(last, roots[first])
+                return self
+            if self.finished or (until is not None and until(self)):
+                return self
+            g = g_new
+
+    def interpolate(self, k, t):
+        """The interpolant of step k at t, evaluated like scipy's DOP853
+        dense output."""
+        t_old, t_new = self._steps[k][:2]
+        coefs = self._coefs.get(k)
+        if coefs is None:
+            coefs = self._coefs[k] = self._coefficients(k)
+        s = (t - t_old) / (t_new - t_old)
+        y = np.zeros(self._ys[k].size)
+        for i, f in enumerate(reversed(coefs)):
+            y += f
+            y *= s if i % 2 == 0 else 1 - s
+        return y + self._ys[k]
+
+    def __call__(self, t):
+        j = min(bisect.bisect_left(self._ts, t), len(self._ts) - 1)
+        if self._ts[j] == t:
+            return self._ys[j]
+        return self.interpolate(min(max(j - 1, 0), self.n_steps - 1), t)
 
     def _rk_step(self, t, y, h):
         fun, K = self.fun, self.K
@@ -435,61 +533,14 @@ class DOP853:
             return False
         return math.isfinite(self._error_norm(h, scale, True))
 
-
-class Steps:
-    """The accepted steps of one DOP853 run of fun: the grid x, the states y
-    at its points (exact step ends; the last point of a run stopped by an
-    event is the interpolated root), and per step its stages, from which its
-    interpolant is built on the first evaluation inside the step. Calling
-    the run at x evaluates it like solve_ivp's dense output on the same
-    steps, but returns the stored state at a grid point."""
-
-    def __init__(self, fun, x0, y0):
-        self.fun = fun
-        self.x = [x0]
-        self.y = [y0]
-        self.rejected = 0
-        self.event = None  # index of the event that stopped the run
-        self.failed = False  # the step size underflowed
-        self._steps = []  # (x_old, x_new, y_new, stages) per accepted step
-        self._coefs = {}
-
-    @property
-    def n_steps(self):
-        return len(self._steps)
-
-    def push(self, solver):
-        self._steps.append((solver.t_old, solver.t, solver.y, solver.K_extended.copy()))
-        self.x.append(solver.t)
-        self.y.append(solver.y)
-
-    def finish(self):
-        self.grid = np.array(self.x)
-        self.ys = np.array(self.y)
-        return self
-
-    def interpolate(self, k, x):
-        """The interpolant of step k at x, evaluated like scipy's DOP853
-        dense output."""
-        x_old, x_new = self._steps[k][:2]
-        coefs = self._coefs.get(k)
-        if coefs is None:
-            coefs = self._coefs[k] = self._coefficients(k)
-        s = (x - x_old) / (x_new - x_old)
-        y = np.zeros(self.y[k].size)
-        for i, f in enumerate(reversed(coefs)):
-            y += f
-            y *= s if i % 2 == 0 else 1 - s
-        return y + self.y[k]
-
     def _coefficients(self, k):
-        x_old, x_new, y_new, stages = self._steps[k]
-        y_old = self.y[k]
-        h = x_new - x_old
+        t_old, t_new, y_new, stages = self._steps[k]
+        y_old = self._ys[k]
+        h = t_new - t_old
         delta = y_new - y_old
         with np.errstate(over="ignore", invalid="ignore"):
             for s, (a, c) in enumerate(_EXTRA_ROWS, start=N_STAGES + 1):
-                stages[s] = self.fun(x_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
+                stages[s] = self.fun(t_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
             coefs = _dense_coefficients(h, delta, stages)
             # Near an overflow of psi_0 its stages approach the float limit,
             # and the sums in D @ stages overflow although the coefficients
@@ -502,18 +553,6 @@ class Steps:
                 coefs[:, bad] = _dense_coefficients(h, delta[bad] / scale, stages[:, bad] / scale) * scale
                 coefs[:, np.isnan(delta)] = math.nan
         return coefs
-
-    def stop_at(self, k_event, root):
-        """End the run at an event root inside its last step."""
-        self.event = k_event
-        self.x[-1] = root
-        self.y[-1] = self.interpolate(self.n_steps - 1, root)
-
-    def __call__(self, x):
-        j = min(bisect.bisect_left(self.x, x), len(self.x) - 1)
-        if self.x[j] == x:
-            return self.y[j]
-        return self.interpolate(min(max(j - 1, 0), self.n_steps - 1), x)
 
 
 def _dense_coefficients(h, delta, stages):

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jumps_mod
-from .errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch, UnsupportedFamily
+from .errors import DimensionMismatch, DivergentIntegral, ModelFormatError, StateSpaceMismatch, UnsupportedFamily
 from .statespace import StateSpace
 
 _SYM_TOL = 1e-12
 _SPACE_TOL = 1e-9  # how far outside E require_in_space accepts a point
+_K_TOL = 1e-9  # how far below 0 check_admissibility accepts a sampled k(x, y)
+_K_SAMPLES = 16
 
 
 class AffineModel:
@@ -195,6 +197,27 @@ def diffusion_at(model, x):
     return model.A[0] + np.tensordot(x, model.A[1:], axes=(0, 0))
 
 
+def k_eval(model, x, y):
+    """k(x, y) = y.c(x) y / 2 + sum_j w_j(x) I_j(y) over the sources of the
+    jump table: w_j(x) the weight at x, I_j(y) the integral of (exp(y.z) - 1
+    - y.z) at unit weight; nonnegative for admissible models and real y.
+    Sources of zero weight at x are skipped (a ray in K^i at x_i = 0)."""
+    x = require_in_space(model, x)
+    y = _check_vector(model, y, "y")
+    val = 0.5 * float(y @ diffusion_at(model, x) @ y)
+    weights = model.jump_weights(x[None, :])[0]
+    n_points = len(model.jump_points)
+    live = np.flatnonzero(weights[:n_points])
+    if live.size:
+        e = model.jump_points[live] @ y
+        val += float(np.sum(weights[live] * (np.expm1(e) - e)))
+    for w, (rate, direction, _) in zip(weights[n_points:].tolist(), model.jump_rays):
+        if w:
+            val += jumps_mod.ray_moment(w, rate, complex(direction @ y)).real
+    jumps_mod.check_tails(model.K, y[None, :])
+    return val
+
+
 def in_U(space, u):
     """True iff sup over the state space of Re(u).x is finite."""
     u = np.asarray(u, dtype=complex).ravel()
@@ -218,6 +241,7 @@ class AdmissibilityReport:
     min_eigen_c: float
     min_jump_weight: float
     support_violations: list
+    k_min: float  # least sampled k(x, y); inf where none was sampled
     tol: float
     n_samples: int
     seed: int
@@ -229,6 +253,7 @@ class AdmissibilityReport:
             self.min_eigen_c >= -self.tol
             and self.min_jump_weight >= -self.tol
             and not self.support_violations
+            and self.k_min >= -_K_TOL
         )
 
 
@@ -252,7 +277,10 @@ def _sample_states(space, n_samples, rng):
 
 def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
     """Sample states from E and check that c(x) is positive semi-definite,
-    the combined jump weights are nonnegative, and jump supports stay in E."""
+    the combined jump weights are nonnegative and jump supports stay in E;
+    where they pass, also that k(x, y) is nonnegative at _K_SAMPLES pairs of
+    a projected Gaussian x and a Gaussian y (a y past a ray's rate is
+    skipped)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
@@ -272,13 +300,23 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
     outside = ~(margins.reshape(len(xs), len(closure)) >= -1e-9)
     violations = [(xs[i].copy(), closure[j].copy()) for i, j in np.argwhere(outside)[:20]]
 
-    return AdmissibilityReport(
+    report = AdmissibilityReport(
         sampled_points=list(xs),
         min_eigen_c=float(eigs[k]),
         min_jump_weight=float(weights.min()) if weights.size else math.inf,
         support_violations=violations,
+        k_min=math.inf,
         tol=tol,
         n_samples=len(xs),
         seed=seed,
         argmin_eigen_x=xs[k].copy(),
     )
+    if report.verdict:  # k is sampled where the other checks pass
+        for _ in range(_K_SAMPLES):
+            x = space.project(rng.normal(size=model.dim) * 1.5)
+            y = rng.normal(size=model.dim)
+            try:
+                report.k_min = min(report.k_min, k_eval(model, x, y))
+            except DivergentIntegral:
+                pass
+    return report

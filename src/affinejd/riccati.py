@@ -3,25 +3,24 @@
 R_i(y) = y.a^i + y.A^i y / 2 + integral of (exp(y.z) - 1 - y.z) K^i(dz);
 the zeroth component psi_0 is carried as an ODE component (psi_0' = R_0(psi))
 rather than reconstructed through logarithms, so it is continuous and free of
-branch-cut ambiguity. R and k_eval read the model's jump table (a closed
-form per ray; in R, the weighted points with weight in K^1..p in one matrix
-product and those of K^0 alone in another, which adds to R_0 only), so R
-costs a few small array operations whatever the number of measures.
+branch-cut ambiguity. R reads the model's jump table (a closed form per ray;
+the weighted points with weight in K^1..p in one matrix product and those
+of K^0 alone in another, which adds to R_0 only), so it costs a few small
+array operations whatever the number of measures.
 
 The integrator state packs the complex (psi_0, psi) as its interleaved real
 view (Re psi_0, Im psi_0, Re psi_1, Im psi_1, ...), so the right-hand side
 converts in both directions by zero-copy views.
 
-Integration runs in two phases of one call, both driven by one stepping loop
-(``_integrate``) over the DOP853 stepper of ``integrator``, the adaptive
-embedded Runge-Kutta pair of order 8, which takes scipy's steps bit for bit
-without importing scipy. Phase 1 integrates in t until the horizon or the
-first accepted step end where |psi| >= r_sw = 30 (1 + |u|) or, read from the
-stepper's derivative there, |R(psi)| >= r_sw (1 + |psi|) (with r_sw at or
-past the blow-up radius r_max, phase 1 stops at r_max). Phase 2 continues
-from that step end in a new time s, with t - t_switch as the last state
-component, whose absolute tolerance ABS_TOL min(1, 10 t_switch) keeps a
-blow-up time far below 1 to relative accuracy:
+Integration runs in two phases of one call, each one run of the DOP853
+integrator of ``integrator`` with everything but psi_0 as its core. Phase 1
+integrates in t until the horizon or the first accepted step end where
+|psi| >= r_sw = 30 (1 + |u|) or, read from the stepper's derivative there,
+|R(psi)| >= r_sw (1 + |psi|) (with r_sw at or past the blow-up radius r_max,
+phase 1 stops at r_max). Phase 2 continues from that step end in a new time
+s, with t - t_switch as the last state component, whose absolute tolerance
+ABS_TOL min(1, 10 t_switch) keeps a blow-up time far below 1 to relative
+accuracy:
 
     d(psi_0, psi, t)/ds = g (R_0, R, 1),  g = 1 / (1 + |R(psi)| / (r_sw (1 + |psi|))),
 
@@ -29,13 +28,6 @@ a rescaled time for blow-up problems (Stuart & Floater, "On the computation
 of blow-up", Eur. J. Appl. Math. 1990). |psi| then grows at most
 exponentially in s while t creeps up to the blow-up time, so the integrator
 takes even steps where phase 1 would shrink its steps towards zero.
-
-The stepper keeps scipy's step-size control, which its tests pin step for
-step. Once a run has rejected an attempt, the loop also caps each next step
-by Gustafsson's predictive limit (ACM TOMS 1991; Hairer & Wanner II,
-Sec. IV.8), which anticipates steps that keep shrinking: on psi steepening
-towards blow-up, scipy's controller alone rejects every other attempt. A
-run without a rejected attempt takes scipy's steps bit for bit.
 
 In both phases a trial stage where R_1..p is not finite or a ray's integral
 diverges is NaN, so DOP853 rejects the step and shrinks it: a solve ends
@@ -59,16 +51,12 @@ Up to that time the interpolants read a finite psi_0: where the sums of
 their coefficients overflow, they are built from stages rescaled by a power
 of 2.
 
-The loop tests these surfaces on accepted step ends with the sign-change
-rule of scipy's solve_ivp and root-finds only on the interpolant of the step
-that crossed one. A step's interpolant (three extra stages) is built lazily,
-on the first evaluation inside that step, and values at step ends are the
-exact step ends: a solve read only at its horizon builds no interpolant.
-Blow-up is localized by that root, in the crossing phase's own variable,
-and reported in t as a bracket of relative width BRACKET_TOL / 2 around
-it. The solution's grid and dense evaluator span both phases; a time inside a
-phase-2 step is mapped to its s by Brent's method on that step's
-interpolant of t(s).
+The surfaces are terminal events of the run, which root-finds on the
+interpolant of the step that crossed one. Blow-up is localized by that
+root, in the crossing phase's own variable, and reported in t as a bracket
+of relative width BRACKET_TOL / 2 around it. The solution's grid and dense
+evaluator span both phases; a time inside a phase-2 step is mapped to its s
+by Brent's method on that step's interpolant of t(s).
 
 scipy is imported only inside mean_flow (expm) and
 variation_of_constants_residual (quad).
@@ -91,19 +79,9 @@ from .errors import (
     NonFiniteRHS,
     StepLimitExceeded,
 )
-from .integrator import (
-    DOP853,
-    ERROR_EXPONENT,
-    MIN_FACTOR,
-    SAFETY,
-    TOO_SMALL_STEP,
-    Steps,
-    brentq,
-    norm,
-    select_initial_step,
-)
+from .integrator import DOP853, TOO_SMALL_STEP, brentq, norm
 from .jumps import check_tails, ray_moment
-from .model import _check_u, _check_vector, diffusion_at, require_in_space
+from .model import _check_u, _check_vector, k_eval, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
@@ -216,53 +194,6 @@ class RiccatiSolution:
         return self.eval(self.t_last)
 
 
-def _integrate(fun, x0, y0, x_bound, events, first_step=None, until=None, atol=ABS_TOL):
-    """Step DOP853 from x0 towards x_bound until it finishes, its step size
-    underflows, a terminal event fires, or until(solver) holds at an accepted
-    step end. Events are tested on accepted step ends with solve_ivp's rule
-    for direction +1 (g <= 0 at the step start and g >= 0 at its end); the
-    run stops at the earliest root of the events that fired, found by brentq
-    on that step's interpolant, and at the step end itself on until.
-
-    Once the run has rejected an attempt, the step after an accepted step n
-    that follows an accepted step n-1 is at most Gustafsson's
-    SAFETY h_n (h_n / h_{n-1}) (err_{n-1} / err_n^2)^(1/8), and that limit is
-    at least MIN_FACTOR h_n; err is DOP853's error norm of the step.
-
-    Everything but psi_0 is the stepper's core: where psi_0 leaves float
-    range, the stepper drops it and the run goes on with psi alone."""
-    solver = DOP853(fun, x0, y0, x_bound, REL_TOL, atol, first_step, _CORE)
-    run = Steps(fun, x0, y0)
-    g = [event(x0, y0) for event in events]
-    h_last = err_last = 0.0  # the previous accepted step and its error norm
-    while True:
-        accepted = solver.step()
-        run.rejected = solver.rejected
-        if not accepted:
-            run.failed = True
-            return run.finish()
-        run.push(solver)
-        h, err = solver.t - solver.t_old, solver.error_norm
-        if solver.rejected and err_last and err:
-            h_gus = SAFETY * h * (h / h_last) * (err_last / err**2) ** -ERROR_EXPONENT
-            solver.h_abs = min(solver.h_abs, max(h_gus, MIN_FACTOR * h))
-        h_last, err_last = h, err
-        g_new = [event(solver.t, solver.y) for event in events]
-        active = [k for k, (lo, hi) in enumerate(zip(g, g_new)) if lo <= 0.0 <= hi]
-        if active:
-            k_last = run.n_steps - 1
-            roots = [
-                brentq(lambda x, ev=events[k]: ev(x, run.interpolate(k_last, x)), solver.t_old, solver.t)
-                for k in active
-            ]
-            first = int(np.argmin(roots))
-            run.stop_at(active[first], roots[first])
-            return run.finish()
-        if solver.finished or (until is not None and until(solver)):
-            return run.finish()
-        g = g_new
-
-
 class _TimeChangedDense:
     """Dense output over both phases: the phase-1 run in t up to the switch
     time, then the phase-2 run in s at the s where its monotone last
@@ -271,6 +202,7 @@ class _TimeChangedDense:
     def __init__(self, dense_t, dense_s, t_grid):
         self._dense_t = dense_t
         self._dense_s = dense_s
+        self._s_grid = dense_s.grid
         self._t_grid = t_grid  # t at the phase-2 grid; t_grid[0] is the switch time
 
     def __call__(self, t):
@@ -283,7 +215,7 @@ class _TimeChangedDense:
         phase-2 step that holds t; a t on the grid is its grid point, and a t
         the interpolant does not reach in its step is the step end."""
         k = min(max(int(np.searchsorted(self._t_grid, t)), 1), self._t_grid.size - 1)
-        hi = self._dense_s.x[k]
+        hi = self._s_grid[k]
         if self._t_grid[k] == t:
             return hi
         t_switch = self._t_grid[0]
@@ -293,7 +225,7 @@ class _TimeChangedDense:
 
         if gap(hi) <= 0.0:
             return hi
-        return brentq(gap, self._dense_s.x[k - 1], hi)
+        return brentq(gap, self._s_grid[k - 1], hi)
 
 
 def _make_events(model, radius):
@@ -384,26 +316,18 @@ def solve_riccati(model, u, horizon):
 
     # exp may overflow in a trial stage; evaluate decides what that means.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Phase 1, in t.
-        y0 = np.concatenate([[0.0], u]).view(float)
-        # The first step rates the whole state and the psi block alone and
-        # takes the larger step: psi_0 is a quadrature that does not feed back
-        # into psi, so a large R_0 must not shrink the first step below what
-        # psi needs (at R_0 ~ 1e180 the rule on the whole state underflows
-        # to 0). Where R_0(u) is not finite, the psi block alone is rated. A
-        # step of 0 leaves the choice to DOP853's own rule.
-        blocks = (slice(None), _CORE) if cmath.isfinite(r_u[0]) else (_CORE,)
-        first_step = select_initial_step(rhs, 0.0, y0, horizon, r_u.view(float), REL_TOL, ABS_TOL, blocks) or None
+        # Phase 1, in t. The stopping surfaces are built once per solve.
         events, kinds = _make_events(model, R_MAX)
-        until = None
+        watched, until = 0, None
         if r_switch < R_MAX:  # stop at the first step end past r_sw; phase 2 watches R_MAX
-            events, kinds = events[1:], kinds[1:]
+            watched = 1
 
             # A super-exponential R steepens while |psi| stalls below r_sw.
-            def until(solver):
-                psi_norm = norm(solver.y[_CORE])
-                return psi_norm >= r_switch or norm(solver.f[_CORE]) >= r_switch * (1.0 + psi_norm)
-        run = _integrate(rhs, 0.0, y0, horizon, events, first_step, until)
+            def until(run):
+                psi_norm = norm(run.y[_CORE])
+                return psi_norm >= r_switch or norm(run.f[_CORE]) >= r_switch * (1.0 + psi_norm)
+        y0 = np.concatenate([[0.0], u]).view(float)
+        run = DOP853(rhs, 0.0, y0, horizon, REL_TOL, ABS_TOL, core=_CORE).advance(events[watched:], until)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
         if run.event is None and not run.failed and grid[-1] < horizon:
@@ -414,25 +338,26 @@ def solve_riccati(model, u, horizon):
             # to the smallest normal float, where a subnormal t_switch (a
             # phase 1 from DOP853's minimum step) would make it 0.
             t_switch = float(grid[-1])
-            events, kinds = _make_events(model, R_MAX)
 
             def at_horizon(s, y):
                 return t_switch + y[-1] - horizon
 
             events.append(at_horizon)
             kinds.append("horizon")
+            watched = 0
             atol = np.full(ys.shape[1] + 1, ABS_TOL)
             atol[-1] = max(ABS_TOL * min(1.0, 10.0 * t_switch), sys.float_info.min)
-            run = _integrate(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, events, atol=atol)
+            run = DOP853(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, REL_TOL, atol, core=_CORE).advance(events)
+            s_ys = run.ys
             steps_s, rejected = run.n_steps, rejected + run.rejected
-            t_grid = t_switch + run.ys[:, -1]
+            t_grid = t_switch + s_ys[:, -1]
             if run.event is not None and kinds[run.event] == "horizon":
                 t_grid[-1] = horizon
             dense = _TimeChangedDense(dense, run, t_grid)
             grid = np.concatenate([grid, t_grid[1:]])
-            ys = np.vstack([ys, run.ys[1:, :-1]])
+            ys = np.vstack([ys, s_ys[1:, :-1]])
         check_tails(model.K, ys.view(complex)[:, 1:])  # once per solve
-    kind = None if run.event is None else kinds[run.event]
+    kind = None if run.event is None else kinds[watched + run.event]
     z = ys.view(complex)
     psi0, psi = z[:, 0], z[:, 1:]
     t_out = None
@@ -462,7 +387,7 @@ def solve_riccati(model, u, horizon):
             return result("exploded", (t_end - half, t_end + half), "step_underflow")
         raise StepLimitExceeded(f"integrator stalled at t={t_end:.6g}: {TOO_SMALL_STEP}")
 
-    # _integrate located the crossing by brentq on the step's interpolant;
+    # The run located the crossing by brentq on the step's interpolant;
     # grid holds it in t in either phase.
     t_event = float(grid[-1])
     if kind == "ray":
@@ -519,27 +444,6 @@ def mean_flow(model, x, t):
     aug[1:, 1:] = model.a
     vec = np.concatenate([[1.0], x])
     return (expm(aug * t) @ vec)[1:]
-
-
-def k_eval(model, x, y):
-    """k(x, y) = y.c(x) y / 2 + sum_j w_j(x) I_j(y) over the sources of the
-    jump table: w_j(x) the weight at x, I_j(y) the integral of (exp(y.z) - 1
-    - y.z) at unit weight; nonnegative for admissible models and real y.
-    Sources of zero weight at x are skipped (a ray in K^i at x_i = 0)."""
-    x = require_in_space(model, x)
-    y = _check_vector(model, y, "y")
-    val = 0.5 * float(y @ diffusion_at(model, x) @ y)
-    weights = model.jump_weights(x[None, :])[0]
-    n_points = len(model.jump_points)
-    live = np.flatnonzero(weights[:n_points])
-    if live.size:
-        e = model.jump_points[live] @ y
-        val += float(np.sum(weights[live] * (np.expm1(e) - e)))
-    for w, (rate, direction, _) in zip(weights[n_points:].tolist(), model.jump_rays):
-        if w:
-            val += ray_moment(w, rate, complex(direction @ y)).real
-    check_tails(model.K, y[None, :])
-    return val
 
 
 def flow_identity_residual(model, u, s, t):

@@ -84,6 +84,21 @@ def _tail_norms(xs):
     return norms
 
 
+def _outside_tails(ys):
+    """The tail norms of the rows of ys and the rows they measure. A row
+    whose tail norm passes the largest float, although its entries are
+    finite, is measured at a quarter of its size, which a power of 2 scales
+    exactly; the indices of those rows come third, or None."""
+    tail = _tail_norms(ys)
+    if np.maximum.reduce(tail) < np.inf:
+        return ys, tail, None
+    huge = np.flatnonzero(np.isinf(tail))
+    ys = ys.copy()
+    ys[huge] *= 0.25
+    tail[huge] = _tail_norms(ys[huge])
+    return ys, tail, huge
+
+
 def vech(mat):
     """Half-vectorize a symmetric matrix, scaling off-diagonal entries by
     sqrt(2) so the Euclidean inner product of images equals trace(XY).
@@ -285,8 +300,11 @@ class Lorentz(StateSpace):
     def _project_outside(self, ys):
         # Rows outside, x_1 < |x_bar|, go to 0 if they lie in the polar cone,
         # x_1 <= -|x_bar|, and otherwise onto the ray through
-        # (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2.
-        head, tail = ys[:, 0], _tail_norms(ys)
+        # (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2. The projection
+        # onto a cone commutes with scaling: a row that _outside_tails
+        # quarters is projected at that size and scaled back.
+        ys, tail, huge = _outside_tails(ys)
+        head = ys[:, 0]
         polar = head <= -tail
         alpha = 0.5 * head + 0.5 * tail
         # tail > 0 on every outside row that is not polar; a polar row's
@@ -294,6 +312,8 @@ class Lorentz(StateSpace):
         out = ys * (alpha / np.where(polar, np.inf, tail))[:, None]
         out[:, 0] = alpha
         out[polar] = 0.0
+        if huge is not None:
+            out[huge] *= 4.0
         return out
 
     def phi(self, x):
@@ -326,9 +346,15 @@ class Parabolic(StateSpace):
 
     def _project_outside(self, ys):
         # rho <= r, so the scale never exceeds 1; r = 0 only where x_bar = 0,
-        # whose image keeps y_bar = 0.
-        r = _tail_norms(ys)
-        scale = _parabolic_radii(ys[:, 0], r) / np.where(r > 0.0, r, 1.0)
+        # whose image keeps y_bar = 0. A row that _outside_tails quarters
+        # keeps its x_1; with r its quartered tail norm, c = |x_bar| / 2 is
+        # 2 r, and its quartered tail times rho / r is the image's.
+        x1 = ys[:, 0]
+        ys, r, huge = _outside_tails(ys)
+        c = 0.5 * r
+        if huge is not None:
+            c[huge] = 2.0 * r[huge]
+        scale = _parabolic_radii(x1, c) / np.where(r > 0.0, r, 1.0)
         out = np.empty_like(ys)
         out[:, 1:] = ys[:, 1:] * scale[:, None]
         out[:, 0] = row_sq_sums(out[:, 1:])
@@ -344,18 +370,18 @@ class Parabolic(StateSpace):
         return {"kind": self.kind, "p": self.dim}
 
 
-def _parabolic_radii(x1, r):
-    """|y_bar| of the projections of rows (x1, x_bar) with |x_bar| = r onto
+def _parabolic_radii(x1, c):
+    """|y_bar| of the projections of rows (x1, x_bar) with |x_bar| = 2c onto
     the parabolic set: with y_bar = x_bar / (1 + 2 mu) and y_1 = x1 + mu =
-    |y_bar|^2 by the KKT system, the positive root rho = r / (1 + 2 mu) of
-    rho^3 + b rho - c, b = 1/2 - x1, c = r/2. u bounds rho above within a
-    factor 2 (for b >= 0 by the smaller of the cubic and the linear root, for
-    b < 0 by the sum of both magnitudes), so with v = rho / 2^k, 2^k about u,
+    |y_bar|^2 by the KKT system, the positive root rho = 2c / (1 + 2 mu) of
+    rho^3 + b rho - c, b = 1/2 - x1. u bounds rho above within a factor 2
+    (for b >= 0 by the smaller of the cubic and the linear root, for b < 0
+    by the sum of both magnitudes), so with v = rho / 2^k, 2^k about u,
     and the cubic divided by 2^(k + e), 2^e about max(u^2, |b|), every
-    coefficient lies in [-1, 2] at any magnitude of x1 and r. A row stops at
+    coefficient lies in [-1, 2] at any magnitude of x1 and c. A row stops at
     its first Newton step below 1e-15 v, so its iterates, and its radius, do
     not depend on the other rows."""
-    b, c = 0.5 - x1, 0.5 * r
+    b = 0.5 - x1
     # np.where evaluates both branches: c / b where b = 0, sqrt(-b) where b > 0.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = np.where(b >= 0.0, np.minimum(np.cbrt(c), c / b), np.sqrt(-b) + np.cbrt(c))

@@ -173,28 +173,23 @@ def quadrature_system(rate):
 
 
 def lossy_run(fun, t_bound, first_step=None):
-    """A run of a quadrature system from (0, 1) with c as the core: its
-    record, the index of the first state whose q is lost (past the last
-    state if none), and per step the
-    step size and the rejected count that the stepper held before it. The
-    stepper's arithmetic on a lost q is the caller's to silence, as
-    solve_riccati does."""
+    """A run of a quadrature system from (0, 1) with c as the core: the
+    run, the index of the first state whose q is lost (past the last state
+    if none), and per step the step size and the rejected count that the
+    stepper held before it. The stepper's arithmetic on a lost q is the
+    caller's to silence, as solve_riccati does."""
     y0 = np.array([0.0, 1.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = integrator.DOP853(fun, 0.0, y0, t_bound, REL_TOL, ABS_TOL, first_step, slice(1, None))
-        run = integrator.Steps(fun, 0.0, y0)
-        lost = 1 if solver.lost else None
+        run = integrator.DOP853(fun, 0.0, y0, t_bound, REL_TOL, ABS_TOL, first_step, slice(1, None))
+        lost = 1 if run.lost else None
         before = []
-        while not solver.finished:
-            before.append((solver.h_abs, solver.rejected))
-            assert solver.step()
-            run.push(solver)
-            if solver.lost and lost is None:
+        while not run.finished:
+            before.append((run.h_abs, run.rejected))
+            assert run.step()
+            if run.lost and lost is None:
                 lost = run.n_steps
-    run.rejected = solver.rejected
     # One call at the start, one for the first-step rule, 12 per attempt.
     assert fun.calls == 1 + (first_step is None) + 12 * (run.n_steps + run.rejected)
-    run.finish()
     assert run.grid[-1] == t_bound
     if lost is None:
         lost = run.grid.size
@@ -250,6 +245,25 @@ def test_quadrature_non_finite_at_t0():
     held, _, _ = lossy_run(quadrature_system(lambda t, c: 0.0), 5.0, first)
     assert lost == 1 and run.rejected == held.rejected
     assert np.array_equal(run.grid, held.grid) and np.array_equal(run.ys[:, 1], held.ys[:, 1])
+
+
+def test_cored_first_step_rates_the_core_too():
+    # q' = 1e100 dwarfs its scale, so scipy's rule on the whole state gives
+    # a first step near 1e-102, where the core c alone allows ~1e-2. A cored
+    # run takes the larger of both, a bare run scipy's.
+    fun = quadrature_system(lambda t, c: 1e100)
+    y0 = np.array([0.0, 1.0])
+    f0 = fun(0.0, y0)
+
+    def rule(*blocks):
+        return integrator.select_initial_step(fun, 0.0, y0, 5.0, f0, REL_TOL, ABS_TOL, blocks)
+
+    whole, both = rule(slice(None)), rule(slice(None), slice(1, None))
+    assert 0.0 < whole < 1e-100 and both > 1e-3
+    fun.calls = 0
+    cored = integrator.DOP853(fun, 0.0, y0, 5.0, REL_TOL, ABS_TOL, core=slice(1, None))
+    bare = integrator.DOP853(fun, 0.0, y0, 5.0, REL_TOL, ABS_TOL)
+    assert not cored.lost and cored.h_abs == both and bare.h_abs == whole and fun.calls == 4
 
 
 def test_norm_is_numpys_bit_for_bit():

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from affinejd import model as model_mod
 from affinejd.errors import DimensionMismatch, ModelFormatError
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import (
@@ -189,6 +192,16 @@ def test_admissibility_support_closure():
     atom = FiniteAtomic([1.0], [[-0.5]])
     report = check_admissibility(scalar_model(a0=1.0, K=[atom, atom]), n_samples=1)
     assert [z[0] for _, z in report.support_violations] == [-0.5]
+
+
+def test_admissibility_samples_k_where_the_rest_passes(cir_model, bad_model, monkeypatch):
+    report = check_admissibility(cir_model, seed=4)
+    assert report.verdict and 0.0 <= report.k_min < math.inf
+    assert check_admissibility(bad_model, seed=4).k_min == math.inf
+    # A sampled k below -1e-9 fails the verdict, which the CLI reports.
+    monkeypatch.setattr(model_mod, "k_eval", lambda model, x, y: -2e-9)
+    report = check_admissibility(cir_model, seed=4)
+    assert report.k_min == -2e-9 and not report.verdict
 
 
 def test_admissibility_deterministic(cir_model):

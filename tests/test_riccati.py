@@ -493,7 +493,7 @@ def s_of_by_bisection(dense, t):
     that holds t: how eval located phase-2 times before Brent's method."""
     t_grid = dense._t_grid
     k = min(max(int(np.searchsorted(t_grid, t)), 1), t_grid.size - 1)
-    lo, hi = dense._dense_s.x[k - 1], dense._dense_s.x[k]
+    lo, hi = dense._s_grid[k - 1], dense._s_grid[k]
     if t_grid[k] == t:
         return hi
     while True:
@@ -889,7 +889,7 @@ def reference_run(model, u, horizon, radius):
     events, _ = riccati._make_events(model, radius)
     for event in events:
         event.terminal, event.direction = True, 1
-    own = riccati._integrate(fun, 0.0, y0, horizon, events, first)
+    own = DOP853(fun, 0.0, y0, horizon, REL_TOL, ABS_TOL, first, slice(2, None)).advance(events)
     ref = solve_ivp(fun, (0.0, horizon), y0, method="DOP853", rtol=REL_TOL, atol=ABS_TOL,
                     first_step=first, dense_output=True, events=events)
     grid, _ = bare_run(fun, y0, horizon, first)

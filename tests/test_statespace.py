@@ -228,12 +228,19 @@ def test_project_outside_sees_exactly_the_outside_rows(space, monkeypatch):
     assert calls >= 2 or isinstance(space, Canonical)
 
 
-# Rows whose sums of squares or parabolic Newton products leave float range.
+# Rows whose sums of squares, tail norms or parabolic Newton products leave
+# float range.
 HUGE_ROWS = [
     (Lorentz(3), [0.0, 1e160, 0.0]),
     (Lorentz(3), [-1e200, 1e190, 0.0]),
     (Lorentz(3), [1e155, 1e160, -1e160]),
     (Lorentz(3), [1.5e308, 1.6e308, 0.0]),
+    (Lorentz(3), [0.0, 1.5e308, 1.5e308]),
+    (Lorentz(3), [-1.7e308, 1.5e308, -1.5e308]),
+    (Lorentz(5), [1e308, 1e308, 1e308, 1e308, 1e308]),
+    (Parabolic(3), [0.0, 1.5e308, 1.5e308]),
+    (Parabolic(3), [-1.7e308, 1e308, 1.5e308]),
+    (Parabolic(5), [1e308, -1.7e308, 1.7e308, 1e-300, 1.7e308]),
     (Parabolic(2), [0.0, 1e160]),
     (Parabolic(2), [-1e200, 1e100]),
     (Parabolic(2), [-1e150, 1e150]),
