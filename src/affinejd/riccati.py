@@ -289,6 +289,8 @@ def solve_riccati(model, u, horizon):
         nfev += 1
         if nfev > limit:
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
+        if nfev == 1:  # DOP853's first call, at (0, u): the check above made it
+            return r_u
         try:
             dz = riccati_rhs(model, z[1:])
             if all(map(cmath.isfinite, dz.tolist()[1:])):  # R_1..p; DOP853 drops psi_0 past float range

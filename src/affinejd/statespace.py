@@ -64,39 +64,19 @@ def row_sq_sums(xs):
 _TAIL_LO = 2.0**-511  # sqrt of the smallest normal float
 
 
-def _tail_norms(xs):
-    """|(x_2..x_p)| of each row of an ``(n, p)`` array, by np.linalg.norm's
-    formula, the square root of the sum of squares; a row whose sum of
-    squares overflows or underflows (a norm of inf or below _TAIL_LO) takes
-    the scaled np.hypot.reduce(xs[:, 1:], axis=1, initial=0.0) instead, one
-    column at a time. A dot and a min decide whether any row may (norms.norms
-    overflows a little early); a batch of zero tails reads 0 exactly."""
-    with np.errstate(over="ignore"):
-        norms = row_sq_sums(xs[:, 1:])
-        np.sqrt(norms, out=norms)
-        if np.dot(norms, norms) == np.inf or (
-            norms.size and np.minimum.reduce(norms) < _TAIL_LO and np.count_nonzero(xs[:, 1:])
-        ):
-            scaled = np.abs(xs[:, 1])
-            for j in range(2, xs.shape[1]):
-                np.hypot(scaled, xs[:, j], out=scaled)
-            np.copyto(norms, scaled, where=(norms < _TAIL_LO) | np.isinf(norms))
-    return norms
-
-
-def _outside_tails(ys):
-    """The tail norms of the rows of ys and the rows they measure. A row
-    whose tail norm passes the largest float, although its entries are
-    finite, is measured at a quarter of its size, which a power of 2 scales
-    exactly; the indices of those rows come third, or None."""
-    tail = _tail_norms(ys)
-    if np.maximum.reduce(tail) < np.inf:
-        return ys, tail, None
-    huge = np.flatnonzero(np.isinf(tail))
-    ys = ys.copy()
-    ys[huge] *= 0.25
-    tail[huge] = _tail_norms(ys[huge])
-    return ys, tail, huge
+def _scaled(rows):
+    """Each row of an ``(n, w)`` array times the power of 2 that puts its
+    largest |entry| in [1/2, 1), and the exponents k with row = scaled 2^k.
+    Sums of squares of a scaled row stay in float range, and the scaling
+    changes no bit of an entry that stays a normal float, so a quantity of
+    degree 1 in the row, read on the scaled row and multiplied by 2^k, is
+    read at any magnitude. A zero row keeps k = 0. The largest entry is
+    found one column at a time, as in row_sq_sums."""
+    big = np.abs(rows[:, 0])
+    for j in range(1, rows.shape[1]):
+        np.maximum(big, np.abs(rows[:, j]), out=big)
+    k = np.frexp(big)[1]
+    return np.ldexp(rows, -k[:, None]), k
 
 
 def vech(mat):
@@ -294,26 +274,36 @@ class Lorentz(StateSpace):
         self.dim = int(p)
 
     def _margin_rows(self, xs):
-        tail = _tail_norms(xs)
-        return np.subtract(xs[:, 0], tail, out=tail)
+        # x_1 - |x_bar| by the sum of squares, except on the rows whose norm
+        # passes the largest float or falls below _TAIL_LO, where squares
+        # lose bits: those are read on the _scaled row.
+        with np.errstate(over="ignore"):
+            tail = row_sq_sums(xs[:, 1:])
+        np.sqrt(tail, out=tail)
+        odd = np.flatnonzero((tail < _TAIL_LO) | (tail == np.inf))
+        margin = np.subtract(xs[:, 0], tail, out=tail)
+        if odd.size:
+            s, k = _scaled(xs[odd])
+            with np.errstate(over="ignore"):
+                margin[odd] = np.ldexp(s[:, 0] - np.sqrt(row_sq_sums(s[:, 1:])), k)
+        return margin
 
     def _project_outside(self, ys):
         # Rows outside, x_1 < |x_bar|, go to 0 if they lie in the polar cone,
         # x_1 <= -|x_bar|, and otherwise onto the ray through
-        # (1, x_bar / |x_bar|) at height (x_1 + |x_bar|) / 2. The projection
-        # onto a cone commutes with scaling: a row that _outside_tails
-        # quarters is projected at that size and scaled back.
-        ys, tail, huge = _outside_tails(ys)
-        head = ys[:, 0]
+        # (1, x_bar / |x_bar|) at height alpha = (x_1 + |x_bar|) / 2. Both are
+        # read on the _scaled row, and the image tail is x_bar times
+        # alpha / |x_bar|, which no scale changes.
+        s, k = _scaled(ys)
+        head, tail = s[:, 0], np.sqrt(row_sq_sums(s[:, 1:]))
         polar = head <= -tail
         alpha = 0.5 * head + 0.5 * tail
         # tail > 0 on every outside row that is not polar; a polar row's
-        # scale is 0, so its product cannot overflow before it is zeroed.
+        # ratio is 0, so its product cannot overflow before it is zeroed.
         out = ys * (alpha / np.where(polar, np.inf, tail))[:, None]
-        out[:, 0] = alpha
+        with np.errstate(over="ignore"):
+            out[:, 0] = np.ldexp(alpha, k)
         out[polar] = 0.0
-        if huge is not None:
-            out[huge] *= 4.0
         return out
 
     def phi(self, x):
@@ -327,9 +317,9 @@ class Lorentz(StateSpace):
 
 class Parabolic(StateSpace):
     """The set {x in R^p : x_1 >= x_2^2 + ... + x_p^2}. An outside row moves
-    along its own tail direction to the radius |y_bar| that
-    _parabolic_radii gives it, with y_1 = |y_bar|^2: one solver for every
-    row."""
+    along its own tail direction to the radius |y_bar| that _parabolic_radii
+    gives it, with y_1 = |y_bar|^2: one solver for every row, which reads
+    |x_bar| on the _scaled tail, so that it holds at any finite magnitude."""
 
     kind = "parabolic"
 
@@ -345,18 +335,14 @@ class Parabolic(StateSpace):
             return xs[:, 0] - row_sq_sums(xs[:, 1:])
 
     def _project_outside(self, ys):
-        # rho <= r, so the scale never exceeds 1; r = 0 only where x_bar = 0,
-        # whose image keeps y_bar = 0. A row that _outside_tails quarters
-        # keeps its x_1; with r its quartered tail norm, c = |x_bar| / 2 is
-        # 2 r, and its quartered tail times rho / r is the image's.
-        x1 = ys[:, 0]
-        ys, r, huge = _outside_tails(ys)
-        c = 0.5 * r
-        if huge is not None:
-            c[huge] = 2.0 * r[huge]
-        scale = _parabolic_radii(x1, c) / np.where(r > 0.0, r, 1.0)
+        # |x_bar| = r 2^k is read on the _scaled tail, and the image tail is
+        # x_bar times rho / |x_bar| <= 1; r = 0 only where x_bar = 0, whose
+        # image keeps y_bar = 0.
+        s, k = _scaled(ys[:, 1:])
+        r = np.sqrt(row_sq_sums(s))
+        rho = _parabolic_radii(ys[:, 0], r, k - 1)
         out = np.empty_like(ys)
-        out[:, 1:] = ys[:, 1:] * scale[:, None]
+        out[:, 1:] = ys[:, 1:] * np.ldexp(rho / np.where(r > 0.0, r, 1.0), -k)[:, None]
         out[:, 0] = row_sq_sums(out[:, 1:])
         return out
 
@@ -370,24 +356,29 @@ class Parabolic(StateSpace):
         return {"kind": self.kind, "p": self.dim}
 
 
-def _parabolic_radii(x1, c):
-    """|y_bar| of the projections of rows (x1, x_bar) with |x_bar| = 2c onto
-    the parabolic set: with y_bar = x_bar / (1 + 2 mu) and y_1 = x1 + mu =
-    |y_bar|^2 by the KKT system, the positive root rho = 2c / (1 + 2 mu) of
-    rho^3 + b rho - c, b = 1/2 - x1. u bounds rho above within a factor 2
-    (for b >= 0 by the smaller of the cubic and the linear root, for b < 0
-    by the sum of both magnitudes), so with v = rho / 2^k, 2^k about u,
-    and the cubic divided by 2^(k + e), 2^e about max(u^2, |b|), every
-    coefficient lies in [-1, 2] at any magnitude of x1 and c. A row stops at
-    its first Newton step below 1e-15 v, so its iterates, and its radius, do
-    not depend on the other rows."""
+def _parabolic_radii(x1, m, j):
+    """|y_bar| of the projections of rows (x1, x_bar) with |x_bar| / 2 =
+    c = m 2^j onto the parabolic set, c given by its mantissa m and exponent
+    j since it may pass the largest float: with y_bar = x_bar / (1 + 2 mu)
+    and y_1 = x1 + mu = |y_bar|^2 by the KKT system, the positive root
+    rho = 2c / (1 + 2 mu) of rho^3 + b rho - c, b = 1/2 - x1. u bounds rho
+    above within a factor 2 (for b >= 0 by the smaller of the cubic and the
+    linear root, for b < 0 by the sum of both magnitudes), so with
+    v = rho / 2^k, 2^k about u, and the cubic divided by 2^(k + e), 2^e about
+    max(u^2, |b|), every coefficient lies in [-1, 2] at any magnitude of x1
+    and c. A row stops at its first Newton step below 1e-15 v, so its
+    iterates, and its radius, do not depend on the other rows."""
     b = 0.5 - x1
-    # np.where evaluates both branches: c / b where b = 0, sqrt(-b) where b > 0.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = np.where(b >= 0.0, np.minimum(np.cbrt(c), c / b), np.sqrt(-b) + np.cbrt(c))
+    # cbrt(c) and c / b with their powers of 2 taken out, so that neither
+    # leaves float range where c does; np.where evaluates both branches.
+    q, t = np.divmod(j, 3)
+    root3 = np.ldexp(np.cbrt(np.ldexp(m, t)), q)
+    b_m, b_e = np.frexp(b)
+    with np.errstate(divide="ignore", over="ignore"):
+        u = np.where(b >= 0.0, np.minimum(root3, np.ldexp(m / b_m, j - b_e)), np.sqrt(np.abs(b)) + root3)
     k = np.frexp(u)[1]
-    e = np.maximum(2 * k, np.frexp(b)[1])
-    cube, lin, const = np.ldexp(1.0, 2 * k - e), np.ldexp(b, -e), np.ldexp(c, -k - e)
+    e = np.maximum(2 * k, b_e)
+    cube, lin, const = np.ldexp(1.0, 2 * k - e), np.ldexp(b, -e), np.ldexp(m, j - k - e)
     # The cubic in v is convex on v > 0 and negative at 0, so Newton from its
     # upper bound falls monotonically onto the positive root.
     v = np.ldexp(u, -k)
@@ -427,7 +418,7 @@ class HalfSpaceIntersection(StateSpace):
         # Chebyshev center: max t s.t. Nx + t|n_k| <= c; t <= 0 means no interior.
         from scipy.optimize import linprog
 
-        k, p = self.normals.shape
+        p = self.dim
         norms = np.linalg.norm(self.normals, axis=1)
         c_obj = np.zeros(p + 1)
         c_obj[-1] = -1.0
@@ -436,7 +427,6 @@ class HalfSpaceIntersection(StateSpace):
         res = linprog(c_obj, A_ub=a_ub, b_ub=self.offsets, bounds=bounds, method="highs")
         if not res.success or -res.fun <= 1e-12:
             raise ModelFormatError("half-space intersection has empty interior")
-        self._center = res.x[:-1]
 
     def _margin_rows(self, xs):
         # Row-wise sums, not a matrix product, whose blocking can vary with n.

@@ -97,6 +97,20 @@ def psi0_quadrature(r0, psi, t, scale=1.0, tol=1e-13):
 # complexified planar quadratic (A^1 = [[1,0],[0,-1]], A^2 = [[0,1],[1,0]]):
 #   in v = y_1 + i y_2 the system is v' = v^2 / 2, so v(t) = v0/(1 - v0 t/2)
 #   and the blow-up time along v0 in (0, inf) is 2 / v0.
+#
+# Wishart on 2x2 PSD matrices (Bru 1991; Q = I, M = -I/2, beta = 3, so
+# a^0 = vech(3 I) and a = -I), in the scaled half-vectorization
+# x = (X_11, sqrt(2) X_12, X_22), whose inner product is tr(XY):
+#   Psi' = Psi M + M^T Psi + 2 Psi Q^T Q Psi = -Psi + 2 Psi^2. With
+#   Psi = e^(-t) W, W' = 2 e^(-t) W^2, so (W^-1)' = -2 e^(-t) I and
+#   Psi(t) = e^(-t) U (I - 2 V_t U)^(-1), V_t = 1 - e^(-t).
+#   psi0' = beta tr(Q^T Q Psi) = 3 tr Psi, and
+#   d/dt -(1/2) log(1 - 2 V_t lambda) = e^(-t) lambda / (1 - 2 V_t lambda),
+#   so psi0(t) = -(3/2) sum_i log(1 - 2 V_t lambda_i(U)). Re U <= 0 puts every
+#   lambda_i, which lies in the numerical range of U, at Re lambda_i <= 0, so
+#   1 - 2 V_t lambda_i keeps real part >= 1 and the principal log is
+#   continuous in t. For real U with lambda_max > 1/2, I - 2 V_t U turns
+#   singular at V_t = 1 / (2 lambda_max): T* = -log(1 - 1 / (2 lambda_max)).
 
 
 def cir_psi(t, u, mu=1.0):
@@ -145,6 +159,33 @@ def planar_quadratic_psi(t, u):
     vp_t = vp / (1.0 - 0.5 * vp * t)
     vm_t = vm / (1.0 - 0.5 * vm * t)
     return np.array([(vp_t + vm_t) / 2.0, (vp_t - vm_t) / 2j])
+
+
+def wishart_vech(mat):
+    """(M_11, sqrt(2) M_12, M_22) of a symmetric 2x2 matrix."""
+    return np.array([mat[0, 0], np.sqrt(2.0) * mat[0, 1], mat[1, 1]])
+
+
+def wishart_unvech(x):
+    off = x[1] / np.sqrt(2.0)
+    return np.array([[x[0], off], [off, x[2]]])
+
+
+def wishart_psi(t, u):
+    u_mat = wishart_unvech(np.asarray(u, dtype=complex))
+    v = -np.expm1(-t)
+    return wishart_vech(np.exp(-t) * u_mat @ np.linalg.inv(np.eye(2) - 2.0 * v * u_mat))
+
+
+def wishart_psi0(t, u):
+    lam = np.linalg.eigvals(wishart_unvech(np.asarray(u, dtype=complex)))
+    return -1.5 * complex(np.sum(np.log(1.0 - 2.0 * -np.expm1(-t) * lam)))
+
+
+def wishart_explosion_time(u):
+    """T* for a real u whose largest eigenvalue exceeds 1/2."""
+    lam_max = np.linalg.eigvalsh(wishart_unvech(np.asarray(u, dtype=float)))[-1]
+    return -np.log1p(-0.5 / lam_max)
 
 
 def ou_exact_exp_moment(a, x0, t, kappa=1.0, sigma_sq=1.0):

@@ -96,6 +96,26 @@ def test_solve_cir_closed_form(cir_model):
         assert abs(psi0 - oracles.cir_psi0(t, 0.5)) < 1e-9
 
 
+def test_wishart_matches_bru_closed_form(wishart_model):
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        # Re U = -B B^T <= 0, Im U symmetric.
+        b, c = rng.normal(size=(2, 2, 2)) * 0.8
+        u = oracles.wishart_vech(-b @ b.T + 1j * (c + c.T))
+        for t in (0.4, 1.5):
+            psi0, psi = solve_riccati(wishart_model, u, t).terminal()
+            assert np.allclose(psi, oracles.wishart_psi(t, u), rtol=1e-10, atol=1e-10)
+            assert abs(psi0 - oracles.wishart_psi0(t, u)) <= 1e-10 * (1.0 + abs(psi0))
+    # Real U with lambda_max from 0.6 to 3 blows up at T*. The bracket is
+    # not asserted to hold T*: it may miss it by more than its own width.
+    for lam_max in (0.6, 1.0, 3.0):
+        q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        u = oracles.wishart_vech(q @ np.diag([lam_max, rng.uniform(-2.0, lam_max)]) @ q.T)
+        res = explosion_time(wishart_model, u, 10.0)
+        want = oracles.wishart_explosion_time(u)
+        assert res.finite and abs(res.estimate - want) <= 1e-6 * want
+
+
 def test_solution_invariants(cir_model):
     sol = solve_riccati(cir_model, [0.3 + 0.2j], 1.5)
     assert sol.psi[0, 0] == 0.3 + 0.2j
@@ -729,7 +749,7 @@ def test_solve_counts_steps_and_builds_no_interpolant(monkeypatch):
         # Start-up: the first-step probe and the stepper's initial derivative;
         # then 12 calls per attempted step and none for an interpolant.
         assert stats.nfev == 2 + 12 * (stats.steps_t + stats.rejected)
-        assert len(calls) == 1 + stats.nfev  # plus the fail-fast check at u
+        assert len(calls) == stats.nfev  # the fail-fast check at u is the first
         assert (psi0, psi[0]) == (sol.psi0[-1], sol.psi[-1, 0])
     # Phase 1 of a blow-up rejects steps as psi steepens.
     sol = solve_riccati(golden.squared_scalar(), [1.0], 10.0)

@@ -238,6 +238,8 @@ HUGE_ROWS = [
     (Lorentz(3), [0.0, 1.5e308, 1.5e308]),
     (Lorentz(3), [-1.7e308, 1.5e308, -1.5e308]),
     (Lorentz(5), [1e308, 1e308, 1e308, 1e308, 1e308]),
+    # x_1 - |x_bar| passes the largest float, with its sign right.
+    (Lorentz(3), [-1e308, 1e-300, 1.7e308]),
     (Parabolic(3), [0.0, 1.5e308, 1.5e308]),
     (Parabolic(3), [-1.7e308, 1e308, 1.5e308]),
     (Parabolic(5), [1e308, -1.7e308, 1.7e308, 1e-300, 1.7e308]),
@@ -246,6 +248,8 @@ HUGE_ROWS = [
     (Parabolic(2), [-1e150, 1e150]),
     (Parabolic(2), [-1e300, 0.0]),
     (Parabolic(3), [2e100, 1e155, -3e154]),
+    # |x_bar| / 2 itself passes the largest float.
+    (Parabolic(7), [0.0] + [1.7e308] * 6),
     # Products in range, but a start so far above the root that Newton
     # would need more than 100 steps.
     (Parabolic(2), [6.75746451e161, 2.33784826e84]),
@@ -273,6 +277,28 @@ def test_huge_rows_are_projected_without_warnings():
             assert space.project(member).tobytes() == member.tobytes()
         for space, x in HUGE_ROWS:
             _assert_projected(space, [x], space.project(x)[None, :])
+            assert not space.contains(x)
+        # The image's height passes the largest float, its tail does not.
+        x = [0.0] + [1.7e308] * 19
+        y = Lorentz(20).project(x)
+        assert y[0] == np.inf and np.array_equal(y, oracles.lorentz_projection_decimal(x))
+
+
+@pytest.mark.parametrize("p", [2, 3, 9, 20])
+def test_lorentz_geometry_commutes_with_powers_of_2(p):
+    # The margin and the projection onto the cone are homogeneous of degree
+    # 1, and so are their floats: a batch scaled by 2^k, whose sums of
+    # squares pass the largest float or lose bits below the normal floats,
+    # has the margins and images of the unscaled batch, scaled by 2^k.
+    space, rng = Lorentz(p), np.random.default_rng(300 + p)
+    xs = rng.standard_normal((1000, p))
+    xs[:, 0] *= np.sqrt(p - 1.0) * rng.uniform(-1.5, 1.5, 1000)
+    margin, image = space._margin_rows(xs), space.project_batch(xs)
+    assert 100 < (margin < 0.0).sum() < 900
+    for k in (520, -520, 1000, -1000):
+        scaled = np.ldexp(xs, k)
+        assert space._margin_rows(scaled).tobytes() == np.ldexp(margin, k).tobytes(), k
+        assert space.project_batch(scaled).tobytes() == np.ldexp(image, k).tobytes(), k
 
 
 def test_lorentz_tails_whose_squares_underflow():
