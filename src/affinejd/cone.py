@@ -107,8 +107,9 @@ def interior_preservation_check(model, u, t):
     for s in grid:
         _, psi = sol.eval(s)
         w = -psi.real
-        cone_slack = max(cone_slack, space.distance(w))
-        min_phi = min(min_phi, space.phi(space.project(w)))
+        pw = space.project(w)
+        cone_slack = max(cone_slack, float(np.linalg.norm(w - pw)))
+        min_phi = min(min_phi, space.phi(pw))
         scale = max(scale, float(np.linalg.norm(psi)))
     tol = _slack_tol(scale)
     passed = cone_slack <= tol

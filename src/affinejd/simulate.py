@@ -4,9 +4,10 @@ of the transform formula and its martingale property.
 The scheme discretizes the semimartingale decomposition
 X = X_0 + drift + diffusion martingale + compensated jumps: each step adds
 b(x) dt minus the jump compensator integral of z K(x,dz) dt, a Gaussian
-increment with covariance c(x) dt (eigenvalue-clipped square root), and
-Poisson(K(x,F) dt) jumps drawn from the normalized kernel frozen at the left
-endpoint, followed by Euclidean projection onto the state space.
+increment with covariance c(x) dt (c(x) + 1e-10 I by its Cholesky factor if
+p >= 2, c(x) clipped at 0 if p = 1), and Poisson(K(x,F) dt) jumps drawn
+from the normalized kernel frozen at the left endpoint, followed by
+Euclidean projection onto the state space.
 
 The step skips what the model makes zero or constant, with the same
 results: when every A^i is zero, c(x) = 0 and no normals are drawn; when
@@ -159,8 +160,9 @@ class _Streams:
 
 
 def _diffusion_increment(A, states, normals):
-    """Eigenvalue-clipped square root of c(x) applied to the normals, which
-    it may overwrite."""
+    """A square root of c(x) applied to the normals, which it may overwrite:
+    the root of c(x) clipped at 0 if p = 1, else the Cholesky factor of
+    c(x) - _EIG_FLOOR I. Both refuse c(x) with an eigenvalue below the floor."""
     if A.shape[1] == 1:
         c = states[:, 0] * A[1, 0, 0]
         c += A[0, 0, 0]
@@ -173,13 +175,13 @@ def _diffusion_increment(A, states, normals):
     # would form.
     n, p = states.shape
     c = A[0] + np.dot(states, A[1:].reshape(p, p * p)).reshape(n, p, p)
-    w, v = np.linalg.eigh(c)
-    if w.min() < _EIG_FLOOR:
-        raise CholeskyFailure(f"min eigenvalue {w.min():.3e} below the clipping floor")
-    w = np.sqrt(np.maximum(w, 0.0))
-    tmp = np.einsum("nij,ni->nj", v, normals)
-    tmp *= w
-    return np.einsum("nij,nj->ni", v, tmp)
+    c.reshape(n, p * p)[:, :: p + 1] -= _EIG_FLOOR
+    try:
+        factor = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(c).min() + _EIG_FLOOR
+        raise CholeskyFailure(f"min eigenvalue {lowest:.3e} below the clipping floor") from None
+    return np.einsum("nij,nj->ni", factor, normals)
 
 
 def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):

@@ -66,15 +66,15 @@ _TAIL_LO = 2.0**-511  # sqrt of the smallest normal float
 
 def _scaled(rows):
     """Each row of an ``(n, w)`` array times the power of 2 that puts its
-    largest |entry| in [1/2, 1), and the exponents k with row = scaled 2^k.
-    Sums of squares of a scaled row stay in float range, and the scaling
-    changes no bit of an entry that stays a normal float, so a quantity of
-    degree 1 in the row, read on the scaled row and multiplied by 2^k, is
-    read at any magnitude. A zero row keeps k = 0. The largest entry is
-    found one column at a time, as in row_sq_sums."""
-    big = np.abs(rows[:, 0])
-    for j in range(1, rows.shape[1]):
-        np.maximum(big, np.abs(rows[:, j]), out=big)
+    largest finite |entry| in [1/2, 1), and the exponents k with row =
+    scaled 2^k. Sums of squares of a scaled finite row stay in float range,
+    and the scaling changes no bit of an entry that stays a normal float, so
+    a quantity of degree 1 in the row, read on the scaled row and multiplied
+    by 2^k, is read at any magnitude. A zero row keeps k = 0. The largest
+    entry is found one column at a time, as in row_sq_sums."""
+    big = np.zeros(rows.shape[0])
+    for col in np.abs(rows).T:
+        np.maximum(big, col, out=big, where=col < np.inf)
     k = np.frexp(big)[1]
     return np.ldexp(rows, -k[:, None]), k
 
@@ -275,13 +275,13 @@ class Lorentz(StateSpace):
 
     def _margin_rows(self, xs):
         # x_1 - |x_bar| by the sum of squares, except on the rows whose norm
-        # passes the largest float or falls below _TAIL_LO, where squares
-        # lose bits: those are read on the _scaled row.
-        with np.errstate(over="ignore"):
+        # passes the largest float (where inf - inf reads NaN) or falls below
+        # _TAIL_LO, where squares lose bits: those are read on the _scaled row.
+        with np.errstate(over="ignore", invalid="ignore"):
             tail = row_sq_sums(xs[:, 1:])
-        np.sqrt(tail, out=tail)
-        odd = np.flatnonzero((tail < _TAIL_LO) | (tail == np.inf))
-        margin = np.subtract(xs[:, 0], tail, out=tail)
+            np.sqrt(tail, out=tail)
+            odd = np.flatnonzero((tail < _TAIL_LO) | (tail == np.inf))
+            margin = np.subtract(xs[:, 0], tail, out=tail)
         if odd.size:
             s, k = _scaled(xs[odd])
             with np.errstate(over="ignore"):

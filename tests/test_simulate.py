@@ -113,10 +113,16 @@ def test_threaded_blocks_match_serial_across_the_block_boundary(cir_model):
 
 
 def reference_diffusion(A, x, normals):
-    """The eigenvalue-clipped square root of c(x) = A^0 + sum_i x_i A^i,
-    formed by tensordot, applied to the normals: V sqrt(max(W, 0)) V^T z
-    for every dimension, p = 1 included."""
-    w, v = np.linalg.eigh(A[0] + np.tensordot(x, A[1:], axes=(1, 0)))
+    """A square root of c(x) = A^0 + sum_i x_i A^i, formed by tensordot,
+    applied to the normals: for p = 1 the clipped root V sqrt(max(W, 0)) V^T z,
+    for p >= 2 the Cholesky factor of c(x) + 1e-10 I, and nothing where every
+    A^i is zero."""
+    if not A.any():
+        return np.zeros_like(normals)
+    c = A[0] + np.tensordot(x, A[1:], axes=(1, 0))
+    if A.shape[1] > 1:
+        return np.einsum("nij,nj->ni", np.linalg.cholesky(c + 1e-10 * np.eye(A.shape[1])), normals)
+    w, v = np.linalg.eigh(c)
     scaled = np.einsum("nij,ni->nj", v, normals) * np.sqrt(np.maximum(w, 0.0))
     return np.einsum("nij,nj->ni", v, scaled)
 
@@ -213,15 +219,15 @@ def test_euler_step_matches_the_plain_reference_step(name):
 NOISY_LORENTZ_9_X0 = [0.1, 0.05, 0.0, 0.02, -0.03, 0.0, 0.01, 0.0, 0.0]
 GOLDEN_PATH_PINS = {
     "wishart_2d": ((golden.wishart_2d, [0.4, 0.0, 0.4], 32, 0.05, 1.0, 5),
-                   ("0x1.d4a24cd5c833cp+6", "0x1.815058271b5c2p+9", 0)),
+                   ("0x1.d85f5b53a0162p+6", "0x1.889a2cb8e7fffp+9", 0)),
     "lorentz_drift": ((golden.lorentz_drift, [1.0, 0.2, -0.1], 512, 0.025, 1.0, 5),
                       ("0x1.094c7ae90437ap+9", "0x1.0cccccccccccep+9", 0)),
     "noisy_lorentz": ((noisy_lorentz_model, [0.1, 0.05, 0.0], 64, 0.05, 2.0, 3),
-                      ("0x1.5708f667b9692p+3", "0x1.0a593b90a0df4p+6", 0)),
+                      ("0x1.752d926a0d6b7p+3", "0x1.e0e0d25c22f3cp+5", 0)),
     "noisy_lorentz_9": ((lambda: noisy_lorentz_model(9), NOISY_LORENTZ_9_X0, 64, 0.05, 2.0, 3),
-                        ("0x1.81ee30ffd07d2p+6", "0x1.6f607ef2e579fp+9", 0)),
+                        ("0x1.641af723c0208p+6", "0x1.7e8eea06e2172p+9", 0)),
     "parabolic": ((parabolic_model, [0.5, 0.3, -0.2], 64, 0.05, 1.0, 3),
-                  ("0x1.499aded0a6eaap+7", "0x1.110bcdfec8253p+10", 0)),
+                  ("0x1.47ce659e7b41ep+7", "0x1.0c17192ef2d54p+10", 0)),
     "atoms_and_ray": ((atoms_and_ray_model, [1.0], 256, 0.05, 1.0, 5),
                       ("0x1.9708fda3420fap+8", "0x1.f6cc8fe539f52p+9", 417)),
 }
@@ -502,8 +508,56 @@ def test_negative_jump_weight_refused(K):
 
 
 def test_cholesky_failure_detected(bad_model):
-    with pytest.raises(CholeskyFailure):
+    with pytest.raises(CholeskyFailure, match="below the clipping floor"):
         simulate_paths(bad_model, [1.0, 1.0], SimConfig(n_paths=4, dt=1e-2, horizon=0.1, seed=0))
+
+
+@pytest.mark.parametrize("build", [golden.wishart_2d, noisy_lorentz_model, parabolic_model])
+def test_diffusion_factor_squares_to_the_shifted_c(build):
+    # F read column by column from unit normals, on random members, their
+    # projected boundary rows and the apex, must satisfy F F^T = c + 1e-10 I.
+    model, rng = build(), np.random.default_rng(11)
+    p, space = model.dim, model.state_space
+    raw = rng.normal(size=(400, p)) * 1.5
+    states = np.vstack([np.zeros((1, p)), space.project_batch(raw)])
+    assert (space._margin_rows(states) == 0.0).sum() > 50
+    n = states.shape[0]
+    factor = np.stack([simulate._diffusion_increment(model.A, states, np.tile(e, (n, 1)))
+                       for e in np.eye(p)], axis=2)
+    c = model.A[0] + np.tensordot(states, model.A[1:], axes=(1, 0))
+    gap = np.abs(factor @ factor.transpose(0, 2, 1) - (c + 1e-10 * np.eye(p))).max(axis=(1, 2))
+    assert np.all(gap <= 1e-13 * (1.0 + np.abs(c).max(axis=(1, 2))))
+
+
+@pytest.mark.parametrize("lowest, refused", [(-2e-10, True), (-0.5e-10, False)])
+def test_c_below_the_floor_is_refused(lowest, refused):
+    # On R^2, c(x) = diag(lowest x_1, 1): diag(lowest, 1) at x0, and near it
+    # on every path, whose first coordinate moves by ~1e-5 at most. A^0 must
+    # be positive semidefinite, so the negative entry comes from A^1.
+    model = AffineModel(a0=[0.0, 0.0], a=np.zeros((2, 2)),
+                        A=[np.diag([0.0, 1.0]), np.diag([lowest, 0.0]), np.zeros((2, 2))],
+                        K=None, state_space=Canonical(0, 2))
+    cfg = SimConfig(n_paths=8, dt=0.1, horizon=0.2, seed=1)
+    if refused:
+        with pytest.raises(CholeskyFailure, match=r"-2\.000e-10 below the clipping floor"):
+            simulate_paths(model, [1.0, 0.0], cfg)
+    else:
+        assert np.all(np.isfinite(simulate_paths(model, [1.0, 0.0], cfg).states))
+
+
+def test_wishart_mc_matches_bru_closed_form(wishart_model):
+    # Acceptance criterion 3's rule on the matrix-valued state space:
+    # |MC - transform| <= 3 SE + c_fit dt, with c_fit fitted from two steps.
+    x0, dts = np.array([0.8, 0.3, 0.6]), (0.02, 0.01)
+    ens = {dt: simulate_paths(wishart_model, x0, SimConfig(n_paths=2 * 10**4, dt=dt, horizon=1.0, seed=29))
+           for dt in dts}
+    for u in (1j * np.array([0.5, 0.3, -0.4]), 1j * np.array([-1.0, 0.6, 0.2]),
+              np.array([-0.5, 0.2, -0.4]), np.array([-1.0, -0.3, -0.2])):
+        want = np.exp(oracles.wishart_psi0(1.0, u) + oracles.wishart_psi(1.0, u) @ x0)
+        est1, est2 = (mc_transform(ens[dt], u) for dt in dts)
+        c_fit = (abs(est1.value - est2.value) + 3.0 * (est1.std_error + est2.std_error)) / (dts[0] - dts[1])
+        for dt, est in zip(dts, (est1, est2)):
+            assert abs(est.value - want) <= 3.0 * est.std_error + c_fit * dt, (u, dt)
 
 
 def test_mc_transform_refuses_u_of_wrong_length(cir_model):

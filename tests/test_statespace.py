@@ -278,10 +278,13 @@ def test_huge_rows_are_projected_without_warnings():
         for space, x in HUGE_ROWS:
             _assert_projected(space, [x], space.project(x)[None, :])
             assert not space.contains(x)
-        # The image's height passes the largest float, its tail does not.
+        # The image's height passes the largest float, its tail does not;
+        # the image is a member, which projects onto itself.
         x = [0.0] + [1.7e308] * 19
         y = Lorentz(20).project(x)
         assert y[0] == np.inf and np.array_equal(y, oracles.lorentz_projection_decimal(x))
+        assert Lorentz(20).contains(y, tol=0.0) and Lorentz(20).interior_contains(y)
+        assert Lorentz(20).project(y).tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("p", [2, 3, 9, 20])
