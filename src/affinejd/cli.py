@@ -155,9 +155,8 @@ def _cmd_explosion(model, args):
 def _cmd_transform(model, args):
     tv = transform(model, _u_from_args(args), parse_real_vector(args.x), args.t)
     payload = {"verdict": tv.kind}
-    if tv.value is not None or tv.finite:
-        payload["value"] = None if tv.value is None else _c(tv.value)  # null on overflow
-    if tv.finite:  # null where psi_0 is out of float range
+    if tv.finite:  # value null on overflow; all three null where psi_0 is out of float range
+        payload["value"] = None if tv.value is None else _c(tv.value)
         payload["log_value"] = None if tv.log_value is None else _c(tv.log_value)
         payload["psi0"] = None if tv.psi0 is None else _c(tv.psi0)
         payload["psi"] = _cvec(tv.psi)
@@ -287,7 +286,7 @@ def build_parser():
     p.add_argument("--csv", action="store_true", help="emit the solution grid as CSV")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("explosion", help="locate the blow-up time")
+    p = sub.add_parser("explosion", help="bracket where |psi| crosses the blow-up radius, below the blow-up time")
     common(p)
     _add_u_flags(p)
     p.add_argument("--t-max", type=float, required=True)

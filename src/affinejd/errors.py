@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of numeric
+fields that raises ModelFormatError."""
+
+import numpy as np
 
 
 class AffineError(Exception):
@@ -58,3 +61,22 @@ class CholeskyFailure(AffineError):
 
 class QuadratureTailWarning(UserWarning):
     """A tabulated-density grid appears too short for the integrand."""
+
+
+def finite_floats(value, field, shape=None):
+    """``value`` as a new float array. Raises ModelFormatError naming
+    ``field`` where the entries do not form an array (of ``shape``, if
+    given), or where one is null, not a real number (a string or a bool) or
+    not finite."""
+    try:
+        raw = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ModelFormatError(f"{field}: the entries do not form an array") from exc
+    if raw.dtype.kind not in "iuf":
+        raise ModelFormatError(f"{field}: every entry must be a number, not null, a string or a bool")
+    if shape is not None and raw.shape != shape:
+        raise ModelFormatError(f"{field}: expected shape {shape}, got {raw.shape}")
+    arr = raw.astype(float)
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"{field}: every entry must be finite")
+    return arr

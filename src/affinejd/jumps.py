@@ -28,6 +28,7 @@ from .errors import (
     ModelFormatError,
     QuadratureTailWarning,
     UnsupportedFamily,
+    finite_floats,
 )
 
 
@@ -71,8 +72,8 @@ class WeightedPoints(JumpMeasure):
     nodes of a quadrature rule, whose weights already include the rule."""
 
     def __init__(self, weights, atoms):
-        self.weights = np.asarray(weights, dtype=float).ravel()
-        self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        self.weights = finite_floats(weights, f"{self.family}: weights").ravel()
+        self.atoms = np.atleast_2d(finite_floats(atoms, f"{self.family}: points"))
         if self.atoms.shape[0] != self.weights.size:
             raise ModelFormatError(f"{self.family}: weights and points disagree in count")
         self.dim = self.atoms.shape[1]
@@ -119,9 +120,9 @@ class ExponentialRay(JumpMeasure):
     family = "exponential_ray"
 
     def __init__(self, mass, rate, direction):
-        self.mass = float(mass)
-        self.rate = float(rate)
-        self.direction = np.asarray(direction, dtype=float).ravel()
+        self.mass = float(finite_floats(mass, "exponential_ray: mass", ()))
+        self.rate = float(finite_floats(rate, "exponential_ray: rate", ()))
+        self.direction = finite_floats(direction, "exponential_ray: direction").ravel()
         if self.rate <= 0.0:
             raise ModelFormatError("exponential_ray: rate must be positive")
         nrm = np.linalg.norm(self.direction)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jumps_mod
-from .errors import DimensionMismatch, DivergentIntegral, ModelFormatError, StateSpaceMismatch, UnsupportedFamily
+from .errors import (
+    DimensionMismatch,
+    DivergentIntegral,
+    ModelFormatError,
+    StateSpaceMismatch,
+    UnsupportedFamily,
+    finite_floats,
+)
 from .statespace import StateSpace
 
 _SYM_TOL = 1e-12
@@ -30,12 +37,12 @@ class AffineModel:
     and state space are the caller's objects, not to be changed in place."""
 
     def __init__(self, a0, a, A, K, state_space: StateSpace):
-        self.a0 = np.array(a0, dtype=float).ravel()
+        self.a0 = finite_floats(a0, "a0").ravel()
         self.dim = self.a0.size
         p = self.dim
         # Columns of `a` are the linear drift vectors a^1..a^p.
-        self.a = np.array(a, dtype=float).reshape(p, p)
-        self.A = np.asarray(A, dtype=float)
+        self.a = finite_floats(a, "a").reshape(p, p)
+        self.A = finite_floats(A, "A")
         if self.A.shape != (p + 1, p, p):
             raise DimensionMismatch(
                 f"A must hold p+1={p+1} matrices of shape ({p},{p}), got {self.A.shape}"
@@ -49,6 +56,8 @@ class AffineModel:
             raise ModelFormatError("A^0 must be positive semi-definite")
         if K is None:
             K = [None] * (p + 1)
+        if not isinstance(K, (list, tuple)):
+            raise ModelFormatError(f"K must list p+1={p+1} measures (None allowed), not {type(K).__name__}")
         K = list(K)
         if len(K) != p + 1:
             raise DimensionMismatch(f"K must list p+1={p+1} measures (None allowed), got {len(K)}")
@@ -104,8 +113,11 @@ class AffineModel:
                 points.append(meas.atoms)
                 weights.append(meas.weights)
                 columns.append(np.full(meas.weights.size, i))
-                self.jump_mean[i] = meas.weights @ meas.atoms
-                self.jump_mass[i] = np.sum(meas.weights)
+                # A mass past float range reads inf, which simulation refuses
+                # with IntensityInfinite.
+                with np.errstate(over="ignore"):
+                    self.jump_mean[i] = meas.weights @ meas.atoms
+                    self.jump_mass[i] = np.sum(meas.weights)
             elif isinstance(meas, jumps_mod.ExponentialRay):
                 key = (round(meas.rate, 12), tuple(np.round(meas.direction, 12)))
                 if key not in ray_rows:

@@ -34,7 +34,7 @@ import json
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, finite_floats
 from .jumps import measure_from_dict
 from .model import AffineModel
 from .statespace import space_from_dict
@@ -46,17 +46,14 @@ def _upper_triangle(mat):
 
 
 def _from_upper_triangle(vals, p, name):
-    if len(vals) != p * (p + 1) // 2:
+    vals = finite_floats(vals, f"field '{name}'")
+    if vals.shape != (p * (p + 1) // 2,):
         raise ModelFormatError(
-            f"{name}: upper triangle needs {p*(p+1)//2} entries for dim {p}, got {len(vals)}"
+            f"field '{name}': upper triangle needs {p*(p+1)//2} entries for dim {p}, got shape {vals.shape}"
         )
+    rows, cols = np.triu_indices(p)  # row-wise, diagonal included
     mat = np.zeros((p, p))
-    it = iter(vals)
-    for i in range(p):
-        for j in range(i, p):
-            v = float(next(it))
-            mat[i, j] = v
-            mat[j, i] = v
+    mat[rows, cols] = mat[cols, rows] = vals
     return mat
 
 
@@ -76,7 +73,8 @@ def _require(d, key, kind=None):
     if key not in d:
         raise ModelFormatError(f"missing field '{key}'")
     val = d[key]
-    if kind is not None and not isinstance(val, kind):
+    # A JSON true or false is a Python bool, which is also an int.
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise ModelFormatError(f"field '{key}' has the wrong type ({type(val).__name__})")
     return val
 
@@ -87,19 +85,17 @@ def model_from_dict(d):
     p = _require(d, "dim", int)
     if p < 1:
         raise ModelFormatError("field 'dim' must be a positive integer")
-    a0 = np.asarray(_require(d, "a0", list), dtype=float)
-    if a0.shape != (p,):
-        raise ModelFormatError(f"field 'a0' must list {p} floats")
-    cols = _require(d, "a", list)
-    if len(cols) != p or any(len(c) != p for c in cols):
-        raise ModelFormatError(f"field 'a' must list {p} columns of length {p}")
-    a = np.column_stack([np.asarray(c, dtype=float) for c in cols]) if p else np.zeros((0, 0))
+    a0 = finite_floats(_require(d, "a0", list), "field 'a0'", (p,))
+    # p columns of length p, so the rows of the array are the columns of a.
+    a = finite_floats(_require(d, "a", list), "field 'a'", (p, p)).T
     tri = _require(d, "A", list)
     if len(tri) != p + 1:
         raise ModelFormatError(f"field 'A' must list {p + 1} upper triangles")
     A = np.stack([_from_upper_triangle(t, p, f"A[{i}]") for i, t in enumerate(tri)])
-    k_recs = d.get("K") or [None] * (p + 1)
-    if len(k_recs) != p + 1:
+    k_recs = d.get("K")
+    if k_recs is None:
+        k_recs = [None] * (p + 1)
+    if not isinstance(k_recs, list) or len(k_recs) != p + 1:
         raise ModelFormatError(f"field 'K' must list {p + 1} records (null allowed)")
     K = [measure_from_dict(rec, p) for rec in k_recs]
     space = space_from_dict(_require(d, "state_space", dict))

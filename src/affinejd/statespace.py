@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace
+from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace, finite_floats
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -402,8 +402,8 @@ class HalfSpaceIntersection(StateSpace):
     _SUPPORT_TOL = 1e-9
 
     def __init__(self, normals, offsets):
-        normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        offsets = np.asarray(offsets, dtype=float).ravel()
+        normals = np.atleast_2d(finite_floats(normals, "half_spaces: normals"))
+        offsets = finite_floats(offsets, "half_spaces: offsets").ravel()
         if normals.shape[0] != offsets.size:
             raise ModelFormatError("half-space normals and offsets disagree in count")
         norms = np.linalg.norm(normals, axis=1)
@@ -479,15 +479,23 @@ def space_from_dict(rec):
     if not isinstance(rec, dict) or "kind" not in rec:
         raise ModelFormatError("state_space: expected a record with a 'kind' tag")
     kind = rec["kind"]
+
+    def integer(key):
+        val = rec[key]
+        # A JSON true or false is a Python bool, which is also an int.
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ModelFormatError(f"state_space: field '{key}' must be an integer, got {val!r}")
+        return val
+
     try:
         if kind == "canonical":
-            return Canonical(rec["m"], rec["p"])
+            return Canonical(integer("m"), integer("p"))
         if kind == "psd_cone":
-            return PSDCone(rec["d"])
+            return PSDCone(integer("d"))
         if kind == "lorentz":
-            return Lorentz(rec["p"])
+            return Lorentz(integer("p"))
         if kind == "parabolic":
-            return Parabolic(rec["p"])
+            return Parabolic(integer("p"))
         if kind == "half_spaces":
             return HalfSpaceIntersection(rec["normals"], rec["offsets"])
     except KeyError as exc:

@@ -2,7 +2,10 @@
 effective-domain probing along rays, jump damping, and the parameter-scaling
 identity behind infinite divisibility.
 
-The transform value is tagged:
+The paper gets the formula for complex u by analytic extension from the
+real exponential moment at Re u, and on an admissible model the complex
+solution lives at least as long as the real one, T*(u) >= T*(Re u)
+(Keller-Ressel & Mayerhofer, AAP 2015). So the transform value is tagged:
 
 * ``finite``      -- the Riccati solution reached t, and so did the real
                      one at Re u; value exp(psi0 + psi.x), with the exponent
@@ -11,18 +14,16 @@ The transform value is tagged:
                      a quadrature along psi and never feeds back, so the
                      moment exists wherever psi does), value, log_value and
                      psi0 are None and the diagnostic names the time.
-* ``not_integrable`` -- non-real u with Re u != 0, whose solution reached
-                     t or blew up outside U, where the real solution at
+* ``not_integrable`` -- non-real u with Re u != 0 where the real solution at
                      Re u blew up by t: then
-                     E|exp(u.X_t)| = E exp(Re u.X_t) = inf, the expectation
-                     does not exist, and the complex solution is only an
-                     analytic continuation. No value is asserted.
+                     E|exp(u.X_t)| = E exp(Re u.X_t) = inf, and the
+                     expectation does not exist. No value is asserted, and
+                     the complex solution is not computed.
 * ``explosive``   -- real u whose solution blew up by t: the moment is +inf.
-* ``zero_region`` -- non-real u with bounded Re(u.x) on the state space whose
-                     solution blew up by t: the transform is identically 0.
-* ``unknown``     -- blow-up for a non-real u with unbounded Re(u.x) on the
-                     state space, where the real solution at Re u reached t;
-                     no value is asserted.
+
+A non-real u whose solution blew up by t while the real one at Re u reached
+t breaks T*(u) >= T*(Re u), which no admissible model does: transform raises
+ExplosionBeforeHorizon.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ RAY_REL_TOL = 1e-6
 
 @dataclass
 class TransformValue:
-    kind: str  # "finite" | "not_integrable" | "explosive" | "zero_region" | "unknown"
+    kind: str  # "finite" | "not_integrable" | "explosive"
     value: Optional[complex] = None
     psi0: Optional[complex] = None
     psi: Optional[np.ndarray] = None
@@ -57,62 +58,42 @@ class TransformValue:
 
 def transform(model, u, x, t):
     """Evaluate E_x exp(u.X_t) through the Riccati solution, with the
-    explosion semantics described in the module docstring."""
+    explosion semantics described in the module docstring. A non-real u
+    with Re u != 0 is solved at Re u first, and at u only if that solve
+    reaches t."""
     x = require_in_space(model, x)
     u = _check_u(model, u)
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be nonnegative and finite")
     if t == 0.0:
         return _finite(0.0 + 0.0j, u.copy(), x)
-    sol = solve_riccati(model, u, t)
-    # The formula holds for complex u by analytic extension from the real
-    # exponential moment at Re u, which must itself be finite.
-    if not sol.exploded:
-        if np.any(u.imag != 0.0) and np.any(u.real != 0.0):
-            not_integrable = _not_integrable(model, u, t)
-            if not_integrable is not None:
-                return not_integrable
-        psi0, psi = sol.eval(t)
-        if sol.stats.psi0_overflow is not None:
-            return TransformValue("finite", psi=psi, diagnostic=(
-                f"psi_0 is out of float range after t={sol.stats.psi0_overflow!r}: "
-                "the moment is finite, but psi_0 and the value are not representable"
+    real = np.all(u.imag == 0.0)
+    if not real and np.any(u.real != 0.0):
+        re_sol = solve_riccati(model, u.real, t)
+        if re_sol.exploded:
+            return TransformValue("not_integrable", diagnostic=(
+                f"Re u blows up in bracket {re_sol.bracket}: E exp(Re u.X_t) is "
+                "infinite, so E exp(u.X_t) does not exist"
             ))
-        return _finite(psi0, psi, x)
-    if np.all(u.imag == 0.0):
-        return TransformValue(
-            "explosive",
-            diagnostic=f"real argument, blow-up bracket {sol.bracket}: the moment is infinite",
+    sol = solve_riccati(model, u, t)
+    if sol.exploded:
+        if real:
+            return TransformValue(
+                "explosive",
+                diagnostic=f"real argument, blow-up bracket {sol.bracket}: the moment is infinite",
+            )
+        raise ExplosionBeforeHorizon(
+            f"the solution at u blows up in bracket {sol.bracket}, but the real "
+            f"solution at Re u reaches t={t!r}: T*(u) >= T*(Re u) fails, which no "
+            "admissible model allows; check the model with `affinejd validate`"
         )
-    if in_U(model.state_space, u):
-        return TransformValue(
-            "zero_region",
-            value=0.0 + 0.0j,
-            diagnostic=f"u in U, blow-up bracket {sol.bracket}: the transform vanishes",
-        )
-    # Here Re u != 0, since a purely imaginary u lies in U.
-    return _not_integrable(model, u, t) or TransformValue(
-        "unknown",
-        diagnostic=(
-            f"blow-up bracket {sol.bracket} for complex u outside U: "
-            "no value is asserted for this argument"
-        ),
-    )
-
-
-def _not_integrable(model, u, t):
-    """The not_integrable verdict when the real solution at Re u blows up by
-    t, else None."""
-    real = solve_riccati(model, u.real, t)
-    if not real.exploded:
-        return None
-    return TransformValue(
-        "not_integrable",
-        diagnostic=(
-            f"Re u blows up in bracket {real.bracket}: E exp(Re u.X_t) is "
-            "infinite, so E exp(u.X_t) does not exist"
-        ),
-    )
+    psi0, psi = sol.eval(t)
+    if sol.stats.psi0_overflow is not None:
+        return TransformValue("finite", psi=psi, diagnostic=(
+            f"psi_0 is out of float range after t={sol.stats.psi0_overflow!r}: "
+            "the moment is finite, but psi_0 and the value are not representable"
+        ))
+    return _finite(psi0, psi, x)
 
 
 def _finite(psi0, psi, x):
@@ -279,12 +260,9 @@ def damped_transform_sequence(model, u, x, t, n_list):
     values = []
     for n in n_list:
         tv = transform(damped_model(model, n), u, x, t)
-        if tv.value is not None:
-            values.append(complex(tv.value))
-        else:
-            raise ExplosionBeforeHorizon(
-                f"damped transform at n={n} returned '{tv.kind}': {tv.diagnostic}"
-            )
+        if tv.value is None:
+            raise ExplosionBeforeHorizon(f"damped transform at n={n} returned '{tv.kind}': {tv.diagnostic}")
+        values.append(complex(tv.value))
     diffs = [abs(values[k + 1] - values[k]) for k in range(len(values) - 1)]
     return DampingDiagnostic(list(n_list), values, diffs)
 

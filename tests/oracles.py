@@ -121,6 +121,18 @@ def cir_psi0(t, u, mu=1.0):
     return -mu * np.log(1.0 - u * t)
 
 
+def mean_reverting_cir_psi(t, u, kappa):
+    """psi for dX = kappa (1 - X) dt + sqrt(2X) dW: psi' = -kappa psi + psi^2
+    is a Bernoulli equation, and w = 1/psi solves w' = kappa w - 1, so
+    psi = kappa u e^{-kappa t} / (kappa - u (1 - e^{-kappa t}))."""
+    return kappa * u * np.exp(-kappa * t) / (kappa + u * np.expm1(-kappa * t))
+
+
+def mean_reverting_cir_psi0(t, u, kappa):
+    """psi_0 = integral of kappa psi = -kappa log(1 - u (1 - e^{-kappa t}) / kappa)."""
+    return -kappa * np.log(1.0 + u * np.expm1(-kappa * t) / kappa)
+
+
 def ou_psi(t, u, kappa=1.0):
     return u * np.exp(-kappa * t)
 

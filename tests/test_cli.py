@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from affinejd.cli import main, parse_complex_scalar, parse_complex_vector
 
@@ -119,6 +120,17 @@ def test_transform_not_integrable(capsys, models_dir):
     assert payload["verdict"] == "not_integrable"
     assert "value" not in payload
     assert "bracket" in payload["diagnostic"]
+
+
+def test_transform_complex_blow_up_exits_1(capsys, models_dir):
+    # u = (0, -i) blows up at t = 2 on the planar fixture while Re u = 0
+    # stays at 0, which no admissible model allows.
+    code, out, err = run_cli(capsys, "transform", "--model", str(models_dir / "nonadmissible_2d.json"),
+                             "--u=0,-1i", "--x", "0.3,-0.2", "--t", "2.5")
+    assert code == 1 and out == ""
+    assert "ExplosionBeforeHorizon" in err and "Traceback" not in err
+    assert "solution at u blows up in bracket (1.99999" in err
+    assert "real solution at Re u reaches t=2.5" in err and "affinejd validate" in err
 
 
 def test_closed_stdout_pipe_is_quiet(models_dir):
@@ -296,6 +308,57 @@ def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):
                              "--n-paths", "10", "--dt", "0.1", "--T", "1")
     assert code == 2 and out == ""
     assert "negative weight" in err and "Traceback" not in err
+
+
+RAY = {"family": "exponential_ray", "mass": 1.0, "rate": 3.0, "direction": [1.0]}
+ATOM = {"family": "finite_atomic", "atoms": [{"weight": 0.5, "z": [0.4]}]}
+MALFORMED = {
+    # id: (model file, path to the field, bad value, text the error must hold)
+    "a0_nan": ("cir", ["a0"], [float("nan")], "'a0'"),
+    "a0_null": ("cir", ["a0"], [None], "'a0'"),
+    "ray_mass_nan": ("cir", ["K", 0], dict(RAY, mass=float("nan")), "mass"),
+    "ray_rate_nan": ("cir", ["K", 0], dict(RAY, rate=float("nan")), "rate"),
+    "ray_direction_nan": ("cir", ["K", 0], dict(RAY, direction=[float("nan")]), "direction"),
+    "atom_weight_null": ("cir", ["K", 0], dict(ATOM, atoms=[{"weight": None, "z": [0.4]}]), "weights"),
+    "d_not_integer": ("wishart_2d", ["state_space", "d"], 1.5, "'d'"),
+    "A_null": ("cir", ["A"], [[0.0], [None]], "A[1]"),
+    "K_not_a_list": ("cir", ["K"], 5, "'K'"),
+    "dim_bool": ("cir", ["dim"], True, "'dim'"),
+    "m_string": ("cir", ["state_space", "m"], "1", "'m'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_record_exits_2(capsys, models_dir, tmp_path, case):
+    # Each record was read before: NaN and null numbers gave verdicts (a0 =
+    # [NaN] passed validate), 1.5 was read as 1, and the rest crashed with a
+    # TypeError traceback.
+    stem, field, value, named = MALFORMED[case]
+    record = json.loads((models_dir / f"{stem}.json").read_text())
+    target = record
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    # The model is refused on loading, before u or x is read.
+    for argv in (["transform", "--u", "0.5", "--x", "1", "--t", "1"], ["validate"]):
+        code, out, err = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+        assert code == 2 and out == "", err
+        assert "invalid input" in err and named in err and "Traceback" not in err
+
+
+def test_overflowing_jump_mass_is_intensity_infinite(capsys, models_dir, tmp_path):
+    # Each weight is finite, but their sum, the mass of K^0, is not.
+    record = json.loads((models_dir / "cir.json").read_text())
+    record["K"][0] = {"family": "finite_atomic",
+                      "atoms": [{"weight": 1e308, "z": [0.4]}, {"weight": 1e308, "z": [0.8]}]}
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--x0", "1",
+                             "--n-paths", "4", "--dt", "0.1", "--T", "1")
+    assert code == 1 and out == ""
+    assert "IntensityInfinite" in err and "K^0 has non-finite mass" in err
 
 
 def test_simulate_transform_overflow_is_quiet(capsys, models_dir):

@@ -124,6 +124,29 @@ def test_indefinite_A0_rejected():
         scalar_model(A0=-1.0)
 
 
+def test_malformed_parameters_are_named():
+    from affinejd.statespace import HalfSpaceIntersection, space_from_dict
+
+    nan = math.nan
+    cases = [
+        (lambda: scalar_model(a0=nan), "^a0:"),
+        (lambda: scalar_model(a=None), "^a:"),
+        (lambda: scalar_model(A1=math.inf), "^A:"),
+        (lambda: scalar_model(K=5), "K must list"),
+        (lambda: FiniteAtomic([None], [[0.4]]), "finite_atomic: weights"),
+        (lambda: TabulatedDensity([0.1], [[nan]]), "tabulated_density: points"),
+        (lambda: ExponentialRay(nan, 1.0, [1.0]), "mass"),
+        (lambda: ExponentialRay(1.0, "2", [1.0]), "rate"),
+        (lambda: ExponentialRay(1.0, 2.0, [nan]), "direction"),
+        (lambda: HalfSpaceIntersection([[1.0, None]], [1.0]), "normals"),
+        (lambda: space_from_dict({"kind": "psd_cone", "d": 1.5}), "'d'"),
+        (lambda: space_from_dict({"kind": "lorentz", "p": True}), "'p'"),
+    ]
+    for build, named in cases:
+        with pytest.raises(ModelFormatError, match=named):
+            build()
+
+
 def test_in_U_examples():
     assert in_U(Canonical(1, 2), [-1.0, 3.0j])
     assert not in_U(Canonical(1, 2), [-1.0, 1.0])

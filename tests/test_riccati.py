@@ -558,6 +558,19 @@ def test_near_boundary_accuracy(cir_model):
         assert abs(psi - want) <= bound * want
 
 
+@pytest.mark.parametrize("kappa", [1e3, 1e4])
+def test_stiff_linear_drift_stays_in_phase_1(kappa):
+    # dX = kappa (1 - X) dt + sqrt(2X) dW: the linear rate kappa |psi| passes
+    # r_sw (1 + |psi|), but psi decays, so the solve must not switch.
+    m = scalar_model(a0=kappa, a=-kappa, A1=2.0)
+    u = 0.5j
+    sol = solve_riccati(m, [u], 1.0)
+    assert sol.stats.steps_s == 0 and sol.stats.stop_reason == "horizon"
+    psi0, psi = sol.eval(1.0)
+    assert abs(psi[0] - oracles.mean_reverting_cir_psi(1.0, u, kappa)) < 1e-10
+    assert abs(psi0 - oracles.mean_reverting_cir_psi0(1.0, u, kappa)) < 1e-10
+
+
 def test_stop_reasons(cir_model, squared_model):
     assert solve_riccati(cir_model, [0.5], 1.0).stats.stop_reason == "horizon"
     sol = solve_riccati(squared_model, [1.0], 10.0)

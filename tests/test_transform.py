@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from affinejd.errors import DimensionMismatch, UnsupportedFamily
+from affinejd import golden
+from affinejd.errors import DimensionMismatch, ExplosionBeforeHorizon, UnsupportedFamily
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
-from affinejd.riccati import solve_riccati
+from affinejd.riccati import REL_TOL, solve_riccati
 from affinejd.statespace import Canonical, vech
 from affinejd.transform import (
     damped_model,
@@ -38,32 +39,50 @@ def test_transform_explosive_branch(cir_model):
     assert tv.value is None
 
 
-def test_transform_zero_region_branch(bad_model):
+def test_transform_complex_blow_up_raises(bad_model):
     # In v = u_1 + i u_2 the fixture's equation is v' = v^2/2; u = (0, -i)
-    # gives v(0) = 1 and blow-up at t = 2, with Re u = 0 so u lies in U.
+    # gives v(0) = 1 and blow-up at t = 2, while psi stays 0 at Re u = 0:
+    # T*(u) >= T*(Re u) fails, as it cannot on an admissible model.
     u = [0.0, -1.0j]
     before = transform(bad_model, u, [0.3, -0.2], 1.5)
     want = oracles.planar_quadratic_psi(1.5, u)
     assert before.finite
     assert np.max(np.abs(before.psi - want)) < 1e-8
-    after = transform(bad_model, u, [0.3, -0.2], 2.5)
-    assert after.kind == "zero_region"
-    assert after.value == 0.0
+    with pytest.raises(ExplosionBeforeHorizon, match=r"bracket \(1\.99999") as err:
+        transform(bad_model, u, [0.3, -0.2], 2.5)
+    assert "Re u reaches t=2.5" in str(err.value) and "affinejd validate" in str(err.value)
 
 
-def test_transform_zero_region_absorbing(bad_model):
+def test_transform_complex_blow_up_raises_at_later_times(bad_model):
     u = [0.0, -1.0j]
     for t in (2.1, 3.0, 5.0):
-        assert transform(bad_model, u, [0.0, 0.0], t).kind == "zero_region"
+        with pytest.raises(ExplosionBeforeHorizon, match=r"bracket \(1\.99999"):
+            transform(bad_model, u, [0.0, 0.0], t)
 
 
-def test_transform_unknown_branch(bad_model):
-    # v(0) = 1 again (u_1 - i u_2 = -0.6 stays bounded), but Re u != 0, so u
-    # is outside U and non-real; the real solution at Re u = (0.2, 0) reaches
-    # t = 2.5, blowing up at t = 10.
-    tv = transform(bad_model, [0.2, -0.8j], [0.0, 0.0], 2.5)
-    assert tv.kind == "unknown"
-    assert "1.99999" in tv.diagnostic
+def test_transform_complex_blow_up_with_real_part_raises(bad_model):
+    # v(0) = 1 again (u_1 - i u_2 = -0.6 stays bounded), but Re u != 0; the
+    # real solve at Re u = (0.2, 0) runs first and reaches t = 2.5 (it blows
+    # up at t = 10); the complex solve then blows up at t = 2.
+    with pytest.raises(ExplosionBeforeHorizon, match=r"bracket \(1\.99999") as err:
+        transform(bad_model, [0.2, -0.8j], [0.0, 0.0], 2.5)
+    assert "Re u reaches t=2.5" in str(err.value)
+
+
+def test_transform_solves_re_u_once_and_first(cir_model, monkeypatch):
+    calls = []
+
+    def recording(model, u, t):
+        calls.append(complex(u[0]))
+        return solve_riccati(model, u, t)
+
+    # The package's `transform` attribute is the function, not the module.
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "solve_riccati", recording)
+    cases = {0.5: [0.5], 0.5j: [0.5j], 2.0: [2.0], 0.5 + 1j: [0.5, 0.5 + 1j], 2.0 + 1j: [2.0]}
+    for u, want in cases.items():
+        calls.clear()
+        transform(cir_model, [u], [1.0], 1.0)
+        assert calls == want, u
 
 
 def test_transform_not_integrable_branch(cir_model, bad_model):
@@ -73,8 +92,8 @@ def test_transform_not_integrable_branch(cir_model, bad_model):
     assert tv.kind == "not_integrable"
     assert tv.value is None and tv.log_value is None
     assert "bracket" in tv.diagnostic
-    # Blow-up branch: the complex solution at u = 2 + 1e-9 i blows up next
-    # to T*(2) = 1/2, and so does the real one at Re u = 2.
+    # The complex solution at u = 2 + 1e-9 i would blow up next to
+    # T*(2) = 1/2; the real one at Re u = 2, solved first, does.
     tv = transform(cir_model, [2.0 + 1e-9j], [1.0], 1.0)
     assert tv.kind == "not_integrable"
     assert tv.value is None and tv.log_value is None
@@ -147,6 +166,30 @@ def test_bad_arguments_are_refused_up_front(cir_model):
     for t in (0.0, 1.0):
         with pytest.raises(ValueError, match="u must be finite"):
             transform(cir_model, [math.nan], [1.0], t)
+
+
+@pytest.mark.parametrize("name", ["cir", "ou", "compound_poisson", "wishart_2d", "lorentz_drift"])
+def test_complex_moment_bounded_by_real_moment(name):
+    # On an admissible model T*(u) >= T*(Re u) and |E exp(u.X_t)| <=
+    # E exp(Re u.X_t) (Keller-Ressel & Mayerhofer, AAP 2015): where the real
+    # solve reaches t, transform is finite. The bound is compared on the log
+    # scale to the solver's accuracy, since lorentz_drift is deterministic
+    # and meets it with equality.
+    model = getattr(golden, name)()
+    rng = np.random.default_rng(2015)
+    kept = 0
+    for _ in range(12):
+        u = rng.normal(size=model.dim) + 2j * rng.normal(size=model.dim)
+        x = model.state_space.project(rng.normal(size=model.dim))
+        t = rng.uniform(0.2, 1.5)
+        if solve_riccati(model, u.real, t).exploded:
+            continue
+        kept += 1
+        tv, real = transform(model, u, x, t), transform(model, u.real, x, t)
+        assert tv.finite and real.finite
+        scale = 1.0 + abs(real.psi0) + np.abs(real.psi) @ np.abs(x)
+        assert tv.log_value.real <= real.log_value.real + REL_TOL * scale
+    assert kept >= 6
 
 
 def test_characteristic_function_bound(cir_model, cp_model, ou_model):
