@@ -16,11 +16,14 @@ dispatch.
 
 A ``core`` block names the components that the right-hand side reads; the
 stepper drops the components outside it, quadratures along the core, where
-they leave float range. The first-step rule rates the whole state, which is
-scipy's rule, and with a core also the core alone, and takes the larger
-step, so that a large quadrature does not shrink the first step below what
-the core needs; a run that starts with its quadratures lost rates the core
-alone.
+they leave float range: an attempt whose error norm is not finite is judged
+on the core alone, at no extra attempt, and an accepted state so judged, or
+not finite outside the core, reads NaN in that whole block. The NaN, which
+carries itself forward, is the only record of a drop. The first-step rule
+rates the whole state, which is scipy's rule, and with a core also the core
+alone, and takes the larger step, so that a large quadrature does not
+shrink the first step below what the core needs; a run that starts not
+finite outside the core rates the core alone.
 
 ``step`` keeps scipy's step-size control, which the tests pin step for
 step. ``advance``, the stepping loop, adds Gustafsson's predictive limit
@@ -336,13 +339,8 @@ class DOP853:
     ``rejected`` counts rejected attempts; fun is called once at the start,
     once more without first_step, and 12 times per attempt. As in scipy, an
     rtol below 100 eps is raised to 100 eps. With a ``core`` slice, the
-    stepper loses the components outside it where y0 or fun(t0, y0) is not
-    finite there, where an attempt's error estimate is not finite but is
-    finite with a finite new state on the core (the attempt counts as
-    rejected, and the step starts over), or where an accepted state is not
-    finite there. From then on ``lost`` is True, they read NaN in accepted
-    states and weigh 0 in the error norm; the caller's np.errstate governs
-    numpy's reports on them.
+    components outside it are dropped by the rule above; the caller's
+    np.errstate governs numpy's reports on them.
 
     ``grid`` and ``ys`` are the accepted step ends and their states (the
     last point of a run stopped by an event is the interpolated root), and
@@ -362,9 +360,9 @@ class DOP853:
         self.f = fun(t0, y0)
         index = range(y0.size)
         self._outside = [] if core is None else [i for i in index if i not in index[core]]
-        self.lost = not all(math.isfinite(v[i]) for v in (y0, self.f) for i in self._outside)
         if first_step is None:
-            blocks = (slice(None),) if core is None else (core,) if self.lost else (slice(None), core)
+            finite = all(math.isfinite(v[i]) for v in (y0, self.f) for i in self._outside)
+            blocks = (slice(None),) if core is None else (slice(None), core) if finite else (core,)
             self.h_abs = select_initial_step(fun, t0, y0, t_bound, self.f, self.rtol, atol, blocks)
         elif not 0 < first_step <= abs(t_bound - t0):
             raise ValueError("first_step must be positive and inside the interval")
@@ -376,7 +374,6 @@ class DOP853:
         self._stage_views = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGE_ROWS, start=1)]
         self._KT_B = K[:-1].T
         self._KT = K.T
-        self.core = core
         self.rejected = 0
         self.finished = False
         self.failed = False
@@ -413,7 +410,14 @@ class DOP853:
             h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self._error_norm(h, scale, self.lost)
+            err5 = np.dot(self._KT, E5) / scale
+            err3 = np.dot(self._KT, E3) / scale
+            error_norm = _error_norm(h, err5, err3)
+            if not math.isfinite(error_norm) and self._outside:
+                # Judged on the core alone, and dropped if accepted.
+                err5[self._outside] = err3[self._outside] = 0.0
+                y_new[self._outside] = math.nan
+                error_norm = _error_norm(h, err5, err3)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -428,16 +432,10 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
             self.rejected += 1
-            if not (self.lost or math.isfinite(error_norm)) and self._finite_on_core(h, y_new, scale):
-                self.lost = True
-                return self.step()
-        if not self.lost:
-            for i in self._outside:
-                if not math.isfinite(y_new[i]):
-                    self.lost = True
-                    break
-        if self.lost:
-            y_new[self._outside] = math.nan
+        for i in self._outside:
+            if not math.isfinite(y_new[i]):
+                y_new[self._outside] = math.nan
+                break
         self.t_old, self.t, self.y = t, t_new, y_new
         self.h_abs, self.f, self.error_norm = h_abs, f_new, error_norm
         self.finished = t_new - self.t_bound >= 0
@@ -516,23 +514,6 @@ class DOP853:
         K[-1] = f_new
         return y_new, f_new
 
-    def _error_norm(self, h, scale, lost):
-        err5 = np.dot(self._KT, E5) / scale
-        err3 = np.dot(self._KT, E3) / scale
-        if lost:  # the components outside the core weigh 0
-            err5[self._outside] = err3[self._outside] = 0.0
-        err5_norm_2 = norm(err5) ** 2
-        err3_norm_2 = norm(err3) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
-
-    def _finite_on_core(self, h, y_new, scale):
-        if not self._outside or not np.isfinite(y_new[self.core]).all():
-            return False
-        return math.isfinite(self._error_norm(h, scale, True))
-
     def _coefficients(self, k):
         t_old, t_new, y_new, stages = self._steps[k]
         y_old = self._ys[k]
@@ -546,13 +527,23 @@ class DOP853:
             # and the sums in D @ stages overflow although the coefficients
             # are in range. Such components are recomputed from stages scaled
             # by a power of 2 above their largest; the scaling is exact. A
-            # component that the stepper lost (a NaN increment) reads NaN.
+            # component that the stepper dropped (a NaN increment) reads NaN.
             if not np.isfinite(coefs).all():
                 bad = ~np.isfinite(coefs).all(axis=0)
                 scale = np.ldexp(1.0, np.frexp(np.abs(stages[:, bad]).max(axis=0))[1])
                 coefs[:, bad] = _dense_coefficients(h, delta[bad] / scale, stages[:, bad] / scale) * scale
                 coefs[:, np.isnan(delta)] = math.nan
         return coefs
+
+
+def _error_norm(h, err5, err3):
+    """scipy's error norm of a step of size h from its scaled estimates."""
+    err5_norm_2 = norm(err5) ** 2
+    err3_norm_2 = norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return abs(h) * err5_norm_2 / math.sqrt(denom * err5.size)
 
 
 def _dense_coefficients(h, delta, stages):

@@ -29,6 +29,7 @@ of steps never reshuffles draws that earlier configurations consumed.
 from __future__ import annotations
 
 import cmath
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -66,6 +67,10 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("dt", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not (0.0 < self.dt < np.inf and 0.0 < self.horizon < np.inf):

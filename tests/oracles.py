@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 
 def ray_exp_moment_quadrature(mass, rate, a, tol=1e-12):
@@ -73,6 +74,61 @@ def psi0_quadrature(r0, psi, t, scale=1.0, tol=1e-13):
     value near the float limit does not overflow inside the rule."""
     val, _ = quad(lambda s: r0(psi(s)) / scale, 0.0, t, epsabs=0.0, epsrel=tol, limit=500)
     return val * scale
+
+
+def jump_second_moments(rec, p):
+    """The matrix integral of z z^T against one jump record of the JSON
+    schema: sum w z z^T over weighted points, and 2 mass d d^T / rate^2 on
+    an exponential ray, whose density along s d is mass rate e^(-rate s)."""
+    if rec is None:
+        return np.zeros((p, p))
+    if rec["family"] == "exponential_ray":
+        d = np.array(rec["direction"], dtype=float)
+        return 2.0 * rec["mass"] * np.outer(d, d) / rec["rate"] ** 2
+    if rec["family"] == "finite_atomic":
+        weights, points = [a["weight"] for a in rec["atoms"]], [a["z"] for a in rec["atoms"]]
+    else:
+        weights, points = rec["weights"], rec["nodes"]
+    z = np.array(points, dtype=float).reshape(-1, p)
+    return (np.array(weights, dtype=float)[:, None] * z).T @ z
+
+
+def affine_moments(record, x, t):
+    """E_x X_t and Cov_x X_t of the affine model in a JSON record (the
+    schema of ``modelio``), read from the record alone, by the polynomial
+    property: the generator maps (1, x, x x^T) into their span, so one
+    matrix exponential of that (1 + p + p^2)-square map carries them to t.
+    With b(x) = a^0 + sum_i a^i x_i, c(x) = A^0 + sum_i A^i x_i and
+    K(x, dz) = K^0 + sum_i x_i K^i, compensated by z, the generator sends
+    x_j to b_j(x) and x_j x_k to b_j x_k + b_k x_j + c_jk(x) +
+    int z_j z_k K(x, dz), which is affine in (x, x x^T)."""
+    p = record["dim"]
+    a0 = np.array(record["a0"], dtype=float)
+    a = np.array(record["a"], dtype=float).T  # the record lists the columns a^i
+    rows, cols = np.triu_indices(p)
+    quad_rate = np.zeros((p + 1, p, p))  # c(x) + int z z^T K(x, dz), per x_i
+    for i, tri in enumerate(record["A"]):
+        quad_rate[i, rows, cols] = quad_rate[i, cols, rows] = tri
+    for i, rec in enumerate(record.get("K") or [None] * (p + 1)):
+        quad_rate[i] += jump_second_moments(rec, p)
+    n = 1 + p + p * p
+    lin, sq = 1 + np.arange(p), 1 + p + np.arange(p * p).reshape(p, p)  # slots of x_j, x_j x_k
+    gen = np.zeros((n, n))
+    gen[lin, 0] = a0
+    gen[np.ix_(lin, lin)] = a
+    for j in range(p):
+        for k in range(p):
+            r = sq[j, k]
+            gen[r, lin[k]] += a0[j]
+            gen[r, lin[j]] += a0[k]
+            gen[r, sq[:, k]] += a[j]  # a_jl x_l x_k
+            gen[r, sq[:, j]] += a[k]
+            gen[r, 0] += quad_rate[0, j, k]
+            gen[r, lin] += quad_rate[1:, j, k]
+    x = np.asarray(x, dtype=float)
+    m = expm(gen * t) @ np.concatenate([[1.0], x, np.outer(x, x).ravel()])
+    mean = m[lin]
+    return mean, m[sq] - np.outer(mean, mean)
 
 
 # Closed forms. Derivations:

@@ -234,6 +234,9 @@ def test_non_finite_inputs_exit_2(capsys, models_dir):
         (("solve", "--u", "infj", "--T", "1"), "not finite"),
         (("solve", "--re", "inf", "--T", "1"), None),
         (("transform", "--u", "0.5", "--x", "nan", "--t", "1"), None),
+        (("transform", "--u", "0.5", "--x", "inf", "--t", "1"), None),
+        (("simulate", "--x0", "nan", "--n-paths", "10", "--dt", "0.1", "--T", "1"), None),
+        (("simulate", "--x0", "inf", "--n-paths", "10", "--dt", "0.1", "--T", "1"), None),
         (("solve", "--u", "0.5", "--T", "nan"), None),
         (("explosion", "--u", "0.5", "--t-max", "nan"), None),
         (("ray", "--direction", "1", "--T", "nan"), None),
@@ -263,6 +266,18 @@ def test_solve_refuses_non_finite_u_past_the_parser(capsys, models_dir, monkeypa
         code, out, err = run_cli(capsys, "solve", "--model", model, "--u", u, "--T", "1")
         assert code == 2 and out == ""
         assert "invalid input for 'solve': u must be finite" in err
+
+
+def test_non_finite_state_past_the_parser_exits_2(capsys, models_dir, monkeypatch):
+    # The library's own check of a state, reached when the parser lets a
+    # value by.
+    monkeypatch.setattr("affinejd.cli.parse_real_vector", lambda text: np.array([float(text)]))
+    model = str(models_dir / "ou.json")
+    for argv in (("transform", "--u", "0.5i", "--x", "nan", "--t", "1"),
+                 ("simulate", "--x0", "inf", "--n-paths", "10", "--dt", "0.1", "--T", "1")):
+        code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
+        assert code == 2 and out == ""
+        assert "state entry 0 is" in err and "not a finite number" in err
 
 
 def test_re_im_flags_match_u(capsys, models_dir):

@@ -174,62 +174,59 @@ def quadrature_system(rate):
 
 def lossy_run(fun, t_bound, first_step=None):
     """A run of a quadrature system from (0, 1) with c as the core: the
-    run, the index of the first state whose q is lost (past the last state
-    if none), and per step the step size and the rejected count that the
-    stepper held before it. The stepper's arithmetic on a lost q is the
-    caller's to silence, as solve_riccati does."""
+    run, the index of the first state whose q is dropped, read as NaN (past
+    the last state if none), and per step the step size and the rejected
+    count that the stepper held before it. The stepper's arithmetic on a
+    dropped q is the caller's to silence, as solve_riccati does."""
     y0 = np.array([0.0, 1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         run = integrator.DOP853(fun, 0.0, y0, t_bound, REL_TOL, ABS_TOL, first_step, slice(1, None))
-        lost = 1 if run.lost else None
         before = []
         while not run.finished:
             before.append((run.h_abs, run.rejected))
             assert run.step()
-            if run.lost and lost is None:
-                lost = run.n_steps
     # One call at the start, one for the first-step rule, 12 per attempt.
     assert fun.calls == 1 + (first_step is None) + 12 * (run.n_steps + run.rejected)
     assert run.grid[-1] == t_bound
-    if lost is None:
-        lost = run.grid.size
     q = run.ys[:, 0]
-    assert np.isfinite(q[:lost]).all() and np.isnan(q[lost:]).all()
-    # Inside the steps too, q reads NaN from its loss on, without a
+    drop = int(np.isfinite(q).sum())
+    assert np.isfinite(q[:drop]).all() and np.isnan(q[drop:]).all()
+    # Inside the steps too, q reads NaN from its drop on, without a
     # RuntimeWarning, and the core stays on its closed form.
     mid = 0.5 * (run.grid[1:] + run.grid[:-1])
     inner = np.array([run(x) for x in mid])
-    assert np.isfinite(inner[:lost - 1, 0]).all() and np.isnan(inner[lost - 1:, 0]).all()
+    assert np.isfinite(inner[:drop - 1, 0]).all() and np.isnan(inner[drop - 1:, 0]).all()
     assert np.all(np.abs(run.ys[:, 1] - np.exp(-run.grid)) <= 1e-10)
     assert np.all(np.abs(inner[:, 1] - np.exp(-mid)) <= 1e-10)
-    return run, lost, before
+    return run, drop, before
 
 
 def test_quadrature_lost_in_an_attempt():
     # Near t = 0.087 the stages of q' = e^(700 + 100 t) near the float limit
     # overflow the error estimate, while q and c stay finite. That attempt
-    # is rejected, q is lost, and the step starts over at the size it had.
-    run, lost, before = lossy_run(quadrature_system(lambda t, c: np.exp(700.0 + 100.0 * t)), 1.0, 0.01)
-    h, rejected = before[lost - 1]
-    assert 0.08 < run.grid[lost] < 0.09 and run.grid[lost] == run.grid[lost - 1] + h
-    assert rejected < (before[lost][1] if lost < len(before) else run.rejected)
-    # Up to the loss, q is on its closed form: the step control reads it.
-    t = run.grid[1:lost]
+    # is judged on c alone and accepted at the size the step had, with q
+    # dropped: the drop costs no rejected attempt.
+    run, drop, before = lossy_run(quadrature_system(lambda t, c: np.exp(700.0 + 100.0 * t)), 1.0, 0.01)
+    h, rejected = before[drop - 1]
+    assert 0.08 < run.grid[drop] < 0.09 and run.grid[drop] == run.grid[drop - 1] + h
+    assert rejected == (before[drop][1] if drop < len(before) else run.rejected)
+    # Up to the drop, q is on its closed form: the step control reads it.
+    t = run.grid[1:drop]
     want = (np.exp(700.0 + 100.0 * t) - np.exp(700.0)) / 100.0
-    assert np.all(np.abs(run.ys[1:lost, 0] - want) <= 1e-9 * want)
+    assert np.all(np.abs(run.ys[1:drop, 0] - want) <= 1e-9 * want)
 
 
 def test_quadrature_lost_by_accumulation():
     # q' = 1e307 (2 - c) stays finite, but q = 1e307 (2t - 1 + e^-t) passes
     # the largest float near t = 9: the accepted state that overflows reads
     # NaN, and the run goes on with c alone.
-    run, lost, before = lossy_run(quadrature_system(lambda t, c: 1e307 * (2.0 - c)), 20.0, 0.01)
-    t = run.grid[:lost + 1]
+    run, drop, before = lossy_run(quadrature_system(lambda t, c: 1e307 * (2.0 - c)), 20.0, 0.01)
+    t = run.grid[:drop + 1]
     w = 2.0 * t - 1.0 + np.exp(-t)  # q / 1e307
     limit = np.finfo(float).max / 1e307
-    assert w[lost - 1] < limit < w[lost]
-    assert np.all(np.abs(run.ys[1:lost, 0] / 1e307 - w[1:lost]) <= 1e-9 * w[1:lost])
-    assert run.rejected == before[lost - 1][1]
+    assert w[drop - 1] < limit < w[drop]
+    assert np.all(np.abs(run.ys[1:drop, 0] / 1e307 - w[1:drop]) <= 1e-9 * w[1:drop])
+    assert run.rejected == before[drop - 1][1]
 
 
 def test_quadrature_non_finite_at_t0():
@@ -240,10 +237,10 @@ def test_quadrature_non_finite_at_t0():
     with np.errstate(invalid="ignore"):
         solver = integrator.DOP853(fun, 0.0, y0, 5.0, REL_TOL, ABS_TOL, core=slice(1, None))
         first = integrator.select_initial_step(fun, 0.0, y0, 5.0, fun(0.0, y0), REL_TOL, ABS_TOL, (slice(1, None),))
-    assert solver.lost and solver.h_abs == first
-    run, lost, _ = lossy_run(quadrature_system(lambda t, c: math.inf), 5.0)
+    assert solver.h_abs == first
+    run, drop, _ = lossy_run(quadrature_system(lambda t, c: math.inf), 5.0)
     held, _, _ = lossy_run(quadrature_system(lambda t, c: 0.0), 5.0, first)
-    assert lost == 1 and run.rejected == held.rejected
+    assert drop == 1 and run.rejected == held.rejected
     assert np.array_equal(run.grid, held.grid) and np.array_equal(run.ys[:, 1], held.ys[:, 1])
 
 
@@ -263,7 +260,7 @@ def test_cored_first_step_rates_the_core_too():
     fun.calls = 0
     cored = integrator.DOP853(fun, 0.0, y0, 5.0, REL_TOL, ABS_TOL, core=slice(1, None))
     bare = integrator.DOP853(fun, 0.0, y0, 5.0, REL_TOL, ABS_TOL)
-    assert not cored.lost and cored.h_abs == both and bare.h_abs == whole and fun.calls == 4
+    assert cored.h_abs == both and bare.h_abs == whole and fun.calls == 4
 
 
 def test_norm_is_numpys_bit_for_bit():
@@ -289,7 +286,22 @@ def run_fresh(code):
 
 
 def test_import_path_loads_no_scipy():
-    cir = str(REPO_ROOT / "models" / "cir.json")
+    # The solver, simulation and cone subcommands, the last four on every
+    # admissible bundled model, in one fresh interpreter: none may import
+    # scipy. Per model: a state inside its space and a u inside its dual
+    # cone (None where the space is not a cone).
+    bundled = {"cir": ("1", "-0.5"), "ou": ("0.5", None), "compound_poisson": ("1", "-0.5"),
+               "wishart_2d": ("1,0,1", "-0.5,0,-0.5"), "lorentz": ("2,0,0", "-1,0,0")}
+    calls = [("cir", ["transform", "--u", "0.5+1i", "--x", "1", "--t", "1"]),
+             ("cir", ["solve", "--u", "0.999", "--T", "1"]),
+             ("cir", ["explosion", "--u", "1", "--t-max", "10"])]
+    for name, (x, u) in bundled.items():
+        calls += [(name, ["simulate", "--x0", x, "--n-paths", "8", "--dt", "0.1", "--T", "0.5"]),
+                  (name, ["ray", "--direction", x, "--T", "1"]),
+                  (name, ["validate", "--n-samples", "20"])]
+        if u is not None:
+            calls.append((name, ["cone-check", "--check", "interior", f"--u={u}"]))
+    calls = [(str(REPO_ROOT / "models" / f"{name}.json"), argv) for name, argv in calls]
     out = run_fresh(f"""
         import contextlib, io, sys
 
@@ -300,16 +312,13 @@ def test_import_path_loads_no_scipy():
         print("import affinejd", scipy_modules())
         import affinejd.cli
         print("import affinejd.cli", scipy_modules())
-        for argv in (["transform", "--u", "0.5+1i", "--x", "1", "--t", "1"],
-                     ["solve", "--u", "0.999", "--T", "1"],
-                     ["explosion", "--u", "1", "--t-max", "10"]):
+        for model, argv in {calls!r}:
             with contextlib.redirect_stdout(io.StringIO()):
-                code = affinejd.cli.main([argv[0], "--model", {cir!r}, *argv[1:]])
+                code = affinejd.cli.main([argv[0], "--model", model, *argv[1:]])
             print(argv[0], code, scipy_modules())
     """)
-    lines = out.splitlines()
-    assert lines == ["import affinejd []", "import affinejd.cli []",
-                     "transform 0 []", "solve 0 []", "explosion 0 []"]
+    want = ["import affinejd []", "import affinejd.cli []"] + [f"{argv[0]} 0 []" for _, argv in calls]
+    assert out.splitlines() == want
 
 
 def test_lazy_scipy_imports_work_in_fresh_interpreter():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from affinejd import golden
 from affinejd import model as model_mod
-from affinejd.errors import DimensionMismatch, ModelFormatError
+from affinejd.errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import (
     AffineModel,
@@ -14,7 +15,10 @@ from affinejd.model import (
     exponential_moment_condition,
     in_U,
 )
+from affinejd.riccati import variation_of_constants_residual
+from affinejd.simulate import SimConfig, simulate_paths
 from affinejd.statespace import Canonical, Lorentz, PSDCone
+from affinejd.transform import transform
 
 
 def scalar_model(a0=0.0, a=0.0, A0=0.0, A1=0.0, K=None, space=None):
@@ -237,3 +241,20 @@ def test_admissibility_deterministic(cir_model):
 def test_k_length_validated():
     with pytest.raises(DimensionMismatch):
         scalar_model(K=[None])
+
+
+@pytest.mark.parametrize("name, x", [
+    ("ou", [math.nan]), ("ou", [math.inf]), ("cir", [math.nan]), ("cir", [math.inf]),
+    ("wishart_2d", [math.nan, 0.0, 0.0]), ("wishart_2d", [1.0, math.inf, 1.0]),
+])
+def test_non_finite_states_are_refused(name, x):
+    # contains alone is no guard: eigvalsh reads diag(nan, 0) as [0, -0].
+    model = getattr(golden, name)()
+    y = np.zeros(model.dim)
+    entry = f"state entry {int(np.flatnonzero(~np.isfinite(x))[0])}"
+    for call in (lambda: transform(model, 0.5j * np.ones(model.dim), x, 1.0),
+                 lambda: simulate_paths(model, x, SimConfig(n_paths=4, dt=0.1, horizon=1.0)),
+                 lambda: model_mod.k_eval(model, x, y),
+                 lambda: variation_of_constants_residual(model, y, x, 1.0)):
+        with pytest.raises(StateSpaceMismatch, match=entry):
+            call()

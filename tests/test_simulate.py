@@ -384,6 +384,16 @@ def test_step_and_horizon_must_be_finite_and_positive(dt, horizon):
         SimConfig(n_paths=4, dt=dt, horizon=horizon)
 
 
+@pytest.mark.parametrize("field, value", [("dt", True), ("dt", "0.1"), ("horizon", False), ("horizon", None)])
+def test_step_and_horizon_must_be_real_numbers(field, value):
+    kwargs = dict(n_paths=4, dt=0.1, horizon=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        SimConfig(**kwargs)
+    kwargs[field] = np.float32(0.5)  # numpy floats are real numbers
+    assert getattr(SimConfig(**kwargs), field) == 0.5
+
+
 def test_states_stay_in_space(cir_model, cp_model, wishart_model):
     rng_x0 = {"cir": [0.05], "cp": [0.5], "wishart": [0.4, 0.0, 0.4]}
     for model, x0 in [(cir_model, rng_x0["cir"]), (cp_model, rng_x0["cp"]),
