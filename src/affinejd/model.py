@@ -192,7 +192,7 @@ def _check_u(model, u):
 
 def require_in_space(model, x):
     x = _check_vector(model, x)
-    for i, v in enumerate(x.tolist()):  # a NaN can pass contains
+    for i, v in enumerate(x.tolist()):  # an inf can pass contains
         if not math.isfinite(v):
             raise StateSpaceMismatch(f"state entry {i} is {v}, not a finite number")
     if not model.state_space.contains(x, tol=_SPACE_TOL):

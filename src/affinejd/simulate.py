@@ -5,13 +5,24 @@ The scheme discretizes the semimartingale decomposition
 X = X_0 + drift + diffusion martingale + compensated jumps: each step adds
 b(x) dt minus the jump compensator integral of z K(x,dz) dt, a Gaussian
 increment with covariance c(x) dt (c(x) + 1e-10 I by its Cholesky factor if
-p >= 2, c(x) clipped at 0 if p = 1), and Poisson(K(x,F) dt) jumps drawn
-from the normalized kernel frozen at the left endpoint, followed by
-Euclidean projection onto the state space.
+p >= 2, c(x) clipped at 0 if p = 1), and jumps drawn from the normalized
+kernel frozen at the left endpoint, followed by Euclidean projection onto
+the state space.
+
+A step's jump counts are the arrivals of one unit-rate Poisson process laid
+across the paths of a block: path i owns the segment [edges[i-1], edges[i])
+of edges = cumsum(K(x,F) dt) over the paths, the arrivals are the running
+sum of standard exponentials drawn until it passes edges[-1], and each
+arrival is one jump of the path whose segment holds it. By the restriction
+property of Poisson processes the counts are independent Poisson(K(x_i,F) dt),
+and a step costs one draw per jump, not one per path. The j-th jump of the
+step, in path order, reads the j-th uniform to pick its source and, if
+the source is an exponential ray, the j-th standard exponential for its
+length.
 
 The step skips what the model makes zero or constant, with the same
 results: when every A^i is zero, c(x) = 0 and no normals are drawn; when
-K^1..K^p have zero mass, one Poisson rate serves every path; when the jump
+K^1..K^p have zero mass, the edges are computed once per block; when the jump
 table has no rays and no weight in K^1..K^p, the source weights and their
 cumulative sums are computed once per block instead of once per jump.
 
@@ -22,13 +33,17 @@ the short rows of a state go one column at a time (row_sq_sums), in numpy's
 own order. So the paths are the plain form's, bit for bit.
 
 All randomness comes from counter-based Philox streams keyed by
-(seed, step, path-block, purpose), so enlarging the path count or the number
-of steps never reshuffles draws that earlier configurations consumed.
+(seed, step, path-block, purpose), with four purposes: the normals
+(_NORMALS), the arrival exponentials (_COUNTS), the source uniforms
+(_MARKS) and the ray lengths (_RAY_EXPS). Each is read from its start in
+path order, so enlarging the path count or the number of steps never
+reshuffles draws that earlier configurations consumed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -51,6 +66,8 @@ from .statespace import row_sq_sums
 
 _BLOCK = 4096
 _EIG_FLOOR = -1e-10
+# Stream purposes, the low 3 bits of a stream key's second word.
+_NORMALS, _COUNTS, _MARKS, _RAY_EXPS = 0, 1, 2, 3
 
 
 @dataclass
@@ -189,6 +206,26 @@ def _diffusion_increment(A, states, normals):
     return np.einsum("nij,nj->ni", factor, normals)
 
 
+def _chunk_size(rest):
+    """Exponentials to draw for the arrivals on a stretch of length rest:
+    their mean count, four standard deviations and a few more."""
+    return int(rest + 4.0 * math.sqrt(rest)) + 16
+
+
+def _arrival_rows(gen, edges):
+    """The path of each arrival, in order, of a unit-rate Poisson process on
+    [0, edges[-1]), path i owning [edges[i-1], edges[i]). The arrivals are
+    the running sum of standard exponentials from gen, drawn in chunks until
+    it passes edges[-1]; a chunk's sum starts from the last arrival, so the
+    arrivals are one sequential cumsum whatever the chunk sizes."""
+    total = edges[-1]
+    arrivals = gen.standard_exponential(_chunk_size(total)).cumsum()
+    while arrivals[-1] < total:
+        more = gen.standard_exponential(_chunk_size(total - arrivals[-1]))
+        arrivals = np.concatenate((arrivals, np.concatenate((arrivals[-1:], more)).cumsum()[1:]))
+    return edges.searchsorted(arrivals[: arrivals.searchsorted(total)], side="right")
+
+
 def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     p = model.dim
     # The drift compensated by the mean jump, integral of z K(x, dz), with
@@ -199,9 +236,13 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     drift_lin_t = np.ascontiguousarray((model.a - model.jump_mean[1:].T).T)
     diffusive = model.A.any()
     has_jumps = model.has_jumps
-    # Zero masses of K^1..K^p make the intensity constant; with no rays and
-    # no table weight in K^1..K^p, the source weights are constant too.
-    const_lam = None if model.jump_mass[1:].any() else max(model.jump_mass[0], 0.0) * dt
+    # Zero masses of K^1..K^p make the intensity, and so the paths' segments
+    # of the arrival line, constant; with no rays and no table weight in
+    # K^1..K^p, the source weights are constant too.
+    const_edges = None
+    if has_jumps and not model.jump_mass[1:].any():
+        with np.errstate(over="ignore"):
+            const_edges = np.cumsum(np.full(n_block, max(model.jump_mass[0], 0.0) * dt))
     pick_cum = None
     if has_jumps and not model.jump_rays and not model.jump_coefs[:, 1:].any():
         pick_cum = np.cumsum(np.maximum(model.jump_weights(np.zeros((1, p))), 0.0), axis=1)
@@ -222,26 +263,26 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
         incr += drift0
         incr *= dt
         if diffusive:
-            normals = stream(k, 0).standard_normal((n_block, p))
+            normals = stream(k, _NORMALS).standard_normal((n_block, p))
             diffusion = _diffusion_increment(model.A, states, normals)
             diffusion *= sqrt_dt
             incr += diffusion
         if has_jumps:
-            if const_lam is None:
-                counts = stream(k, 1).poisson(_intensity(model, states) * dt)
-            else:
-                counts = stream(k, 1).poisson(const_lam, n_block)
-            total = int(counts.sum())
+            edges = const_edges
+            if edges is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    edges = np.cumsum(_intensity(model, states) * dt)
+            if not math.isfinite(edges[-1]):
+                raise IntensityInfinite(f"the jump intensity summed over the paths is {edges[-1] / dt:g} "
+                                        f"at step {k}, t = {k * dt:g}")
+            rows = _arrival_rows(stream(k, _COUNTS), edges)
+            total = rows.size
             if total:
-                jump_counts += counts
-                jumped = np.flatnonzero(counts)
-                rows = np.repeat(jumped, counts[jumped])
+                np.add.at(jump_counts, rows, 1)
                 cum = pick_cum
                 if cum is None:
                     cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
-                gen = stream(k, 2)
-                u_sel = gen.random(total)
-                s_exp = gen.standard_exponential(total)
+                u_sel = stream(k, _MARKS).random(total)
                 tot = cum[:, -1]
                 pick = (cum < (u_sel * tot)[:, None]).sum(axis=1)
                 pick = np.minimum(pick, cum.shape[1] - 1)
@@ -249,6 +290,8 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                 is_atom = pick < n_atoms
                 if np.any(is_atom):
                     zvals[is_atom] = model.jump_points[pick[is_atom]]
+                if model.jump_rays:
+                    s_exp = stream(k, _RAY_EXPS).standard_exponential(total)
                 for r, (rate, direction, _) in enumerate(model.jump_rays):
                     sel = pick == n_atoms + r
                     if np.any(sel):

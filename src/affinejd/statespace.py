@@ -8,12 +8,15 @@ half spaces.
 
 Projection and membership are batched over the rows of an ``(n, dim)``
 array: each family implements the signed margin ``_margin_rows`` once, of
-which ``contains`` and ``interior_contains`` are single-row tests, and
+which ``contains`` and ``interior_contains`` are single-row tests (both
+answer False for a point with a NaN entry, in every family), and
 ``project`` is the single-row case of ``project_batch``. One policy,
 ``StateSpace._project_rows``, moves exactly the rows whose margin is
 negative, through the family's ``_project_outside``, and returns every other
 row bit for bit, so ``project`` leaves exactly the points that ``contains``
-accepts at ``tol = 0`` unchanged. ``Canonical`` alone keeps its own clip of
+accepts at ``tol = 0`` unchanged. The policy reads no NaN test, which only
+``contains`` and ``interior_contains`` make, so the Euler step pays nothing
+for it. ``Canonical`` alone keeps its own clip of
 the whole batch, already the identity on members and cheaper than a margin.
 A row's image never depends on the other rows in its batch, so simulations
 stay reproducible when the path count changes.
@@ -112,12 +115,16 @@ class StateSpace:
     self_dual = False
 
     def contains(self, x, tol=1e-9):
-        """Whether x lies in the space up to the tolerance: margin >= -tol."""
-        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] >= -tol)
+        """Whether x lies in the space up to the tolerance: margin >= -tol.
+        A point with a NaN entry lies in no space."""
+        x = self._check_dim(x)
+        return not np.isnan(x).any() and bool(self._margin_rows(x[None, :])[0] >= -tol)
 
     def interior_contains(self, x):
-        """Whether x lies in the interior: margin > 0."""
-        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] > 0.0)
+        """Whether x lies in the interior: margin > 0. A point with a NaN
+        entry lies in no interior."""
+        x = self._check_dim(x)
+        return not np.isnan(x).any() and bool(self._margin_rows(x[None, :])[0] > 0.0)
 
     def _margin_rows(self, xs):
         """Signed membership margin of each row of an ``(n, dim)`` float

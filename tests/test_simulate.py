@@ -5,13 +5,18 @@ import pytest
 
 import oracles
 from affinejd import golden, simulate
-from affinejd.errors import CholeskyFailure, DimensionMismatch, NegativeJumpWeight
+from affinejd.errors import CholeskyFailure, DimensionMismatch, IntensityInfinite, NegativeJumpWeight
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
 from affinejd.modelio import model_hash
 from affinejd.riccati import mean_flow
 from affinejd.simulate import (
+    _COUNTS,
+    _MARKS,
+    _NORMALS,
+    _RAY_EXPS,
     SimConfig,
+    _arrival_rows,
     _complex_mean_se,
     _Streams,
     ensemble_summary_csv,
@@ -80,12 +85,15 @@ def test_mc_transform_trivial(cir_model):
     assert est.n_paths == 64
 
 
-def test_determinism_and_prefix_stability(cir_model, wishart_model, lorentz_model):
+def test_determinism_and_prefix_stability(cir_model, cp_model, wishart_model, lorentz_model):
     # The cone models run project_batch on every step; Wishart paths reach
     # the PSD boundary and noisy Lorentz paths all three Lorentz branches,
-    # so this also pins row independence there.
+    # so this also pins row independence there. The jump models draw
+    # constant and state-dependent counts, atoms and exponential rays.
     for model, x0 in [(cir_model, [1.0]), (wishart_model, [0.4, 0.0, 0.4]),
-                      (lorentz_model, [1.0, 0.0, 0.0]), (noisy_lorentz_model(), [0.1, 0.05, 0.0])]:
+                      (lorentz_model, [1.0, 0.0, 0.0]), (noisy_lorentz_model(), [0.1, 0.05, 0.0]),
+                      (cp_model, [1.0]), (state_dependent_atoms_model(), [1.0]),
+                      (atoms_and_ray_model(), [1.0])]:
         base = SimConfig(n_paths=48, dt=1e-2, horizon=0.5, seed=9)
         e1 = simulate_paths(model, x0, base)
         e2 = simulate_paths(model, x0, base)
@@ -93,9 +101,23 @@ def test_determinism_and_prefix_stability(cir_model, wishart_model, lorentz_mode
         wider = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9)
         e3 = simulate_paths(model, x0, wider)
         assert np.array_equal(e3.states[:48], e1.states)
+        assert np.array_equal(e3.jump_counts[:48], e1.jump_counts)
         threaded = SimConfig(n_paths=80, dt=1e-2, horizon=0.5, seed=9, threads=4)
         e4 = simulate_paths(model, x0, threaded)
         assert np.array_equal(e4.states, e3.states)
+        assert np.array_equal(e4.jump_counts, e3.jump_counts)
+
+
+def test_jump_paths_are_prefix_stable_across_the_block_seam():
+    # 4,096 + 40 paths make two blocks; the 4,096 + 8 prefix ends inside the
+    # second, whose arrival line starts afresh.
+    model = atoms_and_ray_model()
+    wide = simulate_paths(model, [1.0], SimConfig(n_paths=4096 + 40, dt=0.1, horizon=0.5, seed=31, threads=2))
+    for prefix in (4000, 4096 + 8):
+        part = simulate_paths(model, [1.0], SimConfig(n_paths=prefix, dt=0.1, horizon=0.5, seed=31))
+        assert np.array_equal(part.states, wide.states[:prefix])
+        assert np.array_equal(part.jump_counts, wide.jump_counts[:prefix])
+    assert wide.jump_counts[4096:].sum() > 0
 
 
 def test_threaded_blocks_match_serial_across_the_block_boundary(cir_model):
@@ -127,6 +149,17 @@ def reference_diffusion(A, x, normals):
     return np.einsum("nij,nj->ni", v, scaled)
 
 
+def reference_arrival_rows(gen, edges):
+    """The path of each arrival on [0, edges[-1]), path i owning
+    [edges[i-1], edges[i]): standard exponentials drawn one at a time from
+    gen and summed in order until the sum passes edges[-1]."""
+    arrivals, t = [], gen.standard_exponential()
+    while t < edges[-1]:
+        arrivals.append(t)
+        t += gen.standard_exponential()
+    return np.searchsorted(edges, arrivals, side="right")
+
+
 def reference_paths(model, x0, cfg):
     """Final states, jump counts and sup |X|^2 of the Euler step as the
     module docstring states it, with nothing skipped: every step draws the
@@ -144,19 +177,17 @@ def reference_paths(model, x0, cfg):
         sup_sq = np.sum(x**2, axis=1)
         for k in range(n_steps):
             drift = model.a0 - model.jump_mean[0] + x @ (model.a - model.jump_mean[1:].T).T
-            normals = stream(k, 0).standard_normal((n, p))
+            normals = stream(k, _NORMALS).standard_normal((n, p))
             incr = drift * dt + reference_diffusion(model.A, x, normals) * np.sqrt(dt)
             if model.has_jumps:
                 lam = np.maximum(model.jump_mass[0] + x @ model.jump_mass[1:], 0.0)
-                counts = stream(k, 1).poisson(lam * dt)
-                counts_total += counts
-                rows = np.repeat(np.arange(n), counts)
+                rows = reference_arrival_rows(stream(k, _COUNTS), np.cumsum(lam * dt))
+                counts_total += np.bincount(rows, minlength=n)
                 weights = [model.jump_coefs[:, 0] + x[rows] @ model.jump_coefs[:, 1:].T]
                 weights += [(coef[0] + x[rows] @ coef[1:])[:, None] for _, _, coef in model.jump_rays]
                 cum = np.cumsum(np.maximum(np.hstack(weights), 0.0), axis=1)
-                gen = stream(k, 2)
-                u_sel = gen.random(rows.size)
-                s_exp = gen.standard_exponential(rows.size)
+                u_sel = stream(k, _MARKS).random(rows.size)
+                s_exp = stream(k, _RAY_EXPS).standard_exponential(rows.size)
                 pick = np.minimum((cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
                 sources = list(model.jump_points) + [None] * len(model.jump_rays)
                 for j, r in enumerate(rows):
@@ -229,7 +260,7 @@ GOLDEN_PATH_PINS = {
     "parabolic": ((parabolic_model, [0.5, 0.3, -0.2], 64, 0.05, 1.0, 3),
                   ("0x1.47ce659e7b41ep+7", "0x1.0c17192ef2d54p+10", 0)),
     "atoms_and_ray": ((atoms_and_ray_model, [1.0], 256, 0.05, 1.0, 5),
-                      ("0x1.9708fda3420fap+8", "0x1.f6cc8fe539f52p+9", 417)),
+                      ("0x1.8efb20f20e3bcp+8", "0x1.debe439bd3162p+9", 409)),
 }
 
 
@@ -254,9 +285,22 @@ def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model,
     for model, x0 in [(cp_model, [1.0]), (lorentz_model, [1.0, 0.0, 0.0]),
                       (state_dependent_atoms_model(), [1.0])]:
         simulate_paths(model, x0, cfg)
-    assert purposes and 0 not in purposes
+    assert purposes and _NORMALS not in purposes
     simulate_paths(cir_model, [1.0], cfg)
-    assert purposes.count(0) == 5
+    assert purposes.count(_NORMALS) == 5
+
+
+def test_stream_purposes_have_distinct_keys_within_the_purpose_bits():
+    purposes = (_NORMALS, _COUNTS, _MARKS, _RAY_EXPS)
+    assert all(0 <= purpose < 1 << 3 for purpose in purposes)
+    streams = _Streams(7, 2)
+    keys = set()
+    for purpose in purposes:
+        streams(5, purpose)
+        key = streams.bit_gen.state["state"]["key"]
+        assert key[1] >> 3 == (2 << 21) | 5
+        keys.add(tuple(int(word) for word in key))
+    assert len(keys) == len(purposes)
 
 
 def lorentz_branch_counts(monkeypatch, p, x0):
@@ -419,6 +463,79 @@ def test_mc_transform_agrees_with_ode(cir_model):
         est = mc_transform(ens, [u])
         tv = transform(cir_model, [u], [1.0], 1.0)
         assert abs(est.value - tv.value) < 3.0 * est.std_error + 0.02
+
+
+def arrival_counts(edges, n_steps, seed):
+    """Per-path jump counts of n_steps steps, one row per step, drawn by the
+    step's sampler on the paths' segments of the arrival line."""
+    stream = _Streams(seed, 0)
+    return np.stack([np.bincount(_arrival_rows(stream(k, _COUNTS), edges), minlength=edges.size)
+                     for k in range(n_steps)])
+
+
+@pytest.mark.parametrize("case", ["rare", "frequent", "state_dependent"])
+def test_arrival_counts_are_poisson_per_path(case):
+    # Counts of each (step, path) cell against Poisson(lam_i dt): their mean
+    # and variance, and a chi-square on the classes 0, 1 and >= 2.
+    n = 4096
+    if case == "rare":
+        lam_dt, n_steps = np.full(n, 0.0075), 200
+    elif case == "frequent":
+        lam_dt, n_steps = np.full(n, 3.0), 20
+    else:
+        lam_dt, n_steps = np.random.default_rng(5).uniform(0.0, 2.0, n), 40
+        lam_dt[::3] = 0.0
+    counts = arrival_counts(np.cumsum(lam_dt), n_steps, seed=41)
+    lam = np.broadcast_to(lam_dt, counts.shape)
+    assert not counts[:, lam_dt == 0.0].any()
+    cells = counts.size
+    mean_sd = np.sqrt(lam.sum()) / cells
+    assert abs(counts.mean() - lam.mean()) < 4.0 * mean_sd
+    # The square deviations from the known means have mean lam and variance
+    # lam + 2 lam^2 per cell.
+    sq = (counts - lam) ** 2
+    assert abs(sq.mean() - lam.mean()) < 4.0 * np.sqrt((lam + 2.0 * lam**2).sum()) / cells
+    p0, p1 = np.exp(-lam), lam * np.exp(-lam)
+    expected = np.array([p0.sum(), p1.sum(), (1.0 - p0 - p1).sum()])
+    seen = np.array([(counts == 0).sum(), (counts == 1).sum(), (counts >= 2).sum()])
+    assert expected.min() > 20.0
+    assert ((seen - expected) ** 2 / expected).sum() < 13.8  # chi-square(2) at 0.001
+
+
+def test_arrivals_past_the_first_chunk_continue_one_sequential_sum(monkeypatch):
+    # Chunks of one or two exponentials make every step extend its arrivals
+    # many times; the rows and the paths are those of one sequential sum.
+    edges = np.cumsum(np.random.default_rng(8).uniform(0.0, 0.05, 300))
+    model, cfg = atoms_and_ray_model(), SimConfig(n_paths=300, dt=0.05, horizon=0.5, seed=12)
+    default = simulate_paths(model, [1.0], cfg)
+    stream = _Streams(3, 1)
+    chunks = []
+
+    def tiny(rest):
+        chunks.append(rest)
+        return 1 + len(chunks) % 2
+
+    monkeypatch.setattr(simulate, "_chunk_size", tiny)
+    for step in range(5):
+        rows = _arrival_rows(stream(step, _COUNTS), edges)
+        assert np.array_equal(rows, reference_arrival_rows(stream(step, _COUNTS), edges))
+    assert len(chunks) > 20
+    tiny_chunks = simulate_paths(model, [1.0], cfg)
+    assert np.array_equal(tiny_chunks.states, default.states)
+    assert np.array_equal(tiny_chunks.jump_counts, default.jump_counts)
+
+
+@pytest.mark.parametrize("K, dt, x0, where", [
+    # A constant intensity whose sum over the 400 paths passes float range.
+    ([FiniteAtomic([1e306], [[1.0]]), None], 0.5, [1.0], r"step 0, t = 0\b"),
+    # An intensity that grows with the state: zero at x0 = 0, inf one step on;
+    # the tiny atom keeps the compensated drift in float range.
+    ([None, FiniteAtomic([1e160], [[1e-150]])], 0.1, [0.0], r"step 1, t = 0\.1\b"),
+])
+def test_total_intensity_past_float_range_refused(K, dt, x0, where):
+    model = scalar_model(a0=1e150, K=K)
+    with pytest.raises(IntensityInfinite, match=r"jump intensity summed over the paths is inf at " + where):
+        simulate_paths(model, x0, SimConfig(n_paths=400, dt=dt, horizon=0.5, seed=1))
 
 
 def test_jump_counts_match_compensator(cp_model):

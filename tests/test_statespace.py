@@ -75,6 +75,20 @@ def test_interior_implies_membership(space):
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_a_point_with_a_nan_entry_lies_nowhere(space):
+    # From an interior point, the origin and the all-NaN point, a NaN in any
+    # entry: PSDCone(2) once read [nan, 0, 0] as a member and Canonical(0, 1)
+    # [nan] as an interior point.
+    rng = np.random.default_rng(6)
+    inner = next(x for x in rng.normal(size=(1000, space.dim)) if space.interior_contains(x))
+    for base in (inner, np.zeros(space.dim), np.full(space.dim, np.nan)):
+        for i in range(space.dim):
+            x = base.copy()
+            x[i] = np.nan
+            assert not space.contains(x, tol=1e300) and not space.interior_contains(x), x
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
 def test_projection_optimality(space):
     # Variational inequality: (x - Px) . (y - Px) <= 0 for y in the set.
     rng = np.random.default_rng(4)
