@@ -13,6 +13,7 @@ from .errors import (
     ModelFormatError,
     NegativeJumpWeight,
     NonFiniteRHS,
+    PathOverflow,
     StateSpaceMismatch,
     StepLimitExceeded,
     UnsupportedFamily,

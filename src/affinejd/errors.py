@@ -47,7 +47,13 @@ class ExplosionBeforeHorizon(AffineError):
 
 
 class IntensityInfinite(AffineError):
-    """The total jump intensity is not a finite number."""
+    """The total jump intensity is not a finite number, or is too large to
+    draw: an Euler step refuses more than 2**22 expected jumps per block of
+    paths."""
+
+
+class PathOverflow(AffineError):
+    """An Euler step carried the state of a path out of float range."""
 
 
 class NegativeJumpWeight(AffineError, ValueError):

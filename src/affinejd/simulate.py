@@ -18,13 +18,20 @@ property of Poisson processes the counts are independent Poisson(K(x_i,F) dt),
 and a step costs one draw per jump, not one per path. The j-th jump of the
 step, in path order, reads the j-th uniform to pick its source and, if
 the source is an exponential ray, the j-th standard exponential for its
-length.
+length. The jumps are one gather from a table of marks built once per
+block, in the column order of the jump weights: each weighted point, then
+each ray's unit direction, whose rows the gather scales by their lengths.
+
+A step refuses, before any draw, a total intensity whose expected arrivals
+edges[-1] pass 2**22 on a block, infinite or not (IntensityInfinite), and,
+before the projection that could map it back into E, a state that leaves
+float range (PathOverflow). Otherwise a sum or a square past float range
+reads inf without a warning, as sup |X|^2 does past 1e308.
 
 The step skips what the model makes zero or constant, with the same
 results: when every A^i is zero, c(x) = 0 and no normals are drawn; when
-K^1..K^p have zero mass, the edges are computed once per block; when the jump
-table has no rays and no weight in K^1..K^p, the source weights and their
-cumulative sums are computed once per block instead of once per jump.
+K^1..K^p have zero mass, K(x, dz) = K^0(dz), and both the edges and the
+cumulative source weights are computed once per block.
 
 The step works in place: the drift, the diffusion increment and
 x + increment are written into arrays the step owns, with operands of + and
@@ -58,6 +65,7 @@ from .errors import (
     ExplosionBeforeHorizon,
     IntensityInfinite,
     NegativeJumpWeight,
+    PathOverflow,
 )
 from .model import AffineModel, require_in_space
 from .modelio import model_hash
@@ -66,6 +74,9 @@ from .statespace import row_sq_sums
 
 _BLOCK = 4096
 _EIG_FLOOR = -1e-10
+# The most expected arrivals, edges[-1], that a block's step draws: about
+# 100 MB of exponentials, rows and source weights.
+_MAX_ARRIVALS = 2**22
 # Stream purposes, the low 3 bits of a stream key's second word.
 _NORMALS, _COUNTS, _MARKS, _RAY_EXPS = 0, 1, 2, 3
 
@@ -236,17 +247,18 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     drift_lin_t = np.ascontiguousarray((model.a - model.jump_mean[1:].T).T)
     diffusive = model.A.any()
     has_jumps = model.has_jumps
-    # Zero masses of K^1..K^p make the intensity, and so the paths' segments
-    # of the arrival line, constant; with no rays and no table weight in
-    # K^1..K^p, the source weights are constant too.
-    const_edges = None
+    # Weights are nonnegative (_check_drawable), so zero masses of K^1..K^p
+    # zero every weight there: K(x, dz) = K^0(dz), and both the paths'
+    # segments of the arrival line and the source weights are constant.
+    const_edges = pick_cum = None
     if has_jumps and not model.jump_mass[1:].any():
-        with np.errstate(over="ignore"):
-            const_edges = np.cumsum(np.full(n_block, max(model.jump_mass[0], 0.0) * dt))
-    pick_cum = None
-    if has_jumps and not model.jump_rays and not model.jump_coefs[:, 1:].any():
-        pick_cum = np.cumsum(np.maximum(model.jump_weights(np.zeros((1, p))), 0.0), axis=1)
+        const_edges = np.cumsum(np.full(n_block, model.jump_mass[0] * dt))
+        pick_cum = np.cumsum(model.jump_weights(np.zeros((1, p))), axis=1)
+    # One mark per column of jump_weights: each weighted point, then each
+    # ray's unit direction, which a drawn jump scales by its Exp/rate length.
     n_atoms = model.jump_points.shape[0]
+    marks = np.vstack([model.jump_points] + [direction for _, direction, _ in model.jump_rays])
+    rates = np.array([rate for rate, _, _ in model.jump_rays])
     states = np.tile(x0, (n_block, 1))
     rec = np.empty((n_block, len(record_idx), p))
     slot = {idx: r for r, idx in enumerate(record_idx)}
@@ -257,6 +269,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     sqrt_dt = np.sqrt(dt)
     stream = _Streams(cfg.seed, block)
     incr = np.empty((n_block, p))
+    flat = incr.ravel()  # a view of incr, for the overflow check
 
     for k in range(n_steps):
         np.dot(states, drift_lin_t, out=incr)
@@ -270,11 +283,11 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
         if has_jumps:
             edges = const_edges
             if edges is None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    edges = np.cumsum(_intensity(model, states) * dt)
-            if not math.isfinite(edges[-1]):
-                raise IntensityInfinite(f"the jump intensity summed over the paths is {edges[-1] / dt:g} "
-                                        f"at step {k}, t = {k * dt:g}")
+                edges = np.cumsum(_intensity(model, states) * dt)
+            # One rule, before any draw, for a total too large or not finite.
+            if not edges[-1] <= _MAX_ARRIVALS:
+                raise IntensityInfinite(f"the jump intensity summed over the paths is {edges[-1] / dt:g} at step {k}, "
+                                        f"t = {k * dt:g}, past {_MAX_ARRIVALS} expected jumps in one step")
             rows = _arrival_rows(stream(k, _COUNTS), edges)
             total = rows.size
             if total:
@@ -283,21 +296,21 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                 if cum is None:
                     cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
                 u_sel = stream(k, _MARKS).random(total)
-                tot = cum[:, -1]
-                pick = (cum < (u_sel * tot)[:, None]).sum(axis=1)
+                pick = (cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1)
                 pick = np.minimum(pick, cum.shape[1] - 1)
-                zvals = np.zeros((total, p))
-                is_atom = pick < n_atoms
-                if np.any(is_atom):
-                    zvals[is_atom] = model.jump_points[pick[is_atom]]
-                if model.jump_rays:
+                z = marks[pick]
+                if rates.size:
+                    ray = pick >= n_atoms
                     s_exp = stream(k, _RAY_EXPS).standard_exponential(total)
-                for r, (rate, direction, _) in enumerate(model.jump_rays):
-                    sel = pick == n_atoms + r
-                    if np.any(sel):
-                        zvals[sel] = (s_exp[sel] / rate)[:, None] * direction[None, :]
-                np.add.at(incr, rows, zvals)
+                    z[ray] *= (s_exp[ray] / rates[pick[ray] - n_atoms])[:, None]
+                np.add.at(incr, rows, z)
         incr += states
+        # Before the projection, which may map a non-finite row into E (as
+        # Lorentz maps (-inf, 0, 0) to 0). A dot product is the cheapest
+        # reduction that every non-finite entry spoils; only states whose
+        # squares sum past float range take the exact test.
+        if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+            raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
         # project_batch returns a new array, so incr is free for the next step.
         states = model.state_space.project_batch(incr)
         np.maximum(sup_sq, row_sq_sums(states), out=sup_sq)
@@ -337,7 +350,10 @@ def simulate_paths(model, x0, cfg: SimConfig):
 
     def run(block_spec):
         b, nb = block_spec
-        return _simulate_block(model, x0, cfg, dt, n_steps, record_idx, b, nb)
+        # A sum or a square past float range reads inf, the honest value;
+        # the step refuses it where it would reach a state or a draw.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _simulate_block(model, x0, cfg, dt, n_steps, record_idx, b, nb)
 
     if cfg.threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

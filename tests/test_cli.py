@@ -530,6 +530,28 @@ def test_numeric_failure_exits_1(capsys, tmp_path):
     assert "solve" in err and "DivergentIntegral" in err
 
 
+def test_step_limit_exits_1(capsys, models_dir, monkeypatch):
+    from affinejd import riccati
+
+    monkeypatch.setattr(riccati, "MAX_STEPS", 2)
+    code, out, err = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"), "--u", "0.5", "--T", "1")
+    assert code == 1 and out == ""
+    assert "numeric failure in 'solve' (StepLimitExceeded)" in err
+
+
+def test_state_past_float_range_exits_1(capsys, tmp_path):
+    from affinejd.model import AffineModel
+    from affinejd.modelio import save_model
+    from affinejd.statespace import Canonical
+
+    path = tmp_path / "overflow.json"
+    save_model(AffineModel(a0=[1e308], a=[[0.0]], A=[[[0.0]], [[0.0]]], K=None, state_space=Canonical(1, 1)), path)
+    code, _, err = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0", "--n-paths", "4",
+                           "--dt", "1", "--T", "3")
+    assert code == 1
+    assert "numeric failure in 'simulate' (PathOverflow)" in err
+
+
 def test_missing_required_flag_exits_2(capsys, models_dir):
     code, _, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"), "--T", "1")
     assert code == 2

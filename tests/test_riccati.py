@@ -17,6 +17,7 @@ from affinejd.errors import (
     ExplosionBeforeHorizon,
     NonFiniteRHS,
     QuadratureTailWarning,
+    StepLimitExceeded,
 )
 from affinejd.integrator import DOP853, ROOT_TOL, select_initial_step
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
@@ -413,6 +414,16 @@ def test_nan_times_are_refused_by_name(cir_model):
     ):
         with pytest.raises(ValueError, match="t must be positive"):
             call()
+
+
+def test_step_budget_is_enforced(cir_model, monkeypatch):
+    # CIR at u = 0.5 to T = 1 takes several DOP853 steps; a budget of two
+    # ends the solve, and the ray records the error as a probe's verdict.
+    monkeypatch.setattr(riccati, "MAX_STEPS", 2)
+    with pytest.raises(StepLimitExceeded, match=r"^exceeded 2 steps at t="):
+        solve_riccati(cir_model, [0.5], 1.0)
+    ray = effective_domain_ray(cir_model, [1.0], 0.7)
+    assert ray.probes[0] == (1.0, None, "StepLimitExceeded")
 
 
 def test_infinite_times_are_refused_by_name(cir_model):

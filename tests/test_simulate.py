@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from affinejd import golden, simulate
-from affinejd.errors import CholeskyFailure, DimensionMismatch, IntensityInfinite, NegativeJumpWeight
+from affinejd.errors import CholeskyFailure, DimensionMismatch, IntensityInfinite, NegativeJumpWeight, PathOverflow
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
 from affinejd.modelio import model_hash
@@ -213,6 +213,20 @@ def atoms_and_ray_model():
                         K=[FiniteAtomic([0.5, 0.25], [[0.4], [0.8]]), ExponentialRay(0.7, 3.0, [1.0])])
 
 
+def ray_in_k0_model():
+    """CIR diffusion and an exponential ray in K^0 alone: a constant kernel
+    with a ray."""
+    return scalar_model(a0=0.5, a=-0.4, A1=0.3, K=[ExponentialRay(0.8, 3.0, [1.0]), None])
+
+
+def lorentz_ray_model():
+    """noisy_lorentz_model's drift and diffusion on Lorentz(3), with an atom
+    in K^0 and an exponential ray in K^1, whose weight grows with x_1."""
+    base = noisy_lorentz_model()
+    K = [FiniteAtomic([0.5], [[0.3, 0.1, 0.0]]), ExponentialRay(0.8, 2.5, [0.8, 0.0, 0.6]), None, None]
+    return AffineModel(a0=base.a0, a=base.a, A=base.A, K=K, state_space=Lorentz(3))
+
+
 REFERENCE_CASES = {
     "cir": (golden.cir, [1.0]),
     "ou": (golden.ou, [0.5]),
@@ -221,6 +235,8 @@ REFERENCE_CASES = {
     "lorentz_drift": (golden.lorentz_drift, [1.0, 0.2, -0.1]),
     "state_dependent_atoms": (state_dependent_atoms_model, [1.0]),
     "atoms_and_ray": (atoms_and_ray_model, [1.0]),
+    "ray_in_k0": (ray_in_k0_model, [1.0]),
+    "lorentz_ray": (lorentz_ray_model, [1.0, 0.2, -0.1]),
 }
 
 
@@ -536,6 +552,67 @@ def test_total_intensity_past_float_range_refused(K, dt, x0, where):
     model = scalar_model(a0=1e150, K=K)
     with pytest.raises(IntensityInfinite, match=r"jump intensity summed over the paths is inf at " + where):
         simulate_paths(model, x0, SimConfig(n_paths=400, dt=dt, horizon=0.5, seed=1))
+
+
+@pytest.mark.parametrize("mass, n_paths, where", [
+    # Sums past 2**22 expected arrivals, finite and not: numpy would refuse
+    # the first draw's size, and allocate 298 GiB for the second.
+    (1e306, 400, r"is inf at step 0, t = 0\b"),
+    (1e11, 4, r"is 4e\+11 at step 0, t = 0\b"),
+])
+def test_total_intensity_too_large_to_draw_refused(monkeypatch, mass, n_paths, where):
+    def no_draw(gen, edges):
+        raise AssertionError("arrivals drawn")
+
+    monkeypatch.setattr(simulate, "_arrival_rows", no_draw)
+    model = scalar_model(a0=1.0, K=[FiniteAtomic([mass], [[1e-12]]), None])
+    with pytest.raises(IntensityInfinite, match=r"jump intensity summed over the paths " + where):
+        simulate_paths(model, [1.0], SimConfig(n_paths=n_paths, dt=0.1, horizon=0.5, seed=1))
+
+
+def test_arrival_budget_admits_its_bound(monkeypatch):
+    # 10 paths of intensity w at dt = 0.1 expect w arrivals per step.
+    monkeypatch.setattr(simulate, "_MAX_ARRIVALS", 8)
+    cfg = SimConfig(n_paths=10, dt=0.1, horizon=0.5, seed=1)
+    simulate_paths(scalar_model(a0=1.0, K=[FiniteAtomic([8.0], [[0.1]]), None]), [1.0], cfg)
+    with pytest.raises(IntensityInfinite, match=r"is 85 at step 0, t = 0, past 8 expected jumps"):
+        simulate_paths(scalar_model(a0=1.0, K=[FiniteAtomic([8.5], [[0.1]]), None]), [1.0], cfg)
+
+
+def test_intensity_overflow_is_refused_without_a_warning():
+    # The state reaches 1e299 after one step; its square and its intensity
+    # then pass float range, which the step reads as inf and refuses.
+    model = scalar_model(a0=1e300, K=[None, FiniteAtomic([1e10], [[1.0]])])
+    with pytest.raises(IntensityInfinite, match=r"is inf at step 1, t = 0\.1\b"):
+        simulate_paths(model, [0.0], SimConfig(n_paths=4, dt=0.1, horizon=0.5, seed=1))
+
+
+def test_sup_sq_past_float_range_reads_inf_without_a_warning():
+    ens = simulate_paths(scalar_model(a0=1e200), [0.0], SimConfig(n_paths=4, dt=0.1, horizon=0.5, seed=1))
+    assert np.isfinite(ens.final_states).all() and ens.final_states[0, 0] > 1e154
+    assert np.all(ens.sup_sq == np.inf)
+
+
+def lorentz_collapse_model():
+    """Drift -1e308 x on Lorentz(3): from (2, 0, 0) one step of length 1
+    reaches (-inf, 0, 0), which the projection maps to the apex 0."""
+    return AffineModel(a0=np.zeros(3), a=-1e308 * np.eye(3), A=np.zeros((4, 3, 3)), K=None,
+                       state_space=Lorentz(3))
+
+
+@pytest.mark.parametrize("build, x0, where", [
+    (lambda: scalar_model(a0=1e308), [0.0], r"step 1, t = 1\b"),
+    (lorentz_collapse_model, [2.0, 0.0, 0.0], r"step 0, t = 0\b"),
+])
+def test_state_past_float_range_refused(build, x0, where):
+    with pytest.raises(PathOverflow, match=r"leaves float range at " + where):
+        simulate_paths(build(), x0, SimConfig(n_paths=4, dt=1.0, horizon=3.0, seed=1))
+
+
+def test_the_projection_hides_an_infinite_row():
+    # Why the step tests the state before its projection.
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(Lorentz(3).project_batch(np.array([[-np.inf, 0.0, 0.0]])), np.zeros((1, 3)))
 
 
 def test_jump_counts_match_compensator(cp_model):
