@@ -286,8 +286,8 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                 edges = np.cumsum(_intensity(model, states) * dt)
             # One rule, before any draw, for a total too large or not finite.
             if not edges[-1] <= _MAX_ARRIVALS:
-                raise IntensityInfinite(f"the jump intensity summed over the paths is {edges[-1] / dt:g} at step {k}, "
-                                        f"t = {k * dt:g}, past {_MAX_ARRIVALS} expected jumps in one step")
+                raise IntensityInfinite(f"the jump intensity summed over the paths expects {edges[-1]:g} jumps "
+                                        f"at step {k}, t = {k * dt:g}, past {_MAX_ARRIVALS} in one step")
             rows = _arrival_rows(stream(k, _COUNTS), edges)
             total = rows.size
             if total:

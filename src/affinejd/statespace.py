@@ -18,6 +18,13 @@ accepts at ``tol = 0`` unchanged. The policy reads no NaN test, which only
 ``contains`` and ``interior_contains`` make, so the Euler step pays nothing
 for it. ``Canonical`` alone keeps its own clip of
 the whole batch, already the identity on members and cheaper than a margin.
+The ``PSDCone`` margin is the smallest eigenvalue: for d = 2 in closed form,
+a/2 + c/2 - hypot(a/2 - c/2, s/sqrt(2)) of a row (a, s, c), which squares
+nothing, and by LAPACK's eigvalsh for every other d; its projection clips
+the spectrum, in closed form for d = 2 and by eigh otherwise. A PSD row with an
+entry of magnitude 2^1000 or more, where the clip's sums could leave float
+range, is read on its row scaled by a power of 2, which is exact, and every
+other row as it is.
 A row's image never depends on the other rows in its batch, so simulations
 stay reproducible when the path count changes.
 """
@@ -80,6 +87,28 @@ def _scaled(rows):
         np.maximum(big, col, out=big, where=col < np.inf)
     k = np.frexp(big)[1]
     return np.ldexp(rows, -k[:, None]), k
+
+
+# Below it, the sums and products of PSDCone's margin and projection, at
+# most a few sqrt(d(d+1)/2) times the largest entry, stay in float range.
+_ENTRY_BIG = 2.0**1000
+
+
+def _read_scaled(f, xs):
+    """f(xs) for a map f of the rows of an ``(n, w)`` array that reads each
+    row alone and is homogeneous of degree 1 in it. A row with an entry of
+    magnitude _ENTRY_BIG or more, or a non-finite one, is read on its
+    _scaled row and its image multiplied back by 2^k, so that f's sums and
+    products stay in float range; every other row is read as it is, bit for
+    bit. One test of the whole batch decides whether any row needs it."""
+    if np.abs(xs).max(initial=0.0) < _ENTRY_BIG:
+        return f(xs)
+    odd = np.flatnonzero(~(np.abs(xs).max(axis=1) < _ENTRY_BIG))
+    xs, k = xs.copy(), np.zeros(xs.shape[0], dtype=int)
+    xs[odd], k[odd] = _scaled(xs[odd])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # .T puts the rows on the last axis of a 1-d or 2-d image.
+        return np.ldexp(f(xs).T, k).T
 
 
 def vech(mat):
@@ -148,7 +177,7 @@ class StateSpace:
         new array: the rows whose margin is negative go through
         ``_project_outside``, and every other row is copied bit for bit."""
         out = xs.copy()
-        rows = np.flatnonzero(self._margin_rows(xs) < 0.0)
+        rows = (self._margin_rows(xs) < 0.0).nonzero()[0]
         if rows.size:
             out[rows] = self._project_outside(xs[rows])
         return out
@@ -238,7 +267,10 @@ class Canonical(StateSpace):
 class PSDCone(StateSpace):
     """Positive semidefinite d x d matrices in scaled half-vectorized
     coordinates (off-diagonals carry a sqrt(2) factor), so Euclidean
-    geometry on the coordinates matches Frobenius geometry on matrices."""
+    geometry on the coordinates matches Frobenius geometry on matrices.
+    The margin is the smallest eigenvalue and the projection clips the
+    spectrum at 0: for d = 2 in closed form, for other d by LAPACK. Both
+    read a row at the ends of float range through _read_scaled."""
 
     kind = "psd_cone"
     self_dual = True
@@ -250,10 +282,16 @@ class PSDCone(StateSpace):
         self.dim = self.d * (self.d + 1) // 2
 
     def _margin_rows(self, xs):
+        return _read_scaled(_psd2_margin if self.d == 2 else self._eig_margin, xs)
+
+    def _project_outside(self, ys):
+        return _read_scaled(_psd2_image if self.d == 2 else self._eig_image, ys)
+
+    def _eig_margin(self, xs):
         # The smallest eigenvalue; eigvalsh sorts them ascending.
         return np.linalg.eigvalsh(unvech(xs, self.d))[:, 0]
 
-    def _project_outside(self, ys):
+    def _eig_image(self, ys):
         # Clip the spectrum, V max(W, 0) V^T. Which rows move is decided by
         # the eigvalsh margin, not by eigh: the two can differ in sign on
         # rank-deficient matrices, and members must come back bit for bit.
@@ -267,6 +305,47 @@ class PSDCone(StateSpace):
 
     def to_dict(self):
         return {"kind": self.kind, "d": self.d}
+
+
+# A row (a, s, c) = vech([[a, b], [b, c]]) divided by these reads
+# (a/2, b, c/2), with b = s / sqrt(2) as unvech reads it.
+_PSD2_DIVISORS = np.array([2.0, _SQRT2, 2.0])
+_SUBNORMAL_MIN = np.nextafter(0.0, 1.0)
+
+
+def _psd2_parts(xs):
+    """m = a/2 + c/2, delta = a/2 - c/2 and h = hypot(delta, b) of the rows
+    of an ``(n, 3)`` array: [[a, b], [b, c]] has the eigenvalues m - h and
+    m + h. Nothing is squared: |m|, |delta| <= max|entry| and
+    h <= 1.23 max|entry|, so below _ENTRY_BIG neither these nor m + h, 2h
+    and h + delta leave float range."""
+    q = xs / _PSD2_DIVISORS
+    m = q[:, 0] + q[:, 2]
+    delta = q[:, 0] - q[:, 2]
+    return m, delta, np.hypot(delta, q[:, 1])
+
+
+def _psd2_margin(xs):
+    m, _, h = _psd2_parts(xs)
+    return np.subtract(m, h, out=m)
+
+
+def _psd2_image(ys):
+    # lambda_max P, with P = (M - lambda_min I) / (2h) the spectral projector
+    # of lambda_max = m + h: r (h + delta, s, h - delta), r = lambda_max / (2h).
+    # A polar row, lambda_max <= 0, has r = 0. An outside row with h = 0 is
+    # m I with m < 0, a polar row, where the smallest subnormal stands in for
+    # 2h so that no 0/0 is formed; where h > 0, 2h is at least twice that and
+    # keeps its value.
+    m, delta, h = _psd2_parts(ys)
+    r = np.maximum(np.add(m, h, out=m), 0.0, out=m)
+    r /= np.maximum(h + h, _SUBNORMAL_MIN)
+    out = np.empty_like(ys)
+    np.add(h, delta, out=out[:, 0])
+    out[:, 1] = ys[:, 1]
+    np.subtract(h, delta, out=out[:, 2])
+    out *= r[:, None]
+    return out
 
 
 class Lorentz(StateSpace):

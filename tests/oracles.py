@@ -282,6 +282,44 @@ def lorentz_projection_decimal(x, digits=60):
         return np.array([float(a)] + [float(a * v / norm) for v in tail])
 
 
+def _psd2_spectrum_decimal(x):
+    """The entries of X = [[a, b], [b, c]] for a row x = (a, s, c) =
+    (X_11, sqrt(2) X_12, X_22), and its eigenvalues l1 <= l2, in decimal at
+    the caller's precision: l1, l2 = m -+ h with m = (a + c) / 2 and
+    h = sqrt(((a - c) / 2)^2 + b^2), the roots of the characteristic
+    polynomial l^2 - (a + c) l + ac - b^2."""
+    a, s, c = (Decimal(float(v)) for v in x)
+    b = s / Decimal(2).sqrt()
+    m, h = (a + c) / 2, (((a - c) / 2) ** 2 + b * b).sqrt()
+    return a, b, c, m - h, m + h
+
+
+def psd2_min_eigenvalue_decimal(x, digits=60):
+    """The smallest eigenvalue of the 2x2 symmetric matrix whose scaled
+    half-vectorization is x, in decimal arithmetic, rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return float(_psd2_spectrum_decimal(x)[3])
+
+
+def psd2_projection_decimal(x, digits=60):
+    """Euclidean projection of x = (X_11, sqrt(2) X_12, X_22) onto the
+    positive semidefinite 2x2 matrices in decimal arithmetic, whose exponent
+    range no float square leaves: the spectrum of X clipped at 0. That is x
+    itself if l1 >= 0, 0 if l2 <= 0, and otherwise l2 P, where
+    P = (X - l1 I) / (l2 - l1) projects onto the eigenvector of l2, since
+    (X - l1 I)(X - l2 I) = 0 by Cayley-Hamilton."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, b, c, l1, l2 = _psd2_spectrum_decimal(x)
+        if l1 >= 0:
+            return np.array(x, dtype=float)
+        if l2 <= 0:
+            return np.zeros(3)
+        r = l2 / (l2 - l1)
+        return np.array([float(r * (a - l1)), float(r * b * Decimal(2).sqrt()), float(r * (c - l1))])
+
+
 def parabolic_projection_decimal(x, digits=60):
     """Euclidean projection onto {y : y_1 >= |y_bar|^2} in decimal
     arithmetic. For x outside, the KKT conditions of min |y - x|^2 with the

@@ -267,12 +267,34 @@ HUGE_ROWS = [
     # Products in range, but a start so far above the root that Newton
     # would need more than 100 steps.
     (Parabolic(2), [6.75746451e161, 2.33784826e84]),
+    # Eigenvalues, or the spectral clip's sums, past the largest float; the
+    # PSDCone(3) rows have a zero last row and column.
+    (PSDCone(2), [-1.7e308, 1e308, 1.7e308]),
+    (PSDCone(2), [1e300, -1.7e308, -1e308]),
+    (PSDCone(2), [-1.7e308, 0.0, -1.7e308]),
+    (PSDCone(2), [1e200, 1.7e308, 1e200]),
+    (PSDCone(2), [-1e-300, 1.7e308, 0.0]),
+    (PSDCone(3), [-1.7e308, 1e308, 0.0, 1.7e308, 0.0, 0.0]),
+    (PSDCone(3), [1e300, -1.7e308, 0.0, -1e308, 0.0, 0.0]),
+    (PSDCone(3), [1e200, 1.7e308, 0.0, 1e200, 0.0, 0.0]),
 ]
 
 
+def _psd_projection_decimal(x):
+    """The decimal 2x2 projection, embedded for a 3x3 row whose last row and
+    column are zero: such a matrix projects as its leading 2x2 block."""
+    if len(x) == 3:
+        return oracles.psd2_projection_decimal(x)
+    x = np.asarray(x, dtype=float)
+    assert len(x) == 6 and not x[[2, 4, 5]].any()
+    y = np.zeros(6)
+    y[[0, 1, 3]] = oracles.psd2_projection_decimal(x[[0, 1, 3]])
+    return y
+
+
 def _decimal_projection(space, xs):
-    oracle = (oracles.lorentz_projection_decimal if isinstance(space, Lorentz)
-              else oracles.parabolic_projection_decimal)
+    oracle = {Lorentz: oracles.lorentz_projection_decimal, Parabolic: oracles.parabolic_projection_decimal,
+              PSDCone: _psd_projection_decimal}[type(space)]
     return np.array([oracle(x) for x in xs])
 
 
@@ -285,7 +307,9 @@ def _assert_projected(space, xs, ys):
 def test_huge_rows_are_projected_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for space, member in ((Lorentz(3), [5e155, 4e155, 0.0]), (Parabolic(2), [1.7e308, 1.3e154])):
+        for space, member in ((Lorentz(3), [5e155, 4e155, 0.0]), (Parabolic(2), [1.7e308, 1.3e154]),
+                              (PSDCone(2), [1.7e308, -1.7e308, 1.7e308]),
+                              (PSDCone(3), [1.7e308, 1e308, 0.0, 1.7e308, 0.0, 1e308])):
             member = np.array(member)
             assert space.contains(member, tol=0.0) and space.interior_contains(member)
             assert space.project(member).tobytes() == member.tobytes()
@@ -299,6 +323,41 @@ def test_huge_rows_are_projected_without_warnings():
         assert y[0] == np.inf and np.array_equal(y, oracles.lorentz_projection_decimal(x))
         assert Lorentz(20).contains(y, tol=0.0) and Lorentz(20).interior_contains(y)
         assert Lorentz(20).project(y).tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("space", [PSDCone(2), PSDCone(3)], ids=repr)
+def test_a_huge_row_changes_no_other_row(space):
+    # A row past float range's end is read on its scaled row; the rows that
+    # share its batch are read as they are, bit for bit.
+    rng = np.random.default_rng(29)
+    xs = rng.normal(size=(64, space.dim)) * 3.0
+    huge = next(np.array(x) for s, x in HUGE_ROWS if s == space)
+    mixed = np.vstack([xs[:32], huge, xs[32:]])
+    margin, image = space._margin_rows(mixed), space.project_batch(mixed)
+    assert margin.tobytes() == np.insert(space._margin_rows(xs), 32, space._margin_rows(huge[None, :])).tobytes()
+    assert image.tobytes() == np.insert(space.project_batch(xs), 32, space.project(huge), axis=0).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-315, 1e-300, 1.0, 1e300])
+def test_psd2_closed_form_meets_the_decimal_oracle(scale):
+    # Generic rows, and nearly diagonal ones whose off-diagonal entry is 1e-9
+    # or 1e-3 of the diagonal, where h - delta cancels. The image lies within
+    # a few ulps of the row's largest |entry| of the decimal projection, and
+    # the margin has the sign of the decimal lambda_min wherever that passes
+    # a few such ulps; 1e-315 keeps every entry subnormal.
+    space, rng = PSDCone(2), np.random.default_rng(int(-np.log10(scale)) + 400)
+    xs = rng.normal(size=(600, 3))
+    xs[200:400, 1] *= 1e-9
+    xs[400:, 1] *= 1e-3
+    xs *= scale
+    ulps = np.spacing(np.abs(xs).max(axis=1))
+    margin, image = space._margin_rows(xs), space.project_batch(xs)
+    assert 200 < (margin < 0.0).sum() < 500
+    assert np.all(np.abs(image - _decimal_projection(space, xs)).max(axis=1) <= 4 * ulps)
+    lam = np.array([oracles.psd2_min_eigenvalue_decimal(x) for x in xs])
+    clear = np.abs(lam) > 4 * ulps
+    assert clear.sum() > 500
+    assert np.array_equal(np.sign(margin[clear]), np.sign(lam[clear]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 9, 20])
