@@ -519,30 +519,25 @@ class HalfSpaceIntersection(StateSpace):
         return -np.max((xs[:, None, :] * self.normals).sum(axis=2) - self.offsets, axis=1)
 
     def _project_outside(self, ys):
-        # Dykstra's alternating projection over the individual half spaces,
-        # run on every row at once; a row leaves the sweep as soon as its own
-        # largest shift in one pass is at most 1e-12. Row-wise sums stand in
-        # for matrix products, as in _margin_rows.
+        # Lawson & Hanson's least-distance program (Solving Least Squares
+        # Problems, 1974, ch. 23), row by row: the nnls of [-N^T; (N y - c)^T]
+        # against e_(p+1) names the active faces by its positive entries, and
+        # y is moved onto their affine hull by least squares, exact to
+        # rounding also on narrow polyhedra. A row is solved as 2^-e y, below
+        # 1 in every entry, on {N x <= 2^-e c}, so that no sum overflows.
+        from scipy.optimize import nnls
+
         normals, offsets = self.normals, self.offsets
-        y = ys.copy()
-        corrections = np.zeros((normals.shape[0],) + y.shape)
-        sq_norms = (normals * normals).sum(axis=1)
-        active = np.arange(len(y))
-        for _ in range(2000):
-            if active.size == 0:
-                break
-            ya = y[active]
-            shift = np.zeros(active.size)
-            for j, n in enumerate(normals):
-                z = ya + corrections[j, active]
-                viol = (z * n).sum(axis=1) - offsets[j]
-                proj = z - (np.maximum(viol, 0.0) / sq_norms[j])[:, None] * n
-                corrections[j, active] = z - proj
-                shift = np.maximum(shift, np.linalg.norm(proj - ya, axis=1))
-                ya = proj
-            y[active] = ya
-            active = active[shift > 1e-12]
-        return y
+        target = np.zeros(self.dim + 1)
+        target[-1] = 1.0
+        out = np.empty_like(ys)
+        for k, y in enumerate(ys):
+            e = max(int(np.frexp(np.abs(y).max())[1]), 0)
+            y = np.ldexp(y, -e)
+            gap = normals @ y - np.ldexp(offsets, -e)
+            active = nnls(np.vstack([-normals.T, gap]), target)[0] > 0.0
+            out[k] = np.ldexp(y - np.linalg.lstsq(normals[active], gap[active], rcond=None)[0], e)
+        return out
 
     def bounded_support(self, r):
         # sup r.x finite iff r is a nonnegative combination of the normals.

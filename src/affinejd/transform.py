@@ -114,7 +114,7 @@ class RayProbe:
     conditions: lambda_star = inf{lambda >= 0 : blow-up by the horizon}.
     ``probes`` holds (lambda, blow-up time estimate or None, verdict) in the
     order probed; the verdict is "finite" (blow-up by the horizon),
-    "exceeds_horizon", or the name of the error that ended the probe."""
+    "exceeds_horizon", or "DivergentIntegral" (psi reached a ray's rate)."""
 
     direction: np.ndarray
     horizon: float
@@ -135,9 +135,9 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     """Locate lambda_star along u = lambda * direction.
 
     Monotonicity of blow-up in lambda is assumed from convexity of the
-    effective domain (which contains 0). A probe that ends in an error of
-    the solve (DivergentIntegral, NonFiniteRHS, StepLimitExceeded) counts as
-    leaving the domain: the transform is not finite there either.
+    effective domain (which contains 0). A probe leaves the domain where it
+    blows up by the horizon or psi reaches a ray's rate (DivergentIntegral);
+    a solver failure (NonFiniteRHS, StepLimitExceeded) is raised.
 
     Doubling from lambda = 1 brackets lambda_star. Inside the bracket each
     probe integrates to twice the horizon, so probes on both sides of
@@ -174,6 +174,8 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
                 # here and for the probes that follow.
                 t_probe = horizon
                 return leaves_domain(lam)
+            if not isinstance(exc, DivergentIntegral):
+                raise
             probes.append((lam, None, type(exc).__name__))
             return True
         if res.finite and res.estimate > 0.0:

@@ -6,6 +6,8 @@ hand-derived closed form whose derivation is recorded in the docstring.
 """
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -351,3 +353,44 @@ def parabolic_projection_decimal(x, digits=60):
                 hi = mid
         y_bar = [v / (1 + 2 * hi) for v in x_bar]
         return np.array([float(sum(v * v for v in y_bar))] + [float(v) for v in y_bar])
+
+
+def polyhedron_projection_exact(normals, offsets, x):
+    """Euclidean projection of x onto {y : normals @ y <= offsets} by
+    enumerating active sets of faces in exact rational arithmetic. For a set
+    S of faces, y = x - N_S^T lam with (N_S N_S^T) lam = N_S x - c_S lies on
+    those faces; the KKT conditions lam >= 0 and normals @ y <= offsets make
+    it the projection, which is unique. Sets of up to dim faces with an
+    invertible Gram matrix suffice; the cost is exponential in the number of
+    faces, so this is for the few faces of the tests."""
+    rows = [[Fraction(float(v)) for v in row] for row in normals]
+    c = [Fraction(float(v)) for v in offsets]
+    point = [Fraction(float(v)) for v in x]
+
+    def dot(a, b):
+        return sum(s * t for s, t in zip(a, b))
+
+    def feasible(y):
+        return all(dot(n, y) <= cj for n, cj in zip(rows, c))
+
+    if feasible(point):
+        return np.array(x, dtype=float)
+    for k in range(1, min(len(rows), len(point)) + 1):
+        for face_set in combinations(range(len(rows)), k):
+            # Gauss-Jordan elimination on the augmented Gram system.
+            aug = [[dot(rows[i], rows[j]) for j in face_set] + [dot(rows[i], point) - c[i]] for i in face_set]
+            for col in range(k):
+                pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
+                if pivot is None:
+                    break
+                aug[col], aug[pivot] = aug[pivot], aug[col]
+                for r in range(k):
+                    if r != col and aug[r][col] != 0:
+                        f = aug[r][col] / aug[col][col]
+                        aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+            else:
+                lam = [aug[i][k] / aug[i][i] for i in range(k)]
+                y = [v - sum(l * rows[j][d] for l, j in zip(lam, face_set)) for d, v in enumerate(point)]
+                if min(lam) >= 0 and feasible(y):
+                    return np.array([float(v) for v in y])
+    raise ValueError("no active set satisfies the KKT conditions")

@@ -418,12 +418,21 @@ def test_nan_times_are_refused_by_name(cir_model):
 
 def test_step_budget_is_enforced(cir_model, monkeypatch):
     # CIR at u = 0.5 to T = 1 takes several DOP853 steps; a budget of two
-    # ends the solve, and the ray records the error as a probe's verdict.
+    # ends the solve, and a ray whose first probe exhausts it raises the
+    # error, which is no evidence of the domain's boundary.
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
     with pytest.raises(StepLimitExceeded, match=r"^exceeded 2 steps at t="):
         solve_riccati(cir_model, [0.5], 1.0)
-    ray = effective_domain_ray(cir_model, [1.0], 0.7)
-    assert ray.probes[0] == (1.0, None, "StepLimitExceeded")
+    with pytest.raises(StepLimitExceeded, match=r"^exceeded 2 steps at t="):
+        effective_domain_ray(cir_model, [1.0], 0.7)
+
+
+def test_a_solver_failure_never_bounds_a_ray(cir_model, monkeypatch):
+    # With a budget of one step every probe fails. Read as leaving the
+    # domain, the failures would bound this ray near 0 (lambda_star 4.95e-7).
+    monkeypatch.setattr(riccati, "MAX_STEPS", 1)
+    with pytest.raises(StepLimitExceeded):
+        effective_domain_ray(cir_model, [1.0], 0.7)
 
 
 def test_infinite_times_are_refused_by_name(cir_model):
@@ -758,10 +767,15 @@ def test_non_finite_psi_rate_at_u_is_refused():
 
 
 def test_solve_counts_steps_and_builds_no_interpolant(monkeypatch):
-    # Every right-hand-side call goes through the module-global riccati_rhs.
+    # Every evaluation of R goes through a kernel of riccati._stage_kernel.
     calls = []
-    rhs = riccati.riccati_rhs
-    monkeypatch.setattr(riccati, "riccati_rhs", lambda model, y: calls.append(1) or rhs(model, y))
+    build = riccati._stage_kernel
+
+    def counting(model):
+        kernel = build(model)
+        return lambda y: calls.append(1) or kernel(y)
+
+    monkeypatch.setattr(riccati, "_stage_kernel", counting)
     cases = [(golden.cir(), [0.5]), (golden.ou(), [0.3 - 1.0j]), (golden.compound_poisson(), [2.0j]),
              (golden.wishart_2d(), [-0.4, 0.1j, -0.3]), (golden.lorentz_drift(), [0.2, 0.1, -0.1j])]
     for model, u in cases:
@@ -778,6 +792,28 @@ def test_solve_counts_steps_and_builds_no_interpolant(monkeypatch):
     # Phase 1 of a blow-up rejects steps as psi steepens.
     sol = solve_riccati(golden.squared_scalar(), [1.0], 10.0)
     assert sol.stats.rejected > 0 and sol.stats.steps_s > 0
+
+
+def test_stage_kernel_is_riccati_rhs_bit_for_bit():
+    # One formula for R: riccati_rhs checks y, then calls the kernel that
+    # every trial stage of a solve calls.
+    ray_model = scalar_model(a0=0.5, A1=1.0, K=[None, ExponentialRay(0.7, 5.0, [1.0])])
+    models = [golden.cir(), golden.ou(), golden.compound_poisson(), golden.wishart_2d(), golden.lorentz_drift(),
+              ray_model, k0_atom_model(), STEEP_ATOM_MODEL]
+    rng = np.random.default_rng(31)
+    for model in models:
+        kernel = riccati._stage_kernel(model)
+        for scale in (0.1, 1.0, 3.0):
+            y = scale * (rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim))
+            assert kernel(y).tobytes() == riccati_rhs(model, y).tobytes()
+    # Past a ray's rate the kernel reads NaN where riccati_rhs raises.
+    y = np.array([5.5 + 0.1j])
+    with pytest.raises(DivergentIntegral):
+        riccati_rhs(ray_model, y)
+    assert not np.isfinite(riccati._stage_kernel(ray_model)(y)[1:]).any()
+    # exp(2 y) overflows on the K^1 atom of STEEP_ATOM_MODEL.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(riccati._stage_kernel(STEEP_ATOM_MODEL)(np.array([400.0 + 0.5j]))[1:]).any()
 
 
 def test_no_stray_runtime_warnings(cp_model):

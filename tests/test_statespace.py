@@ -23,6 +23,13 @@ from affinejd.statespace import (
     vech,
 )
 
+
+def _wedge(degrees, apex=0.0):
+    """The planar wedge {x : 0 <= x_2 <= tan(a) (x_1 - apex)} of opening a."""
+    slope = np.tan(np.radians(degrees))
+    return HalfSpaceIntersection([[0.0, -1.0], [-slope, 1.0]], [0.0, -slope * apex])
+
+
 SPACES = [
     Canonical(1, 1),
     Canonical(1, 2),
@@ -32,6 +39,8 @@ SPACES = [
     Lorentz(3),
     Parabolic(3),
     HalfSpaceIntersection([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [2.0, 2.0, 1.0]),
+    # Its apex is set back so that a few of the rows drawn at scale 3 lie inside.
+    _wedge(1.0, apex=-10.0),
 ]
 
 
@@ -130,22 +139,7 @@ def _reference_project(space, x):
             hi *= 2.0
         y_bar = x[1:] / (1.0 + 2.0 * brentq(g, lo, hi, xtol=1e-14, rtol=1e-14))
         return np.concatenate([[y_bar @ y_bar], y_bar])
-    # Dykstra over the individual half spaces.
-    if np.max(space.normals @ x - space.offsets) <= 0.0:
-        return x.copy()
-    y = x.copy()
-    corrections = np.zeros_like(space.normals)
-    for _ in range(2000):
-        shift = 0.0
-        for j, n in enumerate(space.normals):
-            z = y + corrections[j]
-            proj = z - max(n @ z - space.offsets[j], 0.0) / (n @ n) * n
-            corrections[j] = z - proj
-            shift = max(shift, np.linalg.norm(proj - y))
-            y = proj
-        if shift <= 1e-12:
-            break
-    return y
+    return oracles.polyhedron_projection_exact(space.normals, space.offsets, x)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
@@ -694,6 +688,45 @@ def test_half_space_projection_against_kkt():
     assert np.allclose(px, [1.0, 0.5], atol=1e-9)
     px = space.project(np.array([3.0, 4.0]))
     assert np.allclose(px, [1.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("degrees", [30.0, 5.0, 1.0, 0.1])
+def test_wedge_images_meet_the_active_set_oracle(degrees):
+    # On a narrow wedge the projection of most outside rows is the apex or a
+    # point of the face that the row is nearly parallel to.
+    space = _wedge(degrees)
+    xs = 3.0 * np.random.default_rng(19).normal(size=(100, 2))
+    images = space.project_batch(xs)
+    for x, image in zip(xs, images):
+        want = oracles.polyhedron_projection_exact(space.normals, space.offsets, x)
+        assert np.max(np.abs(image - want)) <= 1e-12 * (1.0 + np.linalg.norm(x)), x
+        assert space.contains(image)
+    assert np.abs(space.project_batch(images) - images).max() <= 1e-12 * (1.0 + np.abs(xs).max())
+    # (-3, 2) lies in the normal cone of the apex, its image.
+    assert np.abs(space.project(np.array([-3.0, 2.0]))).max() <= 4e-12
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_polytope_images_meet_the_active_set_oracle(p):
+    # Six random faces around the origin, which lies inside.
+    rng = np.random.default_rng(29 + p)
+    for _ in range(3):
+        space = HalfSpaceIntersection(rng.normal(size=(6, p)), rng.uniform(0.5, 2.0, 6))
+        xs = 3.0 * rng.normal(size=(8, p))
+        for x, image in zip(xs, space.project_batch(xs)):
+            want = oracles.polyhedron_projection_exact(space.normals, space.offsets, x)
+            assert np.max(np.abs(image - want)) <= 1e-12 * (1.0 + np.linalg.norm(x)), x
+
+
+def test_triangle_images_meet_the_active_set_oracle():
+    space = HalfSpaceIntersection([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [2.0, 2.0, 1.0])
+    xs = 3.0 * np.random.default_rng(23).normal(size=(100, 2))
+    for x, image in zip(xs, space.project_batch(xs)):
+        assert np.max(np.abs(image - oracles.polyhedron_projection_exact(space.normals, space.offsets, x))) <= 1e-12
+    # Rows far past 1 are solved on a power-of-2 scaled copy of the problem.
+    for x in ([1e160, 1e160], [1e100, -3e100], [-1e300, -1e300]):
+        want = oracles.polyhedron_projection_exact(space.normals, space.offsets, x)
+        assert np.max(np.abs(space.project(np.array(x)) - want)) <= 1e-15 * np.max(np.abs(x))
 
 
 def test_empty_interior_rejected():
