@@ -24,9 +24,11 @@ each ray's unit direction, whose rows the gather scales by their lengths.
 
 A step refuses, before any draw, a total intensity whose expected arrivals
 edges[-1] pass 2**22 on a block, infinite or not (IntensityInfinite), and,
-before the projection that could map it back into E, a state that leaves
-float range (PathOverflow). Otherwise a sum or a square past float range
-reads inf without a warning, as sup |X|^2 does past 1e308.
+before the projection, a state that leaves float range (PathOverflow, a
+numeric failure naming the step, where the state space would refuse it as
+bad input); the projection then makes no test of its own. Otherwise a sum or
+a square past float range reads inf without a warning, as sup |X|^2 does
+past 1e308.
 
 The step skips what the model makes zero or constant, with the same
 results: when every A^i is zero, c(x) = 0 and no normals are drawn; when
@@ -305,14 +307,14 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                     z[ray] *= (s_exp[ray] / rates[pick[ray] - n_atoms])[:, None]
                 np.add.at(incr, rows, z)
         incr += states
-        # Before the projection, which may map a non-finite row into E (as
-        # Lorentz maps (-inf, 0, 0) to 0). A dot product is the cheapest
-        # reduction that every non-finite entry spoils; only states whose
-        # squares sum past float range take the exact test.
+        # The step's own test names the step, and the projection is the
+        # unchecked _project_rows. A dot product is the cheapest reduction
+        # that every non-finite entry spoils; only states whose squares sum
+        # past float range take the exact test.
         if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
             raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
-        # project_batch returns a new array, so incr is free for the next step.
-        states = model.state_space.project_batch(incr)
+        # _project_rows returns a new array, so incr is free for the next step.
+        states = model.state_space._project_rows(incr)
         np.maximum(sup_sq, row_sq_sums(states), out=sup_sq)
         if (k + 1) in slot:
             rec[:, slot[k + 1], :] = states

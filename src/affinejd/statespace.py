@@ -6,18 +6,24 @@ the positive semidefinite cone in half-vectorized coordinates, the Lorentz
 cone, the parabolic set {x : x_1 >= |x_bar|^2}, and finite intersections of
 half spaces.
 
+One rule holds for every family: E is a closed convex subset of R^dim, so
+a point with an inf or NaN entry lies in no state space, and every public
+entry (``contains``, ``interior_contains``, ``project``, ``project_batch``,
+``distance``, ``bounded_support``, ``phi``) refuses it with
+StateSpaceMismatch, naming the entry and, in a batch, its row. The families
+see finite rows only.
+
 Projection and membership are batched over the rows of an ``(n, dim)``
 array: each family implements the signed margin ``_margin_rows`` once, of
-which ``contains`` and ``interior_contains`` are single-row tests (both
-answer False for a point with a NaN entry, in every family), and
+which ``contains`` and ``interior_contains`` are single-row tests, and
 ``project`` is the single-row case of ``project_batch``. One policy,
 ``StateSpace._project_rows``, moves exactly the rows whose margin is
 negative, through the family's ``_project_outside``, and returns every other
 row bit for bit, so ``project`` leaves exactly the points that ``contains``
-accepts at ``tol = 0`` unchanged. The policy reads no NaN test, which only
-``contains`` and ``interior_contains`` make, so the Euler step pays nothing
-for it. ``Canonical`` alone keeps its own clip of
-the whole batch, already the identity on members and cheaper than a margin.
+accepts at ``tol = 0`` unchanged. The policy makes no finiteness test, so a
+caller that has tested its rows already, as the Euler step does, may call it
+directly. ``Canonical`` alone keeps its own clip of the whole batch, already
+the identity on members and cheaper than a margin.
 The ``PSDCone`` margin is the smallest eigenvalue: for d = 2 in closed form,
 a/2 + c/2 - hypot(a/2 - c/2, s/sqrt(2)) of a row (a, s, c), which squares
 nothing, and by LAPACK's eigvalsh for every other d; its projection clips
@@ -31,11 +37,12 @@ stay reproducible when the path count changes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelFormatError, UnsupportedSpace, finite_floats
+from .errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch, UnsupportedSpace, finite_floats
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -76,15 +83,15 @@ _TAIL_LO = 2.0**-511  # sqrt of the smallest normal float
 
 def _scaled(rows):
     """Each row of an ``(n, w)`` array times the power of 2 that puts its
-    largest finite |entry| in [1/2, 1), and the exponents k with row =
-    scaled 2^k. Sums of squares of a scaled finite row stay in float range,
-    and the scaling changes no bit of an entry that stays a normal float, so
-    a quantity of degree 1 in the row, read on the scaled row and multiplied
-    by 2^k, is read at any magnitude. A zero row keeps k = 0. The largest
-    entry is found one column at a time, as in row_sq_sums."""
+    largest |entry| in [1/2, 1), and the exponents k with row = scaled 2^k.
+    Sums of squares of a scaled row stay in float range, and the scaling
+    changes no bit of an entry that stays a normal float, so a quantity of
+    degree 1 in the row, read on the scaled row and multiplied by 2^k, is
+    read at any magnitude. A zero row keeps k = 0. The largest entry is
+    found one column at a time, as in row_sq_sums."""
     big = np.zeros(rows.shape[0])
     for col in np.abs(rows).T:
-        np.maximum(big, col, out=big, where=col < np.inf)
+        np.maximum(big, col, out=big)
     k = np.frexp(big)[1]
     return np.ldexp(rows, -k[:, None]), k
 
@@ -97,16 +104,16 @@ _ENTRY_BIG = 2.0**1000
 def _read_scaled(f, xs):
     """f(xs) for a map f of the rows of an ``(n, w)`` array that reads each
     row alone and is homogeneous of degree 1 in it. A row with an entry of
-    magnitude _ENTRY_BIG or more, or a non-finite one, is read on its
-    _scaled row and its image multiplied back by 2^k, so that f's sums and
-    products stay in float range; every other row is read as it is, bit for
-    bit. One test of the whole batch decides whether any row needs it."""
+    magnitude _ENTRY_BIG or more is read on its _scaled row and its image
+    multiplied back by 2^k, so that f's sums and products stay in float
+    range; every other row is read as it is, bit for bit. One test of the
+    whole batch decides whether any row needs it."""
     if np.abs(xs).max(initial=0.0) < _ENTRY_BIG:
         return f(xs)
-    odd = np.flatnonzero(~(np.abs(xs).max(axis=1) < _ENTRY_BIG))
+    odd = np.flatnonzero(np.abs(xs).max(axis=1) >= _ENTRY_BIG)
     xs, k = xs.copy(), np.zeros(xs.shape[0], dtype=int)
     xs[odd], k[odd] = _scaled(xs[odd])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         # .T puts the rows on the last axis of a 1-d or 2-d image.
         return np.ldexp(f(xs).T, k).T
 
@@ -132,6 +139,19 @@ def unvech(x, d):
     return (x / scale)[..., gather].reshape(x.shape[:-1] + (d, d))
 
 
+def _require_finite(xs):
+    """xs, a point or an ``(n, dim)`` batch of them, if every entry is
+    finite. Otherwise StateSpaceMismatch names the first entry that is not,
+    and its row in a batch: no state space holds such a point."""
+    # On a point's few entries a Python loop takes a fifth of the time of
+    # one numpy reduction, which most public calls would otherwise pay.
+    if (all(map(math.isfinite, xs.tolist())) if xs.ndim == 1 else np.isfinite(xs).all()):
+        return xs
+    where = tuple(np.argwhere(~np.isfinite(xs))[0].tolist())
+    at = f"state entry {where[-1]}" + (f" of row {where[0]}" if xs.ndim == 2 else "")
+    raise StateSpaceMismatch(f"{at} is {xs[where]}, not a finite number")
+
+
 class StateSpace:
     """Base class; concrete families implement the geometric primitives."""
 
@@ -144,16 +164,12 @@ class StateSpace:
     self_dual = False
 
     def contains(self, x, tol=1e-9):
-        """Whether x lies in the space up to the tolerance: margin >= -tol.
-        A point with a NaN entry lies in no space."""
-        x = self._check_dim(x)
-        return not np.isnan(x).any() and bool(self._margin_rows(x[None, :])[0] >= -tol)
+        """Whether x lies in the space up to the tolerance: margin >= -tol."""
+        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] >= -tol)
 
     def interior_contains(self, x):
-        """Whether x lies in the interior: margin > 0. A point with a NaN
-        entry lies in no interior."""
-        x = self._check_dim(x)
-        return not np.isnan(x).any() and bool(self._margin_rows(x[None, :])[0] > 0.0)
+        """Whether x lies in the interior: margin > 0."""
+        return bool(self._margin_rows(self._check_dim(x)[None, :])[0] > 0.0)
 
     def _margin_rows(self, xs):
         """Signed membership margin of each row of an ``(n, dim)`` float
@@ -170,7 +186,7 @@ class StateSpace:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {self.dim})")
-        return self._project_rows(xs)
+        return self._project_rows(_require_finite(xs))
 
     def _project_rows(self, xs):
         """Project the rows of an ``(n, dim)`` float array, ``n >= 0``, into a
@@ -212,7 +228,7 @@ class StateSpace:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
-        return x
+        return _require_finite(x)
 
     def __eq__(self, other):
         return isinstance(other, StateSpace) and self.to_dict() == other.to_dict()
@@ -360,10 +376,11 @@ class Lorentz(StateSpace):
         self.dim = int(p)
 
     def _margin_rows(self, xs):
-        # x_1 - |x_bar| by the sum of squares, except on the rows whose norm
-        # passes the largest float (where inf - inf reads NaN) or falls below
-        # _TAIL_LO, where squares lose bits: those are read on the _scaled row.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # x_1 - |x_bar| by the sum of squares, except on the rows whose sum
+        # of squares passes the largest float (where a member would read -inf)
+        # or whose norm falls below _TAIL_LO, where squares lose bits: those
+        # are read on the _scaled row.
+        with np.errstate(over="ignore"):
             tail = row_sq_sums(xs[:, 1:])
             np.sqrt(tail, out=tail)
             odd = np.flatnonzero((tail < _TAIL_LO) | (tail == np.inf))
@@ -516,7 +533,9 @@ class HalfSpaceIntersection(StateSpace):
 
     def _margin_rows(self, xs):
         # Row-wise sums, not a matrix product, whose blocking can vary with n.
-        return -np.max((xs[:, None, :] * self.normals).sum(axis=2) - self.offsets, axis=1)
+        # A sum past float range reads +-inf, whose sign is right.
+        with np.errstate(over="ignore"):
+            return -np.max((xs[:, None, :] * self.normals).sum(axis=2) - self.offsets, axis=1)
 
     def _project_outside(self, ys):
         # Lawson & Hanson's least-distance program (Solving Least Squares

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 
 import oracles
 from affinejd import golden, simulate
-from affinejd.errors import CholeskyFailure, DimensionMismatch, IntensityInfinite, NegativeJumpWeight, PathOverflow
+from affinejd.errors import (
+    CholeskyFailure,
+    DimensionMismatch,
+    IntensityInfinite,
+    NegativeJumpWeight,
+    PathOverflow,
+    StateSpaceMismatch,
+)
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel, check_admissibility
 from affinejd.modelio import model_hash
@@ -598,7 +606,7 @@ def test_sup_sq_past_float_range_reads_inf_without_a_warning():
 
 def lorentz_collapse_model():
     """Drift -1e308 x on Lorentz(3): from (2, 0, 0) one step of length 1
-    reaches (-inf, 0, 0), which the projection maps to the apex 0."""
+    reaches (-inf, 0, 0), which the step refuses before its projection."""
     return AffineModel(a0=np.zeros(3), a=-1e308 * np.eye(3), A=np.zeros((4, 3, 3)), K=None,
                        state_space=Lorentz(3))
 
@@ -613,9 +621,13 @@ def test_state_past_float_range_refused(build, x0, where):
 
 
 def test_the_projection_hides_an_infinite_row():
-    # Why the step tests the state before its projection.
-    with np.errstate(invalid="ignore"):
-        assert np.array_equal(Lorentz(3).project_batch(np.array([[-np.inf, 0.0, 0.0]])), np.zeros((1, 3)))
+    # It once did: Lorentz(3) projected [-inf, 0, 0] to the apex 0, which is
+    # why the step tests the state before its projection. It now refuses the
+    # row, quietly, and names its entry.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateSpaceMismatch, match=r"state entry 0 of row 0 is -inf"):
+            Lorentz(3).project_batch(np.array([[-np.inf, 0.0, 0.0]]))
 
 
 def test_jump_counts_match_compensator(cp_model):

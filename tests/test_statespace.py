@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 import oracles
 from affinejd import statespace
-from affinejd.errors import DimensionMismatch, ModelFormatError
+from affinejd.errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch
 from affinejd.statespace import (
     Canonical,
     HalfSpaceIntersection,
@@ -85,16 +85,29 @@ def test_interior_implies_membership(space):
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
 def test_a_point_with_a_nan_entry_lies_nowhere(space):
-    # From an interior point, the origin and the all-NaN point, a NaN in any
-    # entry: PSDCone(2) once read [nan, 0, 0] as a member and Canonical(0, 1)
-    # [nan] as an interior point.
+    # Nor does one with an infinite entry: every public entry refuses the
+    # point, and project_batch the row, naming the entry before a family
+    # reads it.
+    # Families once answered apart: PSDCone(2) read [nan, 0, 0] as a member,
+    # Canonical(1, 2) [inf, 1]; PSDCone(3) raised LinAlgError, and Lorentz(3)
+    # projected [-inf, 0, 0] to 0 with a RuntimeWarning.
     rng = np.random.default_rng(6)
     inner = next(x for x in rng.normal(size=(1000, space.dim)) if space.interior_contains(x))
-    for base in (inner, np.zeros(space.dim), np.full(space.dim, np.nan)):
-        for i in range(space.dim):
-            x = base.copy()
-            x[i] = np.nan
-            assert not space.contains(x, tol=1e300) and not space.interior_contains(x), x
+    finite = rng.normal(size=(4, space.dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in (inner, np.zeros(space.dim)):
+            for i in range(space.dim):
+                for bad in (np.inf, -np.inf, np.nan):
+                    x = base.copy()
+                    x[i] = bad
+                    entry = rf"state entry {i}\b"
+                    for call in (lambda: space.contains(x, tol=1e300), lambda: space.interior_contains(x),
+                                 lambda: space.project(x), lambda: space.distance(x)):
+                        with pytest.raises(StateSpaceMismatch, match=entry + " is"):
+                            call()
+                    with pytest.raises(StateSpaceMismatch, match=entry + " of row 2 is"):
+                        space.project_batch(np.insert(finite, 2, x, axis=0))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
@@ -310,13 +323,19 @@ def test_huge_rows_are_projected_without_warnings():
         for space, x in HUGE_ROWS:
             _assert_projected(space, [x], space.project(x)[None, :])
             assert not space.contains(x)
-        # The image's height passes the largest float, its tail does not;
-        # the image is a member, which projects onto itself.
+        # The image's height passes the largest float, its tail does not, as
+        # the decimal oracle gives it; with an infinite entry the image lies
+        # in no state space, which refuses it.
         x = [0.0] + [1.7e308] * 19
         y = Lorentz(20).project(x)
         assert y[0] == np.inf and np.array_equal(y, oracles.lorentz_projection_decimal(x))
-        assert Lorentz(20).contains(y, tol=0.0) and Lorentz(20).interior_contains(y)
-        assert Lorentz(20).project(y).tobytes() == y.tobytes()
+        for call in (lambda: Lorentz(20).contains(y, tol=0.0), lambda: Lorentz(20).project(y)):
+            with pytest.raises(StateSpaceMismatch, match=r"state entry 0 is inf\b"):
+                call()
+        # N x passes the largest float on the triangle of SPACES, and the
+        # margins read -1e308 and -inf, with their signs right.
+        for x in ([1e308, 1e308], [-1e308, -1e308]):
+            assert not SPACES[7].contains(x) and not SPACES[7].interior_contains(x)
 
 
 @pytest.mark.parametrize("space", [PSDCone(2), PSDCone(3)], ids=repr)
