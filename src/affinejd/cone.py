@@ -10,7 +10,6 @@ its own ``self_dual`` flag and boundary function ``phi``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedFamily, UnsupportedSpace
 from .jumps import FiniteAtomic
+from .model import _check_positive, _check_vector
 from .riccati import REL_TOL, solve_riccati
 
 
@@ -31,8 +31,8 @@ def _cone_space(model):
 
 def cone_leq(space, u, v, tol=0.0):
     """The cone order: u <= v iff v - u lies in the state space."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    u = _check_vector(space, u, "u")
+    v = _check_vector(space, v, "v")
     return space.contains(v - u, tol=tol)
 
 
@@ -59,16 +59,15 @@ def monotonicity_check(model, u, v, t):
     times up to t, within a slack of 100 x REL_TOL on the cone-membership
     distance."""
     space = _cone_space(model)
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    t = _check_positive(t, "t")
+    u = _check_vector(model, u, "u")
+    v = _check_vector(model, v, "v")
     if not (space.contains(-u, tol=1e-12) and space.contains(-v, tol=1e-12)):
         raise ValueError("u and v must lie in -E")
     if not cone_leq(space, u, v, tol=1e-12):
         raise ValueError("u must precede v in the cone order")
-    sol_u = solve_riccati(model, u.astype(complex), t)
-    sol_v = solve_riccati(model, v.astype(complex), t)
+    sol_u = solve_riccati(model, u, t)
+    sol_v = solve_riccati(model, v, t)
     if sol_u.exploded or sol_v.exploded:
         return ConeCheckResult(False, _slack_tol(1.0), diagnostic="solution exploded before t")
     grid = np.linspace(0.0, t, 10)[1:]
@@ -92,9 +91,8 @@ def interior_preservation_check(model, u, t):
     -interior(E) at nine evenly spaced times up to t (within the cone slack)
     and must not explode."""
     space = _cone_space(model)
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    u = np.asarray(u, dtype=complex).ravel()
+    t = _check_positive(t, "t")
+    u = _check_vector(model, u, "u", real=False)
     if not space.interior_contains(-u.real):
         raise ValueError("Re u must lie in -interior(E)")
     sol = solve_riccati(model, u, t)
@@ -121,7 +119,7 @@ def regularity_Lu_check(model, u):
     than 1e-9 away from a multiple of 2 pi; the check passes iff that vector
     of masses is strictly inside the cone."""
     space = _cone_space(model)
-    u = np.asarray(u, dtype=float).ravel()
+    u = _check_vector(model, u, "u")
     if any(meas is not None and not isinstance(meas, FiniteAtomic) for meas in model.K[1:]):
         raise UnsupportedFamily("regularity check needs finite atomic measures")
     rem = np.abs(np.remainder(model.jump_points @ u, 2.0 * np.pi))

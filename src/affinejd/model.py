@@ -8,6 +8,7 @@ the jump kernel K(x, dz) = K^0(dz) + sum_i K^i(dz) x_i affine in the state.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -175,23 +176,38 @@ class AffineModel:
         )
 
 
-def _check_vector(model, v, name="state", dtype=float):
-    v = np.asarray(v, dtype=dtype).ravel()
-    if v.size != model.dim:
-        raise DimensionMismatch(f"{name} has length {v.size}, the model has dimension {model.dim}")
-    return v
+def _check_vector(owner, v, name, real=True, finite=True):
+    """The argument ``name`` as a vector of ``owner.dim`` floats, or complex
+    numbers where not ``real``; ``owner`` is a model or a state space.
+    DimensionMismatch names the argument for a wrong length, and ValueError
+    for an entry that is no number, not finite (a state's space names it,
+    so a state passes ``finite=False``) or, where ``real``, not real."""
+    v = np.asarray(v).ravel()
+    if v.size != owner.dim:
+        what = "state space" if isinstance(owner, StateSpace) else "model"
+        raise DimensionMismatch(f"{name} has length {v.size}, the {what} has dimension {owner.dim}")
+    if v.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must hold numbers")
+    if finite and not all(map(cmath.isfinite, v.tolist())):
+        raise ValueError(f"{name} must be finite")
+    if real and v.dtype.kind == "c" and v.imag.any():
+        raise ValueError(f"{name} must be real")
+    return v.real.astype(float, copy=False) if real else v.astype(complex, copy=False)
 
 
-def _check_u(model, u):
-    """The argument u of the Riccati system as a finite complex vector."""
-    u = _check_vector(model, u, "u", complex)
-    if not np.isfinite(u).all():
-        raise ValueError("u must be finite")
-    return u
+def _check_positive(value, name, zero_ok=False):
+    """The time or scale ``name`` as a float, if it is finite and positive
+    (or zero, where ``zero_ok``); ValueError names it otherwise."""
+    try:
+        if (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf:
+            return float(value)
+    except TypeError:  # a complex number, or no number
+        pass
+    raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite")
 
 
 def require_in_space(model, x):
-    x = _check_vector(model, x)
+    x = _check_vector(model, x, "state", finite=False)
     if not model.state_space.contains(x, tol=_SPACE_TOL):
         raise StateSpaceMismatch(f"point {x} is not in the state space")
     return x
@@ -199,13 +215,13 @@ def require_in_space(model, x):
 
 def drift_at(model, x):
     """b(x) = a^0 + sum_i a^i x_i."""
-    x = _check_vector(model, x)
+    x = _check_vector(model, x, "x")
     return model.a0 + model.a @ x
 
 
 def diffusion_at(model, x):
     """c(x) = A^0 + sum_i A^i x_i; exactly symmetric."""
-    x = _check_vector(model, x)
+    x = _check_vector(model, x, "x")
     return model.A[0] + np.tensordot(x, model.A[1:], axes=(0, 0))
 
 
@@ -232,10 +248,7 @@ def k_eval(model, x, y):
 
 def in_U(space, u):
     """True iff sup over the state space of Re(u).x is finite."""
-    u = np.asarray(u, dtype=complex).ravel()
-    if u.size != space.dim:
-        raise DimensionMismatch(f"u has length {u.size}, the state space has dimension {space.dim}")
-    return space.bounded_support(u.real)
+    return space.bounded_support(_check_vector(space, u, "u", real=False).real)
 
 
 def exponential_moment_condition(model):

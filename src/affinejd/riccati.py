@@ -77,7 +77,7 @@ import numpy as np
 from .errors import DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded
 from .integrator import DOP853, TOO_SMALL_STEP, brentq, norm
 from .jumps import check_tails, ray_moment
-from .model import _check_u, _check_vector, k_eval, require_in_space
+from .model import _check_positive, _check_vector, k_eval, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
@@ -111,7 +111,7 @@ def riccati_rhs(model, y):
     the closed form over the table's rays (DivergentIntegral past a rate).
     The points of K^0 alone add to R_0 only, so an exp that overflows on one
     of them leaves R_1..p exact."""
-    y = _check_vector(model, y, "y", complex)
+    y = _check_vector(model, y, "y", real=False)
     for rate, direction, _ in model.jump_rays:
         ray_moment(1.0, rate, complex(direction @ y))  # DivergentIntegral past the rate
     return _stage_kernel(model)(y)
@@ -285,10 +285,8 @@ def solve_riccati(model, u, horizon):
     DivergentIntegral if psi reaches the integrability boundary of an
     exponential-ray measure before blowing up.
     """
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    horizon = float(horizon)
-    u = _check_u(model, u)
+    horizon = _check_positive(horizon, "horizon")
+    u = _check_vector(model, u, "u", real=False)
 
     # Fails fast (DivergentIntegral) when the integral is undefined at u.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,6 +413,15 @@ def solve_riccati(model, u, horizon):
     return result("exploded", (t_event - half, t_event + half), kind)
 
 
+def _solve_reaching(model, u, t):
+    """solve_riccati(model, u, t) for a psi that reaches t; otherwise
+    ExplosionBeforeHorizon names the blow-up bracket."""
+    sol = solve_riccati(model, u, t)
+    if sol.exploded:
+        raise ExplosionBeforeHorizon(f"psi explodes before t={t} (bracket {sol.bracket})")
+    return sol
+
+
 @dataclass
 class ExplosionResult:
     """Outcome of explosion probing up to a horizon. On "finite",
@@ -443,15 +450,12 @@ def explosion_time(model, u, t_max):
     (by 1/R_MAX on psi' = psi^2, whose T* is 1/u), so it does not hold T*
     itself.
     """
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
+    t_max = _check_positive(t_max, "t_max")
     sol = solve_riccati(model, u, t_max)
     if not sol.exploded:
-        return ExplosionResult("exceeds_horizon", t_max=float(t_max))
+        return ExplosionResult("exceeds_horizon", t_max=t_max)
     lo, hi = sol.bracket
-    return ExplosionResult(
-        "finite", t_max=float(t_max), estimate=0.5 * (lo + hi), bracket=(lo, hi)
-    )
+    return ExplosionResult("finite", t_max=t_max, estimate=0.5 * (lo + hi), bracket=(lo, hi))
 
 
 def mean_flow(model, x, t):
@@ -459,9 +463,8 @@ def mean_flow(model, x, t):
     through the matrix exponential of the augmented (p+1) system on (1, x)."""
     from scipy.linalg import expm
 
-    x = _check_vector(model, x)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be nonnegative and finite")
+    x = _check_vector(model, x, "x")
+    t = _check_positive(t, "t", zero_ok=True)
     p = model.dim
     aug = np.zeros((p + 1, p + 1))
     aug[1:, 0] = model.a0
@@ -473,17 +476,12 @@ def mean_flow(model, x, t):
 def flow_identity_residual(model, u, s, t):
     """Residual of the semigroup property psi(t+s, u) = psi(t, psi(s, u)) and
     psi_0(t+s, u) = psi_0(s, u) + psi_0(t, psi(s, u))."""
-    if not (0.0 <= s < math.inf and 0.0 < t < math.inf):
-        raise ValueError("need finite s >= 0 and t > 0")
-    sol = solve_riccati(model, u, s + t)
-    if sol.exploded:
-        raise ExplosionBeforeHorizon(f"psi explodes inside [0, {s + t}] (bracket {sol.bracket})")
+    s = _check_positive(s, "s", zero_ok=True)
+    t = _check_positive(t, "t")
+    sol = _solve_reaching(model, u, s + t)
     psi0_st, psi_st = sol.eval(s + t)
     psi0_s, psi_s = sol.eval(s)
-    sol2 = solve_riccati(model, psi_s, t)
-    if sol2.exploded:
-        raise ExplosionBeforeHorizon("restarted solution explodes before t")
-    psi0_2, psi_2 = sol2.eval(t)
+    psi0_2, psi_2 = _solve_reaching(model, psi_s, t).eval(t)
     # np.max keeps the NaN of a psi_0 past float range, where max may drop it.
     return float(np.max([np.linalg.norm(psi_st - psi_2), abs(psi0_st - psi0_s - psi0_2)]))
 
@@ -494,13 +492,10 @@ def variation_of_constants_residual(model, u, x, t):
     right side computed by adaptive quadrature against the dense solution."""
     from scipy.integrate import quad
 
-    u = np.asarray(u, dtype=float).ravel()
+    u = _check_vector(model, u, "u")
     x = require_in_space(model, x)
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    sol = solve_riccati(model, u.astype(complex), t)
-    if sol.exploded:
-        raise ExplosionBeforeHorizon(f"psi explodes before t={t} (bracket {sol.bracket})")
+    t = _check_positive(t, "t")
+    sol = _solve_reaching(model, u, t)
     psi0_t, psi_t = sol.eval(t)
     lhs = psi0_t.real + float(psi_t.real @ x)
 

@@ -64,14 +64,13 @@ from numpy.random import Generator, Philox
 from .errors import (
     CholeskyFailure,
     DimensionMismatch,
-    ExplosionBeforeHorizon,
     IntensityInfinite,
     NegativeJumpWeight,
     PathOverflow,
 )
 from .model import AffineModel, require_in_space
 from .modelio import model_hash
-from .riccati import solve_riccati
+from .riccati import _solve_reaching
 from .statespace import row_sq_sums
 
 _BLOCK = 4096
@@ -431,10 +430,9 @@ class MartingaleReport:
 def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig):
     """Simulate and test that the transform-induced martingale has constant
     expectation across n_checkpoints times in (0, horizon]."""
-    u = np.asarray(u, dtype=complex).ravel()
-    sol = solve_riccati(model, u, horizon)
-    if sol.exploded:
-        raise ExplosionBeforeHorizon(f"psi explodes before T={horizon}")
+    if isinstance(n_checkpoints, bool) or not isinstance(n_checkpoints, numbers.Integral) or n_checkpoints < 1:
+        raise ValueError(f"n_checkpoints must be an integer at least 1, got {n_checkpoints!r}")
+    sol = _solve_reaching(model, u, horizon)
     checkpoints = np.linspace(0.0, horizon, n_checkpoints + 1)
     ens = simulate_paths(model, x0, replace(cfg, horizon=horizon, record_times=checkpoints))
 

@@ -533,17 +533,27 @@ class HalfSpaceIntersection(StateSpace):
 
     def _margin_rows(self, xs):
         # Row-wise sums, not a matrix product, whose blocking can vary with n.
-        # A sum past float range reads +-inf, whose sign is right.
-        with np.errstate(over="ignore"):
-            return -np.max((xs[:, None, :] * self.normals).sum(axis=2) - self.offsets, axis=1)
+        # A row whose N x leaves float range (two products that overflow
+        # with opposite signs read NaN) is read on its _scaled row against
+        # offsets scaled alike, N x - c being homogeneous in (x, c) jointly;
+        # a margin past float range then reads -inf, its sign right.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = (xs[:, None, :] * self.normals).sum(axis=2) - self.offsets
+            odd = ~np.isfinite(gaps).all(axis=1)
+            if odd.any():
+                ys, k = _scaled(xs[odd])
+                gaps[odd] = np.ldexp((ys[:, None, :] * self.normals).sum(axis=2)
+                                     - np.ldexp(self.offsets, -k[:, None]), k[:, None])
+        return -np.max(gaps, axis=1)
 
     def _project_outside(self, ys):
         # Lawson & Hanson's least-distance program (Solving Least Squares
         # Problems, 1974, ch. 23), row by row: the nnls of [-N^T; (N y - c)^T]
-        # against e_(p+1) names the active faces by its positive entries, and
-        # y is moved onto their affine hull by least squares, exact to
-        # rounding also on narrow polyhedra. A row is solved as 2^-e y, below
-        # 1 in every entry, on {N x <= 2^-e c}, so that no sum overflows.
+        # against e_(p+1) names the active faces by its positive entries, on
+        # 2^-e y, below 1 in every entry, and {N x <= 2^-e c}, so that no sum
+        # overflows. By one SVD of the active normals, the image is the
+        # least-norm point of their faces plus y's component along them, so
+        # no digits cancel at any scale (with no active face, y itself).
         from scipy.optimize import nnls
 
         normals, offsets = self.normals, self.offsets
@@ -553,9 +563,12 @@ class HalfSpaceIntersection(StateSpace):
         for k, y in enumerate(ys):
             e = max(int(np.frexp(np.abs(y).max())[1]), 0)
             y = np.ldexp(y, -e)
-            gap = normals @ y - np.ldexp(offsets, -e)
-            active = nnls(np.vstack([-normals.T, gap]), target)[0] > 0.0
-            out[k] = np.ldexp(y - np.linalg.lstsq(normals[active], gap[active], rcond=None)[0], e)
+            active = nnls(np.vstack([-normals.T, normals @ y - np.ldexp(offsets, -e)]), target)[0] > 0.0
+            u, sv, vt = np.linalg.svd(normals[active])
+            rank = int(np.sum(sv > sv.max(initial=0.0) * max(normals.shape) * np.finfo(float).eps))
+            along = vt[rank:]
+            x0 = vt[:rank].T @ ((u[:, :rank].T @ offsets[active]) / sv[:rank])
+            out[k] = x0 + np.ldexp(along.T @ (along @ y), e)
         return out
 
     def bounded_support(self, r):

@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded
-from .model import AffineModel, _check_u, _check_vector, in_U, require_in_space
-from .riccati import explosion_time, solve_riccati
+from .model import AffineModel, _check_positive, _check_vector, in_U, require_in_space
+from .riccati import _solve_reaching, explosion_time, solve_riccati
 
 # Relative width of the bracket effective_domain_ray closes around lambda_star.
 RAY_REL_TOL = 1e-6
@@ -62,9 +62,8 @@ def transform(model, u, x, t):
     with Re u != 0 is solved at Re u first, and at u only if that solve
     reaches t."""
     x = require_in_space(model, x)
-    u = _check_u(model, u)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be nonnegative and finite")
+    u = _check_vector(model, u, "u", real=False)
+    t = _check_positive(t, "t", zero_ok=True)
     if t == 0.0:
         return _finite(0.0 + 0.0j, u.copy(), x)
     real = np.all(u.imag == 0.0)
@@ -152,14 +151,10 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     horizon itself.
     """
     direction = _check_vector(model, direction, "direction")
-    if not np.isfinite(direction).all():
-        raise ValueError("direction must be finite")
     if not np.any(direction != 0.0):
         raise ValueError("direction must be nonzero")
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    if not 0.0 < lambda_max < math.inf:
-        raise ValueError("lambda_max must be positive and finite")
+    horizon = _check_positive(horizon, "horizon")
+    lambda_max = _check_positive(lambda_max, "lambda_max")
     probes = []
     rates = {0.0: 0.0}  # lambda -> 1/T*(lambda) where known; T* = inf at 0
     t_probe = horizon  # how far each probe integrates; twice the horizon in the bracket
@@ -226,8 +221,7 @@ def damped_model(model, n):
     """Damp every jump measure by exp(-|z|^2/n) and shift the drift vectors
     by integral of z (exp(-|z|^2/n) - 1) K^i(dz) accordingly. Exact for atom
     and tabulated families; exponential rays must be tabulated first."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n = _check_positive(n, "n")
     if not model.has_jumps:
         return model
     a0 = model.a0.copy()
@@ -256,7 +250,6 @@ class DampingDiagnostic:
 def damped_transform_sequence(model, u, x, t, n_list):
     """Transform values under damped_model(model, n) for each n, with the
     Cauchy differences of consecutive values as a convergence diagnostic."""
-    u = np.asarray(u, dtype=complex).ravel()
     if not in_U(model.state_space, u):
         raise ValueError("u must satisfy sup Re(u.x) < inf over the state space")
     values = []
@@ -272,8 +265,7 @@ def damped_transform_sequence(model, u, x, t, n_list):
 def scaled_model(model, n):
     """The parameter set (a^i, n A^i, (1/n) K^i(dz/n)): diffusion matrices
     scaled by n and each atom (w, z) replaced by (w/n, n z)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n = _check_positive(n, "n")
     new_k = []
     for meas in model.K:
         if meas is None:
@@ -281,7 +273,7 @@ def scaled_model(model, n):
         else:
             new_k.append(meas.scaled(n))  # UnsupportedFamily for non-atomic
     return AffineModel(
-        a0=model.a0, a=model.a, A=model.A * float(n), K=new_k, state_space=model.state_space
+        a0=model.a0, a=model.a, A=model.A * n, K=new_k, state_space=model.state_space
     )
 
 
@@ -289,16 +281,8 @@ def infinite_divisibility_check(model, u, t, n):
     """Residual of the scaling identity: the solution of the scaled system
     started at u must equal 1/n times the solution of the base system
     started at n u, componentwise including the zeroth component."""
-    u = np.asarray(u, dtype=complex).ravel()
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    scaled = solve_riccati(scaled_model(model, n), u, t)
-    base = solve_riccati(model, n * u, t)
-    if scaled.exploded or base.exploded:
-        raise ExplosionBeforeHorizon("solution explodes before t in the scaling check")
-    psi0_s, psi_s = scaled.eval(t)
-    psi0_b, psi_b = base.eval(t)
-    return max(
-        abs(psi0_s - psi0_b / n),
-        float(np.max(np.abs(psi_s - psi_b / n))) if u.size else 0.0,
-    )
+    u = _check_vector(model, u, "u", real=False)
+    t = _check_positive(t, "t")
+    psi0_s, psi_s = _solve_reaching(scaled_model(model, n), u, t).eval(t)
+    psi0_b, psi_b = _solve_reaching(model, n * u, t).eval(t)
+    return max(abs(psi0_s - psi0_b / n), float(np.max(np.abs(psi_s - psi_b / n))))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,3 +259,124 @@ def test_non_finite_states_are_refused(name, x):
                  lambda: variation_of_constants_residual(model, y, x, 1.0)):
         with pytest.raises(StateSpaceMismatch, match=entry):
             call()
+
+
+def _rule_tables():
+    """The entry points of the argument rule, each with the call that takes
+    the bad argument. Vectors: (entry point, call, name, dimension, real);
+    times and scales: (entry point, call, name, zero allowed)."""
+    from affinejd.cone import cone_leq, interior_preservation_check, monotonicity_check, regularity_Lu_check
+    from affinejd.riccati import explosion_time, flow_identity_residual, mean_flow, riccati_rhs, solve_riccati
+    from affinejd.simulate import martingale_diagnostic
+    from affinejd.transform import (
+        damped_model,
+        damped_transform_sequence,
+        effective_domain_ray,
+        infinite_divisibility_check,
+        scaled_model,
+    )
+
+    cir, cp, wishart = golden.cir(), golden.compound_poisson(), golden.wishart_2d()
+    cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0)
+    voc = variation_of_constants_residual
+    vectors = [
+        ("riccati_rhs", lambda v: riccati_rhs(cir, v), "y", 1, False),
+        ("solve_riccati", lambda v: solve_riccati(cir, v, 1.0), "u", 1, False),
+        ("explosion_time", lambda v: explosion_time(cir, v, 1.0), "u", 1, False),
+        ("mean_flow", lambda v: mean_flow(cir, v, 1.0), "x", 1, True),
+        ("flow_identity_residual", lambda v: flow_identity_residual(cir, v, 0.2, 0.3), "u", 1, False),
+        ("variation_of_constants_residual", lambda v: voc(cir, v, [1.0], 0.5), "u", 1, True),
+        ("transform", lambda v: transform(cir, v, [1.0], 1.0), "u", 1, False),
+        ("effective_domain_ray", lambda v: effective_domain_ray(cir, v, 1.0), "direction", 1, True),
+        ("damped_transform_sequence", lambda v: damped_transform_sequence(cp, v, [0.5], 1.0, [1, 2]), "u", 1,
+         False),
+        ("infinite_divisibility_check", lambda v: infinite_divisibility_check(cp, v, 1.0, 2), "u", 1, False),
+        ("cone_leq", lambda v: cone_leq(Canonical(1, 2), v, [1.0, 1.0]), "u", 2, True),
+        ("cone_leq", lambda v: cone_leq(Canonical(1, 2), [0.0, 0.0], v), "v", 2, True),
+        ("monotonicity_check", lambda v: monotonicity_check(cir, v, [-0.5], 1.0), "u", 1, True),
+        ("monotonicity_check", lambda v: monotonicity_check(cir, [-1.0], v, 1.0), "v", 1, True),
+        ("interior_preservation_check", lambda v: interior_preservation_check(cir, v, 1.0), "u", 1, False),
+        ("regularity_Lu_check", lambda v: regularity_Lu_check(wishart, v), "u", 3, True),
+        ("drift_at", lambda v: drift_at(cir, v), "x", 1, True),
+        ("diffusion_at", lambda v: diffusion_at(cir, v), "x", 1, True),
+        ("k_eval", lambda v: model_mod.k_eval(cir, [1.0], v), "y", 1, True),
+        ("in_U", lambda v: in_U(Lorentz(3), v), "u", 3, False),
+        ("martingale_diagnostic", lambda v: martingale_diagnostic(cir, v, [1.0], 1.0, 2, cfg), "u", 1, False),
+    ]
+    times = [
+        ("solve_riccati", lambda t: solve_riccati(cir, [0.5j], t), "horizon", False),
+        ("explosion_time", lambda t: explosion_time(cir, [0.5], t), "t_max", False),
+        ("mean_flow", lambda t: mean_flow(cir, [1.0], t), "t", True),
+        ("flow_identity_residual", lambda t: flow_identity_residual(cir, [0.5j], t, 0.3), "s", True),
+        ("flow_identity_residual", lambda t: flow_identity_residual(cir, [0.5j], 0.2, t), "t", False),
+        ("variation_of_constants_residual", lambda t: voc(cir, [0.3], [1.0], t), "t", False),
+        ("transform", lambda t: transform(cir, [0.5j], [1.0], t), "t", True),
+        ("effective_domain_ray", lambda t: effective_domain_ray(cir, [1.0], t), "horizon", False),
+        ("effective_domain_ray", lambda t: effective_domain_ray(cir, [-1.0], 0.7, lambda_max=t), "lambda_max",
+         False),
+        ("damped_model", lambda t: damped_model(cp, t), "n", False),
+        ("damped_transform_sequence", lambda t: damped_transform_sequence(cp, [0.3j], [0.5], t, [1, 2]), "t",
+         True),
+        ("damped_transform_sequence", lambda t: damped_transform_sequence(cp, [0.3j], [0.5], 1.0, [1, t]), "n",
+         False),
+        ("scaled_model", lambda t: scaled_model(cp, t), "n", False),
+        ("infinite_divisibility_check", lambda t: infinite_divisibility_check(cp, [0.1], t, 2), "t", False),
+        ("infinite_divisibility_check", lambda t: infinite_divisibility_check(cp, [0.1], 1.0, t), "n", False),
+        ("monotonicity_check", lambda t: monotonicity_check(cir, [-1.0], [-0.5], t), "t", False),
+        ("interior_preservation_check", lambda t: interior_preservation_check(cir, [-0.5], t), "t", False),
+        ("martingale_diagnostic", lambda t: martingale_diagnostic(cir, [0.3j], [1.0], t, 2, cfg), "horizon",
+         False),
+    ]
+    return vectors, times
+
+
+_VECTORS, _TIMES = _rule_tables()
+
+
+def _refused(call, arg, error, message):
+    # No untyped TypeError and no ComplexWarning: the rule names the argument.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call(arg)
+
+
+@pytest.mark.parametrize("call, name, dim, real", [row[1:] for row in _VECTORS],
+                         ids=[f"{row[0]}-{row[2]}" for row in _VECTORS])
+def test_every_vector_argument_is_checked_by_name(call, name, dim, real):
+    rest = [0.0] * (dim - 1)
+    _refused(call, [math.nan] + rest, ValueError, f"^{name} must be finite$")
+    _refused(call, rest + [math.inf], ValueError, f"^{name} must be finite$")
+    _refused(call, [0.5] * (dim + 1), DimensionMismatch, f"^{name} has length {dim + 1}, ")
+    if real:
+        _refused(call, [0.5j] + rest, ValueError, f"^{name} must be real$")
+        _refused(call, np.array(rest + [-1.0 + 1.0j]), ValueError, f"^{name} must be real$")
+
+
+@pytest.mark.parametrize("call, name, zero_ok", [row[1:] for row in _TIMES],
+                         ids=[f"{row[0]}-{row[2]}" for row in _TIMES])
+def test_every_time_and_scale_is_checked_by_name(call, name, zero_ok):
+    message = f"^{name} must be {'nonnegative' if zero_ok else 'positive'} and finite$"
+    for bad in [math.nan, math.inf, -1.0, 0.5j] + ([] if zero_ok else [0.0]):
+        _refused(call, bad, ValueError, message)
+
+
+def test_checkpoint_count_must_be_a_positive_integer():
+    from affinejd.simulate import martingale_diagnostic
+
+    cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0)
+    for bad in (2.5, 0, -1, True, "3", math.nan):
+        _refused(lambda n: martingale_diagnostic(golden.cir(), [0.3j], [1.0], 1.0, n, cfg), bad,
+                 ValueError, "^n_checkpoints must be an integer at least 1")
+
+
+def test_a_state_is_a_real_vector_of_the_model_dimension():
+    # A state's non-finite entries are its space's to name; its length and
+    # realness are checked by the same rule as every other vector.
+    cir, cfg = golden.cir(), SimConfig(n_paths=4, dt=0.1, horizon=1.0)
+    for call in (lambda x: transform(cir, [0.5j], x, 1.0), lambda x: simulate_paths(cir, x, cfg),
+                 lambda x: model_mod.k_eval(cir, x, [0.5]),
+                 lambda x: variation_of_constants_residual(cir, [0.3], x, 1.0)):
+        _refused(call, [1.0, 1.0], DimensionMismatch, "^state has length 2, the model has dimension 1$")
+        for x in ([1.0 + 1.0j], np.array([1.0 + 1.0j])):
+            _refused(call, x, ValueError, "^state must be real$")

@@ -748,6 +748,33 @@ def test_triangle_images_meet_the_active_set_oracle():
         assert np.max(np.abs(space.project(np.array(x)) - want)) <= 1e-15 * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize("s", [1e6, 1e10, 1e50, 1e300])
+def test_far_rows_reach_the_triangle_vertex(s):
+    # The image of (s, -s) is the vertex (2, -3) at every scale: it is taken
+    # on the active faces, not as a difference of two terms of size s.
+    space = SPACES[7]
+    image = space.project(np.array([s, -s]))
+    assert np.max(np.abs(image - [2.0, -3.0])) <= 1e-12
+    assert space.project(image).tobytes() == image.tobytes()
+
+
+def test_half_space_margin_of_overflowing_products():
+    # 2 x_1 and -2 x_1 - 2 x_2 overflow with opposite signs, which read NaN
+    # before: contains said False and project kept the row. Read on the
+    # scaled row, the margin of (-1e308, 1e308) is -(1e308 - 2) = -1e308;
+    # that of (1e308, -1e308), -(2e308 - 2), lies past float range and
+    # reads -inf, with its sign right.
+    space = HalfSpaceIntersection([[2.0, 0.0], [0.0, 1.0], [-2.0, -2.0]], [2.0, 2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, margin in (([-1e308, 1e308], -1e308), ([1e308, -1e308], -np.inf)):
+            x = np.array(x)
+            assert space._margin_rows(x[None, :])[0] == margin
+            assert not space.contains(x)
+            want = oracles.polyhedron_projection_exact(space.normals, space.offsets, x)
+            assert np.max(np.abs(space.project(x) - want)) <= 1e-12 * np.abs(want).max()
+
+
 def test_empty_interior_rejected():
     with pytest.raises(ModelFormatError):
         HalfSpaceIntersection([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
