@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedFamily, UnsupportedSpace
+from .errors import UnsupportedFamily, UnsupportedSpace, _check_positive, _check_vector
 from .jumps import FiniteAtomic
-from .model import _check_positive, _check_vector
 from .riccati import REL_TOL, solve_riccati
 
 

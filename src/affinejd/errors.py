@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the check of numeric
-fields that raises ModelFormatError."""
+"""Exception types shared across the package, the check of numeric fields
+that raises ModelFormatError, and the one rule for vector and time arguments."""
+
+import cmath
+import math
 
 import numpy as np
 
@@ -86,3 +89,33 @@ def finite_floats(value, field, shape=None):
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"{field}: every entry must be finite")
     return arr
+
+
+def _check_vector(owner, v, name, real=True, finite=True):
+    """The argument ``name`` as a vector of ``owner.dim`` floats, or complex
+    numbers where not ``real``; ``owner`` is a model, a state space or a
+    jump measure, which DimensionMismatch names by its ``noun`` for a wrong
+    length. ValueError names the argument for an entry that is no number,
+    not finite (a state's space names it, so a state passes
+    ``finite=False``) or, where ``real``, not real."""
+    v = np.asarray(v).ravel()
+    if v.size != owner.dim:
+        raise DimensionMismatch(f"{name} has length {v.size}, the {owner.noun} has dimension {owner.dim}")
+    if v.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must hold numbers")
+    if finite and not all(map(cmath.isfinite, v.tolist())):
+        raise ValueError(f"{name} must be finite")
+    if real and v.dtype.kind == "c" and v.imag.any():
+        raise ValueError(f"{name} must be real")
+    return v.real.astype(float, copy=False) if real else v.astype(complex, copy=False)
+
+
+def _check_positive(value, name, zero_ok=False):
+    """The time or scale ``name`` as a float, if it is finite and positive
+    (or zero, where ``zero_ok``); ValueError names it otherwise."""
+    try:
+        if (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf:
+            return float(value)
+    except TypeError:  # a complex number, or no number
+        pass
+    raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite")

@@ -10,9 +10,8 @@ and the root finder is a transliteration of scipy's brentq.c: on the same
 right-hand side both take the same steps and return the same floats, to the
 last bit, without importing scipy. Runs go forward in time, with no maximum
 step size. The transposed views of the stages that each stage and the error
-estimate read are built once per run, and real 2-norms are sqrt(x.x),
-np.linalg.norm's own formula for a real vector, without its generic
-dispatch.
+estimate read are built once per run; products are ndarray.dot and real
+2-norms sqrt(x.x) (np.linalg.norm's formula), without numpy's dispatch.
 
 A ``core`` block names the components that the right-hand side reads; the
 stepper drops the components outside it, quadratures along the core, where
@@ -336,9 +335,13 @@ class DOP853:
     ``K_extended`` holds its stages with room for the three extra stages of
     its interpolant, and ``finished`` tells whether it reached t_bound.
     ``error_norm`` is the error estimate of the accepted attempt and
-    ``rejected`` counts rejected attempts; fun is called once at the start,
-    once more without first_step, and 12 times per attempt. As in scipy, an
-    rtol below 100 eps is raised to 100 eps. With a ``core`` slice, the
+    ``rejected`` counts rejected attempts. ``nfev`` counts the calls of fun:
+    1 for the initial derivative, which is ``f0`` where the caller has it,
+    1 for the probe of the first-step rule (run without first_step; it
+    makes none where every guess is 0), 12 per attempt and 3 per
+    interpolant built. The run sets no budget; a caller that sets one reads
+    nfev in advance's until, once per accepted step. As in scipy, an rtol
+    below 100 eps is raised to 100 eps. With a ``core`` slice, the
     components outside it are dropped by the rule above; the caller's
     np.errstate governs numpy's reports on them.
 
@@ -349,21 +352,22 @@ class DOP853:
     the index of the event that stopped ``advance``, and ``failed`` tells
     whether its step size underflowed."""
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None, core=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None, core=None, f0=None):
         self.fun = fun
         self.t_old = None
         self.t = t0
-        self.y = y0
+        self.y, self._abs_y = y0, np.abs(y0)
         self.t_bound = t_bound
         self.rtol = max(rtol, 100 * EPS)
         self.atol = atol
-        self.f = fun(t0, y0)
+        self.f = fun(t0, y0) if f0 is None else f0
+        self.nfev = 1
         index = range(y0.size)
         self._outside = [] if core is None else [i for i in index if i not in index[core]]
         if first_step is None:
             finite = all(math.isfinite(v[i]) for v in (y0, self.f) for i in self._outside)
             blocks = (slice(None),) if core is None else (slice(None), core) if finite else (core,)
-            self.h_abs = select_initial_step(fun, t0, y0, t_bound, self.f, self.rtol, atol, blocks)
+            self.h_abs = select_initial_step(self._probe, t0, y0, t_bound, self.f, self.rtol, atol, blocks)
         elif not 0 < first_step <= abs(t_bound - t0):
             raise ValueError("first_step must be positive and inside the interval")
         else:
@@ -371,7 +375,7 @@ class DOP853:
         self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size))
         self.K = K = self.K_extended[:N_STAGES + 1]
         # Transposed views of the stages, built once: stage s reads K[:s].
-        self._stage_views = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGE_ROWS, start=1)]
+        self._stage_views = [(s, K[:s].T, a, c) for s, (a, c) in enumerate(_STAGE_ROWS, start=1)]
         self._KT_B = K[:-1].T
         self._KT = K.T
         self.rejected = 0
@@ -409,14 +413,15 @@ class DOP853:
             h = t_new - t
             h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(self._KT, E5) / scale
-            err3 = np.dot(self._KT, E3) / scale
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(self._abs_y, abs_y_new) * rtol
+            err5 = self._KT.dot(E5) / scale
+            err3 = self._KT.dot(E3) / scale
             error_norm = _error_norm(h, err5, err3)
             if not math.isfinite(error_norm) and self._outside:
                 # Judged on the core alone, and dropped if accepted.
                 err5[self._outside] = err3[self._outside] = 0.0
-                y_new[self._outside] = math.nan
+                y_new[self._outside] = abs_y_new[self._outside] = math.nan
                 error_norm = _error_norm(h, err5, err3)
             if error_norm < 1:
                 if error_norm == 0:
@@ -434,9 +439,9 @@ class DOP853:
             self.rejected += 1
         for i in self._outside:
             if not math.isfinite(y_new[i]):
-                y_new[self._outside] = math.nan
+                y_new[self._outside] = abs_y_new[self._outside] = math.nan
                 break
-        self.t_old, self.t, self.y = t, t_new, y_new
+        self.t_old, self.t, self.y, self._abs_y = t, t_new, y_new, abs_y_new
         self.h_abs, self.f, self.error_norm = h_abs, f_new, error_norm
         self.finished = t_new - self.t_bound >= 0
         self._steps.append((t, t_new, y_new, self.K_extended.copy()))
@@ -504,12 +509,17 @@ class DOP853:
             return self._ys[j]
         return self.interpolate(min(max(j - 1, 0), self.n_steps - 1), t)
 
+    def _probe(self, t, y):  # the first-step rule's call of fun
+        self.nfev += 1
+        return self.fun(t, y)
+
     def _rk_step(self, t, y, h):
         fun, K = self.fun, self.K
+        self.nfev += N_STAGES
         K[0] = self.f
-        for s, (K_sT, a, c) in enumerate(self._stage_views, start=1):
-            K[s] = fun(t + c * h, y + np.dot(K_sT, a) * h)
-        y_new = y + h * np.dot(self._KT_B, B)
+        for s, K_sT, a, c in self._stage_views:
+            K[s] = fun(t + c * h, y + K_sT.dot(a) * h)
+        y_new = y + h * self._KT_B.dot(B)
         f_new = fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
@@ -519,9 +529,10 @@ class DOP853:
         y_old = self._ys[k]
         h = t_new - t_old
         delta = y_new - y_old
+        self.nfev += len(_EXTRA_ROWS)
         with np.errstate(over="ignore", invalid="ignore"):
             for s, (a, c) in enumerate(_EXTRA_ROWS, start=N_STAGES + 1):
-                stages[s] = self.fun(t_old + c * h, y_old + np.dot(stages[:s].T, a) * h)
+                stages[s] = self.fun(t_old + c * h, y_old + stages[:s].T.dot(a) * h)
             coefs = _dense_coefficients(h, delta, stages)
             # Near an overflow of psi_0 its stages approach the float limit,
             # and the sums in D @ stages overflow although the coefficients
@@ -554,7 +565,7 @@ def _dense_coefficients(h, delta, stages):
     coefs[0] = delta
     coefs[1] = h * f_old - delta
     coefs[2] = 2 * delta - h * (stages[N_STAGES] + f_old)
-    coefs[3:] = h * np.dot(D, stages)
+    coefs[3:] = h * D.dot(stages)
     return coefs
 
 

@@ -28,12 +28,14 @@ from .errors import (
     ModelFormatError,
     QuadratureTailWarning,
     UnsupportedFamily,
+    _check_vector,
     finite_floats,
 )
 
 
 class JumpMeasure:
     family = "abstract"
+    noun = "measure"
     dim = 0
 
     def exp_moment(self, y):
@@ -54,12 +56,6 @@ class JumpMeasure:
     def to_dict(self):
         raise NotImplementedError
 
-    def _check_y(self, y):
-        y = np.asarray(y, dtype=complex).ravel()
-        if y.size != self.dim:
-            raise DimensionMismatch(f"y has length {y.size}, the measure has dimension {self.dim}")
-        return y
-
     def __eq__(self, other):
         return isinstance(other, JumpMeasure) and self.to_dict() == other.to_dict()
 
@@ -79,7 +75,7 @@ class WeightedPoints(JumpMeasure):
         self.dim = self.atoms.shape[1]
 
     def _terms(self, y):
-        e = self.atoms @ self._check_y(y)
+        e = self.atoms @ _check_vector(self, y, "y", real=False)
         return self.weights * (np.expm1(e) - e)
 
     def exp_moment(self, y):
@@ -131,7 +127,7 @@ class ExponentialRay(JumpMeasure):
         self.dim = self.direction.size
 
     def exp_moment(self, y):
-        return ray_moment(self.mass, self.rate, complex(self.direction @ self._check_y(y)))
+        return ray_moment(self.mass, self.rate, complex(self.direction @ _check_vector(self, y, "y", real=False)))
 
     def tabulated(self, n_nodes=512):
         """Trapezoid discretization on a ray grid out to 40 mean jump lengths,

@@ -8,7 +8,6 @@ the jump kernel K(x, dz) = K^0(dz) + sum_i K^i(dz) x_i affine in the state.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,8 @@ from .errors import (
     ModelFormatError,
     StateSpaceMismatch,
     UnsupportedFamily,
+    _check_positive,
+    _check_vector,
     finite_floats,
 )
 from .statespace import StateSpace
@@ -36,6 +37,8 @@ class AffineModel:
     The arrays it holds are its own and read-only, so a hash of the model
     taken after construction reads the model as built; its jump measures
     and state space are the caller's objects, not to be changed in place."""
+
+    noun = "model"
 
     def __init__(self, a0, a, A, K, state_space: StateSpace):
         self.a0 = finite_floats(a0, "a0").ravel()
@@ -174,36 +177,6 @@ class AffineModel:
             f"AffineModel(dim={self.dim}, jumps={self.has_jumps}, "
             f"space={self.state_space!r})"
         )
-
-
-def _check_vector(owner, v, name, real=True, finite=True):
-    """The argument ``name`` as a vector of ``owner.dim`` floats, or complex
-    numbers where not ``real``; ``owner`` is a model or a state space.
-    DimensionMismatch names the argument for a wrong length, and ValueError
-    for an entry that is no number, not finite (a state's space names it,
-    so a state passes ``finite=False``) or, where ``real``, not real."""
-    v = np.asarray(v).ravel()
-    if v.size != owner.dim:
-        what = "state space" if isinstance(owner, StateSpace) else "model"
-        raise DimensionMismatch(f"{name} has length {v.size}, the {what} has dimension {owner.dim}")
-    if v.dtype.kind not in "biufc":
-        raise ValueError(f"{name} must hold numbers")
-    if finite and not all(map(cmath.isfinite, v.tolist())):
-        raise ValueError(f"{name} must be finite")
-    if real and v.dtype.kind == "c" and v.imag.any():
-        raise ValueError(f"{name} must be real")
-    return v.real.astype(float, copy=False) if real else v.astype(complex, copy=False)
-
-
-def _check_positive(value, name, zero_ok=False):
-    """The time or scale ``name`` as a float, if it is finite and positive
-    (or zero, where ``zero_ok``); ValueError names it otherwise."""
-    try:
-        if (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf:
-            return float(value)
-    except TypeError:  # a complex number, or no number
-        pass
-    raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite")
 
 
 def require_in_space(model, x):

@@ -30,17 +30,19 @@ of blow-up", Eur. J. Appl. Math. 1990). |psi| then grows at most
 exponentially in s while t creeps up to the blow-up time, so the integrator
 takes even steps where phase 1 would shrink its steps towards zero.
 
-In both phases a trial stage is one unchecked call of riccati_rhs's kernel
-on the complex view of the packed state. Where R_1..p is not finite (past a
-ray's rate it reads NaN), the error estimate is not finite, so DOP853
-rejects the attempt and shrinks the step by MIN_FACTOR: a solve ends where
-an accepted state meets a stopping surface or the step size underflows, and
-NonFiniteRHS is raised only for R_1..p(u) at t = 0. The surfaces are the
-blow-up radius r_max, an exp-overflow guard on the weighted points with
-weight in K^1..p (well below the overflow threshold of exp, where the
-remaining time to the true blow-up is far below the bracket width), the
-integrability boundary of exponential rays (just below each rate), and
-t = horizon.
+A trial stage is one frame around one unchecked call of riccati_rhs's
+kernel on the complex view of the packed state (in phase 2 the frame also
+forms g). Each run counts its calls; the solve checks its budget of 20
+calls per step (MAX_STEPS) over both phases at accepted step ends. Where
+R_1..p is not finite (past a ray's rate it reads NaN), the error estimate
+is not finite, so DOP853 rejects the attempt and shrinks the step by
+MIN_FACTOR: a solve ends where an accepted state meets a stopping surface
+or the step size underflows, and NonFiniteRHS is raised only for R_1..p(u)
+at t = 0. The surfaces are the blow-up radius r_max, an exp-overflow guard
+on the weighted points with weight in K^1..p (well below the overflow
+threshold of exp, where the remaining time to the true blow-up is far below
+the bracket width), the integrability boundary of exponential rays (just
+below each rate), and t = horizon.
 
 psi_0 is a quadrature along psi that never feeds back into it, so the
 transform exists wherever psi does, however large psi_0 is. An exp that
@@ -74,10 +76,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded
+from .errors import (DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded,
+                     _check_positive, _check_vector)
 from .integrator import DOP853, TOO_SMALL_STEP, brentq, norm
 from .jumps import check_tails, ray_moment
-from .model import _check_positive, _check_vector, k_eval, require_in_space
+from .model import k_eval, require_in_space
 
 # exp overflows near 709; stop integration with ample headroom.
 _EXP_GUARD = 600.0
@@ -146,7 +149,8 @@ def _stage_kernel(model):
 
 @dataclass
 class SolveStats:
-    """What one solve did: right-hand-side calls, accepted steps in t
+    """What one solve did: right-hand-side calls (the two runs' nfev; phase
+    1's first derivative is the fail-fast call of R at u), accepted steps in t
     (phase 1) and in the time-changed s (phase 2), rejected step attempts
     over both phases, and why it stopped: "horizon", "radius" (|psi| reached
     r_max), "overflow" (the exp guard on the weighted points with weight in
@@ -296,53 +300,56 @@ def solve_riccati(model, u, horizon):
     r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
     kernel = _stage_kernel(model)
-    nfev = 0
-    limit = MAX_STEPS * 20
+    nfev_t = 0  # phase 1's calls, once phase 2 runs
+
+    def check_budget(run, t):
+        if nfev_t + run.nfev > MAX_STEPS * 20:
+            raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
 
     def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > limit:
-            raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
-        if nfev == 1:  # DOP853's first call, at (0, u): the check above made it
-            return r_u.view(float)
         return kernel(y.view(complex)[1:]).view(float)
 
     dz_1 = np.ones(2 * u.size + 3)  # (R_0, R, 1), packed
 
     def rhs_s(s, y):
-        dz_1[:-1] = rhs(t_switch + y[-1], y[:-1])
+        psi = y[2:-1].view(complex)
+        r = kernel(psi)
+        dz_1[:-1] = r.view(float)
         # |psi| by np.linalg.norm's formula. hypot scales its arguments: |R|
         # may exceed the square root of the largest float. np.abs of a complex
         # number may differ from Python's abs in the last bit. A non-finite
         # R_1..p leaves g 0 or NaN, and its component NaN.
-        psi = y[2:-1].view(complex)
-        psi_norm = math.sqrt(psi.real.dot(psi.real) + psi.imag.dot(psi.imag))
-        g = 1.0 / (1.0 + math.hypot(*np.abs(dz_1[2:-1].view(complex)).tolist()) / (r_switch * (1.0 + psi_norm)))
+        re, im = psi.real, psi.imag
+        psi_norm = math.sqrt(re.dot(re) + im.dot(im))
+        g = 1.0 / (1.0 + math.hypot(*np.abs(r[1:]).tolist()) / (r_switch * (1.0 + psi_norm)))
         return g * dz_1
 
     # exp may overflow in a trial stage, which the step's error estimate judges.
     with np.errstate(over="ignore", invalid="ignore"):
         # Phase 1, in t. The stopping surfaces are built once per solve.
         events, kinds = _make_events(model, R_MAX)
-        watched, until = 0, None
-        if r_switch < R_MAX:  # stop at the first step end past r_sw; phase 2 watches R_MAX
-            watched = 1
+        # Stop at the first step end past r_sw, where phase 2 watches R_MAX.
+        watched = 1 if r_switch < R_MAX else 0
 
-            # A super-exponential R steepens while |psi| stalls below r_sw.
-            # A stiff linear part a^T psi alone does not blow up, so its
-            # nonlinear rest must pass the bound too.
-            def until(run):
-                psi_norm = norm(run.y[_CORE])
-                if psi_norm >= r_switch:
-                    return True
-                bound = r_switch * (1.0 + psi_norm)
-                if norm(run.f[_CORE]) < bound:
-                    return False
-                rest = run.f.view(complex)[1:] - model.rhs_linear[1:] @ run.y.view(complex)[1:]
-                return norm(rest.view(float)) >= bound
+        # A super-exponential R steepens while |psi| stalls below r_sw. A
+        # stiff linear part a^T psi alone does not blow up, so its nonlinear
+        # rest must pass the bound too.
+        def until(run):
+            check_budget(run, run.t)
+            if not watched:
+                return False
+            psi_norm = norm(run.y[_CORE])
+            if psi_norm >= r_switch:
+                return True
+            bound = r_switch * (1.0 + psi_norm)
+            if norm(run.f[_CORE]) < bound:
+                return False
+            rest = run.f.view(complex)[1:] - model.rhs_linear[1:] @ run.y.view(complex)[1:]
+            return norm(rest.view(float)) >= bound
+
         y0 = np.concatenate([[0.0], u]).view(float)
-        run = DOP853(rhs, 0.0, y0, horizon, REL_TOL, ABS_TOL, core=_CORE).advance(events[watched:], until)
+        run = DOP853(rhs, 0.0, y0, horizon, REL_TOL, ABS_TOL, core=_CORE, f0=r_u.view(float))
+        run.advance(events[watched:], until)
         grid, ys, dense = run.grid, run.ys, run
         steps_t, steps_s, rejected = run.n_steps, 0, run.rejected
         if run.event is None and not run.failed and grid[-1] < horizon:
@@ -352,7 +359,7 @@ def solve_riccati(model, u, horizon):
             # 0.1, so that a blow-up time far below 1 stays accurate, down
             # to the smallest normal float, where a subnormal t_switch (a
             # phase 1 from DOP853's minimum step) would make it 0.
-            t_switch = float(grid[-1])
+            t_switch, nfev_t = float(grid[-1]), run.nfev
 
             def at_horizon(s, y):
                 return t_switch + y[-1] - horizon
@@ -362,7 +369,8 @@ def solve_riccati(model, u, horizon):
             watched = 0
             atol = np.full(ys.shape[1] + 1, ABS_TOL)
             atol[-1] = max(ABS_TOL * min(1.0, 10.0 * t_switch), sys.float_info.min)
-            run = DOP853(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, REL_TOL, atol, core=_CORE).advance(events)
+            run = DOP853(rhs_s, 0.0, np.append(ys[-1], 0.0), math.inf, REL_TOL, atol, core=_CORE)
+            run.advance(events, lambda run: check_budget(run, t_switch + run.y[-1]))
             s_ys = run.ys
             steps_s, rejected = run.n_steps, rejected + run.rejected
             t_grid = t_switch + s_ys[:, -1]
@@ -380,7 +388,7 @@ def solve_riccati(model, u, horizon):
         t_out = float(grid[np.flatnonzero(np.isfinite(psi0))[-1]])
 
     def result(verdict, bracket, stop_reason):
-        stats = SolveStats(nfev, steps_t, steps_s, rejected, stop_reason, t_out)
+        stats = SolveStats(nfev_t + run.nfev, steps_t, steps_s, rejected, stop_reason, t_out)
         return RiccatiSolution(u, grid, psi0, psi, verdict, bracket, dense, stats)
 
     if (kind is None and not run.failed) or kind == "horizon":

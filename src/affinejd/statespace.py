@@ -156,6 +156,7 @@ class StateSpace:
     """Base class; concrete families implement the geometric primitives."""
 
     kind = "abstract"
+    noun = "state space"
     dim = 0
     # Tolerance of bounded_support's test.
     _SUPPORT_TOL = 1e-12

@@ -34,8 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded
-from .model import AffineModel, _check_positive, _check_vector, in_U, require_in_space
+from .errors import (DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded,
+                     _check_positive, _check_vector)
+from .model import AffineModel, in_U, require_in_space
 from .riccati import _solve_reaching, explosion_time, solve_riccati
 
 # Relative width of the bracket effective_domain_ray closes around lambda_star.
@@ -252,6 +253,7 @@ def damped_transform_sequence(model, u, x, t, n_list):
     Cauchy differences of consecutive values as a convergence diagnostic."""
     if not in_U(model.state_space, u):
         raise ValueError("u must satisfy sup Re(u.x) < inf over the state space")
+    x, t = require_in_space(model, x), _check_positive(t, "t", zero_ok=True)
     values = []
     for n in n_list:
         tv = transform(damped_model(model, n), u, x, t)

@@ -150,6 +150,27 @@ def test_stepper_matches_scipy_step_for_step_on_blow_up(squared_model, u):
         assert end == "radius" and steps > 20
 
 
+def test_a_given_first_derivative_takes_the_same_steps():
+    # A run handed f0 = fun(t0, y0) takes the steps of a run that computes
+    # it, bit for bit, and counts the call all the same; each run's nfev is
+    # the calls it made, including the interpolant of an event step.
+    for model, u, horizon in ((golden.cir(), [0.5 + 0.2j], 1.5), (golden.squared_scalar(), [2.0], 10.0)):
+        fun = packed(model)
+        y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
+        events = [lambda t, y: np.linalg.norm(y[2:]) - 1e3]
+        runs = []
+        for f0 in (None, fun(0.0, y0)):
+            counted_fun = counted(fun)
+            run = integrator.DOP853(counted_fun, 0.0, y0, horizon, REL_TOL, ABS_TOL, core=slice(2, None), f0=f0)
+            run.advance(events)
+            assert run.nfev == counted_fun.calls + (f0 is not None)
+            runs.append(run)
+        own, given = runs
+        assert own.nfev == given.nfev and own.rejected == given.rejected and own.event == given.event
+        assert own.grid.tobytes() == given.grid.tobytes() and own.ys.tobytes() == given.ys.tobytes()
+        assert own.n_steps > 5
+
+
 def test_stepper_nan_error_shrinks_step():
     # A trial stage that returns NaN is a rejected attempt whose step
     # shrinks by MIN_FACTOR, as in scipy.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from affinejd import golden
 from affinejd.errors import (
     DimensionMismatch,
     DivergentIntegral,
@@ -69,6 +70,17 @@ def test_real_argument_gives_real_nonnegative_for_nonnegative_measures():
             val = m.exp_moment(y)
             assert abs(val.imag) < 1e-14 * max(1.0, abs(val))
             assert val.real >= -1e-14
+
+
+def test_non_finite_argument_is_refused_by_name():
+    measures = [FiniteAtomic([1.0], [[1.0]]), ExponentialRay(1.0, 3.0, [1.0]), TabulatedDensity([0.5], [[1.0]])]
+    measures += [m for m in golden.compound_poisson().K if m is not None]
+    for m in measures:
+        for y in ([np.nan], [np.inf], [complex(0.0, np.inf)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^y must be finite$"):
+                    m.exp_moment(y)
 
 
 def test_wrong_length_argument_is_named():

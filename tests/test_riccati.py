@@ -815,6 +815,51 @@ def test_stage_kernel_is_riccati_rhs_bit_for_bit():
         assert not np.isfinite(riccati._stage_kernel(STEEP_ATOM_MODEL)(np.array([400.0 + 0.5j]))[1:]).any()
 
 
+def counting_kernels(monkeypatch):
+    """A list that grows by one on each call of a kernel of
+    riccati._stage_kernel, through which every evaluation of R goes."""
+    calls = []
+    build = riccati._stage_kernel
+
+    def counting(model):
+        kernel = build(model)
+        return lambda y: calls.append(1) or kernel(y)
+
+    monkeypatch.setattr(riccati, "_stage_kernel", counting)
+    return calls
+
+
+def test_two_phase_solves_count_every_kernel_call(squared_model, monkeypatch):
+    # The runs count their calls: the first derivative (the fail-fast check
+    # at u, handed to phase 1), the first-step probes, 12 per attempt and 3
+    # for the interpolant that locates the stopping event.
+    calls = counting_kernels(monkeypatch)
+    for u, horizon, verdict in (([2.0], 10.0, "exploded"), ([0.5], 1.99, "solved")):
+        calls.clear()
+        sol = solve_riccati(squared_model, u, horizon)
+        stats = sol.stats
+        assert sol.verdict == verdict and stats.steps_t > 0 and stats.steps_s > 0
+        assert stats.stop_reason == ("radius" if verdict == "exploded" else "horizon")
+        assert stats.nfev == 2 + 2 + 12 * (stats.steps_t + stats.steps_s + stats.rejected) + 3
+        assert len(calls) == stats.nfev
+
+
+def test_step_budget_is_checked_in_phase_two(squared_model, monkeypatch):
+    # Each phase of psi' = psi^2 from u = 2 fits a budget that the two
+    # phases together pass two steps before the end, which has 3 calls for
+    # the event's interpolant: the solve ends in phase 2, past the switch
+    # time.
+    sol = solve_riccati(squared_model, [2.0], 10.0)
+    stats = sol.stats
+    max_steps = (stats.nfev - 3 - 2 * 12) // 20
+    for steps in (stats.steps_t, stats.steps_s):
+        assert 0 < steps and 2 + 12 * (steps + stats.rejected) + 3 <= 20 * max_steps
+    monkeypatch.setattr(riccati, "MAX_STEPS", max_steps)
+    with pytest.raises(StepLimitExceeded, match=rf"^exceeded {max_steps} steps at t=") as info:
+        solve_riccati(squared_model, [2.0], 10.0)
+    assert float(str(info.value).split("t=")[1]) >= float(f"{sol.grid[stats.steps_t]:.6g}")
+
+
 def test_no_stray_runtime_warnings(cp_model):
     # exp(0.8 u) in R_0 overflows at t = 0 on the compound-Poisson +1 ray
     # beyond lambda ~ 886, and e^y - 1 - y overflows where its step size

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from affinejd import golden
-from affinejd.errors import DimensionMismatch, ExplosionBeforeHorizon, UnsupportedFamily
+from affinejd.errors import DimensionMismatch, ExplosionBeforeHorizon, StateSpaceMismatch, UnsupportedFamily
 from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
 from affinejd.model import AffineModel
 from affinejd.riccati import REL_TOL, solve_riccati
@@ -343,6 +343,19 @@ def test_damped_sequence_converges_to_undamped(cp_model):
     errs = [abs(v - undamped.value) for v in diag.values]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
+
+
+def test_damped_sequence_checks_x_and_t_without_a_damping(cp_model):
+    # An empty n_list calls no transform, so the state and the time are
+    # checked before the loop.
+    with pytest.raises(ValueError, match="^state"):
+        damped_transform_sequence(cp_model, [0.3j], [math.nan], math.nan, [])
+    with pytest.raises(StateSpaceMismatch):
+        damped_transform_sequence(cp_model, [0.3j], [-1.0], 0.5, [])
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+            damped_transform_sequence(cp_model, [0.3j], [0.5], t, [])
+    assert damped_transform_sequence(cp_model, [0.3j], [0.5], 0.5, []).values == []
 
 
 def test_damped_sequence_requires_u_in_U(cp_model):
