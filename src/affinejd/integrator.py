@@ -517,9 +517,12 @@ class DOP853:
         fun, K = self.fun, self.K
         self.nfev += N_STAGES
         K[0] = self.f
+        # numpy converts a Python float on every product; a 0-d array is
+        # converted once, with the same products.
+        h_arr = np.array(h)
         for s, K_sT, a, c in self._stage_views:
-            K[s] = fun(t + c * h, y + K_sT.dot(a) * h)
-        y_new = y + h * self._KT_B.dot(B)
+            K[s] = fun(t + c * h, y + K_sT.dot(a) * h_arr)
+        y_new = y + self._KT_B.dot(B) * h_arr
         f_new = fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new

@@ -254,7 +254,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     const_edges = pick_cum = None
     if has_jumps and not model.jump_mass[1:].any():
         const_edges = np.cumsum(np.full(n_block, model.jump_mass[0] * dt))
-        pick_cum = np.cumsum(model.jump_weights(np.zeros((1, p))), axis=1)
+        pick_cum = np.cumsum(model.jump_weights(np.zeros((1, p)))[0])
     # One mark per column of jump_weights: each weighted point, then each
     # ray's unit direction, which a drawn jump scales by its Exp/rate length.
     n_atoms = model.jump_points.shape[0]
@@ -293,12 +293,15 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
             total = rows.size
             if total:
                 np.add.at(jump_counts, rows, 1)
-                cum = pick_cum
-                if cum is None:
-                    cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
                 u_sel = stream(k, _MARKS).random(total)
-                pick = (cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1)
-                pick = np.minimum(pick, cum.shape[1] - 1)
+                if pick_cum is None:
+                    cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
+                    pick = (cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1)
+                else:
+                    # On one nondecreasing row, the count of entries below a
+                    # value is searchsorted's left index.
+                    pick = pick_cum.searchsorted(u_sel * pick_cum[-1])
+                pick = np.minimum(pick, marks.shape[0] - 1)
                 z = marks[pick]
                 if rates.size:
                     ray = pick >= n_atoms

@@ -114,7 +114,10 @@ class RayProbe:
     conditions: lambda_star = inf{lambda >= 0 : blow-up by the horizon}.
     ``probes`` holds (lambda, blow-up time estimate or None, verdict) in the
     order probed; the verdict is "finite" (blow-up by the horizon),
-    "exceeds_horizon", or "DivergentIntegral" (psi reached a ray's rate)."""
+    "exceeds_horizon", or "DivergentIntegral" (psi reached a ray's rate).
+    The probe at lambda_max made right after the first probe inside the
+    domain (the certificate) is listed in that order; a certificate whose
+    solve failed is no verdict and is not listed."""
 
     direction: np.ndarray
     horizon: float
@@ -139,7 +142,15 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     blows up by the horizon or psi reaches a ray's rate (DivergentIntegral);
     a solver failure (NonFiniteRHS, StepLimitExceeded) is raised.
 
-    Doubling from lambda = 1 brackets lambda_star. Inside the bracket each
+    Doubling from lambda = 1 brackets lambda_star. After the first doubling
+    probe inside the domain, lambda_max itself is probed at the horizon
+    (unless the next doubling probe is lambda_max anyway): by the
+    monotonicity, a certificate that stays inside decides an unbounded ray
+    in two probes, which the doubling would also reach. A certificate that
+    leaves is recorded, but its 1/T* feeds the secant only once the doubling
+    reaches lambda_max, which then reads its verdict instead of solving
+    again; a certificate whose solve fails is not recorded, and its error is
+    raised only if the doubling reaches lambda_max. Inside the bracket each
     probe integrates to twice the horizon, so probes on both sides of
     lambda_star return their blow-up time T*. A secant on the monotone map
     lambda -> 1/T*(lambda) (Keller-Ressel & Mayerhofer, "Exponential moments
@@ -159,8 +170,11 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
     probes = []
     rates = {0.0: 0.0}  # lambda -> 1/T*(lambda) where known; T* = inf at 0
     t_probe = horizon  # how far each probe integrates; twice the horizon in the bracket
+    certificate = None  # the outcome at lambda_max, or the error its solve raised
 
-    def leaves_domain(lam):
+    def outcome(lam):
+        """The probe at lam, (lam, blow-up time estimate or None, verdict),
+        and 1/T*(lam) where the probe found T* (else None)."""
         nonlocal t_probe
         try:
             res = explosion_time(model, lam * direction, t_probe)
@@ -169,16 +183,27 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
                 # The failure may lie past the horizon: decide on the horizon,
                 # here and for the probes that follow.
                 t_probe = horizon
-                return leaves_domain(lam)
+                return outcome(lam)
             if not isinstance(exc, DivergentIntegral):
                 raise
-            probes.append((lam, None, type(exc).__name__))
-            return True
-        if res.finite and res.estimate > 0.0:
-            rates[lam] = 1.0 / res.estimate
+            return (lam, None, type(exc).__name__), None
         leaves = res.finite and res.estimate <= horizon
-        probes.append((lam, res.estimate, "finite" if leaves else "exceeds_horizon"))
-        return leaves
+        rate = 1.0 / res.estimate if res.finite and res.estimate > 0.0 else None
+        return (lam, res.estimate, "finite" if leaves else "exceeds_horizon"), rate
+
+    def leaves_domain(lam):
+        if lam == lambda_max and certificate is not None:
+            # The doubling reached the certificate, solved to the same horizon:
+            # its verdict or error stands, and its 1/T* now feeds the secant.
+            if isinstance(certificate, Exception):
+                raise certificate
+            probe, rate = certificate
+        else:
+            probe, rate = outcome(lam)
+            probes.append(probe)
+        if rate is not None:
+            rates[lam] = rate
+        return probe[2] != "exceeds_horizon"
 
     def secant_guess():
         """Where the line through the two probes with 1/T* nearest 1/horizon
@@ -196,6 +221,16 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
         lam_lo = lam_hi
         if lam_hi >= lambda_max:
             return RayProbe(direction, horizon, math.inf, None, probes)
+        if certificate is None and 2.0 * lam_hi < lambda_max:
+            # Blow-up is monotone in lambda: lambda_max inside decides the ray.
+            try:
+                certificate = outcome(lambda_max)
+            except (NonFiniteRHS, StepLimitExceeded) as exc:
+                certificate = exc
+            else:
+                probes.append(certificate[0])
+                if certificate[0][2] == "exceeds_horizon":
+                    return RayProbe(direction, horizon, math.inf, None, probes)
         lam_hi = min(2.0 * lam_hi, lambda_max)
     t_probe = 2.0 * horizon
     while lam_hi - lam_lo > RAY_REL_TOL * lam_hi:

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -36,7 +38,7 @@ from affinejd.riccati import (
     solve_riccati,
     variation_of_constants_residual,
 )
-from affinejd.statespace import Canonical, PSDCone
+from affinejd.statespace import Canonical, PSDCone, vech
 from affinejd.transform import RAY_REL_TOL, effective_domain_ray, transform
 
 
@@ -658,12 +660,126 @@ def test_psi0_overflow_is_not_blow_up(cp_model, u, monkeypatch):
 
 @pytest.mark.parametrize("horizon", [0.5, 0.7, 2.0])
 def test_compound_poisson_ray_is_unbounded(cp_model, horizon, monkeypatch):
-    # Doubling from 1 to lambda_max = 1e6 takes 21 probes; those past ~886
-    # hold psi_0 and cost about as much as the ones below.
+    # The probe at 1 and the certificate at lambda_max = 1e6, which holds
+    # psi_0 past its float range, decide the ray.
     stats = counting_solves(monkeypatch)
     ray = effective_domain_ray(cp_model, [1.0], horizon)
-    assert not ray.bounded and ray.bracket is None and len(ray.probes) <= 21
+    assert not ray.bounded and ray.bracket is None and len(ray.probes) == 2
     assert len(stats) == len(ray.probes) and sum(s.nfev for s in stats) <= 3500
+
+
+def wishart_rays():
+    """The three directions and horizons of test_transform's Wishart rays."""
+    rng = np.random.default_rng(17)
+    rays = []
+    for _ in range(3):
+        b = rng.normal(size=(2, 2)) * 0.7
+        direction = vech(b @ b.T + 0.1 * np.eye(2))
+        rays.append((direction / np.linalg.norm(direction), rng.uniform(0.5, 1.5)))
+    return rays
+
+
+def ray_pin(ray, ordered=True):
+    """lambda_star and the bracket as hex floats, the (lambda, estimate) rows
+    of the probes other than the certificate at the default lambda_max (NaN
+    for no estimate) by pin_text, in probe order or sorted, and the
+    initials of their verdicts."""
+    probes = [probe for probe in ray.probes if probe[0] != 1e6]
+    rows = [(lam, math.nan if est is None else est) for lam, est, _ in probes]
+    return (ray.lambda_star.hex(), tuple(b.hex() for b in ray.bracket),
+            pin_text(rows if ordered else sorted(rows)), "".join(kind[0] for _, _, kind in probes))
+
+
+# Bounded rays, with the values that the doubling alone found: the
+# certificate adds a probe but moves no other.
+RAY_PINS = {
+    ("cir", 0.6): ("0x1.aaaaada65510dp+0", ("0x1.aaaaaa1b9e23cp+0", "0x1.aaaab1310bfdep+0"),
+                   "2d68f26c81c8fa5671d3bd89", "efef"),
+    ("cir", 0.7): ("0x1.6db6de0396bafp+0", ("0x1.6db6daf319d58p+0", "0x1.6db6e11413a06p+0"),
+                   "3b0a7729fcb1190d6b15be4c", "efef"),
+    ("cir", 1.0): ("0x1.fffffba3603d0p-1", ("0x1.fffff746c07a1p-1", "0x1.0000000000000p+0"),
+                   "0x1.0000000000000p+0 0x1.ffffffaa3c490p-1 0x1.fffff746c07a1p-1 0x1.00000431bdfa7p+0", "fe"),
+    ("cir", 1.7): ("0x1.2d2d2f7cbdf46p-1", ("0x1.2d2d2cfaba0cep-1", "0x1.2d2d31fec1dbep-1"),
+                   "f875fb317f608d3ce39fe03b", "fef"),
+    ("wishart_2d", 0): ("0x1.0308a59ec4a09p+0", ("0x1.0308a1604d3a1p+0", "0x1.0308a9dd3c071p+0"),
+                        "1f36d77dd4a11303c8339c82", "efffefef"),
+    ("wishart_2d", 1): ("0x1.23e9b460059f0p+0", ("0x1.23e9af97a685bp+0", "0x1.23e9b92864b85p+0"),
+                        "734415db55746d250dbab665", "effeffef"),
+    ("wishart_2d", 2): ("0x1.347ec95d9a993p+0", ("0x1.347ec44fae55cp+0", "0x1.347ece6b86dcap+0"),
+                        "2008e1d7e9981a945b33491c", "efeffef"),
+}
+
+
+def probed_lambdas(monkeypatch, fail_at=None):
+    """The lambda of every explosion_time call made by effective_domain_ray,
+    failing with StepLimitExceeded at fail_at."""
+    calls = []
+
+    def probe(model, u, t_max):
+        calls.append(u[0])
+        if u[0] == fail_at:
+            raise StepLimitExceeded("exceeded 1 steps at t=0")
+        return explosion_time(model, u, t_max)
+
+    # The package re-exports the function transform, which shadows the module.
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "explosion_time", probe)
+    return calls
+
+
+@pytest.mark.parametrize("name, direction, horizon", [("cir", -1.0, 1.3), ("compound_poisson", 1.0, 0.7)])
+def test_unbounded_ray_takes_two_solves(name, direction, horizon, monkeypatch):
+    stats = counting_solves(monkeypatch)
+    ray = effective_domain_ray(getattr(golden, name)(), [direction], horizon)
+    assert not ray.bounded and ray.bracket is None and len(stats) == 2
+    assert ray.probes == [(1.0, None, "exceeds_horizon"), (1e6, None, "exceeds_horizon")]
+
+
+@pytest.mark.parametrize("key", list(RAY_PINS), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_bounded_rays_keep_their_brackets(key, monkeypatch):
+    name, which = key
+    direction, horizon = ([1.0], which) if name == "cir" else wishart_rays()[which]
+    stats = counting_solves(monkeypatch)
+    ray = effective_domain_ray(getattr(golden, name)(), direction, horizon)
+    assert ray_pin(ray) == RAY_PINS[key]
+    assert len(stats) == len(ray.probes)
+    # Only a ray whose first probe stays inside gets a certificate, which
+    # follows that probe and leaves the domain.
+    lams = [lam for lam, _, _ in ray.probes]
+    if ray.probes[0][2] == "exceeds_horizon":
+        assert lams.count(1e6) == 1 and ray.probes[1][0] == 1e6 and ray.probes[1][2] == "finite"
+    else:
+        assert 1e6 not in lams
+
+
+def test_failed_certificate_falls_back(monkeypatch):
+    # exp(2 lambda) overflows at lambda_max = 1e6 on the atom of K^1, so the
+    # certificate's solve fails; the doubling goes on, and the ray keeps its
+    # bracket and probes.
+    with pytest.raises(NonFiniteRHS):
+        explosion_time(STEEP_ATOM_MODEL, [1e6], 1e-3)
+    calls = probed_lambdas(monkeypatch)
+    ray = effective_domain_ray(STEEP_ATOM_MODEL, [1.0], 1e-3)
+    assert ray_pin(ray) == ("0x1.59b907d5137e9p+2", ("0x1.59b9022b027d9p+2", "0x1.59b90d7f247f9p+2"),
+                            "e7ea79fab5f392c679eb651f", "eeeffefeeefef")
+    lams = [lam for lam, _, _ in ray.probes]
+    assert calls == lams[:1] + [1e6] + lams[1:]
+
+
+def test_no_lambda_is_solved_twice(cir_model, monkeypatch):
+    # lambda_star = 48, so the doubling reaches lambda_max = 64 and reads the
+    # certificate's verdict; the probes are the doubling's, in another order.
+    stats = counting_solves(monkeypatch)
+    ray = effective_domain_ray(cir_model, [1.0], 1.0 / 48.0, lambda_max=64.0)
+    lams = [lam for lam, _, _ in ray.probes]
+    assert lams[:2] == [1.0, 64.0] and len(stats) == len(set(lams)) == len(lams)
+    assert ray_pin(ray, ordered=False) == ("0x1.7ffff50da6a66p+5", ("0x1.7fffefe4f2fe2p+5", "0x1.7ffffa365a4e9p+5"),
+                                           "091af431460631314ad088bb", "efeeeeeef")
+    # A certificate whose solve fails raises its error where the doubling
+    # reaches lambda_max, without a second solve there.
+    calls = probed_lambdas(monkeypatch, fail_at=64.0)
+    with pytest.raises(StepLimitExceeded):
+        effective_domain_ray(cir_model, [1.0], 1.0 / 48.0, lambda_max=64.0)
+    assert calls == [1.0, 64.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
 
 def test_psi0_overflow_by_accumulation(cp_model):
@@ -869,9 +985,9 @@ def test_no_stray_runtime_warnings(cp_model):
         ray = effective_domain_ray(cp_model, [1.0], 0.7)
         sol = solve_riccati(self_exciting_model(), [1.0], 10.0)
     # An overflow of psi_0 alone is not blow-up: psi = u is constant, so the
-    # ray never leaves the domain and doubles up to lambda_max.
+    # ray never leaves the domain, and the certificate at lambda_max says so.
     assert ray.bracket is None and ray.lambda_star == np.inf
-    assert [kind for _, _, kind in ray.probes] == ["exceeds_horizon"] * 21
+    assert ray.probes == [(1.0, None, "exceeds_horizon"), (1e6, None, "exceeds_horizon")]
     assert sol.exploded and sol.stats.stop_reason == "overflow"
     want = oracles.explosion_time_1d(lambda y: np.exp(y) - 1.0 - y, 1.0)
     assert sol.bracket[0] < want < sol.bracket[1]
