@@ -1,5 +1,9 @@
 """Exception types shared across the package, the check of numeric fields
-that raises ModelFormatError, and the one rule for vector and time arguments."""
+that raises ModelFormatError, and the one rule for every argument that a
+library entry point reads as a number: a vector goes through
+``_check_vector``, a time, scale or tolerance through ``_check_positive``
+and a count, size or seed through ``_check_count``. Each names the argument
+in a ValueError, and none reads a bool or a string as a number."""
 
 import cmath
 import math
@@ -101,7 +105,7 @@ def _check_vector(owner, v, name, real=True, finite=True):
     v = np.asarray(v).ravel()
     if v.size != owner.dim:
         raise DimensionMismatch(f"{name} has length {v.size}, the {owner.noun} has dimension {owner.dim}")
-    if v.dtype.kind not in "biufc":
+    if v.dtype.kind not in "iufc":
         raise ValueError(f"{name} must hold numbers")
     if finite and not all(map(cmath.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
@@ -111,11 +115,22 @@ def _check_vector(owner, v, name, real=True, finite=True):
 
 
 def _check_positive(value, name, zero_ok=False):
-    """The time or scale ``name`` as a float, if it is finite and positive
-    (or zero, where ``zero_ok``); ValueError names it otherwise."""
+    """The time, scale or tolerance ``name`` as a float, if it is a real
+    number, not a bool, that is finite and positive (or zero, where
+    ``zero_ok``); ValueError names it otherwise."""
     try:
-        if (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf:
+        if (not isinstance(value, (bool, np.bool_)) and (0.0 <= value if zero_ok else 0.0 < value)
+                and value < math.inf):
             return float(value)
     except TypeError:  # a complex number, or no number
         pass
     raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite")
+
+
+def _check_count(value, name, minimum, error=ValueError):
+    """The count, size or seed ``name`` as an int, if it is a Python or numpy
+    integer, not a bool, of at least ``minimum``; ``error`` (ModelFormatError
+    for a record field) names it otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise error(f"{name} must be an integer at least {minimum}")

@@ -28,6 +28,7 @@ from .errors import (
     ModelFormatError,
     QuadratureTailWarning,
     UnsupportedFamily,
+    _check_count,
     _check_vector,
     finite_floats,
 )
@@ -134,6 +135,7 @@ class ExponentialRay(JumpMeasure):
         for workflows (damping) that need an atom representation. Grid
         adequacy is the caller's responsibility; the integral warns when the
         tail looks truncated."""
+        n_nodes = _check_count(n_nodes, "n_nodes", 2)
         s_max = 40.0 / self.rate
         s = np.linspace(s_max / n_nodes, s_max, n_nodes)
         dens = self.mass * self.rate * np.exp(-self.rate * s)

@@ -20,6 +20,7 @@ from .errors import (
     ModelFormatError,
     StateSpaceMismatch,
     UnsupportedFamily,
+    _check_count,
     _check_positive,
     _check_vector,
     finite_floats,
@@ -279,8 +280,9 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
     where they pass, also that k(x, y) is nonnegative at _K_SAMPLES pairs of
     a projected Gaussian x and a Gaussian y (a y past a ray's rate is
     skipped)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _check_count(n_samples, "n_samples", 1)
+    seed = _check_count(seed, "seed", 0)
+    tol = _check_positive(tol, "tol", zero_ok=True)
     rng = np.random.default_rng(seed)
     space = model.state_space
     xs = _sample_states(space, n_samples, rng)

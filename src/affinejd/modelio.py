@@ -34,7 +34,7 @@ import json
 
 import numpy as np
 
-from .errors import ModelFormatError, finite_floats
+from .errors import ModelFormatError, _check_count, finite_floats
 from .jumps import measure_from_dict
 from .model import AffineModel
 from .statespace import space_from_dict
@@ -69,12 +69,11 @@ def model_to_dict(model):
     }
 
 
-def _require(d, key, kind=None):
+def _require(d, key, kind=object):
     if key not in d:
         raise ModelFormatError(f"missing field '{key}'")
     val = d[key]
-    # A JSON true or false is a Python bool, which is also an int.
-    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
+    if not isinstance(val, kind):
         raise ModelFormatError(f"field '{key}' has the wrong type ({type(val).__name__})")
     return val
 
@@ -82,9 +81,7 @@ def _require(d, key, kind=None):
 def model_from_dict(d):
     if not isinstance(d, dict):
         raise ModelFormatError("model file must hold a JSON object")
-    p = _require(d, "dim", int)
-    if p < 1:
-        raise ModelFormatError("field 'dim' must be a positive integer")
+    p = _check_count(_require(d, "dim"), "field 'dim'", 1, ModelFormatError)
     a0 = finite_floats(_require(d, "a0", list), "field 'a0'", (p,))
     # p columns of length p, so the rows of the array are the columns of a.
     a = finite_floats(_require(d, "a", list), "field 'a'", (p, p)).T

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -67,6 +66,8 @@ from .errors import (
     IntensityInfinite,
     NegativeJumpWeight,
     PathOverflow,
+    _check_count,
+    _check_positive,
 )
 from .model import AffineModel, require_in_space
 from .modelio import model_hash
@@ -92,21 +93,12 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("n_paths", "seed", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("dt", "horizon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
-        if not (0.0 < self.dt < np.inf and 0.0 < self.horizon < np.inf):
-            raise ValueError("dt and horizon must be finite and positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if not 0 <= self.seed < 1 << 64:
+        # The checks only refuse; the fields keep the values given.
+        _check_count(self.n_paths, "n_paths", 1)
+        _check_count(self.threads, "threads", 1)
+        _check_positive(self.dt, "dt")
+        _check_positive(self.horizon, "horizon")
+        if _check_count(self.seed, "seed", 0) >> 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
@@ -404,10 +396,13 @@ def _complex_mean_se(vals):
 
 def mc_transform(ensemble, u):
     """Sample mean and standard error of exp(u.X_T) over the paths."""
-    u = np.asarray(u, dtype=complex).ravel()
+    u = np.asarray(u).ravel()
     p = ensemble.states.shape[2]
     if u.size != p:
         raise DimensionMismatch(f"u has length {u.size}, the paths have dimension {p}")
+    if u.dtype.kind not in "iufc":
+        raise ValueError("u must hold numbers")
+    u = u.astype(complex, copy=False)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
     with np.errstate(over="ignore"):
@@ -433,8 +428,7 @@ class MartingaleReport:
 def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig):
     """Simulate and test that the transform-induced martingale has constant
     expectation across n_checkpoints times in (0, horizon]."""
-    if isinstance(n_checkpoints, bool) or not isinstance(n_checkpoints, numbers.Integral) or n_checkpoints < 1:
-        raise ValueError(f"n_checkpoints must be an integer at least 1, got {n_checkpoints!r}")
+    n_checkpoints = _check_count(n_checkpoints, "n_checkpoints", 1)
     sol = _solve_reaching(model, u, horizon)
     checkpoints = np.linspace(0.0, horizon, n_checkpoints + 1)
     ens = simulate_paths(model, x0, replace(cfg, horizon=horizon, record_times=checkpoints))
@@ -471,14 +465,11 @@ def sup_moment(ensemble):
     return float(np.mean(ensemble.sup_sq))
 
 
-def expected_jump_count(model, ensemble):
+def expected_jump_count(ensemble):
     """Estimate of integral over [0,T] of K(X_s, F) ds on the recorded grid
-    (trapezoid in time), for comparison with the mean jump count. The
-    model must be the one the ensemble was simulated from."""
-    if model is not ensemble.model and model_hash(model) != ensemble.model_hash:
-        raise ValueError(f"the ensemble was simulated from model {ensemble.model_hash[:12]}, "
-                         f"not {model_hash(model)[:12]}")
-    lam = np.array([np.mean(_intensity(model, ensemble.states[:, r, :]))
+    (trapezoid in time) under the ensemble's own model, for comparison with
+    the mean jump count."""
+    lam = np.array([np.mean(_intensity(ensemble.model, ensemble.states[:, r, :]))
                     for r in range(ensemble.times.size)])
     return float(np.trapezoid(lam, ensemble.times))
 

@@ -7,11 +7,13 @@ cone, the parabolic set {x : x_1 >= |x_bar|^2}, and finite intersections of
 half spaces.
 
 One rule holds for every family: E is a closed convex subset of R^dim, so
-a point with an inf or NaN entry lies in no state space, and every public
-entry (``contains``, ``interior_contains``, ``project``, ``project_batch``,
+a point with an inf or NaN entry, or with a bool, a string or a complex
+number for an entry, lies in no state space, and every public entry
+(``contains``, ``interior_contains``, ``project``, ``project_batch``,
 ``distance``, ``bounded_support``, ``phi``) refuses it with
-StateSpaceMismatch, naming the entry and, in a batch, its row. The families
-see finite rows only.
+StateSpaceMismatch, naming a non-finite entry and, in a batch, its row. The
+families see finite float rows only. A family's sizes are counts, checked
+by name as record fields (ModelFormatError).
 
 Projection and membership are batched over the rows of an ``(n, dim)``
 array: each family implements the signed margin ``_margin_rows`` once, of
@@ -42,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch, UnsupportedSpace, finite_floats
+from .errors import (DimensionMismatch, ModelFormatError, StateSpaceMismatch, UnsupportedSpace, _check_count,
+                     _check_positive, finite_floats)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -140,9 +143,13 @@ def unvech(x, d):
 
 
 def _require_finite(xs):
-    """xs, a point or an ``(n, dim)`` batch of them, if every entry is
-    finite. Otherwise StateSpaceMismatch names the first entry that is not,
-    and its row in a batch: no state space holds such a point."""
+    """xs, a point or an ``(n, dim)`` batch of them, as floats, if every
+    entry is a finite real number. Otherwise StateSpaceMismatch names the
+    first entry that is not finite, and its row in a batch, or the dtype of
+    entries that are no real numbers: no state space holds such a point."""
+    if xs.dtype.kind not in "iuf":
+        raise StateSpaceMismatch(f"a state must hold real numbers, not {xs.dtype.name}")
+    xs = xs.astype(float, copy=False)
     # On a point's few entries a Python loop takes a fifth of the time of
     # one numpy reduction, which most public calls would otherwise pay.
     if (all(map(math.isfinite, xs.tolist())) if xs.ndim == 1 else np.isfinite(xs).all()):
@@ -166,6 +173,7 @@ class StateSpace:
 
     def contains(self, x, tol=1e-9):
         """Whether x lies in the space up to the tolerance: margin >= -tol."""
+        tol = _check_positive(tol, "tol", zero_ok=True)
         return bool(self._margin_rows(self._check_dim(x)[None, :])[0] >= -tol)
 
     def interior_contains(self, x):
@@ -184,7 +192,7 @@ class StateSpace:
 
     def project_batch(self, xs):
         """Euclidean projection of each row of an ``(n, dim)`` array."""
-        xs = np.asarray(xs, dtype=float)
+        xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {self.dim})")
         return self._project_rows(_require_finite(xs))
@@ -206,8 +214,8 @@ class StateSpace:
         raise NotImplementedError
 
     def distance(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.project(x)))
+        x = self._check_dim(x)
+        return float(np.linalg.norm(x - self._project_rows(x[None, :])[0]))
 
     def bounded_support(self, r):
         """True iff sup over the space of r.x is finite. This is the rule of
@@ -226,7 +234,7 @@ class StateSpace:
         raise NotImplementedError
 
     def _check_dim(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
         return _require_finite(x)
@@ -248,10 +256,8 @@ class Canonical(StateSpace):
     kind = "canonical"
 
     def __init__(self, m, p):
-        if not (0 <= m <= p) or p < 1:
-            raise ModelFormatError(f"canonical space needs 0 <= m <= p, got m={m}, p={p}")
-        self.m = int(m)
-        self.dim = int(p)
+        self.m = _check_count(m, "canonical: 'm'", 0, ModelFormatError)
+        self.dim = _check_count(p, "canonical: 'p'", max(self.m, 1), ModelFormatError)
 
     @property
     def self_dual(self):
@@ -293,9 +299,7 @@ class PSDCone(StateSpace):
     self_dual = True
 
     def __init__(self, d):
-        if d < 1:
-            raise ModelFormatError(f"psd cone needs d >= 1, got {d}")
-        self.d = int(d)
+        self.d = _check_count(d, "psd_cone: 'd'", 1, ModelFormatError)
         self.dim = self.d * (self.d + 1) // 2
 
     def _margin_rows(self, xs):
@@ -372,9 +376,7 @@ class Lorentz(StateSpace):
     self_dual = True
 
     def __init__(self, p):
-        if p < 2:
-            raise ModelFormatError(f"lorentz cone needs p >= 2, got {p}")
-        self.dim = int(p)
+        self.dim = _check_count(p, "lorentz: 'p'", 2, ModelFormatError)
 
     def _margin_rows(self, xs):
         # x_1 - |x_bar| by the sum of squares, except on the rows whose sum
@@ -428,9 +430,7 @@ class Parabolic(StateSpace):
     kind = "parabolic"
 
     def __init__(self, p):
-        if p < 2:
-            raise ModelFormatError(f"parabolic space needs p >= 2, got {p}")
-        self.dim = int(p)
+        self.dim = _check_count(p, "parabolic: 'p'", 2, ModelFormatError)
 
     def _margin_rows(self, xs):
         # A sum of squares past float range reads inf and the margin -inf,
@@ -593,23 +593,15 @@ def space_from_dict(rec):
     if not isinstance(rec, dict) or "kind" not in rec:
         raise ModelFormatError("state_space: expected a record with a 'kind' tag")
     kind = rec["kind"]
-
-    def integer(key):
-        val = rec[key]
-        # A JSON true or false is a Python bool, which is also an int.
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ModelFormatError(f"state_space: field '{key}' must be an integer, got {val!r}")
-        return val
-
     try:
         if kind == "canonical":
-            return Canonical(integer("m"), integer("p"))
+            return Canonical(rec["m"], rec["p"])
         if kind == "psd_cone":
-            return PSDCone(integer("d"))
+            return PSDCone(rec["d"])
         if kind == "lorentz":
-            return Lorentz(integer("p"))
+            return Lorentz(rec["p"])
         if kind == "parabolic":
-            return Parabolic(integer("p"))
+            return Parabolic(rec["p"])
         if kind == "half_spaces":
             return HalfSpaceIntersection(rec["normals"], rec["offsets"])
     except KeyError as exc:

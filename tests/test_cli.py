@@ -208,6 +208,16 @@ def test_simulate_negative_seed_exits_2(capsys, models_dir):
     assert "invalid input" in err and "seed" in err
 
 
+def test_validate_bad_tolerance_or_seed_exits_2(capsys, models_dir):
+    # --tol nan once failed as a "numeric failure" (exit 1), and --seed -1
+    # reached numpy, whose message named no argument.
+    for flag, message in [("--tol=nan", "tol must be nonnegative and finite"),
+                          ("--seed=-1", "seed must be an integer at least 0")]:
+        code, out, err = run_cli(capsys, "validate", "--model", str(models_dir / "cir.json"), flag)
+        assert code == 2 and out == ""
+        assert f"invalid input for 'validate': {message}" in err and "Traceback" not in err
+
+
 def test_malformed_affine_seed_is_a_usage_error(capsys, models_dir, monkeypatch):
     monkeypatch.setenv("AFFINE_SEED", "abc")
     model = str(models_dir / "cir.json")

@@ -264,10 +264,14 @@ def test_non_finite_states_are_refused(name, x):
 def _rule_tables():
     """The entry points of the argument rule, each with the call that takes
     the bad argument. Vectors: (entry point, call, name, dimension, real);
-    times and scales: (entry point, call, name, zero allowed)."""
+    times and scales: (entry point, call, name, zero allowed); counts, sizes
+    and tolerances: (entry point, call, name, error, least), where least is a
+    count's least value, or "positive" or "nonnegative" for a tolerance."""
     from affinejd.cone import cone_leq, interior_preservation_check, monotonicity_check, regularity_Lu_check
     from affinejd.riccati import explosion_time, flow_identity_residual, mean_flow, riccati_rhs, solve_riccati
+    from affinejd.modelio import model_from_dict, model_to_dict
     from affinejd.simulate import martingale_diagnostic
+    from affinejd.statespace import Parabolic
     from affinejd.transform import (
         damped_model,
         damped_transform_sequence,
@@ -327,10 +331,34 @@ def _rule_tables():
         ("martingale_diagnostic", lambda t: martingale_diagnostic(cir, [0.3j], [1.0], t, 2, cfg), "horizon",
          False),
     ]
-    return vectors, times
+    ray = ExponentialRay(1.0, 2.0, [1.0])
+    scalars = [
+        ("SimConfig", lambda n: SimConfig(n_paths=n, dt=0.1, horizon=1.0), "n_paths", ValueError, 1),
+        ("SimConfig", lambda n: SimConfig(n_paths=4, dt=0.1, horizon=1.0, seed=n), "seed", ValueError, 0),
+        ("SimConfig", lambda n: SimConfig(n_paths=4, dt=0.1, horizon=1.0, threads=n), "threads", ValueError, 1),
+        ("SimConfig", lambda t: SimConfig(n_paths=4, dt=t, horizon=1.0), "dt", ValueError, "positive"),
+        ("SimConfig", lambda t: SimConfig(n_paths=4, dt=0.1, horizon=t), "horizon", ValueError, "positive"),
+        ("martingale_diagnostic", lambda n: martingale_diagnostic(cir, [0.3j], [1.0], 1.0, n, cfg),
+         "n_checkpoints", ValueError, 1),
+        ("check_admissibility", lambda n: check_admissibility(cir, n_samples=n), "n_samples", ValueError, 1),
+        ("check_admissibility", lambda n: check_admissibility(cir, seed=n), "seed", ValueError, 0),
+        ("check_admissibility", lambda t: check_admissibility(cir, tol=t), "tol", ValueError, "nonnegative"),
+        ("ExponentialRay.tabulated", lambda n: ray.tabulated(n_nodes=n), "n_nodes", ValueError, 2),
+        ("Canonical", lambda n: Canonical(n, 2), "canonical: 'm'", ModelFormatError, 0),
+        ("Canonical", lambda n: Canonical(1, n), "canonical: 'p'", ModelFormatError, 1),
+        ("PSDCone", lambda n: PSDCone(n), "psd_cone: 'd'", ModelFormatError, 1),
+        ("Lorentz", lambda n: Lorentz(n), "lorentz: 'p'", ModelFormatError, 2),
+        ("Parabolic", lambda n: Parabolic(n), "parabolic: 'p'", ModelFormatError, 2),
+        ("StateSpace.contains", lambda t: Canonical(1, 1).contains([1.0], tol=t), "tol", ValueError, "nonnegative"),
+        ("cone_leq", lambda t: cone_leq(Canonical(1, 2), [0.0, 0.0], [1.0, 1.0], tol=t), "tol", ValueError,
+         "nonnegative"),
+        ("model_from_dict", lambda n: model_from_dict(dict(model_to_dict(cir), dim=n)), "field 'dim'",
+         ModelFormatError, 1),
+    ]
+    return vectors, times, scalars
 
 
-_VECTORS, _TIMES = _rule_tables()
+_VECTORS, _TIMES, _SCALARS = _rule_tables()
 
 
 def _refused(call, arg, error, message):
@@ -351,14 +379,30 @@ def test_every_vector_argument_is_checked_by_name(call, name, dim, real):
     if real:
         _refused(call, [0.5j] + rest, ValueError, f"^{name} must be real$")
         _refused(call, np.array(rest + [-1.0 + 1.0j]), ValueError, f"^{name} must be real$")
+    _refused(call, [True] * dim, ValueError, f"^{name} must hold numbers$")
 
 
 @pytest.mark.parametrize("call, name, zero_ok", [row[1:] for row in _TIMES],
                          ids=[f"{row[0]}-{row[2]}" for row in _TIMES])
 def test_every_time_and_scale_is_checked_by_name(call, name, zero_ok):
     message = f"^{name} must be {'nonnegative' if zero_ok else 'positive'} and finite$"
-    for bad in [math.nan, math.inf, -1.0, 0.5j] + ([] if zero_ok else [0.0]):
+    for bad in [math.nan, math.inf, -1.0, 0.5j, True, np.bool_(True)] + ([] if zero_ok else [0.0]):
         _refused(call, bad, ValueError, message)
+
+
+@pytest.mark.parametrize("call, name, error, least", [row[1:] for row in _SCALARS],
+                         ids=[f"{row[0]}-{row[2]}" for row in _SCALARS])
+def test_every_count_size_and_tolerance_is_checked_by_name(call, name, error, least):
+    # A count is a Python or numpy integer, never a bool or a float; a
+    # tolerance is a real number, never a bool.
+    if isinstance(least, int):
+        message = f"^{name} must be an integer at least {least}$"
+        bads = [1.5, True, np.bool_(True), "2", least - 1, np.int64(least - 1)]
+    else:
+        message = f"^{name} must be {least} and finite$"
+        bads = [True, np.bool_(True), "2", -1.0, math.nan, math.inf] + ([0.0] if least == "positive" else [])
+    for bad in bads:
+        _refused(call, bad, error, message)
 
 
 def test_checkpoint_count_must_be_a_positive_integer():

@@ -111,6 +111,18 @@ def test_a_point_with_a_nan_entry_lies_nowhere(space):
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_a_point_of_bools_or_strings_lies_nowhere(space):
+    # A bool or a string is no coordinate, even where numpy would read one
+    # as a number: Canonical(1, 1) once held ["1"].
+    message = "^a state must hold real numbers, not "
+    for call in (lambda: space.contains(["1"] * space.dim), lambda: space.project([True] * space.dim),
+                 lambda: space.project_batch([["2"] * space.dim]), lambda: space.distance([False] * space.dim),
+                 lambda: space.interior_contains(np.ones(space.dim, dtype=bool))):
+        with pytest.raises(StateSpaceMismatch, match=message):
+            call()
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
 def test_projection_optimality(space):
     # Variational inequality: (x - Px) . (y - Px) <= 0 for y in the set.
     rng = np.random.default_rng(4)
