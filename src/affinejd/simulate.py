@@ -33,10 +33,17 @@ past 1e308.
 The step skips what the model makes zero or constant, with the same
 results: when every A^i is zero, c(x) = 0 and no normals are drawn; when
 K^1..K^p have zero mass, K(x, dz) = K^0(dz), and both the edges and the
-cumulative source weights are computed once per block.
+cumulative source weights are computed once per block; when the
+compensated linear drift a - (integral of z K^i(dz))_i is zero, the drift
+(a^0 - integral of z K^0(dz)) dt is one block built before the first step,
+unless it holds a -0.0, which would take the sign of the zero product x.0.
+A block counts its jumps by one bincount over the arrival rows of the
+steps since the last count, once they pass the block size and after the
+last step, so the rows held stay O(block).
 
-The step works in place: the drift, the diffusion increment and
-x + increment are written into arrays the step owns, with operands of + and
+The step works in place: the normals, c(x) for p = 1, the drift, the
+diffusion increment, x + increment and the squared norms behind sup |X|^2
+are written into arrays allocated once per block, with operands of + and
 * at most swapped, which IEEE arithmetic leaves exact. Sums of squares over
 the short rows of a state go one column at a time (row_sq_sums), in numpy's
 own order. So the paths are the plain form's, bit for bit.
@@ -185,12 +192,13 @@ class _Streams:
         return self.gen
 
 
-def _diffusion_increment(A, states, normals):
+def _diffusion_increment(A, states, normals, c=None):
     """A square root of c(x) applied to the normals, which it may overwrite:
     the root of c(x) clipped at 0 if p = 1, else the Cholesky factor of
-    c(x) - _EIG_FLOOR I. Both refuse c(x) with an eigenvalue below the floor."""
+    c(x) - _EIG_FLOOR I. Both refuse c(x) with an eigenvalue below the floor.
+    The p = 1 root writes c(x) into ``c``, an ``(n,)`` array, if given."""
     if A.shape[1] == 1:
-        c = states[:, 0] * A[1, 0, 0]
+        c = np.multiply(states[:, 0], A[1, 0, 0], out=c)
         c += A[0, 0, 0]
         if c.min() < _EIG_FLOOR:
             raise CholeskyFailure(f"c(x) = {c.min():.3e} below the clipping floor")
@@ -236,8 +244,15 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     # its constant part tiled to the block (a broadcast row costs one short
     # inner loop per path) and its linear part as a contiguous transpose for
     # np.dot.
-    drift0 = np.tile(model.a0 - model.jump_mean[0], (n_block, 1))
+    drift0 = model.a0 - model.jump_mean[0]
     drift_lin_t = np.ascontiguousarray((model.a - model.jump_mean[1:].T).T)
+    # Where the linear part is zero, x.0 is a signed zero and (x.0 + drift0)
+    # dt is drift0 dt, built once, unless drift0 holds a -0.0, which takes
+    # the sign of x.0.
+    const_drift = None
+    if not drift_lin_t.any() and not np.signbit(drift0[drift0 == 0.0]).any():
+        const_drift = np.tile(drift0 * dt, (n_block, 1))
+    drift0 = np.tile(drift0, (n_block, 1))
     diffusive = model.A.any()
     has_jumps = model.has_jumps
     # Weights are nonnegative (_check_drawable), so zero masses of K^1..K^p
@@ -257,22 +272,30 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     slot = {idx: r for r, idx in enumerate(record_idx)}
     if 0 in slot:
         rec[:, slot[0], :] = states
+    # The arrival rows of the steps since the last count, counted by one
+    # bincount once they pass the block size and after the last step.
     jump_counts = np.zeros(n_block, dtype=np.int64)
+    pending, n_pending = [], 0
     sup_sq = row_sq_sums(states)
     sqrt_dt = np.sqrt(dt)
     stream = _Streams(cfg.seed, block)
-    incr = np.empty((n_block, p))
+    incr, normals = np.empty((n_block, p)), np.empty((n_block, p))
+    c, sq = np.empty(n_block), np.empty(n_block)
     flat = incr.ravel()  # a view of incr, for the overflow check
 
     for k in range(n_steps):
-        np.dot(states, drift_lin_t, out=incr)
-        incr += drift0
-        incr *= dt
+        drift = const_drift
+        if drift is None:
+            drift = np.dot(states, drift_lin_t, out=incr)  # incr itself
+            incr += drift0
+            incr *= dt
         if diffusive:
-            normals = stream(k, _NORMALS).standard_normal((n_block, p))
-            diffusion = _diffusion_increment(model.A, states, normals)
+            stream(k, _NORMALS).standard_normal(out=normals)
+            diffusion = _diffusion_increment(model.A, states, normals, c)
             diffusion *= sqrt_dt
-            incr += diffusion
+            np.add(drift, diffusion, out=incr)
+        elif const_drift is not None:
+            np.copyto(incr, drift)
         if has_jumps:
             edges = const_edges
             if edges is None:
@@ -284,7 +307,8 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
             rows = _arrival_rows(stream(k, _COUNTS), edges)
             total = rows.size
             if total:
-                np.add.at(jump_counts, rows, 1)
+                pending.append(rows)
+                n_pending += total
                 u_sel = stream(k, _MARKS).random(total)
                 if pick_cum is None:
                     cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
@@ -300,6 +324,9 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                     s_exp = stream(k, _RAY_EXPS).standard_exponential(total)
                     z[ray] *= (s_exp[ray] / rates[pick[ray] - n_atoms])[:, None]
                 np.add.at(incr, rows, z)
+            if pending and (n_pending > n_block or k == n_steps - 1):
+                jump_counts += np.bincount(np.concatenate(pending), minlength=n_block)
+                pending, n_pending = [], 0
         incr += states
         # The step's own test names the step, and the projection is the
         # unchecked _project_rows. A dot product is the cheapest reduction
@@ -309,7 +336,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
             raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
         # _project_rows returns a new array, so incr is free for the next step.
         states = model.state_space._project_rows(incr)
-        np.maximum(sup_sq, row_sq_sums(states), out=sup_sq)
+        np.maximum(sup_sq, row_sq_sums(states, out=sq), out=sup_sq)
         if (k + 1) in slot:
             rec[:, slot[k + 1], :] = states
     return rec, jump_counts, sup_sq
@@ -323,18 +350,23 @@ def simulate_paths(model, x0, cfg: SimConfig):
     """
     x0 = require_in_space(model, x0)
     _check_drawable(model)
+    # The step, the grid and the recorded times are float64 whatever the
+    # float type of the fields.
+    horizon = float(cfg.horizon)
     # np.rint rounds half to even like round(), and keeps an infinite ratio
     # a float that fails the budget check.
-    n_steps = max(1.0, np.rint(cfg.horizon / cfg.dt))
+    n_steps = max(1.0, np.rint(horizon / float(cfg.dt)))
     if not n_steps < 1 << 21:
         raise ValueError("step count exceeds the stream-key budget (2^21 steps)")
     n_steps = int(n_steps)
-    dt = cfg.horizon / n_steps
+    dt = horizon / n_steps
 
     if cfg.record_times is None:
-        record_times = np.linspace(0.0, cfg.horizon, 11)
+        record_times = np.linspace(0.0, horizon, 11)
     else:
-        record_times = np.asarray(cfg.record_times, dtype=float).ravel()
+        record_times = np.asarray(cfg.record_times).ravel()
+        if record_times.dtype.kind not in "iuf":
+            raise ValueError("record_times must hold real numbers")
     record_steps = np.rint(record_times / dt)
     if not np.all((record_steps >= 0) & (record_steps <= n_steps)):
         raise ValueError("record_times must be finite and lie in [0, horizon]")

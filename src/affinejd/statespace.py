@@ -25,7 +25,9 @@ row bit for bit, so ``project`` leaves exactly the points that ``contains``
 accepts at ``tol = 0`` unchanged. The policy makes no finiteness test, so a
 caller that has tested its rows already, as the Euler step does, may call it
 directly. ``Canonical`` alone keeps its own clip of the whole batch, already
-the identity on members and cheaper than a margin.
+the identity on members and cheaper than a margin: one ``np.maximum``
+against a row built once per space, 0 on the orthant and -inf on the free
+coordinates.
 The ``PSDCone`` margin is the smallest eigenvalue: for d = 2 in closed form,
 a/2 + c/2 - hypot(a/2 - c/2, s/sqrt(2)) of a row (a, s, c), which squares
 nothing, and by LAPACK's eigvalsh for every other d; its projection clips
@@ -66,15 +68,16 @@ def _vech_maps(d):
     return maps
 
 
-def row_sq_sums(xs):
-    """``np.sum(xs**2, axis=1)`` of an ``(n, w)`` array, bit for bit. numpy
-    sums a row narrower than 8 entries left to right, one short inner loop
-    per row; this sums such rows one column at a time across the batch, in
-    the same order. Wider rows, which numpy sums pairwise, keep ``np.sum``."""
+def row_sq_sums(xs, out=None):
+    """``np.sum(xs**2, axis=1)`` of an ``(n, w)`` array, bit for bit, written
+    into ``out`` if given. numpy sums a row narrower than 8 entries left to
+    right, one short inner loop per row; this sums such rows one column at a
+    time across the batch, in the same order. Wider rows, which numpy sums
+    pairwise, keep ``np.sum``."""
     if not 0 < xs.shape[1] < 8:
-        return np.sum(xs**2, axis=1)
+        return np.sum(xs**2, axis=1, out=out)
     col = xs[:, 0]
-    total = col * col
+    total = np.multiply(col, col, out=out)
     for j in range(1, xs.shape[1]):
         col = xs[:, j]
         total += col * col
@@ -258,6 +261,9 @@ class Canonical(StateSpace):
     def __init__(self, m, p):
         self.m = _check_count(m, "canonical: 'm'", 0, ModelFormatError)
         self.dim = _check_count(p, "canonical: 'p'", max(self.m, 1), ModelFormatError)
+        # The clip's lower bound: 0 on the orthant, -inf on the free part.
+        self._lower = np.concatenate((np.zeros(self.m), np.full(self.dim - self.m, -np.inf)))
+        self._lower.flags.writeable = False
 
     @property
     def self_dual(self):
@@ -269,9 +275,7 @@ class Canonical(StateSpace):
         return xs[:, : self.m].min(axis=1)
 
     def _project_rows(self, xs):
-        out = xs.copy()
-        out[:, : self.m] = np.maximum(out[:, : self.m], 0.0)
-        return out
+        return np.maximum(xs, self._lower)
 
     def bounded_support(self, r):
         r, tol = self._check_dim(r), self._SUPPORT_TOL

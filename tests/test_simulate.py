@@ -235,6 +235,21 @@ def lorentz_ray_model():
     return AffineModel(a0=base.a0, a=base.a, A=base.A, K=K, state_space=Lorentz(3))
 
 
+def half_line_and_line_model():
+    """On Canonical(1, 2): x_1 a square-root diffusion that Euler steps take
+    below 0, x_2 a free Gaussian coordinate pulled toward 0.3 x_1, and an
+    atom in K^0 that moves x_1 up and x_2 down."""
+    return AffineModel(a0=[1.0, 0.2], a=[[-0.5, 0.0], [0.3, -1.0]],
+                       A=[np.diag([0.0, 0.5]), np.diag([1.0, 0.2]), np.zeros((2, 2))],
+                       K=[FiniteAtomic([0.5], [[0.3, -0.4]]), None, None], state_space=Canonical(1, 2))
+
+
+def compensated_zero_drift_model():
+    """a = 0.2, and an atom of weight 0.5 x at 0.4 whose mean 0.2 x cancels
+    it: the compensated linear drift is zero though a is not."""
+    return scalar_model(a0=1.0, a=0.2, A1=0.5, K=[None, FiniteAtomic([0.5], [[0.4]])])
+
+
 REFERENCE_CASES = {
     "cir": (golden.cir, [1.0]),
     "ou": (golden.ou, [0.5]),
@@ -245,6 +260,8 @@ REFERENCE_CASES = {
     "atoms_and_ray": (atoms_and_ray_model, [1.0]),
     "ray_in_k0": (ray_in_k0_model, [1.0]),
     "lorentz_ray": (lorentz_ray_model, [1.0, 0.2, -0.1]),
+    "half_line_and_line": (half_line_and_line_model, [0.5, -0.3]),
+    "compensated_zero_drift": (compensated_zero_drift_model, [1.0]),
 }
 
 
@@ -264,13 +281,38 @@ def test_euler_step_matches_the_plain_reference_step(name):
     assert (counts.sum() > 0) == model.has_jumps
 
 
+@pytest.mark.parametrize("n_paths", [1, 8])
+def test_a_signed_zero_drift_keeps_the_sign_of_the_plain_step(n_paths):
+    # With a = 0 and a^0 = -0.0 the drift (x.0 + a^0) dt is the signed zero
+    # that np.dot gives x.0: a single path multiplies, a batch sums from
+    # +0.0. The step must give what the dot, the sum and the scale give.
+    # np.array_equal does not tell +0.0 from -0.0, so the bytes are compared.
+    model = scalar_model(a0=-0.0, space=Canonical(0, 1))
+    cfg = SimConfig(n_paths=n_paths, dt=0.25, horizon=0.5, seed=17)
+    for x0 in (-0.0, 0.0, -1.0):
+        x = np.full((n_paths, 1), x0)
+        for _ in range(2):
+            x = model.state_space.project_batch((np.dot(x, np.zeros((1, 1))) + -0.0) * 0.25 + x)
+        assert simulate_paths(model, [x0], cfg).final_states.tobytes() == x.tobytes()
+
+
+def test_the_reference_cases_reach_the_clip_and_the_constant_drift():
+    model = half_line_and_line_model()
+    cfg = SimConfig(n_paths=256, dt=0.25, horizon=0.5, seed=17)
+    clipped = simulate_paths(model, [0.5, -0.3], cfg).states[:, 1:, :]
+    assert (clipped[..., 0] == 0.0).any() and (clipped[..., 1] < 0.0).any()
+    model = compensated_zero_drift_model()
+    assert model.a.any() and not (model.a - model.jump_mean[1:].T).any()
+
+
 # float.hex of final_states.sum() and sup_sq.sum(), and jump_counts.sum(),
 # on runs whose projections clip PSD rows (wishart_2d), keep every row
 # (lorentz_drift), reach all three Lorentz branches (noisy_lorentz), keep
 # and project Lorentz(9) rows, whose sums numpy takes pairwise
 # (noisy_lorentz_9), project onto the parabolic set (parabolic) and draw
-# atoms and ray jumps (atoms_and_ray). Any change to the Euler step that is
-# not bit for bit shows here.
+# atoms and ray jumps (atoms_and_ray), and run CIR and compound Poisson at
+# the mc_orthant benchmark's size, one full block of 4,096 paths over 100
+# steps. Any change to the Euler step that is not bit for bit shows here.
 NOISY_LORENTZ_9_X0 = [0.1, 0.05, 0.0, 0.02, -0.03, 0.0, 0.01, 0.0, 0.0]
 GOLDEN_PATH_PINS = {
     "wishart_2d": ((golden.wishart_2d, [0.4, 0.0, 0.4], 32, 0.05, 1.0, 5),
@@ -285,6 +327,10 @@ GOLDEN_PATH_PINS = {
                   ("0x1.47ce659e7b41ep+7", "0x1.0c17192ef2d54p+10", 0)),
     "atoms_and_ray": ((atoms_and_ray_model, [1.0], 256, 0.05, 1.0, 5),
                       ("0x1.8efb20f20e3bcp+8", "0x1.debe439bd3162p+9", 409)),
+    "cir": ((golden.cir, [1.0], 4096, 0.01, 1.0, 5),
+            ("0x1.00e2327d02502p+13", "0x1.672c735954f05p+15", 0)),
+    "compound_poisson": ((golden.compound_poisson, [1.0], 4096, 0.01, 1.0, 5),
+                         ("0x1.ff6ccccccccc4p+12", "0x1.0e847ae147ad3p+14", 3044)),
 }
 
 
@@ -401,7 +447,7 @@ def _model_arrays(model):
     return {name: value.copy() for name, value in vars(model).items() if isinstance(value, np.ndarray)}
 
 
-@pytest.mark.parametrize("name", ["cir", "wishart_2d", "atoms_and_ray", "noisy_lorentz"])
+@pytest.mark.parametrize("name", ["cir", "compound_poisson", "wishart_2d", "atoms_and_ray", "noisy_lorentz"])
 def test_the_step_writes_nothing_outside_itself(name):
     build, x0 = {"noisy_lorentz": (noisy_lorentz_model, [0.1, 0.05, 0.0]),
                  **REFERENCE_CASES}[name]
@@ -814,6 +860,22 @@ def test_record_times_must_be_finite_and_in_range(cir_model, record_times):
     cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0, record_times=np.array(record_times))
     with pytest.raises(ValueError, match="record_times must be finite and lie in"):
         simulate_paths(cir_model, [1.0], cfg)
+
+
+@pytest.mark.parametrize("record_times", [[True, "0.5"], np.array([True, False]), ["0.5"], [0.5j], [None, 0.5]])
+def test_record_times_must_be_real_numbers(cir_model, record_times):
+    cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0, record_times=record_times)
+    with pytest.raises(ValueError, match="^record_times must hold real numbers$"):
+        simulate_paths(cir_model, [1.0], cfg)
+
+
+def test_a_float32_horizon_runs_in_float64(cir_model):
+    ens = simulate_paths(cir_model, [1.0], SimConfig(n_paths=64, dt=0.1, horizon=np.float32(0.3), seed=2))
+    same = simulate_paths(cir_model, [1.0], SimConfig(n_paths=64, dt=0.1, horizon=float(np.float32(0.3)), seed=2))
+    assert ens.config.horizon.dtype == np.float32  # the field keeps the value given
+    assert ens.times.dtype == np.float64 and type(ens.dt_effective) is float
+    assert np.array_equal(ens.times, same.times) and ens.dt_effective == same.dt_effective
+    assert np.array_equal(ens.states, same.states) and np.array_equal(ens.sup_sq, same.sup_sq)
 
 
 def test_step_count_beyond_the_key_budget_refused(cir_model):

@@ -506,6 +506,9 @@ def test_row_sq_sums_is_np_sum_bit_for_bit():
         xs = _wide_range_rows(rng, 2000, w + 1)
         for batch in (xs[:, :w].copy(), xs[:, 1:], xs[:1, 1:], xs[:0, 1:]):
             assert row_sq_sums(batch).tobytes() == np.sum(batch**2, axis=1).tobytes(), w
+            out = np.full(batch.shape[0], np.nan)
+            assert row_sq_sums(batch, out=out) is out
+            assert out.tobytes() == np.sum(batch**2, axis=1).tobytes(), w
 
 
 def _cone_test_rows(rng, p):
@@ -634,6 +637,20 @@ def test_canonical_membership_and_projection():
     assert np.array_equal(space.project([-2.0, 3.0]), [0.0, 3.0])
     assert space.interior_contains([0.5, -9.0])
     assert not space.interior_contains([0.0, 0.0])
+
+
+@pytest.mark.parametrize("m, p", [(1, 1), (1, 2), (0, 2), (2, 3)])
+def test_canonical_clip_is_the_slice_clip_bit_for_bit(m, p):
+    # One np.maximum against the row (0, ..., 0, -inf, ..., -inf) gives what
+    # a copy clipped at 0 on its first m columns gives, signed zeros
+    # included, in a new array.
+    rng = np.random.default_rng(p)
+    xs = np.vstack([_wide_range_rows(rng, 400, p) * rng.choice([-1.0, 1.0], size=(400, p)),
+                    np.zeros((3, p)), np.full((3, p), -0.0)])
+    want = xs.copy()
+    want[:, :m] = np.maximum(want[:, :m], 0.0)
+    projected = Canonical(m, p)._project_rows(xs)
+    assert projected.tobytes() == want.tobytes() and not np.shares_memory(projected, xs)
 
 
 def test_lorentz_projection_closed_form():
