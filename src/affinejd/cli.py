@@ -85,7 +85,7 @@ def _c(z):
 
 
 def _cvec(zs):
-    return [_c(z) for z in np.asarray(zs).ravel()]
+    return [_c(z) for z in np.ravel(zs)]
 
 
 def _emit(payload):

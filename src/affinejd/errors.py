@@ -1,9 +1,9 @@
-"""Exception types shared across the package, the check of numeric fields
-that raises ModelFormatError, and the one rule for every argument that a
-library entry point reads as a number: a vector goes through
-``_check_vector``, a time, scale or tolerance through ``_check_positive``
-and a count, size or seed through ``_check_count``. Each names the argument
-in a ValueError, and none reads a bool or a string as a number."""
+"""Exception types shared across the package, and the one rule for every
+argument that a library entry point reads as a number: ``_numbers`` alone
+converts an argument to an array and tests what it holds (for
+``finite_floats``, a record field, ``_check_vector`` and the other modules),
+``_check_positive`` reads a time, scale or tolerance and ``_check_count`` a
+count, size or seed. None reads a bool or a string as a number."""
 
 import cmath
 import math
@@ -76,17 +76,27 @@ class QuadratureTailWarning(UserWarning):
     """A tabulated-density grid appears too short for the integrand."""
 
 
+def _numbers(value, message, error=ValueError, complex_ok=False):
+    """``value`` as an array (an ndarray as it is) of integers or floats, or
+    complex numbers where ``complex_ok``. Otherwise ``error(message)``: for
+    ragged nesting, null, a string, or a bool, also among numbers in a list
+    or a tuple, the only inputs scanned for one, where numpy reads it as 1."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise error(message) from exc
+    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf") or isinstance(value, (list, tuple)) and any(
+            isinstance(entry, (bool, np.bool_)) for entry in np.asarray(value, dtype=object).flat):
+        raise error(message)
+    return arr
+
+
 def finite_floats(value, field, shape=None):
     """``value`` as a new float array. Raises ModelFormatError naming
     ``field`` where the entries do not form an array (of ``shape``, if
     given), or where one is null, not a real number (a string or a bool) or
     not finite."""
-    try:
-        raw = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise ModelFormatError(f"{field}: the entries do not form an array") from exc
-    if raw.dtype.kind not in "iuf":
-        raise ModelFormatError(f"{field}: every entry must be a number, not null, a string or a bool")
+    raw = _numbers(value, f"{field}: the entries must form an array of real numbers", ModelFormatError)
     if shape is not None and raw.shape != shape:
         raise ModelFormatError(f"{field}: expected shape {shape}, got {raw.shape}")
     arr = raw.astype(float)
@@ -102,11 +112,9 @@ def _check_vector(owner, v, name, real=True, finite=True):
     length. ValueError names the argument for an entry that is no number,
     not finite (a state's space names it, so a state passes
     ``finite=False``) or, where ``real``, not real."""
-    v = np.asarray(v).ravel()
+    v = _numbers(v, f"{name} must hold numbers", complex_ok=True).ravel()
     if v.size != owner.dim:
         raise DimensionMismatch(f"{name} has length {v.size}, the {owner.noun} has dimension {owner.dim}")
-    if v.dtype.kind not in "iufc":
-        raise ValueError(f"{name} must hold numbers")
     if finite and not all(map(cmath.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
     if real and v.dtype.kind == "c" and v.imag.any():

@@ -77,7 +77,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded,
-                     _check_positive, _check_vector)
+                     _check_positive, _check_vector, _numbers)
 from .integrator import DOP853, TOO_SMALL_STEP, brentq, norm
 from .jumps import check_tails, ray_moment
 from .model import k_eval, require_in_space
@@ -198,7 +198,7 @@ class RiccatiSolution:
         return self.verdict == "exploded"
 
     def eval(self, t):
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = _numbers(t, "t must hold real numbers").astype(float, copy=False)
         # Written so that a NaN time fails the check.
         if not np.all((t_arr >= -1e-12) & (t_arr <= self.t_last * (1.0 + 1e-12) + 1e-300)):
             raise ValueError(f"dense evaluator is valid on [0, {self.t_last}] only")

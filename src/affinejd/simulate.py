@@ -69,12 +69,13 @@ from numpy.random import Generator, Philox
 
 from .errors import (
     CholeskyFailure,
-    DimensionMismatch,
     IntensityInfinite,
     NegativeJumpWeight,
     PathOverflow,
     _check_count,
     _check_positive,
+    _check_vector,
+    _numbers,
 )
 from .model import AffineModel, require_in_space
 from .modelio import model_hash
@@ -364,9 +365,7 @@ def simulate_paths(model, x0, cfg: SimConfig):
     if cfg.record_times is None:
         record_times = np.linspace(0.0, horizon, 11)
     else:
-        record_times = np.asarray(cfg.record_times).ravel()
-        if record_times.dtype.kind not in "iuf":
-            raise ValueError("record_times must hold real numbers")
+        record_times = _numbers(cfg.record_times, "record_times must hold real numbers").ravel()
     record_steps = np.rint(record_times / dt)
     if not np.all((record_steps >= 0) & (record_steps <= n_steps)):
         raise ValueError("record_times must be finite and lie in [0, horizon]")
@@ -428,15 +427,7 @@ def _complex_mean_se(vals):
 
 def mc_transform(ensemble, u):
     """Sample mean and standard error of exp(u.X_T) over the paths."""
-    u = np.asarray(u).ravel()
-    p = ensemble.states.shape[2]
-    if u.size != p:
-        raise DimensionMismatch(f"u has length {u.size}, the paths have dimension {p}")
-    if u.dtype.kind not in "iufc":
-        raise ValueError("u must hold numbers")
-    u = u.astype(complex, copy=False)
-    if not np.isfinite(u).all():
-        raise ValueError("u must be finite")
+    u = _check_vector(ensemble.model, u, "u", real=False)
     with np.errstate(over="ignore"):
         vals = np.exp(ensemble.final_states @ u)
     value, se = _complex_mean_se(vals)

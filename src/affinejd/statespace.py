@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DimensionMismatch, ModelFormatError, StateSpaceMismatch, UnsupportedSpace, _check_count,
-                     _check_positive, finite_floats)
+                     _check_positive, _numbers, finite_floats)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -128,7 +128,7 @@ def vech(mat):
     """Half-vectorize a symmetric matrix, scaling off-diagonal entries by
     sqrt(2) so the Euclidean inner product of images equals trace(XY).
     A stack of shape ``(..., d, d)`` maps to ``(..., d(d+1)/2)``."""
-    mat = np.asarray(mat, dtype=float)
+    mat = _numbers(mat, "mat must hold real numbers").astype(float, copy=False)
     d = mat.shape[-1]
     upper, scale, _ = _vech_maps(d)
     # Multiplying by 1.0 leaves the diagonal exact.
@@ -138,7 +138,7 @@ def vech(mat):
 def unvech(x, d):
     """Inverse of :func:`vech` for dimension ``d``; maps ``(..., d(d+1)/2)``
     to ``(..., d, d)``."""
-    x = np.asarray(x, dtype=float)
+    x = _numbers(x, "x must hold real numbers").astype(float, copy=False)
     if x.shape[-1:] != (d * (d + 1) // 2,):
         raise DimensionMismatch(f"vech vector has shape {x.shape}, expected (..., {d*(d+1)//2})")
     _, scale, gather = _vech_maps(d)
@@ -146,12 +146,9 @@ def unvech(x, d):
 
 
 def _require_finite(xs):
-    """xs, a point or an ``(n, dim)`` batch of them, as floats, if every
-    entry is a finite real number. Otherwise StateSpaceMismatch names the
-    first entry that is not finite, and its row in a batch, or the dtype of
-    entries that are no real numbers: no state space holds such a point."""
-    if xs.dtype.kind not in "iuf":
-        raise StateSpaceMismatch(f"a state must hold real numbers, not {xs.dtype.name}")
+    """xs, a point or an ``(n, dim)`` batch of them holding real numbers, as
+    floats, if every entry is finite. Otherwise StateSpaceMismatch names the
+    first entry that is not finite, and its row in a batch."""
     xs = xs.astype(float, copy=False)
     # On a point's few entries a Python loop takes a fifth of the time of
     # one numpy reduction, which most public calls would otherwise pay.
@@ -195,7 +192,7 @@ class StateSpace:
 
     def project_batch(self, xs):
         """Euclidean projection of each row of an ``(n, dim)`` array."""
-        xs = np.asarray(xs)
+        xs = _numbers(xs, "a state must hold real numbers", StateSpaceMismatch)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {self.dim})")
         return self._project_rows(_require_finite(xs))
@@ -237,7 +234,7 @@ class StateSpace:
         raise NotImplementedError
 
     def _check_dim(self, x):
-        x = np.asarray(x)
+        x = _numbers(x, "a state must hold real numbers", StateSpaceMismatch)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
         return _require_finite(x)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (DivergentIntegral, ExplosionBeforeHorizon, NonFiniteRHS, StepLimitExceeded,
                      _check_positive, _check_vector)
 from .model import AffineModel, in_U, require_in_space
-from .riccati import _solve_reaching, explosion_time, solve_riccati
+from .riccati import _solve_reaching, solve_riccati
 
 # Relative width of the bracket effective_domain_ray closes around lambda_star.
 RAY_REL_TOL = 1e-6
@@ -177,7 +177,7 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
         and 1/T*(lam) where the probe found T* (else None)."""
         nonlocal t_probe
         try:
-            res = explosion_time(model, lam * direction, t_probe)
+            sol = solve_riccati(model, lam * direction, t_probe)
         except (DivergentIntegral, NonFiniteRHS, StepLimitExceeded) as exc:
             if t_probe > horizon:
                 # The failure may lie past the horizon: decide on the horizon,
@@ -187,9 +187,11 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
             if not isinstance(exc, DivergentIntegral):
                 raise
             return (lam, None, type(exc).__name__), None
-        leaves = res.finite and res.estimate <= horizon
-        rate = 1.0 / res.estimate if res.finite and res.estimate > 0.0 else None
-        return (lam, res.estimate, "finite" if leaves else "exceeds_horizon"), rate
+        # The blow-up time estimate is the midpoint of the crossing bracket.
+        estimate = 0.5 * (sol.bracket[0] + sol.bracket[1]) if sol.exploded else None
+        leaves = sol.exploded and estimate <= horizon
+        rate = 1.0 / estimate if sol.exploded and estimate > 0.0 else None
+        return (lam, estimate, "finite" if leaves else "exceeds_horizon"), rate
 
     def leaves_domain(lam):
         if lam == lambda_max and certificate is not None:

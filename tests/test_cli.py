@@ -341,6 +341,7 @@ MALFORMED = {
     # id: (model file, path to the field, bad value, text the error must hold)
     "a0_nan": ("cir", ["a0"], [float("nan")], "'a0'"),
     "a0_null": ("cir", ["a0"], [None], "'a0'"),
+    "a0_mixed_bool": ("wishart_2d", ["a0"], [True, 0.0, 1.0], "'a0'"),
     "ray_mass_nan": ("cir", ["K", 0], dict(RAY, mass=float("nan")), "mass"),
     "ray_rate_nan": ("cir", ["K", 0], dict(RAY, rate=float("nan")), "rate"),
     "ray_direction_nan": ("cir", ["K", 0], dict(RAY, direction=[float("nan")]), "direction"),
@@ -399,7 +400,7 @@ def test_simulate_u_of_wrong_length_exits_2(capsys, models_dir):
     code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
                              "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1", "--u", "1,2")
     assert code == 2 and out == ""
-    assert "u has length 2, the paths have dimension 1" in err
+    assert "u has length 2, the model has dimension 1" in err
 
 
 def test_u_of_wrong_length_exits_2(capsys, models_dir):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -130,12 +132,15 @@ def test_indefinite_A0_rejected():
 
 
 def test_malformed_parameters_are_named():
+    from affinejd.modelio import model_from_dict, model_to_dict
     from affinejd.statespace import HalfSpaceIntersection, space_from_dict
 
     nan = math.nan
     cases = [
         (lambda: scalar_model(a0=nan), "^a0:"),
         (lambda: scalar_model(a=None), "^a:"),
+        # numpy would read [true, 0.0, 1.0] as [1.0, 0.0, 1.0].
+        (lambda: model_from_dict(dict(model_to_dict(golden.wishart_2d()), a0=[True, 0.0, 1.0])), "^field 'a0':"),
         (lambda: scalar_model(A1=math.inf), "^A:"),
         (lambda: scalar_model(K=5), "K must list"),
         (lambda: FiniteAtomic([None], [[0.4]]), "finite_atomic: weights"),
@@ -291,6 +296,7 @@ def _rule_tables():
         ("flow_identity_residual", lambda v: flow_identity_residual(cir, v, 0.2, 0.3), "u", 1, False),
         ("variation_of_constants_residual", lambda v: voc(cir, v, [1.0], 0.5), "u", 1, True),
         ("transform", lambda v: transform(cir, v, [1.0], 1.0), "u", 1, False),
+        ("transform(wishart_2d)", lambda v: transform(wishart, v, [1.0, 0.0, 1.0], 1.0), "u", 3, False),
         ("effective_domain_ray", lambda v: effective_domain_ray(cir, v, 1.0), "direction", 1, True),
         ("damped_transform_sequence", lambda v: damped_transform_sequence(cp, v, [0.5], 1.0, [1, 2]), "u", 1,
          False),
@@ -380,6 +386,9 @@ def test_every_vector_argument_is_checked_by_name(call, name, dim, real):
         _refused(call, [0.5j] + rest, ValueError, f"^{name} must be real$")
         _refused(call, np.array(rest + [-1.0 + 1.0j]), ValueError, f"^{name} must be real$")
     _refused(call, [True] * dim, ValueError, f"^{name} must hold numbers$")
+    # Among numbers numpy reads a bool as 1.0; the rule does not.
+    _refused(call, [True] + rest, ValueError, f"^{name} must hold numbers$")
+    _refused(call, rest + [np.bool_(False)], ValueError, f"^{name} must hold numbers$")
 
 
 @pytest.mark.parametrize("call, name, zero_ok", [row[1:] for row in _TIMES],
@@ -424,3 +433,21 @@ def test_a_state_is_a_real_vector_of_the_model_dimension():
         _refused(call, [1.0, 1.0], DimensionMismatch, "^state has length 2, the model has dimension 1$")
         for x in ([1.0 + 1.0j], np.array([1.0 + 1.0j])):
             _refused(call, x, ValueError, "^state must be real$")
+
+
+def test_only_errors_converts_an_argument_or_reads_its_dtype():
+    # errors._numbers alone decides what holds numbers: no other module
+    # converts with np.asarray or tests a dtype's kind, which would read a
+    # bool among numbers as 1.0.
+    found = []
+    for path in sorted(pathlib.Path(model_mod.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            if (isinstance(node, ast.Attribute) and node.attr in ("asarray", "asanyarray")
+                    or "asarray" in names or "asanyarray" in names
+                    or isinstance(node, ast.Attribute) and node.attr == "kind"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

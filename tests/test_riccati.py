@@ -469,6 +469,17 @@ def test_eval_refuses_nan_times(cir_model, squared_model):
                 sol.eval(t)
 
 
+def test_eval_refuses_times_that_are_no_real_numbers(cir_model):
+    # numpy would read True as 1.0 and "0.5" as 0.5, and drop the
+    # imaginary part of a complex time with a ComplexWarning.
+    sol = solve_riccati(cir_model, [0.5j], 1.0)
+    for t in (True, np.bool_(False), "0.5", 0.5j, np.array([0.5 + 0j]), [0.5, True], [None]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^t must hold real numbers$"):
+                sol.eval(t)
+
+
 def test_variation_of_constants_trivial(cir_model):
     assert variation_of_constants_residual(cir_model, [0.0], [1.0], 1.0) < 1e-12
 
@@ -623,7 +634,8 @@ def test_constant_psi_with_huge_psi0_rate_is_not_blow_up(cp_model):
 
 
 def counting_solves(monkeypatch):
-    """The stats of every solve_riccati call made through the riccati module."""
+    """The stats of every solve_riccati call made through the riccati module
+    or by effective_domain_ray."""
     stats = []
     solve = riccati.solve_riccati
 
@@ -633,6 +645,8 @@ def counting_solves(monkeypatch):
         return sol
 
     monkeypatch.setattr(riccati, "solve_riccati", counted)
+    # The package re-exports the function transform, which shadows the module.
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "solve_riccati", counted)
     return stats
 
 
@@ -711,18 +725,18 @@ RAY_PINS = {
 
 
 def probed_lambdas(monkeypatch, fail_at=None):
-    """The lambda of every explosion_time call made by effective_domain_ray,
-    failing with StepLimitExceeded at fail_at."""
+    """The lambda of every solve made by effective_domain_ray, failing with
+    StepLimitExceeded at fail_at."""
     calls = []
 
-    def probe(model, u, t_max):
+    def probe(model, u, horizon):
         calls.append(u[0])
         if u[0] == fail_at:
             raise StepLimitExceeded("exceeded 1 steps at t=0")
-        return explosion_time(model, u, t_max)
+        return solve_riccati(model, u, horizon)
 
     # The package re-exports the function transform, which shadows the module.
-    monkeypatch.setattr(sys.modules["affinejd.transform"], "explosion_time", probe)
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "solve_riccati", probe)
     return calls
 
 

@@ -145,10 +145,7 @@ def test_threaded_blocks_match_serial_across_the_block_boundary(cir_model):
 def reference_diffusion(A, x, normals):
     """A square root of c(x) = A^0 + sum_i x_i A^i, formed by tensordot,
     applied to the normals: for p = 1 the clipped root V sqrt(max(W, 0)) V^T z,
-    for p >= 2 the Cholesky factor of c(x) + 1e-10 I, and nothing where every
-    A^i is zero."""
-    if not A.any():
-        return np.zeros_like(normals)
+    for p >= 2 the Cholesky factor of c(x) + 1e-10 I."""
     c = A[0] + np.tensordot(x, A[1:], axes=(1, 0))
     if A.shape[1] > 1:
         return np.einsum("nij,nj->ni", np.linalg.cholesky(c + 1e-10 * np.eye(A.shape[1])), normals)
@@ -186,7 +183,10 @@ def reference_paths(model, x0, cfg):
         for k in range(n_steps):
             drift = model.a0 - model.jump_mean[0] + x @ (model.a - model.jump_mean[1:].T).T
             normals = stream(k, _NORMALS).standard_normal((n, p))
-            incr = drift * dt + reference_diffusion(model.A, x, normals) * np.sqrt(dt)
+            incr = drift * dt
+            # Adding a zero diffusion would turn a -0.0 entry into +0.0.
+            if model.A.any():
+                incr += reference_diffusion(model.A, x, normals) * np.sqrt(dt)
             if model.has_jumps:
                 lam = np.maximum(model.jump_mass[0] + x @ model.jump_mass[1:], 0.0)
                 rows = reference_arrival_rows(stream(k, _COUNTS), np.cumsum(lam * dt))
@@ -275,9 +275,10 @@ def test_euler_step_matches_the_plain_reference_step(name):
     states, counts, sup_sq = reference_paths(model, x0, cfg)
     for threads in (1, 2):
         ens = simulate_paths(model, x0, replace(cfg, threads=threads))
-        assert np.array_equal(ens.final_states, states)
+        # The bytes tell -0.0 from +0.0, which np.array_equal does not.
+        assert ens.final_states.tobytes() == states.tobytes()
         assert np.array_equal(ens.jump_counts, counts)
-        assert np.array_equal(ens.sup_sq, sup_sq)
+        assert ens.sup_sq.tobytes() == sup_sq.tobytes()
     assert (counts.sum() > 0) == model.has_jumps
 
 
@@ -813,7 +814,7 @@ def test_wishart_mc_matches_bru_closed_form(wishart_model):
 
 def test_mc_transform_refuses_u_of_wrong_length(cir_model):
     ens = simulate_paths(cir_model, [1.0], SimConfig(n_paths=4, dt=0.1, horizon=0.2))
-    with pytest.raises(DimensionMismatch, match="u has length 2, the paths have dimension 1"):
+    with pytest.raises(DimensionMismatch, match="u has length 2, the model has dimension 1"):
         mc_transform(ens, [1.0, 2.0])
 
 
@@ -862,7 +863,8 @@ def test_record_times_must_be_finite_and_in_range(cir_model, record_times):
         simulate_paths(cir_model, [1.0], cfg)
 
 
-@pytest.mark.parametrize("record_times", [[True, "0.5"], np.array([True, False]), ["0.5"], [0.5j], [None, 0.5]])
+@pytest.mark.parametrize("record_times", [[True, "0.5"], np.array([True, False]), ["0.5"], [0.5j], [None, 0.5],
+                                          [True, 0.5], (0.5, np.bool_(True)), [[0.5], [False]]])
 def test_record_times_must_be_real_numbers(cir_model, record_times):
     cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0, record_times=record_times)
     with pytest.raises(ValueError, match="^record_times must hold real numbers$"):

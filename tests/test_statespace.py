@@ -114,10 +114,14 @@ def test_a_point_with_a_nan_entry_lies_nowhere(space):
 def test_a_point_of_bools_or_strings_lies_nowhere(space):
     # A bool or a string is no coordinate, even where numpy would read one
     # as a number: Canonical(1, 1) once held ["1"].
-    message = "^a state must hold real numbers, not "
+    message = "^a state must hold real numbers$"
+    rest = [0.5] * (space.dim - 1)
     for call in (lambda: space.contains(["1"] * space.dim), lambda: space.project([True] * space.dim),
                  lambda: space.project_batch([["2"] * space.dim]), lambda: space.distance([False] * space.dim),
-                 lambda: space.interior_contains(np.ones(space.dim, dtype=bool))):
+                 lambda: space.interior_contains(np.ones(space.dim, dtype=bool)),
+                 # Mixed with numbers, numpy reads a bool as 1.0 or 0.0.
+                 lambda: space.contains([True] + rest), lambda: space.project(rest + [np.bool_(False)]),
+                 lambda: space.project_batch([[0.5] * space.dim, [True] + rest])):
         with pytest.raises(StateSpaceMismatch, match=message):
             call()
 
@@ -602,6 +606,21 @@ def test_vech_round_trip():
         stack = np.stack([mat, 2.0 * mat])
         assert np.array_equal(vech(stack), np.stack([vech(mat), vech(2.0 * mat)]))
         assert np.array_equal(unvech(vech(stack), d), np.stack([back, unvech(vech(2.0 * mat), d)]))
+
+
+def test_vech_refuses_matrices_that_are_no_real_numbers():
+    # numpy would read a bool as 1.0 and a string as a number, and drop the
+    # imaginary part of a complex matrix with a ComplexWarning.
+    for mat in (np.eye(2, dtype=bool), [[True, 0.0], [0.0, 1.0]], np.eye(2) + 0j, [["1", "0"], ["0", "1"]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mat must hold real numbers$"):
+                vech(mat)
+    for x in (["1", "0", "1"], [1.0, True, 1.0], np.ones(3, dtype=complex), [[1.0, 0.0], [1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x must hold real numbers$"):
+                unvech(x, 2)
 
 
 def test_vech_index_cache_is_read_only():

@@ -252,7 +252,7 @@ def test_ray_probe_propagates_programming_errors(cir_model, monkeypatch):
         raise TypeError("bug inside the probe")
 
     # The package re-exports the function transform, which shadows the module.
-    monkeypatch.setattr(sys.modules["affinejd.transform"], "explosion_time", broken)
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "solve_riccati", broken)
     with pytest.raises(TypeError, match="bug inside the probe"):
         effective_domain_ray(cir_model, [1.0], 1.0)
 
