@@ -25,7 +25,6 @@ for name, model in (("square-root", cir()), ("compound poisson", compound_poisso
 print("\nmartingale diagnostic (standardized drift should stay below ~3-4):")
 for name, model, x0 in (("square-root", cir(), [1.0]),
                         ("compound poisson", compound_poisson(), [1.0])):
-    rep = martingale_diagnostic(model, [0.5], x0, 0.5, 10,
-                                SimConfig(n_paths=30_000, dt=1e-3, horizon=0.5, seed=12))
+    rep = martingale_diagnostic(model, [0.5], x0, SimConfig(n_paths=30_000, dt=1e-3, horizon=0.5, seed=12))
     print(f"  {name}: max standardized drift {rep.max_standardized_drift:.2f} "
           f"(dt allowance {rep.dt_allowance})")

@@ -7,17 +7,16 @@ Subcommands (all read a model file in the JSON schema documented in
     explosion  --model M --u U --t-max T
     transform  --model M --u U --x X --t T
     ray        --model M --direction D --T T [--lambda-max L] [--csv]
-    simulate   --model M --x0 X --n-paths N --dt DT --T T [--u U] [--csv]
-    validate   --model M [--n-samples N] [--tol TOL]
+    simulate   --model M --x0 X --n-paths N --dt DT --T T [--seed S] [--u U] [--csv]
+    validate   --model M [--n-samples N] [--seed S] [--tol TOL]
     damp       --model M --u U --x X --t T --n-list 10,100,1000
     idcheck    --model M --u U --t T --n N
     cone-check --model M --check {monotonicity,interior,regularity}
                --u U [--v V] [--t T]
 
-Complex arguments are written like ``-1+2i`` (vectors comma-separated), or
-as paired ``--re``/``--im`` vectors; values starting with a minus sign need
-the ``--u=-1+2i`` form; every entry must be finite. The seed of ``simulate``
-and ``validate`` defaults to the AFFINE_SEED environment variable, then 0.
+Complex arguments are written like ``-1+2i`` (vectors comma-separated);
+values starting with a minus sign need the ``--u=-1+2i`` form; every entry
+must be finite. The ``--seed`` of ``simulate`` and ``validate`` defaults to 0.
 The Riccati solver runs at one fixed accuracy (relative tolerance 1e-10,
 absolute 1e-12, blow-up radius 1e8, brackets of relative width 1e-8), so
 no subcommand takes a tolerance flag. Exit codes: 0 success, 2 validation
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -96,42 +96,23 @@ def _emit(payload):
     print(text)
 
 
-def _u_from_args(args):
-    if args.u is not None:
-        return parse_complex_vector(args.u)
-    if args.re is not None:
-        re = parse_real_vector(args.re)
-        im = parse_real_vector(args.im) if args.im is not None else np.zeros_like(re)
-        if re.size != im.size:
-            raise ModelFormatError("--re and --im must have the same length")
-        return np.array([complex(r, i) for r, i in zip(re.tolist(), im.tolist())])
-    raise ModelFormatError("provide --u or --re/--im")
-
-
-def _add_u_flags(sub):
-    sub.add_argument("--u", help="complex vector, e.g. --u=-1+2i,0.3")
-    sub.add_argument("--re", help="real parts (overridden by --u)")
-    sub.add_argument("--im", help="imaginary parts")
+def _add_u_flag(sub, required=True):
+    sub.add_argument("--u", required=required, help="complex vector, e.g. --u=-1+2i,0.3")
 
 
 def _cmd_solve(model, args):
-    sol = solve_riccati(model, _u_from_args(args), args.T)
+    sol = solve_riccati(model, parse_complex_vector(args.u), args.T)
     if args.csv:
         sys.stdout.write(solution_to_csv(sol))
         return 0
     psi0, psi = sol.terminal()
     payload = {
+        **dataclasses.asdict(sol.stats),
         "verdict": sol.verdict,
         "t_last": sol.t_last,
         "psi0": None if sol.stats.psi0_overflow is not None else _c(psi0),
-        "psi0_overflow": sol.stats.psi0_overflow,
         "psi": _cvec(psi),
         "grid_points": int(sol.grid.size),
-        "stop_reason": sol.stats.stop_reason,
-        "nfev": sol.stats.nfev,
-        "steps_t": sol.stats.steps_t,
-        "steps_s": sol.stats.steps_s,
-        "rejected": sol.stats.rejected,
     }
     if sol.exploded:
         payload["bracket"] = list(sol.bracket)
@@ -140,7 +121,7 @@ def _cmd_solve(model, args):
 
 
 def _cmd_explosion(model, args):
-    res = explosion_time(model, _u_from_args(args), args.t_max)
+    res = explosion_time(model, parse_complex_vector(args.u), args.t_max)
     payload = {"verdict": res.kind, "t_max": res.t_max}
     if res.finite:
         payload["estimate"] = res.estimate
@@ -150,7 +131,7 @@ def _cmd_explosion(model, args):
 
 
 def _cmd_transform(model, args):
-    tv = transform(model, _u_from_args(args), parse_real_vector(args.x), args.t)
+    tv = transform(model, parse_complex_vector(args.u), parse_real_vector(args.x), args.t)
     payload = {"verdict": tv.kind}
     if tv.finite:  # value null on overflow; all three null where psi_0 is out of float range
         payload["value"] = None if tv.value is None else _c(tv.value)
@@ -182,9 +163,7 @@ def _cmd_ray(model, args):
 
 
 def _cmd_simulate(model, args):
-    cfg = SimConfig(
-        n_paths=args.n_paths, dt=args.dt, horizon=args.T, seed=args.seed, threads=args.threads
-    )
+    cfg = SimConfig(n_paths=args.n_paths, dt=args.dt, horizon=args.T, seed=args.seed)
     ens = simulate_paths(model, parse_real_vector(args.x0), cfg)
     if args.csv:
         sys.stdout.write(ensemble_summary_csv(ens))
@@ -199,8 +178,8 @@ def _cmd_simulate(model, args):
         "sup_sq_mean": float(ens.sup_sq.mean()),
         "model_hash": ens.model_hash,
     }
-    if args.u is not None or args.re is not None:
-        est = mc_transform(ens, _u_from_args(args))
+    if args.u is not None:
+        est = mc_transform(ens, parse_complex_vector(args.u))
         payload["mc_transform"] = {
             "value": _c(est.value) if math.isfinite(est.value.real) else "infinite",
             "std_error": est.std_error if math.isfinite(est.std_error) else "infinite",
@@ -230,7 +209,7 @@ def _cmd_validate(model, args):
 
 def _cmd_damp(model, args):
     n_list = [int(v) for v in args.n_list.split(",")]
-    u, x = _u_from_args(args), parse_real_vector(args.x)
+    u, x = parse_complex_vector(args.u), parse_real_vector(args.x)
     diag = damped_transform_sequence(model, u, x, args.t, n_list)
     _emit({
         "n_list": diag.n_list,
@@ -241,13 +220,13 @@ def _cmd_damp(model, args):
 
 
 def _cmd_idcheck(model, args):
-    residual = infinite_divisibility_check(model, _u_from_args(args), args.t, args.n)
+    residual = infinite_divisibility_check(model, parse_complex_vector(args.u), args.t, args.n)
     _emit({"residual": residual, "n": args.n, "t": args.t})
     return 0
 
 
 def _cmd_cone_check(model, args):
-    u = _u_from_args(args)
+    u = parse_complex_vector(args.u)
     if args.check == "monotonicity":
         if args.v is None:
             raise ModelFormatError("monotonicity check needs --v")
@@ -268,9 +247,6 @@ def _cmd_cone_check(model, args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="affinejd", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    # A string default goes through type=int only when --seed is absent, so a
-    # malformed AFFINE_SEED is a usage error of the subcommands that read it.
-    default_seed = os.environ.get("AFFINE_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -278,20 +254,20 @@ def build_parser():
 
     p = sub.add_parser("solve", help="integrate the Riccati system")
     common(p)
-    _add_u_flags(p)
+    _add_u_flag(p)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--csv", action="store_true", help="emit the solution grid as CSV")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("explosion", help="bracket where |psi| crosses the blow-up radius, below the blow-up time")
     common(p)
-    _add_u_flags(p)
+    _add_u_flag(p)
     p.add_argument("--t-max", type=float, required=True)
     p.set_defaults(fn=_cmd_explosion)
 
     p = sub.add_parser("transform", help="evaluate E_x exp(u.X_t)")
     common(p)
-    _add_u_flags(p)
+    _add_u_flag(p)
     p.add_argument("--x", required=True, help="state, comma-separated reals")
     p.add_argument("--t", type=float, required=True)
     p.set_defaults(fn=_cmd_transform)
@@ -310,22 +286,21 @@ def build_parser():
     p.add_argument("--n-paths", type=int, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--threads", type=int, default=1)
-    _add_u_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_u_flag(p, required=False)
     p.add_argument("--csv", action="store_true", help="emit the ensemble summary as CSV")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("validate", help="admissibility and invariant suite")
     common(p)
     p.add_argument("--n-samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("damp", help="damped-jump transform sequence")
     common(p)
-    _add_u_flags(p)
+    _add_u_flag(p)
     p.add_argument("--x", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n-list", default="10,100,1000")
@@ -333,7 +308,7 @@ def build_parser():
 
     p = sub.add_parser("idcheck", help="parameter-scaling (divisibility) residual")
     common(p)
-    _add_u_flags(p)
+    _add_u_flag(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_idcheck)
@@ -341,7 +316,7 @@ def build_parser():
     p = sub.add_parser("cone-check", help="self-dual cone checks")
     common(p)
     p.add_argument("--check", required=True, choices=["monotonicity", "interior", "regularity"])
-    _add_u_flags(p)
+    _add_u_flag(p)
     p.add_argument("--v", help="upper argument for the monotonicity check")
     p.add_argument("--t", type=float, default=1.0)
     p.set_defaults(fn=_cmd_cone_check)

@@ -61,7 +61,7 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -448,13 +448,13 @@ class MartingaleReport:
     dt_allowance: float
 
 
-def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig):
+def martingale_diagnostic(model, u, x0, cfg: SimConfig):
     """Simulate and test that the transform-induced martingale has constant
-    expectation across n_checkpoints times in (0, horizon]."""
-    n_checkpoints = _check_count(n_checkpoints, "n_checkpoints", 1)
+    expectation at the recorded times of cfg (by default 11 evenly spaced
+    times in [0, cfg.horizon])."""
+    horizon = float(cfg.horizon)
     sol = _solve_reaching(model, u, horizon)
-    checkpoints = np.linspace(0.0, horizon, n_checkpoints + 1)
-    ens = simulate_paths(model, x0, replace(cfg, horizon=horizon, record_times=checkpoints))
+    ens = simulate_paths(model, x0, cfg)
 
     psi0_T, psi_T = sol.eval(horizon)
     reference = complex(np.exp(psi0_T + psi_T @ ens.x0))
@@ -479,7 +479,7 @@ def martingale_diagnostic(model, u, x0, horizon, n_checkpoints, cfg: SimConfig):
         means=np.array(means),
         std_errors=np.array(ses),
         reference=reference,
-        dt_allowance=cfg.dt,
+        dt_allowance=ens.dt_effective,
     )
 
 

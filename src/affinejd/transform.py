@@ -29,6 +29,7 @@ ExplosionBeforeHorizon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -234,7 +235,8 @@ def effective_domain_ray(model, direction, horizon, lambda_max=1e6):
                 if certificate[0][2] == "exceeds_horizon":
                     return RayProbe(direction, horizon, math.inf, None, probes)
         lam_hi = min(2.0 * lam_hi, lambda_max)
-    t_probe = 2.0 * horizon
+    # Twice a horizon above ~9e307 is inf; the largest float stands for it.
+    t_probe = min(2.0 * horizon, sys.float_info.max)
     while lam_hi - lam_lo > RAY_REL_TOL * lam_hi:
         guess = secant_guess()
         # Past 40 probes, twice what bisection alone needs, only bisect:

@@ -129,10 +129,7 @@ def test_criterion_04_martingale_diagnostic(cir_model, ou_model, cp_model):
     c = Criterion(4, "martingale diagnostic below 4 at 10 checkpoints", 60.0)
     for name, model, x0 in (("cir", cir_model, [1.0]), ("ou", ou_model, [0.5]),
                             ("compound_poisson", cp_model, [1.0])):
-        rep = martingale_diagnostic(
-            model, [0.5], x0, 0.5, 10,
-            SimConfig(n_paths=10**5, dt=1e-3, horizon=0.5, seed=SEED),
-        )
+        rep = martingale_diagnostic(model, [0.5], x0, SimConfig(n_paths=10**5, dt=1e-3, horizon=0.5, seed=SEED))
         c.check(rep.max_standardized_drift < 4.0,
                 f"{name}: standardized drift {rep.max_standardized_drift:.2f}")
     c.finish()

@@ -1,13 +1,15 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from affinejd.cli import main, parse_complex_scalar, parse_complex_vector
+from affinejd.cli import build_parser, main, parse_complex_scalar, parse_complex_vector
 
 
 def run_cli(capsys, *argv):
@@ -188,7 +190,7 @@ def test_ray_json_and_csv(capsys, models_dir):
     assert len(lines) > 2
 
 
-def test_simulate_deterministic(capsys, models_dir):
+def test_simulate_deterministic(capsys, models_dir, monkeypatch):
     args = ("simulate", "--model", str(models_dir / "compound_poisson.json"),
             "--x0", "1", "--n-paths", "500", "--dt", "0.01", "--T", "1",
             "--seed", "3", "--u", "0.3")
@@ -198,6 +200,11 @@ def test_simulate_deterministic(capsys, models_dir):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["mc_transform"]["n_paths"] == 500
+    # The seed is --seed or 0: the environment holds no second seed.
+    unseeded = args[:-4] + args[-2:]
+    plain = run_cli(capsys, *unseeded)
+    monkeypatch.setenv("AFFINE_SEED", "abc")
+    assert plain[0] == 0 and run_cli(capsys, *unseeded) == plain
 
 
 def test_simulate_negative_seed_exits_2(capsys, models_dir):
@@ -218,19 +225,6 @@ def test_validate_bad_tolerance_or_seed_exits_2(capsys, models_dir):
         assert f"invalid input for 'validate': {message}" in err and "Traceback" not in err
 
 
-def test_malformed_affine_seed_is_a_usage_error(capsys, models_dir, monkeypatch):
-    monkeypatch.setenv("AFFINE_SEED", "abc")
-    model = str(models_dir / "cir.json")
-    code, _, err = run_cli(capsys, "simulate", "--model", model, "--x0", "1",
-                           "--n-paths", "10", "--dt", "0.1", "--T", "1")
-    assert code == 2 and "--seed" in err
-    code, _, _ = run_cli(capsys, "simulate", "--model", model, "--x0", "1",
-                         "--n-paths", "10", "--dt", "0.1", "--T", "1", "--seed", "3")
-    assert code == 0
-    code, _, _ = run_cli(capsys, "solve", "--model", model, "--u", "0.5", "--T", "1")
-    assert code == 0
-
-
 def test_non_finite_inputs_exit_2(capsys, models_dir):
     # Each row names a fragment the message must hold, or None.
     model = str(models_dir / "cir.json")
@@ -242,7 +236,6 @@ def test_non_finite_inputs_exit_2(capsys, models_dir):
         (("solve", "--u=-inf", "--T", "1"), "not finite"),
         (("solve", "--u", "nan+infi", "--T", "1"), "not finite"),
         (("solve", "--u", "infj", "--T", "1"), "not finite"),
-        (("solve", "--re", "inf", "--T", "1"), None),
         (("transform", "--u", "0.5", "--x", "nan", "--t", "1"), None),
         (("transform", "--u", "0.5", "--x", "inf", "--t", "1"), None),
         (("simulate", "--x0", "nan", "--n-paths", "10", "--dt", "0.1", "--T", "1"), None),
@@ -290,32 +283,44 @@ def test_non_finite_state_past_the_parser_exits_2(capsys, models_dir, monkeypatc
         assert "state entry 0 is" in err and "not a finite number" in err
 
 
-def test_re_im_flags_match_u(capsys, models_dir):
-    model = str(models_dir / "cir.json")
-    code, by_u, _ = run_cli(capsys, "solve", "--model", model, "--u=-0.5+0.25i", "--T", "1")
-    assert code == 0
-    code, by_parts, _ = run_cli(capsys, "solve", "--model", model, "--re=-0.5", "--im", "0.25", "--T", "1")
-    assert code == 0 and by_parts == by_u
-    code, out, err = run_cli(capsys, "solve", "--model", model, "--re", "0.1,0.2", "--im", "0.3", "--T", "1")
-    assert code == 2 and out == "" and "same length" in err
-
-
 def test_tolerance_flags_are_rejected(capsys, models_dir):
-    # The solver accuracy is fixed; no subcommand accepts a tolerance flag.
+    # The solver accuracy is fixed, so no subcommand accepts a tolerance
+    # flag; u is given by --u alone, and simulate runs on one thread.
     model = str(models_dir / "cir.json")
-    for argv in [
-        ("solve", "--u", "0.5", "--T", "1"),
-        ("explosion", "--u", "0.5", "--t-max", "1"),
-        ("transform", "--u", "0.5", "--x", "1", "--t", "1"),
-        ("ray", "--direction", "1", "--T", "1"),
-        ("damp", "--u", "0.5i", "--x", "1", "--t", "1"),
-        ("idcheck", "--u", "0.5", "--t", "1", "--n", "2"),
-        ("cone-check", "--check", "interior", "--u=-0.5"),
+    tolerances, u_parts = ("--rel-tol", "--abs-tol"), ("--re", "--im")
+    for argv, flags in [
+        (("solve", "--u", "0.5", "--T", "1"), tolerances + u_parts),
+        (("explosion", "--u", "0.5", "--t-max", "1"), tolerances + u_parts),
+        (("transform", "--u", "0.5", "--x", "1", "--t", "1"), tolerances + u_parts),
+        (("ray", "--direction", "1", "--T", "1"), tolerances),
+        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1", "--u", "0.5"),
+         u_parts + ("--threads",)),
+        (("damp", "--u", "0.5i", "--x", "1", "--t", "1"), tolerances + u_parts),
+        (("idcheck", "--u", "0.5", "--t", "1", "--n", "2"), tolerances + u_parts),
+        (("cone-check", "--check", "interior", "--u=-0.5"), tolerances + u_parts),
     ]:
-        for flag in ("--rel-tol", "--abs-tol"):
+        for flag in flags:
             code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:], flag, "1e-6")
             assert code == 2 and out == "", argv
             assert f"unrecognized arguments: {flag}" in err, argv
+
+
+def readme_commands():
+    """README's command lines: each line of a shell block that runs
+    affinejd, continuations joined and comments dropped."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("affinejd ")]
+
+
+def test_readme_commands_parse():
+    # The docs name only flags the parser has; parsing solves nothing.
+    commands = readme_commands()
+    assert [argv[1] for argv in commands] == ["solve", "explosion", "transform", "ray", "simulate", "validate",
+                                              "damp", "idcheck", "cone-check"]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):

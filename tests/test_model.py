@@ -311,7 +311,7 @@ def _rule_tables():
         ("diffusion_at", lambda v: diffusion_at(cir, v), "x", 1, True),
         ("k_eval", lambda v: model_mod.k_eval(cir, [1.0], v), "y", 1, True),
         ("in_U", lambda v: in_U(Lorentz(3), v), "u", 3, False),
-        ("martingale_diagnostic", lambda v: martingale_diagnostic(cir, v, [1.0], 1.0, 2, cfg), "u", 1, False),
+        ("martingale_diagnostic", lambda v: martingale_diagnostic(cir, v, [1.0], cfg), "u", 1, False),
     ]
     times = [
         ("solve_riccati", lambda t: solve_riccati(cir, [0.5j], t), "horizon", False),
@@ -334,8 +334,6 @@ def _rule_tables():
         ("infinite_divisibility_check", lambda t: infinite_divisibility_check(cp, [0.1], 1.0, t), "n", False),
         ("monotonicity_check", lambda t: monotonicity_check(cir, [-1.0], [-0.5], t), "t", False),
         ("interior_preservation_check", lambda t: interior_preservation_check(cir, [-0.5], t), "t", False),
-        ("martingale_diagnostic", lambda t: martingale_diagnostic(cir, [0.3j], [1.0], t, 2, cfg), "horizon",
-         False),
     ]
     ray = ExponentialRay(1.0, 2.0, [1.0])
     scalars = [
@@ -344,8 +342,6 @@ def _rule_tables():
         ("SimConfig", lambda n: SimConfig(n_paths=4, dt=0.1, horizon=1.0, threads=n), "threads", ValueError, 1),
         ("SimConfig", lambda t: SimConfig(n_paths=4, dt=t, horizon=1.0), "dt", ValueError, "positive"),
         ("SimConfig", lambda t: SimConfig(n_paths=4, dt=0.1, horizon=t), "horizon", ValueError, "positive"),
-        ("martingale_diagnostic", lambda n: martingale_diagnostic(cir, [0.3j], [1.0], 1.0, n, cfg),
-         "n_checkpoints", ValueError, 1),
         ("check_admissibility", lambda n: check_admissibility(cir, n_samples=n), "n_samples", ValueError, 1),
         ("check_admissibility", lambda n: check_admissibility(cir, seed=n), "seed", ValueError, 0),
         ("check_admissibility", lambda t: check_admissibility(cir, tol=t), "tol", ValueError, "nonnegative"),
@@ -412,15 +408,6 @@ def test_every_count_size_and_tolerance_is_checked_by_name(call, name, error, le
         bads = [True, np.bool_(True), "2", -1.0, math.nan, math.inf] + ([0.0] if least == "positive" else [])
     for bad in bads:
         _refused(call, bad, error, message)
-
-
-def test_checkpoint_count_must_be_a_positive_integer():
-    from affinejd.simulate import martingale_diagnostic
-
-    cfg = SimConfig(n_paths=4, dt=0.1, horizon=1.0)
-    for bad in (2.5, 0, -1, True, "3", math.nan):
-        _refused(lambda n: martingale_diagnostic(golden.cir(), [0.3j], [1.0], 1.0, n, cfg), bad,
-                 ValueError, "^n_checkpoints must be an integer at least 1")
 
 
 def test_a_state_is_a_real_vector_of_the_model_dimension():

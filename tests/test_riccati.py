@@ -796,6 +796,26 @@ def test_no_lambda_is_solved_twice(cir_model, monkeypatch):
     assert calls == [1.0, 64.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
 
+def test_ray_bracket_horizon_stays_in_float_range(cir_model, monkeypatch):
+    # Twice a horizon above ~9e307 is inf, which no solve takes as a horizon:
+    # the bracket probes integrate to the largest float instead. The stub
+    # blows up the first probe, as cir does at lambda = 1 near t = 1, and
+    # stalls every later one, as the solver does on its way to 1e308.
+    horizons = []
+
+    def probe(model, u, horizon):
+        horizons.append(horizon)
+        if len(horizons) > 1:
+            raise StepLimitExceeded("integrator stalled at t=2.3e18")
+        return solve_riccati(model, u, 2.0)
+
+    monkeypatch.setattr(sys.modules["affinejd.transform"], "solve_riccati", probe)
+    with pytest.raises(StepLimitExceeded):
+        effective_domain_ray(cir_model, [1.0], 1e308)
+    # A probe that fails past the horizon is decided on the horizon itself.
+    assert horizons == [1e308, sys.float_info.max, 1e308]
+
+
 def test_psi0_overflow_by_accumulation(cp_model):
     # psi = 883 is constant and R_0(883) ~ 2.6e306 is finite, but psi_0 =
     # t R_0 passes the largest float near t = 68. From the accepted state

@@ -730,18 +730,22 @@ def test_exponential_ray_jumps_simulated():
 
 
 def test_martingale_diagnostic_trivial(cir_model):
-    rep = martingale_diagnostic(
-        cir_model, [0.0], [1.0], 0.5, 5, SimConfig(n_paths=256, dt=1e-2, horizon=0.5, seed=2)
-    )
+    cfg = SimConfig(n_paths=256, dt=1e-2, horizon=0.5, seed=2, record_times=np.linspace(0.0, 0.5, 6))
+    rep = martingale_diagnostic(cir_model, [0.0], [1.0], cfg)
     assert rep.max_standardized_drift < 1e-9
     assert rep.dt_allowance == 1e-2
 
 
 def test_martingale_diagnostic_gaussian(ou_model):
-    rep = martingale_diagnostic(
-        ou_model, [0.5], [0.5], 0.5, 10, SimConfig(n_paths=20000, dt=1e-3, horizon=0.5, seed=3)
-    )
+    rep = martingale_diagnostic(ou_model, [0.5], [0.5], SimConfig(n_paths=20000, dt=1e-3, horizon=0.5, seed=3))
     assert rep.max_standardized_drift < 4.0
+
+
+def test_martingale_dt_allowance_is_the_step_taken(cir_model):
+    # Two steps of 0.35 cover the horizon 0.7, not steps of the 0.3 asked for.
+    rep = martingale_diagnostic(cir_model, [0.0], [1.0], SimConfig(n_paths=8, dt=0.3, horizon=0.7))
+    assert rep.dt_allowance == 0.35
+    assert rep.checkpoints.tolist() == [0.0, 0.35, 0.7]
 
 
 @pytest.mark.parametrize("K", [
