@@ -3,18 +3,21 @@
 Subcommands (all read a model file in the JSON schema documented in
 ``modelio``; outputs are JSON on stdout, or CSV where ``--csv`` applies):
 
-    solve      --model M --u U --T T [--csv]
-    explosion  --model M --u U --t-max T
+    solve      --model M --u U --t T [--csv]
     transform  --model M --u U --x X --t T
-    ray        --model M --direction D --T T [--lambda-max L] [--csv]
-    simulate   --model M --x0 X --n-paths N --dt DT --T T [--seed S] [--u U] [--csv]
-    validate   --model M [--n-samples N] [--seed S] [--tol TOL]
+    ray        --model M --direction D --t T [--lambda-max L] [--csv]
+    simulate   --model M --x X --n-paths N --dt DT --t T [--seed S] [--u U] [--csv]
+    validate   --model M [--n-samples N] [--seed S]
     damp       --model M --u U --x X --t T --n-list 10,100,1000
     idcheck    --model M --u U --t T --n N
     cone-check --model M --check {monotonicity,interior,regularity}
                --u U [--v V] [--t T]
 
-Complex arguments are written like ``-1+2i`` (vectors comma-separated);
+Each flag has one spelling: the time is ``--t`` and the state ``--x``
+wherever a subcommand reads them, and no prefix of a flag is accepted for
+it. ``solve`` reports a blow-up: its verdict, the bracket around the
+crossing of the blow-up radius, and ``t_last``, the crossing. Complex
+arguments are written like ``-1+2i`` (vectors comma-separated);
 values starting with a minus sign need the ``--u=-1+2i`` form; every entry
 must be finite. The ``--seed`` of ``simulate`` and ``validate`` defaults to 0.
 The Riccati solver runs at one fixed accuracy (relative tolerance 1e-10,
@@ -44,7 +47,7 @@ from . import cone as cone_mod
 from . import modelio
 from .errors import AffineError, DimensionMismatch, ModelFormatError, StateSpaceMismatch
 from .model import check_admissibility, exponential_moment_condition
-from .riccati import explosion_time, solution_to_csv, solve_riccati
+from .riccati import solution_to_csv, solve_riccati
 from .simulate import SimConfig, ensemble_summary_csv, mc_transform, simulate_paths
 from .transform import (
     damped_transform_sequence,
@@ -101,7 +104,7 @@ def _add_u_flag(sub, required=True):
 
 
 def _cmd_solve(model, args):
-    sol = solve_riccati(model, parse_complex_vector(args.u), args.T)
+    sol = solve_riccati(model, parse_complex_vector(args.u), args.t)
     if args.csv:
         sys.stdout.write(solution_to_csv(sol))
         return 0
@@ -116,16 +119,6 @@ def _cmd_solve(model, args):
     }
     if sol.exploded:
         payload["bracket"] = list(sol.bracket)
-    _emit(payload)
-    return 0
-
-
-def _cmd_explosion(model, args):
-    res = explosion_time(model, parse_complex_vector(args.u), args.t_max)
-    payload = {"verdict": res.kind, "t_max": res.t_max}
-    if res.finite:
-        payload["estimate"] = res.estimate
-        payload["bracket"] = list(res.bracket)
     _emit(payload)
     return 0
 
@@ -145,7 +138,7 @@ def _cmd_transform(model, args):
 
 
 def _cmd_ray(model, args):
-    probe = effective_domain_ray(model, parse_real_vector(args.direction), args.T, args.lambda_max)
+    probe = effective_domain_ray(model, parse_real_vector(args.direction), args.t, args.lambda_max)
     if args.csv:
         lines = ["lambda,t_inf_estimate,verdict"]
         for lam, est, verdict in probe.probes:
@@ -163,15 +156,15 @@ def _cmd_ray(model, args):
 
 
 def _cmd_simulate(model, args):
-    cfg = SimConfig(n_paths=args.n_paths, dt=args.dt, horizon=args.T, seed=args.seed)
-    ens = simulate_paths(model, parse_real_vector(args.x0), cfg)
+    cfg = SimConfig(n_paths=args.n_paths, dt=args.dt, horizon=args.t, seed=args.seed)
+    ens = simulate_paths(model, parse_real_vector(args.x), cfg)
     if args.csv:
         sys.stdout.write(ensemble_summary_csv(ens))
         return 0
     payload = {
         "n_paths": ens.n_paths,
         "dt": ens.dt_effective,
-        "horizon": args.T,
+        "horizon": args.t,
         "seed": args.seed,
         "mean_final": [float(v) for v in ens.final_states.mean(axis=0)],
         "mean_jumps": float(ens.jump_counts.mean()),
@@ -190,7 +183,7 @@ def _cmd_simulate(model, args):
 
 
 def _cmd_validate(model, args):
-    report = check_admissibility(model, n_samples=args.n_samples, seed=args.seed, tol=args.tol)
+    report = check_admissibility(model, n_samples=args.n_samples, seed=args.seed)
     _emit({
         "verdict": "pass" if report.verdict else "fail",
         "admissibility": {
@@ -226,16 +219,21 @@ def _cmd_idcheck(model, args):
 
 
 def _cmd_cone_check(model, args):
+    reads = {"monotonicity": ("--v", "--t"), "interior": ("--t",), "regularity": ()}[args.check]
+    unread = [flag for flag, value in (("--v", args.v), ("--t", args.t)) if value is not None and flag not in reads]
+    if unread:
+        raise ModelFormatError(f"the {args.check} check does not read {' or '.join(unread)}")
     u = parse_complex_vector(args.u)
+    t = 1.0 if args.t is None else args.t
     if args.check == "monotonicity":
         if args.v is None:
             raise ModelFormatError("monotonicity check needs --v")
-        res = cone_mod.monotonicity_check(model, u, parse_complex_vector(args.v), args.t)
+        res = cone_mod.monotonicity_check(model, u, parse_complex_vector(args.v), t)
         _emit({"check": args.check, "passed": res.passed, "psi0_margin": res.psi0_margin,
                "cone_slack": res.cone_slack, "slack_tol": res.slack_tol})
         return 0 if res.passed else 2
     if args.check == "interior":
-        res = cone_mod.interior_preservation_check(model, u, args.t)
+        res = cone_mod.interior_preservation_check(model, u, t)
         _emit({"check": args.check, "passed": res.passed, "cone_slack": res.cone_slack,
                "min_phi": res.min_phi, "slack_tol": res.slack_tol})
         return 0 if res.passed else 2
@@ -245,80 +243,67 @@ def _cmd_cone_check(model, args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="affinejd", description=__doc__,
+    parser = argparse.ArgumentParser(prog="affinejd", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def sub(name, summary):
+        p = subparsers.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--model", required=True, help="model JSON file")
+        return p
 
-    p = sub.add_parser("solve", help="integrate the Riccati system")
-    common(p)
+    p = sub("solve", "integrate the Riccati system; a blow-up gives its bracket")
     _add_u_flag(p)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--csv", action="store_true", help="emit the solution grid as CSV")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("explosion", help="bracket where |psi| crosses the blow-up radius, below the blow-up time")
-    common(p)
-    _add_u_flag(p)
-    p.add_argument("--t-max", type=float, required=True)
-    p.set_defaults(fn=_cmd_explosion)
-
-    p = sub.add_parser("transform", help="evaluate E_x exp(u.X_t)")
-    common(p)
+    p = sub("transform", "evaluate E_x exp(u.X_t)")
     _add_u_flag(p)
     p.add_argument("--x", required=True, help="state, comma-separated reals")
     p.add_argument("--t", type=float, required=True)
     p.set_defaults(fn=_cmd_transform)
 
-    p = sub.add_parser("ray", help="effective-domain boundary along a ray")
-    common(p)
+    p = sub("ray", "effective-domain boundary along a ray")
     p.add_argument("--direction", required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--lambda-max", type=float, default=1e6)
     p.add_argument("--csv", action="store_true", help="emit probe rows as CSV")
     p.set_defaults(fn=_cmd_ray)
 
-    p = sub.add_parser("simulate", help="Euler Monte Carlo paths")
-    common(p)
-    p.add_argument("--x0", required=True)
+    p = sub("simulate", "Euler Monte Carlo paths")
+    p.add_argument("--x", required=True)
     p.add_argument("--n-paths", type=int, required=True)
     p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_u_flag(p, required=False)
     p.add_argument("--csv", action="store_true", help="emit the ensemble summary as CSV")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("validate", help="admissibility and invariant suite")
-    common(p)
+    p = sub("validate", "admissibility and invariant suite")
     p.add_argument("--n-samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("damp", help="damped-jump transform sequence")
-    common(p)
+    p = sub("damp", "damped-jump transform sequence")
     _add_u_flag(p)
     p.add_argument("--x", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n-list", default="10,100,1000")
     p.set_defaults(fn=_cmd_damp)
 
-    p = sub.add_parser("idcheck", help="parameter-scaling (divisibility) residual")
-    common(p)
+    p = sub("idcheck", "parameter-scaling (divisibility) residual")
     _add_u_flag(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_idcheck)
 
-    p = sub.add_parser("cone-check", help="self-dual cone checks")
-    common(p)
+    p = sub("cone-check", "self-dual cone checks")
     p.add_argument("--check", required=True, choices=["monotonicity", "interior", "regularity"])
     _add_u_flag(p)
-    p.add_argument("--v", help="upper argument for the monotonicity check")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--v", help="upper argument, monotonicity only")
+    p.add_argument("--t", type=float, help="time, default 1; monotonicity and interior only")
     p.set_defaults(fn=_cmd_cone_check)
     return parser
 

@@ -21,7 +21,6 @@ from .errors import (
     StateSpaceMismatch,
     UnsupportedFamily,
     _check_count,
-    _check_positive,
     _check_vector,
     finite_floats,
 )
@@ -30,6 +29,7 @@ from .statespace import StateSpace
 _SYM_TOL = 1e-12
 _SPACE_TOL = 1e-9  # how far outside E require_in_space accepts a point
 _K_TOL = 1e-9  # how far below 0 check_admissibility accepts a sampled k(x, y)
+_ADMISSIBILITY_TOL = 1e-10  # how far below 0 check_admissibility accepts an eigenvalue of c(x) or a jump weight
 _K_SAMPLES = 16
 
 
@@ -46,7 +46,9 @@ class AffineModel:
         self.dim = self.a0.size
         p = self.dim
         # Columns of `a` are the linear drift vectors a^1..a^p.
-        self.a = finite_floats(a, "a").reshape(p, p)
+        self.a = finite_floats(a, "a")
+        if self.a.shape != (p, p):
+            raise DimensionMismatch(f"a must have shape ({p},{p}), got {self.a.shape}")
         self.A = finite_floats(A, "A")
         if self.A.shape != (p + 1, p, p):
             raise DimensionMismatch(
@@ -67,9 +69,13 @@ class AffineModel:
         if len(K) != p + 1:
             raise DimensionMismatch(f"K must list p+1={p+1} measures (None allowed), got {len(K)}")
         for i, meas in enumerate(K):
+            if meas is not None and not isinstance(meas, jumps_mod.JumpMeasure):
+                raise ModelFormatError(f"K^{i} must be a jump measure or None, not {type(meas).__name__}")
             if meas is not None and meas.dim != p:
                 raise DimensionMismatch(f"K^{i} lives in dimension {meas.dim}, model has {p}")
         self.K = tuple(K)
+        if not isinstance(state_space, StateSpace):
+            raise ModelFormatError(f"state_space must be a StateSpace, not {type(state_space).__name__}")
         if state_space.dim != p:
             raise DimensionMismatch(
                 f"state space has dimension {state_space.dim}, parameters have {p}"
@@ -274,7 +280,7 @@ def _sample_states(space, n_samples, rng):
     return space.project_batch(draws[:n_samples])
 
 
-def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
+def check_admissibility(model, n_samples=200, seed=0):
     """Sample states from E and check that c(x) is positive semi-definite,
     the combined jump weights are nonnegative and jump supports stay in E;
     where they pass, also that k(x, y) is nonnegative at _K_SAMPLES pairs of
@@ -282,7 +288,6 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
     skipped)."""
     n_samples = _check_count(n_samples, "n_samples", 1)
     seed = _check_count(seed, "seed", 0)
-    tol = _check_positive(tol, "tol", zero_ok=True)
     rng = np.random.default_rng(seed)
     space = model.state_space
     xs = _sample_states(space, n_samples, rng)
@@ -306,7 +311,7 @@ def check_admissibility(model, n_samples=200, seed=0, tol=1e-10):
         min_jump_weight=float(weights.min()) if weights.size else math.inf,
         support_violations=violations,
         k_min=math.inf,
-        tol=tol,
+        tol=_ADMISSIBILITY_TOL,
         n_samples=len(xs),
         seed=seed,
         argmin_eigen_x=xs[k].copy(),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -41,7 +42,7 @@ def strict_json(text):
 
 def test_solve_cir(capsys, models_dir):
     code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
-                           "--u", "0.5", "--T", "1")
+                           "--u", "0.5", "--t", "1")
     assert code == 0
     payload = strict_json(out)
     assert payload["verdict"] == "solved"
@@ -55,7 +56,7 @@ def test_solve_cir(capsys, models_dir):
 
 def test_solve_csv(capsys, models_dir):
     code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
-                           "--u", "0.5", "--T", "1", "--csv")
+                           "--u", "0.5", "--t", "1", "--csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "t,re_psi0,im_psi0,re_psi_1,im_psi_1"
@@ -64,7 +65,7 @@ def test_solve_csv(capsys, models_dir):
 
 def test_solve_exploding_stop_reason(capsys, models_dir):
     code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
-                           "--u", "1", "--T", "10")
+                           "--u", "1", "--t", "10")
     assert code == 0
     payload = strict_json(out)
     assert payload["verdict"] == "exploded" and payload["stop_reason"] == "radius"
@@ -88,7 +89,7 @@ def test_psi0_overflow_is_standard_json(capsys, models_dir):
     # R_0(1000) ~ 0.25 e^800 overflows while psi = 1000 stays constant: the
     # moment is finite, and psi_0 and the value are null.
     args = ("--model", str(models_dir / "compound_poisson.json"), "--u", "1000")
-    code, out, _ = run_cli(capsys, "solve", *args, "--T", "1")
+    code, out, _ = run_cli(capsys, "solve", *args, "--t", "1")
     payload = strict_json(out)
     assert code == 0 and payload["verdict"] == "solved" and payload["stop_reason"] == "horizon"
     assert payload["psi0"] is None and payload["psi0_overflow"] == 0.0
@@ -98,8 +99,6 @@ def test_psi0_overflow_is_standard_json(capsys, models_dir):
     assert code == 0 and payload["verdict"] == "finite"
     assert payload["value"] is None and payload["log_value"] is None and payload["psi0"] is None
     assert "t=0.0" in payload["diagnostic"]
-    code, out, _ = run_cli(capsys, "explosion", *args, "--t-max", "1")
-    assert code == 0 and strict_json(out) == {"verdict": "exceeds_horizon", "t_max": 1.0}
 
 
 def test_psi0_overflow_by_accumulation_is_null(capsys, models_dir):
@@ -141,7 +140,7 @@ def test_closed_stdout_pipe_is_quiet(models_dir):
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a plain shell
     proc = subprocess.Popen(
         [sys.executable, "-m", "affinejd", "ray", "--model", str(models_dir / "cir.json"),
-         "--direction=-1", "--T", "1", "--csv"],
+         "--direction=-1", "--t", "1", "--csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
@@ -152,19 +151,23 @@ def test_closed_stdout_pipe_is_quiet(models_dir):
 
 
 def test_explosion_finite(capsys, models_dir):
-    code, out, _ = run_cli(capsys, "explosion", "--model", str(models_dir / "cir.json"),
-                           "--u", "1", "--t-max", "10")
+    # solve reports the blow-up: t_last is the crossing of the blow-up
+    # radius, inside the bracket around it.
+    code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
+                           "--u", "1", "--t", "10")
     assert code == 0
     payload = json.loads(out)
-    assert payload["verdict"] == "finite"
-    assert abs(payload["estimate"] - 1.0) < 1e-6
+    assert payload["verdict"] == "exploded"
+    lo, hi = payload["bracket"]
+    assert lo < payload["t_last"] < hi and abs(payload["t_last"] - 1.0) < 1e-6
 
 
 def test_explosion_exceeds_horizon(capsys, models_dir):
-    code, out, _ = run_cli(capsys, "explosion", "--model", str(models_dir / "cir.json"),
-                           "--u=-1", "--t-max", "10")
+    code, out, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
+                           "--u=-1", "--t", "10")
     assert code == 0
-    assert json.loads(out)["verdict"] == "exceeds_horizon"
+    payload = json.loads(out)
+    assert payload["verdict"] == "solved" and "bracket" not in payload
 
 
 def test_transform_trivial_value(capsys, models_dir):
@@ -178,12 +181,12 @@ def test_transform_trivial_value(capsys, models_dir):
 
 def test_ray_json_and_csv(capsys, models_dir):
     code, out, _ = run_cli(capsys, "ray", "--model", str(models_dir / "cir.json"),
-                           "--direction", "1", "--T", "1")
+                           "--direction", "1", "--t", "1")
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["lambda_star"] - 1.0) < 1e-4
     code, out, _ = run_cli(capsys, "ray", "--model", str(models_dir / "cir.json"),
-                           "--direction", "1", "--T", "1", "--csv")
+                           "--direction", "1", "--t", "1", "--csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "lambda,t_inf_estimate,verdict"
@@ -192,7 +195,7 @@ def test_ray_json_and_csv(capsys, models_dir):
 
 def test_simulate_deterministic(capsys, models_dir, monkeypatch):
     args = ("simulate", "--model", str(models_dir / "compound_poisson.json"),
-            "--x0", "1", "--n-paths", "500", "--dt", "0.01", "--T", "1",
+            "--x", "1", "--n-paths", "500", "--dt", "0.01", "--t", "1",
             "--seed", "3", "--u", "0.3")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
@@ -209,50 +212,45 @@ def test_simulate_deterministic(capsys, models_dir, monkeypatch):
 
 def test_simulate_negative_seed_exits_2(capsys, models_dir):
     code, _, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
-                           "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1",
+                           "--x", "1", "--n-paths", "10", "--dt", "0.1", "--t", "1",
                            "--seed=-1")
     assert code == 2
     assert "invalid input" in err and "seed" in err
 
 
-def test_validate_bad_tolerance_or_seed_exits_2(capsys, models_dir):
-    # --tol nan once failed as a "numeric failure" (exit 1), and --seed -1
-    # reached numpy, whose message named no argument.
-    for flag, message in [("--tol=nan", "tol must be nonnegative and finite"),
-                          ("--seed=-1", "seed must be an integer at least 0")]:
-        code, out, err = run_cli(capsys, "validate", "--model", str(models_dir / "cir.json"), flag)
-        assert code == 2 and out == ""
-        assert f"invalid input for 'validate': {message}" in err and "Traceback" not in err
+def test_validate_bad_seed_exits_2(capsys, models_dir):
+    # --seed -1 once reached numpy, whose message named no argument.
+    code, out, err = run_cli(capsys, "validate", "--model", str(models_dir / "cir.json"), "--seed=-1")
+    assert code == 2 and out == ""
+    assert "invalid input for 'validate': seed must be an integer at least 0" in err and "Traceback" not in err
 
 
 def test_non_finite_inputs_exit_2(capsys, models_dir):
     # Each row names a fragment the message must hold, or None.
     model = str(models_dir / "cir.json")
     for argv, message in [
-        (("solve", "--u", "nan", "--T", "1"), "not finite"),
-        (("solve", "--u", "1e999", "--T", "1"), "not finite"),
-        (("solve", "--u", "0.5+nani", "--T", "1"), "not finite"),
-        (("solve", "--u", "inf", "--T", "1"), "not finite"),
-        (("solve", "--u=-inf", "--T", "1"), "not finite"),
-        (("solve", "--u", "nan+infi", "--T", "1"), "not finite"),
-        (("solve", "--u", "infj", "--T", "1"), "not finite"),
+        (("solve", "--u", "nan", "--t", "1"), "not finite"),
+        (("solve", "--u", "1e999", "--t", "1"), "not finite"),
+        (("solve", "--u", "0.5+nani", "--t", "1"), "not finite"),
+        (("solve", "--u", "inf", "--t", "1"), "not finite"),
+        (("solve", "--u=-inf", "--t", "1"), "not finite"),
+        (("solve", "--u", "nan+infi", "--t", "1"), "not finite"),
+        (("solve", "--u", "infj", "--t", "1"), "not finite"),
         (("transform", "--u", "0.5", "--x", "nan", "--t", "1"), None),
         (("transform", "--u", "0.5", "--x", "inf", "--t", "1"), None),
-        (("simulate", "--x0", "nan", "--n-paths", "10", "--dt", "0.1", "--T", "1"), None),
-        (("simulate", "--x0", "inf", "--n-paths", "10", "--dt", "0.1", "--T", "1"), None),
-        (("solve", "--u", "0.5", "--T", "nan"), None),
-        (("explosion", "--u", "0.5", "--t-max", "nan"), None),
-        (("ray", "--direction", "1", "--T", "nan"), None),
+        (("simulate", "--x", "nan", "--n-paths", "10", "--dt", "0.1", "--t", "1"), None),
+        (("simulate", "--x", "inf", "--n-paths", "10", "--dt", "0.1", "--t", "1"), None),
+        (("solve", "--u", "0.5", "--t", "nan"), None),
+        (("ray", "--direction", "1", "--t", "nan"), None),
         (("cone-check", "--check", "interior", "--u=-0.5", "--t", "nan"), "t must be positive"),
         (("idcheck", "--u", "0.5", "--t", "nan", "--n", "2"), "t must be positive"),
-        (("solve", "--u", "0.5", "--T", "inf"), "horizon must be positive and finite"),
+        (("solve", "--u", "0.5", "--t", "inf"), "horizon must be positive and finite"),
         (("transform", "--u", "0.5", "--x", "1", "--t", "inf"), "t must be nonnegative and finite"),
-        (("explosion", "--u", "0.5", "--t-max", "inf"), "t_max must be positive and finite"),
-        (("ray", "--direction", "1", "--T", "inf"), "horizon must be positive and finite"),
+        (("ray", "--direction", "1", "--t", "inf"), "horizon must be positive and finite"),
         (("cone-check", "--check", "interior", "--u=-0.5", "--t", "inf"), "t must be positive and finite"),
-        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "inf"), None),
-        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "nan", "--T", "1"), None),
-        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "1e-300", "--T", "1e300"),
+        (("simulate", "--x", "1", "--n-paths", "10", "--dt", "0.1", "--t", "inf"), None),
+        (("simulate", "--x", "1", "--n-paths", "10", "--dt", "nan", "--t", "1"), None),
+        (("simulate", "--x", "1", "--n-paths", "10", "--dt", "1e-300", "--t", "1e300"),
          "stream-key budget"),
     ]:
         code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
@@ -266,7 +264,7 @@ def test_solve_refuses_non_finite_u_past_the_parser(capsys, models_dir, monkeypa
     monkeypatch.setattr("affinejd.cli.parse_complex_vector", lambda text: np.array([complex(text)]))
     model = str(models_dir / "cir.json")
     for u in ("nan", "inf"):
-        code, out, err = run_cli(capsys, "solve", "--model", model, "--u", u, "--T", "1")
+        code, out, err = run_cli(capsys, "solve", "--model", model, "--u", u, "--t", "1")
         assert code == 2 and out == ""
         assert "invalid input for 'solve': u must be finite" in err
 
@@ -277,7 +275,7 @@ def test_non_finite_state_past_the_parser_exits_2(capsys, models_dir, monkeypatc
     monkeypatch.setattr("affinejd.cli.parse_real_vector", lambda text: np.array([float(text)]))
     model = str(models_dir / "ou.json")
     for argv in (("transform", "--u", "0.5i", "--x", "nan", "--t", "1"),
-                 ("simulate", "--x0", "inf", "--n-paths", "10", "--dt", "0.1", "--T", "1")):
+                 ("simulate", "--x", "inf", "--n-paths", "10", "--dt", "0.1", "--t", "1")):
         code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
         assert code == 2 and out == ""
         assert "state entry 0 is" in err and "not a finite number" in err
@@ -285,24 +283,83 @@ def test_non_finite_state_past_the_parser_exits_2(capsys, models_dir, monkeypatc
 
 def test_tolerance_flags_are_rejected(capsys, models_dir):
     # The solver accuracy is fixed, so no subcommand accepts a tolerance
-    # flag; u is given by --u alone, and simulate runs on one thread.
+    # flag; u is given by --u alone, the time by --t and the state by --x,
+    # and simulate runs on one thread.
     model = str(models_dir / "cir.json")
-    tolerances, u_parts = ("--rel-tol", "--abs-tol"), ("--re", "--im")
+    tolerances, u_parts, times = ("--rel-tol", "--abs-tol"), ("--re", "--im"), ("--T", "--t-max")
     for argv, flags in [
-        (("solve", "--u", "0.5", "--T", "1"), tolerances + u_parts),
-        (("explosion", "--u", "0.5", "--t-max", "1"), tolerances + u_parts),
-        (("transform", "--u", "0.5", "--x", "1", "--t", "1"), tolerances + u_parts),
-        (("ray", "--direction", "1", "--T", "1"), tolerances),
-        (("simulate", "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1", "--u", "0.5"),
-         u_parts + ("--threads",)),
-        (("damp", "--u", "0.5i", "--x", "1", "--t", "1"), tolerances + u_parts),
-        (("idcheck", "--u", "0.5", "--t", "1", "--n", "2"), tolerances + u_parts),
-        (("cone-check", "--check", "interior", "--u=-0.5"), tolerances + u_parts),
+        (("solve", "--u", "0.5", "--t", "1"), tolerances + u_parts + times),
+        (("transform", "--u", "0.5", "--x", "1", "--t", "1"), tolerances + u_parts + times),
+        (("ray", "--direction", "1", "--t", "1"), tolerances + times),
+        (("simulate", "--x", "1", "--n-paths", "10", "--dt", "0.1", "--t", "1", "--u", "0.5"),
+         u_parts + times + ("--x0", "--threads")),
+        (("validate",), ("--tol",)),
+        (("damp", "--u", "0.5i", "--x", "1", "--t", "1"), tolerances + u_parts + times),
+        (("idcheck", "--u", "0.5", "--t", "1", "--n", "2"), tolerances + u_parts + times),
+        (("cone-check", "--check", "interior", "--u=-0.5"), tolerances + u_parts + times),
     ]:
         for flag in flags:
             code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:], flag, "1e-6")
             assert code == 2 and out == "", argv
             assert f"unrecognized arguments: {flag}" in err, argv
+    # solve reports the blow-up, so there is no explosion subcommand.
+    code, out, err = run_cli(capsys, "explosion", "--model", model, "--u", "1", "--t-max", "10")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'explosion'" in err
+
+
+def subparsers():
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def long_flags(sub):
+    return {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+
+
+# A value for each flag of more than one letter that a subcommand does not
+# require.
+OPTIONAL_VALUES = {"--csv": (), "--lambda-max": ("5",), "--seed": ("3",), "--n-samples": ("20",),
+                   "--n-list": ("10,100",)}
+
+
+def test_flag_prefixes_are_rejected(capsys, models_dir):
+    # A prefix of a flag is no spelling of it: `ray ... --lambda 5` once ran
+    # as `--lambda-max 5`. Each command below, of a subcommand with a flag it
+    # does not require, parses without the flag.
+    model = str(models_dir / "cir.json")
+    commands = {
+        "solve": ("--u", "0.5", "--t", "1"),
+        "ray": ("--direction", "1", "--t", "1"),
+        "simulate": ("--x", "1", "--n-paths", "10", "--dt", "0.1", "--t", "1"),
+        "validate": (),
+        "damp": ("--u", "0.5i", "--x", "1", "--t", "1"),
+    }
+    prefixed = [("ray", "--lambda", ("5",)), ("validate", "--n-s", ("20",))]
+    for name, sub in subparsers().items():
+        for action in sub._actions:
+            flag = action.option_strings[-1]
+            if flag != "--help" and not action.required and len(flag) > 3:
+                prefixed.append((name, flag[:-1], OPTIONAL_VALUES[flag]))
+    assert {name for name, _, _ in prefixed} == {"solve", "ray", "simulate", "validate", "damp"}
+    for name, prefix, value in prefixed:
+        code, out, err = run_cli(capsys, name, "--model", model, *commands[name], prefix, *value)
+        assert code == 2 and out == "", (name, prefix)
+        assert f"unrecognized arguments: {prefix}" in err, (name, prefix)
+
+
+def test_cone_check_refuses_a_flag_its_check_does_not_read(capsys, models_dir):
+    # --v is read by monotonicity alone, and --t by monotonicity and
+    # interior; each was once ignored elsewhere, unparsed.
+    model = str(models_dir / "cir.json")
+    for argv, named in [
+        (("--check", "interior", "--u=-0.5", "--v=7"), "--v"),
+        (("--check", "regularity", "--u=-0.5", "--v=abc", "--t", "99"), "--v or --t"),
+        (("--check", "regularity", "--u=-0.5", "--t", "1"), "--t"),
+    ]:
+        code, out, err = run_cli(capsys, "cone-check", "--model", model, *argv)
+        assert code == 2 and out == "", argv
+        assert f"invalid input for 'cone-check': the {argv[1]} check does not read {named}" in err, argv
 
 
 def readme_commands():
@@ -313,10 +370,23 @@ def readme_commands():
     return [shlex.split(line, comments=True) for line in lines if line.startswith("affinejd ")]
 
 
+def test_docstring_synopsis_matches_the_parser():
+    # The cli docstring lists each subcommand with every flag it takes.
+    import affinejd.cli
+
+    block = affinejd.cli.__doc__.split("\n\n")[2]
+    synopsis = {}
+    for line in block.splitlines():
+        if line[4] != " ":  # a subcommand's first line
+            name = line.split()[0]
+        synopsis.setdefault(name, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    assert synopsis == {name: long_flags(sub) for name, sub in subparsers().items()}
+
+
 def test_readme_commands_parse():
     # The docs name only flags the parser has; parsing solves nothing.
     commands = readme_commands()
-    assert [argv[1] for argv in commands] == ["solve", "explosion", "transform", "ray", "simulate", "validate",
+    assert [argv[1] for argv in commands] == ["solve", "transform", "ray", "simulate", "validate",
                                               "damp", "idcheck", "cone-check"]
     parser = build_parser()
     for argv in commands:
@@ -334,8 +404,8 @@ def test_simulate_negative_jump_weight_exits_2(capsys, tmp_path):
                     state_space=Canonical(1, 1))
     path = tmp_path / "signed.json"
     save_model(m, path)
-    code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--x0", "1",
-                             "--n-paths", "10", "--dt", "0.1", "--T", "1")
+    code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--x", "1",
+                             "--n-paths", "10", "--dt", "0.1", "--t", "1")
     assert code == 2 and out == ""
     assert "negative weight" in err and "Traceback" not in err
 
@@ -386,8 +456,8 @@ def test_overflowing_jump_mass_is_intensity_infinite(capsys, models_dir, tmp_pat
                       "atoms": [{"weight": 1e308, "z": [0.4]}, {"weight": 1e308, "z": [0.8]}]}
     path = tmp_path / "heavy.json"
     path.write_text(json.dumps(record))
-    code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--x0", "1",
-                             "--n-paths", "4", "--dt", "0.1", "--T", "1")
+    code, out, err = run_cli(capsys, "simulate", "--model", str(path), "--x", "1",
+                             "--n-paths", "4", "--dt", "0.1", "--t", "1")
     assert code == 1 and out == ""
     assert "IntensityInfinite" in err and "K^0 has non-finite mass" in err
 
@@ -395,22 +465,22 @@ def test_overflowing_jump_mass_is_intensity_infinite(capsys, models_dir, tmp_pat
 def test_simulate_transform_overflow_is_quiet(capsys, models_dir):
     # exp(1000 x) overflows on every path; the suite turns a RuntimeWarning
     # into an error.
-    code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"), "--x0", "1",
-                             "--n-paths", "8", "--dt", "0.1", "--T", "0.5", "--u", "1000")
+    code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"), "--x", "1",
+                             "--n-paths", "8", "--dt", "0.1", "--t", "0.5", "--u", "1000")
     assert code == 0 and err == ""
     assert strict_json(out)["mc_transform"] == {"n_paths": 8, "std_error": "infinite", "value": "infinite"}
 
 
 def test_simulate_u_of_wrong_length_exits_2(capsys, models_dir):
     code, out, err = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
-                             "--x0", "1", "--n-paths", "10", "--dt", "0.1", "--T", "1", "--u", "1,2")
+                             "--x", "1", "--n-paths", "10", "--dt", "0.1", "--t", "1", "--u", "1,2")
     assert code == 2 and out == ""
     assert "u has length 2, the model has dimension 1" in err
 
 
 def test_u_of_wrong_length_exits_2(capsys, models_dir):
     for args, message in (
-        (("solve", "--T", "1"), "the model has dimension 1"),
+        (("solve", "--t", "1"), "the model has dimension 1"),
         (("transform", "--x", "1", "--t", "1"), "the model has dimension 1"),
         (("transform", "--x", "1", "--t", "0"), "the model has dimension 1"),
         (("damp", "--x", "1", "--t", "1"), "the state space has dimension 1"),
@@ -426,7 +496,7 @@ def test_ray_of_wrong_length_exits_2(models_dir):
     # this test instead of stalling the suite.
     proc = subprocess.run(
         [sys.executable, "-m", "affinejd", "ray", "--model", str(models_dir / "cir.json"),
-         "--direction", "1,2", "--T", "1"],
+         "--direction", "1,2", "--t", "1"],
         capture_output=True, env=subprocess_env(), timeout=60,
     )
     assert proc.returncode == 2 and proc.stdout == b""
@@ -435,7 +505,7 @@ def test_ray_of_wrong_length_exits_2(models_dir):
 
 def test_simulate_csv(capsys, models_dir):
     code, out, _ = run_cli(capsys, "simulate", "--model", str(models_dir / "cir.json"),
-                           "--x0", "1", "--n-paths", "64", "--dt", "0.01", "--T", "0.5",
+                           "--x", "1", "--n-paths", "64", "--dt", "0.01", "--t", "0.5",
                            "--csv")
     assert code == 0
     assert out.startswith("t,mean_1,std_1,min_1,max_1")
@@ -503,21 +573,21 @@ def test_cone_check_regularity(capsys, models_dir, tmp_path):
 def test_malformed_model_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 1')
-    code, _, err = run_cli(capsys, "solve", "--model", str(path), "--u", "0.5", "--T", "1")
+    code, _, err = run_cli(capsys, "solve", "--model", str(path), "--u", "0.5", "--t", "1")
     assert code == 2
     assert "line" in err
 
 
 def test_missing_model_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--model", str(tmp_path / "none.json"),
-                           "--u", "0.5", "--T", "1")
+                           "--u", "0.5", "--t", "1")
     assert code == 2
     assert "none.json" in err
 
 
 def test_dimension_mismatch_exits_2(capsys, models_dir):
     code, _, err = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"),
-                           "--u", "0.5,0.5", "--T", "1")
+                           "--u", "0.5,0.5", "--t", "1")
     assert code == 2
 
 
@@ -541,7 +611,7 @@ def test_numeric_failure_exits_1(capsys, tmp_path):
                     state_space=Canonical(1, 1))
     path = tmp_path / "ray.json"
     save_model(m, path)
-    code, _, err = run_cli(capsys, "solve", "--model", str(path), "--u", "1", "--T", "2")
+    code, _, err = run_cli(capsys, "solve", "--model", str(path), "--u", "1", "--t", "2")
     assert code == 1
     assert "solve" in err and "DivergentIntegral" in err
 
@@ -550,7 +620,7 @@ def test_step_limit_exits_1(capsys, models_dir, monkeypatch):
     from affinejd import riccati
 
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
-    code, out, err = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"), "--u", "0.5", "--T", "1")
+    code, out, err = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"), "--u", "0.5", "--t", "1")
     assert code == 1 and out == ""
     assert "numeric failure in 'solve' (StepLimitExceeded)" in err
 
@@ -562,12 +632,12 @@ def test_state_past_float_range_exits_1(capsys, tmp_path):
 
     path = tmp_path / "overflow.json"
     save_model(AffineModel(a0=[1e308], a=[[0.0]], A=[[[0.0]], [[0.0]]], K=None, state_space=Canonical(1, 1)), path)
-    code, _, err = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0", "--n-paths", "4",
-                           "--dt", "1", "--T", "3")
+    code, _, err = run_cli(capsys, "simulate", "--model", str(path), "--x", "0", "--n-paths", "4",
+                           "--dt", "1", "--t", "3")
     assert code == 1
     assert "numeric failure in 'simulate' (PathOverflow)" in err
 
 
 def test_missing_required_flag_exits_2(capsys, models_dir):
-    code, _, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"), "--T", "1")
+    code, _, _ = run_cli(capsys, "solve", "--model", str(models_dir / "cir.json"), "--t", "1")
     assert code == 2

@@ -314,11 +314,11 @@ def test_import_path_loads_no_scipy():
     bundled = {"cir": ("1", "-0.5"), "ou": ("0.5", None), "compound_poisson": ("1", "-0.5"),
                "wishart_2d": ("1,0,1", "-0.5,0,-0.5"), "lorentz": ("2,0,0", "-1,0,0")}
     calls = [("cir", ["transform", "--u", "0.5+1i", "--x", "1", "--t", "1"]),
-             ("cir", ["solve", "--u", "0.999", "--T", "1"]),
-             ("cir", ["explosion", "--u", "1", "--t-max", "10"])]
+             ("cir", ["solve", "--u", "0.999", "--t", "1"]),
+             ("cir", ["solve", "--u", "1", "--t", "10"])]
     for name, (x, u) in bundled.items():
-        calls += [(name, ["simulate", "--x0", x, "--n-paths", "8", "--dt", "0.1", "--T", "0.5"]),
-                  (name, ["ray", "--direction", x, "--T", "1"]),
+        calls += [(name, ["simulate", "--x", x, "--n-paths", "8", "--dt", "0.1", "--t", "0.5"]),
+                  (name, ["ray", "--direction", x, "--t", "1"]),
                   (name, ["validate", "--n-samples", "20"])]
         if u is not None:
             calls.append((name, ["cone-check", "--check", "interior", f"--u={u}"]))

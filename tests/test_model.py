@@ -143,6 +143,9 @@ def test_malformed_parameters_are_named():
         (lambda: model_from_dict(dict(model_to_dict(golden.wishart_2d()), a0=[True, 0.0, 1.0])), "^field 'a0':"),
         (lambda: scalar_model(A1=math.inf), "^A:"),
         (lambda: scalar_model(K=5), "K must list"),
+        # Each once failed with "AttributeError: ... has no attribute 'dim'".
+        (lambda: scalar_model(K=[1, None]), r"^K\^0 must be a jump measure or None, not int$"),
+        (lambda: scalar_model(space="canonical"), "^state_space must be a StateSpace, not str$"),
         (lambda: FiniteAtomic([None], [[0.4]]), "finite_atomic: weights"),
         (lambda: TabulatedDensity([0.1], [[nan]]), "tabulated_density: points"),
         (lambda: ExponentialRay(nan, 1.0, [1.0]), "mass"),
@@ -155,6 +158,12 @@ def test_malformed_parameters_are_named():
     for build, named in cases:
         with pytest.raises(ModelFormatError, match=named):
             build()
+
+
+def test_linear_drift_of_the_wrong_shape_is_named():
+    # numpy once refused it with "cannot reshape array of size 2 into shape (1,1)".
+    with pytest.raises(DimensionMismatch, match=r"^a must have shape \(1,1\), got \(1, 2\)$"):
+        AffineModel(a0=[0.0], a=[[0.0, 1.0]], A=[[[0.0]], [[0.0]]], K=None, state_space=Canonical(1, 1))
 
 
 def test_in_U_examples():
@@ -344,7 +353,6 @@ def _rule_tables():
         ("SimConfig", lambda t: SimConfig(n_paths=4, dt=0.1, horizon=t), "horizon", ValueError, "positive"),
         ("check_admissibility", lambda n: check_admissibility(cir, n_samples=n), "n_samples", ValueError, 1),
         ("check_admissibility", lambda n: check_admissibility(cir, seed=n), "seed", ValueError, 0),
-        ("check_admissibility", lambda t: check_admissibility(cir, tol=t), "tol", ValueError, "nonnegative"),
         ("ExponentialRay.tabulated", lambda n: ray.tabulated(n_nodes=n), "n_nodes", ValueError, 2),
         ("Canonical", lambda n: Canonical(n, 2), "canonical: 'm'", ModelFormatError, 0),
         ("Canonical", lambda n: Canonical(1, n), "canonical: 'p'", ModelFormatError, 1),
