@@ -45,6 +45,8 @@ class AffineModel:
         self.a0 = finite_floats(a0, "a0").ravel()
         self.dim = self.a0.size
         p = self.dim
+        if p == 0:
+            raise DimensionMismatch("a0 is empty: a model needs dimension p >= 1")
         # Columns of `a` are the linear drift vectors a^1..a^p.
         self.a = finite_floats(a, "a")
         if self.a.shape != (p, p):
@@ -57,8 +59,10 @@ class AffineModel:
         for i, mat in enumerate(self.A):
             if np.max(np.abs(mat - mat.T)) > _SYM_TOL:
                 raise ModelFormatError(f"A^{i} is not symmetric to within {_SYM_TOL}")
-        # Exact symmetry below keeps diffusion_at exactly symmetric.
-        self.A = 0.5 * (self.A + self.A.transpose(0, 2, 1))
+        # Exact symmetry below keeps diffusion_at exactly symmetric. Halving
+        # before the sum keeps a finite entry finite, with the same floats
+        # wherever no half is subnormal.
+        self.A = 0.5 * self.A + 0.5 * self.A.transpose(0, 2, 1)
         if np.linalg.eigvalsh(self.A[0]).min() < -1e-12:
             raise ModelFormatError("A^0 must be positive semi-definite")
         if K is None:

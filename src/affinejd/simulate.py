@@ -53,15 +53,26 @@ All randomness comes from counter-based Philox streams keyed by
 (_NORMALS), the arrival exponentials (_COUNTS), the source uniforms
 (_MARKS) and the ray lengths (_RAY_EXPS). Each is read from its start in
 path order, so enlarging the path count or the number of steps never
-reshuffles draws that earlier configurations consumed.
+reshuffles draws that earlier configurations consumed. The normals read no
+state: a block that draws at least _HELPER_MIN_NORMALS of them per step
+(n_block * p), in a process allowed two or more CPUs, has one helper thread
+draw them, step after step, from its own streams into a ring of _RING_DEPTH
+buffers ahead of the Euler loop, whose streams then serve the other three
+purposes. The draws are the same, and so are the paths. The loop stops and
+joins its helper on every exit, and raises an error of the helper as its
+own. SimConfig.threads counts the pool workers that run blocks at once; a
+helper runs whatever it is.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -89,6 +100,15 @@ _EIG_FLOOR = -1e-10
 _MAX_ARRIVALS = 2**22
 # Stream purposes, the low 3 bits of a stream key's second word.
 _NORMALS, _COUNTS, _MARKS, _RAY_EXPS = 0, 1, 2, 3
+# The fewest normals per step, n_block * p, for which a helper thread draws a
+# block's normals ahead of its Euler loop; below it the handoff costs more
+# than the draws it takes off the loop (the crossover table in CHANGES.md).
+_HELPER_MIN_NORMALS = 2048
+# The buffers of the helper's ring: the loop reads one while the helper fills
+# the others with the next steps' normals.
+_RING_DEPTH = 4
+# The CPUs this process may run on; a helper needs two.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -193,6 +213,58 @@ class _Streams:
         return self.gen
 
 
+def _draw_normals(stream, step, out):
+    """The step's normals, read from the start of its stream into out."""
+    return stream(step, _NORMALS).standard_normal(out=out)
+
+
+class _NormalRing:
+    """A helper thread that draws a block's normals, step after step, from
+    its own streams into a ring of _RING_DEPTH buffers while the Euler loop
+    works on earlier steps; numpy releases the GIL inside the draw. A buffer
+    passes to the loop through ``full`` and back through ``free``, so each
+    generator and each buffer is used by one thread at a time."""
+
+    def __init__(self, seed, block, n_steps, shape):
+        self.buffers = np.empty((_RING_DEPTH,) + shape)
+        self.free, self.full = SimpleQueue(), SimpleQueue()
+        for _ in range(_RING_DEPTH):
+            self.free.put(None)
+        self.stopped = False
+        self.error = None
+        self.thread = threading.Thread(target=self._fill, args=(_Streams(seed, block), n_steps),
+                                       name="affinejd-normals", daemon=True)
+        self.thread.start()
+
+    def _fill(self, stream, n_steps):
+        try:
+            for k in range(n_steps):
+                self.free.get()
+                if self.stopped:
+                    return
+                _draw_normals(stream, k, self.buffers[k % _RING_DEPTH])
+                self.full.put(None)
+        except BaseException as exc:  # raised again in the loop's thread by take
+            self.error = exc
+            self.full.put(None)
+
+    def take(self, step):
+        """The step's normals, once drawn; the previous step's buffer goes
+        back to the helper."""
+        if step:
+            self.free.put(None)
+        self.full.get()
+        if self.error is not None:
+            raise self.error
+        return self.buffers[step % _RING_DEPTH]
+
+    def close(self):
+        """Stop the helper, also one waiting for a free buffer, and join it."""
+        self.stopped = True
+        self.free.put(None)
+        self.thread.join()
+
+
 def _diffusion_increment(A, states, normals, c=None):
     """A square root of c(x) applied to the normals, which it may overwrite:
     the root of c(x) clipped at 0 if p = 1, else the Cholesky factor of
@@ -284,62 +356,71 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     c, sq = np.empty(n_block), np.empty(n_block)
     flat = incr.ravel()  # a view of incr, for the overflow check
 
-    for k in range(n_steps):
-        drift = const_drift
-        if drift is None:
-            drift = np.dot(states, drift_lin_t, out=incr)  # incr itself
-            incr += drift0
-            incr *= dt
-        if diffusive:
-            stream(k, _NORMALS).standard_normal(out=normals)
-            diffusion = _diffusion_increment(model.A, states, normals, c)
-            diffusion *= sqrt_dt
-            np.add(drift, diffusion, out=incr)
-        elif const_drift is not None:
-            np.copyto(incr, drift)
-        if has_jumps:
-            edges = const_edges
-            if edges is None:
-                edges = np.cumsum(_intensity(model, states) * dt)
-            # One rule, before any draw, for a total too large or not finite.
-            if not edges[-1] <= _MAX_ARRIVALS:
-                raise IntensityInfinite(f"the jump intensity summed over the paths expects {edges[-1]:g} jumps "
-                                        f"at step {k}, t = {k * dt:g}, past {_MAX_ARRIVALS} in one step")
-            rows = _arrival_rows(stream(k, _COUNTS), edges)
-            total = rows.size
-            if total:
-                pending.append(rows)
-                n_pending += total
-                u_sel = stream(k, _MARKS).random(total)
-                if pick_cum is None:
-                    cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
-                    pick = (cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1)
-                else:
-                    # On one nondecreasing row, the count of entries below a
-                    # value is searchsorted's left index.
-                    pick = pick_cum.searchsorted(u_sel * pick_cum[-1])
-                pick = np.minimum(pick, marks.shape[0] - 1)
-                z = marks[pick]
-                if rates.size:
-                    ray = pick >= n_atoms
-                    s_exp = stream(k, _RAY_EXPS).standard_exponential(total)
-                    z[ray] *= (s_exp[ray] / rates[pick[ray] - n_atoms])[:, None]
-                np.add.at(incr, rows, z)
-            if pending and (n_pending > n_block or k == n_steps - 1):
-                jump_counts += np.bincount(np.concatenate(pending), minlength=n_block)
-                pending, n_pending = [], 0
-        incr += states
-        # The step's own test names the step, and the projection is the
-        # unchecked _project_rows. A dot product is the cheapest reduction
-        # that every non-finite entry spoils; only states whose squares sum
-        # past float range take the exact test.
-        if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
-            raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
-        # _project_rows returns a new array, so incr is free for the next step.
-        states = model.state_space._project_rows(incr)
-        np.maximum(sup_sq, row_sq_sums(states, out=sq), out=sup_sq)
-        if (k + 1) in slot:
-            rec[:, slot[k + 1], :] = states
+    # A block that draws enough normals per step has them drawn ahead by a
+    # helper thread, which the finally stops on every exit.
+    ring = None
+    if diffusive and n_block * p >= _HELPER_MIN_NORMALS and _CPUS >= 2:
+        ring = _NormalRing(cfg.seed, block, n_steps, (n_block, p))
+    try:
+        for k in range(n_steps):
+            drift = const_drift
+            if drift is None:
+                drift = np.dot(states, drift_lin_t, out=incr)  # incr itself
+                incr += drift0
+                incr *= dt
+            if diffusive:
+                normals = ring.take(k) if ring else _draw_normals(stream, k, normals)
+                diffusion = _diffusion_increment(model.A, states, normals, c)
+                diffusion *= sqrt_dt
+                np.add(drift, diffusion, out=incr)
+            elif const_drift is not None:
+                np.copyto(incr, drift)
+            if has_jumps:
+                edges = const_edges
+                if edges is None:
+                    edges = np.cumsum(_intensity(model, states) * dt)
+                # One rule, before any draw, for a total too large or not finite.
+                if not edges[-1] <= _MAX_ARRIVALS:
+                    raise IntensityInfinite(f"the jump intensity summed over the paths expects {edges[-1]:g} jumps "
+                                            f"at step {k}, t = {k * dt:g}, past {_MAX_ARRIVALS} in one step")
+                rows = _arrival_rows(stream(k, _COUNTS), edges)
+                total = rows.size
+                if total:
+                    pending.append(rows)
+                    n_pending += total
+                    u_sel = stream(k, _MARKS).random(total)
+                    if pick_cum is None:
+                        cum = np.cumsum(np.maximum(model.jump_weights(states[rows]), 0.0), axis=1)
+                        pick = (cum < (u_sel * cum[:, -1])[:, None]).sum(axis=1)
+                    else:
+                        # On one nondecreasing row, the count of entries below a
+                        # value is searchsorted's left index.
+                        pick = pick_cum.searchsorted(u_sel * pick_cum[-1])
+                    pick = np.minimum(pick, marks.shape[0] - 1)
+                    z = marks[pick]
+                    if rates.size:
+                        ray = pick >= n_atoms
+                        s_exp = stream(k, _RAY_EXPS).standard_exponential(total)
+                        z[ray] *= (s_exp[ray] / rates[pick[ray] - n_atoms])[:, None]
+                    np.add.at(incr, rows, z)
+                if pending and (n_pending > n_block or k == n_steps - 1):
+                    jump_counts += np.bincount(np.concatenate(pending), minlength=n_block)
+                    pending, n_pending = [], 0
+            incr += states
+            # The step's own test names the step, and the projection is the
+            # unchecked _project_rows. A dot product is the cheapest reduction
+            # that every non-finite entry spoils; only states whose squares sum
+            # past float range take the exact test.
+            if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+                raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
+            # _project_rows returns a new array, so incr is free for the next step.
+            states = model.state_space._project_rows(incr)
+            np.maximum(sup_sq, row_sq_sums(states, out=sq), out=sup_sq)
+            if (k + 1) in slot:
+                rec[:, slot[k + 1], :] = states
+    finally:
+        if ring:
+            ring.close()
     return rec, jump_counts, sup_sq
 
 

@@ -1,5 +1,6 @@
 import pathlib
 import sys
+import threading
 
 import pytest
 
@@ -9,6 +10,16 @@ from affinejd import golden  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODELS_DIR = REPO_ROOT / "models"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves behind a thread it started."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before and thread.is_alive()]
+    if left:
+        pytest.fail(f"threads still running after the test: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -115,6 +115,13 @@ def test_dimension_mismatch():
         diffusion_at(m, [1.0, 2.0])
 
 
+def test_a_model_without_coordinates_refused():
+    # It once reached the symmetry check's max over an empty array, numpy's
+    # untyped "zero-size array to reduction operation maximum".
+    with pytest.raises(DimensionMismatch, match="^a0 is empty: a model needs dimension p >= 1$"):
+        AffineModel(a0=[], a=np.zeros((0, 0)), A=np.zeros((1, 0, 0)), K=None, state_space=Canonical(0, 1))
+
+
 def test_asymmetric_A_rejected():
     with pytest.raises(ModelFormatError):
         AffineModel(

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ GOLDEN_BY_FILE = {
     "ou": golden.ou,
     "wishart_2d": golden.wishart_2d,
 }
+
+
+def test_a_finite_record_loads_finite(tmp_path):
+    # The symmetrization once summed A + A^T before halving, so an entry of
+    # 1e308 loaded as inf.
+    record = json.loads((golden.MODELS_DIR / "cir.json").read_text())
+    record["A"][1] = [1e308]
+    path = tmp_path / "cir.json"
+    path.write_text(json.dumps(record))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = load_model(path)
+    assert np.isfinite(model.A).all() and model.A[1, 0, 0] == 1e308
 
 
 @pytest.mark.parametrize("name", BUNDLED)

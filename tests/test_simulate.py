@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -262,7 +264,16 @@ REFERENCE_CASES = {
     "lorentz_ray": (lorentz_ray_model, [1.0, 0.2, -0.1]),
     "half_line_and_line": (half_line_and_line_model, [0.5, -0.3]),
     "compensated_zero_drift": (compensated_zero_drift_model, [1.0]),
+    "cir_one_step": (golden.cir, [1.0]),
+    "cir_seven_steps": (golden.cir, [1.0]),
+    "atoms_and_ray_seven_steps": (atoms_and_ray_model, [1.0]),
+    "noisy_lorentz_seven_steps": (noisy_lorentz_model, [0.1, 0.05, 0.0]),
 }
+# Horizons at dt = 0.25 other than 0.5, two steps: one step, and seven,
+# which the normals ring's four buffers do not divide; the noisy Lorentz
+# block draws 4,096 x 3 normals per step.
+REFERENCE_HORIZONS = {"cir_one_step": 0.25, "cir_seven_steps": 1.75, "atoms_and_ray_seven_steps": 1.75,
+                      "noisy_lorentz_seven_steps": 1.75}
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
@@ -271,7 +282,7 @@ def test_euler_step_matches_the_plain_reference_step(name):
     # step skips the draws and products that its model makes constant or zero.
     build, x0 = REFERENCE_CASES[name]
     model = build()
-    cfg = SimConfig(n_paths=4096 + 8, dt=0.25, horizon=0.5, seed=17)
+    cfg = SimConfig(n_paths=4096 + 8, dt=0.25, horizon=REFERENCE_HORIZONS.get(name, 0.5), seed=17)
     states, counts, sup_sq = reference_paths(model, x0, cfg)
     for threads in (1, 2):
         ens = simulate_paths(model, x0, replace(cfg, threads=threads))
@@ -341,6 +352,91 @@ def test_golden_paths_pinned(name):
     ens = simulate_paths(build(), x0, SimConfig(n_paths=n_paths, dt=dt, horizon=horizon, seed=seed))
     assert (float(ens.final_states.sum()).hex(), float(ens.sup_sq.sum()).hex(),
             int(ens.jump_counts.sum())) == pin
+
+
+def recorded_rings(monkeypatch):
+    """The normals rings that simulate_paths starts, each kept in a list,
+    with the helper allowed whatever the host's CPU count."""
+    rings = []
+
+    class Recorded(simulate._NormalRing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rings.append(self)
+
+    monkeypatch.setattr(simulate, "_NormalRing", Recorded)
+    monkeypatch.setattr(simulate, "_CPUS", 2)
+    return rings
+
+
+def overflowing_model():
+    """x grows by a factor 1 + 1e60 per unit step and leaves float range at
+    step 5, past the ring's depth."""
+    return scalar_model(a=1e60, A0=1.0, space=Canonical(0, 1))
+
+
+@pytest.mark.parametrize("error", [PathOverflow, KeyboardInterrupt])
+def test_a_block_that_raises_stops_its_helper(monkeypatch, error):
+    rings = recorded_rings(monkeypatch)
+    if error is KeyboardInterrupt:
+        increment, calls = simulate._diffusion_increment, []
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 6:
+                raise KeyboardInterrupt
+            return increment(*args)
+
+        monkeypatch.setattr(simulate, "_diffusion_increment", interrupted)
+    cfg = SimConfig(n_paths=4096, dt=1.0, horizon=10.0, seed=3)
+    with pytest.raises(error, match="at step 5, " if error is PathOverflow else None):
+        simulate_paths(overflowing_model(), [1.0], cfg)
+    assert len(rings) == 1 and not rings[0].thread.is_alive()
+
+
+def test_an_error_in_the_helper_reaches_the_caller(monkeypatch):
+    rings = recorded_rings(monkeypatch)
+    draw = simulate._draw_normals
+
+    def failing(stream, step, out):
+        if step == 6:
+            raise RuntimeError("the draw failed")
+        return draw(stream, step, out)
+
+    monkeypatch.setattr(simulate, "_draw_normals", failing)
+    raised = []
+
+    def call():
+        try:
+            simulate_paths(golden.cir(), [1.0], SimConfig(n_paths=4096, dt=0.1, horizon=1.0, seed=3))
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30.0)
+    assert not caller.is_alive(), "simulate_paths waits forever for normals the helper never drew"
+    assert [str(exc) for exc in raised] == ["the draw failed"]
+    assert len(rings) == 1 and not rings[0].thread.is_alive()
+
+
+def test_helpers_under_a_short_switch_interval_keep_the_paths(monkeypatch):
+    # Three blocks on three pool workers, two of them with a helper: five
+    # threads, switching every microsecond.
+    rings = recorded_rings(monkeypatch)
+    cfg = SimConfig(n_paths=2 * 4096 + 8, dt=0.1, horizon=0.9, seed=29, threads=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        helped = simulate_paths(golden.cir(), [1.0], cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(rings) == 2
+    monkeypatch.setattr(simulate, "_HELPER_MIN_NORMALS", 1 << 62)
+    inline = simulate_paths(golden.cir(), [1.0], cfg)
+    assert len(rings) == 2
+    assert helped.final_states.tobytes() == inline.final_states.tobytes()
+    assert helped.sup_sq.tobytes() == inline.sup_sq.tobytes()
 
 
 def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model, lorentz_model):
