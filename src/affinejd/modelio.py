@@ -95,7 +95,14 @@ def model_from_dict(d):
     if not isinstance(k_recs, list) or len(k_recs) != p + 1:
         raise ModelFormatError(f"field 'K' must list {p + 1} records (null allowed)")
     K = [measure_from_dict(rec, p) for rec in k_recs]
-    space = space_from_dict(_require(d, "state_space", dict))
+    rec = _require(d, "state_space", dict)
+    # A declared size p is compared before the space is built, since a
+    # canonical space allocates a row of p bounds; a p that is no integer is
+    # left to the constructor's typed error.
+    declared = rec.get("p")
+    if rec.get("kind") in ("canonical", "lorentz", "parabolic") and type(declared) is int and declared != p:
+        raise ModelFormatError(f"state_space dimension {declared} disagrees with dim {p}")
+    space = space_from_dict(rec)
     if space.dim != p:
         raise ModelFormatError(
             f"state_space dimension {space.dim} disagrees with dim {p}"

@@ -55,13 +55,16 @@ All randomness comes from counter-based Philox streams keyed by
 path order, so enlarging the path count or the number of steps never
 reshuffles draws that earlier configurations consumed. The normals read no
 state: a block that draws at least _HELPER_MIN_NORMALS of them per step
-(n_block * p), in a process allowed two or more CPUs, has one helper thread
-draw them, step after step, from its own streams into a ring of _RING_DEPTH
-buffers ahead of the Euler loop, whose streams then serve the other three
-purposes. The draws are the same, and so are the paths. The loop stops and
-joins its helper on every exit, and raises an error of the helper as its
-own. SimConfig.threads counts the pool workers that run blocks at once; a
-helper runs whatever it is.
+(n_block * p), in a process allowed two or more CPUs, draws them into a ring
+of _RING_DEPTH buffers from one helper thread and from the Euler loop. Both
+take steps from one counter: the thread that holds a free buffer claims the
+next unclaimed step and draws it from its own streams, so the loop draws a
+later step itself rather than wait while the helper draws. Whichever thread
+draws a step, its normals are read from the start of the step's stream:
+the draws are the same, and so are the paths. The loop stops and joins its
+helper on every exit, and raises an error of the helper as its own.
+SimConfig.threads counts the pool workers that run blocks at once; a helper
+runs whatever it is.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -100,12 +103,12 @@ _EIG_FLOOR = -1e-10
 _MAX_ARRIVALS = 2**22
 # Stream purposes, the low 3 bits of a stream key's second word.
 _NORMALS, _COUNTS, _MARKS, _RAY_EXPS = 0, 1, 2, 3
-# The fewest normals per step, n_block * p, for which a helper thread draws a
-# block's normals ahead of its Euler loop; below it the handoff costs more
-# than the draws it takes off the loop (the crossover table in CHANGES.md).
+# The fewest normals per step, n_block * p, for which a helper thread shares
+# a block's draws with its Euler loop; below it the handoff costs more than
+# the draws it takes off the loop (the crossover table in CHANGES.md).
 _HELPER_MIN_NORMALS = 2048
-# The buffers of the helper's ring: the loop reads one while the helper fills
-# the others with the next steps' normals.
+# The buffers of a block's ring: the loop reads one while it or the helper
+# fills the others with the next steps' normals.
 _RING_DEPTH = 4
 # The CPUs this process may run on; a helper needs two.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -219,44 +222,89 @@ def _draw_normals(stream, step, out):
 
 
 class _NormalRing:
-    """A helper thread that draws a block's normals, step after step, from
-    its own streams into a ring of _RING_DEPTH buffers while the Euler loop
-    works on earlier steps; numpy releases the GIL inside the draw. A buffer
-    passes to the loop through ``full`` and back through ``free``, so each
-    generator and each buffer is used by one thread at a time."""
+    """A block's normals, drawn into a ring of _RING_DEPTH buffers by a
+    helper thread and by the Euler loop itself; numpy releases the GIL
+    inside the draw. Both threads take steps from one counter: whichever
+    holds a free buffer claims the next unclaimed step and draws it from its
+    own streams. The helper passes (step, slot) pairs to the loop through
+    ``full``; the loop returns each slot through ``free`` once it is done
+    with the step, so each generator and each buffer is used by one thread
+    at a time.
+
+    Claims rise one at a time, so while the step the loop needs is
+    unclaimed no buffer holds a later step, and one is free to draw it
+    into: the loop waits only for a step the helper is drawing."""
 
     def __init__(self, seed, block, n_steps, shape):
         self.buffers = np.empty((_RING_DEPTH,) + shape)
         self.free, self.full = SimpleQueue(), SimpleQueue()
-        for _ in range(_RING_DEPTH):
-            self.free.put(None)
+        for slot in range(_RING_DEPTH):
+            self.free.put(slot)
+        self.lock = threading.Lock()
+        self.claimed = 0  # the steps claimed so far, under lock
+        self.n_steps = n_steps
+        self.hand = {}  # the loop's drawn steps, step -> slot
+        self.held = None  # the slot of the step the loop works on
         self.stopped = False
         self.error = None
-        self.thread = threading.Thread(target=self._fill, args=(_Streams(seed, block), n_steps),
+        self.thread = threading.Thread(target=self._fill, args=(_Streams(seed, block),),
                                        name="affinejd-normals", daemon=True)
         self.thread.start()
 
-    def _fill(self, stream, n_steps):
+    def _claim(self):
+        """The next unclaimed step, or None once every step is claimed."""
+        with self.lock:
+            step = self.claimed
+            if step == self.n_steps:
+                return None
+            self.claimed += 1
+            return step
+
+    def _fill(self, stream):
         try:
-            for k in range(n_steps):
-                self.free.get()
-                if self.stopped:
+            while True:
+                slot = self.free.get()
+                step = None if self.stopped else self._claim()
+                if step is None:
                     return
-                _draw_normals(stream, k, self.buffers[k % _RING_DEPTH])
-                self.full.put(None)
+                _draw_normals(stream, step, self.buffers[slot])
+                self.full.put((step, slot))
         except BaseException as exc:  # raised again in the loop's thread by take
             self.error = exc
             self.full.put(None)
 
-    def take(self, step):
-        """The step's normals, once drawn; the previous step's buffer goes
-        back to the helper."""
-        if step:
-            self.free.put(None)
-        self.full.get()
-        if self.error is not None:
+    def _receive(self, item):
+        if item is None:
             raise self.error
-        return self.buffers[step % _RING_DEPTH]
+        self.hand[item[0]] = item[1]
+
+    def take(self, step, stream):
+        """The step's normals: received from the helper, drawn here from
+        stream into a free buffer while the step is missing, or waited for
+        once no buffer is free or every step is claimed. The previous step's
+        buffer goes back to the ring."""
+        if step:
+            self.free.put(self.held)
+        hand, full = self.hand, self.full
+        while step not in hand:
+            while not full.empty():  # the loop is the only reader of full
+                self._receive(full.get())
+            if step in hand:
+                break
+            try:
+                slot = self.free.get(block=False)
+            except Empty:
+                self._receive(full.get())
+                continue
+            k = self._claim()
+            if k is None:
+                self.free.put(slot)
+                self._receive(full.get())
+                continue
+            _draw_normals(stream, k, self.buffers[slot])
+            hand[k] = slot
+        self.held = hand.pop(step)
+        return self.buffers[self.held]
 
     def close(self):
         """Stop the helper, also one waiting for a free buffer, and join it."""
@@ -369,7 +417,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                 incr += drift0
                 incr *= dt
             if diffusive:
-                normals = ring.take(k) if ring else _draw_normals(stream, k, normals)
+                normals = ring.take(k, stream) if ring else _draw_normals(stream, k, normals)
                 diffusion = _diffusion_increment(model.A, states, normals, c)
                 diffusion *= sqrt_dt
                 np.add(drift, diffusion, out=incr)

@@ -116,6 +116,19 @@ def test_state_space_dimension_mismatch():
         model_from_dict(d)
 
 
+@pytest.mark.parametrize("space", [{"kind": "canonical", "m": 1, "p": 2**70}, {"kind": "lorentz", "p": 2**70},
+                                   {"kind": "parabolic", "p": 2**70}, {"kind": "psd_cone", "d": 2**70}])
+def test_a_huge_state_space_is_refused_by_its_size(models_dir, tmp_path, space):
+    # A canonical space of p = 2**70 would ask numpy for a row of p bounds;
+    # the size is compared with dim first, and numpy refuses 2**70 at once.
+    d = json.loads((models_dir / "cir.json").read_text())
+    d["state_space"] = space
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ModelFormatError, match="disagrees with dim 1"):
+        load_model(path)
+
+
 def test_invalid_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 1,,}')

@@ -439,6 +439,96 @@ def test_helpers_under_a_short_switch_interval_keep_the_paths(monkeypatch):
     assert helped.sup_sq.tobytes() == inline.sup_sq.tobytes()
 
 
+def scheduled_rings(monkeypatch, schedule):
+    """Rings whose two threads draw a block's normals in a fixed order, and
+    the (step, thread) of each draw, counted by a wrapper of _draw_normals
+    that blocks only in the helper thread. The schedules:
+    - "loop": the helper starts only when its ring closes, so the loop
+      draws every step;
+    - "helper": the loop asks the ring for a step only once the helper has
+      passed it on, so the helper draws every step;
+    - "in_flight": the loop waits for the helper to claim step 0, and the
+      helper's draw of step 0 waits until the loop has drawn step 1, which
+      the loop claims while step 0 is in flight.
+    Every wait has a timeout, after which the draw goes on and the counts
+    show the schedule broken."""
+    draws, closing, holds_0, drew_1 = [], threading.Event(), threading.Event(), threading.Event()
+    draw = simulate._draw_normals
+
+    def gated(stream, step, out):
+        helper = threading.current_thread().name == "affinejd-normals"
+        draws.append((step, "helper" if helper else "loop"))
+        if helper and step == 0 and schedule == "in_flight":
+            holds_0.set()
+            drew_1.wait(30.0)
+        result = draw(stream, step, out)
+        if not helper and step == 1:
+            drew_1.set()
+        return result
+
+    class Scheduled(simulate._NormalRing):
+        def _fill(self, stream):
+            if schedule == "loop":
+                closing.wait(30.0)
+            super()._fill(stream)
+
+        def take(self, step, stream):
+            if schedule == "helper" and step not in self.hand:
+                # Only the helper claims, in step order, so the next pair it
+                # passes on is this step's.
+                self._receive(self.full.get(timeout=30.0))
+            if schedule == "in_flight" and step == 0:
+                holds_0.wait(30.0)
+            return super().take(step, stream)
+
+        def close(self):
+            closing.set()
+            super().close()
+
+    monkeypatch.setattr(simulate, "_draw_normals", gated)
+    monkeypatch.setattr(simulate, "_NormalRing", Scheduled)
+    monkeypatch.setattr(simulate, "_CPUS", 2)
+    return draws
+
+
+@pytest.mark.parametrize("schedule, n_steps", [("loop", 1), ("loop", 7), ("helper", 1), ("helper", 7),
+                                               ("in_flight", 7)])
+def test_either_thread_draws_each_step_once_with_the_same_paths(monkeypatch, schedule, n_steps):
+    # One 4,096-path CIR block; 7 steps are no multiple of the 4 buffers.
+    # "in_flight" needs a step after step 0.
+    cfg = SimConfig(n_paths=4096, dt=0.25, horizon=0.25 * n_steps, seed=41)
+    with monkeypatch.context() as inline_only:
+        inline_only.setattr(simulate, "_HELPER_MIN_NORMALS", 1 << 62)
+        inline = simulate_paths(golden.cir(), [1.0], cfg)
+    draws = scheduled_rings(monkeypatch, schedule)
+    ens = simulate_paths(golden.cir(), [1.0], cfg)
+    assert sorted(step for step, _ in draws) == list(range(n_steps))
+    by = dict(draws)
+    if schedule == "in_flight":
+        assert (by[0], by[1]) == ("helper", "loop")
+        assert draws.index((1, "loop")) > draws.index((0, "helper"))
+    else:
+        assert set(by.values()) == {schedule}
+    assert ens.final_states.tobytes() == inline.final_states.tobytes()
+    assert ens.sup_sq.tobytes() == inline.sup_sq.tobytes()
+
+
+def test_an_error_in_a_draw_of_the_loop_reaches_the_caller(monkeypatch):
+    rings = recorded_rings(monkeypatch)
+    scheduled_rings(monkeypatch, "loop")
+    draw = simulate._draw_normals
+
+    def failing(stream, step, out):
+        if step == 3:
+            raise RuntimeError("the loop's draw failed")
+        return draw(stream, step, out)
+
+    monkeypatch.setattr(simulate, "_draw_normals", failing)
+    with pytest.raises(RuntimeError, match="the loop's draw failed"):
+        simulate_paths(golden.cir(), [1.0], SimConfig(n_paths=4096, dt=0.25, horizon=1.75, seed=3))
+    assert len(rings) == 1 and not rings[0].thread.is_alive()
+
+
 def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model, lorentz_model):
     purposes = []
     call = _Streams.__call__
