@@ -71,6 +71,8 @@ class WeightedPoints(JumpMeasure):
     def __init__(self, weights, atoms):
         self.weights = finite_floats(weights, f"{self.family}: weights").ravel()
         self.atoms = np.atleast_2d(finite_floats(atoms, f"{self.family}: points"))
+        if self.atoms.ndim != 2:
+            raise ModelFormatError(f"{self.family}: points must form a (count, dim) array, not {self.atoms.shape}")
         if self.atoms.shape[0] != self.weights.size:
             raise ModelFormatError(f"{self.family}: weights and points disagree in count")
         self.dim = self.atoms.shape[1]

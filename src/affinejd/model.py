@@ -148,11 +148,13 @@ class AffineModel:
             self.jump_coefs = np.zeros((0, p + 1))
             return
         points = np.vstack(points)
+        # The key rounds to 12 decimals only below 2**52: a float at or above
+        # it is an integer, and past ~1.8e296 the scaling by 1e12 is inf.
         # np.unique sorts stably: first holds where each group of points
-        # equal to 12 decimals first appears, and rows follow that order.
-        _, first, group = np.unique(
-            np.round(points, 12), axis=0, return_index=True, return_inverse=True
-        )
+        # with equal keys first appears, and rows follow that order.
+        small = np.abs(points) < 2.0**52
+        key = np.where(small, np.round(np.where(small, points, 0.0), 12), points)
+        _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
         by_appearance = np.argsort(first)
         self.jump_points = points[first[by_appearance]]
         # bincount sums the weights of a row in order of appearance.

@@ -55,16 +55,19 @@ All randomness comes from counter-based Philox streams keyed by
 path order, so enlarging the path count or the number of steps never
 reshuffles draws that earlier configurations consumed. The normals read no
 state: a block that draws at least _HELPER_MIN_NORMALS of them per step
-(n_block * p), in a process allowed two or more CPUs, draws them into a ring
-of _RING_DEPTH buffers from one helper thread and from the Euler loop. Both
-take steps from one counter: the thread that holds a free buffer claims the
-next unclaimed step and draws it from its own streams, so the loop draws a
-later step itself rather than wait while the helper draws. Whichever thread
-draws a step, its normals are read from the start of the step's stream:
-the draws are the same, and so are the paths. The loop stops and joins its
-helper on every exit, and raises an error of the helper as its own.
-SimConfig.threads counts the pool workers that run blocks at once; a helper
-runs whatever it is.
+(n_block * p), in a process allowed two or more CPUs, draws step k into
+buffer k mod _RING_DEPTH of a ring, from a helper thread or from the Euler
+loop, which run one routine: claim the next step, take its buffer, draw.
+So the loop draws a later step itself rather than wait while the helper
+draws. Each step's normals are read from the start of its stream: the draws
+are the same whichever thread makes them, and so are the paths. The loop
+stops and joins its helper on every exit, and raises an error of the helper
+as its own. With BLAS threads uncapped, a p >= 2 block's batched Cholesky
+runs beside the helper on fewer cores and the block slows down (wishart_2d,
+4,096 paths, dt 0.01, 2 CPUs: inline 131.4 ms, helper 139.3 ms; with one
+BLAS thread 164.1 and 141.3 ms), so run such simulations with
+OPENBLAS_NUM_THREADS=1. SimConfig.threads counts the pool workers that run
+blocks at once; a helper runs whatever it is.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from queue import Empty, SimpleQueue
+from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -222,94 +225,77 @@ def _draw_normals(stream, step, out):
 
 
 class _NormalRing:
-    """A block's normals, drawn into a ring of _RING_DEPTH buffers by a
-    helper thread and by the Euler loop itself; numpy releases the GIL
-    inside the draw. Both threads take steps from one counter: whichever
-    holds a free buffer claims the next unclaimed step and draws it from its
-    own streams. The helper passes (step, slot) pairs to the loop through
-    ``full``; the loop returns each slot through ``free`` once it is done
-    with the step, so each generator and each buffer is used by one thread
-    at a time.
-
-    Claims rise one at a time, so while the step the loop needs is
-    unclaimed no buffer holds a later step, and one is free to draw it
-    into: the loop waits only for a step the helper is drawing."""
+    """A block's normals, drawn by a helper thread and by the Euler loop
+    into a ring of _RING_DEPTH buffers; numpy releases the GIL inside the
+    draw. Both run _draw_next; ``take(k)`` returns the token of step k - 1's
+    buffer, so each generator and buffer is used by one thread at a time.
+    A claim takes its token under the lock if it is there, else waits for it
+    outside. The loop claims only a step below k + _RING_DEPTH, whose
+    buffer's earlier steps it has taken, so its token is there: it never
+    waits on ``free``, and on ``drawn`` only while the helper draws step k.
+    The helper waits only for its own token: it claims one step at a time,
+    and the loop claims no later step of that buffer first. ``drawn`` of a
+    buffer never holds more than one step, since step k + _RING_DEPTH needs
+    the token that ``take(k + 1)`` returns."""
 
     def __init__(self, seed, block, n_steps, shape):
         self.buffers = np.empty((_RING_DEPTH,) + shape)
-        self.free, self.full = SimpleQueue(), SimpleQueue()
-        for slot in range(_RING_DEPTH):
-            self.free.put(slot)
+        self.free = [SimpleQueue() for _ in range(_RING_DEPTH)]
+        self.drawn = [SimpleQueue() for _ in range(_RING_DEPTH)]
+        for tokens in self.free:
+            tokens.put(True)
         self.lock = threading.Lock()
         self.claimed = 0  # the steps claimed so far, under lock
         self.n_steps = n_steps
-        self.hand = {}  # the loop's drawn steps, step -> slot
-        self.held = None  # the slot of the step the loop works on
-        self.stopped = False
         self.error = None
         self.thread = threading.Thread(target=self._fill, args=(_Streams(seed, block),),
                                        name="affinejd-normals", daemon=True)
         self.thread.start()
 
-    def _claim(self):
-        """The next unclaimed step, or None once every step is claimed."""
+    def _draw_next(self, stream, limit):
+        """Claim the next step k below limit, take buffer k mod _RING_DEPTH's
+        token from ``free``, draw step k there from stream and put k on the
+        buffer's ``drawn``; False if no step is left or the ring has closed."""
         with self.lock:
-            step = self.claimed
-            if step == self.n_steps:
-                return None
+            k = self.claimed
+            if k >= limit:
+                return False
             self.claimed += 1
-            return step
+            slot = k % _RING_DEPTH
+            token = None if self.free[slot].empty() else self.free[slot].get()
+        if token is None:
+            token = self.free[slot].get()
+        if not token:
+            return False
+        _draw_normals(stream, k, self.buffers[slot])
+        self.drawn[slot].put(k)
+        return True
 
     def _fill(self, stream):
         try:
-            while True:
-                slot = self.free.get()
-                step = None if self.stopped else self._claim()
-                if step is None:
-                    return
-                _draw_normals(stream, step, self.buffers[slot])
-                self.full.put((step, slot))
+            while self._draw_next(stream, self.n_steps):
+                pass
         except BaseException as exc:  # raised again in the loop's thread by take
             self.error = exc
-            self.full.put(None)
-
-    def _receive(self, item):
-        if item is None:
-            raise self.error
-        self.hand[item[0]] = item[1]
+            for steps in self.drawn:
+                steps.put(None)
 
     def take(self, step, stream):
-        """The step's normals: received from the helper, drawn here from
-        stream into a free buffer while the step is missing, or waited for
-        once no buffer is free or every step is claimed. The previous step's
-        buffer goes back to the ring."""
+        """The step's normals, drawn here while no thread has; the previous
+        step's buffer goes back to the ring first."""
         if step:
-            self.free.put(self.held)
-        hand, full = self.hand, self.full
-        while step not in hand:
-            while not full.empty():  # the loop is the only reader of full
-                self._receive(full.get())
-            if step in hand:
-                break
-            try:
-                slot = self.free.get(block=False)
-            except Empty:
-                self._receive(full.get())
-                continue
-            k = self._claim()
-            if k is None:
-                self.free.put(slot)
-                self._receive(full.get())
-                continue
-            _draw_normals(stream, k, self.buffers[slot])
-            hand[k] = slot
-        self.held = hand.pop(step)
-        return self.buffers[self.held]
+            self.free[(step - 1) % _RING_DEPTH].put(True)
+        drawn = self.drawn[step % _RING_DEPTH]
+        while drawn.empty() and self._draw_next(stream, min(self.n_steps, step + _RING_DEPTH)):
+            pass
+        if drawn.get() is None:
+            raise self.error
+        return self.buffers[step % _RING_DEPTH]
 
     def close(self):
         """Stop the helper, also one waiting for a free buffer, and join it."""
-        self.stopped = True
-        self.free.put(None)
+        for tokens in self.free:
+            tokens.put(False)
         self.thread.join()
 
 

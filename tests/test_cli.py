@@ -426,6 +426,8 @@ MALFORMED = {
     "K_not_a_list": ("cir", ["K"], 5, "'K'"),
     "dim_bool": ("cir", ["dim"], True, "'dim'"),
     "m_string": ("cir", ["state_space", "m"], "1", "'m'"),
+    # Atoms of rank 3 once reached numpy's untyped matmul error.
+    "atom_z_nested": ("cir", ["K", 0], dict(ATOM, atoms=[{"weight": 0.5, "z": [[0.4]]}]), "points must form"),
 }
 
 

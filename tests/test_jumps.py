@@ -189,6 +189,18 @@ def test_combined_sources_groups_matching_atoms():
     assert np.allclose(coefs[shared], [2.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize("points", [[[-1e308], [-5e307]], [[3e296], [2e296]]])
+def test_distinct_huge_atoms_keep_their_own_rows(points):
+    # Rounding to 12 decimals scales by 1e12, which once took both atoms to
+    # the same infinite key and merged them into one row, with a warning.
+    m = _jump_table_model([FiniteAtomic([0.5, 0.25], points), None])
+    assert m.jump_points.tolist() == points
+    assert m.jump_coefs[:, 0].tolist() == [0.5, 0.25]
+    # Atoms that agree to 12 decimals still share a row.
+    m = _jump_table_model([FiniteAtomic([0.5, 0.25], [[0.1], [0.1 + 1e-14]]), None])
+    assert m.jump_points.tolist() == [[0.1]] and m.jump_coefs[:, 0].tolist() == [0.75]
+
+
 def test_combined_sources_rays_grouped_by_rate_and_direction():
     r0 = ExponentialRay(1.0, 2.0, [1.0])
     r1 = ExponentialRay(0.5, 2.0, [1.0])

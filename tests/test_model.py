@@ -9,7 +9,7 @@ import pytest
 from affinejd import golden
 from affinejd import model as model_mod
 from affinejd.errors import DimensionMismatch, ModelFormatError, StateSpaceMismatch
-from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity
+from affinejd.jumps import ExponentialRay, FiniteAtomic, TabulatedDensity, measure_from_dict
 from affinejd.model import (
     AffineModel,
     check_admissibility,
@@ -20,7 +20,7 @@ from affinejd.model import (
 )
 from affinejd.riccati import variation_of_constants_residual
 from affinejd.simulate import SimConfig, simulate_paths
-from affinejd.statespace import Canonical, Lorentz, PSDCone
+from affinejd.statespace import Canonical, Lorentz, PSDCone, unvech
 from affinejd.transform import transform
 
 
@@ -109,10 +109,22 @@ def _sym(rng):
 
 def test_dimension_mismatch():
     m = scalar_model()
-    with pytest.raises(DimensionMismatch):
-        drift_at(m, [1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        diffusion_at(m, [1.0, 2.0])
+    cases = [
+        (lambda: drift_at(m, [1.0, 2.0]), "^x has length 2"),
+        (lambda: diffusion_at(m, [1.0, 2.0]), "^x has length 2"),
+        (lambda: AffineModel(a0=[0.0], a=[[0.0]], A=np.zeros((1, 1, 1)), K=None, state_space=Canonical(1, 1)),
+         r"^A must hold p\+1=2 matrices of shape \(1,1\), got \(1, 1, 1\)$"),
+        (lambda: scalar_model(K=[FiniteAtomic([1.0], [[1.0, 0.0]]), None]),
+         r"^K\^0 lives in dimension 2, model has 1$"),
+        (lambda: scalar_model(space=Canonical(1, 2)), "^state space has dimension 2, parameters have 1$"),
+        (lambda: measure_from_dict(FiniteAtomic([1.0], [[1.0, 0.0]]).to_dict(), 1),
+         "^jump measure lives in dimension 2, model has 1$"),
+        (lambda: unvech([1.0, 0.0], 2), r"^vech vector has shape \(2,\), expected \(\.\.\., 3\)$"),
+        (lambda: Canonical(1, 2).project([1.0]), r"^point has shape \(1,\), expected \(2,\)$"),
+    ]
+    for build, named in cases:
+        with pytest.raises(DimensionMismatch, match=named):
+            build()
 
 
 def test_a_model_without_coordinates_refused():
@@ -143,6 +155,7 @@ def test_malformed_parameters_are_named():
     from affinejd.statespace import HalfSpaceIntersection, space_from_dict
 
     nan = math.nan
+    cir = model_to_dict(golden.cir())
     cases = [
         (lambda: scalar_model(a0=nan), "^a0:"),
         (lambda: scalar_model(a=None), "^a:"),
@@ -161,6 +174,20 @@ def test_malformed_parameters_are_named():
         (lambda: HalfSpaceIntersection([[1.0, None]], [1.0]), "normals"),
         (lambda: space_from_dict({"kind": "psd_cone", "d": 1.5}), "'d'"),
         (lambda: space_from_dict({"kind": "lorentz", "p": True}), "'p'"),
+        # Rank-3 atoms once reached numpy's "matmul: ... mismatch in its core
+        # dimension" while the model compiled its jumps.
+        (lambda: FiniteAtomic([0.5], [[[0.4]]]), r"^finite_atomic: points must form a \(count, dim\) array"),
+        (lambda: TabulatedDensity([0.1, 0.2], [[0.4]]), "^tabulated_density: weights and points disagree in count$"),
+        (lambda: measure_from_dict({"atoms": []}, 1), "needs a 'family' tag"),
+        (lambda: measure_from_dict({"family": "exponential_ray", "mass": 1.0}, 1),
+         "^malformed 'exponential_ray' record: 'rate'$"),
+        (lambda: model_from_dict([cir]), "^model file must hold a JSON object$"),
+        (lambda: model_from_dict(dict(cir, a0=1.0)), r"^field 'a0' has the wrong type \(float\)$"),
+        (lambda: model_from_dict(dict(cir, A=[[0.0]])), "^field 'A' must list 2 upper triangles$"),
+        (lambda: HalfSpaceIntersection([[1.0], [-1.0]], [1.0]), "disagree in count$"),
+        (lambda: HalfSpaceIntersection([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0]), "normal must be nonzero$"),
+        (lambda: space_from_dict({"p": 1}), "expected a record with a 'kind' tag$"),
+        (lambda: space_from_dict({"kind": "canonical", "p": 1}), "^state_space: missing field 'm' for kind"),
     ]
     for build, named in cases:
         with pytest.raises(ModelFormatError, match=named):

@@ -88,6 +88,14 @@ def test_missing_field_named():
         model_from_dict({"a0": [1.0]})
 
 
+def test_a_record_without_K_has_no_jumps():
+    d = model_to_dict(golden.compound_poisson())
+    del d["K"]
+    model = model_from_dict(d)
+    assert model.K == (None, None) and not model.has_jumps
+    assert model == model_from_dict(dict(d, K=[None, None]))
+
+
 def test_bad_a0_length_named():
     d = model_to_dict(golden.cir())
     d["a0"] = [1.0, 2.0]

@@ -1,5 +1,8 @@
+import contextlib
+import queue
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -93,6 +96,9 @@ def test_mc_transform_trivial(cir_model):
     assert est.value == 1.0
     assert est.std_error == 0.0
     assert est.n_paths == 64
+    one = simulate_paths(cir_model, [1.0], SimConfig(n_paths=1, dt=1e-2, horizon=0.5, seed=1))
+    est = mc_transform(one, [0.5])
+    assert est.value == np.exp(0.5 * one.final_states[0, 0]) and est.std_error == 0.0 and est.n_paths == 1
 
 
 def test_determinism_and_prefix_stability(cir_model, cp_model, wishart_model, lorentz_model):
@@ -446,7 +452,7 @@ def scheduled_rings(monkeypatch, schedule):
     - "loop": the helper starts only when its ring closes, so the loop
       draws every step;
     - "helper": the loop asks the ring for a step only once the helper has
-      passed it on, so the helper draws every step;
+      put it on the step's ``drawn`` queue, so the helper draws every step;
     - "in_flight": the loop waits for the helper to claim step 0, and the
       helper's draw of step 0 waits until the loop has drawn step 1, which
       the loop claims while step 0 is in flight.
@@ -473,10 +479,12 @@ def scheduled_rings(monkeypatch, schedule):
             super()._fill(stream)
 
         def take(self, step, stream):
-            if schedule == "helper" and step not in self.hand:
-                # Only the helper claims, in step order, so the next pair it
-                # passes on is this step's.
-                self._receive(self.full.get(timeout=30.0))
+            if schedule == "helper":
+                # Wait for the helper's entry of the step on drawn, and put
+                # it back for the ring's own take.
+                drawn = self.drawn[step % simulate._RING_DEPTH]
+                with contextlib.suppress(queue.Empty):
+                    drawn.put(drawn.get(timeout=30.0))
             if schedule == "in_flight" and step == 0:
                 holds_0.wait(30.0)
             return super().take(step, stream)
@@ -527,6 +535,52 @@ def test_an_error_in_a_draw_of_the_loop_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="the loop's draw failed"):
         simulate_paths(golden.cir(), [1.0], SimConfig(n_paths=4096, dt=0.25, horizon=1.75, seed=3))
     assert len(rings) == 1 and not rings[0].thread.is_alive()
+
+
+def test_the_loop_keeps_the_token_of_a_step_it_claims():
+    # The helper starts once the loop has claimed step 0, and the loop's get
+    # of step 0's token first waits up to 0.5 s for the helper to claim step
+    # _RING_DEPTH, which uses step 0's buffer. A ring whose loop takes that
+    # token after leaving the lock lets the helper take it; the queues' other
+    # gets time out after 10 s, so such a ring fails with queue.Empty, not a
+    # hang.
+    depth, n_steps, shape = simulate._RING_DEPTH, 7, (4096, 1)
+    started = threading.Event()
+
+    class Timed:
+        def __init__(self, ring, tokens):
+            self.ring, self.tokens = ring, tokens
+
+        def put(self, token):
+            self.tokens.put(token)
+
+        def empty(self):
+            return self.tokens.empty()
+
+        def get(self, block=True):
+            if threading.current_thread() is not self.ring.thread and not started.is_set():
+                started.set()
+                deadline = time.monotonic() + 0.5
+                while self.ring.claimed <= depth and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            return self.tokens.get(block, 10.0)
+
+    class Held(simulate._NormalRing):
+        def _fill(self, stream):
+            started.wait(10.0)
+            super()._fill(stream)
+
+    ring = Held(41, 0, n_steps, shape)
+    ring.free = [Timed(ring, tokens) for tokens in ring.free]
+    stream = _Streams(41, 0)
+    try:
+        taken = [ring.take(step, stream).copy() for step in range(n_steps)]
+    finally:
+        ring.close()
+    assert started.is_set() and ring.claimed == n_steps
+    for step, normals in enumerate(taken):
+        expected = simulate._draw_normals(_Streams(41, 0), step, np.empty(shape))
+        assert normals.tobytes() == expected.tobytes()
 
 
 def test_diffusion_free_models_draw_no_normals(monkeypatch, cir_model, cp_model, lorentz_model):
@@ -952,6 +1006,9 @@ def test_negative_jump_weight_refused(K):
 def test_cholesky_failure_detected(bad_model):
     with pytest.raises(CholeskyFailure, match="below the clipping floor"):
         simulate_paths(bad_model, [1.0, 1.0], SimConfig(n_paths=4, dt=1e-2, horizon=0.1, seed=0))
+    # For p = 1, c(x) = x on R is -1 at x0.
+    with pytest.raises(CholeskyFailure, match=r"^c\(x\) = -1\.000e\+00 below the clipping floor$"):
+        simulate_paths(scalar_model(A1=1.0, space=Canonical(0, 1)), [-1.0], SimConfig(n_paths=4, dt=1e-2, horizon=0.1))
 
 
 @pytest.mark.parametrize("build", [golden.wishart_2d, noisy_lorentz_model, parabolic_model])

@@ -160,6 +160,8 @@ def test_bad_arguments_are_refused_up_front(cir_model):
         effective_domain_ray(cir_model, [1.0, 2.0], 1.0)
     with pytest.raises(ValueError, match="direction must be finite"):
         effective_domain_ray(cir_model, [math.nan], 1.0)
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        effective_domain_ray(cir_model, [0.0], 1.0)
     with pytest.raises(DimensionMismatch, match="u has length 2"):
         transform(cir_model, [1.0, 2.0], [1.0], 0.0)
     # A NaN u is no overflow of exp(log_value), at t = 0 or later.
@@ -243,6 +245,10 @@ def test_ray_probe_unbounded_direction(cir_model):
     probe = effective_domain_ray(cir_model, [-1.0], 1.0, lambda_max=64.0)
     assert not probe.bounded
     assert math.isinf(probe.lambda_star)
+    # Below 2, the doubling reaches lambda_max before any certificate.
+    probe = effective_domain_ray(cir_model, [-1.0], 1.0, lambda_max=1.5)
+    assert math.isinf(probe.lambda_star)
+    assert [(lam, verdict) for lam, _, verdict in probe.probes] == [(1.0, "exceeds_horizon"), (1.5, "exceeds_horizon")]
 
 
 def test_ray_probe_propagates_programming_errors(cir_model, monkeypatch):
