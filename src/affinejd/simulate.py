@@ -39,7 +39,19 @@ compensated linear drift a - (integral of z K^i(dz))_i is zero, the drift
 unless it holds a -0.0, which would take the sign of the zero product x.0.
 A block counts its jumps by one bincount over the arrival rows of the
 steps since the last count, once they pass the block size and after the
-last step, so the rows held stay O(block).
+last step, so the rows held stay O(block). No index clamp guards the jump
+source: a source uniform below 1 never picks past the last mark.
+
+For p = 1 on a canonical space, R_+ or R, the admissibility conditions
+decide more. Where A^0 >= 0 and A^1 >= 0 on R_+, or A^1 = 0 on R, c(x) is
+nonnegative or a signed zero on E, so from step 1 on c(x) is neither tested
+against the floor nor clipped; step 0 keeps both, for an x0 that
+require_in_space accepts up to _SPACE_TOL outside E. Where A^0 is +0.0 and
+the constant drift has no zero entry, c(x) = x A^1 without the sum with
+A^0, whose only effect is the sign of a zero that the drift absorbs.
+sup |X|^2 is the square of a running max of |x|, exact since fl(x^2) never
+decreases as |x| grows, and the clip writes into a second state buffer
+that swaps with the current one each step.
 
 The step works in place: the normals, c(x) for p = 1, the drift, the
 diffusion increment, x + increment and the squared norms behind sup |X|^2
@@ -97,7 +109,7 @@ from .errors import (
 from .model import AffineModel, require_in_space
 from .modelio import model_hash
 from .riccati import _solve_reaching
-from .statespace import row_sq_sums
+from .statespace import Canonical, row_sq_sums
 
 _BLOCK = 4096
 _EIG_FLOOR = -1e-10
@@ -299,17 +311,23 @@ class _NormalRing:
         self.thread.join()
 
 
-def _diffusion_increment(A, states, normals, c=None):
+def _diffusion_increment(A, states, normals, c=None, clip=True, add_a0=True):
     """A square root of c(x) applied to the normals, which it may overwrite:
     the root of c(x) clipped at 0 if p = 1, else the Cholesky factor of
     c(x) - _EIG_FLOOR I. Both refuse c(x) with an eigenvalue below the floor.
-    The p = 1 root writes c(x) into ``c``, an ``(n,)`` array, if given."""
+    The p = 1 root writes c(x) into ``c``, an ``(n,)`` array, if given. It
+    leaves out the floor test and the clip if ``clip`` is false, which the
+    caller may ask where c(x) >= 0 or is a signed zero, and the sum with
+    A^0 if ``add_a0`` is false, which it may ask where A^0 is +0.0 and the
+    sign of a zero root does not reach the state."""
     if A.shape[1] == 1:
         c = np.multiply(states[:, 0], A[1, 0, 0], out=c)
-        c += A[0, 0, 0]
-        if c.min() < _EIG_FLOOR:
-            raise CholeskyFailure(f"c(x) = {c.min():.3e} below the clipping floor")
-        np.maximum(c, 0.0, out=c)
+        if add_a0:
+            c += A[0, 0, 0]
+        if clip:
+            if c.min() < _EIG_FLOOR:
+                raise CholeskyFailure(f"c(x) = {c.min():.3e} below the clipping floor")
+            np.maximum(c, 0.0, out=c)
         normals *= np.sqrt(c, out=c)[:, None]
         return normals
     # c(x) = A^0 + sum_i x_i A^i as one matrix product, the one tensordot
@@ -361,6 +379,21 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
         const_drift = np.tile(drift0 * dt, (n_block, 1))
     drift0 = np.tile(drift0, (n_block, 1))
     diffusive = model.A.any()
+    # A block of p = 1 on a canonical space, R_+ (m = 1) or R (m = 0),
+    # decides here which calls of the step its model makes redundant.
+    space = model.state_space
+    scalar = p == 1 and isinstance(space, Canonical)
+    clip_always = add_a0 = True
+    if scalar:
+        A0, A1 = model.A[:, 0, 0]
+        # A^0 >= 0 with A^1 >= 0 on R_+, or A^1 = 0 on R, make c(x) >= 0 or
+        # a signed zero on E, where every projected state lies: from step 1
+        # on the floor test and the clip find nothing. Step 0 keeps both, for
+        # an x0 that require_in_space accepts just outside E.
+        clip_always = not (A0 >= 0.0 and (A1 >= 0.0 if space.m else A1 == 0.0))
+        # Adding A^0 = +0.0 only turns a -0.0 of c(x) into +0.0, and a drift
+        # with no zero entry absorbs the sign of a zero diffusion.
+        add_a0 = not (A0 == 0.0 and not np.signbit(A0) and const_drift is not None and const_drift.all())
     has_jumps = model.has_jumps
     # Weights are nonnegative (_check_drawable), so zero masses of K^1..K^p
     # zero every weight there: K(x, dz) = K^0(dz), and both the paths'
@@ -383,7 +416,14 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     # bincount once they pass the block size and after the last step.
     jump_counts = np.zeros(n_block, dtype=np.int64)
     pending, n_pending = [], 0
-    sup_sq = row_sq_sums(states)
+    if scalar:
+        # fl(x^2) never decreases as |x| grows, so sup |X|^2 is the square of
+        # the running max of |x|, on R_+ of the clipped x itself, whose zeros
+        # square to +0.0 whatever their sign. The clip writes into spare,
+        # which swaps with states each step.
+        sup_abs, spare = np.abs(states[:, 0]), np.empty_like(states)
+    else:
+        sup_sq = row_sq_sums(states)
     sqrt_dt = np.sqrt(dt)
     stream = _Streams(cfg.seed, block)
     incr, normals = np.empty((n_block, p)), np.empty((n_block, p))
@@ -404,7 +444,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                 incr *= dt
             if diffusive:
                 normals = ring.take(k, stream) if ring else _draw_normals(stream, k, normals)
-                diffusion = _diffusion_increment(model.A, states, normals, c)
+                diffusion = _diffusion_increment(model.A, states, normals, c, clip_always or k == 0, add_a0)
                 diffusion *= sqrt_dt
                 np.add(drift, diffusion, out=incr)
             elif const_drift is not None:
@@ -430,7 +470,8 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
                         # On one nondecreasing row, the count of entries below a
                         # value is searchsorted's left index.
                         pick = pick_cum.searchsorted(u_sel * pick_cum[-1])
-                    pick = np.minimum(pick, marks.shape[0] - 1)
+                    # No pick passes the last mark: u_sel < 1 keeps u_sel * total at
+                    # most the total, the row's last entry, which is not below it.
                     z = marks[pick]
                     if rates.size:
                         ray = pick >= n_atoms
@@ -447,14 +488,21 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
             # past float range take the exact test.
             if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
                 raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
-            # _project_rows returns a new array, so incr is free for the next step.
-            states = model.state_space._project_rows(incr)
-            np.maximum(sup_sq, row_sq_sums(states, out=sq), out=sup_sq)
+            if scalar:
+                states, spare = space._project_rows(incr, out=spare), states
+                col = states[:, 0] if space.m else np.abs(states[:, 0], out=sq)
+                np.maximum(sup_abs, col, out=sup_abs)
+            else:
+                # _project_rows returns a new array, so incr is free for the next step.
+                states = space._project_rows(incr)
+                np.maximum(sup_sq, row_sq_sums(states, out=sq), out=sup_sq)
             if (k + 1) in slot:
                 rec[:, slot[k + 1], :] = states
     finally:
         if ring:
             ring.close()
+    if scalar:
+        sup_sq = np.multiply(sup_abs, sup_abs, out=sup_abs)
     return rec, jump_counts, sup_sq
 
 

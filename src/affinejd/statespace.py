@@ -271,8 +271,9 @@ class Canonical(StateSpace):
             return np.full(xs.shape[0], np.inf)
         return xs[:, : self.m].min(axis=1)
 
-    def _project_rows(self, xs):
-        return np.maximum(xs, self._lower)
+    def _project_rows(self, xs, out=None):
+        """The clip at the lower bound, written into ``out`` if given."""
+        return np.maximum(xs, self._lower, out=out)
 
     def bounded_support(self, r):
         r, tol = self._check_dim(r), self._SUPPORT_TOL

@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import pathlib
 import sys
 import threading
@@ -10,6 +12,31 @@ from affinejd import golden  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODELS_DIR = REPO_ROOT / "models"
+
+
+# How long one test may run before the run ends with every thread's stack:
+# far past any test's own budget (acceptance criterion 3's is 60 s), so
+# that a deadlock fails the suite instead of hanging it.
+HANG_SECONDS = 300
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy of stderr taken before pytest captures it, which would drop
+    # what faulthandler writes just before it ends the process.
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(pytestconfig):
+    """End the run with the stacks of all threads if the test hangs."""
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=pytestconfig.stash[_STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

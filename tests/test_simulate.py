@@ -274,12 +274,21 @@ REFERENCE_CASES = {
     "cir_seven_steps": (golden.cir, [1.0]),
     "atoms_and_ray_seven_steps": (atoms_and_ray_model, [1.0]),
     "noisy_lorentz_seven_steps": (noisy_lorentz_model, [0.1, 0.05, 0.0]),
+    # Starts on the edge of R_+: -1e-12 lies within the tolerance of
+    # require_in_space, where c(x) = -2e-12 needs the clip at step 0.
+    "cir_just_below_zero": (golden.cir, [-1e-12]),
+    "cir_from_minus_zero": (golden.cir, [-0.0]),
+    # A^0 = -1e-12 passes the model's PSD test and puts c(x) below 0 on all
+    # of R, and on R_+ at x = 0, which the clip of the state reaches by
+    # step 2: every step must still clip c(x).
+    "negative_a0_on_r": (lambda: scalar_model(a0=0.5, a=-0.2, A0=-1e-12, space=Canonical(0, 1)), [1.0]),
+    "negative_a0_on_r_plus_seven_steps": (lambda: scalar_model(a0=0.5, a=-0.2, A0=-1e-12, A1=1.0), [0.0]),
 }
 # Horizons at dt = 0.25 other than 0.5, two steps: one step, and seven,
 # which the normals ring's four buffers do not divide; the noisy Lorentz
 # block draws 4,096 x 3 normals per step.
 REFERENCE_HORIZONS = {"cir_one_step": 0.25, "cir_seven_steps": 1.75, "atoms_and_ray_seven_steps": 1.75,
-                      "noisy_lorentz_seven_steps": 1.75}
+                      "noisy_lorentz_seven_steps": 1.75, "negative_a0_on_r_plus_seven_steps": 1.75}
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
@@ -312,6 +321,28 @@ def test_a_signed_zero_drift_keeps_the_sign_of_the_plain_step(n_paths):
         for _ in range(2):
             x = model.state_space.project_batch((np.dot(x, np.zeros((1, 1))) + -0.0) * 0.25 + x)
         assert simulate_paths(model, [x0], cfg).final_states.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("build", [golden.compound_poisson, state_dependent_atoms_model])
+def test_a_source_uniform_next_to_1_picks_the_last_mark(monkeypatch, build):
+    # The largest uniform below 1 takes u * total to the total's neighbour
+    # or the total itself; the step must pick the last mark with no clamp,
+    # on the constant kernel and on the state-dependent one.
+    call = _Streams.__call__
+
+    class Highest:
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    def highest_marks(self, step, purpose):
+        return Highest() if purpose == _MARKS else call(self, step, purpose)
+
+    monkeypatch.setattr(_Streams, "__call__", highest_marks)
+    model, cfg = build(), SimConfig(n_paths=256, dt=0.25, horizon=1.0, seed=7)
+    states, counts, sup_sq = reference_paths(model, [1.0], cfg)
+    ens = simulate_paths(model, [1.0], cfg)
+    assert counts.sum() > 0 and np.array_equal(ens.jump_counts, counts)
+    assert ens.final_states.tobytes() == states.tobytes() and ens.sup_sq.tobytes() == sup_sq.tobytes()
 
 
 def test_the_reference_cases_reach_the_clip_and_the_constant_drift():
@@ -1009,6 +1040,10 @@ def test_cholesky_failure_detected(bad_model):
     # For p = 1, c(x) = x on R is -1 at x0.
     with pytest.raises(CholeskyFailure, match=r"^c\(x\) = -1\.000e\+00 below the clipping floor$"):
         simulate_paths(scalar_model(A1=1.0, space=Canonical(0, 1)), [-1.0], SimConfig(n_paths=4, dt=1e-2, horizon=0.1))
+    # c(x) = 1 - x >= 0 at x0 = 0.5 on R_+, but A^1 < 0, so c(x) is tested
+    # at every step and turns negative inside E once a path passes 1.
+    with pytest.raises(CholeskyFailure, match=r"^c\(x\) = -1\.149e-01 below the clipping floor$"):
+        simulate_paths(scalar_model(a0=2.0, A0=1.0, A1=-1.0), [0.5], SimConfig(n_paths=8, dt=0.05, horizon=1.0, seed=0))
 
 
 @pytest.mark.parametrize("build", [golden.wishart_2d, noisy_lorentz_model, parabolic_model])
