@@ -32,17 +32,19 @@ takes even steps where phase 1 would shrink its steps towards zero.
 
 A trial stage is one frame around one unchecked call of riccati_rhs's
 kernel on the complex view of the packed state (in phase 2 the frame also
-forms g). Each run counts its calls; the solve checks its budget of 20
-calls per step (MAX_STEPS) over both phases at accepted step ends. Where
-R_1..p is not finite (past a ray's rate it reads NaN), the error estimate
-is not finite, so DOP853 rejects the attempt and shrinks the step by
-MIN_FACTOR: a solve ends where an accepted state meets a stopping surface
-or the step size underflows, and NonFiniteRHS is raised only for R_1..p(u)
-at t = 0. The surfaces are the blow-up radius r_max, an exp-overflow guard
-on the weighted points with weight in K^1..p (well below the overflow
-threshold of exp, where the remaining time to the true blow-up is far below
-the bracket width), the integrability boundary of exponential rays (just
-below each rate), and t = horizon.
+forms g). For p = 1 and an empty jump table, where numpy's cost per call
+outweighs the arithmetic, it is the same formula in Python complex
+arithmetic, to the bit. Each run counts its calls; the solve checks its
+budget of 20 calls per step (MAX_STEPS) over both phases at accepted step
+ends. Where R_1..p is not finite (past a ray's rate it reads NaN), the
+error estimate is not finite, so DOP853 rejects the attempt and shrinks
+the step by MIN_FACTOR: a solve ends where an accepted state meets a
+stopping surface or the step size underflows, and NonFiniteRHS is raised
+only for R_1..p(u) at t = 0. The surfaces are the blow-up radius r_max,
+an exp-overflow guard on the weighted points with weight in K^1..p (well
+below the overflow threshold of exp, where the remaining time to the true
+blow-up is far below the bracket width), the integrability boundary of
+exponential rays (just below each rate), and t = horizon.
 
 psi_0 is a quadrature along psi that never feeds back into it, so the
 transform exists wherever psi does, however large psi_0 is. An exp that
@@ -123,10 +125,11 @@ def riccati_rhs(model, y):
 def _stage_kernel(model):
     """riccati_rhs's formula bound to the model, unchecked: past a ray's rate
     it reads NaN, and an exp that overflows on a point of K^1..p makes
-    R_1..p inf or NaN. On (N, p) lanes the products would take
-    y[..., None, :, None] and y[..., :, None], R_0 would be out[..., 0] and a
-    ray's argument the array y @ direction: the same bits per lane, but about
-    3 us more per call on one lane."""
+    R_1..p inf or NaN. A solve's stages call it for every model but one
+    with p = 1 and an empty jump table (_scalar_stages). On (N, p) lanes the
+    products would take y[..., None, :, None] and y[..., :, None], R_0 would
+    be out[..., 0] and a ray's argument the array y @ direction: the same
+    bits per lane, but about 3 us more per call on one lane."""
     linear, quadratic, rays = model.rhs_linear, model.rhs_quadratic, model.jump_rays
     points, coefs, points0, coefs0 = model.rhs_points, model.rhs_coefs, model.rhs_points0, model.rhs_coefs0
     reach, alone = points.size > 0, points0.size > 0
@@ -145,6 +148,69 @@ def _stage_kernel(model):
         return out
 
     return kernel
+
+
+def _stages(model, r_switch):
+    """A solve's trial stages on the packed state, (rhs, rhs_s): phase 1's
+    (R_0, R) and phase 2's g (R_0, R, 1) with its switch radius r_switch."""
+    if model.dim == 1 and not (model.rhs_points.size or model.rhs_points0.size or model.jump_rays):
+        return _scalar_stages(model, r_switch)
+    return _kernel_stages(model, r_switch)
+
+
+def _kernel_stages(model, r_switch):
+    """The stages as frames around one call of _stage_kernel."""
+    kernel = _stage_kernel(model)
+
+    def rhs(t, y):
+        return kernel(y.view(complex)[1:]).view(float)
+
+    dz_1 = np.ones(2 * model.dim + 3)  # (R_0, R, 1), packed
+
+    def rhs_s(s, y):
+        psi = y[2:-1].view(complex)
+        r = kernel(psi)
+        dz_1[:-1] = r.view(float)
+        # |psi| by np.linalg.norm's formula. hypot scales its arguments: |R|
+        # may exceed the square root of the largest float. np.abs of a complex
+        # number may differ from Python's abs in the last bit. A non-finite
+        # R_1..p leaves g 0 or NaN, and its component NaN.
+        re, im = psi.real, psi.imag
+        psi_norm = math.sqrt(re.dot(re) + im.dot(im))
+        g = 1.0 / (1.0 + math.hypot(*np.abs(r[1:]).tolist()) / (r_switch * (1.0 + psi_norm)))
+        return g * dz_1
+
+    return rhs, rhs_s
+
+
+def _scalar_stages(model, r_switch):
+    """_kernel_stages for p = 1 and an empty jump table, in Python complex
+    arithmetic, bit for bit. The kernel's (L + Q y) y is a sum from zero,
+    whose 0j turns a -0.0 into +0.0; the inner sum Q y needs none, since the
+    sign of a zero there cannot reach R. |psi| = sqrt(re re + im im) is
+    np.linalg.norm's two length-1 dots, not one length-2 dot. |R_1| keeps
+    np.abs of an array, whose SIMD modulus differs from abs() and
+    math.hypot in the last bit."""
+    (l0, l1), (q0, q1) = model.rhs_linear[:, 0].tolist(), model.rhs_quadratic[:, 0, 0].tolist()
+    r1_arr = np.empty(1, complex)
+
+    def rates(re, im):
+        z = complex(re, im)
+        return 0j + (l0 + q0 * z) * z, 0j + (l1 + q1 * z) * z
+
+    def rhs(t, y):
+        _, _, re, im = y.tolist()
+        r0, r1 = rates(re, im)
+        return np.array([r0.real, r0.imag, r1.real, r1.imag])
+
+    def rhs_s(s, y):
+        _, _, re, im, _ = y.tolist()
+        r0, r1 = rates(re, im)
+        r1_arr[0] = r1
+        g = 1.0 / (1.0 + np.abs(r1_arr).item() / (r_switch * (1.0 + math.sqrt(re * re + im * im))))
+        return np.array([g * r0.real, g * r0.imag, g * r1.real, g * r1.imag, g])
+
+    return rhs, rhs_s
 
 
 @dataclass
@@ -299,30 +365,12 @@ def solve_riccati(model, u, horizon):
         raise NonFiniteRHS("Riccati right-hand side is non-finite at t=0")
     r_switch = _SWITCH_FACTOR * (1.0 + float(np.linalg.norm(u)))
 
-    kernel = _stage_kernel(model)
+    rhs, rhs_s = _stages(model, r_switch)
     nfev_t = 0  # phase 1's calls, once phase 2 runs
 
     def check_budget(run, t):
         if nfev_t + run.nfev > MAX_STEPS * 20:
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
-
-    def rhs(t, y):
-        return kernel(y.view(complex)[1:]).view(float)
-
-    dz_1 = np.ones(2 * u.size + 3)  # (R_0, R, 1), packed
-
-    def rhs_s(s, y):
-        psi = y[2:-1].view(complex)
-        r = kernel(psi)
-        dz_1[:-1] = r.view(float)
-        # |psi| by np.linalg.norm's formula. hypot scales its arguments: |R|
-        # may exceed the square root of the largest float. np.abs of a complex
-        # number may differ from Python's abs in the last bit. A non-finite
-        # R_1..p leaves g 0 or NaN, and its component NaN.
-        re, im = psi.real, psi.imag
-        psi_norm = math.sqrt(re.dot(re) + im.dot(im))
-        g = 1.0 / (1.0 + math.hypot(*np.abs(r[1:]).tolist()) / (r_switch * (1.0 + psi_norm)))
-        return g * dz_1
 
     # exp may overflow in a trial stage, which the step's error estimate judges.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -40,7 +40,9 @@ unless it holds a -0.0, which would take the sign of the zero product x.0.
 A block counts its jumps by one bincount over the arrival rows of the
 steps since the last count, once they pass the block size and after the
 last step, so the rows held stay O(block). No index clamp guards the jump
-source: a source uniform below 1 never picks past the last mark.
+source: a source uniform below 1 never picks past the last mark. On R^p,
+where the projection is the identity, x + increment becomes the state,
+and the old state's buffer takes the next increment.
 
 For p = 1 on a canonical space, R_+ or R, the admissibility conditions
 decide more. Where A^0 >= 0 and A^1 >= 0 on R_+, or A^1 = 0 on R, c(x) is
@@ -383,6 +385,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
     # decides here which calls of the step its model makes redundant.
     space = model.state_space
     scalar = p == 1 and isinstance(space, Canonical)
+    free = isinstance(space, Canonical) and not space.m
     clip_always = add_a0 = True
     if scalar:
         A0, A1 = model.A[:, 0, 0]
@@ -421,7 +424,7 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
         # the running max of |x|, on R_+ of the clipped x itself, whose zeros
         # square to +0.0 whatever their sign. The clip writes into spare,
         # which swaps with states each step.
-        sup_abs, spare = np.abs(states[:, 0]), np.empty_like(states)
+        sup_abs, spare = np.abs(states[:, 0]), None if free else np.empty_like(states)
     else:
         sup_sq = row_sq_sums(states)
     sqrt_dt = np.sqrt(dt)
@@ -488,13 +491,20 @@ def _simulate_block(model, x0, cfg, dt, n_steps, record_idx, block, n_block):
             # past float range take the exact test.
             if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
                 raise PathOverflow(f"a path's state leaves float range at step {k}, t = {k * dt:g}")
-            if scalar:
+            if free:
+                # The projection onto R^p is the identity: incr is the new
+                # state, and the old state's buffer the next increment.
+                states, incr = incr, states
+                flat = incr.ravel()
+            elif scalar:
                 states, spare = space._project_rows(incr, out=spare), states
-                col = states[:, 0] if space.m else np.abs(states[:, 0], out=sq)
-                np.maximum(sup_abs, col, out=sup_abs)
             else:
                 # _project_rows returns a new array, so incr is free for the next step.
                 states = space._project_rows(incr)
+            if scalar:
+                col = states[:, 0] if space.m else np.abs(states[:, 0], out=sq)
+                np.maximum(sup_abs, col, out=sup_abs)
+            else:
                 np.maximum(sup_sq, row_sq_sums(states, out=sq), out=sup_sq)
             if (k + 1) in slot:
                 rec[:, slot[k + 1], :] = states

@@ -16,7 +16,7 @@ from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq as scipy_brentq
 
-from affinejd import golden, integrator
+from affinejd import golden, integrator, riccati
 from affinejd.riccati import ABS_TOL, R_MAX, REL_TOL, riccati_rhs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -80,11 +80,12 @@ def counted(fun):
     return wrapped
 
 
-def lockstep(fun, y0, t_bound, first_step, radius, max_steps=2000):
-    """Step the own stepper and scipy's side by side from the same first
-    step; every accepted step must be the same floats, after the same number
-    of right-hand-side calls and rejected attempts."""
-    own_fun, ref_fun = counted(fun), counted(fun)
+def lockstep(fun, y0, t_bound, first_step, radius, max_steps=2000, scipy_fun=None):
+    """Step the own stepper on fun and scipy's on scipy_fun (default fun)
+    side by side from the same first step; every accepted step must be the
+    same floats, after the same number of right-hand-side calls and rejected
+    attempts."""
+    own_fun, ref_fun = counted(fun), counted(scipy_fun or fun)
     own = integrator.DOP853(own_fun, 0.0, y0, t_bound, REL_TOL, ABS_TOL, first_step)
     ref = ScipyDOP853(ref_fun, 0.0, y0, t_bound, rtol=REL_TOL, atol=ABS_TOL, first_step=first_step)
     assert own_fun.calls == ref_fun.calls and own.h_abs == ref.h_abs
@@ -148,6 +149,24 @@ def test_stepper_matches_scipy_step_for_step_on_blow_up(squared_model, u):
     for first_step in (first, None):
         steps, end = lockstep(fun, y0, 10.0, first_step, R_MAX)
         assert end == "radius" and steps > 20
+
+
+@pytest.mark.parametrize("name, u, horizon", [
+    ("squared_scalar", [0.5], 10.0), ("squared_scalar", [1.0], 10.0), ("squared_scalar", [2.0], 10.0),
+    ("squared_scalar", [5.0], 10.0), ("cir", [-1.0 + 3.0j], 1.5), ("cir", [0.5 + 0.2j], 1.5),
+    ("ou", [0.3 - 1.0j], 1.5), ("ou", [-2.0 + 7.0j], 1.5),
+])
+def test_scalar_stages_match_scipy_on_the_kernel_step_for_step(name, u, horizon):
+    # The own stepper on the scalar phase-1 stage of a p = 1 model without
+    # jumps, scipy's on riccati_rhs, from riccati's first step and from each
+    # stepper's own first-step rule: the same steps, bit for bit.
+    model = getattr(golden, name)()
+    fun = riccati._scalar_stages(model, R_MAX)[0]
+    y0 = np.concatenate([[0.0], np.asarray(u, dtype=complex)]).view(float)
+    end = "radius" if name == "squared_scalar" else "finished"
+    for first_step in (riccati_first_step(fun, y0, horizon), None):
+        steps, stop = lockstep(fun, y0, horizon, first_step, R_MAX, scipy_fun=packed(model))
+        assert stop == end and steps > 5
 
 
 def test_a_given_first_derivative_takes_the_same_steps():

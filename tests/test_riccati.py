@@ -916,15 +916,8 @@ def test_non_finite_psi_rate_at_u_is_refused():
 
 
 def test_solve_counts_steps_and_builds_no_interpolant(monkeypatch):
-    # Every evaluation of R goes through a kernel of riccati._stage_kernel.
-    calls = []
-    build = riccati._stage_kernel
-
-    def counting(model):
-        kernel = build(model)
-        return lambda y: calls.append(1) or kernel(y)
-
-    monkeypatch.setattr(riccati, "_stage_kernel", counting)
+    # Every evaluation of R, on the kernel's stages or the scalar ones.
+    calls = counting_evaluations(monkeypatch)
     cases = [(golden.cir(), [0.5]), (golden.ou(), [0.3 - 1.0j]), (golden.compound_poisson(), [2.0j]),
              (golden.wishart_2d(), [-0.4, 0.1j, -0.3]), (golden.lorentz_drift(), [0.2, 0.1, -0.1j])]
     for model, u in cases:
@@ -965,17 +958,113 @@ def test_stage_kernel_is_riccati_rhs_bit_for_bit():
         assert not np.isfinite(riccati._stage_kernel(STEEP_ATOM_MODEL)(np.array([400.0 + 0.5j]))[1:]).any()
 
 
-def counting_kernels(monkeypatch):
-    """A list that grows by one on each call of a kernel of
-    riccati._stage_kernel, through which every evaluation of R goes."""
+def reference_stages(model, r_switch):
+    """The trial stages as frames around riccati._stage_kernel, phase 2 by
+    its formula g (R_0, R, 1): |psi| by np.linalg.norm's two dots, |R| by
+    math.hypot over np.abs of R_1..p."""
+    kernel = riccati._stage_kernel(model)
+
+    def rhs(t, y):
+        return kernel(y.view(complex)[1:]).view(float)
+
+    def rhs_s(s, y):
+        psi = y[2:-1].view(complex)
+        r = kernel(psi)
+        re, im = psi.real, psi.imag
+        psi_norm = math.sqrt(re.dot(re) + im.dot(im))
+        g = 1.0 / (1.0 + math.hypot(*np.abs(r[1:]).tolist()) / (r_switch * (1.0 + psi_norm)))
+        return g * np.append(r.view(float), 1.0)
+
+    return rhs, rhs_s
+
+
+def test_the_stages_of_a_solve_are_the_kernels_bit_for_bit():
+    # A model with p = 1 and no jumps takes the stages in Python complex
+    # arithmetic; they must give the kernel's bits, signed zeros and NaNs
+    # included, on random psi and at the edges: zeros of either sign before
+    # negative and -0.0 coefficients, subnormals, |psi| from 1e154 up, where
+    # the squares overflow, and inf and NaN. Every other model keeps the
+    # kernel, and models with jumps must not take the scalar path.
+    scalar = [golden.squared_scalar(), golden.cir(), golden.ou(),
+              scalar_model(a0=-0.0, a=-0.0, A1=2.0), scalar_model(a0=-1.5, a=-2.0, A0=0.3, space=Canonical(0, 1)),
+              scalar_model(a0=0.0, a=-0.0, A0=0.0, A1=0.0, space=Canonical(0, 1))]
+    ray_model = scalar_model(a0=0.5, A1=1.0, K=[None, ExponentialRay(0.7, 5.0, [1.0])])
+    kernel_only = [golden.compound_poisson(), k0_atom_model(), ray_model, STEEP_ATOM_MODEL, golden.wishart_2d()]
+    edges = [0.0, -0.0, 5e-324, -2.5e-320, 1e-310, -1.0, 1.0, 1e154, -3e154, 1e200, -1e308, 1.7e308,
+             math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(45)
+    for model, is_scalar in [(m, True) for m in scalar] + [(m, False) for m in kernel_only]:
+        p = model.dim
+        parts = [np.array([(re, im) for re in edges for im in edges])] if p == 1 else []
+        parts.append(rng.normal(size=(400, 2 * p)) * 10.0 ** rng.uniform(-4.0, 3.0, size=(400, 1)))
+        parts.append(rng.normal(size=(50, 2 * p)) * 10.0 ** rng.uniform(150.0, 307.0, size=(50, 1)))
+        states = np.hstack([rng.normal(size=(sum(map(len, parts)), 2)), np.vstack(parts)])
+        r_switch = 30.0 * (1.0 + rng.uniform(0.0, 5.0))
+        stages = [riccati._stages(model, r_switch)]
+        if is_scalar:
+            stages.append(riccati._scalar_stages(model, r_switch))
+        ref_rhs, ref_rhs_s = reference_stages(model, r_switch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in states:
+                y_s = np.append(y, rng.uniform())
+                want, want_s = ref_rhs(0.5, y).tobytes(), ref_rhs_s(0.5, y_s).tobytes()
+                for rhs, rhs_s in stages:
+                    assert rhs(0.5, y).tobytes() == want, (model, y)
+                    assert rhs_s(0.5, y_s).tobytes() == want_s, (model, y_s)
+
+
+def test_the_scalar_stages_leave_every_solve_and_ray_unchanged(monkeypatch):
+    # Solves of the p = 1 models without jumps, once on the scalar stages and
+    # once with the selection sending every model to the kernel's stages: the
+    # same grid, states, brackets, stats and interior values, bit for bit,
+    # in both phases, exploding and solved, and the same rays of CIR.
+    rng = np.random.default_rng(2045)
+    cases = []
+    for k in range(150):
+        model = (golden.squared_scalar(), golden.cir(), golden.ou())[k % 3]
+        kind, u = k % 4, rng.uniform(0.05, 6.0)
+        if kind == 0:  # past the blow-up time 1/u of psi' = psi^2
+            cases.append((model, [u], rng.uniform(1.1, 4.0) / u))
+        elif kind == 1:  # short of it, past the switch radius
+            cases.append((model, [u], (1.0 - 10.0 ** -rng.uniform(1.5, 3.0)) / u))
+        elif kind == 2:
+            cases.append((model, [complex(rng.normal(), rng.normal(0.0, 10.0))], rng.uniform(0.1, 2.0)))
+        else:
+            cases.append((model, [-u], rng.uniform(0.01, 3.0)))
+    times = np.sort(rng.uniform(0.0, 1.0, 5))
+
+    def records():
+        out, kinds = [], set()
+        for model, u, horizon in cases:
+            sol = solve_riccati(model, u, horizon)
+            psi0, psi = sol.eval(times * sol.t_last)
+            out.append((sol.grid.tobytes(), sol.psi0.tobytes(), sol.psi.tobytes(), repr(sol.bracket), sol.stats,
+                        psi0.tobytes(), psi.tobytes()))
+            kinds.add((sol.verdict, sol.stats.steps_s > 0))
+        assert kinds == {("exploded", True), ("solved", True), ("solved", False)}
+        rays = [effective_domain_ray(golden.cir(), d, t) for d in ([1.0], [-1.0]) for t in (0.1, 2.0)]
+        return out + [(ray.lambda_star, ray.bracket, ray.probes) for ray in rays]
+
+    build, built = riccati._scalar_stages, []
+    monkeypatch.setattr(riccati, "_scalar_stages", lambda *args: built.append(1) or build(*args))
+    scalar = records()
+    assert len(built) > len(cases)
+    monkeypatch.setattr(riccati, "_scalar_stages", riccati._kernel_stages)
+    assert records() == scalar
+
+
+def counting_evaluations(monkeypatch):
+    """A list that grows by one on each evaluation of R in a solve: the
+    fail-fast riccati_rhs at u and each call of a trial stage that
+    riccati._stages builds, on the kernel's path or the scalar one."""
     calls = []
-    build = riccati._stage_kernel
 
-    def counting(model):
-        kernel = build(model)
-        return lambda y: calls.append(1) or kernel(y)
+    def counted(fun):
+        return lambda *args: calls.append(1) or fun(*args)
 
-    monkeypatch.setattr(riccati, "_stage_kernel", counting)
+    rhs, stages = riccati.riccati_rhs, riccati._stages
+    monkeypatch.setattr(riccati, "riccati_rhs", counted(rhs))
+    monkeypatch.setattr(riccati, "_stages", lambda model, r_switch: tuple(map(counted, stages(model, r_switch))))
     return calls
 
 
@@ -983,7 +1072,7 @@ def test_two_phase_solves_count_every_kernel_call(squared_model, monkeypatch):
     # The runs count their calls: the first derivative (the fail-fast check
     # at u, handed to phase 1), the first-step probes, 12 per attempt and 3
     # for the interpolant that locates the stopping event.
-    calls = counting_kernels(monkeypatch)
+    calls = counting_evaluations(monkeypatch)
     for u, horizon, verdict in (([2.0], 10.0, "exploded"), ([0.5], 1.99, "solved")):
         calls.clear()
         sol = solve_riccati(squared_model, u, horizon)

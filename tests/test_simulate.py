@@ -252,6 +252,14 @@ def half_line_and_line_model():
                        K=[FiniteAtomic([0.5], [[0.3, -0.4]]), None, None], state_space=Canonical(1, 2))
 
 
+def free_plane_model():
+    """On R^2, where the projection is the identity: a correlated Gaussian
+    diffusion pulled toward a point, with an atom in K^0."""
+    return AffineModel(a0=[0.2, -0.1], a=[[-1.0, 0.3], [0.2, -0.5]],
+                       A=[[[1.0, 0.2], [0.2, 0.5]], np.zeros((2, 2)), np.zeros((2, 2))],
+                       K=[FiniteAtomic([0.5], [[0.3, -0.4]]), None, None], state_space=Canonical(0, 2))
+
+
 def compensated_zero_drift_model():
     """a = 0.2, and an atom of weight 0.5 x at 0.4 whose mean 0.2 x cancels
     it: the compensated linear drift is zero though a is not."""
@@ -269,6 +277,7 @@ REFERENCE_CASES = {
     "ray_in_k0": (ray_in_k0_model, [1.0]),
     "lorentz_ray": (lorentz_ray_model, [1.0, 0.2, -0.1]),
     "half_line_and_line": (half_line_and_line_model, [0.5, -0.3]),
+    "free_plane_seven_steps": (free_plane_model, [0.5, -0.3]),
     "compensated_zero_drift": (compensated_zero_drift_model, [1.0]),
     "cir_one_step": (golden.cir, [1.0]),
     "cir_seven_steps": (golden.cir, [1.0]),
@@ -288,7 +297,8 @@ REFERENCE_CASES = {
 # which the normals ring's four buffers do not divide; the noisy Lorentz
 # block draws 4,096 x 3 normals per step.
 REFERENCE_HORIZONS = {"cir_one_step": 0.25, "cir_seven_steps": 1.75, "atoms_and_ray_seven_steps": 1.75,
-                      "noisy_lorentz_seven_steps": 1.75, "negative_a0_on_r_plus_seven_steps": 1.75}
+                      "noisy_lorentz_seven_steps": 1.75, "negative_a0_on_r_plus_seven_steps": 1.75,
+                      "free_plane_seven_steps": 1.75}
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
